@@ -180,6 +180,66 @@ void BM_NetworkPacketDelivery(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkPacketDelivery)->Arg(0)->Arg(536)->Arg(1460);
 
+void BM_NetworkPacketDeliveryManyHosts(benchmark::State& state) {
+  // The same hop, fanned out over N attached destinations that each have
+  // their own jittered path, as a scan's materialized hosts do. The single
+  // sink above keeps every address and flow lookup in cache; here each
+  // packet looks up a different host's entry and flow generator, so the
+  // fabric's per-address bookkeeping shows in the rate.
+  struct Sink final : sim::Endpoint {
+    std::uint64_t received = 0;
+    void handle_packet(net::PacketView bytes) override {
+      benchmark::DoNotOptimize(bytes.data());
+      ++received;
+    }
+  };
+  const auto hosts = static_cast<std::uint32_t>(state.range(0));
+  sim::EventLoop loop;
+  sim::Network network(loop, 1);
+  Sink sink;
+  std::vector<net::TcpSegment> segments;
+  segments.reserve(hosts);
+  for (std::uint32_t i = 0; i < hosts; ++i) {
+    net::TcpSegment segment = make_segment(0);
+    // Distinct addresses scattered over 10.0.0.0/8, like a sampled scan's
+    // targets: an odd multiplier permutes the low 24 bits.
+    segment.ip.dst = net::IPv4Address{(10u << 24) | ((i * 0x9e3779u) & 0xffffffu)};
+    sim::PathConfig path;
+    path.latency = sim::usec(1000 + static_cast<std::int64_t>(i % 64) * 100);
+    path.jitter = sim::usec(50);
+    network.attach(segment.ip.dst, &sink);
+    network.set_path(segment.ip.dst, path);
+    segments.push_back(std::move(segment));
+  }
+
+  // One pass over every host warms the pool, the slab and every flow.
+  for (const net::TcpSegment& segment : segments) {
+    net::PacketBuf warm = network.pool().acquire();
+    net::encode_into(segment, warm.bytes());
+    network.send(std::move(warm));
+    loop.run();
+  }
+
+  std::uint64_t packets = 0;
+  std::size_t next = 0;
+  const std::uint64_t allocs_before = util::alloc_stats::allocations();
+  for (auto _ : state) {
+    net::PacketBuf buf = network.pool().acquire();
+    net::encode_into(segments[next], buf.bytes());
+    network.send(std::move(buf));
+    loop.run();
+    next = next + 1 == segments.size() ? 0 : next + 1;
+    ++packets;
+  }
+  const std::uint64_t allocs = util::alloc_stats::allocations() - allocs_before;
+  state.counters["allocs_per_packet"] =
+      packets == 0 ? 0.0
+                   : static_cast<double>(allocs) / static_cast<double>(packets);
+  state.SetItemsProcessed(static_cast<std::int64_t>(packets));
+  benchmark::DoNotOptimize(sink.received);
+}
+BENCHMARK(BM_NetworkPacketDeliveryManyHosts)->Arg(4096)->Arg(65536);
+
 void BM_EstimatorConnection(benchmark::State& state) {
   // One complete Fig.-1 estimation against an IW10 host, end to end.
   struct Services final : scan::SessionServices, sim::Endpoint {

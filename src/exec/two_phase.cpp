@@ -111,12 +111,36 @@ class PromotionSource final : public scan::TargetSource {
 };
 
 /// Folds a cycle's sweep events (Responsive, then possibly Banner; or
-/// Closed) into one SweepRecord per host.
+/// Closed) into one SweepRecord per host. Events are appended as they
+/// arrive and folded once, at the end: a stable sort by cycle keeps each
+/// host's events in arrival order, so the fold equals folding on arrival.
 class SweepCollector {
  public:
-  void on_event(const scan::SweepEvent& event) {
-    scan::SweepRecord& record = by_cycle_[event.cycle];
-    record.cycle = event.cycle;
+  void on_event(const scan::SweepEvent& event) { events_.push_back(event); }
+
+  [[nodiscard]] std::vector<scan::SweepRecord> take_sorted() {
+    std::stable_sort(events_.begin(), events_.end(),
+                     [](const scan::SweepEvent& a, const scan::SweepEvent& b) {
+                       return a.cycle < b.cycle;
+                     });
+    std::size_t hosts = 0;
+    for (std::size_t i = 0; i < events_.size(); ++i) {
+      hosts += i == 0 || events_[i].cycle != events_[i - 1].cycle ? 1 : 0;
+    }
+    std::vector<scan::SweepRecord> records;
+    records.reserve(hosts);
+    for (const scan::SweepEvent& event : events_) {
+      if (records.empty() || records.back().cycle != event.cycle) {
+        records.emplace_back().cycle = event.cycle;
+      }
+      fold(records.back(), event);
+    }
+    events_ = {};
+    return records;
+  }
+
+ private:
+  static void fold(scan::SweepRecord& record, const scan::SweepEvent& event) {
     record.ip = event.source;
     switch (event.kind) {
       case scan::SweepEventKind::Responsive:
@@ -134,20 +158,7 @@ class SweepCollector {
     }
   }
 
-  [[nodiscard]] std::vector<scan::SweepRecord> take_sorted() {
-    std::vector<scan::SweepRecord> records;
-    records.reserve(by_cycle_.size());
-    for (auto& [cycle, record] : by_cycle_) records.push_back(std::move(record));
-    by_cycle_.clear();
-    std::sort(records.begin(), records.end(),
-              [](const scan::SweepRecord& a, const scan::SweepRecord& b) {
-                return a.cycle < b.cycle;
-              });
-    return records;
-  }
-
- private:
-  std::unordered_map<std::uint64_t, scan::SweepRecord> by_cycle_;
+  std::vector<scan::SweepEvent> events_;
 };
 
 void sort_by_cycle(std::vector<scan::SweepRecord>& records) {

@@ -10,11 +10,12 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <optional>
 
 #include "netbase/ipv4.hpp"
 #include "netbase/packet.hpp"
 #include "netbase/packet_buf.hpp"
+#include "netsim/address_table.hpp"
 #include "netsim/event_loop.hpp"
 #include "util/annotations.hpp"
 #include "util/rng.hpp"
@@ -64,6 +65,13 @@ class Network {
   /// hosts only when a probe first reaches them. It may return nullptr
   /// (address unreachable; the packet is silently dropped, as on the real
   /// Internet where the scanner just times out).
+  ///
+  /// The resolver must be a pure function of the address: it attaches (and
+  /// sets the path of) whatever it returns, and an address it answers with
+  /// nullptr stays dark, with no side effect on the fabric. send() relies
+  /// on that to ask once per packet: a packet whose destination was dark
+  /// at send time is dropped at delivery without asking again, unless an
+  /// endpoint was attach()ed there in between.
   using Resolver = std::function<Endpoint*(net::IPv4Address)>;
 
   Network(EventLoop& loop, std::uint64_t seed) : loop_(loop), seed_(seed) {}
@@ -76,27 +84,38 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  void attach(net::IPv4Address addr, Endpoint* endpoint) { endpoints_[addr] = endpoint; }
-  void detach(net::IPv4Address addr) { endpoints_.erase(addr); }
+  /// `endpoint` must be non-null; detach() removes an attachment.
+  void attach(net::IPv4Address addr, Endpoint* endpoint);
+  void detach(net::IPv4Address addr);
   [[nodiscard]] bool attached(net::IPv4Address addr) const {
-    return endpoints_.contains(addr);
+    const Route* route = routes_.find(addr.value());
+    return route != nullptr && route->endpoint != nullptr;
   }
 
-  /// Pre-size the address-keyed maps for `expected` additional endpoints
-  /// so a scan's lazy host instantiation does not rehash mid-flight.
-  /// Flow-RNG entries are keyed per (address, direction), hence 2x. Pure
-  /// capacity hint: nothing iterates these maps, so the (bucket-order
-  /// dependent) behavior of the fabric is unchanged.
+  /// Pre-size the fabric's tables for `expected` additional endpoints so a
+  /// scan's lazy host instantiation does not grow them mid-flight. An
+  /// endpoint and its path share one address-table entry. Flow state is
+  /// keyed by the ordered (src, dst) pair: an impaired host's path holds
+  /// two flows, one per direction, and an unimpaired one none. The flow
+  /// table gets the same hint, room for both directions of at least half
+  /// the expected hosts, and grows past that. Pure capacity hint: nothing
+  /// iterates these tables, so the fabric's behaviour does not depend on
+  /// their size.
   void reserve_endpoints(std::size_t expected) {
-    endpoints_.reserve(endpoints_.size() + expected);
-    paths_.reserve(paths_.size() + expected);
-    flow_rngs_.reserve(flow_rngs_.size() + 2 * expected);
+    routes_.reserve(routes_.size() + expected);
+    flows_.reserve(flows_.size() + expected);
   }
+
+  /// Flows that hold impairment state: one per ordered (src, dst) pair that
+  /// has drawn a random number. Test introspection: pins that unimpaired
+  /// paths cost no flow state.
+  [[nodiscard]] std::size_t flow_states() const noexcept { return flows_.size(); }
 
   void set_resolver(Resolver resolver) { resolver_ = std::move(resolver); }
 
   /// Deterministic fault injection for tests: invoked for every packet
-  /// before impairments; returning false drops it (counted as lost).
+  /// before impairments; returning false drops it (counted as lost). The
+  /// filter must not attach, detach or change paths.
   using Filter = std::function<bool(net::PacketView)>;
   void set_filter(Filter filter) { filter_ = std::move(filter); }
 
@@ -109,17 +128,20 @@ class Network {
   [[nodiscard]] const PathConfig& default_path() const noexcept { return default_path_; }
 
   /// Per-destination path override (keyed by the non-scanner endpoint).
-  void set_path(net::IPv4Address addr, const PathConfig& config) {
-    paths_[addr] = config;
-  }
-  void clear_path(net::IPv4Address addr) { paths_.erase(addr); }
+  /// Clearing it (or detaching the endpoint) never drops the flows' draw
+  /// state: a host evicted and materialized again continues its draws.
+  void set_path(net::IPv4Address addr, const PathConfig& config);
+  void clear_path(net::IPv4Address addr);
 
   /// Inject a datagram into the fabric. Routing uses the IP header's
   /// destination; impairments use the path keyed by the *remote* side
   /// (destination for scanner→host, source for host→scanner — the same
   /// path object, so loss is symmetric per host as on one Internet path).
   /// The buffer should come from this fabric's pool(); duplication and the
-  /// delivery hop then share it by handle instead of copying bytes.
+  /// delivery hop then share it by handle instead of copying bytes. A hop
+  /// costs one address-table lookup for the destination (endpoint and path
+  /// together), one more for the source's path only when the destination
+  /// has none, and a flow-table lookup only when the path draws.
   IWSCAN_HOT void send(net::PacketBuf packet);
 
   /// Compatibility overload for callers that still build owned byte
@@ -136,10 +158,21 @@ class Network {
   [[nodiscard]] EventLoop& loop() noexcept { return loop_; }
 
  private:
+  /// One address-table entry: what is attached there and its path
+  /// override. An entry exists while either is set.
+  struct Route {
+    Endpoint* endpoint = nullptr;
+    std::optional<PathConfig> path;
+  };
+
+  /// The entry's path override, or nullptr for none (or no entry).
+  [[nodiscard]] static const PathConfig* path_of(const Route* route);
   [[nodiscard]] const PathConfig& path_for(net::IPv4Address remote) const;
   [[nodiscard]] util::Rng& flow_rng(net::IPv4Address src, net::IPv4Address dst);
+  /// `dark`: send() asked the resolver and got nullptr, so delivery does
+  /// not ask again (an attach() in between still wins).
   IWSCAN_HOT void deliver(SimTime delay, net::IPv4Address destination,
-                          net::PacketBuf packet);
+                          net::PacketBuf packet, bool dark);
   void send_frag_needed(net::IPv4Address original_src, net::IPv4Address original_dst,
                         std::uint32_t next_hop_mtu, net::PacketView original);
 
@@ -149,10 +182,12 @@ class Network {
   // seeded from `seed_`), not from one shared stream: a flow's loss/jitter
   // sequence then depends only on its own packet order, so interleaving
   // flows differently — e.g. splitting a scan across shard workers — cannot
-  // change which packets of a given flow are dropped or delayed.
-  std::unordered_map<std::uint64_t, util::Rng> flow_rngs_;
-  std::unordered_map<net::IPv4Address, Endpoint*> endpoints_;
-  std::unordered_map<net::IPv4Address, PathConfig> paths_;
+  // change which packets of a given flow are dropped or delayed. A flow's
+  // generator is created on its first draw (creating one does not advance
+  // it, so every sequence is unchanged) and is never evicted: memory scales
+  // with impaired flows, not with addresses probed.
+  AddressTable<std::uint64_t, util::Rng> flows_;
+  AddressTable<std::uint32_t, Route> routes_;
   net::BufferPool pool_;
   PathConfig default_path_;
   Resolver resolver_;

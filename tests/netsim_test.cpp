@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+#include <utility>
+
 #include "netbase/packet.hpp"
+#include "netsim/address_table.hpp"
 #include "netsim/capture.hpp"
 #include "netsim/event_loop.hpp"
 #include "netsim/network.hpp"
+#include "util/rng.hpp"
 
 namespace iwscan::sim {
 namespace {
@@ -244,6 +249,100 @@ TEST(EventLoop, FarFutureEventsFireInScheduleOrder) {
   EXPECT_EQ(loop.now(), sec(7200));
 }
 
+// ------------------------------------------------------ AddressTable -----
+
+TEST(AddressTable, MatchesUnorderedMapUnderRandomChurn) {
+  // Oracle test: a key range small enough that inserts, hits, misses and
+  // erases all happen often, across several growth steps.
+  AddressTable<std::uint32_t, std::uint64_t> table;
+  std::unordered_map<std::uint32_t, std::uint64_t> oracle;
+  util::Rng rng(2017);
+  for (int op = 0; op < 200'000; ++op) {
+    const auto key = static_cast<std::uint32_t>(rng.below(op < 100'000 ? 512 : 4096));
+    switch (rng.below(3)) {
+      case 0: {
+        bool added = false;
+        table.find_or_add(key, added) = static_cast<std::uint64_t>(op);
+        EXPECT_EQ(added, !oracle.contains(key));
+        oracle[key] = static_cast<std::uint64_t>(op);
+        break;
+      }
+      case 1:
+        EXPECT_EQ(table.erase(key), oracle.erase(key) == 1);
+        break;
+      default: {
+        const std::uint64_t* found = table.find(key);
+        const auto it = oracle.find(key);
+        ASSERT_EQ(found != nullptr, it != oracle.end()) << "key " << key;
+        if (found != nullptr) {
+          EXPECT_EQ(*found, it->second);
+        }
+      }
+    }
+    ASSERT_EQ(table.size(), oracle.size());
+  }
+  for (const auto& [key, value] : oracle) {
+    const std::uint64_t* found = table.find(key);
+    ASSERT_NE(found, nullptr);
+    EXPECT_EQ(*found, value);
+  }
+  EXPECT_LE(table.size(), table.capacity() / 4 * 3);
+}
+
+TEST(AddressTable, EraseShiftsBackAcrossTheTableEnd) {
+  // Build one probe run that starts in the last slots and wraps round to
+  // slot 0, then erase from its head: the wrapped entries must shift back
+  // past the end and stay reachable.
+  AddressTable<std::uint32_t, int> table;
+  table.reserve(1);
+  const std::size_t last = table.capacity() - 1;
+  std::vector<std::uint32_t> run;  // homes: last, last, last, 0
+  for (std::uint32_t key = 0; run.size() < 3; ++key) {
+    if (table.bucket(key) == last) run.push_back(key);
+  }
+  for (std::uint32_t key = 0;; ++key) {
+    if (table.bucket(key) == 0) {
+      run.push_back(key);
+      break;
+    }
+  }
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    bool added = false;
+    table.find_or_add(run[i], added) = static_cast<int>(i);
+    ASSERT_TRUE(added);
+  }
+  ASSERT_EQ(table.capacity(), last + 1) << "the run must not trigger growth";
+
+  EXPECT_TRUE(table.erase(run[0]));
+  for (std::size_t i = 1; i < run.size(); ++i) {
+    const int* found = table.find(run[i]);
+    ASSERT_NE(found, nullptr) << "entry " << i << " lost after the shift";
+    EXPECT_EQ(*found, static_cast<int>(i));
+  }
+  EXPECT_EQ(table.find(run[0]), nullptr);
+  EXPECT_TRUE(table.erase(run[2]));
+  EXPECT_TRUE(table.erase(run[3]));
+  EXPECT_EQ(*table.find(run[1]), 1);
+  EXPECT_FALSE(table.erase(run[3]));
+  EXPECT_EQ(table.size(), 1u);
+}
+
+TEST(AddressTable, ReserveAvoidsGrowthAndKeepsEntries) {
+  AddressTable<std::uint64_t, int> table;
+  bool added = false;
+  table.find_or_add(7, added) = 70;
+  table.reserve(1000);
+  const std::size_t capacity = table.capacity();
+  EXPECT_GE(capacity / 4 * 3, 1000u);
+  EXPECT_EQ(*table.find(7), 70);
+  for (std::uint64_t key = 100; key < 1099; ++key) {
+    table.find_or_add(key << 32 | key, added) = static_cast<int>(key);
+  }
+  EXPECT_EQ(table.capacity(), capacity);
+  EXPECT_EQ(table.size(), 1000u);
+  EXPECT_EQ(*table.find(std::uint64_t{555} << 32 | 555), 555);
+}
+
 // ----------------------------------------------------------- Network -----
 
 class Collector final : public Endpoint {
@@ -314,10 +413,105 @@ TEST(Network, ResolverMaterializesLazily) {
   EXPECT_EQ(host.packets.size(), 2u);
   EXPECT_EQ(resolver_calls, 1) << "second packet must hit the attached endpoint";
 
-  // Unresolvable destination: dropped.
-  network.send(make_packet(kA, net::IPv4Address{10, 9, 9, 9}));
+  // Unresolvable destination: dropped, after exactly one resolver call per
+  // packet — delivery does not ask again for an address send() found dark.
+  const net::IPv4Address dark{10, 9, 9, 9};
+  resolver_calls = 0;
+  for (int i = 0; i < 3; ++i) network.send(make_packet(kA, dark));
   loop.run();
-  EXPECT_GE(network.stats().packets_unroutable, 1u);
+  EXPECT_EQ(resolver_calls, 3);
+  EXPECT_EQ(network.stats().packets_unroutable, 3u);
+
+  // An attach() between send and delivery still wins over the dark answer.
+  Collector late;
+  network.send(make_packet(kA, dark));
+  network.attach(dark, &late);
+  loop.run();
+  EXPECT_EQ(late.packets.size(), 1u);
+  EXPECT_EQ(resolver_calls, 4);
+  EXPECT_EQ(network.stats().packets_unroutable, 3u);
+}
+
+TEST(Network, FlowDrawsSurviveDetachAndReattach) {
+  // A host evicted (detach + clear_path) and materialized again continues
+  // its flows' loss and jitter sequences instead of restarting them.
+  struct Arrival {
+    SimTime at;
+    std::size_t bytes;
+    bool operator==(const Arrival&) const = default;
+  };
+  class Recorder final : public Endpoint {
+   public:
+    explicit Recorder(EventLoop& loop) : loop_(loop) {}
+    void handle_packet(net::PacketView bytes) override {
+      arrivals.push_back({loop_.now(), bytes.size()});
+    }
+    std::vector<Arrival> arrivals;
+
+   private:
+    EventLoop& loop_;
+  };
+  PathConfig path;
+  path.latency = msec(10);
+  path.jitter = msec(4);
+  path.loss_rate = 0.25;
+
+  const auto run = [&](bool evict_midway) {
+    EventLoop loop;
+    Network network(loop, 77);
+    Recorder host(loop);
+    network.attach(kB, &host);
+    network.set_path(kB, path);
+    for (int i = 0; i < 200; ++i) {
+      if (i == 100) {
+        loop.run();
+        if (evict_midway) {
+          network.detach(kB);
+          network.clear_path(kB);
+          EXPECT_FALSE(network.attached(kB));
+          network.attach(kB, &host);
+          network.set_path(kB, path);
+        }
+      }
+      network.send(make_packet(kA, kB, static_cast<std::size_t>(i)));
+    }
+    loop.run();
+    return host.arrivals;
+  };
+  const std::vector<Arrival> kept = run(false);
+  const std::vector<Arrival> evicted = run(true);
+  EXPECT_LT(kept.size(), 180u) << "the path must actually drop packets";
+  EXPECT_EQ(evicted, kept);
+}
+
+TEST(Network, UnimpairedPathsCreateNoFlowState) {
+  EventLoop loop;
+  Network network(loop, 1);
+  Collector a;
+  Collector b;
+  network.attach(kA, &a);
+  network.attach(kB, &b);
+  network.set_path(kB, PathConfig{});  // its own path, but no impairment
+  for (int i = 0; i < 10; ++i) {
+    network.send(make_packet(kA, kB));
+    network.send(make_packet(kB, kA));
+    const net::IPv4Address dark{10, 9, 9, static_cast<std::uint8_t>(i)};
+    network.send(make_packet(kA, dark));
+  }
+  loop.run();
+  EXPECT_EQ(b.packets.size(), 10u);
+  EXPECT_EQ(network.flow_states(), 0u);
+
+  // The first draw creates the flow's generator: one per direction.
+  PathConfig jittery;
+  jittery.jitter = usec(50);
+  network.set_path(kB, jittery);
+  network.send(make_packet(kA, kB));
+  EXPECT_EQ(network.flow_states(), 1u);
+  network.send(make_packet(kA, kB));
+  network.send(make_packet(kB, kA));
+  EXPECT_EQ(network.flow_states(), 2u);
+  loop.run();
 }
 
 TEST(Network, LossRateDropsRoughlyThatFraction) {

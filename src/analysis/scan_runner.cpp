@@ -1,7 +1,5 @@
 #include "analysis/scan_runner.hpp"
 
-#include <utility>
-
 namespace iwscan::analysis {
 
 ScanOutput run_iw_scan(sim::Network& network, model::InternetModel& internet,
@@ -21,40 +19,14 @@ ScanOutput run_iw_scan(sim::Network& network, model::InternetModel& internet,
   job.shards = options.shards;
   job.process_shard = options.process_shard;
   job.process_shards = options.process_shards;
+  job.two_phase = options.two_phase;
+  job.sweep_rate_pps = options.sweep_rate_pps;
+  job.max_promoted_hosts = options.max_promoted_hosts;
   job.spill_dir = options.spill_dir;
   job.spill_segment_bytes = options.spill_segment_bytes;
   job.progress = options.progress;
   job.progress_interval = options.progress_interval;
-
-  ScanOutput output;
-  if (options.two_phase) {
-    exec::TwoPhaseJob two_phase;
-    two_phase.scan = std::move(job);
-    two_phase.sweep_rate_pps = options.sweep_rate_pps;
-    two_phase.max_promoted_hosts = options.max_promoted_hosts;
-    exec::TwoPhaseRunner runner(std::move(two_phase));
-    exec::TwoPhaseResult result = runner.run(network, internet);
-    output.records = std::move(result.records);
-    output.engine = result.engine;
-    output.duration = result.duration;
-    output.address_space = result.address_space;
-    output.sweep_records = std::move(result.sweep_records);
-    output.sweep = result.sweep;
-    output.promoted = result.promoted;
-    output.truncated = result.truncated;
-    output.spill_files = std::move(result.spill_files);
-    output.sweep_spill_files = std::move(result.sweep_spill_files);
-    return output;
-  }
-
-  exec::ParallelScanRunner runner(std::move(job));
-  exec::ScanResult result = runner.run(network, internet);
-  output.records = std::move(result.records);
-  output.engine = result.engine;
-  output.duration = result.duration;
-  output.address_space = result.address_space;
-  output.spill_files = std::move(result.spill_files);
-  return output;
+  return exec::run_scan(job, network, internet);
 }
 
 }  // namespace iwscan::analysis

@@ -8,8 +8,7 @@
 #include <vector>
 
 #include "core/host_prober.hpp"
-#include "exec/parallel_runner.hpp"
-#include "exec/two_phase.hpp"
+#include "exec/executor.hpp"
 #include "inetmodel/internet.hpp"
 #include "scanner/scan_engine.hpp"
 
@@ -25,16 +24,17 @@ struct ScanOptions {
   bool popular_space = false;         // Alexa-style scan (Fig. 4)
   std::vector<net::Cidr> blocklist;   // never probed (ZMap ethics model)
   core::IwScanConfig probe;           // port is derived from protocol
-  // Parallel execution (exec::ParallelScanRunner): >1 splits the scan over
-  // that many worker threads; the merged output is byte-identical for any
-  // value on a fresh world with the same seeds.
+  // Parallel execution (exec::run_scan): >1 splits the scan over that many
+  // worker threads; the merged output is byte-identical for any value on a
+  // fresh world with the same seeds.
   std::uint64_t shards = 1;
   exec::ProgressFn progress;               // optional live-progress callback
   std::uint64_t progress_interval = 1024;  // merged records between snapshots
-  // Two-phase mode (exec::TwoPhaseRunner): a stateless ZBanner-style sweep
-  // covers the whole space first and only responsive hosts are promoted
-  // into the stateful IW estimator. Output records are byte-identical to a
-  // stateful-everywhere scan restricted to the responsive set.
+  // Two-phase mode (exec::run_scan's sweep stage): a stateless ZBanner-style
+  // sweep covers the whole space first and only responsive hosts are
+  // promoted into the stateful IW estimator. Output records are
+  // byte-identical to a stateful-everywhere scan restricted to the
+  // responsive set.
   bool two_phase = false;
   double sweep_rate_pps = 600'000;  // phase-1 SYN rate (global)
   // >0 caps phase 2 at the K responsive hosts with the lowest global
@@ -54,21 +54,11 @@ struct ScanOptions {
   std::size_t spill_segment_bytes = 1u << 20;
 };
 
-struct ScanOutput {
-  std::vector<core::HostScanRecord> records;
-  scan::EngineStats engine;
-  sim::SimTime duration{};
-  std::uint64_t address_space = 0;  // size of the allowlist
-  // Two-phase mode only (empty/zero otherwise):
-  std::vector<scan::SweepRecord> sweep_records;  // phase-1 output, cycle order
-  scan::SweepStats sweep;
-  std::uint64_t promoted = 0;   // responsive hosts handed to phase 2
-  std::uint64_t truncated = 0;  // responsive hosts dropped by the cap
-  // Spill mode only (records/sweep_records stay empty): per-shard spill
-  // files, shard order. analysis::summarize_spill reads them back merged.
-  std::vector<std::string> spill_files;
-  std::vector<std::string> sweep_spill_files;
-};
+/// Host records (cycle order), summed engine stats, virtual duration and
+/// allowlist size; in two-phase mode also the sweep records, sweep stats
+/// and promotion counts; in spill mode the per-shard spill files instead
+/// of the record vectors (analysis::summarize_spill reads them back).
+using ScanOutput = exec::ScanResult;
 
 /// Runs the scan to completion on the network's event loop.
 [[nodiscard]] ScanOutput run_iw_scan(sim::Network& network, model::InternetModel& internet,

@@ -136,7 +136,7 @@ struct HostScanRecord {
   std::uint8_t connections_used = 0;
 
   /// Field-wise equality — the byte-identity contract of sharded scans
-  /// (exec::ParallelScanRunner) is pinned against this.
+  /// (exec::run_scan) is pinned against this.
   [[nodiscard]] friend bool operator==(const HostScanRecord&,
                                        const HostScanRecord&) = default;
 

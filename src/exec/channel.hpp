@@ -1,10 +1,9 @@
 // Bounded multi-producer single-consumer channel.
 //
-// The hand-off between shard workers and the merge aggregator in the
-// parallel scan executor (see parallel_runner.hpp): workers block when the
-// aggregator falls behind (bounded memory, like the engine's own
-// max_outstanding backpressure), and the aggregator blocks when no results
-// are pending. Closing wakes everyone; a closed channel drains remaining
+// The hand-off between shard workers and the merger in the scan executor
+// (see executor.hpp): workers block when the merger falls behind (bounded
+// memory, like the engine's own max_outstanding backpressure), and the
+// merger blocks when no results are pending. Closing wakes everyone; a closed channel drains remaining
 // items before reporting exhaustion, so no record is ever lost.
 #pragma once
 

@@ -1,0 +1,116 @@
+// The scan executor: one pipeline, any shard count, deterministic merge.
+//
+// Every scan runs the same stages on whatever world it is given:
+//
+//   sweep     (two-phase only) StatelessSweep walks the space at a high
+//             rate with zero per-host state (scanner/stateless.hpp),
+//             harvesting liveness, the SYN-ACK window/MSS and a banner;
+//   promote   picks the estimator's targets: every address (stateful
+//             tier), responsive hosts streamed through a bounded queue
+//             while the sweep runs (two-phase), or the K responsive hosts
+//             with the lowest global cycle indices (two-phase with
+//             max_promoted_hosts, which waits for every shard's sweep);
+//   estimate  ScanEngine runs the full IW probe sequence against each
+//             promoted target (core::IwProbeModule).
+//
+// A worker runs those stages on one world and reports to a single merger.
+// shards<=1 runs one worker inline on the caller's world (no pool, no
+// channel); shards>1 runs one worker per shard on a private,
+// identically-seeded world, reporting through a BoundedChannel.
+//
+// Byte-identical output for any shard count rests on three legs:
+//   1. per-target determinism upstream — session seeds, source ports
+//      (scan::SessionServices) and path impairments (sim::Network per-flow
+//      RNGs) depend only on (seed, target), never on launch interleaving;
+//   2. identically-seeded private worlds — every worker synthesizes hosts
+//      from the same pure (model seed, address) function, and host behavior
+//      depends only on time *since its first packet*, so per-shard pacing
+//      differences cannot leak into records;
+//   3. a total merge order — every record is tagged with its target's
+//      global permutation-cycle index, which interleaves shard streams back
+//      into the single-shard emission order (see PermutationIterator).
+// The sweep scans from its own source address (disjoint per-flow
+// impairment streams and host connection keys), so running it first
+// cannot perturb what the estimator observes.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "core/host_prober.hpp"
+#include "exec/progress.hpp"
+#include "inetmodel/internet.hpp"
+#include "scanner/scan_engine.hpp"
+#include "scanner/stateless.hpp"
+
+namespace iwscan::exec {
+
+/// Scan parameters shared by all shards. The analysis layer converts its
+/// ScanOptions into one of these and delegates (analysis/scan_runner.cpp).
+struct ScanJob {
+  core::IwScanConfig probe;  // protocol/port must already be resolved
+  double rate_pps = 150'000; // global rate; divided across shards
+  double sample_fraction = 1.0;
+  std::uint64_t scan_seed = 7;
+  std::size_t max_outstanding = 20'000;  // global cap; divided across shards
+  scan::SessionBudget budget;  // per-session ceilings, identical in every shard
+  std::vector<net::Cidr> allow;
+  std::vector<net::Cidr> block;
+  std::uint64_t shards = 1;
+  // Multi-process operator mode (ZMap-style --shard i/N --seed S): this
+  // process owns the permutation residue `process_shard` (mod
+  // `process_shards`); thread shards subdivide that stride further. Cycle
+  // indices stay global, so spill files from all processes merge back into
+  // the single-process record order (tools/iwmerge).
+  std::uint64_t process_shard = 0;
+  std::uint64_t process_shards = 1;
+  // Two-phase mode: sweep first, estimate only the responsive hosts. The
+  // sweep probes probe.port and reuses scan_seed for its cookie key and
+  // target permutation.
+  bool two_phase = false;
+  double sweep_rate_pps = 600'000;  // global; divided across shards
+  // 0 = promote every responsive host while the sweep runs. >0 = estimate
+  // only the K responsive hosts with the lowest global cycle indices. With
+  // process_shards > 1 the cap is per process, since processes cannot see
+  // each other's responsive sets.
+  std::uint64_t max_promoted_hosts = 0;
+  // Bounded-memory result path: when non-empty, workers stream records
+  // into per-shard columnar spill files under this directory
+  // (store::SpillWriter) instead of growing ScanResult::records — RSS
+  // stays O(spill_segment_bytes), not O(targets). Read the files back in
+  // global cycle order with store::open_merge or tools/iwmerge.
+  std::string spill_dir;
+  std::size_t spill_segment_bytes = 1u << 20;
+  ProgressFn progress;  // optional; invoked on the calling thread
+  std::uint64_t progress_interval = 1024;  // merged records between snapshots
+};
+
+struct ScanResult {
+  std::vector<core::HostScanRecord> records;  // permutation-cycle order
+  scan::EngineStats engine;                   // summed over shards
+  sim::SimTime duration{};  // virtual time: slowest sweep + slowest estimate
+  std::uint64_t address_space = 0;            // allowlist size, post-merge
+  // Two-phase mode only (empty/zero otherwise):
+  std::vector<scan::SweepRecord> sweep_records;  // permutation-cycle order
+  scan::SweepStats sweep;                        // summed over shards
+  std::uint64_t promoted = 0;   // responsive hosts handed to the estimator
+  std::uint64_t truncated = 0;  // responsive hosts dropped by the cap
+  // Spill mode only (records/sweep_records stay empty): one file per
+  // worker shard and record kind, in shard order. Merge-read them to
+  // recover the record streams.
+  std::vector<std::string> spill_files;
+  std::vector<std::string> sweep_spill_files;
+};
+
+/// Runs the scan to completion. `network`/`internet` are the reference
+/// world: shards<=1 executes directly on it; shards>1 leaves it untouched
+/// and builds one identically-seeded private world per worker, so the
+/// merged output is byte-identical to a shards=1 run on a fresh world with
+/// the same seeds. A worker's estimate stage always runs on the world its
+/// sweep stage swept.
+[[nodiscard]] ScanResult run_scan(const ScanJob& job, sim::Network& network,
+                                  model::InternetModel& internet);
+
+}  // namespace iwscan::exec

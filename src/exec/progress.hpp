@@ -1,10 +1,10 @@
-// Live progress reporting for parallel scans.
+// Live progress reporting for scans.
 //
-// The aggregator thread of ParallelScanRunner invokes the callback
-// periodically (every `progress_interval` merged records, and whenever a
-// shard completes) with a consistent snapshot. Counters are cumulative
-// across all shards; the callback always runs on the thread that called
-// ParallelScanRunner::run, never on a worker.
+// The scan executor's merger invokes the callback periodically (every
+// `progress_interval` merged records, and whenever a shard completes) with
+// a consistent snapshot. Counters are cumulative across all shards and
+// never decrease; spilled records count as merged. The callback always
+// runs on the thread that called exec::run_scan, never on a worker.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +14,7 @@ namespace iwscan::exec {
 
 struct ProgressSnapshot {
   std::uint64_t targets_started = 0;  // probe sessions launched, all shards
-  std::uint64_t records_merged = 0;   // host records the aggregator has taken
+  std::uint64_t records_merged = 0;   // host records merged or spilled
   std::uint64_t outstanding = 0;      // started but not yet merged
   std::uint64_t shards_done = 0;
   std::uint64_t shards_total = 0;

@@ -1,11 +1,11 @@
 // Fixed-size worker thread pool.
 //
 // The only place in the codebase that spawns threads: shard workers of the
-// parallel scan executor run here, each driving a private virtual-time
-// event loop. Pool scheduling affects wall-clock timing only — never scan
-// output, which is made order-independent upstream (per-target draws,
-// per-flow impairment RNGs) and re-ordered deterministically downstream
-// (cycle-index merge in ParallelScanRunner).
+// scan executor run here, each driving a private virtual-time event loop.
+// Pool scheduling affects wall-clock timing only — never scan output,
+// which is made order-independent upstream (per-target draws, per-flow
+// impairment RNGs) and re-ordered deterministically downstream (cycle-index
+// merge in exec::run_scan).
 #pragma once
 
 #include <condition_variable>

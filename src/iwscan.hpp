@@ -5,7 +5,7 @@
 // and DESIGN.md for the architecture.
 //
 // Layering (each header is also individually includable):
-//   iwscan::util      — RNG, logging, strings, flags
+//   iwscan::util      — RNG, strings, flags
 //   iwscan::net       — IPv4/TCP/ICMP wire codecs
 //   iwscan::sim       — event loop, network fabric, packet capture
 //   iwscan::tcp       — server-side TCP stack (hosts under test)
@@ -14,12 +14,11 @@
 //   iwscan::scan      — ZMap-style engine, targets, probe modules
 //   iwscan::core      — the IW estimator, probe strategies, host prober
 //   iwscan::model     — the synthetic Internet (AS registry, ground truth)
-//   iwscan::exec      — parallel sharded scan executor, deterministic merge
+//   iwscan::exec      — the scan executor: sharded stages, deterministic merge
 //   iwscan::analysis  — aggregation, sampling, clustering, reports
 #pragma once
 
 #include "util/flags.hpp"
-#include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
@@ -67,7 +66,7 @@
 #include "inetmodel/profiles.hpp"
 
 #include "exec/channel.hpp"
-#include "exec/parallel_runner.hpp"
+#include "exec/executor.hpp"
 #include "exec/progress.hpp"
 #include "exec/shard_plan.hpp"
 #include "exec/thread_pool.hpp"

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "util/check.hpp"
-#include "util/logging.hpp"
 
 namespace iwscan::sim {
 

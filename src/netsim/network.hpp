@@ -77,7 +77,7 @@ class Network {
   Network(EventLoop& loop, std::uint64_t seed) : loop_(loop), seed_(seed) {}
 
   /// The impairment seed this fabric was built with. A sharded scan
-  /// (exec::ParallelScanRunner) builds one private Network per worker from
+  /// (exec::run_scan) builds one private Network per worker from
   /// this seed so per-flow impairment draws match the single-shard run.
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 

@@ -1,7 +1,5 @@
 #include "scanner/scan_engine.hpp"
 
-#include "util/logging.hpp"
-
 namespace iwscan::scan {
 
 ScanEngine::ScanEngine(sim::Network& network, EngineConfig config,

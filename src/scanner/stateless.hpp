@@ -25,7 +25,7 @@
 // Determinism: a target's whole exchange is keyed by (seed, cycle index,
 // addresses) and per-flow fabric draws, never by sweep interleaving, so
 // sharded sweeps merge byte-identically (the same contract as ScanEngine;
-// see exec/two_phase.hpp).
+// see exec/executor.hpp).
 #pragma once
 
 #include <array>

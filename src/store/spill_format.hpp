@@ -26,7 +26,7 @@
 // Records are keyed by the *global* permutation-cycle index, which is
 // unique across shards and processes — K-way merging any disjoint set of
 // spill files by cycle reproduces exactly the record order a
-// single-process, single-thread scan emits (exec/parallel_runner.hpp).
+// single-process, single-thread scan emits (exec/executor.hpp).
 #pragma once
 
 #include <cstddef>

@@ -4,7 +4,6 @@
 
 #include "tcpstack/pacing.hpp"
 #include "tcpstack/seq.hpp"
-#include "util/logging.hpp"
 #include "util/rng.hpp"
 
 namespace iwscan::tcp {

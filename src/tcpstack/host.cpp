@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "util/logging.hpp"
 #include "util/rng.hpp"
 
 namespace iwscan::tcp {

@@ -205,6 +205,49 @@ TEST(ExecSpill, CappedTwoPhaseSpillKeepsDeterministicTruncation) {
   fs::remove_all(dir);
 }
 
+// ------------------------------------------------------------ progress ----
+
+TEST(ExecSpill, FinalProgressCountsEveryRecordInEveryMode) {
+  // Spilled records never cross the merge channel, yet the final snapshot
+  // must still count them: RAM and spill report the same totals.
+  for (const bool two_phase : {false, true}) {
+    for (const std::uint64_t shards : {1u, 2u}) {
+      for (const bool spill : {false, true}) {
+        const std::string label = std::string(two_phase ? "two-phase" : "stateful") +
+                                  ", " + std::to_string(shards) + " shards, " +
+                                  (spill ? "spill" : "RAM");
+        analysis::ScanOptions options = base_options(shards);
+        options.two_phase = two_phase;
+        options.sweep_rate_pps = 400'000;
+        const fs::path dir = scratch_dir("progress");
+        if (spill) options.spill_dir = dir.string();
+        std::vector<ProgressSnapshot> snapshots;
+        options.progress = [&snapshots](const ProgressSnapshot& snap) {
+          snapshots.push_back(snap);
+        };
+        FreshWorld world;
+        const analysis::ScanOutput output =
+            analysis::run_iw_scan(world.network, world.internet, options);
+
+        std::vector<core::HostScanRecord> records = output.records;
+        if (spill) {
+          std::string error;
+          ASSERT_TRUE(store::read_merged<core::HostScanRecord>(output.spill_files,
+                                                               records, &error))
+              << label << ": " << error;
+        }
+        ASSERT_FALSE(records.empty()) << label;
+        ASSERT_FALSE(snapshots.empty()) << label;
+        const ProgressSnapshot& final_snap = snapshots.back();
+        EXPECT_EQ(final_snap.records_merged, records.size()) << label;
+        EXPECT_EQ(final_snap.outstanding, 0u) << label;
+        EXPECT_EQ(final_snap.shards_done, shards) << label;
+        fs::remove_all(dir);
+      }
+    }
+  }
+}
+
 // ------------------------------------------- analysis-layer read path ----
 
 TEST(ExecSpill, SpillSummaryMatchesInRamSummary) {

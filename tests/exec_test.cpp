@@ -4,13 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <ostream>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "analysis/scan_runner.hpp"
 #include "exec/channel.hpp"
-#include "exec/parallel_runner.hpp"
+#include "exec/executor.hpp"
 #include "exec/shard_plan.hpp"
 #include "exec/thread_pool.hpp"
 #include "inetmodel/internet.hpp"
@@ -200,7 +202,7 @@ analysis::ScanOutput scan_with_shards(std::uint64_t shards) {
   return analysis::run_iw_scan(world.network, world.internet, options);
 }
 
-TEST(ParallelScanRunner, ShardedScanIsByteIdenticalToSingleShard) {
+TEST(ScanExecutor, ShardedScanIsByteIdenticalToSingleShard) {
   const analysis::ScanOutput baseline = scan_with_shards(1);
   ASSERT_FALSE(baseline.records.empty());
 
@@ -223,7 +225,7 @@ TEST(ParallelScanRunner, ShardedScanIsByteIdenticalToSingleShard) {
   }
 }
 
-TEST(ParallelScanRunner, ImpairedPathsKeepShardedByteIdentity) {
+TEST(ScanExecutor, ImpairedPathsKeepShardedByteIdentity) {
   // Per-flow impairment RNGs are keyed by (network seed, flow), so loss,
   // reordering and duplication replay identically in every shard's world —
   // the identity must survive a meaningfully lossy Internet.
@@ -256,7 +258,7 @@ TEST(ParallelScanRunner, ImpairedPathsKeepShardedByteIdentity) {
   }
 }
 
-TEST(ParallelScanRunner, AdversarialHostsKeepShardedByteIdentity) {
+TEST(ScanExecutor, AdversarialHostsKeepShardedByteIdentity) {
   // Hostile stacks (tarpits, slowloris, RST injectors…) respond only to
   // their own flow's clock, so mixing them in must not break the merge.
   auto run = [](std::uint64_t shards) {
@@ -293,7 +295,7 @@ TEST(ParallelScanRunner, AdversarialHostsKeepShardedByteIdentity) {
   }
 }
 
-TEST(ParallelScanRunner, SampledShardedScanMatchesSingleShard) {
+TEST(ScanExecutor, SampledShardedScanMatchesSingleShard) {
   auto run = [](std::uint64_t shards) {
     FreshWorld world;
     analysis::ScanOptions options;
@@ -311,12 +313,29 @@ TEST(ParallelScanRunner, SampledShardedScanMatchesSingleShard) {
   }
 }
 
-TEST(ParallelScanRunner, ProgressSnapshotsAreMonotoneAndComplete) {
+struct ProgressCase {
+  const char* name = "";
+  bool two_phase = false;
+  std::uint64_t max_promoted_hosts = 0;
+  std::uint64_t shards = 1;
+  std::uint64_t progress_interval = 1024;
+};
+
+void PrintTo(const ProgressCase& mode, std::ostream* os) { *os << mode.name; }
+
+class ProgressSnapshotsAreMonotoneAndComplete
+    : public ::testing::TestWithParam<ProgressCase> {};
+
+TEST_P(ProgressSnapshotsAreMonotoneAndComplete, InEveryMode) {
+  const ProgressCase& mode = GetParam();
   FreshWorld world;
   analysis::ScanOptions options;
   options.rate_pps = 40'000;
-  options.shards = 2;
-  options.progress_interval = 16;
+  options.shards = mode.shards;
+  options.progress_interval = mode.progress_interval;
+  options.two_phase = mode.two_phase;
+  options.sweep_rate_pps = 400'000;
+  options.max_promoted_hosts = mode.max_promoted_hosts;
   std::vector<ProgressSnapshot> snapshots;
   options.progress = [&snapshots](const ProgressSnapshot& snap) {
     snapshots.push_back(snap);
@@ -324,20 +343,32 @@ TEST(ParallelScanRunner, ProgressSnapshotsAreMonotoneAndComplete) {
   const analysis::ScanOutput output =
       analysis::run_iw_scan(world.network, world.internet, options);
 
-  ASSERT_FALSE(snapshots.empty());
+  ASSERT_GT(snapshots.size(), mode.shards);  // interval snapshots, not just shard ends
   std::uint64_t last_merged = 0;
+  std::uint64_t last_done = 0;
   for (const ProgressSnapshot& snap : snapshots) {
     EXPECT_GE(snap.records_merged, last_merged);
+    EXPECT_GE(snap.shards_done, last_done);
     EXPECT_GE(snap.targets_started, snap.records_merged);
-    EXPECT_EQ(snap.shards_total, 2u);
+    EXPECT_EQ(snap.shards_total, mode.shards);
     last_merged = snap.records_merged;
+    last_done = snap.shards_done;
   }
   const ProgressSnapshot& final_snap = snapshots.back();
-  EXPECT_EQ(final_snap.shards_done, 2u);
+  EXPECT_EQ(final_snap.shards_done, final_snap.shards_total);
   EXPECT_EQ(final_snap.records_merged, output.records.size());
 }
 
-TEST(ParallelScanRunner, MoreShardsThanTargetsStillCoversEverything) {
+INSTANTIATE_TEST_SUITE_P(
+    ScanExecutor, ProgressSnapshotsAreMonotoneAndComplete,
+    ::testing::Values(ProgressCase{"stateful", false, 0, 2, 16},
+                      ProgressCase{"two_phase_streaming", true, 0, 4, 4},
+                      ProgressCase{"two_phase_capped", true, 64, 4, 4}),
+    [](const ::testing::TestParamInfo<ProgressCase>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(ScanExecutor, MoreShardsThanTargetsStillCoversEverything) {
   // 16 addresses across 8 shards: some workers get two targets, none get
   // zero-probed garbage, and the merge still matches shards=1.
   auto run = [](std::uint64_t shards) {
@@ -349,8 +380,7 @@ TEST(ParallelScanRunner, MoreShardsThanTargetsStillCoversEverything) {
     job.scan_seed = 5;
     job.allow = {*net::Cidr::parse("10.0.0.0/28")};
     job.shards = shards;
-    ParallelScanRunner runner(std::move(job));
-    return runner.run(world.network, world.internet);
+    return run_scan(job, world.network, world.internet);
   };
   const ScanResult baseline = run(1);
   const ScanResult sharded = run(8);

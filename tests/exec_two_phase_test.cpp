@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "analysis/scan_runner.hpp"
-#include "exec/two_phase.hpp"
+#include "exec/executor.hpp"
 #include "inetmodel/adversarial.hpp"
 #include "inetmodel/internet.hpp"
 #include "scanner/stateless.hpp"
@@ -81,7 +81,7 @@ void expect_identical(const analysis::ScanOutput& got,
 
 // ------------------------------------------------ sharded byte-identity ----
 
-TEST(TwoPhaseRunner, ShardedTwoPhaseScanIsByteIdenticalToSingleShard) {
+TEST(TwoPhaseScan, ShardedTwoPhaseScanIsByteIdenticalToSingleShard) {
   const analysis::ScanOutput baseline = run_two_phase(1);
   ASSERT_FALSE(baseline.records.empty());
   ASSERT_FALSE(baseline.sweep_records.empty());
@@ -106,7 +106,7 @@ TEST(TwoPhaseRunner, ShardedTwoPhaseScanIsByteIdenticalToSingleShard) {
   }
 }
 
-TEST(TwoPhaseRunner, AdversarialHostsKeepTwoPhaseByteIdentity) {
+TEST(TwoPhaseScan, AdversarialHostsKeepTwoPhaseByteIdentity) {
   auto run = [](std::uint64_t shards) {
     model::ModelConfig config;
     config.scale_log2 = 12;
@@ -130,7 +130,7 @@ TEST(TwoPhaseRunner, AdversarialHostsKeepTwoPhaseByteIdentity) {
 
 // ------------------------------------- phase 2 vs. stateful-everywhere ----
 
-TEST(TwoPhaseRunner, PhaseTwoMatchesStatefulScanRestrictedToResponsiveSet) {
+TEST(TwoPhaseScan, PhaseTwoMatchesStatefulScanRestrictedToResponsiveSet) {
   const analysis::ScanOutput two_phase = run_two_phase(1);
   ASSERT_FALSE(two_phase.records.empty());
 
@@ -160,7 +160,7 @@ TEST(TwoPhaseRunner, PhaseTwoMatchesStatefulScanRestrictedToResponsiveSet) {
 
 // ------------------------------------------------- promotion truncation ----
 
-TEST(TwoPhaseRunner, MaxPromotedHostsTruncatesToLowestCycleIndices) {
+TEST(TwoPhaseScan, MaxPromotedHostsTruncatesToLowestCycleIndices) {
   const analysis::ScanOutput full = run_two_phase(1);
   ASSERT_GT(full.promoted, 2u);
   EXPECT_EQ(full.truncated, 0u);
@@ -189,7 +189,7 @@ TEST(TwoPhaseRunner, MaxPromotedHostsTruncatesToLowestCycleIndices) {
   }
 }
 
-TEST(TwoPhaseRunner, CapAboveResponsiveCountPromotesEverything) {
+TEST(TwoPhaseScan, CapAboveResponsiveCountPromotesEverything) {
   const analysis::ScanOutput full = run_two_phase(1);
   const analysis::ScanOutput capped = run_two_phase(1, full.promoted + 100);
   EXPECT_EQ(capped.promoted, full.promoted);

@@ -367,6 +367,28 @@ TEST(IwlintTaint, ClockBehindNetsimAllowlistIsStillTainted) {
   EXPECT_NE(findings[0].message.find("run_iw_scan"), std::string::npos);
 }
 
+TEST(IwlintTaint, ClockReachableOnlyFromExecEntryIsTainted) {
+  // Library users may call the executor directly, skipping run_iw_scan, so
+  // exec::run_scan is a scan root in its own right.
+  const std::vector<SourceFile> program = {
+      {"src/netsim/clockutil.cpp",
+       "namespace iwscan::sim {\n"
+       "long now_ns() {\n"
+       "  return std::chrono::steady_clock::now().time_since_epoch().count();\n"
+       "}\n"
+       "}  // namespace iwscan::sim\n"},
+      {"src/exec/executor.cpp",
+       "namespace iwscan::exec {\n"
+       "long run_scan() { return now_ns(); }\n"
+       "}  // namespace iwscan::exec\n"}};
+  const auto findings = lint_program(program);
+  ASSERT_EQ(findings.size(), 1u)
+      << (findings.empty() ? "" : iwscan::lint::format_text(findings.front()));
+  EXPECT_EQ(findings[0].rule, "determinism-taint");
+  EXPECT_EQ(findings[0].file, "src/netsim/clockutil.cpp");
+  EXPECT_NE(findings[0].message.find("run_scan"), std::string::npos);
+}
+
 TEST(IwlintTaint, QuarantinedSinksAreOpaque) {
   // The same clock read inside src/util/stopwatch.cpp is the sanctioned
   // home for wall-clock access; reaching it taints nothing.

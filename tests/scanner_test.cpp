@@ -307,7 +307,7 @@ TEST(TargetGenerator, ShardUnionEqualsSingleShardEmission) {
 TEST(TargetGenerator, CycleIndexRecoversSingleShardOrderAcrossShards) {
   // Tagging each emission with its global cycle index and sorting merges
   // shard streams back into the exact shards=1 order — the deterministic
-  // merge key of exec::ParallelScanRunner.
+  // merge key of exec::run_scan.
   const std::vector<net::Cidr> space = {*net::Cidr::parse("10.0.0.0/23")};
   const std::vector<net::Cidr> block = {*net::Cidr::parse("10.0.0.64/26")};
   std::vector<net::IPv4Address> single;

@@ -4,7 +4,6 @@
 #include <map>
 
 #include "util/flags.hpp"
-#include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -273,34 +272,6 @@ TEST(Flags, MissingValueIsError) {
   flags.define_string("name", "", "");
   const char* argv[] = {"prog", "--name"};
   EXPECT_FALSE(flags.parse(2, argv));
-}
-
-// ------------------------------------------------------------ logging ----
-
-TEST(Logging, SinkReceivesEnabledLevels) {
-  auto& logger = Logger::instance();
-  const LogLevel old_level = logger.level();
-  std::vector<std::string> lines;
-  logger.set_sink([&](LogLevel, std::string_view message) {
-    lines.emplace_back(message);
-  });
-  logger.set_level(LogLevel::Info);
-
-  log_debug("hidden ", 1);
-  log_info("shown ", 2);
-  log_error("also shown");
-
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0], "shown 2");
-  EXPECT_EQ(lines[1], "also shown");
-
-  logger.set_level(old_level);
-  logger.set_sink(nullptr);
-}
-
-TEST(Logging, LevelNames) {
-  EXPECT_EQ(to_string(LogLevel::Trace), "TRACE");
-  EXPECT_EQ(to_string(LogLevel::Error), "ERROR");
 }
 
 }  // namespace

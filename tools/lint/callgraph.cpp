@@ -137,9 +137,7 @@ void run_callgraph_rules(SymbolTable symbols, std::vector<Finding>& findings,
   for (std::size_t i = 0; i < graph.defs.size(); ++i) {
     const FunctionDef& def = graph.defs[i];
     if (def.hot) hot_roots.push_back(static_cast<int>(i));
-    if (def.last == "run_iw_scan" ||
-        def.qualified.find("ParallelScanRunner") != std::string::npos ||
-        def.qualified.find("TwoPhaseRunner") != std::string::npos) {
+    if (def.last == "run_iw_scan" || def.qualified == "iwscan::exec::run_scan") {
       taint_roots.push_back(static_cast<int>(i));
     }
   }
@@ -160,7 +158,7 @@ void run_callgraph_rules(SymbolTable symbols, std::vector<Finding>& findings,
   const auto taint_parent =
       reach(graph, taint_roots, /*respect_boundaries=*/false, quarantine);
   report(graph, taint_parent, /*hot_kinds=*/false, "determinism-taint",
-         "a scan root (run_iw_scan/ParallelScanRunner/TwoPhaseRunner)",
+         "a scan root (run_iw_scan/exec::run_scan)",
          "entropy and wall-clock reads must stay quarantined in "
          "src/util/rng.cpp and src/util/stopwatch.cpp (DESIGN.md §9)",
          quarantine, findings);

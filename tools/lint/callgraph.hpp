@@ -8,7 +8,7 @@
 //                     throw, or iostreams. IWSCAN_HOT_BOUNDARY marks the
 //                     audited hand-off points where traversal stops.
 //   determinism-taint wall-clock/entropy sources must not be reachable
-//                     from the scan roots (run_iw_scan, ParallelScanRunner)
+//                     from the scan roots (run_iw_scan, exec::run_scan)
 //                     except inside the quarantined sinks src/util/rng.cpp
 //                     and src/util/stopwatch.cpp.
 //

@@ -677,7 +677,7 @@ std::string_view rule_explanation(std::string_view rule) {
            "(std::random_device, srand, rand) or wall-clock read "
            "(*_clock::now, time, clock_gettime, gettimeofday) may be "
            "reachable from the scan roots — run_iw_scan and "
-           "ParallelScanRunner — except inside the quarantined sinks "
+           "exec::run_scan — except inside the quarantined sinks "
            "src/util/rng.cpp and src/util/stopwatch.cpp. The per-TU rule "
            "allowlists all of src/netsim/, so a clock read there passes "
            "per-TU review; this rule still flags it the moment it becomes "

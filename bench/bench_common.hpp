@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -74,14 +75,11 @@ inline analysis::ScanOptions scan_options(const util::Flags& flags,
   options.scan_seed = flags.u64("scan-seed");
   options.shards = flags.u64("shards");
   options.spill_dir = flags.str("spill-dir");
-  const auto parts = util::split(flags.str("shard"), '/');
-  if (parts.size() == 2) {
-    const auto i = util::parse_u64(parts[0]);
-    const auto n = util::parse_u64(parts[1]);
-    if (i.has_value() && n.has_value() && *n > 0 && *i < *n) {
-      options.process_shard = *i;
-      options.process_shards = *n;
-    }
+  if (!util::parse_shard_spec(flags.str("shard"), options.process_shard,
+                              options.process_shards)) {
+    std::fprintf(stderr, "--shard must be i/N with i < N (got '%s')\n",
+                 flags.str("shard").c_str());
+    std::exit(2);
   }
   return options;
 }

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   for (const auto protocol : {core::ProbeProtocol::Http, core::ProbeProtocol::Tls}) {
     const bool is_http = protocol == core::ProbeProtocol::Http;
     analysis::ScanOptions options = bench::scan_options(flags, protocol);
-    options.popular_space = true;
+    options.allow = world.internet->registry().popular_space();
     const auto output =
         analysis::run_iw_scan(*world.network, *world.internet, options);
     const auto summary = analysis::summarize(output.records);

@@ -26,23 +26,6 @@
 #include "util/flags.hpp"
 #include "util/strings.hpp"
 
-namespace {
-
-/// Parses "i/N" into (shard, total). Returns false on malformed input.
-bool parse_shard_spec(const std::string& text, std::uint64_t& shard,
-                      std::uint64_t& total) {
-  const auto parts = iwscan::util::split(text, '/');
-  if (parts.size() != 2) return false;
-  const auto i = iwscan::util::parse_u64(parts[0]);
-  const auto n = iwscan::util::parse_u64(parts[1]);
-  if (!i.has_value() || !n.has_value() || *n == 0 || *i >= *n) return false;
-  shard = *i;
-  total = *n;
-  return true;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace iwscan;
 
@@ -76,7 +59,7 @@ int main(int argc, char** argv) {
   }
   std::uint64_t process_shard = 0;
   std::uint64_t process_shards = 1;
-  if (!parse_shard_spec(flags.str("shard"), process_shard, process_shards)) {
+  if (!util::parse_shard_spec(flags.str("shard"), process_shard, process_shards)) {
     std::fprintf(stderr, "quickstart: --shard must be i/N with i < N\n");
     return 2;
   }

@@ -97,20 +97,6 @@ std::vector<ProviderIwRow> provider_breakdown(
   return rows;
 }
 
-std::string render_provider_table(std::span<const ProviderIwRow> rows,
-                                  bool markdown) {
-  TextTable table({"provider", "kind", "reachable", "success", "few data",
-                   "median IW", "IW>=16", "paced"});
-  for (const auto& row : rows) {
-    table.add_row({row.name, row.kind, std::to_string(row.reachable),
-                   std::to_string(row.success), std::to_string(row.few_data),
-                   std::to_string(row.median_iw),
-                   fmt_double(row.large_iw_share() * 100.0) + "%",
-                   fmt_double(row.paced_share() * 100.0) + "%"});
-  }
-  return render_table(table, markdown);
-}
-
 std::vector<EpochBreakdown> longitudinal_breakdown(
     const LongitudinalOptions& options, std::string* error) {
   std::vector<EpochBreakdown> out;

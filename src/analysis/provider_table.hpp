@@ -56,10 +56,6 @@ struct ProviderIwRow {
     std::span<const core::HostScanRecord> records,
     const model::AsRegistry& registry);
 
-/// Render the breakdown as an aligned text table (or Markdown).
-[[nodiscard]] std::string render_provider_table(
-    std::span<const ProviderIwRow> rows, bool markdown = false);
-
 /// One epoch of the longitudinal mode.
 struct EpochBreakdown {
   int epoch = 0;

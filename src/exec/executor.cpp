@@ -8,6 +8,7 @@
 #include <iterator>
 #include <limits>
 #include <optional>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -91,7 +92,7 @@ std::vector<core::HostScanRecord> sorted_records(std::vector<TaggedRecord> tagge
   return records;
 }
 
-scan::EngineConfig engine_config_for(const ScanJob& job, const ShardSpec& spec) {
+scan::EngineConfig engine_config_for(const ScanOptions& job, const ShardSpec& spec) {
   scan::EngineConfig config;
   config.scanner_address = kScannerAddress;
   config.rate_pps = spec.rate_pps;
@@ -101,7 +102,7 @@ scan::EngineConfig engine_config_for(const ScanJob& job, const ShardSpec& spec) 
   return config;
 }
 
-scan::SweepConfig sweep_config_for(const ScanJob& job, const ShardSpec& spec) {
+scan::SweepConfig sweep_config_for(const ScanOptions& job, const ShardSpec& spec) {
   scan::SweepConfig config;  // scanner_address/source_port keep their defaults
   config.target_port = job.probe.port;
   config.rate_pps = job.sweep_rate_pps / static_cast<double>(spec.total_shards);
@@ -113,16 +114,16 @@ scan::SweepConfig sweep_config_for(const ScanJob& job, const ShardSpec& spec) {
 /// allowlist (ceil over process shards), scaled by the sample fraction.
 /// Used to pre-size the stateful tier's merge vector so the record path
 /// never reallocates mid-scan (pinned in tests/alloc_budget_test.cpp).
-std::size_t expected_records(const ScanJob& job, std::uint64_t address_space) {
-  const std::uint64_t shards = std::max<std::uint64_t>(job.process_shards, 1);
-  const std::uint64_t per_process = (address_space + shards - 1) / shards;
+std::size_t expected_records(const ScanOptions& job, std::uint64_t address_space) {
+  const std::uint64_t per_process =
+      (address_space + job.process_shards - 1) / job.process_shards;
   if (job.sample_fraction >= 1.0) return static_cast<std::size_t>(per_process);
   return static_cast<std::size_t>(static_cast<double>(per_process) *
                                   job.sample_fraction) +
          1;
 }
 
-store::SpillConfig spill_config_for(const ScanJob& job, std::uint64_t global_shard,
+store::SpillConfig spill_config_for(const ScanOptions& job, std::uint64_t global_shard,
                                     std::uint64_t global_total) {
   store::SpillConfig config;
   config.directory = job.spill_dir;
@@ -247,13 +248,13 @@ class SweepCollector {
 /// delivers a Message alternative to the merger; `await_threshold` blocks
 /// until the merger names the capped-mode truncation threshold.
 template <class Send, class AwaitThreshold>
-void run_worker(const ScanJob& job, const ShardSpec& spec, sim::Network& network,
+void run_worker(const ScanOptions& job, const ShardSpec& spec, sim::Network& network,
                 std::atomic<std::uint64_t>& launched, Send&& send,
                 AwaitThreshold&& await_threshold) {
   const std::uint64_t global_total = job.process_shards * spec.total_shards;
   const std::uint64_t global_shard = job.process_shard + job.process_shards * spec.shard;
-  scan::TargetGenerator targets(job.allow, job.block, job.scan_seed, job.sample_fraction,
-                                global_shard, global_total);
+  scan::TargetGenerator targets(job.allow, job.blocklist, job.scan_seed,
+                                job.sample_fraction, global_shard, global_total);
   sim::EventLoop& loop = network.loop();
   ShardDone done;
   done.shard = spec.shard;
@@ -377,13 +378,13 @@ void run_worker(const ScanJob& job, const ShardSpec& spec, sim::Network& network
 /// order. Lives on the calling thread.
 class Merger {
  public:
-  Merger(const ScanJob& job, std::uint64_t shard_count,
+  Merger(const ScanOptions& job, std::uint64_t shard_count,
          const std::atomic<std::uint64_t>& launched,
          BoundedChannel<std::uint64_t>* thresholds)
       : job_(job), launched_(launched), thresholds_(thresholds), done_(shard_count) {
-    result_.address_space =
-        scan::TargetGenerator(job.allow, job.block, job.scan_seed, job.sample_fraction)
-            .address_space_size();
+    result_.address_space = scan::TargetGenerator(job.allow, job.blocklist,
+                                                  job.scan_seed, job.sample_fraction)
+                                .address_space_size();
     if (!job.two_phase && job.spill_dir.empty()) {
       tagged_.reserve(expected_records(job, result_.address_space));
     }
@@ -487,7 +488,7 @@ class Merger {
     job_.progress(snap);
   }
 
-  const ScanJob& job_;
+  const ScanOptions& job_;
   const std::atomic<std::uint64_t>& launched_;
   BoundedChannel<std::uint64_t>* thresholds_;  // shards>1, capped mode
   std::vector<ShardDone> done_;                // indexed by shard
@@ -503,8 +504,18 @@ class Merger {
 
 }  // namespace
 
-ScanResult run_scan(const ScanJob& job, sim::Network& network,
+ScanResult run_scan(const ScanOptions& options, sim::Network& network,
                     model::InternetModel& internet) {
+  IWSCAN_ASSERT(options.process_shards >= 1 &&
+                    options.process_shard < options.process_shards,
+                ("process_shard " + std::to_string(options.process_shard) +
+                 ", process_shards " + std::to_string(options.process_shards) +
+                 ": need process_shards >= 1 and process_shard < process_shards")
+                    .c_str());
+  ScanOptions job = options;
+  job.probe.protocol = job.protocol;
+  job.probe.port = job.protocol == core::ProbeProtocol::Http ? 80 : 443;
+  if (job.allow.empty()) job.allow = internet.registry().scan_space();
   const ShardPlan plan = ShardPlan::make(job.shards, job.rate_pps, job.max_outstanding);
   const std::uint64_t shard_count = plan.shards.size();
   std::atomic<std::uint64_t> launched{0};

@@ -47,28 +47,34 @@
 
 namespace iwscan::exec {
 
-/// Scan parameters shared by all shards. The analysis layer converts its
-/// ScanOptions into one of these and delegates (analysis/scan_runner.cpp).
-struct ScanJob {
-  core::IwScanConfig probe;  // protocol/port must already be resolved
-  double rate_pps = 150'000; // global rate; divided across shards
-  double sample_fraction = 1.0;
+/// The one scan configuration, shared by all shards (analysis::ScanOptions
+/// is an alias). run_scan resolves its two derived values once: the probe's
+/// protocol/port from `protocol`, and an empty `allow`.
+struct ScanOptions {
+  core::ProbeProtocol protocol = core::ProbeProtocol::Http;
+  core::IwScanConfig probe;      // protocol/port are derived from `protocol`
+  double rate_pps = 150'000;     // §3.4's moderate rate; global, divided across shards
+  double sample_fraction = 1.0;  // §4.1: 0.01 = the "1% is enough" mode
   std::uint64_t scan_seed = 7;
   std::size_t max_outstanding = 20'000;  // global cap; divided across shards
   scan::SessionBudget budget;  // per-session ceilings, identical in every shard
-  std::vector<net::Cidr> allow;
-  std::vector<net::Cidr> block;
+  std::vector<net::Cidr> allow;      // empty = the registry's whole scan space
+  std::vector<net::Cidr> blocklist;  // never probed (ZMap ethics model)
+  // >1 splits the scan over that many worker threads; the merged output is
+  // byte-identical for any value on a fresh world with the same seeds.
   std::uint64_t shards = 1;
   // Multi-process operator mode (ZMap-style --shard i/N --seed S): this
   // process owns the permutation residue `process_shard` (mod
   // `process_shards`); thread shards subdivide that stride further. Cycle
   // indices stay global, so spill files from all processes merge back into
-  // the single-process record order (tools/iwmerge).
+  // the single-process record order (tools/iwmerge). Processes must share
+  // scan_seed (iwmerge enforces this on merge).
   std::uint64_t process_shard = 0;
   std::uint64_t process_shards = 1;
-  // Two-phase mode: sweep first, estimate only the responsive hosts. The
-  // sweep probes probe.port and reuses scan_seed for its cookie key and
-  // target permutation.
+  // Two-phase mode: a stateless ZBanner-style sweep covers the space first
+  // and only responsive hosts are promoted into the estimator. The sweep
+  // probes probe.port and reuses scan_seed for its cookie key and target
+  // permutation.
   bool two_phase = false;
   double sweep_rate_pps = 600'000;  // global; divided across shards
   // 0 = promote every responsive host while the sweep runs. >0 = estimate
@@ -109,8 +115,9 @@ struct ScanResult {
 /// and builds one identically-seeded private world per worker, so the
 /// merged output is byte-identical to a shards=1 run on a fresh world with
 /// the same seeds. A worker's estimate stage always runs on the world its
-/// sweep stage swept.
-[[nodiscard]] ScanResult run_scan(const ScanJob& job, sim::Network& network,
+/// sweep stage swept. Aborts unless process_shard < process_shards: a zero
+/// stride never advances, and a larger residue overlaps another process.
+[[nodiscard]] ScanResult run_scan(const ScanOptions& options, sim::Network& network,
                                   model::InternetModel& internet);
 
 }  // namespace iwscan::exec

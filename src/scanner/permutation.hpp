@@ -32,19 +32,21 @@ class RandomPermutation {
   std::uint64_t round_keys_[4];
 };
 
-/// Iterates the permutation images in index order; optionally sharded
+/// A cursor over a permutation's images in index order; optionally sharded
 /// (shard k of n visits indices k, k+n, k+2n, …) for parallel scanners.
+/// It holds no pointer to the permutation — each next() is handed one — so
+/// an owner storing both copies and moves with the defaulted members.
 class PermutationIterator {
  public:
-  PermutationIterator(const RandomPermutation& permutation, std::uint64_t shard = 0,
-                      std::uint64_t total_shards = 1) noexcept
-      : permutation_(&permutation), index_(shard), stride_(total_shards) {}
+  explicit PermutationIterator(std::uint64_t shard = 0,
+                               std::uint64_t total_shards = 1) noexcept
+      : index_(shard), stride_(total_shards) {}
 
-  /// Next image, or false when the cycle is complete.
-  bool next(std::uint64_t& out) noexcept {
-    if (index_ >= permutation_->domain_size()) return false;
+  /// Next image of `permutation`, or false when the cycle is complete.
+  bool next(const RandomPermutation& permutation, std::uint64_t& out) noexcept {
+    if (index_ >= permutation.domain_size()) return false;
     last_index_ = index_;
-    out = permutation_->permute(index_);
+    out = permutation.permute(index_);
     index_ += stride_;
     return true;
   }
@@ -55,19 +57,7 @@ class PermutationIterator {
   /// it to recover the exact shards=1 emission order.
   [[nodiscard]] std::uint64_t last_index() const noexcept { return last_index_; }
 
-  /// Re-point at a relocated permutation, keeping the cursor. An owner that
-  /// stores both the permutation and an iterator over it must call this
-  /// after a copy or move (see TargetGenerator's special members).
-  void rebind(const RandomPermutation& permutation) noexcept {
-    permutation_ = &permutation;
-  }
-
-  [[nodiscard]] bool exhausted() const noexcept {
-    return index_ >= permutation_->domain_size();
-  }
-
  private:
-  const RandomPermutation* permutation_;
   std::uint64_t index_;
   std::uint64_t stride_;
   std::uint64_t last_index_ = 0;

@@ -78,7 +78,7 @@ TargetGenerator::TargetGenerator(Normalized allow, std::vector<net::Cidr> block,
       block_(std::move(block)),
       total_(total_size(allow_)),
       permutation_(total_, seed),
-      iterator_(permutation_, shard, total_shards),
+      iterator_(shard, total_shards),
       sample_seed_(util::mix64(seed, 0x5a3b7e11)),
       sample_fraction_(sample_fraction),
       merged_overlap_(allow.merged) {
@@ -88,67 +88,6 @@ TargetGenerator::TargetGenerator(Normalized allow, std::vector<net::Cidr> block,
     running += cidr.size();
     cumulative_.push_back(running);
   }
-}
-
-TargetGenerator::TargetGenerator(const TargetGenerator& other)
-    : allow_(other.allow_),
-      cumulative_(other.cumulative_),
-      block_(other.block_),
-      total_(other.total_),
-      permutation_(other.permutation_),
-      iterator_(other.iterator_),
-      sample_seed_(other.sample_seed_),
-      sample_fraction_(other.sample_fraction_),
-      last_cycle_index_(other.last_cycle_index_),
-      emitted_(other.emitted_),
-      skipped_blocked_(other.skipped_blocked_),
-      skipped_sampled_out_(other.skipped_sampled_out_),
-      merged_overlap_(other.merged_overlap_) {
-  iterator_.rebind(permutation_);
-}
-
-TargetGenerator::TargetGenerator(TargetGenerator&& other) noexcept
-    : allow_(std::move(other.allow_)),
-      cumulative_(std::move(other.cumulative_)),
-      block_(std::move(other.block_)),
-      total_(other.total_),
-      permutation_(other.permutation_),
-      iterator_(other.iterator_),
-      sample_seed_(other.sample_seed_),
-      sample_fraction_(other.sample_fraction_),
-      last_cycle_index_(other.last_cycle_index_),
-      emitted_(other.emitted_),
-      skipped_blocked_(other.skipped_blocked_),
-      skipped_sampled_out_(other.skipped_sampled_out_),
-      merged_overlap_(other.merged_overlap_) {
-  iterator_.rebind(permutation_);
-}
-
-TargetGenerator& TargetGenerator::operator=(const TargetGenerator& other) {
-  if (this != &other) {
-    *this = TargetGenerator(other);
-  }
-  return *this;
-}
-
-TargetGenerator& TargetGenerator::operator=(TargetGenerator&& other) noexcept {
-  if (this != &other) {
-    allow_ = std::move(other.allow_);
-    cumulative_ = std::move(other.cumulative_);
-    block_ = std::move(other.block_);
-    total_ = other.total_;
-    permutation_ = other.permutation_;
-    iterator_ = other.iterator_;
-    sample_seed_ = other.sample_seed_;
-    sample_fraction_ = other.sample_fraction_;
-    last_cycle_index_ = other.last_cycle_index_;
-    emitted_ = other.emitted_;
-    skipped_blocked_ = other.skipped_blocked_;
-    skipped_sampled_out_ = other.skipped_sampled_out_;
-    merged_overlap_ = other.merged_overlap_;
-    iterator_.rebind(permutation_);
-  }
-  return *this;
 }
 
 net::IPv4Address TargetGenerator::index_to_address(std::uint64_t index) const noexcept {
@@ -168,7 +107,7 @@ bool TargetGenerator::blocked(net::IPv4Address addr) const noexcept {
 std::optional<net::IPv4Address> TargetGenerator::next() {
   if (allow_.empty()) return std::nullopt;
   std::uint64_t index = 0;
-  while (iterator_.next(index)) {
+  while (iterator_.next(permutation_, index)) {
     const net::IPv4Address addr = index_to_address(index);
     if (blocked(addr)) {
       ++skipped_blocked_;

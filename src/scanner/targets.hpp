@@ -36,15 +36,6 @@ class TargetGenerator {
                   std::uint64_t seed, double sample_fraction = 1.0,
                   std::uint64_t shard = 0, std::uint64_t total_shards = 1);
 
-  // Self-referential: iterator_ points at this object's permutation_, so
-  // the defaulted special members would leave a copy's iterator aimed at
-  // the source. Each of these re-points it after the memberwise transfer.
-  TargetGenerator(const TargetGenerator& other);
-  TargetGenerator(TargetGenerator&& other) noexcept;
-  TargetGenerator& operator=(const TargetGenerator& other);
-  TargetGenerator& operator=(TargetGenerator&& other) noexcept;
-  ~TargetGenerator() = default;
-
   /// Next target, or nullopt when the space is exhausted.
   [[nodiscard]] std::optional<net::IPv4Address> next();
 

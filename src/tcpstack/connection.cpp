@@ -24,7 +24,6 @@ TcpConnection::TcpConnection(sim::EventLoop& loop, const StackConfig& config,
       send_fn_(std::move(send)),
       on_closed_(std::move(on_closed)) {
   const auto announced = net::find_mss(syn.tcp.options);
-  peer_announced_mss_ = announced.value_or(0);
   // RFC 1122: absent MSS option implies the 536-byte default.
   mss_ = effective_mss(config_.os, announced.value_or(536), config_.own_mss_limit);
   cwnd_ = config_.iw.initial_cwnd(mss_);

@@ -87,18 +87,11 @@ class TcpConnection {
   [[nodiscard]] std::uint16_t mss() const noexcept { return mss_; }
   [[nodiscard]] std::uint32_t cwnd() const noexcept { return cwnd_; }
   [[nodiscard]] std::uint32_t bytes_in_flight() const noexcept;
-  [[nodiscard]] bool send_buffer_empty() const noexcept {
-    return unsent_bytes() == 0;
-  }
   [[nodiscard]] const ConnectionStats& stats() const noexcept { return stats_; }
   [[nodiscard]] net::IPv4Address remote_addr() const noexcept { return remote_addr_; }
   [[nodiscard]] std::uint16_t remote_port() const noexcept { return remote_port_; }
   [[nodiscard]] std::uint16_t local_port() const noexcept { return local_port_; }
   [[nodiscard]] sim::EventLoop& loop() noexcept { return loop_; }
-  /// MSS the peer announced in its SYN before OS clamping (0 = none).
-  [[nodiscard]] std::uint16_t peer_announced_mss() const noexcept {
-    return peer_announced_mss_;
-  }
 
  private:
   void handle_ack(const net::TcpSegment& segment);
@@ -133,7 +126,6 @@ class TcpConnection {
 
   TcpState state_ = TcpState::SynReceived;
   std::uint16_t mss_ = 536;             // effective segment size toward peer
-  std::uint16_t peer_announced_mss_ = 0;
 
   // Send side.
   std::uint32_t iss_ = 0;       // our initial sequence number

@@ -19,8 +19,6 @@ void TcpHost::listen(std::uint16_t port, AppFactory factory,
   listeners_[port] = Listener{std::move(factory), std::move(config_override)};
 }
 
-void TcpHost::close_port(std::uint16_t port) { listeners_.erase(port); }
-
 void TcpHost::handle_packet(net::PacketView bytes) {
   const auto datagram = net::decode_datagram(bytes);
   if (!datagram) return;  // corrupt on the wire; real stacks drop silently
@@ -98,7 +96,7 @@ void TcpHost::send_reset_for(const net::TcpSegment& offending) {
 }
 
 void TcpHost::on_icmp(const net::IcmpDatagram& datagram) {
-  if (!icmp_echo_ || datagram.icmp.type != net::IcmpType::Echo) return;
+  if (datagram.icmp.type != net::IcmpType::Echo) return;
   net::IcmpDatagram reply;
   reply.ip.src = address_;
   reply.ip.dst = datagram.ip.src;

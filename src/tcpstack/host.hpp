@@ -1,5 +1,5 @@
 // A simulated host: one IP address, a TCP demultiplexer with listening
-// ports, and optional ICMP echo service. Owns its connections.
+// ports, and an ICMP echo responder. Owns its connections.
 #pragma once
 
 #include <cstdint>
@@ -33,9 +33,6 @@ class TcpHost : public sim::Endpoint {
   /// e.g. Akamai running different IWs per service, §4.3).
   void listen(std::uint16_t port, AppFactory factory,
               std::optional<StackConfig> config_override = std::nullopt);
-  void close_port(std::uint16_t port);
-
-  void set_icmp_echo(bool enabled) noexcept { icmp_echo_ = enabled; }
 
   void handle_packet(net::PacketView bytes) override;
 
@@ -76,7 +73,6 @@ class TcpHost : public sim::Endpoint {
   net::IPv4Address address_;
   StackConfig config_;
   std::uint64_t seed_;
-  bool icmp_echo_ = true;
 
   struct Listener {
     AppFactory factory;

@@ -68,6 +68,18 @@ std::optional<std::uint64_t> parse_u64(std::string_view text) noexcept {
   return value;
 }
 
+bool parse_shard_spec(std::string_view text, std::uint64_t& shard,
+                      std::uint64_t& total) noexcept {
+  const std::size_t slash = text.find('/');
+  if (slash == std::string_view::npos) return false;
+  const auto i = parse_u64(text.substr(0, slash));
+  const auto n = parse_u64(text.substr(slash + 1));
+  if (!i.has_value() || !n.has_value() || *n == 0 || *i >= *n) return false;
+  shard = *i;
+  total = *n;
+  return true;
+}
+
 std::string format_bytes(std::uint64_t bytes) {
   char buf[64];
   if (bytes < 10'000) {

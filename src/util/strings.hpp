@@ -30,6 +30,12 @@ namespace iwscan::util {
 /// Parse an unsigned decimal integer; nullopt on any non-digit or overflow.
 [[nodiscard]] std::optional<std::uint64_t> parse_u64(std::string_view text) noexcept;
 
+/// Parse a ZMap-style process shard "i/N" (two unsigned decimals, i < N).
+/// Fills `shard`/`total` and returns true on success; any other text,
+/// N = 0 included, leaves both untouched and returns false.
+[[nodiscard]] bool parse_shard_spec(std::string_view text, std::uint64_t& shard,
+                                    std::uint64_t& total) noexcept;
+
 /// Render bytes with a unit suffix ("2186 B", "14.3 kB", "1.2 MB").
 [[nodiscard]] std::string format_bytes(std::uint64_t bytes);
 

@@ -313,6 +313,46 @@ TEST(ScanExecutor, SampledShardedScanMatchesSingleShard) {
   }
 }
 
+TEST(ScanExecutor, EmptyAllowIsTheRegistryScanSpace) {
+  auto run = [](bool explicit_allow) {
+    FreshWorld world;
+    analysis::ScanOptions options;
+    options.rate_pps = 40'000;
+    if (explicit_allow) options.allow = world.internet.registry().scan_space();
+    return analysis::run_iw_scan(world.network, world.internet, options);
+  };
+  const analysis::ScanOutput implicit = run(false);
+  const analysis::ScanOutput listed = run(true);
+  ASSERT_FALSE(implicit.records.empty());
+  ASSERT_EQ(listed.records.size(), implicit.records.size());
+  for (std::size_t i = 0; i < implicit.records.size(); ++i) {
+    EXPECT_TRUE(listed.records[i] == implicit.records[i]) << "record " << i;
+  }
+  EXPECT_EQ(listed.engine.targets_started, implicit.engine.targets_started);
+  EXPECT_EQ(listed.engine.targets_finished, implicit.engine.targets_finished);
+  EXPECT_EQ(listed.engine.packets_sent, implicit.engine.packets_sent);
+  EXPECT_EQ(listed.engine.packets_received, implicit.engine.packets_received);
+  EXPECT_EQ(listed.engine.stray_packets, implicit.engine.stray_packets);
+  EXPECT_EQ(listed.engine.finished_at, implicit.engine.finished_at);
+  EXPECT_EQ(listed.duration, implicit.duration);
+  EXPECT_EQ(listed.address_space, implicit.address_space);
+}
+
+TEST(ScanExecutorDeathTest, InvalidProcessStrideAborts) {
+  // A zero stride would revisit index 0 forever; shard 3 of 2 would walk
+  // shard 1's stride from index 3 on, overlapping it and dropping index 1.
+  auto run = [](std::uint64_t shard, std::uint64_t shards) {
+    FreshWorld world;
+    analysis::ScanOptions options;
+    options.rate_pps = 40'000;
+    options.process_shard = shard;
+    options.process_shards = shards;
+    (void)analysis::run_iw_scan(world.network, world.internet, options);
+  };
+  EXPECT_DEATH(run(0, 0), "process_shard 0, process_shards 0");
+  EXPECT_DEATH(run(3, 2), "process_shard 3, process_shards 2");
+}
+
 struct ProgressCase {
   const char* name = "";
   bool two_phase = false;
@@ -373,9 +413,8 @@ TEST(ScanExecutor, MoreShardsThanTargetsStillCoversEverything) {
   // zero-probed garbage, and the merge still matches shards=1.
   auto run = [](std::uint64_t shards) {
     FreshWorld world;
-    exec::ScanJob job;
-    job.probe.protocol = core::ProbeProtocol::Http;
-    job.probe.port = 80;
+    exec::ScanOptions job;
+    job.protocol = core::ProbeProtocol::Http;
     job.rate_pps = 40'000;
     job.scan_seed = 5;
     job.allow = {*net::Cidr::parse("10.0.0.0/28")};

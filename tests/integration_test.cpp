@@ -146,7 +146,7 @@ TEST(Integration, SamplingIsDeterministicAndScansSubset) {
 TEST(Integration, PopularSpaceIsIw10Dominated) {
   SmallInternet world(15);
   analysis::ScanOptions options = http_options();
-  options.popular_space = true;
+  options.allow = world.internet.registry().popular_space();
   const auto output = analysis::run_iw_scan(world.network, world.internet, options);
 
   const auto summary = analysis::summarize(output.records);

@@ -73,9 +73,9 @@ TEST(Permutation, ShardsPartitionTheDomain) {
   RandomPermutation permutation(1000, 5);
   std::set<std::uint64_t> all;
   for (std::uint64_t shard = 0; shard < 4; ++shard) {
-    PermutationIterator it(permutation, shard, 4);
+    PermutationIterator it(shard, 4);
     std::uint64_t value = 0;
-    while (it.next(value)) {
+    while (it.next(permutation, value)) {
       EXPECT_TRUE(all.insert(value).second) << "shards must not overlap";
     }
   }

@@ -193,6 +193,22 @@ TEST(Strings, ParseU64) {
   EXPECT_FALSE(parse_u64("18446744073709551616").has_value());
 }
 
+TEST(Strings, ParseShardSpec) {
+  std::uint64_t shard = 99;
+  std::uint64_t total = 99;
+  EXPECT_TRUE(parse_shard_spec("0/1", shard, total));
+  EXPECT_EQ(shard, 0u);
+  EXPECT_EQ(total, 1u);
+  EXPECT_TRUE(parse_shard_spec("1/2", shard, total));
+  EXPECT_EQ(shard, 1u);
+  EXPECT_EQ(total, 2u);
+  for (const char* bad : {"2/2", "1/0", "a/b", "1", "1/2/3", "-1/2"}) {
+    EXPECT_FALSE(parse_shard_spec(bad, shard, total)) << bad;
+    EXPECT_EQ(shard, 1u) << bad;  // a rejected value leaves the outputs alone
+    EXPECT_EQ(total, 2u) << bad;
+  }
+}
+
 TEST(Strings, Formatters) {
   EXPECT_EQ(format_bytes(2186), "2186 B");
   EXPECT_EQ(format_bytes(65'000), "65.0 kB");

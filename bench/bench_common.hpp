@@ -1,14 +1,14 @@
-// Shared scaffolding for the experiment harnesses: standard flags, world
-// construction, and paper-vs-measured table helpers. Every bench binary
-// regenerates one table or figure of the paper (see DESIGN.md §4); the
-// absolute counts are down-scaled to the simulated universe, the *shape*
-// is what must match.
+// Shared scaffolding for the bench programs (repro, bench_s34_scan_rate,
+// bench_spill): standard flags, world construction, and table printing.
+// Every repro experiment regenerates one table or figure of the paper (see
+// DESIGN.md §4); the absolute counts are down-scaled to the simulated
+// universe, the *shape* is what must match.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <string>
+#include <string_view>
 
 #include "analysis/scan_runner.hpp"
 #include "analysis/table_writer.hpp"
@@ -18,6 +18,7 @@
 
 namespace iwscan::bench {
 
+/// One simulated Internet. exec::run_scan needs a fresh one for every scan.
 struct World {
   sim::EventLoop loop;
   std::unique_ptr<sim::Network> network;
@@ -33,12 +34,6 @@ inline void define_common_flags(util::Flags& flags) {
   flags.define_double("rate", 150000, "scan rate in probed targets/second");
   flags.define_u64("shards", 1,
                    "parallel scan workers (output is identical for any value)");
-  flags.define_string("shard", "0/1",
-                      "this process's stride of the target permutation, as "
-                      "i/N (multi-process operator mode; merge with iwmerge)");
-  flags.define_string("spill-dir", "",
-                      "stream scan records into columnar spill files under "
-                      "this directory instead of RAM");
   flags.define_bool("csv", false, "emit CSV instead of aligned tables");
 }
 
@@ -55,16 +50,24 @@ inline void parse_or_exit(util::Flags& flags, int argc, char** argv) {
   }
 }
 
-inline World make_world(const util::Flags& flags) {
-  World world;
-  world.network = std::make_unique<sim::Network>(world.loop, flags.u64("seed") ^ 1);
+inline model::ModelConfig model_config(const util::Flags& flags) {
   model::ModelConfig config;
   config.scale_log2 = static_cast<int>(flags.u64("scale"));
   config.seed = flags.u64("seed");
   config.loss_rate = flags.real("loss");
+  return config;
+}
+
+inline World make_world(const util::Flags& flags, const model::ModelConfig& config) {
+  World world;
+  world.network = std::make_unique<sim::Network>(world.loop, flags.u64("seed") ^ 1);
   world.internet = std::make_unique<model::InternetModel>(*world.network, config);
   world.internet->install();
   return world;
+}
+
+inline World make_world(const util::Flags& flags) {
+  return make_world(flags, model_config(flags));
 }
 
 inline analysis::ScanOptions scan_options(const util::Flags& flags,
@@ -74,13 +77,6 @@ inline analysis::ScanOptions scan_options(const util::Flags& flags,
   options.rate_pps = flags.real("rate");
   options.scan_seed = flags.u64("scan-seed");
   options.shards = flags.u64("shards");
-  options.spill_dir = flags.str("spill-dir");
-  if (!util::parse_shard_spec(flags.str("shard"), options.process_shard,
-                              options.process_shards)) {
-    std::fprintf(stderr, "--shard must be i/N with i < N (got '%s')\n",
-                 flags.str("shard").c_str());
-    std::exit(2);
-  }
   return options;
 }
 

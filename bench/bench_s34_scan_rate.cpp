@@ -106,10 +106,10 @@ int main(int argc, char** argv) {
   bench::parse_or_exit(flags, argc, argv);
 
   bench::print_header("§3.4: IW scan vs. stock SYN scan efficiency", "Section 3.4");
-  auto world = bench::make_world(flags);
 
+  auto syn_world = bench::make_world(flags);
   util::Stopwatch syn_watch;
-  const auto syn = run_syn_scan(*world.network, *world.internet, flags);
+  const auto syn = run_syn_scan(*syn_world.network, *syn_world.internet, flags);
   const double syn_wall_seconds = syn_watch.elapsed_seconds();
 
   // The whole-IPv4 sweep the paper times is a single estimation pass (the
@@ -119,8 +119,10 @@ int main(int argc, char** argv) {
   iw_options.probe.probes_per_mss = 1;
   iw_options.probe.mss_secondary = 0;
   iw_options.max_outstanding = 2'000'000;
+  auto iw_world = bench::make_world(flags);
   util::Stopwatch iw_watch;
-  const auto iw = analysis::run_iw_scan(*world.network, *world.internet, iw_options);
+  const auto iw =
+      analysis::run_iw_scan(*iw_world.network, *iw_world.internet, iw_options);
   const double iw_wall_seconds = iw_watch.elapsed_seconds();
   const auto iw_summary = analysis::summarize(iw.records);
 

@@ -10,6 +10,7 @@
 #include "core/host_prober.hpp"
 #include "httpd/http_server.hpp"
 #include "netsim/network.hpp"
+#include "scanner/direct_services.hpp"
 #include "tcpstack/host.hpp"
 #include "tls/tls_server.hpp"
 
@@ -17,37 +18,9 @@ namespace {
 
 using namespace iwscan;
 
-class DirectServices final : public scan::SessionServices, public sim::Endpoint {
- public:
-  explicit DirectServices(sim::Network& network) : network_(network) {
-    network_.attach(net::IPv4Address{192, 0, 2, 1}, this);
-  }
-  ~DirectServices() override { network_.detach(net::IPv4Address{192, 0, 2, 1}); }
-  void set_handler(std::function<void(const net::Datagram&)> handler) {
-    handler_ = std::move(handler);
-  }
-  void handle_packet(net::PacketView bytes) override {
-    const auto datagram = net::decode_datagram(bytes);
-    if (datagram && handler_) handler_(*datagram);
-  }
-  void send_packet(net::Bytes bytes) override { network_.send(std::move(bytes)); }
-  sim::EventLoop& loop() override { return network_.loop(); }
-  net::IPv4Address scanner_address() const override {
-    return net::IPv4Address{192, 0, 2, 1};
-  }
-  std::uint16_t allocate_port(net::IPv4Address) override { return port_++; }
-  std::uint64_t session_seed(net::IPv4Address) override { return seed_ += 104729; }
-
- private:
-  sim::Network& network_;
-  std::function<void(const net::Datagram&)> handler_;
-  std::uint16_t port_ = 40000;
-  std::uint64_t seed_ = 3;
-};
-
 core::HostScanRecord probe(sim::Network& network, net::IPv4Address target,
                            core::ProbeProtocol protocol) {
-  DirectServices services(network);
+  scan::DirectServices services(network);
   core::IwScanConfig config;
   config.protocol = protocol;
   config.port = protocol == core::ProbeProtocol::Http ? 80 : 443;

@@ -39,9 +39,15 @@ int main(int argc, char** argv) {
   full.protocol = core::ProbeProtocol::Http;
   const auto full_scan = analysis::run_iw_scan(network, internet, full);
 
+  // Every scan needs a fresh world, built from the same seeds.
+  sim::EventLoop sample_loop;
+  sim::Network sample_network(sample_loop, 2);
+  model::InternetModel sample_internet(sample_network, model_config);
+  sample_internet.install();
   analysis::ScanOptions sampled = full;
   sampled.sample_fraction = flags.real("fraction");
-  const auto sample_scan = analysis::run_iw_scan(network, internet, sampled);
+  const auto sample_scan =
+      analysis::run_iw_scan(sample_network, sample_internet, sampled);
 
   const auto full_dist = analysis::iw_fractions(full_scan.records);
   const auto sample_dist = analysis::iw_fractions(sample_scan.records);

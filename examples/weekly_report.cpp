@@ -37,8 +37,15 @@ int main(int argc, char** argv) {
   options.sample_fraction = flags.real("fraction");
   options.protocol = core::ProbeProtocol::Http;
   const auto http = analysis::run_iw_scan(network, internet, options);
+
+  // Every scan needs a fresh world; the first one stays the report's source
+  // for registry and rDNS lookups, which are pure functions of the seed.
+  sim::EventLoop tls_loop;
+  sim::Network tls_network(tls_loop, 4);
+  model::InternetModel tls_internet(tls_network, model_config);
+  tls_internet.install();
   options.protocol = core::ProbeProtocol::Tls;
-  const auto tls = analysis::run_iw_scan(network, internet, options);
+  const auto tls = analysis::run_iw_scan(tls_network, tls_internet, options);
 
   analysis::ScanInputs inputs;
   inputs.http = http.records;

@@ -506,6 +506,9 @@ class Merger {
 
 ScanResult run_scan(const ScanOptions& options, sim::Network& network,
                     model::InternetModel& internet) {
+  IWSCAN_ASSERT(network.loop().now() == sim::SimTime::zero(),
+                "run_scan needs a fresh world, but this one was used by an "
+                "earlier scan; build a new world for every scan");
   IWSCAN_ASSERT(options.process_shards >= 1 &&
                     options.process_shard < options.process_shards,
                 ("process_shard " + std::to_string(options.process_shard) +

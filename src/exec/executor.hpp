@@ -115,8 +115,11 @@ struct ScanResult {
 /// and builds one identically-seeded private world per worker, so the
 /// merged output is byte-identical to a shards=1 run on a fresh world with
 /// the same seeds. A worker's estimate stage always runs on the world its
-/// sweep stage swept. Aborts unless process_shard < process_shards: a zero
-/// stride never advances, and a larger residue overlaps another process.
+/// sweep stage swept. Aborts unless the world is fresh (its loop still at
+/// time zero): a second scan on a used world would see the first scan's
+/// hosts and flows at shards=1 but fresh worlds at shards>1. Also aborts
+/// unless process_shard < process_shards: a zero stride never advances,
+/// and a larger residue overlaps another process.
 [[nodiscard]] ScanResult run_scan(const ScanOptions& options, sim::Network& network,
                                   model::InternetModel& internet);
 

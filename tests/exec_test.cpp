@@ -353,6 +353,21 @@ TEST(ScanExecutorDeathTest, InvalidProcessStrideAborts) {
   EXPECT_DEATH(run(3, 2), "process_shard 3, process_shards 2");
 }
 
+TEST(ScanExecutorDeathTest, ReusedWorldAborts) {
+  // At shards=1 a second scan would run on the first scan's hosts and
+  // flows; at shards>1 on private fresh worlds. The outputs would differ
+  // with the shard count, so run_scan refuses a used world outright.
+  auto run = [] {
+    FreshWorld world;
+    analysis::ScanOptions options;
+    options.rate_pps = 40'000;
+    options.allow = {*net::Cidr::parse("10.0.0.0/28")};
+    (void)analysis::run_iw_scan(world.network, world.internet, options);
+    (void)analysis::run_iw_scan(world.network, world.internet, options);
+  };
+  EXPECT_DEATH(run(), "this one was used by an earlier scan");
+}
+
 struct ProgressCase {
   const char* name = "";
   bool two_phase = false;

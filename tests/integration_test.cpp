@@ -61,10 +61,11 @@ TEST(Integration, HttpScanCompletesAndClassifies) {
 }
 
 TEST(Integration, TlsScanHasHigherSuccessRateThanHttp) {
-  SmallInternet world;
-  const auto http = analysis::run_iw_scan(world.network, world.internet,
+  SmallInternet http_world;
+  const auto http = analysis::run_iw_scan(http_world.network, http_world.internet,
                                           http_options());
-  const auto tls = analysis::run_iw_scan(world.network, world.internet,
+  SmallInternet tls_world;
+  const auto tls = analysis::run_iw_scan(tls_world.network, tls_world.internet,
                                          tls_options());
 
   const auto http_summary = analysis::summarize(http.records);
@@ -134,13 +135,17 @@ TEST(Integration, FewDataLowerBoundsNeverExceedTruth) {
 }
 
 TEST(Integration, SamplingIsDeterministicAndScansSubset) {
-  SmallInternet world;
   analysis::ScanOptions options = http_options();
   options.sample_fraction = 0.25;
-  const auto a = analysis::run_iw_scan(world.network, world.internet, options);
-  const auto b = analysis::run_iw_scan(world.network, world.internet, options);
-  EXPECT_EQ(a.records.size(), b.records.size());
-  EXPECT_LT(a.engine.targets_started, world.internet.registry().scan_space_size() / 2);
+  SmallInternet world_a;
+  const auto a = analysis::run_iw_scan(world_a.network, world_a.internet, options);
+  SmallInternet world_b;
+  const auto b = analysis::run_iw_scan(world_b.network, world_b.internet, options);
+  ASSERT_EQ(a.records.size(), b.records.size());
+  for (std::size_t i = 0; i < a.records.size(); ++i) {
+    EXPECT_TRUE(a.records[i] == b.records[i]) << "record " << i;
+  }
+  EXPECT_LT(a.engine.targets_started, world_a.internet.registry().scan_space_size() / 2);
 }
 
 TEST(Integration, PopularSpaceIsIw10Dominated) {

@@ -14,46 +14,16 @@
 #include "inetmodel/adversarial.hpp"
 #include "inetmodel/profiles.hpp"
 #include "netsim/network.hpp"
+#include "scanner/direct_services.hpp"
 #include "tcpstack/host.hpp"
 #include "tls/tls_server.hpp"
 #include "util/strings.hpp"
 
 namespace iwscan::test {
 
-inline const net::IPv4Address kScannerIp{192, 0, 2, 1};
+inline constexpr net::IPv4Address kScannerIp = scan::DirectServices::kAddress;
 
-/// Minimal SessionServices bound straight to the network (no scan engine):
-/// lets tests drive one estimator / prober at a time.
-class DirectServices final : public scan::SessionServices, public sim::Endpoint {
- public:
-  explicit DirectServices(sim::Network& network) : network_(network) {
-    network_.attach(kScannerIp, this);
-  }
-  ~DirectServices() override { network_.detach(kScannerIp); }
-
-  void set_handler(std::function<void(const net::Datagram&)> handler) {
-    handler_ = std::move(handler);
-  }
-
-  void handle_packet(net::PacketView bytes) override {
-    const auto datagram = net::decode_datagram(bytes);
-    if (datagram && handler_) handler_(*datagram);
-  }
-
-  void send_packet(net::Bytes bytes) override { network_.send(std::move(bytes)); }
-  sim::EventLoop& loop() override { return network_.loop(); }
-  net::IPv4Address scanner_address() const override { return kScannerIp; }
-  std::uint16_t allocate_port(net::IPv4Address) override { return next_port_++; }
-  std::uint64_t session_seed(net::IPv4Address) override {
-    return seed_ += 0x9e3779b97f4a7c15ULL;
-  }
-
- private:
-  sim::Network& network_;
-  std::function<void(const net::Datagram&)> handler_;
-  std::uint16_t next_port_ = 40000;
-  std::uint64_t seed_ = 0x5eed;
-};
+using scan::DirectServices;
 
 class Testbed {
  public:

@@ -277,9 +277,8 @@ void BM_EstimatorConnection(benchmark::State& state) {
     Services services(network);
     network.attach(services.scanner_address(), &services);
     bool done = false;
-    core::EstimatorConfig config;
     core::IwEstimator estimator(
-        services, net::IPv4Address{10, 0, 0, 1}, 80, config,
+        services, net::IPv4Address{10, 0, 0, 1}, 80, /*announced_mss=*/64,
         net::to_bytes("GET / HTTP/1.1\r\nHost: 10.0.0.1\r\nConnection: close\r\n\r\n"),
         [&](const core::ConnObservation&) { done = true; });
     services.handler = [&](const net::Datagram& d) { estimator.on_datagram(d); };

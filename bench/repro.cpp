@@ -600,7 +600,6 @@ struct HostSetup {
     config.mss_primary = mss;
     config.mss_secondary = 0;
     config.probes_per_mss = probes;
-    config.estimator.announced_mss = mss;
     return probe_host(network, ip, config);
   }
 

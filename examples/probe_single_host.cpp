@@ -129,11 +129,10 @@ int main(int argc, char** argv) {
 
   // One estimation connection, traced.
   TracingServices services(network, net::IPv4Address{192, 0, 2, 1});
-  core::EstimatorConfig config;
-  config.announced_mss = static_cast<std::uint16_t>(flags.u64("mss"));
+  const auto announced_mss = static_cast<std::uint16_t>(flags.u64("mss"));
 
   std::printf("probing 10.0.0.1:80 — announced MSS %u, host IW %s, OS %s\n\n",
-              config.announced_mss,
+              announced_mss,
               stack.iw.policy == tcp::IwPolicy::Bytes
                   ? (std::to_string(stack.iw.bytes) + " bytes").c_str()
                   : (std::to_string(stack.iw.segments) + " segments").c_str(),
@@ -142,7 +141,7 @@ int main(int argc, char** argv) {
   bool done = false;
   core::ConnObservation result;
   core::IwEstimator estimator(
-      services, host_ip, 80, config,
+      services, host_ip, 80, announced_mss,
       net::to_bytes("GET / HTTP/1.1\r\nHost: 10.0.0.1\r\nConnection: close\r\n\r\n"),
       [&](const core::ConnObservation& observation) {
         result = observation;

@@ -7,9 +7,9 @@
 // estimates because the first flight was paced (ProbeAnomaly::PacedDelivery).
 //
 // The longitudinal mode re-synthesizes the same world at epochs T0/T1/T2
-// (DriftParams/CdnParams drift is monotone and deterministic per host) and
-// scans each snapshot on a fresh event loop — the §5 trend-monitoring loop
-// in library form. Output is byte-identical across shard counts and under
+// (the IW and CDN-tier drift that ModelConfig::epoch drives is monotone and
+// deterministic per host) and scans each snapshot on a fresh event loop —
+// the §5 trend-monitoring loop in library form. Output is byte-identical across shard counts and under
 // the spill path, which cdn_test pins.
 #pragma once
 

@@ -6,14 +6,40 @@
 #include "tcpstack/seq.hpp"
 
 namespace iwscan::core {
+namespace {
+
+/// Handshake receive window: large, so the sender is limited only by its IW,
+/// never by flow control (§3.1). No window scale is offered.
+constexpr std::uint16_t kHandshakeWindow = 65535;
+/// Verification window in announced segments: §3.1 acknowledges everything
+/// with room for "only two segments".
+constexpr std::uint16_t kVerifyWindowSegments = 2;
+/// Phase deadlines: the SYN/ACK; the first flight through the sender's RTO
+/// retransmission; data released by the verify ACK.
+constexpr sim::SimTime kSynTimeout = sim::sec(3);
+constexpr sim::SimTime kCollectTimeout = sim::sec(12);
+constexpr sim::SimTime kVerifyTimeout = sim::sec(3);
+/// In-order payload kept for application-layer analysis (HTTP status and
+/// Location, TLS alert detection).
+constexpr std::size_t kPrefixCap = 16 * 1024;
+/// Pacing evidence (ProbeAnomaly::PacedDelivery): the first flight counts
+/// as paced — not a burst — when the span from first to last fresh data
+/// byte covers at least this percentage of the first-data → retransmission
+/// window, over at least kPacedMinArrivals distinct arrival instants. A
+/// genuine burst spans only the path jitter (≪ the RTO window); a CDN
+/// pacer spreads its flight over RTT multiples, far past this threshold.
+constexpr std::int64_t kPacedWindowPercent = 8;
+constexpr std::uint32_t kPacedMinArrivals = 3;
+
+}  // namespace
 
 IwEstimator::IwEstimator(scan::SessionServices& services, net::IPv4Address target,
-                         std::uint16_t target_port, EstimatorConfig config,
+                         std::uint16_t target_port, std::uint16_t announced_mss,
                          net::Bytes request, DoneFn done)
     : services_(services),
       target_(target),
       target_port_(target_port),
-      config_(config),
+      announced_mss_(announced_mss),
       request_(std::move(request)),
       done_(std::move(done)) {}
 
@@ -25,8 +51,8 @@ void IwEstimator::start() {
   phase_ = Phase::SynSent;
   // SYN announcing the small MSS and a large window; SACK deliberately
   // absent (§3.1 — suppresses tail loss probes).
-  send_segment(isn_, 0, net::kSyn, config_.window, {}, /*with_mss_option=*/true);
-  arm_timer(config_.syn_timeout, &IwEstimator::on_syn_timeout);
+  send_segment(isn_, 0, net::kSyn, kHandshakeWindow, {}, /*with_mss_option=*/true);
+  arm_timer(kSynTimeout, &IwEstimator::on_syn_timeout);
 }
 
 void IwEstimator::on_datagram(const net::Datagram& datagram) {
@@ -68,7 +94,7 @@ void IwEstimator::on_datagram(const net::Datagram& datagram) {
           segment->tcp.seq == irs_) {
         // Retransmitted SYN/ACK: our handshake-ACK+request was lost on the
         // way out. Resend it, or the probe would idle into a false NoData.
-        send_segment(isn_ + 1, data_base_, net::kAck | net::kPsh, config_.window,
+        send_segment(isn_ + 1, data_base_, net::kAck | net::kPsh, kHandshakeWindow,
                      request_, /*with_mss_option=*/false);
         break;
       }
@@ -87,9 +113,9 @@ void IwEstimator::on_syn_ack(const net::TcpSegment& segment) {
   data_base_ = irs_ + 1;
   phase_ = Phase::Collect;
   // Handshake ACK and the request ride in one segment (Fig. 1).
-  send_segment(isn_ + 1, data_base_, net::kAck | net::kPsh, config_.window, request_,
+  send_segment(isn_ + 1, data_base_, net::kAck | net::kPsh, kHandshakeWindow, request_,
                /*with_mss_option=*/false);
-  arm_timer(config_.collect_timeout, &IwEstimator::on_collect_timeout);
+  arm_timer(kCollectTimeout, &IwEstimator::on_collect_timeout);
 }
 
 void IwEstimator::on_collect_data(const net::TcpSegment& segment) {
@@ -174,7 +200,7 @@ void IwEstimator::record_range(std::uint64_t start, std::uint64_t end,
   }
 
   // Keep payload for in-order prefix reassembly (HTTP status/Location).
-  if (prefix_bytes_stored_ < config_.prefix_cap && !chunks_.contains(start)) {
+  if (prefix_bytes_stored_ < kPrefixCap && !chunks_.contains(start)) {
     chunks_.emplace(start, net::Bytes(payload.begin(), payload.end()));
     prefix_bytes_stored_ += payload.size();
   }
@@ -214,7 +240,7 @@ void IwEstimator::note_payload(std::size_t payload_size) {
   // §3.1 tolerates OS-level clamping of tiny announced MSS values up to the
   // RFC 1122 default of 536 bytes; anything beyond that floor is a stack
   // ignoring the option outright.
-  const std::size_t limit = std::max<std::size_t>(config_.announced_mss, 536);
+  const std::size_t limit = std::max<std::size_t>(announced_mss_, 536);
   if (payload_size > limit) observation_.mss_violation = true;
 }
 
@@ -241,19 +267,19 @@ void IwEstimator::enter_verify() {
     const std::int64_t window = (services_.loop().now() - first_data_at_).count();
     const std::int64_t span = (last_data_at_ - first_data_at_).count();
     if (window > 0 &&
-        span * 100 >= window * static_cast<std::int64_t>(config_.paced_window_percent) &&
-        fresh_arrival_instants_ >= config_.paced_min_arrivals) {
+        span * 100 >= window * kPacedWindowPercent &&
+        fresh_arrival_instants_ >= kPacedMinArrivals) {
       observation_.anomaly = ProbeAnomaly::PacedDelivery;
     }
   }
   // Acknowledge everything received, advertising a window of just
   // 2·MSS: enough to see whether more data exists without being flooded.
   const std::uint32_t ack = data_base_ + static_cast<std::uint32_t>(max_end_);
-  const auto verify_window = static_cast<std::uint16_t>(
-      config_.verify_window_segments * config_.announced_mss);
+  const auto verify_window =
+      static_cast<std::uint16_t>(kVerifyWindowSegments * announced_mss_);
   send_segment(isn_ + 1 + static_cast<std::uint32_t>(request_.size()), ack, net::kAck,
                verify_window, {}, /*with_mss_option=*/false);
-  arm_timer(config_.verify_timeout, &IwEstimator::on_verify_timeout);
+  arm_timer(kVerifyTimeout, &IwEstimator::on_verify_timeout);
 }
 
 void IwEstimator::conclude(ConnOutcome outcome) {
@@ -332,7 +358,7 @@ void IwEstimator::send_segment(std::uint32_t seq, std::uint32_t ack, std::uint8_
   segment.tcp.flags = flags;
   segment.tcp.window = window;
   if (with_mss_option) {
-    segment.tcp.options.push_back(net::MssOption{config_.announced_mss});
+    segment.tcp.options.push_back(net::MssOption{announced_mss_});
   }
   segment.payload.assign(payload.begin(), payload.end());
   services_.send_packet(segment);

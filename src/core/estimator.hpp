@@ -26,25 +26,6 @@
 
 namespace iwscan::core {
 
-struct EstimatorConfig {
-  std::uint16_t announced_mss = 64;
-  std::uint16_t window = 65535;              // large handshake receive window
-  std::uint16_t verify_window_segments = 2;  // §3.1: "only two segments"
-  sim::SimTime syn_timeout = sim::sec(3);
-  sim::SimTime collect_timeout = sim::sec(12);
-  sim::SimTime verify_timeout = sim::sec(3);
-  std::size_t prefix_cap = 16 * 1024;  // in-order payload kept for analysis
-
-  // Pacing evidence (ProbeAnomaly::PacedDelivery): the first flight counts
-  // as paced — not a burst — when the span from first to last fresh data
-  // byte covers at least this percentage of the first-data → retransmission
-  // window, over at least `paced_min_arrivals` distinct arrival instants.
-  // A genuine burst spans only the path jitter (≪ the RTO window); a CDN
-  // pacer spreads its flight over RTT multiples, far past this threshold.
-  std::uint32_t paced_window_percent = 8;
-  std::uint32_t paced_min_arrivals = 3;
-};
-
 class IwEstimator {
  public:
   /// `done` fires exactly once; it may tear the estimator down only
@@ -53,7 +34,7 @@ class IwEstimator {
   using DoneFn = std::function<void(const ConnObservation&)>;
 
   IwEstimator(scan::SessionServices& services, net::IPv4Address target,
-              std::uint16_t target_port, EstimatorConfig config, net::Bytes request,
+              std::uint16_t target_port, std::uint16_t announced_mss, net::Bytes request,
               DoneFn done);
   ~IwEstimator();
 
@@ -91,7 +72,7 @@ class IwEstimator {
   scan::SessionServices& services_;
   net::IPv4Address target_;
   std::uint16_t target_port_;
-  EstimatorConfig config_;
+  std::uint16_t announced_mss_;
   net::Bytes request_;
   DoneFn done_;
 

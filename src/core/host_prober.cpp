@@ -4,6 +4,12 @@
 #include <map>
 
 namespace iwscan::core {
+namespace {
+
+/// Pause between one connection's conclusion and the next connection.
+constexpr sim::SimTime kInterConnectionDelay = sim::msec(20);
+
+}  // namespace
 
 HostProber::HostProber(scan::SessionServices& services, net::IPv4Address target,
                        const IwScanConfig& config, RecordFn on_record,
@@ -26,18 +32,15 @@ void HostProber::on_datagram(const net::Datagram& datagram) {
 std::unique_ptr<ProbeStrategy> HostProber::make_strategy() {
   if (config_.protocol == ProbeProtocol::Http) {
     if (!config_.curated_host.empty()) {
-      return make_url_list_strategy(config_.curated_host, config_.curated_path);
+      return make_url_list_strategy(config_.curated_host);
     }
-    return make_http_strategy(target_, config_.http);
+    return make_http_strategy(target_, config_.max_connections,
+                              config_.max_redirect_hops);
   }
-  TlsStrategyConfig tls;
-  tls.offer_ocsp_stapling = config_.tls_offer_ocsp;
-  tls.seed = services_.session_seed(target_);
   // Curated mode carries over to TLS as a curated SNI: with prior knowledge
   // of the vhost name, the probe measures the named service's IW instead of
   // the IP-as-Host default.
-  tls.server_name = config_.curated_host;
-  return make_tls_strategy(tls);
+  return make_tls_strategy(services_.session_seed(target_), config_.curated_host);
 }
 
 void HostProber::begin_probe() {
@@ -48,15 +51,12 @@ void HostProber::begin_probe() {
 }
 
 void HostProber::begin_connection() {
-  EstimatorConfig estimator_config = config_.estimator;
-  estimator_config.announced_mss = current_mss();
-
   // Retire (don't destroy) the previous estimator: conclusion callbacks may
   // still be on the stack below us.
   if (estimator_) old_estimators_.push_back(std::move(estimator_));
 
   estimator_ = std::make_unique<IwEstimator>(
-      services_, target_, config_.port, estimator_config, strategy_->request(),
+      services_, target_, config_.port, current_mss(), strategy_->request(),
       [this](const ConnObservation& observation) { on_connection_done(observation); });
   ++connections_used_;
   estimator_->start();
@@ -130,7 +130,7 @@ void HostProber::on_connection_done(const ConnObservation& observation) {
   const bool followup = strategy_->wants_followup(observation);
   if (anomaly_ == ProbeAnomaly::None) anomaly_ = strategy_->anomaly();
   services_.loop().cancel(continuation_);
-  continuation_ = services_.loop().schedule(config_.inter_connection_delay, [this, followup] {
+  continuation_ = services_.loop().schedule(kInterConnectionDelay, [this, followup] {
     continuation_ = sim::kNullEvent;
     if (followup) {
       begin_connection();

@@ -29,15 +29,15 @@ struct IwScanConfig {
   std::uint16_t mss_primary = 64;
   std::uint16_t mss_secondary = 128;  // 0 disables the dual-MSS pass
   int probes_per_mss = 3;
-  EstimatorConfig estimator;  // announced_mss is overridden per pass
-  sim::SimTime inter_connection_delay = sim::msec(20);
-  HttpStrategyConfig http;
-  bool tls_offer_ocsp = true;
+  // HTTP connection and redirect-hop budgets per probe (§3.2 follows exactly
+  // one redirect). Raising them lets the strategy walk longer chains — the
+  // only way a probe reaches a loop's revisited URL (RedirectLoop).
+  int max_connections = 2;
+  int max_redirect_hops = 1;
   // Curated-URL mode (§5 future work): when curated_host is non-empty, HTTP
-  // probes request curated_path with this Host header instead of running the
-  // generic no-prior-knowledge strategy — required for virtualized services.
+  // probes request "/" with this Host header instead of running the generic
+  // no-prior-knowledge strategy — required for virtualized services.
   std::string curated_host;
-  std::string curated_path = "/";
 };
 
 class HostProber final : public scan::ProbeSession {

@@ -9,10 +9,26 @@
 namespace iwscan::core {
 namespace {
 
+/// Names the scan and where operators can read about it.
+constexpr std::string_view kUserAgent = "iwscan/1.0 (+https://iw.example.net/research)";
+/// Long-URI length (§3.2): many servers echo the unknown URI in their 404
+/// body, so a long one inflates the error page past the IW. The request
+/// carrying it is ~1,466 B with DF set, which exceeds rather than fills
+/// smaller path MTUs: on one path in five of the Internet model (MTU 1400,
+/// 1376 or 576) it is dropped with ICMP Fragmentation Needed, which the
+/// estimator ignores. An echoing host whose IW the short 404 cannot fill
+/// then ends FewData instead of Success — a known accuracy defect (ROADMAP).
+constexpr std::size_t kLongUriLength = 1300;
+/// The curated-URL probe requests the named host's root page.
+constexpr std::string_view kCuratedPath = "/";
+
 class HttpStrategy final : public ProbeStrategy {
  public:
-  HttpStrategy(net::IPv4Address target, HttpStrategyConfig config)
-      : config_(std::move(config)), host_(target.to_string()), path_("/") {
+  HttpStrategy(net::IPv4Address target, int max_connections, int max_redirect_hops)
+      : max_connections_(max_connections),
+        max_redirect_hops_(max_redirect_hops),
+        host_(target.to_string()),
+        path_("/") {
     visited_.insert(host_ + path_);
   }
 
@@ -20,7 +36,9 @@ class HttpStrategy final : public ProbeStrategy {
     ++connections_;
     std::string req = "GET " + path_ + " HTTP/1.1\r\n";
     req += "Host: " + host_ + "\r\n";
-    req += "User-Agent: " + config_.user_agent + "\r\n";
+    req += "User-Agent: ";
+    req += kUserAgent;
+    req += "\r\n";
     req += "Accept: */*\r\n";
     // Connection: close makes the server FIN once the response is done —
     // the signal that the IW was *not* filled (§3.2).
@@ -29,7 +47,7 @@ class HttpStrategy final : public ProbeStrategy {
   }
 
   bool wants_followup(const ConnObservation& observation) override {
-    if (connections_ >= config_.max_connections) return false;
+    if (connections_ >= max_connections_) return false;
     if (observation.outcome == ConnOutcome::Success) return false;
     if (observation.outcome != ConnOutcome::FewData) return false;
     if (observation.prefix.empty()) return false;
@@ -52,7 +70,7 @@ class HttpStrategy final : public ProbeStrategy {
             anomaly_ = ProbeAnomaly::RedirectLoop;
             return false;
           }
-          if (redirect_hops_ >= config_.max_redirect_hops) {
+          if (redirect_hops_ >= max_redirect_hops_) {
             if (redirect_hops_ >= 2) {
               // A chain still redirecting after several hops is
               // indistinguishable from a loop at our budget.
@@ -78,9 +96,7 @@ class HttpStrategy final : public ProbeStrategy {
       tried_long_uri_ = true;
       std::string uri = "/this-is-a-tcp-initial-window-measurement-see-"
                         "iw.example.net-for-details-";
-      if (uri.size() < config_.long_uri_length) {
-        uri.append(config_.long_uri_length - uri.size(), 'x');
-      }
+      uri.append(kLongUriLength - uri.size(), 'x');
       path_ = std::move(uri);
       return true;
     }
@@ -89,10 +105,9 @@ class HttpStrategy final : public ProbeStrategy {
 
   ProbeAnomaly anomaly() const override { return anomaly_; }
 
-  std::string_view name() const override { return "http"; }
-
  private:
-  HttpStrategyConfig config_;
+  int max_connections_;
+  int max_redirect_hops_;
   std::string host_;
   std::string path_;
   int connections_ = 0;
@@ -104,11 +119,12 @@ class HttpStrategy final : public ProbeStrategy {
 
 class UrlListStrategy final : public ProbeStrategy {
  public:
-  UrlListStrategy(std::string host_header, std::string path)
-      : host_(std::move(host_header)), path_(std::move(path)) {}
+  explicit UrlListStrategy(std::string host_header) : host_(std::move(host_header)) {}
 
   net::Bytes request() override {
-    std::string req = "GET " + path_ + " HTTP/1.1\r\n";
+    std::string req = "GET ";
+    req += kCuratedPath;
+    req += " HTTP/1.1\r\n";
     req += "Host: " + host_ + "\r\n";
     req += "User-Agent: iwscan/1.0 (curated-url mode)\r\n";
     req += "Accept: */*\r\n";
@@ -121,23 +137,20 @@ class UrlListStrategy final : public ProbeStrategy {
     return false;
   }
 
-  std::string_view name() const override { return "url-list"; }
-
  private:
   std::string host_;
-  std::string path_;
 };
 
 }  // namespace
 
 std::unique_ptr<ProbeStrategy> make_http_strategy(net::IPv4Address target,
-                                                  HttpStrategyConfig config) {
-  return std::make_unique<HttpStrategy>(target, std::move(config));
+                                                  int max_connections,
+                                                  int max_redirect_hops) {
+  return std::make_unique<HttpStrategy>(target, max_connections, max_redirect_hops);
 }
 
-std::unique_ptr<ProbeStrategy> make_url_list_strategy(std::string host_header,
-                                                      std::string path) {
-  return std::make_unique<UrlListStrategy>(std::move(host_header), std::move(path));
+std::unique_ptr<ProbeStrategy> make_url_list_strategy(std::string host_header) {
+  return std::make_unique<UrlListStrategy>(std::move(host_header));
 }
 
 }  // namespace iwscan::core

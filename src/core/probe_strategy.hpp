@@ -29,45 +29,28 @@ class ProbeStrategy {
   /// connections (e.g. a 301 redirect loop) — evidence the wire-level
   /// estimator cannot see. None unless the strategy detected one.
   [[nodiscard]] virtual ProbeAnomaly anomaly() const { return ProbeAnomaly::None; }
-
-  [[nodiscard]] virtual std::string_view name() const = 0;
 };
 
-struct HttpStrategyConfig {
-  std::string user_agent = "iwscan/1.0 (+https://iw.example.net/research)";
-  /// Long-URI length: fills the connection's MTU so the echoed 404 body is
-  /// as large as possible (§3.2 — "more bytes than we announced ... in the
-  /// MSS").
-  std::size_t long_uri_length = 1300;
-  int max_connections = 2;
-  /// Redirect-hop budget (§3.2 follows exactly one). Raising it lets the
-  /// strategy walk longer chains; the visited-URL set still cuts loops.
-  int max_redirect_hops = 1;
-};
-
-/// HTTP probe: GET / with the IP as Host → follow 301 → long-URI fallback.
+/// HTTP probe: GET / with the IP as Host → follow 301 → long-URI fallback,
+/// within `max_connections` connections and `max_redirect_hops` redirects
+/// (§3.2 follows exactly one; the visited-URL set still cuts loops).
 [[nodiscard]] std::unique_ptr<ProbeStrategy> make_http_strategy(
-    net::IPv4Address target, HttpStrategyConfig config);
+    net::IPv4Address target, int max_connections, int max_redirect_hops);
 
-struct TlsStrategyConfig {
-  bool offer_ocsp_stapling = true;  // §3.3: "extensions for requesting OCSP"
-  std::uint64_t seed = 0;           // ClientHello random
-  // Curated-SNI mode (the TLS analogue of the §5 URL lists): when
-  // non-empty, the ClientHello carries this server_name. Required to reach
-  // per-vhost IW configs on multi-tenant CDN edges; the default (no SNI)
-  // measures the IP-as-Host window.
-  std::string server_name;
-};
-
-/// TLS probe: ClientHello with the 40-cipher browser-union list; the
-/// certificate chain in the reply is the data source. Single connection.
-[[nodiscard]] std::unique_ptr<ProbeStrategy> make_tls_strategy(TlsStrategyConfig config);
+/// TLS probe: ClientHello with the 40-cipher browser-union list and an OCSP
+/// status request (§3.3); the certificate chain in the reply is the data
+/// source. Single connection. `seed` draws the ClientHello random. Curated-SNI
+/// mode (the TLS analogue of the §5 URL lists): a non-empty `server_name` is
+/// carried as SNI, required to reach per-vhost IW configs on multi-tenant CDN
+/// edges; empty (no SNI) measures the IP-as-Host window.
+[[nodiscard]] std::unique_ptr<ProbeStrategy> make_tls_strategy(std::uint64_t seed,
+                                                               std::string server_name);
 
 /// Curated-URL probe (the future work of §5): with prior knowledge of a
-/// valid host name + path (à la Padhye/Floyd and Medina et al. URL lists),
-/// request that resource directly — the only way to assess virtualized
+/// valid host name (à la Padhye/Floyd and Medina et al. URL lists), request
+/// its root page under that Host header — the only way to assess virtualized
 /// per-customer services like Akamai's (§4.3). Single connection.
 [[nodiscard]] std::unique_ptr<ProbeStrategy> make_url_list_strategy(
-    std::string host_header, std::string path);
+    std::string host_header);
 
 }  // namespace iwscan::core

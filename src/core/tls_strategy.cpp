@@ -9,12 +9,13 @@ namespace {
 
 class TlsStrategy final : public ProbeStrategy {
  public:
-  explicit TlsStrategy(TlsStrategyConfig config) : config_(config) {}
+  TlsStrategy(std::uint64_t seed, std::string server_name)
+      : seed_(seed), server_name_(std::move(server_name)) {}
 
   net::Bytes request() override {
     tls::ClientHello hello;
     hello.version = tls::kTls12;
-    util::Rng rng(util::mix64(config_.seed, 0x7175c11e));
+    util::Rng rng(util::mix64(seed_, 0x7175c11e));
     for (auto& byte : hello.random) byte = static_cast<std::uint8_t>(rng());
     const auto probe_list = tls::probe_cipher_list();
     hello.cipher_suites.assign(probe_list.begin(), probe_list.end());
@@ -24,12 +25,12 @@ class TlsStrategy final : public ProbeStrategy {
     // the only way to measure per-vhost IW tiers on multi-tenant edges.
     // OCSP stapling is requested to coax even more first-flight bytes out
     // of the server (§3.3).
-    if (config_.server_name.empty()) {
+    if (server_name_.empty()) {
       hello.server_name.reset();
     } else {
-      hello.server_name = config_.server_name;
+      hello.server_name = server_name_;
     }
-    hello.ocsp_stapling = config_.offer_ocsp_stapling;
+    hello.ocsp_stapling = true;
 
     const net::Bytes body = hello.encode();
     const net::Bytes message =
@@ -45,16 +46,16 @@ class TlsStrategy final : public ProbeStrategy {
     return false;
   }
 
-  std::string_view name() const override { return "tls"; }
-
  private:
-  TlsStrategyConfig config_;
+  std::uint64_t seed_;
+  std::string server_name_;
 };
 
 }  // namespace
 
-std::unique_ptr<ProbeStrategy> make_tls_strategy(TlsStrategyConfig config) {
-  return std::make_unique<TlsStrategy>(config);
+std::unique_ptr<ProbeStrategy> make_tls_strategy(std::uint64_t seed,
+                                                 std::string server_name) {
+  return std::make_unique<TlsStrategy>(seed, std::move(server_name));
 }
 
 }  // namespace iwscan::core

@@ -24,10 +24,11 @@ namespace iwscan::exec {
 
 namespace {
 
-// Must stay distinct from StatelessSweep's address (SweepConfig default):
-// the two tiers run as separate flows so the sweep cannot perturb the
-// estimator.
 constexpr net::IPv4Address kScannerAddress{192, 0, 2, 1};
+static_assert(kScannerAddress != scan::SweepConfig::scanner_address,
+              "the stateful and stateless tiers must run as separate flows, or "
+              "the sweep perturbs the estimator and two-phase records stop being "
+              "byte-identical to a stateful-everywhere scan");
 constexpr std::size_t kChannelCapacity = 1024;
 /// Responsive hosts buffered between the sweep and the engine before
 /// backpressure pauses the sweep's SYN pacing.
@@ -103,7 +104,7 @@ scan::EngineConfig engine_config_for(const ScanOptions& job, const ShardSpec& sp
 }
 
 scan::SweepConfig sweep_config_for(const ScanOptions& job, const ShardSpec& spec) {
-  scan::SweepConfig config;  // scanner_address/source_port keep their defaults
+  scan::SweepConfig config;
   config.target_port = job.probe.port;
   config.rate_pps = job.sweep_rate_pps / static_cast<double>(spec.total_shards);
   config.seed = job.scan_seed;

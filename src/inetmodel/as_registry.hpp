@@ -101,8 +101,8 @@ struct AsArchetype {
   HttpArchetype http;
   TlsArchetype tls;
 
-  // CDN overlay eligibility (the 2019 follow-up; see CdnParams in
-  // profiles.hpp). Relative weights for the IW16/IW32/IW50 tiers assigned
+  // CDN overlay eligibility (the 2019 follow-up; see
+  // ModelConfig::cdn_fraction in profiles.hpp). Relative weights for the IW16/IW32/IW50 tiers assigned
   // to overlaid hosts — all-zero means the AS never hosts a CDN edge and
   // the overlay skips it entirely. Popular sub-blocks bias toward the
   // higher tiers (popularity-weighted IW, Fig. 4 style).

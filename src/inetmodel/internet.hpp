@@ -17,32 +17,6 @@
 
 namespace iwscan::model {
 
-struct ModelConfig {
-  int scale_log2 = 18;       // universe of 2^N addresses (default 256 Ki)
-  std::uint64_t seed = 42;
-  double loss_rate = 0.002;  // per-packet, per-direction
-  double reorder_rate = 0.003;
-  double duplicate_rate = 0.0;
-  sim::SimTime jitter = sim::msec(3);
-  sim::SimTime sweep_interval = sim::sec(5);
-  // Hostile-stack overlay: this fraction of present hosts swap their modeled
-  // daemons for a pathology from inetmodel/adversarial.hpp. Drawn from a
-  // dedicated RNG stream, so 0.0 reproduces pre-overlay worlds exactly.
-  double adversarial_fraction = 0.0;
-  // Longitudinal drift (the §5 trend-monitoring extension): each epoch,
-  // a fraction of legacy-IW Linux hosts upgrades to IW 10 (kernel/distro
-  // updates — the mechanism the paper names for the slow IW10 adoption).
-  // Upgrades are deterministic per host and monotone across epochs.
-  int epoch = 0;
-  double upgrade_rate_per_epoch = 0.06;
-  // CDN overlay (modern-stack follow-up): this fraction of present web hosts
-  // inside CDN-eligible ASes become tiered large-IW edges (paced first
-  // flights, per-vhost splits). Dedicated RNG stream: 0.0 reproduces
-  // pre-overlay worlds exactly. Tier drift shares `epoch` above.
-  double cdn_fraction = 0.0;
-  double cdn_tier_upgrade_rate = 0.08;
-};
-
 class InternetModel {
  public:
   InternetModel(sim::Network& network, ModelConfig config);
@@ -60,10 +34,7 @@ class InternetModel {
 
   /// Ground truth for any address (pure; does not materialize the host).
   [[nodiscard]] GroundTruth truth(net::IPv4Address ip) const {
-    return synthesize_host(registry_, config_.seed, ip,
-                           DriftParams{config_.epoch, config_.upgrade_rate_per_epoch},
-                           AdversarialParams{config_.adversarial_fraction},
-                           CdnParams{config_.cdn_fraction, config_.cdn_tier_upgrade_rate});
+    return synthesize_host(registry_, config_, ip);
   }
 
   [[nodiscard]] std::size_t live_hosts() const noexcept { return hosts_.size(); }

@@ -94,10 +94,9 @@ int upgrade_epoch(std::uint64_t seed, std::uint64_t salt, net::IPv4Address ip,
 
 }  // namespace
 
-GroundTruth synthesize_host(const AsRegistry& registry, std::uint64_t seed,
-                            net::IPv4Address ip, const DriftParams& drift,
-                            const AdversarialParams& adversarial,
-                            const CdnParams& cdn) {
+GroundTruth synthesize_host(const AsRegistry& registry, const ModelConfig& config,
+                            net::IPv4Address ip) {
+  const std::uint64_t seed = config.seed;
   GroundTruth gt;
   const AsInfo* as = registry.find(ip);
   if (as == nullptr) return gt;
@@ -143,9 +142,9 @@ GroundTruth synthesize_host(const AsRegistry& registry, std::uint64_t seed,
   // Longitudinal drift (§5 trend-monitoring extension): once a legacy-IW
   // Linux host's deterministic kernel-update epoch passes, it runs IW 10 —
   // one kernel, so both services upgrade together.
-  if (drift.epoch > 0 && gt.os == tcp::OsProfile::Linux &&
-      drift.epoch >=
-          upgrade_epoch(seed, 0xeb0c4ULL, ip, drift.upgrade_rate_per_epoch)) {
+  if (config.epoch > 0 && gt.os == tcp::OsProfile::Linux &&
+      config.epoch >=
+          upgrade_epoch(seed, 0xeb0c4ULL, ip, config.upgrade_rate_per_epoch)) {
     const auto upgrade = [](tcp::IwConfig& iw) {
       if (iw.policy == tcp::IwPolicy::Segments && iw.segments <= 4) {
         iw = tcp::IwConfig::segments_of(10);
@@ -271,9 +270,9 @@ GroundTruth synthesize_host(const AsRegistry& registry, std::uint64_t seed,
   // Dedicated RNG stream: the draw sequence above is untouched, so a world
   // with fraction == 0 is byte-identical to one synthesized without the
   // overlay at all.
-  if (adversarial.fraction > 0.0) {
+  if (config.adversarial_fraction > 0.0) {
     util::Rng adv_rng(util::mix64(seed ^ 0xadde5ULL, ip.value()));
-    if (adv_rng.chance(adversarial.fraction)) {
+    if (adv_rng.chance(config.adversarial_fraction)) {
       AdversarialBehavior candidates[kAdversarialBehaviorCount];
       int count = 0;
       for (int i = 0; i < kAdversarialBehaviorCount; ++i) {
@@ -295,10 +294,10 @@ GroundTruth synthesize_host(const AsRegistry& registry, std::uint64_t seed,
   // everything is drawn from a dedicated stream so fraction == 0 worlds are
   // byte-identical to pre-overlay ones. Adversaries win: a hostile stack is
   // not also a CDN edge.
-  if (cdn.fraction > 0.0 && gt.present && !gt.adversary &&
+  if (config.cdn_fraction > 0.0 && gt.present && !gt.adversary &&
       (gt.http || gt.tls) && arch.cdn_eligible()) {
     util::Rng cdn_rng(util::mix64(seed ^ 0xcd17ULL, ip.value()));
-    if (cdn_rng.chance(cdn.fraction)) {
+    if (cdn_rng.chance(config.cdn_fraction)) {
       // Base tier 1..3 (IW16 / IW32 / IW50), popularity-weighted per AS.
       int tier = 1 + static_cast<int>(cdn_rng.weighted(arch.cdn_tier_weights));
       // Longitudinal tier drift: each upgrade step lands at a deterministic
@@ -309,14 +308,14 @@ GroundTruth synthesize_host(const AsRegistry& registry, std::uint64_t seed,
         int lands_at = 0;
         for (int s = 0; s <= step; ++s) {
           const int draw = upgrade_epoch(seed, 0x7d21fULL + static_cast<std::uint64_t>(s),
-                                         ip, cdn.tier_upgrade_rate_per_epoch);
+                                         ip, config.cdn_tier_upgrade_rate);
           if (draw >= std::numeric_limits<int>::max() - lands_at) {
             lands_at = std::numeric_limits<int>::max();
             break;
           }
           lands_at += draw;
         }
-        if (lands_at > drift.epoch) break;
+        if (lands_at > config.epoch) break;
         ++tier;
       }
       gt.cdn_tier = static_cast<std::uint8_t>(tier);

@@ -1,4 +1,4 @@
-// Host ground truth: a pure, deterministic function (registry, seed, ip) →
+// Host ground truth: a pure, deterministic function (registry, config, ip) →
 // everything about the host at that address. Because it is pure, the
 // simulator can materialize hosts lazily during a scan, and the analysis /
 // validation code can recompute the truth for any address without storing
@@ -62,38 +62,40 @@ struct GroundTruth {
                                                bool vhost = false) const;
 };
 
-/// Longitudinal drift parameters (the §5 trend-monitoring extension).
-struct DriftParams {
-  int epoch = 0;                       // 0 = the paper's snapshot
-  double upgrade_rate_per_epoch = 0.06;  // legacy-Linux → IW10 per epoch
+/// The simulated world's parameters: its size and seed, path impairments,
+/// and the three overlays the ground truth layers on the paper's snapshot.
+struct ModelConfig {
+  int scale_log2 = 18;       // universe of 2^N addresses (default 256 Ki)
+  std::uint64_t seed = 42;
+  double loss_rate = 0.002;  // per-packet, per-direction
+  double reorder_rate = 0.003;
+  double duplicate_rate = 0.0;
+  sim::SimTime jitter = sim::msec(3);
+  sim::SimTime sweep_interval = sim::sec(5);
+  // Hostile-stack overlay: this fraction of present hosts swap their modeled
+  // daemons for a pathology from inetmodel/adversarial.hpp. Drawn from a
+  // dedicated RNG stream, so 0.0 reproduces pre-overlay worlds exactly.
+  double adversarial_fraction = 0.0;
+  // Longitudinal drift (the §5 trend-monitoring extension): each epoch,
+  // a fraction of legacy-IW Linux hosts upgrades to IW 10 (kernel/distro
+  // updates — the mechanism the paper names for the slow IW10 adoption).
+  // Upgrades are deterministic per host and monotone across epochs.
+  int epoch = 0;
+  double upgrade_rate_per_epoch = 0.06;
+  // CDN overlay (modern-stack follow-up): this fraction of present web hosts
+  // inside CDN-eligible ASes become tiered large-IW edges (paced first
+  // flights, per-vhost splits). Dedicated RNG stream: 0.0 reproduces
+  // pre-overlay worlds exactly. Tier drift shares `epoch` above.
+  double cdn_fraction = 0.0;
+  double cdn_tier_upgrade_rate = 0.08;
 };
 
-/// Adversarial overlay parameters: `fraction` of present hosts swap their
-/// modeled daemons for a hostile behavior. Drawn from a dedicated RNG
-/// stream, so fraction == 0 worlds are byte-identical to pre-overlay ones.
-struct AdversarialParams {
-  double fraction = 0.0;
-};
-
-/// CDN overlay parameters: `fraction` of present web hosts inside
-/// CDN-eligible ASes (see AsArchetype::cdn_tier_weights) become modern CDN
-/// edges with tiered large IWs, paced first flights, and per-vhost splits.
-/// Drawn from a dedicated RNG stream, so fraction == 0 worlds are
-/// byte-identical to pre-overlay ones. Tier drift is monotone in the epoch:
-/// an edge only ever moves to a higher tier as epochs advance.
-struct CdnParams {
-  double fraction = 0.0;
-  double tier_upgrade_rate_per_epoch = 0.08;
-};
-
-/// Synthesize the ground truth for one address. Pure in (seed, ip, drift,
-/// adversarial, cdn); upgrades are monotone in the epoch (a host never
-/// downgrades).
+/// Synthesize the ground truth for one address. Pure in (config, ip), of
+/// which it reads the seed and the drift and overlay fields; upgrades are
+/// monotone in the epoch (a host never downgrades).
 [[nodiscard]] GroundTruth synthesize_host(const AsRegistry& registry,
-                                          std::uint64_t seed, net::IPv4Address ip,
-                                          const DriftParams& drift = {},
-                                          const AdversarialParams& adversarial = {},
-                                          const CdnParams& cdn = {});
+                                          const ModelConfig& config,
+                                          net::IPv4Address ip);
 
 /// Exact on-wire size of an HTTP response head + body produced by our
 /// httpd for the given parameters (used to hit few-data bound targets).

@@ -47,16 +47,17 @@ constexpr std::size_t kTcpChecksumAt = 36;
   return 0;
 }
 
+constexpr auto kRequestLength = static_cast<std::uint32_t>(SweepConfig::request.size());
+
 }  // namespace
 
 StatelessSweep::StatelessSweep(sim::Network& network, SweepConfig config,
                                TargetGenerator targets, EventFn on_event)
     : network_(network),
-      config_(std::move(config)),
+      config_(config),
       targets_(std::move(targets)),
       on_event_(std::move(on_event)),
       codec_(config_.seed),
-      request_length_(static_cast<std::uint32_t>(config_.request.size())),
       domain_(targets_.address_space_size()) {}
 
 StatelessSweep::~StatelessSweep() {
@@ -292,7 +293,7 @@ void StatelessSweep::handle_packet(net::PacketView bytes) {
     // one tears the server connection down, later in-flight segments hit
     // a closed connection and die quietly.
     std::uint64_t cycle = 0;
-    if (!recover(ack - 1 - request_length_, source, cycle)) return;
+    if (!recover(ack - 1 - kRequestLength, source, cycle)) return;
     send_patched(rst_template_, source, ack, 0);
     if (payload.empty()) return;  // FIN with no data: nothing to sample
     if (!first_event(seen_banner_, cycle)) return;

@@ -31,7 +31,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "netbase/packet_buf.hpp"
@@ -85,18 +85,22 @@ struct SweepConfig {
   /// Distinct from the stateful engine's address on purpose: the two tiers
   /// then ride disjoint per-flow impairment streams, which is what keeps
   /// phase-2 records byte-identical to a stateful-everywhere scan.
-  net::IPv4Address scanner_address{192, 0, 2, 2};
-  std::uint16_t source_port = 61337;  // fixed; outside the ephemeral range
+  static constexpr net::IPv4Address scanner_address{192, 0, 2, 2};
+  /// Fixed, outside the ephemeral range: every reply lands on one flow, so
+  /// the cookie — not a port table — identifies the target (ZBanner).
+  static constexpr std::uint16_t source_port = 61337;
+  /// Cookie epoch: a sweep makes one whole-space pass, so it never rotates.
+  static constexpr std::uint8_t epoch = 0;
+  /// First-flight request pushed on the handshake ACK. Static, so a data
+  /// segment's ack (= cookie+1+len) still recovers the cookie statelessly.
+  static constexpr std::string_view request = "GET / HTTP/1.0\r\n\r\n";
+
   std::uint16_t target_port = 80;
   double rate_pps = 600'000;
   std::uint64_t seed = 7;
-  std::uint8_t epoch = 0;  // rotates between whole-space passes
   /// Answer window after the last SYN: must exceed the host stack's
   /// SYN-ACK retransmission span (~31 s at the simulated defaults).
   sim::SimTime cooldown = sim::sec(40);
-  /// First-flight request pushed on the handshake ACK. Static, so a data
-  /// segment's ack (= cookie+1+len) still recovers the cookie statelessly.
-  std::string request = "GET / HTTP/1.0\r\n\r\n";
 };
 
 struct SweepStats {
@@ -188,7 +192,6 @@ class StatelessSweep final : public sim::Endpoint {
   TargetGenerator targets_;
   EventFn on_event_;
   SynCookieCodec codec_;
-  std::uint32_t request_length_ = 0;
 
   Template syn_template_;   // seq patched
   Template ack_template_;   // seq+ack patched; carries the request payload

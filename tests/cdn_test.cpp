@@ -197,7 +197,7 @@ TEST(CdnBattery, ScenariosAreDeterministic) {
 // ------------------------------------------------- estimator boundaries ----
 
 // The paced/burst decision compares the first→last fresh-data span against
-// paced_window_percent (8%) of the first-data→retransmission window (the
+// kPacedWindowPercent (8%) of the first-data→retransmission window (the
 // sender's RTO, 1 s — one-way latency shifts both endpoints and cancels).
 // With spread_rtt_percent = 400, zero schedule jitter and a 10 ms one-way
 // path, the span is exactly 4 × 20 ms = 80 ms = the threshold; shaving
@@ -214,7 +214,7 @@ TEST(PacingBoundary, OneMicrosecondOfSpanFlipsPacedToBurst) {
     test::Testbed bed;
     bed.add_http_host(target, stack, web);
     const core::ConnObservation observation =
-        bed.estimate(target, 80, {}, test::Testbed::http_get(target));
+        bed.estimate(target, 80, 64, test::Testbed::http_get(target));
     EXPECT_EQ(observation.outcome, core::ConnOutcome::FewData);
     EXPECT_EQ(observation.anomaly, core::ProbeAnomaly::PacedDelivery);
     EXPECT_EQ(observation.iw_estimate, 16u);
@@ -226,7 +226,7 @@ TEST(PacingBoundary, OneMicrosecondOfSpanFlipsPacedToBurst) {
     bed.network().set_default_path(path);
     bed.add_http_host(target, stack, web);
     const core::ConnObservation observation =
-        bed.estimate(target, 80, {}, test::Testbed::http_get(target));
+        bed.estimate(target, 80, 64, test::Testbed::http_get(target));
     EXPECT_EQ(observation.outcome, core::ConnOutcome::Success);
     EXPECT_EQ(observation.anomaly, core::ProbeAnomaly::None);
     EXPECT_EQ(observation.iw_estimate, 16u);

@@ -4,18 +4,15 @@
 // overestimate.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "testbed.hpp"
 
 namespace iwscan {
 namespace {
 
 using test::Testbed;
-
-core::EstimatorConfig estimator_config(std::uint16_t mss = 64) {
-  core::EstimatorConfig config;
-  config.announced_mss = mss;
-  return config;
-}
 
 http::WebConfig big_page(std::size_t bytes) {
   http::WebConfig web;
@@ -40,8 +37,7 @@ TEST(Estimator, ExactIwWithEnoughData) {
     const net::IPv4Address host{10, 0, 0, 1};
     bed.add_http_host(host, stack_with_iw(iw), big_page(16'000));
 
-    const auto obs = bed.estimate(host, 80, estimator_config(),
-                                  Testbed::http_get(host));
+    const auto obs = bed.estimate(host, 80, 64, Testbed::http_get(host));
     EXPECT_EQ(obs.outcome, core::ConnOutcome::Success) << "IW " << iw;
     EXPECT_EQ(obs.iw_estimate, iw) << "IW " << iw;
     EXPECT_TRUE(obs.verify_new_data);
@@ -55,8 +51,7 @@ TEST(Estimator, LargeAndVendorIwValues) {
     const net::IPv4Address host{10, 0, 0, 2};
     bed.add_http_host(host, stack_with_iw(iw), big_page(iw * 64 + 4'000));
 
-    const auto obs = bed.estimate(host, 80, estimator_config(),
-                                  Testbed::http_get(host));
+    const auto obs = bed.estimate(host, 80, 64, Testbed::http_get(host));
     EXPECT_EQ(obs.outcome, core::ConnOutcome::Success) << "IW " << iw;
     EXPECT_EQ(obs.iw_estimate, iw) << "IW " << iw;
   }
@@ -71,8 +66,7 @@ TEST(Estimator, WindowsMssClampIsHandled) {
   bed.add_http_host(host, stack_with_iw(10, tcp::OsProfile::Windows),
                     big_page(16'000));
 
-  const auto obs = bed.estimate(host, 80, estimator_config(64),
-                                Testbed::http_get(host));
+  const auto obs = bed.estimate(host, 80, 64, Testbed::http_get(host));
   ASSERT_EQ(obs.outcome, core::ConnOutcome::Success);
   EXPECT_EQ(obs.max_segment, 536);
   EXPECT_EQ(obs.iw_estimate, 10u);
@@ -88,8 +82,7 @@ TEST(Estimator, FewDataYieldsLowerBoundAndFin) {
   web.page_size = 300;  // total response ≈ 420 B → bound 7 at MSS 64
   bed.add_http_host(host, stack_with_iw(10), web);
 
-  const auto obs = bed.estimate(host, 80, estimator_config(),
-                                Testbed::http_get(host));
+  const auto obs = bed.estimate(host, 80, 64, Testbed::http_get(host));
   EXPECT_EQ(obs.outcome, core::ConnOutcome::FewData);
   EXPECT_TRUE(obs.fin_seen);
   EXPECT_GE(obs.iw_estimate, 6u);
@@ -111,8 +104,7 @@ TEST(Estimator, ExactFitIsClassifiedFewData) {
   web.page_size = 256 - overhead;
   bed.add_http_host(host, stack, web);
 
-  const auto obs = bed.estimate(host, 80, estimator_config(),
-                                Testbed::http_get(host));
+  const auto obs = bed.estimate(host, 80, 64, Testbed::http_get(host));
   EXPECT_EQ(obs.outcome, core::ConnOutcome::FewData);
   EXPECT_TRUE(obs.fin_seen);
   EXPECT_EQ(obs.iw_estimate, 4u);
@@ -133,8 +125,7 @@ TEST(Estimator, OneByteOverExactFitFlipsToSuccess) {
   web.page_size = 257 - overhead;  // total response = 4 × 64 + 1 bytes
   bed.add_http_host(host, stack, web);
 
-  const auto obs = bed.estimate(host, 80, estimator_config(),
-                                Testbed::http_get(host));
+  const auto obs = bed.estimate(host, 80, 64, Testbed::http_get(host));
   EXPECT_EQ(obs.outcome, core::ConnOutcome::Success);
   EXPECT_TRUE(obs.verify_new_data);
   EXPECT_EQ(obs.iw_estimate, 4u);
@@ -151,8 +142,7 @@ TEST(Estimator, MssViolationInflatesBytesPastIwTimesMss) {
       bed.network(), host, model::AdversarialBehavior::MssViolator, 1);
   bed.network().attach(host, adv.endpoint.get());
 
-  const auto obs = bed.estimate(host, 80, estimator_config(64),
-                                Testbed::http_get(host));
+  const auto obs = bed.estimate(host, 80, 64, Testbed::http_get(host));
   bed.network().detach(host);
 
   EXPECT_EQ(obs.outcome, core::ConnOutcome::Success);
@@ -171,8 +161,7 @@ TEST(Estimator, NoDataHost) {
   web.root = http::RootBehavior::Silent;
   bed.add_http_host(host, stack_with_iw(10), web);
 
-  const auto obs = bed.estimate(host, 80, estimator_config(),
-                                Testbed::http_get(host));
+  const auto obs = bed.estimate(host, 80, 64, Testbed::http_get(host));
   EXPECT_EQ(obs.outcome, core::ConnOutcome::NoData);
   EXPECT_EQ(obs.iw_estimate, 0u);
 }
@@ -180,14 +169,14 @@ TEST(Estimator, NoDataHost) {
 TEST(Estimator, UnreachableAndRefused) {
   Testbed bed;
   // 10.0.0.7 has no endpoint at all → SYN times out.
-  auto obs = bed.estimate(net::IPv4Address{10, 0, 0, 7}, 80, estimator_config(),
+  auto obs = bed.estimate(net::IPv4Address{10, 0, 0, 7}, 80, 64,
                           Testbed::http_get(net::IPv4Address{10, 0, 0, 7}));
   EXPECT_EQ(obs.outcome, core::ConnOutcome::Unreachable);
 
   // Host present but port 81 closed → RST → refused.
   const net::IPv4Address host{10, 0, 0, 8};
   bed.add_http_host(host, stack_with_iw(10), big_page(8'000));
-  obs = bed.estimate(host, 81, estimator_config(), Testbed::http_get(host));
+  obs = bed.estimate(host, 81, 64, Testbed::http_get(host));
   EXPECT_EQ(obs.outcome, core::ConnOutcome::Refused);
 }
 
@@ -199,13 +188,11 @@ TEST(Estimator, ByteLimitedHostScalesWithMss) {
   stack.iw = tcp::IwConfig::bytes_of(4096);
   bed.add_http_host(host, stack, big_page(12'000));
 
-  const auto at64 = bed.estimate(host, 80, estimator_config(64),
-                                 Testbed::http_get(host));
+  const auto at64 = bed.estimate(host, 80, 64, Testbed::http_get(host));
   ASSERT_EQ(at64.outcome, core::ConnOutcome::Success);
   EXPECT_EQ(at64.iw_estimate, 64u);
 
-  const auto at128 = bed.estimate(host, 80, estimator_config(128),
-                                  Testbed::http_get(host));
+  const auto at128 = bed.estimate(host, 80, 128, Testbed::http_get(host));
   ASSERT_EQ(at128.outcome, core::ConnOutcome::Success);
   EXPECT_EQ(at128.iw_estimate, 32u);
   EXPECT_EQ(at64.span_bytes, at128.span_bytes);
@@ -218,10 +205,8 @@ TEST(Estimator, MtuFillHostScalesWithMss) {
   stack.iw = tcp::IwConfig::bytes_of(1536);
   bed.add_http_host(host, stack, big_page(8'000));
 
-  const auto at64 = bed.estimate(host, 80, estimator_config(64),
-                                 Testbed::http_get(host));
-  const auto at128 = bed.estimate(host, 80, estimator_config(128),
-                                  Testbed::http_get(host));
+  const auto at64 = bed.estimate(host, 80, 64, Testbed::http_get(host));
+  const auto at128 = bed.estimate(host, 80, 128, Testbed::http_get(host));
   ASSERT_EQ(at64.outcome, core::ConnOutcome::Success);
   ASSERT_EQ(at128.outcome, core::ConnOutcome::Success);
   EXPECT_EQ(at64.iw_estimate, 24u);
@@ -235,9 +220,8 @@ TEST(Estimator, TlsFirstFlightYieldsIw) {
   config.chain_bytes = 4'000;  // plenty for IW 10 at 64 B
   bed.add_tls_host(host, stack_with_iw(10), config);
 
-  core::TlsStrategyConfig strategy_config;
-  auto strategy = core::make_tls_strategy(strategy_config);
-  const auto obs = bed.estimate(host, 443, estimator_config(), strategy->request());
+  auto strategy = core::make_tls_strategy(0, "");
+  const auto obs = bed.estimate(host, 443, 64, strategy->request());
   ASSERT_EQ(obs.outcome, core::ConnOutcome::Success);
   EXPECT_EQ(obs.iw_estimate, 10u);
 }
@@ -249,8 +233,8 @@ TEST(Estimator, TlsAlertWithoutSniIsFewDataBoundOne) {
   config.sni_policy = tls::SniPolicy::AlertAndClose;
   bed.add_tls_host(host, stack_with_iw(10), config);
 
-  auto strategy = core::make_tls_strategy({});
-  const auto obs = bed.estimate(host, 443, estimator_config(), strategy->request());
+  auto strategy = core::make_tls_strategy(0, "");
+  const auto obs = bed.estimate(host, 443, 64, strategy->request());
   EXPECT_EQ(obs.outcome, core::ConnOutcome::FewData);
   EXPECT_EQ(obs.iw_estimate, 1u);
   EXPECT_TRUE(obs.fin_seen);
@@ -263,9 +247,61 @@ TEST(Estimator, TlsSilentCloseIsNoData) {
   config.sni_policy = tls::SniPolicy::SilentClose;
   bed.add_tls_host(host, stack_with_iw(10), config);
 
-  auto strategy = core::make_tls_strategy({});
-  const auto obs = bed.estimate(host, 443, estimator_config(), strategy->request());
+  auto strategy = core::make_tls_strategy(0, "");
+  const auto obs = bed.estimate(host, 443, 64, strategy->request());
   EXPECT_EQ(obs.outcome, core::ConnOutcome::NoData);
+}
+
+TEST(Estimator, WireShapeMatchesPaper) {
+  // The probe's wire contract (§3.1, Fig. 1): a SYN announcing only the
+  // small MSS under a large window, without SACK (which would enable
+  // tail-loss probes) or window scaling; the request on the handshake ACK;
+  // after the sender's RTO retransmission, an ACK opening exactly 2·MSS;
+  // and a reset, never a graceful close.
+  for (const std::uint16_t mss : {std::uint16_t{64}, std::uint16_t{128}}) {
+    Testbed bed;
+    const net::IPv4Address host{10, 0, 0, 14};
+    bed.add_http_host(host, stack_with_iw(10), big_page(16'000));
+    std::vector<net::TcpSegment> wire;
+    bed.tap_segments(wire);
+    const net::Bytes request = Testbed::http_get(host);
+    const auto obs = bed.estimate(host, 80, mss, request);
+    ASSERT_EQ(obs.outcome, core::ConnOutcome::Success) << "MSS " << mss;
+
+    std::vector<net::TcpSegment> sent;  // scanner → host
+    std::optional<std::uint32_t> first_data_seq;
+    int first_data_copies_before_verify = 0;
+    for (const auto& segment : wire) {
+      if (segment.ip.src == test::kScannerIp) {
+        sent.push_back(segment);
+      } else if (!segment.payload.empty() && sent.size() <= 2) {
+        if (!first_data_seq) first_data_seq = segment.tcp.seq;
+        if (segment.tcp.seq == *first_data_seq) ++first_data_copies_before_verify;
+      }
+    }
+    ASSERT_EQ(sent.size(), 4u) << "SYN, ACK+request, verify ACK, RST; MSS " << mss;
+
+    const auto& syn = sent[0];
+    EXPECT_EQ(int{syn.tcp.flags}, net::kSyn);
+    EXPECT_EQ(syn.tcp.window, 65535);
+    // Exactly one option: neither SACK-permitted nor window scale.
+    ASSERT_EQ(syn.tcp.options.size(), 1u);
+    EXPECT_EQ(syn.tcp.options[0], net::TcpOption{net::MssOption{mss}});
+
+    const auto& request_ack = sent[1];
+    EXPECT_EQ(int{request_ack.tcp.flags}, net::kAck | net::kPsh);
+    EXPECT_EQ(request_ack.tcp.seq, syn.tcp.seq + 1);
+    EXPECT_EQ(request_ack.payload, request);
+
+    EXPECT_GE(first_data_copies_before_verify, 2)
+        << "the verify ACK waits for the RTO retransmission; MSS " << mss;
+    const auto& verify = sent[2];
+    EXPECT_EQ(int{verify.tcp.flags}, net::kAck);
+    EXPECT_TRUE(verify.payload.empty());
+    EXPECT_EQ(verify.tcp.window, 2 * mss);
+
+    EXPECT_EQ(int{sent[3].tcp.flags}, net::kRst | net::kAck);
+  }
 }
 
 TEST(Estimator, NeverOverestimatesUnderLoss) {
@@ -281,8 +317,7 @@ TEST(Estimator, NeverOverestimatesUnderLoss) {
       path.loss_rate = loss;
       bed.network().set_path(host, path);
 
-      const auto obs = bed.estimate(host, 80, estimator_config(),
-                                    Testbed::http_get(host));
+      const auto obs = bed.estimate(host, 80, 64, Testbed::http_get(host));
       if (obs.outcome == core::ConnOutcome::Success) {
         EXPECT_LE(obs.iw_estimate, 10u)
             << "loss " << loss << " trial " << trial;
@@ -301,8 +336,7 @@ TEST(Estimator, ReorderingIsDetectedAndTolerated) {
   path.reorder_delay = sim::msec(4);
   bed.network().set_path(host, path);
 
-  const auto obs = bed.estimate(host, 80, estimator_config(),
-                                Testbed::http_get(host));
+  const auto obs = bed.estimate(host, 80, 64, Testbed::http_get(host));
   ASSERT_EQ(obs.outcome, core::ConnOutcome::Success);
   EXPECT_EQ(obs.iw_estimate, 10u) << "reordering must not corrupt the estimate";
 }
@@ -315,8 +349,7 @@ TEST(Estimator, PrefixHoldsHttpStatusLine) {
   web.canonical_name = "www.example.test";
   bed.add_http_host(host, stack_with_iw(10), web);
 
-  const auto obs = bed.estimate(host, 80, estimator_config(),
-                                Testbed::http_get(host));
+  const auto obs = bed.estimate(host, 80, 64, Testbed::http_get(host));
   ASSERT_EQ(obs.outcome, core::ConnOutcome::FewData);
   const std::string text(obs.prefix.begin(), obs.prefix.end());
   EXPECT_NE(text.find("301"), std::string::npos);
@@ -343,8 +376,7 @@ TEST(Estimator, LostRequestIsResentOnDuplicateSynAck) {
     return true;
   });
 
-  const auto obs = bed.estimate(host, 80, estimator_config(),
-                                Testbed::http_get(host));
+  const auto obs = bed.estimate(host, 80, 64, Testbed::http_get(host));
   bed.network().set_filter(nullptr);
   EXPECT_EQ(obs.outcome, core::ConnOutcome::Success);
   EXPECT_EQ(obs.iw_estimate, 10u);
@@ -363,8 +395,7 @@ TEST(Estimator, LostSynAckMeansUnreachable) {
     const auto* segment = std::get_if<net::TcpSegment>(&*datagram);
     return !(segment && segment->tcp.has(net::kSyn) && segment->tcp.has(net::kAck));
   });
-  const auto obs = bed.estimate(host, 80, estimator_config(),
-                                Testbed::http_get(host));
+  const auto obs = bed.estimate(host, 80, 64, Testbed::http_get(host));
   bed.network().set_filter(nullptr);
   EXPECT_EQ(obs.outcome, core::ConnOutcome::Unreachable);
 }
@@ -389,8 +420,7 @@ TEST_P(EstimatorMatrix, ExactForAllCombinations) {
   bed.add_http_host(host, stack_with_iw(iw, os),
                     big_page(static_cast<std::size_t>(iw) * eff + 4 * eff + 2000));
 
-  const auto obs = bed.estimate(host, 80, estimator_config(announced_mss),
-                                Testbed::http_get(host));
+  const auto obs = bed.estimate(host, 80, announced_mss, Testbed::http_get(host));
   ASSERT_EQ(obs.outcome, core::ConnOutcome::Success)
       << "iw=" << iw << " os=" << static_cast<int>(os) << " mss=" << announced_mss;
   EXPECT_EQ(obs.iw_estimate, iw);
@@ -426,8 +456,7 @@ TEST_P(BytePolicyMatrix, SegmentsAreCeilOfBudget) {
   stack.iw = tcp::IwConfig::bytes_of(budget);
   bed.add_http_host(host, stack, big_page(budget * 3 + 4000));
 
-  const auto obs = bed.estimate(host, 80, estimator_config(announced_mss),
-                                Testbed::http_get(host));
+  const auto obs = bed.estimate(host, 80, announced_mss, Testbed::http_get(host));
   ASSERT_EQ(obs.outcome, core::ConnOutcome::Success);
   const std::uint32_t expected = (budget + announced_mss - 1) / announced_mss;
   EXPECT_EQ(obs.iw_estimate, expected) << "budget=" << budget;

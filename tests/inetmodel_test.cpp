@@ -135,11 +135,19 @@ TEST(CertChainDistribution, SampleForIsPure) {
 
 // ------------------------------------------------------- ground truth ----
 
+/// A world of the given seed at the given drift epoch, with no overlays.
+ModelConfig world(std::uint64_t seed, int epoch = 0) {
+  ModelConfig config;
+  config.seed = seed;
+  config.epoch = epoch;
+  return config;
+}
+
 TEST(GroundTruth, PureFunctionOfSeedAndIp) {
   const auto registry = AsRegistry::standard(16);
   const net::IPv4Address ip{10, 0, 1, 77};
-  const auto a = synthesize_host(registry, 42, ip);
-  const auto b = synthesize_host(registry, 42, ip);
+  const auto a = synthesize_host(registry, world(42), ip);
+  const auto b = synthesize_host(registry, world(42), ip);
   EXPECT_EQ(a.present, b.present);
   EXPECT_EQ(a.http, b.http);
   EXPECT_EQ(a.tls, b.tls);
@@ -151,7 +159,7 @@ TEST(GroundTruth, PureFunctionOfSeedAndIp) {
 
 TEST(GroundTruth, OutsideUniverseIsAbsent) {
   const auto registry = AsRegistry::standard(16);
-  const auto gt = synthesize_host(registry, 42, net::IPv4Address(8, 8, 8, 8));
+  const auto gt = synthesize_host(registry, world(42), net::IPv4Address(8, 8, 8, 8));
   EXPECT_FALSE(gt.present);
 }
 
@@ -165,7 +173,7 @@ TEST(GroundTruth, DensityApproximatesArchetype) {
   for (int i = 0; i < n; ++i) {
     // Skip the (nonexistent for access) popular block; sample the middle.
     const auto ip = prefix.at(prefix.size() / 2 + i);
-    present += synthesize_host(registry, 42, ip).present;
+    present += synthesize_host(registry, world(42), ip).present;
   }
   EXPECT_NEAR(present / double(n), comcast->archetype.host_density, 0.03);
 }
@@ -175,7 +183,7 @@ TEST(GroundTruth, FewDataBoundNeverExceedsTrueIw) {
   int checked = 0;
   for (std::uint32_t offset = 0; offset < 60'000 && checked < 2000; ++offset) {
     const net::IPv4Address ip{net::IPv4Address(10, 0, 0, 0).value() + offset};
-    const auto gt = synthesize_host(registry, 7, ip);
+    const auto gt = synthesize_host(registry, world(7), ip);
     if (!gt.present || !gt.http || gt.http_category != HttpCategory::FewData) {
       continue;
     }
@@ -191,7 +199,7 @@ TEST(GroundTruth, SuccessPagesExceedIwAtBothMss) {
   int checked = 0;
   for (std::uint32_t offset = 0; offset < 60'000 && checked < 2000; ++offset) {
     const net::IPv4Address ip{net::IPv4Address(10, 0, 0, 0).value() + offset};
-    const auto gt = synthesize_host(registry, 7, ip);
+    const auto gt = synthesize_host(registry, world(7), ip);
     if (!gt.present || !gt.http) continue;
     if (gt.http_category != HttpCategory::SuccessDirect) continue;
     ++checked;
@@ -208,7 +216,7 @@ TEST(GroundTruth, EchoHostsHaveCompatibleProfiles) {
   const auto registry = AsRegistry::standard(18);
   for (std::uint32_t offset = 0; offset < 60'000; ++offset) {
     const net::IPv4Address ip{net::IPv4Address(10, 0, 0, 0).value() + offset};
-    const auto gt = synthesize_host(registry, 7, ip);
+    const auto gt = synthesize_host(registry, world(7), ip);
     if (!gt.present || gt.http_category != HttpCategory::SuccessEcho) continue;
     EXPECT_EQ(gt.os, tcp::OsProfile::Linux);
     ASSERT_EQ(gt.http_iw.policy, tcp::IwPolicy::Segments);
@@ -222,7 +230,7 @@ TEST(GroundTruth, CloudflareIsAllIw10) {
   ASSERT_NE(cloudflare, nullptr);
   const auto& prefix = cloudflare->prefixes.front();
   for (std::uint64_t i = 0; i < prefix.size(); ++i) {
-    const auto gt = synthesize_host(registry, 42, prefix.at(i));
+    const auto gt = synthesize_host(registry, world(42), prefix.at(i));
     if (!gt.present) continue;
     if (gt.http && gt.http_category != HttpCategory::FewData) {
       EXPECT_EQ(gt.http_iw.segments, 10u);
@@ -241,7 +249,7 @@ TEST(GroundTruth, TelmexHasByteLimitedCpe) {
   int byte_hosts = 0;
   int http_hosts = 0;
   for (std::uint64_t i = 0; i < prefix.size(); ++i) {
-    const auto gt = synthesize_host(registry, 42, prefix.at(i));
+    const auto gt = synthesize_host(registry, world(42), prefix.at(i));
     if (!gt.present || !gt.http) continue;
     ++http_hosts;
     if (gt.http_iw.policy == tcp::IwPolicy::Bytes) ++byte_hosts;
@@ -259,7 +267,7 @@ TEST(GroundTruth, AccessRdnsEncodesIpAndIspTag) {
   int encoding = 0;
   for (std::uint64_t i = 0; i < 3000; ++i) {
     const auto ip = prefix.at(prefix.size() / 3 + i);
-    const auto gt = synthesize_host(registry, 42, ip);
+    const auto gt = synthesize_host(registry, world(42), ip);
     if (!gt.present || gt.rdns.empty()) continue;
     ++with_rdns;
     char needle[32];
@@ -279,7 +287,7 @@ TEST(GroundTruth, PathMtuDistributionAnchors) {
   int ge1476 = 0;
   for (std::uint32_t offset = 0; offset < 60'000; ++offset) {
     const net::IPv4Address ip{net::IPv4Address(10, 0, 0, 0).value() + offset};
-    const auto gt = synthesize_host(registry, 11, ip);
+    const auto gt = synthesize_host(registry, world(11), ip);
     if (!gt.present) continue;
     ++n;
     ge1376 += gt.path_mtu >= 1376;
@@ -292,16 +300,16 @@ TEST(GroundTruth, PathMtuDistributionAnchors) {
 
 TEST(GroundTruth, DriftIsMonotoneAndTargetsLegacyLinux) {
   const auto registry = AsRegistry::standard(18);
-  const DriftParams late{12, 0.06};
+  const ModelConfig late = world(3, 12);
 
   int upgraded = 0;
   int legacy_at_zero = 0;
   for (std::uint32_t offset = 0; offset < 40'000; ++offset) {
     const net::IPv4Address ip{net::IPv4Address(10, 0, 0, 0).value() + offset};
-    const auto epoch0 = synthesize_host(registry, 3, ip, DriftParams{0, 0.06});
+    const auto epoch0 = synthesize_host(registry, world(3), ip);
     if (!epoch0.present || !epoch0.http) continue;
 
-    const auto epoch12 = synthesize_host(registry, 3, ip, late);
+    const auto epoch12 = synthesize_host(registry, late, ip);
     // Non-IW fields are untouched by drift.
     EXPECT_EQ(epoch0.http_category, epoch12.http_category);
     EXPECT_EQ(epoch0.os, epoch12.os);
@@ -314,7 +322,7 @@ TEST(GroundTruth, DriftIsMonotoneAndTargetsLegacyLinux) {
       ++legacy_at_zero;
       if (epoch12.http_iw.segments == 10) ++upgraded;
       // Monotone: once upgraded at an epoch, upgraded at all later epochs.
-      const auto epoch6 = synthesize_host(registry, 3, ip, DriftParams{6, 0.06});
+      const auto epoch6 = synthesize_host(registry, world(3, 6), ip);
       if (epoch6.http_iw.segments == 10) {
         EXPECT_EQ(epoch12.http_iw.segments, 10u) << ip.to_string();
       }

@@ -2,7 +2,11 @@
 // detection, redirect and long-URI escalation (§3.2, §4).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "testbed.hpp"
+#include "util/bytes.hpp"
 
 namespace iwscan {
 namespace {
@@ -119,6 +123,44 @@ TEST(HostProber, NonEchoing404StaysFewData) {
   EXPECT_EQ(record.outcome, core::HostOutcome::FewData);
   EXPECT_GE(record.lower_bound, 1u);
   EXPECT_LE(record.lower_bound, 10u);
+}
+
+TEST(HostProber, HttpRequestShape) {
+  // §3.2: the first request names the IP as Host, identifies the scan in
+  // its User-Agent and asks the server to close (its FIN then marks an
+  // unfilled IW); a non-echoing 404 triggers the long-URI retry.
+  Testbed bed;
+  const net::IPv4Address host{10, 1, 0, 11};
+  http::WebConfig web;
+  web.root = http::RootBehavior::NotFoundPlain;
+  bed.add_http_host(host, stack_with_iw(10), web);
+  std::vector<net::TcpSegment> wire;
+  bed.tap_segments(wire);
+
+  core::IwScanConfig config = http_config();
+  config.probes_per_mss = 1;
+  config.mss_secondary = 0;
+  const auto record = bed.probe_host(host, config);
+  ASSERT_EQ(record.connections_used, 2);
+
+  std::vector<std::string> requests;
+  for (const auto& segment : wire) {
+    if (segment.ip.src == test::kScannerIp && !segment.payload.empty()) {
+      requests.emplace_back(util::as_text(segment.payload));
+    }
+  }
+  ASSERT_EQ(requests.size(), 2u);
+  EXPECT_EQ(requests[0],
+            "GET / HTTP/1.1\r\n"
+            "Host: 10.1.0.11\r\n"
+            "User-Agent: iwscan/1.0 (+https://iw.example.net/research)\r\n"
+            "Accept: */*\r\n"
+            "Connection: close\r\n\r\n");
+  ASSERT_TRUE(requests[1].starts_with("GET /"));
+  const std::size_t path_end = requests[1].find(" HTTP/1.1\r\n");
+  ASSERT_NE(path_end, std::string::npos);
+  EXPECT_EQ(path_end - 4, 1300u) << "long-URI path length";
+  EXPECT_NE(requests[1].find("\r\nHost: 10.1.0.11\r\n"), std::string::npos);
 }
 
 TEST(HostProber, UnreachableHostShortCircuits) {

@@ -147,8 +147,7 @@ struct ScriptRig {
   core::ConnObservation estimate() {
     core::ConnObservation result;
     bool done = false;
-    core::EstimatorConfig config;
-    core::IwEstimator estimator(*services, kServerIp, 80, config,
+    core::IwEstimator estimator(*services, kServerIp, 80, /*announced_mss=*/64,
                                 net::to_bytes("GET / HTTP/1.1\r\n\r\n"),
                                 [&](const core::ConnObservation& observation) {
                                   result = observation;

@@ -13,6 +13,7 @@
 #include "httpd/http_server.hpp"
 #include "inetmodel/adversarial.hpp"
 #include "inetmodel/profiles.hpp"
+#include "netbase/packet.hpp"
 #include "netsim/network.hpp"
 #include "scanner/direct_services.hpp"
 #include "tcpstack/host.hpp"
@@ -58,10 +59,10 @@ class Testbed {
 
   /// Run one estimation connection; returns the observation.
   core::ConnObservation estimate(net::IPv4Address target, std::uint16_t port,
-                                 core::EstimatorConfig config, net::Bytes request) {
+                                 std::uint16_t announced_mss, net::Bytes request) {
     core::ConnObservation result;
     bool done = false;
-    core::IwEstimator estimator(services_, target, port, config, std::move(request),
+    core::IwEstimator estimator(services_, target, port, announced_mss, std::move(request),
                                 [&](const core::ConnObservation& observation) {
                                   result = observation;
                                   done = true;
@@ -90,6 +91,18 @@ class Testbed {
     }
     services_.set_handler(nullptr);
     return record;
+  }
+
+  /// Record every TCP segment put on the wire, in injection order (the
+  /// sender-side vantage point), into `segments`.
+  void tap_segments(std::vector<net::TcpSegment>& segments) {
+    network_.set_tap([&segments](net::PacketView bytes) {
+      const auto datagram = net::decode_datagram(bytes);
+      if (!datagram) return;
+      if (const auto* segment = std::get_if<net::TcpSegment>(&*datagram)) {
+        segments.push_back(*segment);
+      }
+    });
   }
 
   /// Standard HTTP request the strategies would send first.
@@ -156,8 +169,8 @@ inline ScenarioResult run_scenario(const Scenario& scenario,
   core::IwScanConfig probe;
   probe.protocol = scenario.protocol;
   probe.port = scenario.protocol == core::ProbeProtocol::Http ? 80 : 443;
-  probe.http.max_redirect_hops = scenario.max_redirect_hops;
-  probe.http.max_connections = scenario.max_connections;
+  probe.max_redirect_hops = scenario.max_redirect_hops;
+  probe.max_connections = scenario.max_connections;
 
   ScenarioResult result;
   core::IwProbeModule module(

@@ -22,6 +22,9 @@ constexpr sim::SimTime kVerifyTimeout = sim::sec(3);
 /// In-order payload kept for application-layer analysis (HTTP status and
 /// Location, TLS alert detection).
 constexpr std::size_t kPrefixCap = 16 * 1024;
+/// Segments the reassembly storage is first sized for: IW10, the window
+/// most hosts use (§4), so a typical first flight stores without regrowth.
+constexpr std::size_t kTypicalFlightSegments = 10;
 /// Pacing evidence (ProbeAnomaly::PacedDelivery): the first flight counts
 /// as paced — not a burst — when the span from first to last fresh data
 /// byte covers at least this percentage of the first-data → retransmission
@@ -30,6 +33,15 @@ constexpr std::size_t kPrefixCap = 16 * 1024;
 /// pacer spreads its flight over RTT multiples, far past this threshold.
 constexpr std::int64_t kPacedWindowPercent = 8;
 constexpr std::uint32_t kPacedMinArrivals = 3;
+
+/// First range starting after `offset` (ranges are sorted by start).
+template <typename Ranges>
+auto first_range_after(Ranges& ranges, std::uint64_t offset) {
+  return std::upper_bound(ranges.begin(), ranges.end(), offset,
+                          [](std::uint64_t value, const auto& range) {
+                            return value < range.start;
+                          });
+}
 
 }  // namespace
 
@@ -200,40 +212,58 @@ void IwEstimator::record_range(std::uint64_t start, std::uint64_t end,
   }
 
   // Keep payload for in-order prefix reassembly (HTTP status/Location).
-  if (prefix_bytes_stored_ < kPrefixCap && !chunks_.contains(start)) {
-    chunks_.emplace(start, net::Bytes(payload.begin(), payload.end()));
-    prefix_bytes_stored_ += payload.size();
-  }
+  if (chunk_bytes_.size() < kPrefixCap) store_chunk(start, payload);
 
-  // Insert [start,end) into the coalesced range map.
-  auto it = ranges_.upper_bound(start);
-  if (it != ranges_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second >= start) {
-      start = prev->first;
-      end = std::max(end, prev->second);
-      it = ranges_.erase(prev);
-    }
+  // Insert [start,end) into the coalesced ranges: absorb the range it
+  // extends (if any) and every later range it reaches.
+  const auto after = first_range_after(ranges_, start);
+  auto first = after;
+  if (after != ranges_.begin() && std::prev(after)->end >= start) {
+    first = std::prev(after);
+    start = first->start;
+    end = std::max(end, first->end);
   }
-  while (it != ranges_.end() && it->first <= end) {
-    end = std::max(end, it->second);
-    it = ranges_.erase(it);
+  auto last = after;
+  while (last != ranges_.end() && last->start <= end) {
+    end = std::max(end, last->end);
+    ++last;
   }
-  ranges_.emplace(start, end);
+  if (first == last) {
+    ranges_.insert(first, Range{start, end});
+  } else {
+    *first = Range{start, end};
+    ranges_.erase(std::next(first), last);
+  }
   max_end_ = std::max(max_end_, end);
 }
 
+void IwEstimator::store_chunk(std::uint64_t start,
+                              std::span<const std::uint8_t> payload) {
+  if (chunks_.empty()) {
+    // Sized once for a typical first flight, which then stores in place.
+    chunks_.reserve(kTypicalFlightSegments);
+    chunk_bytes_.reserve(std::min(kPrefixCap, kTypicalFlightSegments * payload.size()));
+  }
+  const auto at = std::lower_bound(
+      chunks_.begin(), chunks_.end(), start,
+      [](const Chunk& chunk, std::uint64_t value) { return chunk.start < value; });
+  if (at != chunks_.end() && at->start == start) return;  // first copy wins
+  chunks_.insert(at, Chunk{start, static_cast<std::uint32_t>(chunk_bytes_.size()),
+                           static_cast<std::uint32_t>(payload.size())});
+  chunk_bytes_.insert(chunk_bytes_.end(), payload.begin(), payload.end());
+}
+
 bool IwEstimator::covered(std::uint64_t start, std::uint64_t end) const noexcept {
-  const auto it = ranges_.upper_bound(start);
-  if (it == ranges_.begin()) return false;
-  const auto& [range_start, range_end] = *std::prev(it);
-  return range_start <= start && end <= range_end;
+  const auto after = first_range_after(ranges_, start);
+  if (after == ranges_.begin()) return false;
+  const Range& range = *std::prev(after);
+  return range.start <= start && end <= range.end;
 }
 
 bool IwEstimator::overlaps(std::uint64_t start, std::uint64_t end) const noexcept {
-  auto it = ranges_.upper_bound(start);
-  if (it != ranges_.begin() && std::prev(it)->second > start) return true;
-  return it != ranges_.end() && it->first < end;
+  const auto after = first_range_after(ranges_, start);
+  if (after != ranges_.begin() && std::prev(after)->end > start) return true;
+  return after != ranges_.end() && after->start < end;
 }
 
 void IwEstimator::note_payload(std::size_t payload_size) {
@@ -246,8 +276,7 @@ void IwEstimator::note_payload(std::size_t payload_size) {
 
 bool IwEstimator::contiguous_from_zero(std::uint64_t upto) const noexcept {
   if (upto == 0) return true;
-  const auto it = ranges_.find(0);
-  return it != ranges_.end() && it->second >= upto;
+  return !ranges_.empty() && ranges_.front().start == 0 && ranges_.front().end >= upto;
 }
 
 void IwEstimator::enter_verify() {
@@ -325,43 +354,64 @@ void IwEstimator::conclude(ConnOutcome outcome) {
     observation_.iw_estimate = 0;
   }
 
-  // Reassemble the in-order prefix for application-layer analysis.
-  observation_.prefix.clear();
+  reassemble_prefix();
+  done_(observation_);
+}
+
+void IwEstimator::reassemble_prefix() {
+  // Walk the chunks in stream order up to the first hole; a chunk adds the
+  // bytes past what earlier chunks covered. When every contributing chunk
+  // sits in chunk_bytes_ at its own stream offset (segments arrived in
+  // order), the prefix is a leading slice of chunk_bytes_ and is moved.
   std::uint64_t expect = 0;
-  for (const auto& [start, bytes] : chunks_) {
-    if (start > expect) break;  // hole
-    const std::uint64_t skip = expect - start;
-    if (skip < bytes.size()) {
-      observation_.prefix.insert(observation_.prefix.end(),
-                                 bytes.begin() + static_cast<std::ptrdiff_t>(skip),
-                                 bytes.end());
-      expect = start + bytes.size();
+  bool in_place = true;
+  for (const Chunk& chunk : chunks_) {
+    if (chunk.start > expect) break;  // hole
+    if (expect - chunk.start < chunk.size) {
+      in_place = in_place && chunk.offset == chunk.start;
+      expect = chunk.start + chunk.size;
     }
   }
-
-  done_(observation_);
+  if (in_place) {
+    observation_.prefix = std::move(chunk_bytes_);
+    observation_.prefix.resize(static_cast<std::size_t>(expect));
+    return;
+  }
+  observation_.prefix.clear();
+  observation_.prefix.reserve(static_cast<std::size_t>(expect));
+  expect = 0;
+  for (const Chunk& chunk : chunks_) {
+    if (chunk.start > expect) break;
+    const std::uint64_t skip = expect - chunk.start;
+    if (skip < chunk.size) {
+      const auto bytes = std::span<const std::uint8_t>(chunk_bytes_).subspan(
+          chunk.offset + static_cast<std::size_t>(skip), chunk.size - skip);
+      observation_.prefix.insert(observation_.prefix.end(), bytes.begin(), bytes.end());
+      expect = chunk.start + chunk.size;
+    }
+  }
 }
 
 void IwEstimator::send_segment(std::uint32_t seq, std::uint32_t ack, std::uint8_t flags,
                                std::uint16_t window,
                                std::span<const std::uint8_t> payload,
                                bool with_mss_option) {
-  net::TcpSegment segment;
-  segment.ip.src = services_.scanner_address();
-  segment.ip.dst = target_;
-  segment.ip.ttl = 64;
-  segment.ip.dont_fragment = true;
-  segment.tcp.src_port = local_port_;
-  segment.tcp.dst_port = target_port_;
-  segment.tcp.seq = seq;
-  segment.tcp.ack = ack;
-  segment.tcp.flags = flags;
-  segment.tcp.window = window;
+  net::Ipv4Header ip;
+  ip.src = services_.scanner_address();
+  ip.dst = target_;
+  ip.ttl = 64;
+  ip.dont_fragment = true;
+  net::TcpHeader tcp;
+  tcp.src_port = local_port_;
+  tcp.dst_port = target_port_;
+  tcp.seq = seq;
+  tcp.ack = ack;
+  tcp.flags = flags;
+  tcp.window = window;
   if (with_mss_option) {
-    segment.tcp.options.push_back(net::MssOption{announced_mss_});
+    tcp.options.push_back(net::MssOption{announced_mss_});
   }
-  segment.payload.assign(payload.begin(), payload.end());
-  services_.send_packet(segment);
+  services_.send_packet(ip, tcp, payload);
 }
 
 void IwEstimator::arm_timer(sim::SimTime delay, void (IwEstimator::*handler)()) {
@@ -377,7 +427,7 @@ void IwEstimator::on_syn_timeout() { conclude(ConnOutcome::Unreachable); }
 void IwEstimator::on_collect_timeout() {
   if (observation_.fin_seen) {
     // FIN arrived but a hole never filled: tail of the response lost.
-    observation_.loss_holes = ranges_.size() != 1 || !ranges_.contains(0);
+    observation_.loss_holes = ranges_.size() != 1 || ranges_.front().start != 0;
     conclude(max_end_ == 0 ? ConnOutcome::NoData : ConnOutcome::FewData);
   } else if (max_end_ == 0) {
     if (observation_.zero_window_seen) {

@@ -18,7 +18,7 @@
 #pragma once
 
 #include <functional>
-#include <map>
+#include <vector>
 
 #include "core/result.hpp"
 #include "netsim/event_loop.hpp"
@@ -55,6 +55,8 @@ class IwEstimator {
   void on_verify_data(const net::TcpSegment& segment);
   void record_range(std::uint64_t start, std::uint64_t end,
                     std::span<const std::uint8_t> payload);
+  void store_chunk(std::uint64_t start, std::span<const std::uint8_t> payload);
+  void reassemble_prefix();
   [[nodiscard]] bool covered(std::uint64_t start, std::uint64_t end) const noexcept;
   [[nodiscard]] bool overlaps(std::uint64_t start, std::uint64_t end) const noexcept;
   void note_payload(std::size_t payload_size);
@@ -82,11 +84,24 @@ class IwEstimator {
   std::uint32_t irs_ = 0;       // server initial sequence number
   std::uint32_t data_base_ = 0; // irs_ + 1: sequence of the first data byte
 
-  // Received sequence ranges relative to data_base_, coalesced.
-  std::map<std::uint64_t, std::uint64_t> ranges_;  // start → end (exclusive)
-  std::map<std::uint64_t, net::Bytes> chunks_;     // for prefix reassembly
+  // Received sequence ranges relative to data_base_ ([start, end)),
+  // coalesced and sorted by start. Almost always a single range.
+  struct Range {
+    std::uint64_t start;
+    std::uint64_t end;
+  };
+  std::vector<Range> ranges_;
+  // Payload kept for prefix reassembly: the bytes of every stored segment
+  // in arrival order, and an index of them sorted by stream offset, at most
+  // one per offset. In-order segments append to both.
+  struct Chunk {
+    std::uint64_t start;   // stream offset, relative to data_base_
+    std::uint32_t offset;  // position in chunk_bytes_
+    std::uint32_t size;
+  };
+  net::Bytes chunk_bytes_;
+  std::vector<Chunk> chunks_;
   std::uint64_t max_end_ = 0;
-  std::uint64_t prefix_bytes_stored_ = 0;
 
   // Hostile-stack evidence (§5 / DESIGN.md §11). `request_acked_`
   // distinguishes a tarpit (SYN/ACK, then deaf) from a host that accepted

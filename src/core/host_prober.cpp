@@ -1,7 +1,6 @@
 #include "core/host_prober.hpp"
 
 #include <algorithm>
-#include <map>
 
 namespace iwscan::core {
 namespace {
@@ -44,6 +43,10 @@ std::unique_ptr<ProbeStrategy> HostProber::make_strategy() {
 }
 
 void HostProber::begin_probe() {
+  if (probe_ == 0) {
+    const int probes = std::max(config_.probes_per_mss, 1);
+    pass_probes_[pass_].reserve(static_cast<std::size_t>(probes));
+  }
   strategy_ = make_strategy();
   current_probe_ = ProbeResult{};
   current_probe_has_conn_ = false;
@@ -51,11 +54,9 @@ void HostProber::begin_probe() {
 }
 
 void HostProber::begin_connection() {
-  // Retire (don't destroy) the previous estimator: conclusion callbacks may
-  // still be on the stack below us.
-  if (estimator_) old_estimators_.push_back(std::move(estimator_));
-
-  estimator_ = std::make_unique<IwEstimator>(
+  // The previous connection concluded before the continuation that got us
+  // here was scheduled, so its estimator is off the stack and can go.
+  estimator_.emplace(
       services_, target_, config_.port, current_mss(), strategy_->request(),
       [this](const ConnObservation& observation) { on_connection_done(observation); });
   ++connections_used_;
@@ -142,7 +143,6 @@ void HostProber::on_connection_done(const ConnObservation& observation) {
 
 void HostProber::finish_probe() {
   pass_probes_[pass_].push_back(current_probe_);
-  old_estimators_.clear();
 
   ++probe_;
   if (probe_ < config_.probes_per_mss) {
@@ -170,17 +170,20 @@ HostProber::PassResult HostProber::aggregate_pass(
 
   // Success rule (§4): ≥2 of 3 probes agree and the agreed value is the
   // maximum of all successful probes (tail loss only ever lowers values).
-  std::map<std::uint32_t, int> votes;
+  bool any_success = false;
   std::uint32_t max_estimate = 0;
   for (const auto& probe : probes) {
     if (probe.outcome == ConnOutcome::Success) {
-      ++votes[probe.iw_estimate];
+      any_success = true;
       max_estimate = std::max(max_estimate, probe.iw_estimate);
     }
   }
+  const auto votes_for_max =
+      std::count_if(probes.begin(), probes.end(), [&](const ProbeResult& probe) {
+        return probe.outcome == ConnOutcome::Success && probe.iw_estimate == max_estimate;
+      });
   const int needed = std::min<int>(2, static_cast<int>(probes.size()));
-  if (const auto it = votes.find(max_estimate);
-      max_estimate != 0 && it != votes.end() && it->second >= needed) {
+  if (max_estimate != 0 && votes_for_max >= needed) {
     pass.outcome = HostOutcome::Success;
     pass.iw_segments = max_estimate;
     for (const auto& probe : probes) {
@@ -192,7 +195,7 @@ HostProber::PassResult HostProber::aggregate_pass(
     }
     return pass;
   }
-  if (!votes.empty()) {
+  if (any_success) {
     // Successes exist but disagree on the maximum: unstable estimate.
     pass.outcome = HostOutcome::Error;
     return pass;

@@ -12,6 +12,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/estimator.hpp"
@@ -107,8 +108,9 @@ class HostProber final : public scan::ProbeSession {
   ProbeAnomaly anomaly_ = ProbeAnomaly::None;
 
   std::unique_ptr<ProbeStrategy> strategy_;
-  std::unique_ptr<IwEstimator> estimator_;
-  std::vector<std::unique_ptr<IwEstimator>> old_estimators_;
+  // The current connection. Replaced only from the inter-connection
+  // continuation, never while the previous estimator is on the stack.
+  std::optional<IwEstimator> estimator_;
   sim::EventId continuation_ = sim::kNullEvent;
 };
 

@@ -1,6 +1,8 @@
 #include "core/probe_strategy.hpp"
 
-#include <unordered_set>
+#include <algorithm>
+#include <initializer_list>
+#include <vector>
 
 #include "httpd/http_message.hpp"
 #include "util/bytes.hpp"
@@ -22,28 +24,35 @@ constexpr std::size_t kLongUriLength = 1300;
 /// The curated-URL probe requests the named host's root page.
 constexpr std::string_view kCuratedPath = "/";
 
+/// One request's bytes from its pieces, in a single allocation.
+net::Bytes concat_bytes(std::initializer_list<std::string_view> pieces) {
+  std::size_t size = 0;
+  for (const std::string_view piece : pieces) size += piece.size();
+  net::Bytes out;
+  out.reserve(size);
+  for (const std::string_view piece : pieces) {
+    const auto bytes = util::as_bytes(piece);
+    out.insert(out.end(), bytes.begin(), bytes.end());
+  }
+  return out;
+}
+
 class HttpStrategy final : public ProbeStrategy {
  public:
   HttpStrategy(net::IPv4Address target, int max_connections, int max_redirect_hops)
       : max_connections_(max_connections),
         max_redirect_hops_(max_redirect_hops),
-        host_(target.to_string()),
-        path_("/") {
-    visited_.insert(host_ + path_);
-  }
+        origin_(target.to_string()),
+        host_(origin_),
+        path_("/") {}
 
   net::Bytes request() override {
     ++connections_;
-    std::string req = "GET " + path_ + " HTTP/1.1\r\n";
-    req += "Host: " + host_ + "\r\n";
-    req += "User-Agent: ";
-    req += kUserAgent;
-    req += "\r\n";
-    req += "Accept: */*\r\n";
     // Connection: close makes the server FIN once the response is done —
     // the signal that the IW was *not* filled (§3.2).
-    req += "Connection: close\r\n\r\n";
-    return net::to_bytes(req);
+    return concat_bytes({"GET ", path_, " HTTP/1.1\r\nHost: ", host_,
+                         "\r\nUser-Agent: ", kUserAgent,
+                         "\r\nAccept: */*\r\nConnection: close\r\n\r\n"});
   }
 
   bool wants_followup(const ConnObservation& observation) override {
@@ -63,7 +72,7 @@ class HttpStrategy final : public ProbeStrategy {
         if (parts) {
           const std::string next_host = parts->host.empty() ? host_ : parts->host;
           const std::string next_path = parts->path.empty() ? "/" : parts->path;
-          if (visited_.contains(next_host + next_path)) {
+          if (visited(next_host + next_path)) {
             // The chain revisits a URL it already served: an infinite
             // redirect loop. Stop here — following it again can only burn
             // the connection budget.
@@ -83,7 +92,7 @@ class HttpStrategy final : public ProbeStrategy {
           ++redirect_hops_;
           host_ = next_host;
           path_ = next_path;
-          visited_.insert(host_ + path_);
+          redirects_.push_back(host_ + path_);
           return true;
         }
       }
@@ -106,13 +115,23 @@ class HttpStrategy final : public ProbeStrategy {
   ProbeAnomaly anomaly() const override { return anomaly_; }
 
  private:
+  /// Whether this attempt already requested `url` (host + path): the
+  /// target's root, where every attempt starts, or a redirect's target.
+  [[nodiscard]] bool visited(std::string_view url) const {
+    const bool origin_root = url.size() == origin_.size() + 1 &&
+                             url.starts_with(origin_) && url.ends_with('/');
+    return origin_root || std::find(redirects_.begin(), redirects_.end(), url) !=
+                              redirects_.end();
+  }
+
   int max_connections_;
   int max_redirect_hops_;
+  std::string origin_;  // the target's address, the first Host
   std::string host_;
   std::string path_;
   int connections_ = 0;
   int redirect_hops_ = 0;
-  std::unordered_set<std::string> visited_;
+  std::vector<std::string> redirects_;  // host + path of each redirect followed
   ProbeAnomaly anomaly_ = ProbeAnomaly::None;
   bool tried_long_uri_ = false;
 };
@@ -122,14 +141,9 @@ class UrlListStrategy final : public ProbeStrategy {
   explicit UrlListStrategy(std::string host_header) : host_(std::move(host_header)) {}
 
   net::Bytes request() override {
-    std::string req = "GET ";
-    req += kCuratedPath;
-    req += " HTTP/1.1\r\n";
-    req += "Host: " + host_ + "\r\n";
-    req += "User-Agent: iwscan/1.0 (curated-url mode)\r\n";
-    req += "Accept: */*\r\n";
-    req += "Connection: close\r\n\r\n";
-    return net::to_bytes(req);
+    return concat_bytes({"GET ", kCuratedPath, " HTTP/1.1\r\nHost: ", host_,
+                         "\r\nUser-Agent: iwscan/1.0 (curated-url mode)\r\n"
+                         "Accept: */*\r\nConnection: close\r\n\r\n"});
   }
 
   bool wants_followup(const ConnObservation&) override {

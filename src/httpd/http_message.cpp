@@ -1,5 +1,6 @@
 #include "httpd/http_message.hpp"
 
+#include <algorithm>
 #include <charconv>
 
 #include "util/strings.hpp"
@@ -15,18 +16,24 @@ std::optional<std::string_view> find_header(const std::vector<Header>& headers,
   return std::nullopt;
 }
 
-/// Parse "Name: value" lines between `begin` and the blank line.
+/// Parse the "Name: value" lines of a header block (the text between the
+/// start line and the blank line). Blank lines are skipped.
 bool parse_header_block(std::string_view block, std::vector<Header>& out) {
-  for (const auto line : util::split(block, '\n')) {
-    std::string_view trimmed = line;
-    if (!trimmed.empty() && trimmed.back() == '\r') trimmed.remove_suffix(1);
-    if (trimmed.empty()) continue;
-    const std::size_t colon = trimmed.find(':');
-    if (colon == std::string_view::npos) return false;
-    out.push_back(Header{std::string(util::trim(trimmed.substr(0, colon))),
-                         std::string(util::trim(trimmed.substr(colon + 1)))});
+  const auto lines = std::count(block.begin(), block.end(), '\n') + 1;
+  out.reserve(out.size() + static_cast<std::size_t>(lines));
+  while (true) {
+    const std::size_t newline = block.find('\n');
+    std::string_view line = block.substr(0, newline);
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (!line.empty()) {
+      const std::size_t colon = line.find(':');
+      if (colon == std::string_view::npos) return false;
+      out.push_back(Header{std::string(util::trim(line.substr(0, colon))),
+                           std::string(util::trim(line.substr(colon + 1)))});
+    }
+    if (newline == std::string_view::npos) return true;
+    block.remove_prefix(newline + 1);
   }
-  return true;
 }
 
 }  // namespace
@@ -69,24 +76,36 @@ std::string HttpResponse::serialize() const {
 RequestParser::Status RequestParser::feed(std::string_view data) {
   if (complete_) return Status::Complete;
   if (invalid_) return Status::Invalid;
-  buffer_.append(data);
-  if (buffer_.size() > kMaxHeaderBytes) return fail();
+  // A request that arrives whole (the common case: one segment) is parsed
+  // where it lies; only a split one is gathered in buffer_.
+  std::string_view text = data;
+  if (!buffer_.empty() || data.find("\r\n\r\n") == std::string_view::npos) {
+    buffer_.append(data);
+    text = buffer_;
+  }
+  if (text.size() > kMaxHeaderBytes) return fail();
 
-  const std::size_t end = buffer_.find("\r\n\r\n");
-  if (end == std::string::npos) return Status::NeedMore;
+  const std::size_t end = text.find("\r\n\r\n");
+  if (end == std::string_view::npos) return Status::NeedMore;
 
-  const std::string_view head(buffer_.data(), end);
+  const std::string_view head = text.substr(0, end);
   const std::size_t line_end = head.find("\r\n");
   const std::string_view request_line =
       line_end == std::string_view::npos ? head : head.substr(0, line_end);
 
-  const auto parts = util::split(request_line, ' ');
-  if (parts.size() != 3 || parts[0].empty() || parts[1].empty()) {
+  // Exactly three space-separated parts; method and target non-empty.
+  const std::size_t sp1 = request_line.find(' ');
+  const std::size_t sp2 = sp1 == std::string_view::npos
+                              ? std::string_view::npos
+                              : request_line.find(' ', sp1 + 1);
+  if (sp2 == std::string_view::npos ||
+      request_line.find(' ', sp2 + 1) != std::string_view::npos || sp1 == 0 ||
+      sp2 == sp1 + 1) {
     return fail();
   }
-  request_.method = std::string(parts[0]);
-  request_.target = std::string(parts[1]);
-  request_.version = std::string(parts[2]);
+  request_.method = std::string(request_line.substr(0, sp1));
+  request_.target = std::string(request_line.substr(sp1 + 1, sp2 - sp1 - 1));
+  request_.version = std::string(request_line.substr(sp2 + 1));
   if (!request_.version.starts_with("HTTP/")) return fail();
 
   request_.headers.clear();
@@ -129,15 +148,16 @@ std::optional<ParsedResponseHead> parse_response_head(std::string_view data) {
       status_line.substr(sp1 + 1, sp2 == std::string_view::npos
                                       ? std::string_view::npos
                                       : sp2 - sp1 - 1);
+  // RFC 9112: the status code is exactly three digits. from_chars alone
+  // would accept "-5", "12345" or a zero-padded "0200" here.
+  if (code_text.size() != 3) return std::nullopt;
   int status = 0;
   const auto [ptr, ec] =
       std::from_chars(code_text.data(), code_text.data() + code_text.size(), status);
   if (ec != std::errc{} || ptr != code_text.data() + code_text.size()) {
     return std::nullopt;
   }
-  // RFC 9112: the status code is exactly three digits. from_chars alone
-  // would accept "-5" or "12345" here.
-  if (status < 100 || status > 999) return std::nullopt;
+  if (status < 100) return std::nullopt;
 
   ParsedResponseHead parsed;
   parsed.status = status;

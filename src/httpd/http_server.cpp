@@ -1,5 +1,7 @@
 #include "httpd/http_server.hpp"
 
+#include <algorithm>
+
 #include "netbase/ipv4.hpp"
 #include "tcpstack/host.hpp"
 #include "util/bytes.hpp"
@@ -9,15 +11,15 @@ namespace iwscan::http {
 
 void HttpServerApp::on_data(tcp::TcpConnection& conn,
                             std::span<const std::uint8_t> data) {
-  if (config_.root == RootBehavior::Silent) return;
-  if (config_.root == RootBehavior::RawBanner) {
+  if (config_->root == RootBehavior::Silent) return;
+  if (config_->root == RootBehavior::RawBanner) {
     if (responded_) return;
     responded_ = true;
     std::string banner = "220 device ready\r\n";
-    if (banner.size() < config_.page_size) {
-      banner.append(config_.page_size - banner.size(), '*');
+    if (banner.size() < config_->page_size) {
+      banner.append(config_->page_size - banner.size(), '*');
     } else {
-      banner.resize(config_.page_size);
+      banner.resize(config_->page_size);
     }
     conn.send(banner);
     conn.close();
@@ -46,16 +48,16 @@ void HttpServerApp::respond(tcp::TcpConnection& conn, const HttpRequest& request
   // Per-vhost IW: a request naming the canonical vhost is served from the
   // vhost's (larger) first-flight config. Must precede the first response
   // byte — set_initial_window is a no-op once the flight has started.
-  if (config_.vhost_iw && !config_.canonical_name.empty()) {
+  if (config_->vhost_iw && !config_->canonical_name.empty()) {
     const auto host = request.header("Host");
-    if (host && util::iequals(*host, config_.canonical_name)) {
-      conn.set_initial_window(*config_.vhost_iw);
+    if (host && util::iequals(*host, config_->canonical_name)) {
+      conn.set_initial_window(*config_->vhost_iw);
     }
   }
   const HttpResponse response = build_response(request);
   const bool close_after = request.wants_close() || response.status == 301;
-  const std::string wire = response.serialize();
-  if (config_.processing_delay == sim::SimTime::zero()) {
+  std::string wire = response.serialize();
+  if (config_->processing_delay == sim::SimTime::zero()) {
     conn.send(wire);
     if (close_after) conn.close();
     return;
@@ -65,7 +67,7 @@ void HttpServerApp::respond(tcp::TcpConnection& conn, const HttpRequest& request
   // references can never dangle.
   loop_ = &conn.loop();
   pending_response_ = loop_->schedule(
-      config_.processing_delay, [this, &conn, wire, close_after] {
+      config_->processing_delay, [this, &conn, wire = std::move(wire), close_after] {
         pending_response_ = sim::kNullEvent;
         if (conn.state() == tcp::TcpState::Closed) return;
         conn.send(wire);
@@ -75,7 +77,9 @@ void HttpServerApp::respond(tcp::TcpConnection& conn, const HttpRequest& request
 
 HttpResponse HttpServerApp::build_response(const HttpRequest& request) const {
   HttpResponse response;
-  response.headers.push_back({"Server", config_.server_header});
+  // Server, Content-Type, and at most Connection and Location.
+  response.headers.reserve(4);
+  response.headers.push_back({"Server", config_->server_header});
   response.headers.push_back({"Content-Type", "text/html"});
   if (request.wants_close()) response.headers.push_back({"Connection", "close"});
 
@@ -84,11 +88,11 @@ HttpResponse HttpServerApp::build_response(const HttpRequest& request) const {
                             !host->empty();
   const bool is_root = request.target == "/";
 
-  switch (config_.root) {
+  switch (config_->root) {
     case RootBehavior::Page:
       response.status = 200;
       response.reason = "OK";
-      response.body = page_body(config_.page_size, "page");
+      response.body = page_body(config_->page_size, "page");
       return response;
 
     case RootBehavior::RedirectToName:
@@ -96,7 +100,7 @@ HttpResponse HttpServerApp::build_response(const HttpRequest& request) const {
         response.status = 301;
         response.reason = "Moved Permanently";
         response.headers.push_back(
-            {"Location", "http://" + config_.canonical_name + "/"});
+            {"Location", "http://" + config_->canonical_name + "/"});
         response.body = "<html><head><title>301 Moved Permanently</title></head>"
                         "<body><h1>Moved Permanently</h1></body></html>";
         return response;
@@ -104,7 +108,7 @@ HttpResponse HttpServerApp::build_response(const HttpRequest& request) const {
       // Named virtual host (or deep link): the real page.
       response.status = 200;
       response.reason = "OK";
-      response.body = page_body(config_.redirected_page_size, "vhost");
+      response.body = page_body(config_->redirected_page_size, "vhost");
       return response;
 
     case RootBehavior::NotFoundEcho: {
@@ -114,7 +118,7 @@ HttpResponse HttpServerApp::build_response(const HttpRequest& request) const {
                          "<h1>Not Found</h1><p>The requested URL ";
       body += request.target;
       body += " was not found on this server.</p>";
-      body.append(config_.not_found_extra, '.');
+      body.append(config_->not_found_extra, '.');
       body += "</body></html>";
       response.body = std::move(body);
       return response;
@@ -137,10 +141,10 @@ HttpResponse HttpServerApp::build_response(const HttpRequest& request) const {
       // probing sees a short error — the reason the paper's generalized
       // methodology cannot assess virtualized services without prior
       // knowledge (§4.3/§5).
-      if (host && util::iequals(*host, config_.canonical_name)) {
+      if (host && util::iequals(*host, config_->canonical_name)) {
         response.status = 200;
         response.reason = "OK";
-        response.body = page_body(config_.redirected_page_size, "vhost");
+        response.body = page_body(config_->redirected_page_size, "vhost");
       } else {
         response.status = 404;
         response.reason = "Not Found";
@@ -158,19 +162,30 @@ HttpResponse HttpServerApp::build_response(const HttpRequest& request) const {
 }
 
 std::string HttpServerApp::page_body(std::size_t size, std::string_view tag) {
-  std::string body = "<html><head><title>";
+  static constexpr std::string_view kHead = "<html><head><title>";
+  static constexpr std::string_view kBodyOpen = "</title></head><body>";
+  static constexpr std::string_view kFiller =
+      "<p>lorem ipsum dolor sit amet consectetur</p>";
+  static constexpr std::string_view kTail = "</body></html>";
+  std::string body;
+  // The page is `size` bytes unless the fixed markup alone is longer.
+  const std::size_t markup = kHead.size() + tag.size() + kBodyOpen.size() + kTail.size();
+  body.reserve(std::max(size, markup));
+  body += kHead;
   body += tag;
-  body += "</title></head><body>";
-  const std::string filler = "<p>lorem ipsum dolor sit amet consectetur</p>";
-  while (body.size() + filler.size() + 14 < size) body += filler;
-  if (body.size() + 14 < size) body.append(size - body.size() - 14, 'x');
-  body += "</body></html>";
+  body += kBodyOpen;
+  while (body.size() + kFiller.size() + kTail.size() < size) body += kFiller;
+  if (body.size() + kTail.size() < size) {
+    body.append(size - body.size() - kTail.size(), 'x');
+  }
+  body += kTail;
   return body;
 }
 
 tcp::TcpHost::AppFactory HttpServerApp::factory(WebConfig config) {
-  return [config](net::IPv4Address, std::uint16_t) {
-    return std::make_unique<HttpServerApp>(config);
+  return [shared = std::make_shared<const WebConfig>(std::move(config))](
+             net::IPv4Address, std::uint16_t) {
+    return std::make_unique<HttpServerApp>(shared);
   };
 }
 

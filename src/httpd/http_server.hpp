@@ -52,12 +52,15 @@ struct WebConfig {
 /// Per-connection HTTP application. Create via factory() for TcpHost.
 class HttpServerApp final : public tcp::Application {
  public:
-  explicit HttpServerApp(WebConfig config) : config_(std::move(config)) {}
+  /// `config` is the listener's, shared read-only by all its connections.
+  explicit HttpServerApp(std::shared_ptr<const WebConfig> config)
+      : config_(std::move(config)) {}
   ~HttpServerApp() override;
 
   void on_data(tcp::TcpConnection& conn, std::span<const std::uint8_t> data) override;
 
-  /// TcpHost-compatible factory closing over a shared config.
+  /// TcpHost-compatible factory: every connection it creates shares one
+  /// immutable copy of `config`.
   [[nodiscard]] static tcp::TcpHost::AppFactory factory(WebConfig config);
 
  private:
@@ -65,7 +68,7 @@ class HttpServerApp final : public tcp::Application {
   [[nodiscard]] HttpResponse build_response(const HttpRequest& request) const;
   [[nodiscard]] static std::string page_body(std::size_t size, std::string_view tag);
 
-  WebConfig config_;
+  std::shared_ptr<const WebConfig> config_;
   RequestParser parser_;
   bool responded_ = false;
   // Pending delayed-response event; cancelled on destruction so it can

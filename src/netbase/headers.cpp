@@ -77,27 +77,23 @@ void TcpHeader::encode(WireWriter& writer) const {
   encode_tcp_options(options, writer);
 }
 
-std::optional<TcpHeader> TcpHeader::decode(WireReader& reader,
-                                           std::size_t& data_offset_bytes) {
-  if (reader.remaining() < 20) return std::nullopt;
-  TcpHeader header;
-  header.src_port = reader.u16();
-  header.dst_port = reader.u16();
-  header.seq = reader.u32();
-  header.ack = reader.u32();
+bool TcpHeader::decode_into(WireReader& reader, std::size_t& data_offset_bytes,
+                            TcpHeader& out) {
+  if (reader.remaining() < 20) return false;
+  out.src_port = reader.u16();
+  out.dst_port = reader.u16();
+  out.seq = reader.u32();
+  out.ack = reader.u32();
   const std::uint8_t offset_byte = reader.u8();
   data_offset_bytes = static_cast<std::size_t>(offset_byte >> 4) * 4;
-  if (data_offset_bytes < 20) return std::nullopt;
-  header.flags = reader.u8() & 0x3f;
-  header.window = reader.u16();
+  if (data_offset_bytes < 20) return false;
+  out.flags = reader.u8() & 0x3f;
+  out.window = reader.u16();
   reader.u16();  // checksum verified at packet layer
-  header.urgent = reader.u16();
+  out.urgent = reader.u16();
   const std::size_t options_len = data_offset_bytes - 20;
-  if (options_len > reader.remaining()) return std::nullopt;
-  auto options = decode_tcp_options(reader.raw(options_len));
-  if (!options) return std::nullopt;
-  header.options = std::move(*options);
-  return header;
+  if (options_len > reader.remaining()) return false;
+  return decode_tcp_options_into(reader.raw(options_len), out.options);
 }
 
 void IcmpMessage::encode(WireWriter& writer) const {

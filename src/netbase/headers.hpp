@@ -69,11 +69,12 @@ struct TcpHeader {
   /// in the pseudo-header checksum afterwards.
   void encode(WireWriter& writer) const;
 
-  /// Parse header + options; `data_offset_bytes` receives the IHL so the
-  /// caller can slice the payload. Checksum verification happens at the
-  /// packet layer where the pseudo-header addresses are known.
-  [[nodiscard]] static std::optional<TcpHeader> decode(WireReader& reader,
-                                                       std::size_t& data_offset_bytes);
+  /// Parse header + options into `out`, reusing its options capacity;
+  /// `data_offset_bytes` receives the data offset so the caller can slice
+  /// the payload. Checksum verification happens at the packet layer where
+  /// the pseudo-header addresses are known. On false, `out` is unspecified.
+  [[nodiscard]] static bool decode_into(WireReader& reader,
+                                        std::size_t& data_offset_bytes, TcpHeader& out);
 };
 
 enum class IcmpType : std::uint8_t {

@@ -46,8 +46,23 @@ using Datagram = std::variant<TcpSegment, IcmpDatagram>;
 void encode_into(const TcpSegment& segment, Bytes& out);
 void encode_into(const IcmpDatagram& datagram, Bytes& out);
 
-/// Parse any supported datagram. Returns nullopt on malformed bytes, bad
-/// checksum, or unsupported protocol.
+/// The TCP encoder proper: headers plus a borrowed payload, so a sender
+/// that keeps its bytes elsewhere (a send buffer, a request) need not
+/// stage them in a TcpSegment first. The TcpSegment overload delegates.
+void encode_into(const Ipv4Header& ip, const TcpHeader& tcp,
+                 std::span<const std::uint8_t> payload, Bytes& out);
+
+/// Parse any supported datagram into `out`, reusing its storage: when `out`
+/// already holds the same alternative, its payload (and TCP options)
+/// capacity carries over, so a receiver that keeps one Datagram decodes
+/// without allocating once the capacity has grown. Every field is overwritten on success; on
+/// failure (malformed bytes, bad checksum, unsupported protocol) returns
+/// false and leaves `out` unspecified — valid, but not to be read.
+[[nodiscard]] bool decode_datagram_into(std::span<const std::uint8_t> bytes,
+                                        Datagram& out);
+
+/// decode_datagram_into() a fresh Datagram. Returns nullopt where that
+/// returns false.
 [[nodiscard]] std::optional<Datagram> decode_datagram(std::span<const std::uint8_t> bytes);
 
 /// Destination address without full parsing (for simulator routing).

@@ -74,9 +74,9 @@ void encode_tcp_options(const std::vector<TcpOption>& options, WireWriter& write
   }
 }
 
-std::optional<std::vector<TcpOption>> decode_tcp_options(
-    std::span<const std::uint8_t> data) {
-  std::vector<TcpOption> options;
+bool decode_tcp_options_into(std::span<const std::uint8_t> data,
+                             std::vector<TcpOption>& options) {
+  options.clear();
   std::size_t i = 0;
   while (i < data.size()) {
     const std::uint8_t kind = data[i];
@@ -85,13 +85,13 @@ std::optional<std::vector<TcpOption>> decode_tcp_options(
       ++i;
       continue;
     }
-    if (i + 1 >= data.size()) return std::nullopt;
+    if (i + 1 >= data.size()) return false;
     const std::uint8_t length = data[i + 1];
-    if (length < 2 || i + length > data.size()) return std::nullopt;
+    if (length < 2 || i + length > data.size()) return false;
     const auto payload = data.subspan(i + 2, length - 2);
     switch (kind) {
       case kMss: {
-        if (length != 4) return std::nullopt;
+        if (length != 4) return false;
         const auto mss = static_cast<std::uint16_t>((payload[0] << 8) | payload[1]);
         // iwlint: allow(hot-path) -- a segment decodes to at most a few
         // options; counted by the runtime allocs-per-packet budget
@@ -99,14 +99,14 @@ std::optional<std::vector<TcpOption>> decode_tcp_options(
         break;
       }
       case kWindowScale: {
-        if (length != 3) return std::nullopt;
+        if (length != 3) return false;
         // iwlint: allow(hot-path) -- a segment decodes to at most a few
         // options; counted by the runtime allocs-per-packet budget
         options.push_back(WindowScaleOption{payload[0]});
         break;
       }
       case kSackPermitted: {
-        if (length != 2) return std::nullopt;
+        if (length != 2) return false;
         // iwlint: allow(hot-path) -- a segment decodes to at most a few
         // options; counted by the runtime allocs-per-packet budget
         options.push_back(SackPermittedOption{});
@@ -122,6 +122,13 @@ std::optional<std::vector<TcpOption>> decode_tcp_options(
     }
     i += length;
   }
+  return true;
+}
+
+std::optional<std::vector<TcpOption>> decode_tcp_options(
+    std::span<const std::uint8_t> data) {
+  std::vector<TcpOption> options;
+  if (!decode_tcp_options_into(data, options)) return std::nullopt;
   return options;
 }
 

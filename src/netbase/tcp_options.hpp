@@ -46,8 +46,13 @@ void encode_tcp_options(const std::vector<TcpOption>& options, WireWriter& write
 /// Size in bytes that encode_tcp_options will produce (incl. padding).
 [[nodiscard]] std::size_t encoded_tcp_options_size(const std::vector<TcpOption>& options);
 
-/// Parse the options area of a TCP header. Returns nullopt on malformed
-/// lengths; NOP and END are consumed silently.
+/// Parse the options area of a TCP header into `options` (cleared first,
+/// capacity kept). Returns false on malformed lengths, leaving `options`
+/// unspecified; NOP and END are consumed silently.
+[[nodiscard]] bool decode_tcp_options_into(std::span<const std::uint8_t> data,
+                                           std::vector<TcpOption>& options);
+
+/// decode_tcp_options_into() a fresh list; nullopt where that returns false.
 [[nodiscard]] std::optional<std::vector<TcpOption>> decode_tcp_options(
     std::span<const std::uint8_t> data);
 

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 
 #include "netbase/packet.hpp"
@@ -43,8 +44,20 @@ class SessionServices {
   /// Encode-and-send conveniences used by the probe modules' hot paths:
   /// route through the pooled buffer when one is available so steady-state
   /// probing does not allocate per packet.
-  void send_packet(const net::TcpSegment& segment) { encode_and_send(segment); }
-  void send_packet(const net::IcmpDatagram& datagram) { encode_and_send(datagram); }
+  void send_packet(const net::TcpSegment& segment) {
+    send_packet(segment.ip, segment.tcp, segment.payload);
+  }
+  void send_packet(const net::IcmpDatagram& datagram) {
+    encode_and_send([&](net::Bytes& out) { net::encode_into(datagram, out); });
+  }
+  /// TCP headers plus a borrowed payload (e.g. a request the session keeps
+  /// for retransmission): encoded straight into the outgoing buffer, with
+  /// no TcpSegment staging copy.
+  void send_packet(const net::Ipv4Header& ip, const net::TcpHeader& tcp,
+                   std::span<const std::uint8_t> payload) {
+    encode_and_send(
+        [&](net::Bytes& out) { net::encode_into(ip, tcp, payload, out); });
+  }
 
   [[nodiscard]] virtual sim::EventLoop& loop() = 0;
   [[nodiscard]] virtual net::IPv4Address scanner_address() const = 0;
@@ -59,14 +72,16 @@ class SessionServices {
   [[nodiscard]] virtual std::uint64_t session_seed(net::IPv4Address target) = 0;
 
  private:
-  template <typename Packet>
-  void encode_and_send(const Packet& packet) {
+  template <typename Encode>
+  void encode_and_send(const Encode& encode) {
     if (net::BufferPool* pool = packet_pool()) {
       net::PacketBuf buf = pool->acquire();
-      net::encode_into(packet, buf.bytes());
+      encode(buf.bytes());
       send_packet(std::move(buf));
     } else {
-      send_packet(net::encode(packet));
+      net::Bytes bytes;
+      encode(bytes);
+      send_packet(std::move(bytes));
     }
   }
 };
@@ -93,6 +108,9 @@ class ProbeSession {
   /// A datagram from this session's target arrived. Hot-path boundary: the
   /// engine's rx traversal stops at this hand-off into probe-module logic;
   /// sessions own their (budgeted, per-conversation) allocation behavior.
+  /// The datagram is borrowed, like a net::PacketView: it is valid only for
+  /// the duration of the call (the engine decodes every packet into the
+  /// same reused Datagram). A session that keeps any of it must copy.
   IWSCAN_HOT_BOUNDARY virtual void on_datagram(const net::Datagram& datagram) = 0;
   /// The engine's per-session budget expired (graceful degradation against
   /// tarpits / slowloris / amplifiers). The session may emit a best-effort
@@ -256,6 +274,11 @@ class ScanEngine final : public sim::Endpoint, public SessionServices {
   TargetSource* source_;                        // never null
   ProbeModule& module_;
 
+  // The one decoded rx datagram, lent to a session for each on_datagram
+  // call; its payload capacity is reused from packet to packet. Delivery
+  // is always a scheduled event, so handle_packet never re-enters itself
+  // while a session still reads it.
+  net::Datagram rx_;
   std::unordered_map<net::IPv4Address, SessionState> sessions_;
   std::unordered_map<net::IPv4Address, TargetDraws> draws_;
   std::vector<std::unique_ptr<ProbeSession>> graveyard_;

@@ -373,23 +373,25 @@ void TcpConnection::cancel_pacing() {
 void TcpConnection::emit_segment(std::uint32_t seq,
                                  std::span<const std::uint8_t> payload,
                                  std::uint8_t flags, bool retransmission) {
-  net::TcpSegment segment;
-  segment.ip.src = local_addr_;
-  segment.ip.dst = remote_addr_;
-  segment.ip.ttl = 64;
-  segment.ip.dont_fragment = true;
-  segment.tcp.src_port = local_port_;
-  segment.tcp.dst_port = remote_port_;
-  segment.tcp.seq = seq;
-  segment.tcp.ack = (flags & net::kAck) ? rcv_nxt_ : 0;
-  segment.tcp.flags = flags;
-  segment.tcp.window = config_.advertised_window;
-  // iwlint: allow(hot-path) -- staged segment payload copy; counted by the
-  // runtime allocs-per-packet budget (alloc_budget_test)
-  segment.payload.assign(payload.begin(), payload.end());
+  net::TcpHeader tcp;
+  tcp.src_port = local_port_;
+  tcp.dst_port = remote_port_;
+  tcp.seq = seq;
+  tcp.ack = (flags & net::kAck) ? rcv_nxt_ : 0;
+  tcp.flags = flags;
+  tcp.window = config_.advertised_window;
   ++stats_.segments_sent;
   if (retransmission) ++stats_.segments_retransmitted;
-  send_fn_(std::move(segment));
+  send_fn_(ip_header(), tcp, payload);
+}
+
+net::Ipv4Header TcpConnection::ip_header() const noexcept {
+  net::Ipv4Header ip;
+  ip.src = local_addr_;
+  ip.dst = remote_addr_;
+  ip.ttl = 64;
+  ip.dont_fragment = true;
+  return ip;
 }
 
 void TcpConnection::send_pure_ack() {
@@ -397,22 +399,18 @@ void TcpConnection::send_pure_ack() {
 }
 
 void TcpConnection::send_syn_ack() {
-  net::TcpSegment segment;
-  segment.ip.src = local_addr_;
-  segment.ip.dst = remote_addr_;
-  segment.ip.ttl = 64;
-  segment.ip.dont_fragment = true;
-  segment.tcp.src_port = local_port_;
-  segment.tcp.dst_port = remote_port_;
-  segment.tcp.seq = iss_;
-  segment.tcp.ack = rcv_nxt_;
-  segment.tcp.flags = net::kSyn | net::kAck;
-  segment.tcp.window = config_.advertised_window;
+  net::TcpHeader tcp;
+  tcp.src_port = local_port_;
+  tcp.dst_port = remote_port_;
+  tcp.seq = iss_;
+  tcp.ack = rcv_nxt_;
+  tcp.flags = net::kSyn | net::kAck;
+  tcp.window = config_.advertised_window;
   // iwlint: allow(hot-path) -- one MSS option per SYN-ACK; connection setup,
   // not steady-state transfer
-  segment.tcp.options.push_back(net::MssOption{config_.own_mss_limit});
+  tcp.options.push_back(net::MssOption{config_.own_mss_limit});
   ++stats_.segments_sent;
-  send_fn_(std::move(segment));
+  send_fn_(ip_header(), tcp, {});
 }
 
 void TcpConnection::send_rst(std::uint32_t seq) {

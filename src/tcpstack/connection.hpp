@@ -52,7 +52,10 @@ struct ConnectionStats {
 
 class TcpConnection {
  public:
-  using SendFn = std::function<void(net::TcpSegment&&)>;
+  /// Transmits one segment: headers plus a payload borrowed from the send
+  /// buffer for the duration of the call.
+  using SendFn = std::function<void(const net::Ipv4Header&, const net::TcpHeader&,
+                                    std::span<const std::uint8_t>)>;
   using ClosedFn = std::function<void(TcpConnection&)>;
 
   /// Constructed by TcpHost in response to a SYN; sends the SYN/ACK.
@@ -103,6 +106,7 @@ class TcpConnection {
   void cancel_pacing();
   void emit_segment(std::uint32_t seq, std::span<const std::uint8_t> payload,
                     std::uint8_t flags, bool retransmission);
+  [[nodiscard]] net::Ipv4Header ip_header() const noexcept;
   void send_pure_ack();
   void send_syn_ack();
   void send_rst(std::uint32_t seq);

@@ -56,7 +56,8 @@ void TcpHost::on_tcp(const net::TcpSegment& segment) {
     auto connection = std::make_unique<TcpConnection>(
         network_.loop(), conn_config, address_, segment.tcp.dst_port, segment.ip.src,
         segment.tcp.src_port, segment, isn, std::move(app),
-        [this](net::TcpSegment&& out) { transmit(std::move(out)); },
+        [this](const net::Ipv4Header& ip, const net::TcpHeader& tcp,
+               std::span<const std::uint8_t> payload) { transmit(ip, tcp, payload); },
         [this, key](TcpConnection&) {
           // Move to the graveyard; the connection may be deep in its own
           // call stack right now.
@@ -92,7 +93,7 @@ void TcpHost::send_reset_for(const net::TcpSegment& offending) {
     rst.tcp.ack = offending.tcp.seq + offending.seq_length();
     rst.tcp.flags = net::kRst | net::kAck;
   }
-  transmit(std::move(rst));
+  transmit(rst.ip, rst.tcp, {});
 }
 
 void TcpHost::on_icmp(const net::IcmpDatagram& datagram) {
@@ -111,9 +112,10 @@ void TcpHost::on_icmp(const net::IcmpDatagram& datagram) {
   network_.send(std::move(packet));
 }
 
-void TcpHost::transmit(net::TcpSegment&& segment) {
+void TcpHost::transmit(const net::Ipv4Header& ip, const net::TcpHeader& tcp,
+                       std::span<const std::uint8_t> payload) {
   net::PacketBuf packet = network_.pool().acquire();
-  net::encode_into(segment, packet.bytes());
+  net::encode_into(ip, tcp, payload, packet.bytes());
   network_.send(std::move(packet));
 }
 

@@ -39,48 +39,59 @@ struct FreshWorld {
   }
 };
 
-analysis::ScanOutput run_scan(FreshWorld& world) {
+analysis::ScanOutput run_scan(FreshWorld& world, core::ProbeProtocol protocol) {
   analysis::ScanOptions options;
-  options.protocol = core::ProbeProtocol::Http;
+  options.protocol = protocol;
   options.rate_pps = 40'000;
   options.scan_seed = 7;
   options.shards = 1;  // one loop; no ThreadPool noise in the counter
   return analysis::run_iw_scan(world.network, world.internet, options);
 }
 
-TEST(AllocBudget, ScanStaysWithinPerPacketAllocationBudget) {
-  // First scan warms process-wide caches (estimator tables, certificate
-  // material, the model's lazily-built state) so the measured scan starts
-  // from the steady state a long-running sharded scan would see.
+/// Allocations per delivered packet over one whole scan, measured after a
+/// warm-up scan has filled process-wide caches (estimator tables,
+/// certificate material, the model's lazily-built state), so the measured
+/// scan starts from the steady state a long-running sharded scan would see.
+double scan_allocations_per_packet(core::ProbeProtocol protocol) {
   {
     FreshWorld warmup;
-    (void)run_scan(warmup);
+    (void)run_scan(warmup, protocol);
   }
 
   FreshWorld world;
   const std::uint64_t before = util::alloc_stats::allocations();
-  const analysis::ScanOutput output = run_scan(world);
+  const analysis::ScanOutput output = run_scan(world, protocol);
   const std::uint64_t allocations =
       util::alloc_stats::allocations() - before;
 
   const std::uint64_t packets =
       output.engine.packets_sent + output.engine.packets_received;
-  ASSERT_GT(packets, 10'000u);  // the scan actually ran
-  ASSERT_FALSE(output.records.empty());
+  EXPECT_GT(packets, 10'000u);  // the scan actually ran
+  EXPECT_FALSE(output.records.empty());
+  return static_cast<double>(allocations) /
+         static_cast<double>(std::max<std::uint64_t>(packets, 1));
+}
 
-  const double per_packet = static_cast<double>(allocations) /
-                            static_cast<double>(packets);
+// Budgets: each is the measured allocations per delivered packet on the
+// pooled datapath (RelWithDebInfo, 2026-10), pinned with ~50% headroom.
+// The count includes everything the scan run touches (world build,
+// per-connection estimator state, the host stacks and daemons, records
+// vector growth), so it is a whole-scan amortised figure, not a pure
+// fabric-hop figure — the fabric hop itself is measured allocation-free by
+// BM_NetworkPacketDelivery in bench_micro.
 
-  // Budget: measured ~7.0 allocations per delivered packet on the pooled
-  // datapath (RelWithDebInfo, 2026-08), pinned with ~50% headroom. The
-  // count includes everything the scan run touches (world build,
-  // per-connection estimator state, records vector growth), so it is a
-  // whole-scan amortised figure, not a pure fabric-hop figure — the
-  // fabric hop itself is measured allocation-free by
-  // BM_NetworkPacketDelivery in bench_micro.
-  EXPECT_LT(per_packet, 10.5)
-      << "allocations=" << allocations << " packets=" << packets
-      << " per_packet=" << per_packet;
+TEST(AllocBudget, ScanStaysWithinPerPacketAllocationBudget) {
+  // Measured ~2.2 (~6.7 before the estimator's flat reassembly, the reused
+  // rx datagram and staging-free segment encode).
+  const double per_packet = scan_allocations_per_packet(core::ProbeProtocol::Http);
+  EXPECT_LT(per_packet, 3.3) << "per_packet=" << per_packet;
+}
+
+TEST(AllocBudget, TlsScanStaysWithinPerPacketAllocationBudget) {
+  // Measured ~9.1 (~11.9 before the same cuts); most of what remains is
+  // the TLS first flight, a certificate chain built per connection.
+  const double per_packet = scan_allocations_per_packet(core::ProbeProtocol::Tls);
+  EXPECT_LT(per_packet, 13.7) << "per_packet=" << per_packet;
 }
 
 TEST(AllocBudget, SpillWriterSteadyStateAppendsAreAllocationFree) {

@@ -4,10 +4,13 @@
 // overestimate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <optional>
 #include <vector>
 
 #include "testbed.hpp"
+#include "util/rng.hpp"
 
 namespace iwscan {
 namespace {
@@ -398,6 +401,295 @@ TEST(Estimator, LostSynAckMeansUnreachable) {
   const auto obs = bed.estimate(host, 80, 64, Testbed::http_get(host));
   bed.network().set_filter(nullptr);
   EXPECT_EQ(obs.outcome, core::ConnOutcome::Unreachable);
+}
+
+// --------------------------------------------------------------------------
+// Reassembly equivalence: random segment sequences (in order, reordered,
+// duplicated, overlapping, with gaps, with a FIN) fed straight into the
+// estimator must conclude exactly as a std::map model of the collect phase
+// does — the estimator's range and chunk bookkeeping as it stood before it
+// moved to flat vectors, kept here as the oracle.
+// --------------------------------------------------------------------------
+
+/// In-order payload the estimator keeps (core/estimator.cpp, kPrefixCap).
+constexpr std::size_t kModelPrefixCap = 16 * 1024;
+
+struct Arrival {
+  std::uint64_t start = 0;  // stream offset of the first payload byte
+  net::Bytes payload;
+  bool fin = false;
+};
+
+struct Expected {
+  core::ConnOutcome outcome = core::ConnOutcome::Error;
+  std::uint32_t iw_estimate = 0;
+  std::uint64_t span_bytes = 0;
+  bool reorder_seen = false;
+  bool overlap_seen = false;
+  bool loss_holes = false;
+  net::Bytes prefix;
+  // Arrivals the collect phase read before it ended: by a FIN, by the
+  // retransmission that starts verification, or by running out.
+  std::size_t consumed = 0;
+  bool verified = false;  // ended by the retransmission
+};
+
+/// The std::map model. Every arrival lands in one instant (no pacing or
+/// trickle evidence); `verify_fresh` says whether new data answers the
+/// verify ACK, if the sequence reaches verification at all.
+Expected run_map_model(const std::vector<Arrival>& arrivals, bool verify_fresh) {
+  std::map<std::uint64_t, std::uint64_t> ranges;  // start → end (exclusive)
+  std::map<std::uint64_t, net::Bytes> chunks;
+  std::uint64_t max_end = 0;
+  std::uint64_t stored = 0;
+  std::uint16_t max_segment = 0;
+  Expected result;
+
+  const auto covered = [&](std::uint64_t start, std::uint64_t end) {
+    const auto it = ranges.upper_bound(start);
+    if (it == ranges.begin()) return false;
+    const auto& [range_start, range_end] = *std::prev(it);
+    return range_start <= start && end <= range_end;
+  };
+  const auto overlaps = [&](std::uint64_t start, std::uint64_t end) {
+    auto it = ranges.upper_bound(start);
+    if (it != ranges.begin() && std::prev(it)->second > start) return true;
+    return it != ranges.end() && it->first < end;
+  };
+  const auto contiguous_from_zero = [&](std::uint64_t upto) {
+    if (upto == 0) return true;
+    const auto it = ranges.find(0);
+    return it != ranges.end() && it->second >= upto;
+  };
+
+  std::optional<core::ConnOutcome> outcome;
+  bool fin_seen = false;
+  bool verify = false;
+  for (const Arrival& arrival : arrivals) {
+    ++result.consumed;
+    if (arrival.payload.empty() && !arrival.fin) continue;
+    if (!arrival.payload.empty()) {
+      std::uint64_t start = arrival.start;
+      std::uint64_t end = start + arrival.payload.size();
+      if (covered(start, end)) {
+        if (start == 0) {
+          verify = true;  // the sender's RTO retransmission
+          break;
+        }
+        continue;
+      }
+      if (overlaps(start, end)) result.overlap_seen = true;
+      max_segment =
+          std::max(max_segment, static_cast<std::uint16_t>(arrival.payload.size()));
+      if (start < max_end) result.reorder_seen = true;
+      if (stored < kModelPrefixCap && !chunks.contains(start)) {
+        chunks.emplace(start, arrival.payload);
+        stored += arrival.payload.size();
+      }
+      auto it = ranges.upper_bound(start);
+      if (it != ranges.begin()) {
+        auto prev = std::prev(it);
+        if (prev->second >= start) {
+          start = prev->first;
+          end = std::max(end, prev->second);
+          it = ranges.erase(prev);
+        }
+      }
+      while (it != ranges.end() && it->first <= end) {
+        end = std::max(end, it->second);
+        it = ranges.erase(it);
+      }
+      ranges.emplace(start, end);
+      max_end = std::max(max_end, end);
+    }
+    if (arrival.fin) {
+      fin_seen = true;
+      if (contiguous_from_zero(arrival.start + arrival.payload.size())) {
+        outcome = max_end == 0 ? core::ConnOutcome::NoData : core::ConnOutcome::FewData;
+        break;
+      }
+    }
+  }
+  result.verified = verify;
+  if (!outcome) {
+    if (verify) {
+      result.loss_holes = ranges.size() > 1;
+      outcome = verify_fresh ? core::ConnOutcome::Success : core::ConnOutcome::FewData;
+    } else if (fin_seen) {  // the collect timeout, with a hole before the FIN
+      result.loss_holes = ranges.size() != 1 || !ranges.contains(0);
+      outcome = max_end == 0 ? core::ConnOutcome::NoData : core::ConnOutcome::FewData;
+    } else {  // the collect timeout, no retransmission seen
+      outcome = max_end == 0 ? core::ConnOutcome::NoData : core::ConnOutcome::Error;
+    }
+  }
+  result.outcome = *outcome;
+  result.span_bytes = max_end;
+  if (max_segment > 0) {
+    result.iw_estimate =
+        static_cast<std::uint32_t>((max_end + max_segment - 1) / max_segment);
+  }
+  if (result.outcome == core::ConnOutcome::NoData) result.iw_estimate = 0;
+
+  std::uint64_t expect = 0;
+  for (const auto& [start, bytes] : chunks) {
+    if (start > expect) break;
+    const std::uint64_t skip = expect - start;
+    if (skip < bytes.size()) {
+      result.prefix.insert(result.prefix.end(),
+                           bytes.begin() + static_cast<std::ptrdiff_t>(skip),
+                           bytes.end());
+      expect = start + bytes.size();
+    }
+  }
+  return result;
+}
+
+/// Session services for driving one estimator by hand: packets it sends are
+/// dropped, and time moves only when the test runs the loop.
+class ManualServices final : public scan::SessionServices {
+ public:
+  static constexpr std::uint32_t kIsn = 0x5eed;
+
+  void send_packet(net::Bytes) override {}
+  sim::EventLoop& loop() override { return loop_; }
+  net::IPv4Address scanner_address() const override { return test::kScannerIp; }
+  std::uint16_t allocate_port(net::IPv4Address) override { return 40000; }
+  std::uint64_t session_seed(net::IPv4Address) override { return kIsn; }
+
+ private:
+  sim::EventLoop loop_;
+};
+
+/// One random response: a stream cut into MSS-sized segments, then gaps,
+/// reordering, duplicates, overlapping rewrites, a FIN and the sender's
+/// retransmission of its first segment, each drawn independently.
+std::vector<Arrival> random_arrivals(util::Rng& rng) {
+  static constexpr std::uint16_t kSizes[] = {16, 64, 536, 1460};
+  const std::uint16_t mss = kSizes[rng.below(4)];
+  const std::uint64_t length = rng.between(1, 24 * std::uint64_t{mss});
+  const auto bytes = [](std::uint64_t start, std::uint64_t size, std::uint8_t version) {
+    net::Bytes out(size);
+    for (std::uint64_t i = 0; i < size; ++i) {
+      out[i] = static_cast<std::uint8_t>((start + i) * 131 + version * 29);
+    }
+    return out;
+  };
+
+  const auto at = [&](std::size_t slots) {  // a random position among `slots`
+    return static_cast<std::ptrdiff_t>(rng.below(slots));
+  };
+
+  std::vector<Arrival> arrivals;
+  for (std::uint64_t start = 0; start < length; start += mss) {
+    const std::uint64_t size = std::min<std::uint64_t>(mss, length - start);
+    arrivals.push_back({start, bytes(start, size, 0)});
+  }
+  if (rng.chance(0.4)) {  // a FIN
+    if (rng.chance(0.5)) {
+      arrivals.back().fin = true;
+    } else {
+      arrivals.push_back({length, {}, true});  // a bare FIN
+    }
+  }
+  if (rng.chance(0.4)) {  // gaps
+    const std::size_t drops = rng.between(1, 3);
+    for (std::size_t i = 0; i < drops && arrivals.size() > 1; ++i) {
+      arrivals.erase(arrivals.begin() + at(arrivals.size()));
+    }
+  }
+  if (rng.chance(0.4)) {  // duplicates
+    const std::size_t copies = rng.between(1, 4);
+    for (std::size_t i = 0; i < copies; ++i) {
+      const Arrival copy = arrivals[rng.below(arrivals.size())];
+      arrivals.insert(arrivals.begin() + at(arrivals.size() + 1), copy);
+    }
+  }
+  if (rng.chance(0.3)) {  // overlapping rewrites of stream history
+    const std::size_t rewrites = rng.between(1, 3);
+    for (std::size_t i = 0; i < rewrites; ++i) {
+      const std::uint64_t start = rng.below(length + mss);
+      const std::uint64_t size = rng.between(1, 2 * std::uint64_t{mss});
+      const auto version = static_cast<std::uint8_t>(i + 1);
+      arrivals.insert(arrivals.begin() + at(arrivals.size() + 1),
+                      Arrival{start, bytes(start, size, version)});
+    }
+  }
+  if (rng.chance(0.5)) {  // reordering
+    for (std::size_t i = arrivals.size(); i > 1; --i) {
+      std::swap(arrivals[i - 1], arrivals[rng.below(i)]);
+    }
+  }
+  if (rng.chance(0.6)) {  // the RTO retransmission closes the flight
+    arrivals.push_back({0, bytes(0, std::min<std::uint64_t>(mss, length), 0)});
+  }
+  return arrivals;
+}
+
+TEST(Estimator, ReassemblyMatchesMapModel) {
+  const net::IPv4Address target{10, 0, 3, 1};
+  constexpr std::uint16_t kTargetPort = 80;
+  util::Rng rng(2017);
+  int concluded_by[6] = {};
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::vector<Arrival> arrivals = random_arrivals(rng);
+    const bool verify_fresh = rng.chance(0.5);
+    // Server sequence numbers straddle the 32-bit wrap on some trials.
+    const auto irs = static_cast<std::uint32_t>(
+        rng.chance(0.3) ? 0xffffffffu - rng.below(40'000) : rng());
+    const Expected expected = run_map_model(arrivals, verify_fresh);
+
+    ManualServices services;
+    std::optional<core::ConnObservation> observed;
+    const net::Bytes request = net::to_bytes("GET / HTTP/1.1\r\n\r\n");
+    core::IwEstimator estimator(services, target, kTargetPort, 64, request,
+                                [&](const core::ConnObservation& o) { observed = o; });
+    estimator.start();
+    const auto deliver = [&](std::uint32_t seq, std::uint8_t flags,
+                             const net::Bytes& payload) {
+      net::TcpSegment segment;
+      segment.ip.src = target;
+      segment.ip.dst = test::kScannerIp;
+      segment.tcp.src_port = kTargetPort;
+      segment.tcp.dst_port = estimator.local_port();
+      segment.tcp.seq = seq;
+      // The SYN/ACK acknowledges our SYN; data segments also the request.
+      const auto request_size = static_cast<std::uint32_t>(request.size());
+      segment.tcp.ack =
+          ManualServices::kIsn + 1 + ((flags & net::kSyn) ? 0 : request_size);
+      segment.tcp.flags = flags;
+      segment.tcp.window = 65535;
+      segment.payload = payload;
+      estimator.on_datagram(net::Datagram{std::move(segment)});
+    };
+    deliver(irs, net::kSyn | net::kAck, {});
+    for (std::size_t i = 0; i < expected.consumed; ++i) {
+      const Arrival& arrival = arrivals[i];
+      const std::uint8_t flags = net::kAck | (arrival.fin ? net::kFin : 0);
+      deliver(irs + 1 + static_cast<std::uint32_t>(arrival.start), flags,
+              arrival.payload);
+    }
+    if (expected.verified && verify_fresh) {
+      deliver(irs + 1 + (1u << 20), net::kAck, net::Bytes(8, 0x42));
+    }
+    while (!observed && services.loop().step()) {
+    }
+
+    ASSERT_TRUE(observed) << "trial " << trial;
+    ASSERT_EQ(observed->outcome, expected.outcome) << "trial " << trial;
+    EXPECT_EQ(observed->iw_estimate, expected.iw_estimate) << "trial " << trial;
+    EXPECT_EQ(observed->span_bytes, expected.span_bytes) << "trial " << trial;
+    EXPECT_EQ(observed->reorder_seen, expected.reorder_seen) << "trial " << trial;
+    EXPECT_EQ(observed->overlap_seen, expected.overlap_seen) << "trial " << trial;
+    EXPECT_EQ(observed->loss_holes, expected.loss_holes) << "trial " << trial;
+    EXPECT_EQ(observed->prefix, expected.prefix) << "trial " << trial;
+    ++concluded_by[static_cast<int>(expected.outcome)];
+  }
+  // The draws reach the three verdicts a data-carrying collect phase ends in.
+  for (const core::ConnOutcome outcome : {core::ConnOutcome::Success,
+                                         core::ConnOutcome::FewData,
+                                         core::ConnOutcome::Error}) {
+    EXPECT_GT(concluded_by[static_cast<int>(outcome)], 50) << core::to_string(outcome);
+  }
 }
 
 // --------------------------------------------------------------------------

@@ -52,6 +52,42 @@ TEST(RequestParser, InvalidRequests) {
     EXPECT_EQ(parser.feed("GET / HTTP/1.1\r\nNoColonHere\r\n\r\n"),
               RequestParser::Status::Invalid);
   }
+  // The request line is three space-separated parts; method and target are
+  // non-empty.
+  for (const std::string_view line :
+       {"GET  HTTP/1.1", " / HTTP/1.1", "GET / HTTP/1.1 extra", "GET /HTTP/1.1"}) {
+    RequestParser parser;
+    EXPECT_EQ(parser.feed(std::string(line) + "\r\n\r\n"),
+              RequestParser::Status::Invalid)
+        << line;
+  }
+}
+
+TEST(RequestParser, WholeAndSplitFeedsAgree) {
+  // A request arriving in one piece is parsed in place; one split across
+  // feeds is gathered first. Both must yield the same request.
+  const std::string wire =
+      "GET /a?b=c HTTP/1.0\r\nHost: example.com\r\n\r\nUser-Agent: x\r\n"
+      "Connection: close\r\n\r\n";
+  RequestParser whole;
+  ASSERT_EQ(whole.feed(wire), RequestParser::Status::Complete);
+  for (std::size_t cut = 1; cut < wire.size(); ++cut) {
+    RequestParser split;
+    auto status = split.feed(std::string_view(wire).substr(0, cut));
+    if (status == RequestParser::Status::NeedMore) {
+      status = split.feed(std::string_view(wire).substr(cut));
+    }
+    ASSERT_EQ(status, RequestParser::Status::Complete) << cut;
+    EXPECT_EQ(split.request().method, whole.request().method) << cut;
+    EXPECT_EQ(split.request().target, whole.request().target) << cut;
+    EXPECT_EQ(split.request().version, whole.request().version) << cut;
+    ASSERT_EQ(split.request().headers.size(), whole.request().headers.size()) << cut;
+    for (std::size_t i = 0; i < whole.request().headers.size(); ++i) {
+      EXPECT_EQ(split.request().headers[i].name, whole.request().headers[i].name);
+      EXPECT_EQ(split.request().headers[i].value, whole.request().headers[i].value);
+    }
+  }
+  EXPECT_EQ(whole.request().headers.size(), 1u);  // stops at the first blank line
 }
 
 TEST(RequestParser, HeaderFloodIsRejected) {
@@ -114,6 +150,20 @@ TEST(ParseResponseHead, RejectsOutOfRangeStatus) {
   EXPECT_FALSE(parse_response_head("HTTP/1.1 12345 High\r\n\r\n"));
   EXPECT_TRUE(parse_response_head("HTTP/1.1 100 Continue\r\n\r\n"));
   EXPECT_TRUE(parse_response_head("HTTP/1.1 999 Max\r\n\r\n"));
+}
+
+TEST(ParseResponseHead, StatusCodeIsExactlyThreeDigits) {
+  // Only a three-digit token is a status code. A zero-padded "00301" would
+  // parse in range and become a redirect the prober follows.
+  EXPECT_FALSE(parse_response_head("HTTP/1.1 0200 OK\r\n\r\n"));
+  EXPECT_FALSE(parse_response_head(
+      "HTTP/1.1 00301 Moved\r\nLocation: http://a.example/\r\n\r\n"));
+  EXPECT_FALSE(parse_response_head("HTTP/1.1 20 OK\r\n\r\n"));
+  EXPECT_FALSE(parse_response_head("HTTP/1.1 2000 OK\r\n\r\n"));
+  EXPECT_FALSE(parse_response_head("HTTP/1.1 +20 OK\r\n\r\n"));
+  const auto head = parse_response_head("HTTP/1.1 301 Moved\r\n\r\n");
+  ASSERT_TRUE(head);
+  EXPECT_EQ(head->status, 301);
 }
 
 TEST(ParseResponseHead, ContentLength) {

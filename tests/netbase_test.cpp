@@ -289,6 +289,140 @@ TEST(Packet, TcpPayloadRoundTripProperty) {
   }
 }
 
+TEST(Packet, EncodeFromHeadersMatchesSegmentEncode) {
+  // encode_into(headers, borrowed payload) is the TCP encoder; encoding a
+  // whole TcpSegment must produce the same bytes, into a fresh or a reused
+  // buffer alike.
+  util::Rng rng(47);
+  Bytes reused{0xde, 0xad};
+  for (int trial = 0; trial < 200; ++trial) {
+    TcpSegment segment = sample_segment();
+    segment.tcp.flags = static_cast<std::uint8_t>(rng.below(0x40));
+    segment.tcp.seq = static_cast<std::uint32_t>(rng());
+    segment.tcp.window = static_cast<std::uint16_t>(rng());
+    if (rng.chance(0.5)) segment.tcp.options.clear();
+    segment.payload.resize(rng.below(1460));
+    for (auto& byte : segment.payload) byte = static_cast<std::uint8_t>(rng());
+
+    const Bytes expected = encode(segment);
+    const Bytes payload_copy = segment.payload;  // a buffer the segment does not own
+    encode_into(segment.ip, segment.tcp, payload_copy, reused);
+    EXPECT_EQ(reused, expected) << "trial " << trial;
+  }
+}
+
+/// Every decoded field of two datagrams agrees.
+void expect_same(const Datagram& fresh, const Datagram& reused, const std::string& what) {
+  ASSERT_EQ(fresh.index(), reused.index()) << what;
+  const auto same_ip = [&](const Ipv4Header& a, const Ipv4Header& b) {
+    EXPECT_EQ(a.tos, b.tos) << what;
+    EXPECT_EQ(a.total_length, b.total_length) << what;
+    EXPECT_EQ(a.identification, b.identification) << what;
+    EXPECT_EQ(a.dont_fragment, b.dont_fragment) << what;
+    EXPECT_EQ(a.more_fragments, b.more_fragments) << what;
+    EXPECT_EQ(a.fragment_offset, b.fragment_offset) << what;
+    EXPECT_EQ(a.ttl, b.ttl) << what;
+    EXPECT_EQ(a.protocol, b.protocol) << what;
+    EXPECT_EQ(a.src, b.src) << what;
+    EXPECT_EQ(a.dst, b.dst) << what;
+  };
+  if (const auto* a = std::get_if<TcpSegment>(&fresh)) {
+    const auto& b = std::get<TcpSegment>(reused);
+    same_ip(a->ip, b.ip);
+    EXPECT_EQ(a->tcp.src_port, b.tcp.src_port) << what;
+    EXPECT_EQ(a->tcp.dst_port, b.tcp.dst_port) << what;
+    EXPECT_EQ(a->tcp.seq, b.tcp.seq) << what;
+    EXPECT_EQ(a->tcp.ack, b.tcp.ack) << what;
+    EXPECT_EQ(a->tcp.flags, b.tcp.flags) << what;
+    EXPECT_EQ(a->tcp.window, b.tcp.window) << what;
+    EXPECT_EQ(a->tcp.urgent, b.tcp.urgent) << what;
+    EXPECT_EQ(a->tcp.options, b.tcp.options) << what;
+    EXPECT_EQ(a->payload, b.payload) << what;
+  } else {
+    const auto& x = std::get<IcmpDatagram>(fresh);
+    const auto& y = std::get<IcmpDatagram>(reused);
+    same_ip(x.ip, y.ip);
+    EXPECT_EQ(x.icmp.type, y.icmp.type) << what;
+    EXPECT_EQ(x.icmp.code, y.icmp.code) << what;
+    EXPECT_EQ(x.icmp.id_or_unused, y.icmp.id_or_unused) << what;
+    EXPECT_EQ(x.icmp.seq_or_mtu, y.icmp.seq_or_mtu) << what;
+    EXPECT_EQ(x.icmp.payload, y.icmp.payload) << what;
+  }
+}
+
+TEST(Packet, ReusedDecodeMatchesFreshDecode) {
+  // One Datagram decoded into again and again (the scanner's rx path) must
+  // read exactly like a fresh decode of each packet: no payload byte,
+  // option or alternative may survive from the packet before.
+  TcpSegment long_segment = sample_segment();  // SYN with an MSS option
+  long_segment.payload.assign(1400, 0xaa);
+  TcpSegment short_segment = sample_segment();
+  short_segment.tcp.options.clear();
+  short_segment.tcp.flags = kAck | kFin;
+  short_segment.tcp.seq = 7;
+  short_segment.payload = {1, 2, 3};
+  TcpSegment empty_segment = sample_segment();
+  empty_segment.tcp.options = {WindowScaleOption{7}, SackPermittedOption{}};
+  empty_segment.payload.clear();
+  IcmpDatagram icmp;
+  icmp.ip.src = IPv4Address(10, 3, 2, 1);
+  icmp.ip.dst = IPv4Address(192, 0, 2, 1);
+  icmp.icmp.type = IcmpType::DestinationUnreachable;
+  icmp.icmp.code = kIcmpFragNeeded;
+  icmp.icmp.seq_or_mtu = 1400;
+  icmp.icmp.payload.assign(28, 0x55);
+  Bytes corrupt = encode(long_segment);
+  corrupt[40] ^= 0xff;  // breaks the TCP checksum
+
+  const std::vector<std::pair<std::string, Bytes>> packets = {
+      {"long tcp", encode(long_segment)},   {"short tcp", encode(short_segment)},
+      {"icmp", encode(icmp)},               {"tcp after icmp", encode(short_segment)},
+      {"long tcp again", encode(long_segment)},
+      {"corrupt", corrupt},                 {"good after corrupt", encode(short_segment)},
+      {"icmp again", encode(icmp)},         {"icmp repeated", encode(icmp)},
+      {"options replaced", encode(empty_segment)},
+      {"truncated", Bytes(19, 0x45)},       {"options dropped", encode(short_segment)},
+  };
+  Datagram reused;
+  for (const auto& [what, bytes] : packets) {
+    const auto fresh = decode_datagram(bytes);
+    const bool ok = decode_datagram_into(bytes, reused);
+    ASSERT_EQ(ok, fresh.has_value()) << what;
+    if (ok) expect_same(*fresh, reused, what);
+  }
+  EXPECT_EQ(std::get<TcpSegment>(reused).payload, (Bytes{1, 2, 3}));
+  EXPECT_TRUE(std::get<TcpSegment>(reused).tcp.options.empty());
+}
+
+TEST(Packet, ReusedDecodeMatchesFreshDecodeProperty) {
+  util::Rng rng(59);
+  Datagram reused;
+  for (int trial = 0; trial < 500; ++trial) {
+    Bytes bytes;
+    if (rng.chance(0.2)) {
+      IcmpDatagram icmp;
+      icmp.ip.src = IPv4Address(static_cast<std::uint32_t>(rng()));
+      icmp.icmp.type = rng.chance(0.5) ? IcmpType::EchoReply : IcmpType::Echo;
+      icmp.icmp.id_or_unused = static_cast<std::uint16_t>(rng());
+      icmp.icmp.payload.resize(rng.below(600));
+      for (auto& byte : icmp.icmp.payload) byte = static_cast<std::uint8_t>(rng());
+      bytes = encode(icmp);
+    } else {
+      TcpSegment segment = sample_segment();
+      segment.tcp.seq = static_cast<std::uint32_t>(rng());
+      if (rng.chance(0.5)) segment.tcp.options.clear();
+      segment.payload.resize(rng.below(1460));
+      for (auto& byte : segment.payload) byte = static_cast<std::uint8_t>(rng());
+      bytes = encode(segment);
+    }
+    if (rng.chance(0.1)) bytes[rng.below(bytes.size())] ^= 0x01;  // usually fails
+    const auto fresh = decode_datagram(bytes);
+    const bool ok = decode_datagram_into(bytes, reused);
+    ASSERT_EQ(ok, fresh.has_value()) << "trial " << trial;
+    if (ok) expect_same(*fresh, reused, "trial " + std::to_string(trial));
+  }
+}
+
 TEST(Packet, SeqLengthCountsSynFin) {
   TcpSegment segment = sample_segment();
   segment.payload = {1, 2, 3};

@@ -5,6 +5,7 @@
 // universe, the *shape* is what must match.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -37,17 +38,28 @@ inline void define_common_flags(util::Flags& flags) {
   flags.define_bool("csv", false, "emit CSV instead of aligned tables");
 }
 
-/// Parse flags; on --help or error prints and exits the process.
+/// Parse flags; on --help or error prints and exits the process. A --rate
+/// that is not finite and > 0, or a --loss outside [0, 1], is an error.
 inline void parse_or_exit(util::Flags& flags, int argc, char** argv) {
-  if (!flags.parse(argc, argv)) {
-    std::fprintf(stderr, "%s\n%s", flags.error().c_str(),
-                 flags.usage(argv[0]).c_str());
+  const auto fail = [&](const char* error) {
+    std::fprintf(stderr, "%s\n%s", error, flags.usage(argv[0]).c_str());
     std::exit(2);
-  }
+  };
+  if (!flags.parse(argc, argv)) fail(flags.error().c_str());
   if (flags.help_requested()) {
     std::printf("%s", flags.usage(argv[0]).c_str());
     std::exit(0);
   }
+  const auto out_of_range = [&](const char* flag, const char* need) {
+    char error[96];
+    std::snprintf(error, sizeof(error), "--%s must be %s, got %g", flag, need,
+                  flags.real(flag));
+    fail(error);
+  };
+  const double rate = flags.real("rate");
+  if (!(std::isfinite(rate) && rate > 0)) out_of_range("rate", "finite and > 0");
+  const double loss = flags.real("loss");
+  if (!(loss >= 0 && loss <= 1)) out_of_range("loss", "in [0, 1]");
 }
 
 inline model::ModelConfig model_config(const util::Flags& flags) {

@@ -85,9 +85,10 @@ int main(int argc, char** argv) {
   options.process_shards = process_shards;
   options.spill_dir = flags.str("spill-dir");
   // --two-phase: a stateless SYN sweep (no per-host state, identity in the
-  // ISN) covers the space first; the stateful estimator then probes only
-  // the responsive sliver. Records are byte-identical to the stateful-
-  // everywhere scan restricted to that sliver.
+  // ISN) covers the space first; once it is done, the stateful estimator
+  // probes only the responsive sliver. Records are byte-identical to the
+  // stateful-everywhere scan restricted to that sliver, and the virtual
+  // time printed below is the sweep's plus the estimate's.
   options.two_phase = flags.boolean("two-phase");
   const auto output = analysis::run_iw_scan(network, internet, options);
   if (options.two_phase) {

@@ -25,6 +25,11 @@ int main(int argc, char** argv) {
     std::printf("%s", flags.usage(argv[0]).c_str());
     return 0;
   }
+  if (const double fraction = flags.real("fraction"); !(fraction > 0 && fraction <= 1)) {
+    std::fprintf(stderr, "--fraction must be in (0, 1], got %g\n%s", fraction,
+                 flags.usage(argv[0]).c_str());
+    return 2;
+  }
 
   sim::EventLoop loop;
   sim::Network network(loop, 4);

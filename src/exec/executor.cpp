@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
-#include <deque>
-#include <functional>
 #include <iterator>
 #include <limits>
 #include <optional>
@@ -30,9 +29,6 @@ static_assert(kScannerAddress != scan::SweepConfig::scanner_address,
               "the sweep perturbs the estimator and two-phase records stop being "
               "byte-identical to a stateful-everywhere scan");
 constexpr std::size_t kChannelCapacity = 1024;
-/// Responsive hosts buffered between the sweep and the engine before
-/// backpressure pauses the sweep's SYN pacing.
-constexpr std::size_t kPromotionQueueCapacity = 1024;
 /// The cap threshold that keeps every responsive host.
 constexpr std::uint64_t kKeepAll = std::numeric_limits<std::uint64_t>::max();
 
@@ -68,8 +64,8 @@ struct ShardDone {
   std::uint64_t shard = 0;
   scan::EngineStats engine;
   scan::SweepStats sweep;
-  sim::SimTime sweep_duration{};  // capped mode: the sweep before the barrier
-  sim::SimTime duration{};        // everything after the barrier
+  sim::SimTime sweep_duration{};  // two-phase: the sweep stage
+  sim::SimTime duration{};        // the estimate stage
   std::uint64_t promoted = 0;
   std::string spill_file;        // spill mode only: host records
   std::string sweep_spill_file;  // spill mode, two-phase only
@@ -135,6 +131,13 @@ store::SpillConfig spill_config_for(const ScanOptions& job, std::uint64_t global
   return config;
 }
 
+/// "name value: need ..." — run_scan's message for an out-of-range input.
+std::string bad_input(const char* name, double value, const char* need) {
+  char text[128];
+  std::snprintf(text, sizeof(text), "%s %g: need %s", name, value, need);
+  return text;
+}
+
 /// Closes a spill writer, treating an I/O failure (disk full, unwritable
 /// directory) as fatal — the scan's records would otherwise be lost.
 template <class Record>
@@ -146,51 +149,6 @@ std::string finish_spill(store::SpillWriter<Record>& writer) {
   IWSCAN_ASSERT(flushed, "spill write failed; see the error above");
   return writer.path();
 }
-
-/// The live hand-off between the sweep and the engine (streaming
-/// promotion). Single-threaded by construction: both endpoints live on one
-/// event loop, so push/next/close never race and need no lock.
-class PromotionSource final : public scan::TargetSource {
- public:
-  explicit PromotionSource(std::size_t capacity) : capacity_(capacity) {}
-
-  [[nodiscard]] Pull next(net::IPv4Address& target, std::uint64_t& cycle) override {
-    if (queue_.empty()) return closed_ ? Pull::Exhausted : Pull::Pending;
-    target = queue_.front().first;
-    cycle = queue_.front().second;
-    queue_.pop_front();
-    if (on_drain_) on_drain_();  // room again — un-throttle the sweep
-    return Pull::Ready;
-  }
-
-  void set_wakeup(std::function<void()> wakeup) override {
-    wakeup_ = std::move(wakeup);
-  }
-
-  void push(net::IPv4Address ip, std::uint64_t cycle) {
-    queue_.emplace_back(ip, cycle);
-    if (wakeup_) wakeup_();
-  }
-
-  /// No further pushes will ever happen (the sweep completed).
-  void close() {
-    closed_ = true;
-    if (wakeup_) wakeup_();
-  }
-
-  [[nodiscard]] bool full() const noexcept { return queue_.size() >= capacity_; }
-
-  void set_on_drain(std::function<void()> on_drain) {
-    on_drain_ = std::move(on_drain);
-  }
-
- private:
-  std::deque<std::pair<net::IPv4Address, std::uint64_t>> queue_;
-  std::size_t capacity_;
-  bool closed_ = false;
-  std::function<void()> wakeup_;
-  std::function<void()> on_drain_;
-};
 
 /// Folds a cycle's sweep events (Responsive, then possibly Banner; or
 /// Closed) into one SweepRecord per host. Events are appended as they
@@ -281,17 +239,15 @@ void run_worker(const ScanOptions& job, const ShardSpec& spec, sim::Network& net
     }
   });
 
-  // Estimate stage; a streaming sweep shares the loop and runs alongside.
-  auto estimate = [&](scan::TargetSource& source, scan::StatelessSweep* sweep) {
+  auto estimate = [&](scan::TargetSource& source) {
     const sim::SimTime start = loop.now();
     scan::ScanEngine engine(network, engine_config_for(job, spec), source, module);
     engine.set_launch_observer([&](net::IPv4Address ip, std::uint64_t cycle) {
       cycle_of[ip] = cycle;
       launched.fetch_add(1, std::memory_order_relaxed);
     });
-    if (sweep != nullptr) sweep->start();
     engine.start();
-    while ((!engine.done() || (sweep != nullptr && !sweep->done())) && loop.step()) {
+    while (!engine.done() && loop.step()) {
     }
     done.duration = loop.now() - start;
     done.engine = engine.stats();
@@ -309,30 +265,11 @@ void run_worker(const ScanOptions& job, const ShardSpec& spec, sim::Network& net
 
   if (!job.two_phase) {
     scan::GeneratorTargetSource source(std::move(targets));
-    estimate(source, nullptr);
-  } else if (job.max_promoted_hosts == 0) {
-    // Streaming promotion: backpressure flows sweep-ward only — a full
-    // queue pauses SYN pacing, a pop wakes it.
-    PromotionSource promoted(kPromotionQueueCapacity);
-    SweepCollector collector;
-    scan::StatelessSweep sweep(network, sweep_config_for(job, spec), std::move(targets),
-                               [&](const scan::SweepEvent& event) {
-                                 collector.on_event(event);
-                                 if (event.kind == scan::SweepEventKind::Responsive) {
-                                   promoted.push(event.source, event.cycle);
-                                   ++done.promoted;
-                                 }
-                               });
-    sweep.set_throttle([&promoted] { return promoted.full(); });
-    promoted.set_on_drain([&sweep] { sweep.wake(); });
-    sweep.set_on_complete([&promoted] { promoted.close(); });
-    estimate(promoted, &sweep);
-    done.sweep = sweep.stats();
-    hand_over_sweep(collector.take_sorted());
+    estimate(source);
   } else {
-    // Capped promotion: sweep alone, report the responsive set, then wait
-    // for the global threshold. Stride sharding means every promoted cycle
-    // this shard keeps is one it swept.
+    // Sweep to completion, then estimate the responsive set. A cap first
+    // reports that set and waits for the global threshold; stride sharding
+    // means every promoted cycle this shard keeps is one it swept.
     std::vector<scan::SweepRecord> swept;
     {
       SweepCollector collector;
@@ -348,21 +285,23 @@ void run_worker(const ScanOptions& job, const ShardSpec& spec, sim::Network& net
       swept = collector.take_sorted();
     }
     std::vector<scan::ListTargetSource::Entry> entries;
-    PhaseOneDone phase1;
     for (const scan::SweepRecord& record : swept) {
-      if (!record.responsive) continue;
-      entries.emplace_back(record.ip, record.cycle);
-      phase1.responsive_cycles.push_back(record.cycle);
+      if (record.responsive) entries.emplace_back(record.ip, record.cycle);
     }
     hand_over_sweep(std::move(swept));
-    send(std::move(phase1));
-    const std::uint64_t threshold = await_threshold();
-    std::erase_if(entries, [threshold](const scan::ListTargetSource::Entry& entry) {
-      return entry.second > threshold;
-    });
+    if (job.max_promoted_hosts > 0) {
+      PhaseOneDone phase1;
+      phase1.responsive_cycles.reserve(entries.size());
+      for (const auto& entry : entries) phase1.responsive_cycles.push_back(entry.second);
+      send(std::move(phase1));
+      const std::uint64_t threshold = await_threshold();
+      std::erase_if(entries, [threshold](const scan::ListTargetSource::Entry& entry) {
+        return entry.second > threshold;
+      });
+    }
     done.promoted = entries.size();
     scan::ListTargetSource source(std::move(entries));
-    estimate(source, nullptr);
+    estimate(source);
   }
 
   if (spill.has_value()) {
@@ -515,6 +454,17 @@ ScanResult run_scan(const ScanOptions& options, sim::Network& network,
                 ("process_shard " + std::to_string(options.process_shard) +
                  ", process_shards " + std::to_string(options.process_shards) +
                  ": need process_shards >= 1 and process_shard < process_shards")
+                    .c_str());
+  // A non-positive or NaN rate would otherwise pace at a hidden fallback,
+  // and a fraction outside (0, 1] breaks expected_records' size_t cast.
+  const auto valid_rate = [](double pps) { return std::isfinite(pps) && pps > 0; };
+  IWSCAN_ASSERT(valid_rate(options.rate_pps),
+                bad_input("rate_pps", options.rate_pps, "a finite rate > 0").c_str());
+  IWSCAN_ASSERT(!options.two_phase || valid_rate(options.sweep_rate_pps),
+                bad_input("sweep_rate_pps", options.sweep_rate_pps, "a finite rate > 0")
+                    .c_str());
+  IWSCAN_ASSERT(options.sample_fraction > 0 && options.sample_fraction <= 1,
+                bad_input("sample_fraction", options.sample_fraction, "a value in (0, 1]")
                     .c_str());
   ScanOptions job = options;
   job.probe.protocol = job.protocol;

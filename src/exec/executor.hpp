@@ -4,12 +4,13 @@
 //
 //   sweep     (two-phase only) StatelessSweep walks the space at a high
 //             rate with zero per-host state (scanner/stateless.hpp),
-//             harvesting liveness, the SYN-ACK window/MSS and a banner;
+//             harvesting liveness, the SYN-ACK window/MSS and a banner,
+//             and runs to completion before anything is estimated;
 //   promote   picks the estimator's targets: every address (stateful
-//             tier), responsive hosts streamed through a bounded queue
-//             while the sweep runs (two-phase), or the K responsive hosts
-//             with the lowest global cycle indices (two-phase with
-//             max_promoted_hosts, which waits for every shard's sweep);
+//             tier), every responsive host the sweep found (two-phase),
+//             or the K responsive hosts with the lowest global cycle
+//             indices (two-phase with max_promoted_hosts, which waits for
+//             every shard's sweep);
 //   estimate  ScanEngine runs the full IW probe sequence against each
 //             promoted target (core::IwProbeModule).
 //
@@ -77,10 +78,10 @@ struct ScanOptions {
   // permutation.
   bool two_phase = false;
   double sweep_rate_pps = 600'000;  // global; divided across shards
-  // 0 = promote every responsive host while the sweep runs. >0 = estimate
-  // only the K responsive hosts with the lowest global cycle indices. With
-  // process_shards > 1 the cap is per process, since processes cannot see
-  // each other's responsive sets.
+  // 0 = estimate every responsive host once the sweep is done. >0 =
+  // estimate only the K responsive hosts with the lowest global cycle
+  // indices. With process_shards > 1 the cap is per process, since
+  // processes cannot see each other's responsive sets.
   std::uint64_t max_promoted_hosts = 0;
   // Bounded-memory result path: when non-empty, workers stream records
   // into per-shard columnar spill files under this directory
@@ -119,7 +120,9 @@ struct ScanResult {
 /// time zero): a second scan on a used world would see the first scan's
 /// hosts and flows at shards=1 but fresh worlds at shards>1. Also aborts
 /// unless process_shard < process_shards: a zero stride never advances,
-/// and a larger residue overlaps another process.
+/// and a larger residue overlaps another process; and unless rate_pps
+/// (and sweep_rate_pps, two-phase) is finite and > 0 and sample_fraction
+/// lies in (0, 1].
 [[nodiscard]] ScanResult run_scan(const ScanOptions& options, sim::Network& network,
                                   model::InternetModel& internet);
 

@@ -43,11 +43,8 @@ ScanEngine::~ScanEngine() {
 }
 
 void ScanEngine::start() {
-  started_ = true;
   stats_.started_at = network_.loop().now();
   network_.attach(config_.scanner_address, this);
-  source_->set_wakeup([this] { on_source_wakeup(); });
-  next_send_time_ = network_.loop().now();
   pace();
 }
 
@@ -66,7 +63,7 @@ void ScanEngine::pace() {
   }
 
   launch_next_target();
-  if (!targets_exhausted_ && !source_waiting_) {
+  if (!targets_exhausted_) {
     pace_event_ = network_.loop().schedule(interval, [this] { pace(); });
   }
 }
@@ -74,19 +71,10 @@ void ScanEngine::pace() {
 void ScanEngine::launch_next_target() {
   net::IPv4Address target;
   std::uint64_t cycle = 0;
-  switch (source_->next(target, cycle)) {
-    case TargetSource::Pull::Exhausted:
-      targets_exhausted_ = true;
-      maybe_complete();
-      return;
-    case TargetSource::Pull::Pending:
-      // The source (a live promotion queue) ran dry but is not finished:
-      // park pacing until its wakeup fires. Launches stay rate-limited on
-      // resume because next_send_time_ is untouched.
-      source_waiting_ = true;
-      return;
-    case TargetSource::Pull::Ready:
-      break;
+  if (!source_->next(target, cycle)) {
+    targets_exhausted_ = true;
+    maybe_complete();
+    return;
   }
   ++stats_.targets_started;
   if (launch_observer_) launch_observer_(target, cycle);
@@ -103,21 +91,9 @@ void ScanEngine::launch_next_target() {
   it->second.session->start();
 }
 
-void ScanEngine::on_source_wakeup() {
-  if (!started_ || !source_waiting_ || targets_exhausted_) return;
-  source_waiting_ = false;
-  if (pace_event_ == sim::kNullEvent) {
-    pace_event_ = network_.loop().schedule(sim::SimTime::zero(), [this] { pace(); });
-  }
-}
-
 void ScanEngine::maybe_complete() {
   if (!done()) return;
   stats_.finished_at = network_.loop().now();
-  if (on_complete_ && !complete_notified_) {
-    complete_notified_ = true;
-    on_complete_();
-  }
 }
 
 void ScanEngine::arm_deadline(SessionState& state, net::IPv4Address target) {

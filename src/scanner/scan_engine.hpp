@@ -187,10 +187,8 @@ class ScanEngine final : public sim::Endpoint, public SessionServices {
   ScanEngine(sim::Network& network, EngineConfig config, TargetGenerator targets,
              ProbeModule& module);
   /// Pull targets from an external source instead of an owned generator —
-  /// the two-phase executor feeds the engine from the stateless sweep's
-  /// promotion queue this way. `source` must outlive the engine; a source
-  /// that returns Pending must deliver its wakeup (set in start()) on the
-  /// engine's own event loop.
+  /// the two-phase executor feeds the engine the sweep's responsive set
+  /// this way. `source` must outlive the engine.
   ScanEngine(sim::Network& network, EngineConfig config, TargetSource& source,
              ProbeModule& module);
   ~ScanEngine() override;
@@ -198,13 +196,9 @@ class ScanEngine final : public sim::Endpoint, public SessionServices {
   ScanEngine(const ScanEngine&) = delete;
   ScanEngine& operator=(const ScanEngine&) = delete;
 
-  /// Attach to the network and begin pacing. Completion is observable via
-  /// done() once the event loop drains (or via on_complete).
+  /// Attach to the network and begin pacing. done() holds once every
+  /// target was launched and every session finished.
   void start();
-
-  void set_on_complete(std::function<void()> callback) {
-    on_complete_ = std::move(callback);
-  }
 
   /// Invoked for every launched target with its global permutation-cycle
   /// index (TargetGenerator::last_cycle_index) — the hook a parallel
@@ -215,7 +209,7 @@ class ScanEngine final : public sim::Endpoint, public SessionServices {
   }
 
   [[nodiscard]] bool done() const noexcept {
-    return started_ && targets_exhausted_ && sessions_.empty();
+    return targets_exhausted_ && sessions_.empty();
   }
   [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
   /// Sessions currently holding engine state — the leak-check hook for
@@ -262,7 +256,6 @@ class ScanEngine final : public sim::Endpoint, public SessionServices {
 
   void pace();
   void launch_next_target();
-  void on_source_wakeup();
   void maybe_complete();
   void finish_session(net::IPv4Address target);
   void abort_session(net::IPv4Address target, BudgetKind kind);
@@ -284,12 +277,7 @@ class ScanEngine final : public sim::Endpoint, public SessionServices {
   std::vector<std::unique_ptr<ProbeSession>> graveyard_;
   sim::EventId reap_event_ = sim::kNullEvent;
   sim::EventId pace_event_ = sim::kNullEvent;
-  sim::SimTime next_send_time_{};
-  bool started_ = false;
-  bool source_waiting_ = false;  // source returned Pending; pacing is parked
   bool targets_exhausted_ = false;
-  bool complete_notified_ = false;
-  std::function<void()> on_complete_;
   LaunchObserver launch_observer_;
   EngineStats stats_;
 };

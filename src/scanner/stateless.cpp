@@ -72,7 +72,6 @@ void StatelessSweep::start() {
   IWSCAN_ASSERT(domain_ <= kMaxCookieIndex,
                 "sweep domain exceeds the 24-bit cookie index space; "
                 "split the scan into epochs");
-  started_ = true;
   stats_.started_at = network_.loop().now();
   const auto words = static_cast<std::size_t>((domain_ + 63) / 64);
   seen_live_.assign(words, 0);
@@ -111,16 +110,11 @@ void StatelessSweep::build_templates() {
 
 void StatelessSweep::pace() {
   pace_event_ = sim::kNullEvent;
-  if (exhausted_ || finished_) return;
-  if (throttle_ && throttle_()) {
-    // Promotion-queue backpressure: park until wake(). Replies to targets
-    // already probed keep arriving and being answered meanwhile.
-    throttled_ = true;
-    return;
-  }
   const auto target = targets_.next();
   if (!target) {
-    begin_cooldown();
+    // Every target probed: keep answering replies for the cooldown.
+    cooldown_event_ =
+        network_.loop().schedule(config_.cooldown, [this] { finish(); });
     return;
   }
   CookieIdentity identity;
@@ -134,21 +128,6 @@ void StatelessSweep::pace() {
   pace_event_ = network_.loop().schedule(interval, [this] { pace(); });
 }
 
-void StatelessSweep::wake() {
-  if (!started_ || !throttled_) return;
-  throttled_ = false;
-  if (pace_event_ == sim::kNullEvent && !exhausted_ && !finished_) {
-    pace_event_ =
-        network_.loop().schedule(sim::SimTime::zero(), [this] { pace(); });
-  }
-}
-
-void StatelessSweep::begin_cooldown() {
-  exhausted_ = true;
-  cooldown_event_ =
-      network_.loop().schedule(config_.cooldown, [this] { finish(); });
-}
-
 void StatelessSweep::finish() {
   cooldown_event_ = sim::kNullEvent;
   finished_ = true;
@@ -156,7 +135,6 @@ void StatelessSweep::finish() {
   if (network_.attached(config_.scanner_address)) {
     network_.detach(config_.scanner_address);
   }
-  if (on_complete_) on_complete_();
 }
 
 void StatelessSweep::send_patched(const Template& tmpl, net::IPv4Address dst,

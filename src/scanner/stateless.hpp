@@ -133,9 +133,6 @@ struct SweepStats {
 class StatelessSweep final : public sim::Endpoint {
  public:
   using EventFn = std::function<void(const SweepEvent&)>;
-  /// Returning true pauses SYN pacing (promotion-queue backpressure);
-  /// resume via wake(). Replies to already-probed targets keep flowing.
-  using ThrottleFn = std::function<bool()>;
 
   StatelessSweep(sim::Network& network, SweepConfig config, TargetGenerator targets,
                  EventFn on_event);
@@ -147,13 +144,6 @@ class StatelessSweep final : public sim::Endpoint {
   /// Attach and begin pacing SYNs. done() holds once every target was
   /// probed and the post-sweep cooldown elapsed.
   void start();
-
-  void set_on_complete(std::function<void()> callback) {
-    on_complete_ = std::move(callback);
-  }
-  void set_throttle(ThrottleFn throttle) { throttle_ = std::move(throttle); }
-  /// Resume pacing after a throttle pause (idempotent).
-  void wake();
 
   [[nodiscard]] bool done() const noexcept { return finished_; }
   [[nodiscard]] const SweepStats& stats() const noexcept { return stats_; }
@@ -175,7 +165,6 @@ class StatelessSweep final : public sim::Endpoint {
 
   void build_templates();
   void pace();
-  void begin_cooldown();
   void finish();
   void send_patched(const Template& tmpl, net::IPv4Address dst, std::uint32_t seq,
                     std::uint32_t ack);
@@ -203,12 +192,7 @@ class StatelessSweep final : public sim::Endpoint {
 
   sim::EventId pace_event_ = sim::kNullEvent;
   sim::EventId cooldown_event_ = sim::kNullEvent;
-  bool started_ = false;
-  bool throttled_ = false;
-  bool exhausted_ = false;
   bool finished_ = false;
-  std::function<void()> on_complete_;
-  ThrottleFn throttle_;
   SweepStats stats_;
 };
 

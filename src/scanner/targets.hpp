@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -89,60 +88,47 @@ class TargetGenerator {
   std::uint64_t merged_overlap_ = 0;
 };
 
-/// Where a scan engine's targets come from. The classic batch scan pulls
-/// from a TargetGenerator (every target known up front); the two-phase
-/// executor pulls from a live promotion queue fed by the stateless sweep,
-/// which can momentarily run dry without being finished — hence the
-/// three-way pull result and the wakeup hook.
+/// Where a scan engine's targets come from: a TargetGenerator (every
+/// address of the space, the stateful tier) or a fixed list (the two-phase
+/// executor's responsive set). Either way the whole target set is known
+/// before the engine starts.
 class TargetSource {
  public:
-  enum class Pull : std::uint8_t {
-    Ready,      // `target`/`cycle` were filled in
-    Pending,    // nothing right now, but more may arrive — wait for wakeup
-    Exhausted,  // no target will ever arrive again
-  };
-
   virtual ~TargetSource() = default;
 
-  /// Pull the next target and its global permutation-cycle index.
-  [[nodiscard]] virtual Pull next(net::IPv4Address& target, std::uint64_t& cycle) = 0;
+  /// Pull the next target and its global permutation-cycle index; false
+  /// once no target remains.
+  [[nodiscard]] virtual bool next(net::IPv4Address& target, std::uint64_t& cycle) = 0;
 
   /// Expected total target count (capacity pre-sizing only; may be 0).
   [[nodiscard]] virtual std::uint64_t size_hint() const noexcept { return 0; }
-
-  /// Called once by the consuming engine. Implementations that ever return
-  /// Pending must invoke the callback when new targets arrive or the
-  /// source becomes Exhausted; always-ready sources may ignore it.
-  virtual void set_wakeup(std::function<void()> wakeup) { (void)wakeup; }
 };
 
-/// TargetGenerator adapted to the pull interface: never Pending.
+/// TargetGenerator adapted to the pull interface.
 class GeneratorTargetSource final : public TargetSource {
  public:
   explicit GeneratorTargetSource(TargetGenerator generator)
       : generator_(std::move(generator)) {}
 
-  [[nodiscard]] Pull next(net::IPv4Address& target, std::uint64_t& cycle) override {
+  [[nodiscard]] bool next(net::IPv4Address& target, std::uint64_t& cycle) override {
     const auto address = generator_.next();
-    if (!address) return Pull::Exhausted;
+    if (!address) return false;
     target = *address;
     cycle = generator_.last_cycle_index();
-    return Pull::Ready;
+    return true;
   }
 
   [[nodiscard]] std::uint64_t size_hint() const noexcept override {
     return generator_.address_space_size();
   }
 
-  [[nodiscard]] const TargetGenerator& generator() const noexcept { return generator_; }
-
  private:
   TargetGenerator generator_;
 };
 
 /// A fixed, pre-resolved target list with explicit cycle indices — the
-/// two-phase executor's capped mode replays the globally truncated
-/// promotion set through one of these. Never Pending.
+/// two-phase executor replays the sweep's responsive set (truncated by
+/// max_promoted_hosts, if set) through one of these.
 class ListTargetSource final : public TargetSource {
  public:
   using Entry = std::pair<net::IPv4Address, std::uint64_t>;  // (target, cycle)
@@ -150,12 +136,12 @@ class ListTargetSource final : public TargetSource {
   explicit ListTargetSource(std::vector<Entry> entries)
       : entries_(std::move(entries)) {}
 
-  [[nodiscard]] Pull next(net::IPv4Address& target, std::uint64_t& cycle) override {
-    if (position_ >= entries_.size()) return Pull::Exhausted;
+  [[nodiscard]] bool next(net::IPv4Address& target, std::uint64_t& cycle) override {
+    if (position_ >= entries_.size()) return false;
     target = entries_[position_].first;
     cycle = entries_[position_].second;
     ++position_;
-    return Pull::Ready;
+    return true;
   }
 
   [[nodiscard]] std::uint64_t size_hint() const noexcept override {

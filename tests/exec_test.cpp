@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <ostream>
 #include <set>
 #include <string>
@@ -353,6 +354,35 @@ TEST(ScanExecutorDeathTest, InvalidProcessStrideAborts) {
   EXPECT_DEATH(run(3, 2), "process_shard 3, process_shards 2");
 }
 
+TEST(ScanExecutorDeathTest, InvalidRateOrFractionAborts) {
+  // Rates used to fall back to a hidden 1 pps, and a fraction outside
+  // (0, 1] reached expected_records' double -> size_t cast.
+  auto run = [](auto tweak) {
+    FreshWorld world;
+    analysis::ScanOptions options;
+    options.rate_pps = 40'000;
+    options.allow = {*net::Cidr::parse("10.0.0.0/28")};
+    tweak(options);
+    (void)analysis::run_iw_scan(world.network, world.internet, options);
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH(run([](auto& o) { o.rate_pps = -5; }), "rate_pps -5: need a finite rate > 0");
+  EXPECT_DEATH(run([](auto& o) { o.rate_pps = 0; }), "rate_pps 0: need");
+  EXPECT_DEATH(run([&](auto& o) { o.rate_pps = nan; }), "rate_pps nan: need");
+  EXPECT_DEATH(run([&](auto& o) { o.rate_pps = inf; }), "rate_pps inf: need");
+  EXPECT_DEATH(run([](auto& o) {
+                 o.two_phase = true;
+                 o.sweep_rate_pps = 0;
+               }),
+               "sweep_rate_pps 0: need a finite rate > 0");
+  EXPECT_DEATH(run([](auto& o) { o.sample_fraction = 0; }),
+               "sample_fraction 0: need a value in .0, 1.");
+  EXPECT_DEATH(run([](auto& o) { o.sample_fraction = -0.5; }), "sample_fraction -0.5");
+  EXPECT_DEATH(run([](auto& o) { o.sample_fraction = 1.5; }), "sample_fraction 1.5");
+  EXPECT_DEATH(run([&](auto& o) { o.sample_fraction = nan; }), "sample_fraction nan");
+}
+
 TEST(ScanExecutorDeathTest, ReusedWorldAborts) {
   // At shards=1 a second scan would run on the first scan's hosts and
   // flows; at shards>1 on private fresh worlds. The outputs would differ
@@ -417,7 +447,7 @@ TEST_P(ProgressSnapshotsAreMonotoneAndComplete, InEveryMode) {
 INSTANTIATE_TEST_SUITE_P(
     ScanExecutor, ProgressSnapshotsAreMonotoneAndComplete,
     ::testing::Values(ProgressCase{"stateful", false, 0, 2, 16},
-                      ProgressCase{"two_phase_streaming", true, 0, 4, 4},
+                      ProgressCase{"two_phase_uncapped", true, 0, 4, 4},
                       ProgressCase{"two_phase_capped", true, 64, 4, 4}),
     [](const ::testing::TestParamInfo<ProgressCase>& info) {
       return std::string(info.param.name);

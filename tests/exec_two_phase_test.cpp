@@ -6,7 +6,9 @@
 // against the PR 5 hostile battery.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "analysis/scan_runner.hpp"
@@ -131,30 +133,48 @@ TEST(TwoPhaseScan, AdversarialHostsKeepTwoPhaseByteIdentity) {
 // ------------------------------------- phase 2 vs. stateful-everywhere ----
 
 TEST(TwoPhaseScan, PhaseTwoMatchesStatefulScanRestrictedToResponsiveSet) {
-  const analysis::ScanOutput two_phase = run_two_phase(1);
-  ASSERT_FALSE(two_phase.records.empty());
+  // A clean world, and iwbench's hostile_lossy world: tarpits, CDN pacing,
+  // loss, reordering and duplicates. Hosts the sweep touched may be evicted
+  // during its cooldown and rebuilt for phase 2; that must not show either.
+  model::ModelConfig hostile = FreshWorld::make_config();
+  hostile.adversarial_fraction = 0.05;
+  hostile.cdn_fraction = 0.30;
+  hostile.loss_rate = 0.02;
+  hostile.reorder_rate = 0.01;
+  hostile.duplicate_rate = 0.005;
+  const std::pair<const char*, model::ModelConfig> worlds[] = {
+      {"clean", FreshWorld::make_config()}, {"hostile_lossy", hostile}};
+  for (const auto& [name, config] : worlds) {
+    for (const std::uint64_t shards : {1u, 2u}) {
+      SCOPED_TRACE(std::string(name) + " world, shards=" + std::to_string(shards));
+      FreshWorld two_phase_world(config);
+      const analysis::ScanOutput two_phase = analysis::run_iw_scan(
+          two_phase_world.network, two_phase_world.internet, two_phase_options(shards));
+      ASSERT_FALSE(two_phase.records.empty());
 
-  FreshWorld world;
-  analysis::ScanOptions stateful = two_phase_options(1);
-  stateful.two_phase = false;
-  const analysis::ScanOutput everywhere =
-      analysis::run_iw_scan(world.network, world.internet, stateful);
-  ASSERT_GT(everywhere.records.size(), two_phase.records.size());
+      FreshWorld stateful_world(config);
+      analysis::ScanOptions stateful = two_phase_options(shards);
+      stateful.two_phase = false;
+      const analysis::ScanOutput everywhere = analysis::run_iw_scan(
+          stateful_world.network, stateful_world.internet, stateful);
+      ASSERT_GT(everywhere.records.size(), two_phase.records.size());
 
-  std::unordered_set<std::uint32_t> promoted;
-  for (const scan::SweepRecord& record : two_phase.sweep_records) {
-    if (record.responsive) promoted.insert(record.ip.value());
-  }
-  std::vector<core::HostScanRecord> expected;
-  for (const core::HostScanRecord& record : everywhere.records) {
-    if (promoted.contains(record.ip.value())) expected.push_back(record);
-  }
-  // Running the sweep first must not change a single bit of what the
-  // stateful tier measures — the tiers ride disjoint flows.
-  ASSERT_EQ(two_phase.records.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_TRUE(two_phase.records[i] == expected[i])
-        << "record " << i << " (ip " << expected[i].ip.to_string() << ")";
+      std::unordered_set<std::uint32_t> promoted;
+      for (const scan::SweepRecord& record : two_phase.sweep_records) {
+        if (record.responsive) promoted.insert(record.ip.value());
+      }
+      std::vector<core::HostScanRecord> expected;
+      for (const core::HostScanRecord& record : everywhere.records) {
+        if (promoted.contains(record.ip.value())) expected.push_back(record);
+      }
+      // Running the sweep first must not change a single bit of what the
+      // stateful tier measures — the tiers ride disjoint flows.
+      ASSERT_EQ(two_phase.records.size(), expected.size());
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_TRUE(two_phase.records[i] == expected[i])
+            << "record " << i << " (ip " << expected[i].ip.to_string() << ")";
+      }
+    }
   }
 }
 
@@ -244,7 +264,7 @@ TEST(StatelessSweepAdversarial, HostileBatteryHoldsNoStateAndAlwaysFinishes) {
 }
 
 TEST(StatelessSweepAdversarial, TwoPhaseOverHostilePopulationLeaksNoSessions) {
-  // End-to-end: a population with a hostile fraction, streamed through both
+  // End-to-end: a population with a hostile fraction, run through both
   // tiers. The run must complete with every stateful session reaped (the
   // engine pins live_sessions()==0 via done(); reaching here proves it).
   model::ModelConfig config;

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 #include <random>
 #include <set>
 #include <string_view>
@@ -412,21 +411,6 @@ TEST(ScanEngine, OutstandingCapThrottles) {
   EXPECT_EQ(engine.stats().targets_finished, 256u);
 }
 
-TEST(ScanEngine, CompletionCallbackFires) {
-  EngineRig rig;
-  SynScanConfig config;
-  config.timeout = sim::msec(10);
-  SynScanModule module(config, [](const SynScanResult&) {});
-  TargetGenerator targets({*net::Cidr::parse("10.5.0.0/30")}, {}, 3);
-  ScanEngine engine(rig.network, EngineConfig{}, std::move(targets), module);
-  bool completed = false;
-  engine.set_on_complete([&] { completed = true; });
-  engine.start();
-  while (!engine.done() && rig.loop.step()) {
-  }
-  EXPECT_TRUE(completed);
-}
-
 // --------------------------------------------------------- ICMP MTU ------
 
 class MtuDiscovery : public ::testing::TestWithParam<std::uint32_t> {};
@@ -610,11 +594,9 @@ TEST(ChecksumUpdate, NoopUpdateIsIdentity) {
 struct SweepRig : EngineRig {
   std::vector<SweepEvent> events;
 
-  SweepStats sweep(net::Cidr space, SweepConfig config = {},
-                   std::function<void(StatelessSweep&)> tweak = {}) {
+  SweepStats sweep(net::Cidr space, SweepConfig config = {}) {
     StatelessSweep sweep(network, config, TargetGenerator({space}, {}, config.seed),
                          [&](const SweepEvent& event) { events.push_back(event); });
-    if (tweak) tweak(sweep);
     sweep.start();
     while (!sweep.done() && loop.step()) {
     }
@@ -709,42 +691,12 @@ TEST(StatelessSweep, ForgedAcksAreRejectedByCookieValidation) {
   EXPECT_EQ(rig.count(SweepEventKind::Closed), 0);
 }
 
-TEST(StatelessSweep, ThrottleParksPacingUntilWake) {
-  SweepRig rig;
-  for (int i = 0; i < 4; ++i) rig.add_host(net::IPv4Address(10, 2, 3, static_cast<std::uint8_t>(i)), true);
-  bool throttled = true;
-  StatelessSweep sweep(rig.network, SweepConfig{},
-                       TargetGenerator({*net::Cidr::parse("10.2.3.0/30")}, {}, 7),
-                       [&](const SweepEvent& event) { rig.events.push_back(event); });
-  sweep.set_throttle([&] { return throttled; });
-  sweep.start();
-  while (rig.loop.step()) {
-  }
-  // Backpressure from the first pace() call onward: one SYN at most went
-  // out (the throttle is consulted before each send).
-  EXPECT_FALSE(sweep.done());
-  EXPECT_LE(sweep.stats().targets_probed, 1u);
-
-  throttled = false;
-  sweep.wake();
-  while (!sweep.done() && rig.loop.step()) {
-  }
-  EXPECT_TRUE(sweep.done());
-  EXPECT_EQ(sweep.stats().targets_probed, 4u);
-  EXPECT_EQ(sweep.stats().responsive, 4u);
-}
-
 TEST(StatelessSweep, DarkSpaceFinishesViaCooldownAndSignalsCompletion) {
   SweepRig rig;
   SweepConfig config;
   config.cooldown = sim::sec(2);
-  bool completed = false;
-  const SweepStats stats =
-      rig.sweep(*net::Cidr::parse("10.2.4.0/28"), config,
-                [&](StatelessSweep& sweep) {
-                  sweep.set_on_complete([&] { completed = true; });
-                });
-  EXPECT_TRUE(completed);
+  // rig.sweep() requires done(): the sweep signals completion on its own.
+  const SweepStats stats = rig.sweep(*net::Cidr::parse("10.2.4.0/28"), config);
   EXPECT_EQ(stats.targets_probed, 16u);
   EXPECT_EQ(stats.packets_sent, 16u);  // one SYN each, nothing to answer
   EXPECT_EQ(stats.responsive, 0u);

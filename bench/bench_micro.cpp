@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark): the per-packet hot paths that bound
 // the scanner's achievable rate (§3.4) — codec round trips, checksums,
 // address-permutation iteration, event-loop throughput, the pooled fabric
-// hop, and a single estimator connection end-to-end.
+// hop, lazy host materialization, and a single estimator connection
+// end-to-end.
 //
 // `--json <path>` writes the results as JSON (items/bytes per second plus
 // the allocs_per_packet counters) for the perf-tracking harness; see
@@ -9,6 +10,7 @@
 // baseline in BENCH_datapath.json.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "core/estimator.hpp"
 #include "httpd/http_server.hpp"
 #include "inetmodel/censys_certs.hpp"
+#include "inetmodel/internet.hpp"
 #include "netbase/checksum.hpp"
 #include "netbase/packet.hpp"
 #include "netsim/network.hpp"
@@ -155,7 +158,7 @@ void BM_NetworkPacketDelivery(benchmark::State& state) {
 
   // Warm the pool and slab so the counted window is steady state.
   for (int i = 0; i < 16; ++i) {
-    net::PacketBuf warm = network.pool().acquire();
+    net::PacketBuf warm = network.pool().acquire(wire_size);
     net::encode_into(segment, warm.bytes());
     network.send(std::move(warm));
   }
@@ -164,7 +167,7 @@ void BM_NetworkPacketDelivery(benchmark::State& state) {
   std::uint64_t packets = 0;
   const std::uint64_t allocs_before = util::alloc_stats::allocations();
   for (auto _ : state) {
-    net::PacketBuf buf = network.pool().acquire();
+    net::PacketBuf buf = network.pool().acquire(wire_size);
     net::encode_into(segment, buf.bytes());
     network.send(std::move(buf));
     loop.run();
@@ -214,7 +217,8 @@ void BM_NetworkPacketDeliveryManyHosts(benchmark::State& state) {
 
   // One pass over every host warms the pool, the slab and every flow.
   for (const net::TcpSegment& segment : segments) {
-    net::PacketBuf warm = network.pool().acquire();
+    net::PacketBuf warm =
+        network.pool().acquire(net::encoded_size(segment.tcp, segment.payload));
     net::encode_into(segment, warm.bytes());
     network.send(std::move(warm));
     loop.run();
@@ -224,8 +228,10 @@ void BM_NetworkPacketDeliveryManyHosts(benchmark::State& state) {
   std::size_t next = 0;
   const std::uint64_t allocs_before = util::alloc_stats::allocations();
   for (auto _ : state) {
-    net::PacketBuf buf = network.pool().acquire();
-    net::encode_into(segments[next], buf.bytes());
+    const net::TcpSegment& segment = segments[next];
+    net::PacketBuf buf =
+        network.pool().acquire(net::encoded_size(segment.tcp, segment.payload));
+    net::encode_into(segment, buf.bytes());
     network.send(std::move(buf));
     loop.run();
     next = next + 1 == segments.size() ? 0 : next + 1;
@@ -239,6 +245,62 @@ void BM_NetworkPacketDeliveryManyHosts(benchmark::State& state) {
   benchmark::DoNotOptimize(sink.received);
 }
 BENCHMARK(BM_NetworkPacketDeliveryManyHosts)->Arg(4096)->Arg(65536);
+
+void BM_MaterializeHost(benchmark::State& state) {
+  // The sweep's per-host world cost: the first packet to a present address
+  // makes the Internet model build its host (stack, listeners, path) and
+  // attach it. The packet is an ICMP message hosts ignore, so the counted
+  // allocations are the build alone: allocs_per_host, and hosts/s as the
+  // rate. A world runs out of unbuilt hosts, so it is rebuilt, untimed and
+  // uncounted, every pass over its addresses.
+  struct World {
+    sim::EventLoop loop;
+    sim::Network network{loop, 1};
+    model::InternetModel internet;
+    World(const model::ModelConfig& config, std::size_t hosts)
+        : internet(network, config) {
+      internet.install();
+      network.reserve_endpoints(hosts);  // as the scan engine does
+    }
+  };
+  model::ModelConfig config;
+  config.scale_log2 = 16;
+  auto world = std::make_unique<World>(config, 0);
+  std::vector<net::IPv4Address> present;
+  for (const net::Cidr& prefix : world->internet.registry().scan_space()) {
+    for (std::uint64_t i = 0; i < prefix.size(); ++i) {
+      if (world->internet.truth(prefix.at(i)).present) present.push_back(prefix.at(i));
+    }
+  }
+  world = std::make_unique<World>(config, present.size());
+  net::IcmpDatagram probe;
+  probe.ip.src = net::IPv4Address{192, 0, 2, 1};
+  probe.icmp.type = net::IcmpType::DestinationUnreachable;
+
+  std::uint64_t hosts = 0;
+  std::uint64_t allocs = 0;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    if (next == present.size()) {
+      state.PauseTiming();
+      world.reset();
+      world = std::make_unique<World>(config, present.size());
+      next = 0;
+      state.ResumeTiming();
+    }
+    probe.ip.dst = present[next++];
+    net::PacketBuf buf = world->network.pool().acquire(net::encoded_size(probe));
+    net::encode_into(probe, buf.bytes());
+    const std::uint64_t before = util::alloc_stats::allocations();
+    world->network.send(std::move(buf));
+    allocs += util::alloc_stats::allocations() - before;
+    ++hosts;
+  }
+  state.counters["allocs_per_host"] =
+      hosts == 0 ? 0.0 : static_cast<double>(allocs) / static_cast<double>(hosts);
+  state.SetItemsProcessed(static_cast<std::int64_t>(hosts));
+}
+BENCHMARK(BM_MaterializeHost);
 
 void BM_EstimatorConnection(benchmark::State& state) {
   // One complete Fig.-1 estimation against an IW10 host, end to end.

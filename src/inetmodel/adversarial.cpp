@@ -35,7 +35,7 @@ class RawAdversary final : public sim::Endpoint {
   RawAdversary& operator=(const RawAdversary&) = delete;
 
   /// Eviction probe for the Internet model: no connection state left.
-  [[nodiscard]] bool quiescent() const noexcept { return conns_.empty(); }
+  [[nodiscard]] bool quiescent() const noexcept override { return conns_.empty(); }
 
   void handle_packet(net::PacketView bytes) override {
     const auto datagram = net::decode_datagram(bytes);
@@ -328,9 +328,10 @@ class TlsAlertApp final : public tcp::Application {
 
 }  // namespace
 
-AdversarialHost make_adversarial_host(sim::Network& network, net::IPv4Address ip,
-                                      AdversarialBehavior behavior,
-                                      std::uint64_t seed) {
+std::unique_ptr<sim::Endpoint> make_adversarial_host(sim::Network& network,
+                                                     net::IPv4Address ip,
+                                                     AdversarialBehavior behavior,
+                                                     std::uint64_t seed) {
   switch (behavior) {
     case AdversarialBehavior::RedirectLoop:
     case AdversarialBehavior::TlsFatalAlert: {
@@ -345,8 +346,7 @@ AdversarialHost make_adversarial_host(sim::Network& network, net::IPv4Address ip
           return std::make_unique<TlsAlertApp>();
         });
       }
-      tcp::TcpHost* raw = host.get();
-      return {std::move(host), [raw] { return raw->quiescent(); }};
+      return host;
     }
     case AdversarialBehavior::Tarpit:
     case AdversarialBehavior::ZeroWindow:
@@ -356,12 +356,10 @@ AdversarialHost make_adversarial_host(sim::Network& network, net::IPv4Address ip
     case AdversarialBehavior::Slowloris:
     case AdversarialBehavior::FinBeforeData:
     case AdversarialBehavior::ShrinkingRetransmit: {
-      auto raw = std::make_unique<RawAdversary>(network, ip, behavior, seed);
-      RawAdversary* ptr = raw.get();
-      return {std::move(raw), [ptr] { return ptr->quiescent(); }};
+      return std::make_unique<RawAdversary>(network, ip, behavior, seed);
     }
   }
-  return {};
+  return nullptr;
 }
 
 }  // namespace iwscan::model

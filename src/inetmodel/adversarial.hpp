@@ -18,7 +18,6 @@
 // population merges byte-identically across any shard count.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string_view>
 
@@ -58,19 +57,11 @@ inline constexpr int kAdversarialBehaviorCount = 10;
   return "?";
 }
 
-/// A materialized hostile host: the endpoint to attach plus a quiescence
-/// probe for the Internet model's eviction sweep (raw endpoints are not
-/// tcp::TcpHost, so the model cannot ask them directly).
-struct AdversarialHost {
-  std::unique_ptr<sim::Endpoint> endpoint;
-  std::function<bool()> quiescent;
-};
-
 /// Build the endpoint implementing `behavior` at `ip`. `seed` keys all of
 /// the host's draws (ISNs etc.); the caller attaches/detaches the endpoint.
-[[nodiscard]] AdversarialHost make_adversarial_host(sim::Network& network,
-                                                    net::IPv4Address ip,
-                                                    AdversarialBehavior behavior,
-                                                    std::uint64_t seed);
+/// Its quiescent() reports when it holds no connection state.
+[[nodiscard]] std::unique_ptr<sim::Endpoint> make_adversarial_host(
+    sim::Network& network, net::IPv4Address ip, AdversarialBehavior behavior,
+    std::uint64_t seed);
 
 }  // namespace iwscan::model

@@ -16,7 +16,7 @@ class AbortApp final : public tcp::Application {
   }
 };
 
-std::string server_header_for(const GroundTruth& gt, util::Rng& rng) {
+std::string_view server_header_for(const GroundTruth& gt, util::Rng& rng) {
   // The Akamai "GHost" server string is what the paper's Table 3 service
   // classifier keys on.
   if (gt.as->service_tag == "akamai") return "GHost";
@@ -53,19 +53,12 @@ sim::Endpoint* InternetModel::resolve(net::IPv4Address ip) {
   const GroundTruth gt = truth(ip);
   if (!gt.present) return nullptr;  // dark space: probes just time out
 
-  HostEntry entry;
-  if (gt.adversary) {
-    AdversarialHost adv = make_adversarial_host(
-        network_, ip, *gt.adversary, util::mix64(config_.seed ^ 0xad4eULL, ip.value()));
-    entry.endpoint = std::move(adv.endpoint);
-    entry.quiescent = std::move(adv.quiescent);
-  } else {
-    auto host = build_host(ip, gt);
-    tcp::TcpHost* raw = host.get();
-    entry.endpoint = std::move(host);
-    entry.quiescent = [raw] { return raw->quiescent(); };
-  }
-  sim::Endpoint* raw = entry.endpoint.get();
+  std::unique_ptr<sim::Endpoint> host =
+      gt.adversary ? make_adversarial_host(
+                         network_, ip, *gt.adversary,
+                         util::mix64(config_.seed ^ 0xad4eULL, ip.value()))
+                   : build_host(ip, gt);
+  sim::Endpoint* raw = host.get();
 
   sim::PathConfig path = network_.default_path();
   path.latency = sim::usec(gt.latency_us);
@@ -77,15 +70,13 @@ sim::Endpoint* InternetModel::resolve(net::IPv4Address ip) {
   network_.set_path(ip, path);
 
   network_.attach(ip, raw);
-  hosts_.emplace(ip, std::move(entry));
+  hosts_.emplace(ip, std::move(host));
   ++instantiated_;
   return raw;
 }
 
 std::unique_ptr<tcp::TcpHost> InternetModel::build_host(net::IPv4Address ip,
                                                         const GroundTruth& gt) {
-  util::Rng rng(util::mix64(config_.seed ^ 0xb111dULL, ip.value()));
-
   tcp::StackConfig base;
   base.os = gt.os;
   base.own_mss_limit = static_cast<std::uint16_t>(
@@ -93,107 +84,108 @@ std::unique_ptr<tcp::TcpHost> InternetModel::build_host(net::IPv4Address ip,
   auto host = std::make_unique<tcp::TcpHost>(network_, ip, base,
                                              util::mix64(config_.seed, ip.value()));
 
-  const std::string server_header = server_header_for(gt, rng);
-
+  // The factories capture only {this, ip}, which std::function stores
+  // inline; each accepted SYN derives its daemon from truth(ip).
   if (gt.http) {
     tcp::StackConfig http_stack = base;
     http_stack.iw = gt.http_iw;
-
-    if (gt.http_category == HttpCategory::Abort) {
-      host->listen(80,
-                   [](net::IPv4Address, std::uint16_t) {
-                     return std::make_unique<AbortApp>();
-                   },
-                   http_stack);
-    } else {
-      http::WebConfig web;
-      web.server_header = server_header;
-      if (gt.http_vhost_iw) {
-        web.vhost_iw = gt.http_vhost_iw;
-        web.canonical_name = gt.canonical_name;
-      }
-      switch (gt.http_category) {
-        case HttpCategory::SuccessDirect:
-          web.root = http::RootBehavior::Page;
-          web.page_size = gt.http_page_bytes;
-          break;
-        case HttpCategory::SuccessRedirect:
-          web.root = http::RootBehavior::RedirectToName;
-          web.canonical_name = gt.canonical_name;
-          web.redirected_page_size = gt.redirect_page_bytes;
-          break;
-        case HttpCategory::SuccessEcho:
-          web.root = http::RootBehavior::NotFoundEcho;
-          web.not_found_extra = 160;
-          break;
-        case HttpCategory::FewData: {
-          const std::uint32_t eff = gt.os == tcp::OsProfile::Windows ? 536 : 64;
-          const std::size_t span = gt.few_bound * eff - eff / 2;
-          const std::size_t overhead =
-              http_response_overhead(server_header, 200, span, true);
-          if (span > overhead + 8) {
-            web.root = http::RootBehavior::Page;
-            web.page_size = gt.http_page_bytes;
-          } else {
-            web.root = http::RootBehavior::RawBanner;
-            web.page_size = gt.http_page_bytes;
-          }
-          break;
-        }
-        case HttpCategory::NoData:
-          web.root = http::RootBehavior::Silent;
-          break;
-        case HttpCategory::Abort:
-          break;  // handled above
-      }
-      host->listen(80, http::HttpServerApp::factory(std::move(web)), http_stack);
-    }
+    host->listen(
+        80, [this, ip](net::IPv4Address, std::uint16_t) { return http_app(ip); },
+        http_stack);
   }
-
   if (gt.tls) {
     tcp::StackConfig tls_stack = base;
     tls_stack.iw = gt.tls_iw;
-
-    if (gt.tls_category == TlsCategory::Abort) {
-      host->listen(443,
-                   [](net::IPv4Address, std::uint16_t) {
-                     return std::make_unique<AbortApp>();
-                   },
-                   tls_stack);
-    } else {
-      tls::TlsConfig cfg;
-      cfg.chain_bytes = gt.chain_bytes;
-      cfg.server_name = gt.canonical_name;
-      cfg.seed = util::mix64(config_.seed, ip.value() ^ 3);
-      cfg.ocsp_staple = gt.ocsp_staple;
-      cfg.sni_iw = gt.tls_vhost_iw;
-      switch (gt.tls_category) {
-        case TlsCategory::Normal:
-          cfg.sni_policy = tls::SniPolicy::Ignore;
-          break;
-        case TlsCategory::SniAlert:
-          cfg.sni_policy = tls::SniPolicy::AlertAndClose;
-          break;
-        case TlsCategory::SniSilent:
-          cfg.sni_policy = tls::SniPolicy::SilentClose;
-          break;
-        case TlsCategory::ExoticCipher:
-          cfg.supported_ciphers = tls::cipher_set(tls::CipherProfile::Exotic);
-          break;
-        case TlsCategory::Abort:
-          break;  // handled above
-      }
-      host->listen(443, tls::TlsServerApp::factory(std::move(cfg)), tls_stack);
-    }
+    host->listen(
+        443, [this, ip](net::IPv4Address, std::uint16_t) { return tls_app(ip); },
+        tls_stack);
   }
-
   return host;
+}
+
+std::unique_ptr<tcp::Application> InternetModel::http_app(net::IPv4Address ip) const {
+  GroundTruth gt = truth(ip);
+  if (gt.http_category == HttpCategory::Abort) return std::make_unique<AbortApp>();
+  return std::make_unique<http::HttpServerApp>(
+      std::make_shared<const http::WebConfig>(web_config(ip, std::move(gt))));
+}
+
+std::unique_ptr<tcp::Application> InternetModel::tls_app(net::IPv4Address ip) const {
+  GroundTruth gt = truth(ip);
+  if (gt.tls_category == TlsCategory::Abort) return std::make_unique<AbortApp>();
+  return std::make_unique<tls::TlsServerApp>(tls_config(ip, std::move(gt)));
+}
+
+http::WebConfig InternetModel::web_config(net::IPv4Address ip, GroundTruth gt) const {
+  util::Rng rng(util::mix64(config_.seed ^ 0xb111dULL, ip.value()));
+  http::WebConfig web;
+  web.server_header = server_header_for(gt, rng);
+  web.vhost_iw = gt.http_vhost_iw;
+  switch (gt.http_category) {
+    case HttpCategory::SuccessDirect:
+      web.root = http::RootBehavior::Page;
+      web.page_size = gt.http_page_bytes;
+      break;
+    case HttpCategory::SuccessRedirect:
+      web.root = http::RootBehavior::RedirectToName;
+      web.redirected_page_size = gt.redirect_page_bytes;
+      break;
+    case HttpCategory::SuccessEcho:
+      web.root = http::RootBehavior::NotFoundEcho;
+      web.not_found_extra = 160;
+      break;
+    case HttpCategory::FewData: {
+      const std::uint32_t eff = gt.os == tcp::OsProfile::Windows ? 536 : 64;
+      const std::size_t span = gt.few_bound * eff - eff / 2;
+      const std::size_t overhead =
+          http_response_overhead(web.server_header, 200, span, true);
+      web.root = span > overhead + 8 ? http::RootBehavior::Page
+                                     : http::RootBehavior::RawBanner;
+      web.page_size = gt.http_page_bytes;
+      break;
+    }
+    case HttpCategory::NoData:
+      web.root = http::RootBehavior::Silent;
+      break;
+    case HttpCategory::Abort:
+      break;  // served by AbortApp, not the httpd
+  }
+  if (gt.http_vhost_iw || gt.http_category == HttpCategory::SuccessRedirect) {
+    web.canonical_name = std::move(gt.canonical_name);
+  }
+  return web;
+}
+
+tls::TlsConfig InternetModel::tls_config(net::IPv4Address ip, GroundTruth gt) const {
+  tls::TlsConfig cfg;
+  cfg.chain_bytes = gt.chain_bytes;
+  cfg.server_name = std::move(gt.canonical_name);
+  cfg.seed = util::mix64(config_.seed, ip.value() ^ 3);
+  cfg.ocsp_staple = gt.ocsp_staple;
+  cfg.sni_iw = gt.tls_vhost_iw;
+  switch (gt.tls_category) {
+    case TlsCategory::Normal:
+      cfg.sni_policy = tls::SniPolicy::Ignore;
+      break;
+    case TlsCategory::SniAlert:
+      cfg.sni_policy = tls::SniPolicy::AlertAndClose;
+      break;
+    case TlsCategory::SniSilent:
+      cfg.sni_policy = tls::SniPolicy::SilentClose;
+      break;
+    case TlsCategory::ExoticCipher:
+      cfg.supported_ciphers = tls::cipher_set(tls::CipherProfile::Exotic);
+      break;
+    case TlsCategory::Abort:
+      break;  // served by AbortApp, not the TLS daemon
+  }
+  return cfg;
 }
 
 void InternetModel::sweep() {
   sweep_event_ = network_.loop().schedule(config_.sweep_interval, [this] { sweep(); });
   for (auto it = hosts_.begin(); it != hosts_.end();) {
-    if (it->second.quiescent()) {
+    if (it->second->quiescent()) {
       network_.detach(it->first);
       network_.clear_path(it->first);
       it = hosts_.erase(it);

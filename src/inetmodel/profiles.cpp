@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <initializer_list>
 #include <limits>
+#include <string_view>
 
 #include "httpd/http_message.hpp"
 #include "inetmodel/censys_certs.hpp"
@@ -52,18 +54,40 @@ std::string hex_name(std::uint64_t value) {
   return buf;
 }
 
+/// Concatenates `parts` into one allocation: ground truth is rebuilt for
+/// every materialized host and every connection a modeled daemon accepts.
+std::string concat(std::initializer_list<std::string_view> parts) {
+  std::size_t size = 0;
+  for (const std::string_view part : parts) size += part.size();
+  std::string out;
+  out.reserve(size);
+  for (const std::string_view part : parts) out += part;
+  return out;
+}
+
+std::string canonical_name_for(std::uint64_t seed, net::IPv4Address ip) {
+  return concat({"www.site-", hex_name(util::mix64(seed, ip.value() ^ 1)), ".example"});
+}
+
 }  // namespace
 
 std::size_t http_response_overhead(std::string_view server_header, int status,
                                    std::size_t body_size, bool connection_close) {
-  http::HttpResponse response;
-  response.status = status;
-  response.reason = status == 200 ? "OK" : (status == 404 ? "Not Found" : "Moved");
-  response.headers.push_back({"Server", std::string(server_header)});
-  response.headers.push_back({"Content-Type", "text/html"});
-  if (connection_close) response.headers.push_back({"Connection", "close"});
-  response.body.assign(body_size, 'x');
-  return response.serialize().size() - body_size;
+  // Counts what http::HttpResponse::serialize() writes around the body
+  // instead of building the response: ground truth sizes every few-data
+  // page with this, and the model derives each accepted connection's
+  // config from ground truth again. A test pins the count to serialize():
+  // GroundTruth.ResponseOverheadMatchesSerializedResponse.
+  const auto header = [](std::string_view name, std::string_view value) {
+    return name.size() + 2 + value.size() + 2;  // "name: value\r\n"
+  };
+  const std::string_view reason =
+      status == 200 ? "OK" : (status == 404 ? "Not Found" : "Moved");
+  std::size_t size = http::HttpResponse{}.version.size() + 1 +
+                     std::to_string(status).size() + 1 + reason.size() + 2;
+  size += header("Server", server_header) + header("Content-Type", "text/html");
+  if (connection_close) size += header("Connection", "close");
+  return size + header("Content-Length", std::to_string(body_size)) + 2;
 }
 
 std::uint32_t GroundTruth::true_iw_segments(bool for_tls,
@@ -215,8 +239,7 @@ GroundTruth synthesize_host(const AsRegistry& registry, const ModelConfig& confi
       const std::size_t page = need + static_cast<std::size_t>(extra);
       if (gt.http_category == HttpCategory::SuccessRedirect) {
         gt.redirect_page_bytes = page;
-        gt.canonical_name = "www.site-" + hex_name(util::mix64(seed, ip.value() ^ 1)) +
-                            ".example";
+        gt.canonical_name = canonical_name_for(seed, ip);
       } else {
         gt.http_page_bytes = page;
       }
@@ -240,26 +263,25 @@ GroundTruth synthesize_host(const AsRegistry& registry, const ModelConfig& confi
     gt.chain_bytes = CertChainDistribution::sample(rng);
     gt.ocsp_staple = rng.chance(t.ocsp_staple);
     if (gt.canonical_name.empty()) {
-      gt.canonical_name =
-          "www.site-" + hex_name(util::mix64(seed, ip.value() ^ 1)) + ".example";
+      gt.canonical_name = canonical_name_for(seed, ip);
     }
   }
 
   // ---- Reverse DNS ---------------------------------------------------------
   if (rng.chance(arch.rdns_present)) {
-    const std::string tag =
-        arch.rdns_tag.empty() ? std::string(as->name) : arch.rdns_tag;
+    const std::string_view tag = arch.rdns_tag.empty() ? as->name : arch.rdns_tag;
     if (rng.chance(arch.rdns_ip_encoded)) {
       char buf[96];
       const char* style = arch.rdns_is_isp
                               ? (rng.chance(0.5) ? "customer" : "dyn")
                               : "host";
-      std::snprintf(buf, sizeof(buf), "%s-%u-%u-%u-%u.%s.example", style,
-                    ip.octet(0), ip.octet(1), ip.octet(2), ip.octet(3), tag.c_str());
+      std::snprintf(buf, sizeof(buf), "%s-%u-%u-%u-%u.%.*s.example", style,
+                    ip.octet(0), ip.octet(1), ip.octet(2), ip.octet(3),
+                    static_cast<int>(tag.size()), tag.data());
       gt.rdns = buf;
     } else {
-      gt.rdns = "srv" + hex_name(util::mix64(seed, ip.value() ^ 2)) + "." + tag +
-                ".example";
+      gt.rdns = concat({"srv", hex_name(util::mix64(seed, ip.value() ^ 2)), ".", tag,
+                        ".example"});
     }
   }
 
@@ -361,8 +383,7 @@ GroundTruth synthesize_host(const AsRegistry& registry, const ModelConfig& confi
       // resize the page so even the largest (vhost) config overflows at both
       // announced MSSes, with verification slack.
       if (gt.canonical_name.empty()) {
-        gt.canonical_name =
-            "www.site-" + hex_name(util::mix64(seed, ip.value() ^ 1)) + ".example";
+        gt.canonical_name = canonical_name_for(seed, ip);
       }
       const std::uint16_t eff64 = tcp::effective_mss(gt.os, 64, 1460);
       const std::uint16_t eff128 = tcp::effective_mss(gt.os, 128, 1460);

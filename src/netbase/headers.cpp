@@ -114,7 +114,7 @@ void IcmpMessage::encode(WireWriter& writer) const {
 }
 
 std::optional<IcmpMessage> IcmpMessage::decode(std::span<const std::uint8_t> data) {
-  if (data.size() < 8) return std::nullopt;
+  if (data.size() < kHeaderSize) return std::nullopt;
   if (internet_checksum(data) != 0) return std::nullopt;
   WireReader reader(data);
   IcmpMessage message;

@@ -87,6 +87,8 @@ enum class IcmpType : std::uint8_t {
 inline constexpr std::uint8_t kIcmpFragNeeded = 4;
 
 struct IcmpMessage {
+  static constexpr std::size_t kHeaderSize = 8;
+
   IcmpType type = IcmpType::Echo;
   std::uint8_t code = 0;
   // Rest-of-header semantics depend on type: echo id/seq, or unused +

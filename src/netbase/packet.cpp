@@ -7,15 +7,15 @@ namespace iwscan::net {
 void encode_into(const Ipv4Header& ip_header, const TcpHeader& tcp,
                  std::span<const std::uint8_t> payload, Bytes& out) {
   out.clear();
-  const std::size_t tcp_len = tcp.encoded_size() + payload.size();
+  const std::size_t wire_size = encoded_size(tcp, payload);
   // iwlint: allow(hot-path) -- reserve on a pooled buffer reusing its
   // capacity; a no-op in steady state (pinned by alloc_budget_test)
-  out.reserve(Ipv4Header::kSize + tcp_len);
+  out.reserve(wire_size);
   WireWriter writer(out);
 
   Ipv4Header ip = ip_header;
   ip.protocol = kProtocolTcp;
-  ip.total_length = static_cast<std::uint16_t>(Ipv4Header::kSize + tcp_len);
+  ip.total_length = static_cast<std::uint16_t>(wire_size);
   ip.encode(writer);
 
   const std::size_t tcp_start = writer.offset();
@@ -35,15 +35,14 @@ void encode_into(const IcmpDatagram& datagram, Bytes& out) {
   out.clear();
   // ICMP wire size is known up front (8-byte header + payload), so the
   // message encodes straight into the output — no staging vector.
-  constexpr std::size_t kIcmpHeaderSize = 8;
-  const std::size_t icmp_len = kIcmpHeaderSize + datagram.icmp.payload.size();
+  const std::size_t wire_size = encoded_size(datagram);
   // iwlint: allow(hot-path) -- reserve on a pooled buffer reusing its
   // capacity; a no-op in steady state (pinned by alloc_budget_test)
-  out.reserve(Ipv4Header::kSize + icmp_len);
+  out.reserve(wire_size);
   WireWriter writer(out);
   Ipv4Header ip = datagram.ip;
   ip.protocol = kProtocolIcmp;
-  ip.total_length = static_cast<std::uint16_t>(Ipv4Header::kSize + icmp_len);
+  ip.total_length = static_cast<std::uint16_t>(wire_size);
   ip.encode(writer);
   datagram.icmp.encode(writer);
 }

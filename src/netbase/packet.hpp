@@ -40,6 +40,16 @@ using Datagram = std::variant<TcpSegment, IcmpDatagram>;
 /// Serialize an ICMP datagram.
 [[nodiscard]] Bytes encode(const IcmpDatagram& datagram);
 
+/// Wire size of the datagram encode_into() writes for these headers and
+/// payload — what a pooled sender passes to BufferPool::acquire().
+[[nodiscard]] inline std::size_t encoded_size(const TcpHeader& tcp,
+                                              std::span<const std::uint8_t> payload) {
+  return Ipv4Header::kSize + tcp.encoded_size() + payload.size();
+}
+[[nodiscard]] inline std::size_t encoded_size(const IcmpDatagram& datagram) {
+  return Ipv4Header::kSize + IcmpMessage::kHeaderSize + datagram.icmp.payload.size();
+}
+
 /// encode() into a caller-provided vector (cleared first) — the pooled
 /// datapath: passing a recycled PacketBuf's bytes() makes steady-state
 /// encoding allocation-free once buffers have grown to working size.

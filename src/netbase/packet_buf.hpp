@@ -8,6 +8,14 @@
 // (taps, filters, Endpoint::handle_packet), and the last handle to go out
 // of scope returns the vector — capacity intact — to the pool's free list.
 //
+// Blocks come in two size classes, each with its own free list. acquire()
+// takes the wire size the caller is about to encode: a packet of at most
+// kSmallBlockBytes (SYN, SYN/ACK, RST, pure ACK, a short request) takes a
+// small block of exactly that capacity, anything longer a large block
+// grown to the longest packet it has carried. The tens of thousands of
+// 40-byte segments a sweep holds in flight therefore never pin a block
+// that once carried a 576-byte data segment.
+//
 // Ownership rules (see DESIGN.md §Performance):
 //   * Refcounts are not atomic. A pool and all handles to its buffers
 //     belong to one shard (one EventLoop); never pass a PacketBuf across
@@ -35,6 +43,11 @@ using PacketView = std::span<const std::uint8_t>;
 
 class BufferPool;
 
+/// Capacity of a small block: a 40-byte TCP/IP header plus 24 bytes of
+/// options or payload, which holds every control segment and the sweep's
+/// handshake-ACK request.
+inline constexpr std::size_t kSmallBlockBytes = 64;
+
 namespace detail {
 
 struct PoolCore;
@@ -51,7 +64,8 @@ struct PacketBlock {
 // last outstanding handle then frees its block and, once nothing remains
 // outstanding, the core itself.
 struct PoolCore {
-  PacketBlock* free_head = nullptr;
+  PacketBlock* small_free = nullptr;  // capacity <= kSmallBlockBytes
+  PacketBlock* large_free = nullptr;  // capacity > kSmallBlockBytes
   std::size_t outstanding = 0;
   bool closed = false;
 };
@@ -66,8 +80,10 @@ inline void release_block(PacketBlock* block) noexcept {
     return;
   }
   block->data.clear();  // keeps capacity for the next acquire()
-  block->next_free = core->free_head;
-  core->free_head = block;
+  PacketBlock*& head = block->data.capacity() <= kSmallBlockBytes ? core->small_free
+                                                                   : core->large_free;
+  block->next_free = head;
+  head = block;
 }
 
 }  // namespace detail
@@ -137,16 +153,18 @@ class PacketBuf {
   detail::PacketBlock* block_ = nullptr;
 };
 
-/// Free list of recycled packet buffers. One per Network (one per shard):
-/// single-threaded by construction, like the EventLoop it feeds.
+/// Free lists of recycled packet buffers, one per size class. One pool per
+/// Network (one per shard): single-threaded by construction, like the
+/// EventLoop it feeds.
 class BufferPool {
  public:
   BufferPool() : core_(new detail::PoolCore) {}
   ~BufferPool() {
     core_->closed = true;
-    detail::PacketBlock* block = core_->free_head;
-    while (block != nullptr) {
-      delete std::exchange(block, block->next_free);
+    for (detail::PacketBlock* block : {core_->small_free, core_->large_free}) {
+      while (block != nullptr) {
+        delete std::exchange(block, block->next_free);
+      }
     }
     if (core_->outstanding == 0) delete core_;
   }
@@ -154,29 +172,30 @@ class BufferPool {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  /// An empty buffer with recycled capacity (uniquely held; fill via
-  /// bytes() before sharing).
-  [[nodiscard]] PacketBuf acquire() {
-    detail::PacketBlock* block = core_->free_head;
-    if (block != nullptr) {
-      core_->free_head = block->next_free;
-    } else {
-      // iwlint: allow(hot-path) -- pool-miss path: the free list serves every
-      // steady-state acquire; growth stops at the scan's high-water mark
-      block = new detail::PacketBlock;
-      block->core = core_;
+  /// An empty buffer (uniquely held; fill via bytes() before sharing) that
+  /// holds `bytes` without reallocating. A request of at most
+  /// kSmallBlockBytes takes a small block; a larger one takes the most
+  /// recently freed large block, grown to `bytes` if it is shorter.
+  [[nodiscard]] PacketBuf acquire(std::size_t bytes) {
+    const bool small = bytes <= kSmallBlockBytes;
+    detail::PacketBlock* block = take(small ? core_->small_free : core_->large_free);
+    const std::size_t capacity = small ? kSmallBlockBytes : bytes;
+    if (block->data.capacity() < capacity) {
+      // iwlint: allow(hot-path) -- sizes a fresh block, or grows a large one
+      // to a longer packet; growth stops at the scan's largest packet
+      block->data.reserve(capacity);
     }
-    block->refs = 1;
-    ++core_->outstanding;
     return PacketBuf{block};
   }
 
   /// Wrap an existing byte vector (compat path for callers that still
   /// build owned net::Bytes); its capacity joins the pool on release.
   [[nodiscard]] PacketBuf adopt(Bytes&& bytes) {
-    PacketBuf buf = acquire();
-    buf.bytes() = std::move(bytes);
-    return buf;
+    detail::PacketBlock* block = take(bytes.capacity() <= kSmallBlockBytes
+                                          ? core_->small_free
+                                          : core_->large_free);
+    block->data = std::move(bytes);
+    return PacketBuf{block};
   }
 
   /// Buffers currently held by handles (diagnostics/tests).
@@ -185,6 +204,23 @@ class BufferPool {
   }
 
  private:
+  /// Pops the head of `free_list`, or makes a capacity-less block when it
+  /// is empty; either way the block is counted outstanding with one ref.
+  detail::PacketBlock* take(detail::PacketBlock*& free_list) {
+    detail::PacketBlock* block = free_list;
+    if (block != nullptr) {
+      free_list = block->next_free;
+    } else {
+      // iwlint: allow(hot-path) -- pool-miss path: the free lists serve every
+      // steady-state acquire; growth stops at the scan's high-water mark
+      block = new detail::PacketBlock;
+      block->core = core_;
+    }
+    block->refs = 1;
+    ++core_->outstanding;
+    return block;
+  }
+
   detail::PoolCore* core_;
 };
 

@@ -169,7 +169,7 @@ void Network::send_frag_needed(net::IPv4Address original_src,
                             original.begin() + static_cast<std::ptrdiff_t>(quote));
 
   // The ICMP reply traverses the same path back (without MTU trouble).
-  net::PacketBuf encoded = pool_.acquire();
+  net::PacketBuf encoded = pool_.acquire(net::encoded_size(reply));
   net::encode_into(reply, encoded.bytes());
   const PathConfig& path = path_for(original_dst);
   deliver(path.latency, original_src, std::move(encoded), false);

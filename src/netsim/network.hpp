@@ -33,6 +33,11 @@ class Endpoint {
   /// hand-off; receivers that are themselves datapath (ScanEngine) carry
   /// their own IWSCAN_HOT on the override.
   IWSCAN_HOT_BOUNDARY virtual void handle_packet(net::PacketView bytes) = 0;
+
+  /// True when the endpoint holds no connection state, so whoever
+  /// materialized it may detach and free it (the Internet model's eviction
+  /// sweep polls this). Stateless endpoints keep the default.
+  [[nodiscard]] virtual bool quiescent() const noexcept { return true; }
 };
 
 /// Impairment model for one path (scanner ↔ host).

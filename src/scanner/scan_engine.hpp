@@ -48,15 +48,16 @@ class SessionServices {
     send_packet(segment.ip, segment.tcp, segment.payload);
   }
   void send_packet(const net::IcmpDatagram& datagram) {
-    encode_and_send([&](net::Bytes& out) { net::encode_into(datagram, out); });
+    encode_and_send(net::encoded_size(datagram),
+                    [&](net::Bytes& out) { net::encode_into(datagram, out); });
   }
   /// TCP headers plus a borrowed payload (e.g. a request the session keeps
   /// for retransmission): encoded straight into the outgoing buffer, with
   /// no TcpSegment staging copy.
   void send_packet(const net::Ipv4Header& ip, const net::TcpHeader& tcp,
                    std::span<const std::uint8_t> payload) {
-    encode_and_send(
-        [&](net::Bytes& out) { net::encode_into(ip, tcp, payload, out); });
+    encode_and_send(net::encoded_size(tcp, payload),
+                    [&](net::Bytes& out) { net::encode_into(ip, tcp, payload, out); });
   }
 
   [[nodiscard]] virtual sim::EventLoop& loop() = 0;
@@ -73,9 +74,9 @@ class SessionServices {
 
  private:
   template <typename Encode>
-  void encode_and_send(const Encode& encode) {
+  void encode_and_send(std::size_t wire_size, const Encode& encode) {
     if (net::BufferPool* pool = packet_pool()) {
-      net::PacketBuf buf = pool->acquire();
+      net::PacketBuf buf = pool->acquire(wire_size);
       encode(buf.bytes());
       send_packet(std::move(buf));
     } else {

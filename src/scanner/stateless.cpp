@@ -139,7 +139,7 @@ void StatelessSweep::finish() {
 
 void StatelessSweep::send_patched(const Template& tmpl, net::IPv4Address dst,
                                   std::uint32_t seq, std::uint32_t ack) {
-  net::PacketBuf buf = network_.pool().acquire();
+  net::PacketBuf buf = network_.pool().acquire(tmpl.bytes.size());
   net::Bytes& out = buf.bytes();
   out.clear();
   net::WireWriter writer(out);

@@ -117,16 +117,18 @@ struct IwConfig {
   friend constexpr bool operator==(const IwConfig&, const IwConfig&) = default;
 };
 
+// Fields are ordered so the struct packs into 64 bytes: every
+// materialized host holds one, plus one per listener override.
 struct StackConfig {
   OsProfile os = OsProfile::Linux;
   IwConfig iw = IwConfig::segments_of(10);
   std::uint16_t own_mss_limit = 1460;  // own interface MTU - 40
   std::uint16_t advertised_window = 65535;
+  int max_retransmits = 5;
+  bool reset_on_closed_port = true;  // false = silently drop (filtered)
   sim::SimTime rto_initial = sim::sec(1);  // Linux default initial RTO
   sim::SimTime rto_max = sim::sec(60);
-  int max_retransmits = 5;
   sim::SimTime idle_timeout = sim::sec(30);
-  bool reset_on_closed_port = true;  // false = silently drop (filtered)
 };
 
 }  // namespace iwscan::tcp

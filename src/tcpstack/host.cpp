@@ -1,5 +1,6 @@
 #include "tcpstack/host.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/rng.hpp"
@@ -16,7 +17,33 @@ TcpHost::~TcpHost() {
 
 void TcpHost::listen(std::uint16_t port, AppFactory factory,
                      std::optional<StackConfig> config_override) {
-  listeners_[port] = Listener{std::move(factory), std::move(config_override)};
+  if (Listener* listener = find_listener(port)) {
+    listener->factory = std::move(factory);
+    listener->config_override = std::move(config_override);
+    return;
+  }
+  listeners_.push_back(Listener{port, std::move(factory), std::move(config_override)});
+}
+
+TcpHost::Listener* TcpHost::find_listener(std::uint16_t port) noexcept {
+  for (Listener& listener : listeners_) {
+    if (listener.port == port) return &listener;
+  }
+  return nullptr;
+}
+
+std::vector<TcpHost::Connection>::iterator TcpHost::find_connection(
+    const ConnKey& key) noexcept {
+  return std::find_if(connections_.begin(), connections_.end(),
+                      [&key](const Connection& entry) {
+                        return !entry.closed && entry.key == key;
+                      });
+}
+
+std::size_t TcpHost::active_connections() const noexcept {
+  return static_cast<std::size_t>(
+      std::count_if(connections_.begin(), connections_.end(),
+                    [](const Connection& entry) { return !entry.closed; }));
 }
 
 void TcpHost::handle_packet(net::PacketView bytes) {
@@ -34,20 +61,19 @@ void TcpHost::handle_packet(net::PacketView bytes) {
 void TcpHost::on_tcp(const net::TcpSegment& segment) {
   const ConnKey key{segment.ip.src, segment.tcp.src_port, segment.tcp.dst_port};
 
-  if (const auto it = connections_.find(key); it != connections_.end()) {
-    it->second->on_segment(segment);
+  if (const auto it = find_connection(key); it != connections_.end()) {
+    it->connection->on_segment(segment);
     return;
   }
 
   if (segment.tcp.has(net::kSyn) && !segment.tcp.has(net::kAck)) {
-    const auto listener = listeners_.find(segment.tcp.dst_port);
-    if (listener == listeners_.end()) {
+    const Listener* listener = find_listener(segment.tcp.dst_port);
+    if (listener == nullptr) {
       if (config_.reset_on_closed_port) send_reset_for(segment);
       return;
     }
-    auto app = listener->second.factory(segment.ip.src, segment.tcp.src_port);
-    const StackConfig& conn_config =
-        listener->second.config_override.value_or(config_);
+    auto app = listener->factory(segment.ip.src, segment.tcp.src_port);
+    const StackConfig& conn_config = listener->config_override.value_or(config_);
     // ISN derived deterministically from the 4-tuple; good enough for a
     // simulation (no off-path attacker to defend against).
     const std::uint32_t isn = static_cast<std::uint32_t>(util::mix64(
@@ -59,17 +85,17 @@ void TcpHost::on_tcp(const net::TcpSegment& segment) {
         [this](const net::Ipv4Header& ip, const net::TcpHeader& tcp,
                std::span<const std::uint8_t> payload) { transmit(ip, tcp, payload); },
         [this, key](TcpConnection&) {
-          // Move to the graveyard; the connection may be deep in its own
-          // call stack right now.
-          if (auto node = connections_.extract(key); !node.empty()) {
-            graveyard_.push_back(std::move(node.mapped()));
+          // Only mark it: the connection may be deep in its own call stack
+          // right now.
+          if (const auto it = find_connection(key); it != connections_.end()) {
+            it->closed = true;
             if (reap_event_ == sim::kNullEvent) {
               reap_event_ = network_.loop().schedule(sim::SimTime::zero(),
-                                                     [this] { reap_graveyard(); });
+                                                     [this] { reap_closed(); });
             }
           }
         });
-    connections_.emplace(key, std::move(connection));
+    connections_.push_back(Connection{key, false, std::move(connection)});
     return;
   }
 
@@ -107,21 +133,23 @@ void TcpHost::on_icmp(const net::IcmpDatagram& datagram) {
   reply.icmp.id_or_unused = datagram.icmp.id_or_unused;
   reply.icmp.seq_or_mtu = datagram.icmp.seq_or_mtu;
   reply.icmp.payload = datagram.icmp.payload;
-  net::PacketBuf packet = network_.pool().acquire();
+  net::PacketBuf packet = network_.pool().acquire(net::encoded_size(reply));
   net::encode_into(reply, packet.bytes());
   network_.send(std::move(packet));
 }
 
 void TcpHost::transmit(const net::Ipv4Header& ip, const net::TcpHeader& tcp,
                        std::span<const std::uint8_t> payload) {
-  net::PacketBuf packet = network_.pool().acquire();
+  net::PacketBuf packet = network_.pool().acquire(net::encoded_size(tcp, payload));
   net::encode_into(ip, tcp, payload, packet.bytes());
   network_.send(std::move(packet));
 }
 
-void TcpHost::reap_graveyard() {
+void TcpHost::reap_closed() {
   reap_event_ = sim::kNullEvent;
-  graveyard_.clear();
+  std::erase_if(connections_, [](const Connection& entry) { return entry.closed; });
+  // An idle host keeps no connection storage; most never connect again.
+  if (connections_.empty()) connections_ = std::vector<Connection>();
 }
 
 }  // namespace iwscan::tcp

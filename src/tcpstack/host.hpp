@@ -1,11 +1,14 @@
 // A simulated host: one IP address, a TCP demultiplexer with listening
 // ports, and an ICMP echo responder. Owns its connections.
+//
+// A host listens on a port or two and holds a handful of connections at a
+// time, so both tables are flat vectors searched linearly: an idle host
+// costs one small array instead of a hash table's bucket array and nodes.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "netsim/network.hpp"
@@ -30,7 +33,8 @@ class TcpHost : public sim::Endpoint {
   /// Accept connections on `port`, creating one Application per connection.
   /// `config_override` replaces the host-wide StackConfig for connections
   /// on this port — used for per-service IW customization (the paper finds
-  /// e.g. Akamai running different IWs per service, §4.3).
+  /// e.g. Akamai running different IWs per service, §4.3). Listening again
+  /// on a port replaces its factory and override.
   void listen(std::uint16_t port, AppFactory factory,
               std::optional<StackConfig> config_override = std::nullopt);
 
@@ -38,14 +42,10 @@ class TcpHost : public sim::Endpoint {
 
   [[nodiscard]] net::IPv4Address address() const noexcept { return address_; }
   [[nodiscard]] const StackConfig& config() const noexcept { return config_; }
-  [[nodiscard]] std::size_t active_connections() const noexcept {
-    return connections_.size();
-  }
+  [[nodiscard]] std::size_t active_connections() const noexcept;
   /// True when no connection (live or awaiting cleanup) remains — the
   /// Internet model uses this to decide when a lazy host can be evicted.
-  [[nodiscard]] bool quiescent() const noexcept {
-    return connections_.empty() && graveyard_.empty();
-  }
+  [[nodiscard]] bool quiescent() const noexcept override { return connections_.empty(); }
 
  private:
   struct ConnKey {
@@ -54,21 +54,13 @@ class TcpHost : public sim::Endpoint {
     std::uint16_t local_port;
     bool operator==(const ConnKey&) const = default;
   };
-  struct ConnKeyHash {
-    std::size_t operator()(const ConnKey& key) const noexcept {
-      const std::uint64_t packed = (std::uint64_t{key.peer.value()} << 32) |
-                                   (std::uint64_t{key.peer_port} << 16) |
-                                   key.local_port;
-      return static_cast<std::size_t>(packed * 0x9E3779B97F4A7C15ULL >> 13);
-    }
-  };
 
   void on_tcp(const net::TcpSegment& segment);
   void on_icmp(const net::IcmpDatagram& datagram);
   void send_reset_for(const net::TcpSegment& offending);
   IWSCAN_HOT void transmit(const net::Ipv4Header& ip, const net::TcpHeader& tcp,
                            std::span<const std::uint8_t> payload);
-  void reap_graveyard();
+  void reap_closed();
 
   sim::Network& network_;
   net::IPv4Address address_;
@@ -76,14 +68,22 @@ class TcpHost : public sim::Endpoint {
   std::uint64_t seed_;
 
   struct Listener {
+    std::uint16_t port;
     AppFactory factory;
     std::optional<StackConfig> config_override;
   };
-  std::unordered_map<std::uint16_t, Listener> listeners_;
-  std::unordered_map<ConnKey, std::unique_ptr<TcpConnection>, ConnKeyHash> connections_;
-  // Connections that closed during their own callbacks; freed on the next
-  // event-loop tick so no live stack frame references them.
-  std::vector<std::unique_ptr<TcpConnection>> graveyard_;
+  struct Connection {
+    ConnKey key;
+    // Closed during its own callbacks: no longer demultiplexed to, and
+    // freed on the next event-loop tick so no live stack frame references it.
+    bool closed = false;
+    std::unique_ptr<TcpConnection> connection;
+  };
+  [[nodiscard]] Listener* find_listener(std::uint16_t port) noexcept;
+  [[nodiscard]] std::vector<Connection>::iterator find_connection(const ConnKey& key) noexcept;
+
+  std::vector<Listener> listeners_;
+  std::vector<Connection> connections_;
   sim::EventId reap_event_ = sim::kNullEvent;
 };
 

@@ -141,9 +141,9 @@ TEST(Estimator, MssViolationInflatesBytesPastIwTimesMss) {
   // still comes out right.
   Testbed bed;
   const net::IPv4Address host{10, 0, 0, 8};
-  model::AdversarialHost adv = model::make_adversarial_host(
+  const auto adv = model::make_adversarial_host(
       bed.network(), host, model::AdversarialBehavior::MssViolator, 1);
-  bed.network().attach(host, adv.endpoint.get());
+  bed.network().attach(host, adv.get());
 
   const auto obs = bed.estimate(host, 80, 64, Testbed::http_get(host));
   bed.network().detach(host);

@@ -236,9 +236,8 @@ TEST(StatelessSweepAdversarial, HostileBatteryHoldsNoStateAndAlwaysFinishes) {
     path.latency = sim::msec(10);
     network.set_default_path(path);
     const net::IPv4Address target{10, 66, 0, 1};
-    model::AdversarialHost host =
-        model::make_adversarial_host(network, target, behavior, 0xfeed);
-    network.attach(target, host.endpoint.get());
+    const auto host = model::make_adversarial_host(network, target, behavior, 0xfeed);
+    network.attach(target, host.get());
 
     scan::SweepConfig config;
     config.seed = test::env_scan_seed(7);

@@ -6,6 +6,8 @@
 
 #include "inetmodel/censys_certs.hpp"
 #include "inetmodel/internet.hpp"
+#include "testbed.hpp"
+#include "util/rng.hpp"
 
 namespace iwscan::model {
 namespace {
@@ -337,6 +339,27 @@ TEST(GroundTruth, DriftIsMonotoneAndTargetsLegacyLinux) {
   EXPECT_NEAR(upgraded / double(legacy_at_zero), 0.52, 0.05);
 }
 
+TEST(GroundTruth, ResponseOverheadMatchesSerializedResponse) {
+  for (const std::string_view server : {"GHost", "Apache", "Microsoft-IIS/8.5"}) {
+    for (const int status : {200, 301, 404}) {
+      for (const std::size_t body : {0u, 9u, 10u, 99u, 100u, 1460u, 12345u}) {
+        for (const bool close : {false, true}) {
+          http::HttpResponse response;
+          response.status = status;
+          response.reason = status == 200 ? "OK" : (status == 404 ? "Not Found" : "Moved");
+          response.headers.push_back({"Server", std::string(server)});
+          response.headers.push_back({"Content-Type", "text/html"});
+          if (close) response.headers.push_back({"Connection", "close"});
+          response.body.assign(body, 'x');
+          EXPECT_EQ(http_response_overhead(server, status, body, close),
+                    response.serialize().size() - body)
+              << server << " " << status << " " << body << " " << close;
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------ InternetModel ----
 
 TEST(InternetModel, LazyMaterializationAndEviction) {
@@ -362,6 +385,10 @@ TEST(InternetModel, LazyMaterializationAndEviction) {
   }
   ASSERT_NE(target.value(), 0u);
 
+  std::vector<net::Bytes> replies;
+  network.set_tap([&](net::PacketView bytes) {
+    if (net::peek_source(bytes) == target) replies.emplace_back(bytes.begin(), bytes.end());
+  });
   net::TcpSegment syn;
   syn.ip.src = net::IPv4Address{192, 0, 2, 1};
   syn.ip.dst = target;
@@ -375,10 +402,185 @@ TEST(InternetModel, LazyMaterializationAndEviction) {
   loop.run_until(sim::msec(500));
   EXPECT_EQ(internet.live_hosts(), 1u);
   EXPECT_EQ(internet.hosts_instantiated(), 1u);
+  ASSERT_FALSE(replies.empty());
+  const net::Bytes first_syn_ack = replies.front();
 
   // After the connection idles out, the sweeper evicts the host.
   loop.run_until(sim::sec(60));
   EXPECT_EQ(internet.live_hosts(), 0u);
+
+  // The same SYN rebuilds the host, which answers byte for byte as before.
+  replies.clear();
+  network.send(net::encode(syn));
+  loop.run_until(sim::sec(61));
+  EXPECT_EQ(internet.live_hosts(), 1u);
+  EXPECT_EQ(internet.hosts_instantiated(), 2u);
+  ASSERT_FALSE(replies.empty());
+  EXPECT_EQ(replies.front(), first_syn_ack);
+}
+
+/// The fields of one host-sent segment that its stack and daemon decide.
+struct HostSegment {
+  std::uint8_t flags;
+  std::uint32_t seq;
+  std::uint32_t ack;
+  std::uint16_t window;
+  net::Bytes payload;
+  bool operator==(const HostSegment&) const = default;
+};
+
+/// Runs the paper's HTTP probe against `ip` (generic, then naming the
+/// host's canonical vhost) and its TLS probe, and returns every segment the
+/// host sent, in injection order.
+std::vector<HostSegment> probe_exchange(test::Testbed& bed, net::IPv4Address ip,
+                                        const GroundTruth& gt) {
+  std::vector<net::TcpSegment> wire;
+  bed.tap_segments(wire);
+  for (const bool named : {false, true}) {
+    if (named && gt.canonical_name.empty()) continue;
+    if (gt.http) {
+      core::IwScanConfig http;
+      if (named) http.curated_host = gt.canonical_name;
+      bed.probe_host(ip, http);
+    }
+    if (gt.tls && !named) {
+      core::IwScanConfig tls;
+      tls.protocol = core::ProbeProtocol::Tls;
+      tls.port = 443;
+      bed.probe_host(ip, tls);
+    }
+  }
+  bed.network().set_tap(nullptr);
+  std::vector<HostSegment> out;
+  for (const net::TcpSegment& segment : wire) {
+    if (segment.ip.src != ip) continue;
+    out.push_back(HostSegment{segment.tcp.flags, segment.tcp.seq, segment.tcp.ack,
+                              segment.tcp.window, segment.payload});
+  }
+  return out;
+}
+
+/// Resets each connection when its request arrives: the eager twin of the
+/// model's Table-1 "Error" daemon.
+class EagerAbortApp final : public tcp::Application {
+ public:
+  void on_data(tcp::TcpConnection& conn, std::span<const std::uint8_t>) override {
+    conn.abort();
+  }
+};
+
+/// The eager twin of a modeled host: both daemons' configs are made once,
+/// up front, from the same truth, and shared by every connection.
+std::unique_ptr<tcp::TcpHost> eager_host(test::Testbed& bed, const InternetModel& internet,
+                                         net::IPv4Address ip, const GroundTruth& gt) {
+  tcp::StackConfig base;
+  base.os = gt.os;
+  base.own_mss_limit =
+      static_cast<std::uint16_t>(gt.path_mtu >= 1500 ? 1460 : gt.path_mtu - 40);
+  auto host = std::make_unique<tcp::TcpHost>(bed.network(), ip, base,
+                                             util::mix64(internet.config().seed, ip.value()));
+  const auto abort_factory = [](net::IPv4Address, std::uint16_t) {
+    return std::make_unique<EagerAbortApp>();
+  };
+  if (gt.http) {
+    tcp::StackConfig stack = base;
+    stack.iw = gt.http_iw;
+    host->listen(80,
+                 gt.http_category == HttpCategory::Abort
+                     ? tcp::TcpHost::AppFactory(abort_factory)
+                     : http::HttpServerApp::factory(internet.web_config(ip, gt)),
+                 stack);
+  }
+  if (gt.tls) {
+    tcp::StackConfig stack = base;
+    stack.iw = gt.tls_iw;
+    host->listen(443,
+                 gt.tls_category == TlsCategory::Abort
+                     ? tcp::TcpHost::AppFactory(abort_factory)
+                     : tls::TlsServerApp::factory(internet.tls_config(ip, gt)),
+                 stack);
+  }
+  sim::PathConfig path = bed.network().default_path();
+  path.latency = sim::usec(gt.latency_us);
+  path.jitter = internet.config().jitter;
+  path.path_mtu = gt.path_mtu;
+  bed.network().set_path(ip, path);
+  bed.network().attach(ip, host.get());
+  return host;
+}
+
+TEST(InternetModel, TruthDerivedServicesMatchEagerBuild) {
+  ModelConfig config;
+  config.scale_log2 = 12;
+  config.loss_rate = 0.0;
+  config.reorder_rate = 0.0;
+  config.jitter = sim::SimTime::zero();
+  config.cdn_fraction = 0.3;  // adds per-vhost IW splits on both ports
+  config.sweep_interval = sim::sec(1);
+
+  // Each host is probed in a fresh world and against a fresh eager twin, so
+  // both see the same scanner ports, seeds and virtual times.
+  test::Testbed selection_bed;
+  const InternetModel internet(selection_bed.network(), config);
+
+  // Two present hosts per HTTP and per TLS category, plus two with each
+  // vhost split.
+  std::map<int, int> http_seen;
+  std::map<int, int> tls_seen;
+  int http_vhosts = 0;
+  int tls_vhosts = 0;
+  std::vector<net::IPv4Address> hosts;
+  for (const net::Cidr& prefix : internet.registry().scan_space()) {
+    for (std::uint64_t i = 0; i < prefix.size(); ++i) {
+      const net::IPv4Address ip = prefix.at(i);
+      const GroundTruth gt = internet.truth(ip);
+      if (!gt.present || gt.adversary) continue;
+      bool wanted = false;
+      if (gt.http && http_seen[static_cast<int>(gt.http_category)]++ < 2) wanted = true;
+      if (gt.tls && tls_seen[static_cast<int>(gt.tls_category)]++ < 2) wanted = true;
+      if (gt.http_vhost_iw && http_vhosts++ < 2) wanted = true;
+      if (gt.tls_vhost_iw && tls_vhosts++ < 2) wanted = true;
+      if (wanted) hosts.push_back(ip);
+    }
+  }
+  for (const HttpCategory category :
+       {HttpCategory::SuccessDirect, HttpCategory::SuccessRedirect,
+        HttpCategory::SuccessEcho, HttpCategory::FewData, HttpCategory::NoData,
+        HttpCategory::Abort}) {
+    EXPECT_GE(http_seen[static_cast<int>(category)], 1)
+        << "HTTP category " << static_cast<int>(category);
+  }
+  for (const TlsCategory category :
+       {TlsCategory::Normal, TlsCategory::SniAlert, TlsCategory::SniSilent,
+        TlsCategory::ExoticCipher, TlsCategory::Abort}) {
+    EXPECT_GE(tls_seen[static_cast<int>(category)], 1)
+        << "TLS category " << static_cast<int>(category);
+  }
+  EXPECT_GE(http_vhosts, 1);
+  EXPECT_GE(tls_vhosts, 1);
+
+  for (const net::IPv4Address ip : hosts) {
+    SCOPED_TRACE(ip.to_string());
+    const GroundTruth gt = internet.truth(ip);
+    test::Testbed eager_bed;
+    const auto twin = eager_host(eager_bed, internet, ip, gt);
+    test::Testbed lazy_bed;
+    InternetModel world(lazy_bed.network(), config);
+    world.install();
+
+    const auto eager = probe_exchange(eager_bed, ip, gt);
+    ASSERT_FALSE(eager.empty());
+    EXPECT_EQ(probe_exchange(lazy_bed, ip, gt), eager);
+
+    // Idle past every timeout: the model evicts the host and rebuilds it
+    // from the same truth on the next SYN, serving the same bytes again.
+    eager_bed.loop().run_until(eager_bed.loop().now() + sim::sec(120));
+    lazy_bed.loop().run_until(lazy_bed.loop().now() + sim::sec(120));
+    EXPECT_EQ(world.live_hosts(), 0u);
+    const std::uint64_t built_before = world.hosts_instantiated();
+    EXPECT_EQ(probe_exchange(lazy_bed, ip, gt), probe_exchange(eager_bed, ip, gt));
+    EXPECT_GT(world.hosts_instantiated(), built_before);
+  }
 }
 
 TEST(InternetModel, DarkAddressesStayDark) {

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
 #include "netbase/checksum.hpp"
 #include "netbase/ipv4.hpp"
 #include "netbase/packet.hpp"
+#include "netbase/packet_buf.hpp"
 #include "netbase/tcp_options.hpp"
 #include "util/rng.hpp"
 
@@ -596,6 +598,108 @@ TEST(IPv4AddressHash, DispersesSequentialAddresses) {
   }
   // Sequential IPs must spread over most buckets, not cluster.
   EXPECT_GT(buckets.size(), 500u);
+}
+
+// ----------------------------------------------------- BufferPool --------
+
+constexpr std::size_t kMtuBytes = 1500;
+
+/// Acquire a buffer sized for `bytes` and fill it with that many bytes.
+PacketBuf filled(BufferPool& pool, std::size_t bytes) {
+  PacketBuf buf = pool.acquire(bytes);
+  buf.bytes().assign(bytes, 0x5a);
+  return buf;
+}
+
+TEST(BufferPool, SmallAcquireNeverTakesLargeBlockWhileSmallIsFree) {
+  BufferPool pool;
+  PacketBuf large = filled(pool, kMtuBytes);
+  PacketBuf small = filled(pool, 40);
+  const std::uint8_t* large_data = large.view().data();
+  const std::uint8_t* small_data = small.view().data();
+  EXPECT_GE(large.bytes().capacity(), kMtuBytes);
+  EXPECT_EQ(small.bytes().capacity(), kSmallBlockBytes);
+  // Release the large block last, so it heads the free lists' recency.
+  small.reset();
+  large.reset();
+
+  PacketBuf syn = pool.acquire(44);
+  EXPECT_EQ(syn.bytes().data(), small_data);
+  EXPECT_EQ(syn.bytes().capacity(), kSmallBlockBytes);
+  PacketBuf data = pool.acquire(1200);
+  EXPECT_EQ(data.bytes().data(), large_data);
+
+  // With only a large block free, a small acquire still makes a small one.
+  data.reset();
+  PacketBuf rst = pool.acquire(40);
+  EXPECT_EQ(rst.bytes().capacity(), kSmallBlockBytes);
+  EXPECT_NE(rst.bytes().data(), large_data);
+  EXPECT_EQ(pool.acquire(kMtuBytes).bytes().data(), large_data);
+}
+
+TEST(BufferPool, CapacitySurvivesRecycling) {
+  BufferPool pool;
+  for (const std::size_t bytes : {kSmallBlockBytes, kMtuBytes}) {
+    SCOPED_TRACE(bytes);
+    PacketBuf first = filled(pool, bytes);
+    const std::uint8_t* data = first.view().data();
+    const std::size_t capacity = first.bytes().capacity();
+    first.reset();
+    for (int round = 0; round < 3; ++round) {
+      // A smaller request of the same class gets the same block back, and
+      // refilling it to the class size does not reallocate.
+      PacketBuf again = pool.acquire(bytes / 2);
+      EXPECT_TRUE(again.view().empty());
+      EXPECT_EQ(again.bytes().capacity(), capacity);
+      again.bytes().assign(bytes, 0x11);
+      EXPECT_EQ(again.bytes().data(), data);
+    }
+  }
+}
+
+TEST(BufferPool, OrphanedPoolFreesBlocksOnBothLists) {
+  // Leak-checked under the asan-ubsan preset: every block — free on either
+  // list, or still held — must be freed exactly once after the pool dies.
+  auto pool = std::make_unique<BufferPool>();
+  PacketBuf held_small = filled(*pool, 40);
+  PacketBuf held_large = filled(*pool, 1400);
+  PacketBuf shared_small = held_small;
+  PacketBuf adopted = pool->adopt(Bytes(300, 0x22));
+  filled(*pool, 60).reset();    // onto the small free list
+  filled(*pool, 1000).reset();  // onto the large free list
+  EXPECT_EQ(pool->outstanding(), 3u);
+  pool.reset();
+  EXPECT_EQ(held_small.size(), 40u);
+  EXPECT_EQ(held_large.size(), 1400u);
+  held_small.reset();
+  held_large.reset();
+  adopted.reset();
+  EXPECT_EQ(shared_small.size(), 40u);  // the last handle frees the core
+}
+
+TEST(BufferPool, OutstandingCountsBlocksNotHandles) {
+  BufferPool pool;
+  PacketBuf a = filled(pool, 40);
+  PacketBuf b = filled(pool, 100);
+  PacketBuf c = filled(pool, 1500);
+  EXPECT_EQ(pool.outstanding(), 3u);
+  PacketBuf copy = a;
+  EXPECT_EQ(pool.outstanding(), 3u);
+  a.reset();
+  EXPECT_EQ(pool.outstanding(), 3u);
+  copy.reset();
+  EXPECT_EQ(pool.outstanding(), 2u);
+  PacketBuf adopted = pool.adopt(Bytes(20, 0x33));
+  EXPECT_EQ(pool.outstanding(), 3u);
+  EXPECT_EQ(adopted.size(), 20u);
+  b.reset();
+  c.reset();
+  adopted.reset();
+  EXPECT_EQ(pool.outstanding(), 0u);
+  // Recycled blocks are counted again when reacquired from either list.
+  PacketBuf d = pool.acquire(40);
+  PacketBuf e = pool.acquire(1500);
+  EXPECT_EQ(pool.outstanding(), 2u);
 }
 
 // Parameterized: header round trip across flag combinations.

@@ -676,8 +676,7 @@ TEST(StatelessSweep, ForgedAcksAreRejectedByCookieValidation) {
       segment.tcp.ack = 0xdeadbeef;
       segment.tcp.flags = flags;
       segment.payload = net::to_bytes(payload);
-      net::PacketBuf buf = rig.network.pool().acquire();
-      buf.bytes() = net::encode(segment);
+      net::PacketBuf buf = rig.network.pool().adopt(net::encode(segment));
       rig.network.send(std::move(buf));
     };
     blast(net::kSyn | net::kAck, {});

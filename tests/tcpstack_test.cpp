@@ -3,7 +3,10 @@
 // behaviours the whole measurement methodology rests on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <random>
+#include <string>
 
 #include "httpd/http_server.hpp"
 #include "netsim/network.hpp"
@@ -35,11 +38,11 @@ class RawClient final : public sim::Endpoint {
   void send(std::uint32_t seq, std::uint32_t ack, std::uint8_t flags,
             std::uint16_t window, net::Bytes payload = {},
             std::optional<std::uint16_t> mss = std::nullopt,
-            std::uint16_t dst_port = 80) {
+            std::uint16_t dst_port = 80, std::uint16_t src_port = 40000) {
     net::TcpSegment segment;
     segment.ip.src = kClientIp;
     segment.ip.dst = kHostIp;
-    segment.tcp.src_port = 40000;
+    segment.tcp.src_port = src_port;
     segment.tcp.dst_port = dst_port;
     segment.tcp.seq = seq;
     segment.tcp.ack = ack;
@@ -441,6 +444,114 @@ TEST(TcpStack, PerPortConfigOverride) {
     }
   }
   EXPECT_EQ(port_8080_data, 10u);
+}
+
+TEST(TcpStack, RelistenReplacesFactoryAndOverride) {
+  // Host-wide IW2; relistening on port 80 swaps in an IW10 override and a
+  // factory that counts its calls. The original factory must never run.
+  Rig rig(config_with_iw(2), 64 * 1024);
+  int replaced_calls = 0;
+  rig.host->listen(80,
+                   [&replaced_calls](net::IPv4Address, std::uint16_t) {
+                     ++replaced_calls;
+                     return std::make_unique<FixedResponseApp>(64 * 1024, false);
+                   },
+                   config_with_iw(10));
+  rig.open_and_request(64);
+  rig.loop.run_until(sim::msec(300));
+  EXPECT_EQ(replaced_calls, 1);
+  EXPECT_EQ(rig.client->data_segments().size(), 10u);
+}
+
+/// Answers each request with "port=<peer port> got=<request>", so a reply
+/// shows which connection's app produced it.
+class PortEchoApp final : public Application {
+ public:
+  explicit PortEchoApp(std::uint16_t peer_port) : peer_port_(peer_port) {}
+  void on_data(TcpConnection& conn, std::span<const std::uint8_t> data) override {
+    conn.send("port=" + std::to_string(peer_port_) +
+              " got=" + std::string(data.begin(), data.end()));
+  }
+
+ private:
+  std::uint16_t peer_port_;
+};
+
+TEST(TcpStack, ManyConnectionsDemultiplexAndDrainInAnyOrder) {
+  constexpr std::uint16_t kConnections = 64;
+  constexpr std::uint16_t kFirstPort = 41000;
+  constexpr std::uint32_t kClientIsn = 5000;
+  for (const std::uint32_t order_seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(order_seed);
+    Rig rig(config_with_iw(10));
+    rig.host->listen(80, [](net::IPv4Address, std::uint16_t peer_port) {
+      return std::make_unique<PortEchoApp>(peer_port);
+    });
+    for (std::uint16_t i = 0; i < kConnections; ++i) {
+      rig.client->send(kClientIsn, 0, net::kSyn, 65535, {}, 1460, 80, kFirstPort + i);
+    }
+    rig.loop.run_until(rig.loop.now() + sim::msec(50));
+
+    std::vector<std::uint32_t> server_isn(kConnections, 0);
+    std::size_t syn_acks = 0;
+    for (const auto& segment : rig.client->received) {
+      if (!segment.tcp.has(net::kSyn)) continue;
+      const std::uint16_t i = segment.tcp.dst_port - kFirstPort;
+      ASSERT_LT(i, kConnections);
+      EXPECT_EQ(segment.tcp.ack, kClientIsn + 1);
+      server_isn[i] = segment.tcp.seq;
+      ++syn_acks;
+    }
+    ASSERT_EQ(syn_acks, kConnections);
+    EXPECT_EQ(rig.host->active_connections(), kConnections);
+
+    const auto request = [](std::uint16_t i) {
+      return "req" + std::string(i < 10 ? "0" : "") + std::to_string(i);
+    };
+    for (std::uint16_t i = 0; i < kConnections; ++i) {
+      rig.client->send(kClientIsn + 1, server_isn[i] + 1, net::kAck | net::kPsh, 65535,
+                       net::to_bytes(request(i)), std::nullopt, 80, kFirstPort + i);
+    }
+    rig.loop.run_until(rig.loop.now() + sim::msec(50));
+    std::size_t replies = 0;
+    for (const auto* segment : rig.client->data_segments()) {
+      const std::uint16_t port = segment->tcp.dst_port;
+      const std::uint16_t i = port - kFirstPort;
+      ASSERT_LT(i, kConnections);
+      EXPECT_EQ(segment->tcp.seq, server_isn[i] + 1);
+      EXPECT_EQ(std::string(segment->payload.begin(), segment->payload.end()),
+                "port=" + std::to_string(port) + " got=" + request(i));
+      ++replies;
+    }
+    EXPECT_EQ(replies, kConnections);
+
+    // Reset the connections in a shuffled order: the first half arrive
+    // together (several closes per loop tick), the rest one at a time.
+    std::vector<std::uint16_t> order(kConnections);
+    for (std::uint16_t i = 0; i < kConnections; ++i) order[i] = i;
+    std::shuffle(order.begin(), order.end(), std::mt19937(order_seed));
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      const std::uint16_t i = order[k];
+      rig.client->send(kClientIsn + 1 + static_cast<std::uint32_t>(request(i).size()),
+                       server_isn[i] + 1, net::kRst | net::kAck, 0, {}, std::nullopt,
+                       80, kFirstPort + i);
+      if (k >= kConnections / 2) {
+        rig.loop.run_until(rig.loop.now() + sim::msec(6));
+        EXPECT_EQ(rig.host->active_connections(), kConnections - 1 - k);
+      }
+    }
+    rig.loop.run_until(rig.loop.now() + sim::msec(50));
+    EXPECT_EQ(rig.host->active_connections(), 0u);
+    EXPECT_TRUE(rig.host->quiescent());
+
+    // A SYN to a port nobody listens on is still refused.
+    rig.client->received.clear();
+    rig.client->send(9000, 0, net::kSyn, 65535, {}, 64, /*dst_port=*/81);
+    rig.loop.run_until(rig.loop.now() + sim::msec(50));
+    ASSERT_EQ(rig.client->received.size(), 1u);
+    EXPECT_TRUE(rig.client->received[0].tcp.has(net::kRst));
+    EXPECT_EQ(rig.client->received[0].tcp.ack, 9001u);
+  }
 }
 
 TEST(TcpStack, OutOfOrderRequestIsDroppedNotDelivered) {

@@ -162,9 +162,9 @@ inline ScenarioResult run_scenario(const Scenario& scenario,
   path.latency = sim::msec(10);
   network.set_default_path(path);
 
-  model::AdversarialHost host =
+  const auto host =
       model::make_adversarial_host(network, target, scenario.behavior, 0xfeed);
-  network.attach(target, host.endpoint.get());
+  network.attach(target, host.get());
 
   core::IwScanConfig probe;
   probe.protocol = scenario.protocol;

@@ -1,4 +1,4 @@
-// Shared scaffolding for the bench programs (repro, bench_s34_scan_rate,
+// Shared scaffolding for the bench programs (repro, bench_micro,
 // bench_spill): standard flags, world construction, and table printing.
 // Every repro experiment regenerates one table or figure of the paper (see
 // DESIGN.md §4); the absolute counts are down-scaled to the simulated
@@ -38,8 +38,9 @@ inline void define_common_flags(util::Flags& flags) {
   flags.define_bool("csv", false, "emit CSV instead of aligned tables");
 }
 
-/// Parse flags; on --help or error prints and exits the process. A --rate
-/// that is not finite and > 0, or a --loss outside [0, 1], is an error.
+/// Parse flags; on --help or error prints and exits the process. A --scale
+/// outside [12, 24], a --rate that is not finite and > 0, or a --loss
+/// outside [0, 1], is an error.
 inline void parse_or_exit(util::Flags& flags, int argc, char** argv) {
   const auto fail = [&](const char* error) {
     std::fprintf(stderr, "%s\n%s", error, flags.usage(argv[0]).c_str());
@@ -50,16 +51,20 @@ inline void parse_or_exit(util::Flags& flags, int argc, char** argv) {
     std::printf("%s", flags.usage(argv[0]).c_str());
     std::exit(0);
   }
-  const auto out_of_range = [&](const char* flag, const char* need) {
+  const auto out_of_range = [&](const char* flag, const char* need, double got) {
     char error[96];
-    std::snprintf(error, sizeof(error), "--%s must be %s, got %g", flag, need,
-                  flags.real(flag));
+    std::snprintf(error, sizeof(error), "--%s must be %s, got %g", flag, need, got);
     fail(error);
   };
+  // Checked as a u64, before model_config narrows it to an int.
+  const std::uint64_t scale = flags.u64("scale");
+  if (scale < 12 || scale > 24) {
+    out_of_range("scale", "in [12, 24]", static_cast<double>(scale));
+  }
   const double rate = flags.real("rate");
-  if (!(std::isfinite(rate) && rate > 0)) out_of_range("rate", "finite and > 0");
+  if (!(std::isfinite(rate) && rate > 0)) out_of_range("rate", "finite and > 0", rate);
   const double loss = flags.real("loss");
-  if (!(loss >= 0 && loss <= 1)) out_of_range("loss", "in [0, 1]");
+  if (!(loss >= 0 && loss <= 1)) out_of_range("loss", "in [0, 1]", loss);
 }
 
 inline model::ModelConfig model_config(const util::Flags& flags) {
@@ -70,16 +75,16 @@ inline model::ModelConfig model_config(const util::Flags& flags) {
   return config;
 }
 
-inline World make_world(const util::Flags& flags, const model::ModelConfig& config) {
+inline World make_world(const model::ModelConfig& config) {
   World world;
-  world.network = std::make_unique<sim::Network>(world.loop, flags.u64("seed") ^ 1);
+  world.network = std::make_unique<sim::Network>(world.loop, config.seed ^ 1);
   world.internet = std::make_unique<model::InternetModel>(*world.network, config);
   world.internet->install();
   return world;
 }
 
 inline World make_world(const util::Flags& flags) {
-  return make_world(flags, model_config(flags));
+  return make_world(model_config(flags));
 }
 
 inline analysis::ScanOptions scan_options(const util::Flags& flags,
@@ -89,6 +94,20 @@ inline analysis::ScanOptions scan_options(const util::Flags& flags,
   options.rate_pps = flags.real("rate");
   options.scan_seed = flags.u64("scan-seed");
   options.shards = flags.u64("shards");
+  return options;
+}
+
+/// An outstanding-session cap high enough that the rate alone paces a
+/// whole-space scan (§3.4's scans).
+inline constexpr std::size_t kRatePacedOutstanding = 2'000'000;
+
+/// §3.4's whole-IPv4 IW scan is one estimation pass: one probe at the
+/// primary MSS, paced by the rate alone. repro's s34 experiment and
+/// bench_micro's scan rates share it.
+inline analysis::ScanOptions single_pass(analysis::ScanOptions options) {
+  options.probe.probes_per_mss = 1;
+  options.probe.mss_secondary = 0;
+  options.max_outstanding = kRatePacedOutstanding;
   return options;
 }
 

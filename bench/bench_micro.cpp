@@ -2,7 +2,8 @@
 // the scanner's achievable rate (§3.4) — codec round trips, checksums,
 // address-permutation iteration, event-loop throughput, the pooled fabric
 // hop, lazy host materialization, and a single estimator connection
-// end-to-end.
+// end-to-end — plus the whole-scan wall-clock rates of the stateful and
+// stateless tiers and the parallel executor's 1-vs-4-shard speedup.
 //
 // `--json <path>` writes the results as JSON (items/bytes per second plus
 // the allocs_per_packet counters) for the perf-tracking harness; see
@@ -21,6 +22,7 @@
 #define IWSCAN_COUNT_ALLOCATIONS
 #include "util/alloc_stats.hpp"
 
+#include "bench_common.hpp"
 #include "core/estimator.hpp"
 #include "httpd/http_server.hpp"
 #include "inetmodel/censys_certs.hpp"
@@ -29,10 +31,13 @@
 #include "netbase/packet.hpp"
 #include "netsim/network.hpp"
 #include "scanner/permutation.hpp"
+#include "scanner/stateless.hpp"
+#include "scanner/syncookie.hpp"
 #include "tcpstack/host.hpp"
 #include "tls/cert.hpp"
 #include "tls/handshake.hpp"
 #include "util/rng.hpp"
+#include "util/stopwatch.hpp"
 
 namespace {
 
@@ -357,6 +362,165 @@ void BM_EstimatorConnection(benchmark::State& state) {
           : static_cast<double>(allocs) / static_cast<double>(connections);
 }
 BENCHMARK(BM_EstimatorConnection);
+
+// ---- Scan-tier rates: whole scans of repro's default world (scale 16,
+// seeds 42/7, 150 kpps) with §3.4's single-pass probe config. Each rate
+// is targets per wall-clock second of the scan alone; the world build is
+// excluded. CI gates stateful_iw_scan_rate and stateless_sweep_rate under
+// exactly these names (bench_micro_gated_names ctest).
+
+/// repro's flag defaults: the world and scan the rates are measured on.
+util::Flags repro_defaults() {
+  util::Flags flags;
+  bench::define_common_flags(flags);
+  return flags;
+}
+
+analysis::ScanOptions single_pass_http(const util::Flags& defaults, std::int64_t shards) {
+  analysis::ScanOptions options =
+      bench::single_pass(bench::scan_options(defaults, core::ProbeProtocol::Http));
+  options.shards = static_cast<std::uint64_t>(shards);
+  return options;
+}
+
+/// gbench's own items_per_second divides by CPU time; the gated rate is a
+/// plain counter of the same name over the stopwatch's wall-clock seconds.
+void set_wall_rate(benchmark::State& state, std::uint64_t targets, double seconds) {
+  state.counters["items_per_second"] =
+      seconds > 0 ? static_cast<double>(targets) / seconds : 0.0;
+}
+
+void BM_StatefulIwScan(benchmark::State& state) {
+  const util::Flags defaults = repro_defaults();
+  std::uint64_t targets = 0;
+  double seconds = 0.0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto world = bench::make_world(defaults);
+    state.ResumeTiming();
+    util::Stopwatch watch;
+    const auto output = analysis::run_iw_scan(*world.network, *world.internet,
+                                              single_pass_http(defaults, 1));
+    seconds += watch.elapsed_seconds();
+    targets += output.engine.targets_started;
+  }
+  set_wall_rate(state, targets, seconds);
+}
+BENCHMARK(BM_StatefulIwScan)
+    ->Name("stateful_iw_scan_rate")
+    ->Unit(benchmark::kMillisecond);
+
+/// Hot-path allocation audit of the stateless sweep, isolated from the
+/// world model (which allocates when it materializes hosts): a dark sweep
+/// primes templates and pools, then pre-encoded SYN-ACK and first-flight
+/// data segments are fed straight into handle_packet. After warm-up the
+/// transmit (template patch + pool) and receive (parse + cookie + answer)
+/// paths must both run allocation-free.
+double sweep_allocs_per_packet() {
+  sim::EventLoop loop;
+  sim::Network network(loop, 9);
+  scan::SweepConfig config;
+  config.seed = 11;
+  config.cooldown = sim::msec(1);
+  const net::Cidr space = *net::Cidr::parse("10.50.0.0/24");
+  scan::StatelessSweep sweep(network, config,
+                             scan::TargetGenerator({space}, {}, config.seed),
+                             [](const scan::SweepEvent&) {});
+  sweep.start();
+  while (!sweep.done() && loop.step()) {
+  }
+  scan::SynCookieCodec codec(config.seed);
+  scan::TargetGenerator replay({space}, {}, config.seed);
+  std::vector<net::Bytes> replies;
+  while (const auto addr = replay.next()) {
+    scan::CookieIdentity identity;
+    identity.index = replay.last_cycle_index();
+    const std::uint32_t cookie = codec.pack(identity, *addr);
+    net::TcpSegment reply;
+    reply.ip.src = *addr;
+    reply.ip.dst = config.scanner_address;
+    reply.tcp.src_port = config.target_port;
+    reply.tcp.dst_port = config.source_port;
+    reply.tcp.seq = 0x1000 + static_cast<std::uint32_t>(identity.index);
+    reply.tcp.ack = cookie + 1;
+    reply.tcp.flags = net::kSyn | net::kAck;
+    reply.tcp.window = 65535;
+    replies.push_back(net::encode(reply));
+    reply.tcp.flags = net::kAck | net::kPsh;
+    reply.tcp.ack = cookie + 1 + static_cast<std::uint32_t>(config.request.size());
+    reply.payload = net::to_bytes("HTTP/1.1 200 OK\r\n");
+    replies.push_back(net::encode(reply));
+  }
+  const auto feed = [&] {
+    for (const net::Bytes& packet : replies) {
+      sweep.handle_packet(net::PacketView(packet.data(), packet.size()));
+    }
+    while (loop.step()) {  // drain the answered ACKs/RSTs (unroutable)
+    }
+  };
+  // Warm-up: grows pools, the event-loop slab, and — because each round
+  // lands its delivery burst in a different timer-wheel bucket — every
+  // bucket's recycled vector capacity (one wheel revolution is 64
+  // buckets; 200 rounds covers all of them with margin).
+  for (int round = 0; round < 200; ++round) feed();
+  const std::uint64_t before = util::alloc_stats::allocations();
+  constexpr int kRounds = 50;
+  for (int round = 0; round < kRounds; ++round) feed();
+  const std::uint64_t delta = util::alloc_stats::allocations() - before;
+  return static_cast<double>(delta) / static_cast<double>(kRounds * replies.size());
+}
+
+void BM_StatelessSweep(benchmark::State& state) {
+  const util::Flags defaults = repro_defaults();
+  std::uint64_t targets = 0;
+  double seconds = 0.0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto world = bench::make_world(defaults);
+    scan::SweepConfig config;
+    config.seed = defaults.u64("scan-seed");
+    scan::StatelessSweep sweep(
+        *world.network, config,
+        scan::TargetGenerator(world.internet->registry().scan_space(), {}, config.seed),
+        [](const scan::SweepEvent&) {});
+    state.ResumeTiming();
+    util::Stopwatch watch;
+    sweep.start();
+    while (!sweep.done() && world.loop.step()) {
+    }
+    seconds += watch.elapsed_seconds();
+    targets += sweep.stats().targets_probed;
+  }
+  set_wall_rate(state, targets, seconds);
+  state.counters["allocs_per_packet"] = sweep_allocs_per_packet();
+}
+BENCHMARK(BM_StatelessSweep)
+    ->Name("stateless_sweep_rate")
+    ->Unit(benchmark::kMillisecond);
+
+/// The parallel executor's speedup: the stateful scan above at 1 and at 4
+/// shards (fresh identically-seeded worlds, byte-identical records), timed
+/// in real time. Ungated: the ratio depends on the runner's core count.
+void BM_StatefulIwScanShards(benchmark::State& state) {
+  const util::Flags defaults = repro_defaults();
+  std::uint64_t targets = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto world = bench::make_world(defaults);
+    state.ResumeTiming();
+    targets += analysis::run_iw_scan(*world.network, *world.internet,
+                                     single_pass_http(defaults, state.range(0)))
+                   .engine.targets_started;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(targets));
+}
+BENCHMARK(BM_StatefulIwScanShards)
+    ->Name("stateful_iw_scan_shards")
+    ->ArgName("shards")
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -78,19 +78,6 @@ std::uint64_t peak_rss_bytes() {
   return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;
 }
 
-/// bench::make_world with an explicit (smaller) scale for the end-to-end
-/// equality check — the 2^24 record phases never build a world at all.
-bench::World make_scan_world(const util::Flags& flags, int scale_log2) {
-  bench::World world;
-  world.network = std::make_unique<sim::Network>(world.loop, flags.u64("seed") ^ 1);
-  model::ModelConfig config;
-  config.scale_log2 = scale_log2;
-  config.seed = flags.u64("seed");
-  config.loss_rate = flags.real("loss");
-  world.internet = std::make_unique<model::InternetModel>(*world.network, config);
-  world.internet->install();
-  return world;
-}
 
 }  // namespace
 
@@ -226,15 +213,18 @@ int main(int argc, char** argv) {
   // a spilled scan's merged records must equal the in-RAM scan's records.
   bool identity_ok = true;
   {
-    const int scan_scale = static_cast<int>(flags.u64("scan-scale"));
-    auto in_ram_world = make_scan_world(flags, scan_scale);
+    // The 2^24 record phases never build a world; this check builds two
+    // at the smaller --scan-scale.
+    model::ModelConfig scan_config = bench::model_config(flags);
+    scan_config.scale_log2 = static_cast<int>(flags.u64("scan-scale"));
+    auto in_ram_world = bench::make_world(scan_config);
     analysis::ScanOptions options =
         bench::scan_options(flags, core::ProbeProtocol::Http);
     options.rate_pps = 100'000;
     const auto in_ram =
         analysis::run_iw_scan(*in_ram_world.network, *in_ram_world.internet, options);
 
-    auto spill_world = make_scan_world(flags, scan_scale);
+    auto spill_world = bench::make_world(scan_config);
     options.spill_dir = (dir / "e2e").string();
     options.spill_segment_bytes = 1u << 14;  // many segments, small scan
     const auto spilled =

@@ -4,7 +4,8 @@
 // shared: Table 1–3, Fig. 3, Fig. 5 and §4.2 all derive from one HTTP and
 // one TLS scan of the whole space, as in the paper, and Fig. 4 from one
 // pair over the popular-host space. Every scan runs on a freshly built
-// world, so the output is byte-identical for any --shards.
+// world, so the output is byte-identical for any --shards. Wall-clock
+// rates are not paper numbers and live in bench_micro.
 //
 //   $ ./build/bench/repro [--scale 16] [--only table1,fig3] [--shards 4]
 #include "bench_common.hpp"
@@ -26,6 +27,7 @@
 #include "inetmodel/censys_certs.hpp"
 #include "scanner/direct_services.hpp"
 #include "scanner/icmp_mtu.hpp"
+#include "scanner/syn_scan.hpp"
 #include "tcpstack/host.hpp"
 #include "util/rng.hpp"
 
@@ -44,6 +46,8 @@ constexpr int kLossTrials = 40;                  // §3.5: probe trials per loss
 constexpr int kTrendEpochs = 10;                 // §5 trend: epochs after epoch 0
 constexpr double kUpgradeRate = 0.06;            // §5 trend: per-epoch upgrade odds
 constexpr double kTrendFraction = 0.25;          // §5 trend: sample fraction per epoch
+constexpr double kIpv4Addresses = 3.7e9;         // §3.4: addresses a full scan probes
+constexpr double kRealResponderShare = 0.013;    // §3.4: 48.3 M responders of ~3.7 B
 
 /// The target space of a shared scan: the registry's whole scan space, or
 /// its popular ("Alexa 1M") hosts.
@@ -89,6 +93,25 @@ struct Run {
     bench::print_table(table, flags.boolean("csv"));
   }
 };
+
+/// Runs a single-exchange probe module (fn1's ICMP scan, §3.4's SYN scan)
+/// over the whole scan space of a fresh world, on one ScanEngine.
+scan::EngineStats run_module(const util::Flags& flags, scan::ProbeModule& module,
+                             std::size_t max_outstanding) {
+  auto world = bench::make_world(flags);
+  scan::TargetGenerator targets(world.internet->registry().scan_space(), {},
+                                flags.u64("scan-seed"));
+  scan::EngineConfig engine_config;
+  engine_config.scanner_address = net::IPv4Address{192, 0, 2, 1};
+  engine_config.rate_pps = flags.real("rate");
+  engine_config.seed = flags.u64("scan-seed");
+  engine_config.max_outstanding = max_outstanding;
+  scan::ScanEngine engine(*world.network, engine_config, std::move(targets), module);
+  engine.start();
+  while (!engine.done() && world.loop.step()) {
+  }
+  return engine.stats();
+}
 
 /// One full prober session against `target`, driven on the network's loop.
 core::HostScanRecord probe_host(sim::Network& network, net::IPv4Address target,
@@ -564,6 +587,85 @@ void fig5(const Run& run) {
               " <<1%% of all IPs and thus invisible in Fig. 3)\n");
 }
 
+// ---- §3.4: scan efficiency, the multi-packet IW scan vs. a stock
+// single-exchange SYN port scan. The paper: at a budget of 150k transmitted
+// packets/s, a whole-IPv4 HTTP IW scan takes 7.5 h where the stock port
+// scan takes 6.8 h. Full TCP conversations cost only ~10% extra, because
+// most addresses never answer the SYN and only responders trigger the
+// multi-packet exchange. ZMap's rate limit governs transmitted packets, so
+// the projection is packet-based: packets per responder measured here,
+// times the real Internet's responder density.
+void s34(const Run& run) {
+  std::uint64_t open = 0;
+  std::uint64_t closed = 0;
+  std::uint64_t unresponsive = 0;
+  scan::SynScanConfig syn_config;
+  syn_config.port = 80;
+  scan::SynScanModule module(syn_config, [&](const scan::SynScanResult& result) {
+    switch (result.state) {
+      case scan::PortState::Open: ++open; break;
+      case scan::PortState::Closed: ++closed; break;
+      case scan::PortState::Unresponsive: ++unresponsive; break;
+    }
+  });
+  const scan::EngineStats syn =
+      run_module(run.flags, module, bench::kRatePacedOutstanding);
+
+  auto world = bench::make_world(run.flags);
+  const auto iw = analysis::run_iw_scan(
+      *world.network, *world.internet,
+      bench::single_pass(bench::scan_options(run.flags, ProbeProtocol::Http)));
+  const auto iw_summary = analysis::summarize(iw.records);
+
+  // Simulated packets per responder beyond the universal 1 SYN/address.
+  const auto extra_per_responder = [](std::uint64_t packets, std::uint64_t targets,
+                                      std::uint64_t responders) {
+    return responders == 0 ? 0.0
+                           : (static_cast<double>(packets) -
+                              static_cast<double>(targets)) /
+                                 static_cast<double>(responders);
+  };
+  const double syn_extra =
+      extra_per_responder(syn.packets_sent, syn.targets_started, open + closed);
+  const double iw_extra = extra_per_responder(
+      iw.engine.packets_sent, iw.engine.targets_started, iw_summary.reachable);
+  const auto full_hours = [&](double extra) {
+    const double packets = kIpv4Addresses * (1.0 + kRealResponderShare * extra);
+    return packets / run.flags.real("rate") / 3600.0;
+  };
+  const double syn_hours = full_hours(syn_extra);
+  const double iw_hours = full_hours(iw_extra);
+
+  analysis::TextTable table({"Scan", "targets", "packets tx", "tx/responder",
+                             "whole-IPv4 @rate", "paper"});
+  char hours[32];
+  std::snprintf(hours, sizeof(hours), "%.1f h", syn_hours);
+  table.add_row({"SYN port scan (stock ZMap)", util::format_count(syn.targets_started),
+                 util::format_count(syn.packets_sent),
+                 analysis::fmt_double(1.0 + syn_extra, 1), hours, "6.8 h"});
+  std::snprintf(hours, sizeof(hours), "%.1f h", iw_hours);
+  table.add_row({"HTTP IW scan (this work)",
+                 util::format_count(iw.engine.targets_started),
+                 util::format_count(iw.engine.packets_sent),
+                 analysis::fmt_double(1.0 + iw_extra, 1), hours, "7.5 h"});
+  run.print(table);
+
+  std::printf("\nIW/SYN duration ratio: %.2fx (paper: 7.5/6.8 = 1.10x)\n",
+              iw_hours / syn_hours);
+  std::printf("sim responder density: %s (real IPv4: ~1.3%%)\n",
+              util::format_percent(static_cast<double>(iw_summary.reachable) /
+                                   static_cast<double>(iw.engine.targets_started))
+                  .c_str());
+  std::printf("SYN scan: %s open, %s closed, %s unresponsive\n",
+              util::format_count(open).c_str(), util::format_count(closed).c_str(),
+              util::format_count(unresponsive).c_str());
+  std::printf("\nThe multi-packet design (per-connection state in the probe\n"
+              "module) costs ~%.0f extra packets per *responding* host, which\n"
+              "at real-world density is only ~%.0f%% more transmitted packets\n"
+              "than the single-packet port scan.\n",
+              iw_extra, (iw_hours / syn_hours - 1.0) * 100.0);
+}
+
 // ---- §3.5: controlled validation + design ablations:
 //   (a) ground truth across OS profiles and IW configs (exactness),
 //   (b) a NetEM-style loss sweep (never overestimates; tail loss only
@@ -849,21 +951,11 @@ void s43(const Run& run) {
 // hosts support an MSS of 1336 B (1436 B)", motivating the TLS IW
 // requirements.
 void fn1(const Run& run) {
-  auto world = bench::make_world(run.flags);
   std::vector<scan::MtuProbeResult> results;
   scan::IcmpMtuModule module({}, [&](const scan::MtuProbeResult& result) {
     if (result.responded) results.push_back(result);
   });
-  scan::TargetGenerator targets(world.internet->registry().scan_space(), {},
-                                run.flags.u64("scan-seed"));
-  scan::EngineConfig engine_config;
-  engine_config.scanner_address = net::IPv4Address{192, 0, 2, 1};
-  engine_config.rate_pps = run.flags.real("rate");
-  engine_config.seed = run.flags.u64("scan-seed");
-  scan::ScanEngine engine(*world.network, engine_config, std::move(targets), module);
-  engine.start();
-  while (!engine.done() && world.loop.step()) {
-  }
+  run_module(run.flags, module, scan::EngineConfig{}.max_outstanding);
 
   std::map<std::uint32_t, std::uint64_t> mtu_histogram;
   for (const auto& result : results) ++mtu_histogram[result.path_mtu];
@@ -912,7 +1004,7 @@ void trend(const Run& run) {
     model::ModelConfig config = bench::model_config(run.flags);
     config.epoch = epoch;
     config.upgrade_rate_per_epoch = kUpgradeRate;
-    auto world = bench::make_world(run.flags, config);
+    auto world = bench::make_world(config);
     analysis::ScanOptions options = bench::scan_options(run.flags, ProbeProtocol::Http);
     options.sample_fraction = kTrendFraction;
     const auto output = analysis::run_iw_scan(*world.network, *world.internet, options);
@@ -959,6 +1051,7 @@ constexpr Experiment kExperiments[] = {
     {"fig3", "Fig. 3: IW distribution in IPv4 (HTTP & TLS)", "Figure 3", fig3},
     {"fig4", "Fig. 4: Alexa-style popular-host IW distribution", "Figure 4", fig4},
     {"fig5", "Fig. 5: per-AS IW clusters (DBSCAN)", "Figure 5", fig5},
+    {"s34", "§3.4: IW scan vs. stock SYN scan efficiency", "Section 3.4", s34},
     {"s35", "§3.5: testbed validation + ablations", "Section 3.5", s35},
     {"s42", "§4.2: IW defined by byte limit (dual-MSS scan)", "Section 4.2", s42},
     {"s43", "§4.3/§5: per-customer IWs behind virtual hosting",

@@ -1,8 +1,10 @@
-# Runs repro with out-of-range --rate and --loss values and fails unless
-# each exits with status 2 (a usage error) before running anything.
+# Runs repro with out-of-range --scale, --rate and --loss values and fails
+# unless each exits with status 2 (a usage error) before running anything.
+# 4294967308 is 2^32 + 12: it must not wrap to a valid int scale.
 #
 #   cmake -DREPRO=<path to repro> -P repro_rejects_bad_flags.cmake
-foreach(args "--rate;-5" "--rate;nan" "--rate;0" "--loss;2" "--loss;-0.1" "--loss;nan")
+foreach(args "--scale;30" "--scale;11" "--scale;4294967308"
+             "--rate;-5" "--rate;nan" "--rate;0" "--loss;2" "--loss;-0.1" "--loss;nan")
   execute_process(
     COMMAND ${REPRO} --only table2 --scale 12 ${args}
     OUTPUT_VARIABLE out

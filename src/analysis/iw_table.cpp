@@ -33,17 +33,21 @@ std::map<std::uint32_t, std::uint64_t> iw_histogram(
   return histogram;
 }
 
-std::map<std::uint32_t, double> iw_fractions(
-    std::span<const core::HostScanRecord> records) {
-  const auto histogram = iw_histogram(records);
+std::map<std::uint32_t, double> to_fractions(
+    const std::map<std::uint32_t, std::uint64_t>& histogram) {
   std::uint64_t total = 0;
-  for (const auto& [iw, count] : histogram) total += count;
+  for (const auto& [key, count] : histogram) total += count;
   std::map<std::uint32_t, double> fractions;
   if (total == 0) return fractions;
-  for (const auto& [iw, count] : histogram) {
-    fractions[iw] = static_cast<double>(count) / static_cast<double>(total);
+  for (const auto& [key, count] : histogram) {
+    fractions[key] = static_cast<double>(count) / static_cast<double>(total);
   }
   return fractions;
+}
+
+std::map<std::uint32_t, double> iw_fractions(
+    std::span<const core::HostScanRecord> records) {
+  return to_fractions(iw_histogram(records));
 }
 
 std::map<std::uint32_t, double> dominant_iws(
@@ -58,18 +62,10 @@ std::map<std::uint32_t, double> dominant_iws(
 std::map<std::uint32_t, double> few_data_lower_bounds(
     std::span<const core::HostScanRecord> records) {
   std::map<std::uint32_t, std::uint64_t> counts;
-  std::uint64_t total = 0;
   for (const auto& record : records) {
-    if (record.outcome != core::HostOutcome::FewData) continue;
-    ++counts[record.lower_bound];
-    ++total;
+    if (record.outcome == core::HostOutcome::FewData) ++counts[record.lower_bound];
   }
-  std::map<std::uint32_t, double> fractions;
-  if (total == 0) return fractions;
-  for (const auto& [bound, count] : counts) {
-    fractions[bound] = static_cast<double>(count) / static_cast<double>(total);
-  }
-  return fractions;
+  return to_fractions(counts);
 }
 
 std::string records_to_csv(std::span<const core::HostScanRecord> records) {

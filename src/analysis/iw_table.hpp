@@ -32,9 +32,9 @@ struct DatasetSummary {
   }
 };
 
-/// Folds one record into the summary. summarize() loops this; streaming
-/// consumers (analysis::summarize_spill) call it record-by-record so the
-/// whole dataset never has to be resident.
+/// Folds one record into the summary. summarize() loops this; the spill
+/// read path (analysis::summarize_spill_files) calls it record-by-record so
+/// the whole dataset never has to be resident.
 void accumulate(DatasetSummary& summary, const core::HostScanRecord& record);
 
 [[nodiscard]] DatasetSummary summarize(std::span<const core::HostScanRecord> records);
@@ -43,7 +43,12 @@ void accumulate(DatasetSummary& summary, const core::HostScanRecord& record);
 [[nodiscard]] std::map<std::uint32_t, std::uint64_t> iw_histogram(
     std::span<const core::HostScanRecord> records);
 
-/// Same, as fractions of all successful hosts.
+/// Any key → count histogram as fractions of its total (empty when the
+/// total is 0).
+[[nodiscard]] std::map<std::uint32_t, double> to_fractions(
+    const std::map<std::uint32_t, std::uint64_t>& histogram);
+
+/// iw_histogram as fractions of all successful hosts.
 [[nodiscard]] std::map<std::uint32_t, double> iw_fractions(
     std::span<const core::HostScanRecord> records);
 

@@ -1,9 +1,13 @@
 #include "analysis/spill_report.hpp"
 
-#include <utility>
+#include "store/spill.hpp"
 
 namespace iwscan::analysis {
 
+namespace {
+
+/// Folds one merged record stream. The reader's own error state (CRC
+/// mismatch, cycle regression) ends the fold; the caller checks ok().
 SpillSummary summarize_spill(store::MergeReader<core::HostScanRecord>& reader) {
   SpillSummary out;
   out.seed = reader.seed();
@@ -19,6 +23,8 @@ SpillSummary summarize_spill(store::MergeReader<core::HostScanRecord>& reader) {
   return out;
 }
 
+}  // namespace
+
 bool summarize_spill_files(const std::vector<std::string>& inputs, SpillSummary& out,
                            std::string& error) {
   std::vector<std::string> files;
@@ -33,17 +39,6 @@ bool summarize_spill_files(const std::vector<std::string>& inputs, SpillSummary&
     return false;
   }
   return true;
-}
-
-std::map<std::uint32_t, double> spill_iw_fractions(const SpillSummary& summary) {
-  std::uint64_t total = 0;
-  for (const auto& [iw, count] : summary.histogram) total += count;
-  std::map<std::uint32_t, double> fractions;
-  if (total == 0) return fractions;
-  for (const auto& [iw, count] : summary.histogram) {
-    fractions[iw] = static_cast<double>(count) / static_cast<double>(total);
-  }
-  return fractions;
 }
 
 }  // namespace iwscan::analysis

@@ -11,8 +11,6 @@
 #include <vector>
 
 #include "analysis/iw_table.hpp"
-#include "core/result.hpp"
-#include "store/spill.hpp"
 
 namespace iwscan::analysis {
 
@@ -24,21 +22,12 @@ struct SpillSummary {
   std::uint64_t seed = 0;  // scan seed stamped in the segment headers
 };
 
-/// Folds one merged record stream into a SpillSummary. The reader's own
-/// error state (CRC mismatch, cycle regression) terminates the fold; check
-/// `reader.ok()` afterwards.
-[[nodiscard]] SpillSummary summarize_spill(
-    store::MergeReader<core::HostScanRecord>& reader);
-
-/// Convenience: collect spill inputs (files or directories), open the
-/// merge and fold. Returns false with a diagnostic in `error` on any
+/// Collects spill inputs (files or directories), opens the merge and folds
+/// it into `out`; to_fractions(out.histogram) is the in-RAM path's
+/// iw_fractions(). Returns false with a diagnostic in `error` on any
 /// integrity or identity failure (mixed seeds, overlapping shards,
-/// corrupted segments).
+/// corrupted segments, a cycle regression mid-merge).
 [[nodiscard]] bool summarize_spill_files(const std::vector<std::string>& inputs,
                                          SpillSummary& out, std::string& error);
-
-/// Same fractions the in-RAM path derives via iw_fractions().
-[[nodiscard]] std::map<std::uint32_t, double> spill_iw_fractions(
-    const SpillSummary& summary);
 
 }  // namespace iwscan::analysis

@@ -3,7 +3,7 @@
 // Serves two purposes: the reachability pre-scan the paper's numbers are
 // based on ("we can successfully exchange data with ≈48.3 M hosts on port
 // 80"), and the single-packet baseline against which §3.4 compares the
-// multi-packet IW scan's efficiency (bench_s34_scan_rate).
+// multi-packet IW scan's efficiency (repro's s34 experiment).
 #pragma once
 
 #include <functional>

@@ -273,6 +273,7 @@ TEST(ExecSpill, SpillSummaryMatchesInRamSummary) {
   EXPECT_EQ(summary.summary.success, want.success);
   EXPECT_EQ(summary.summary.few_data, want.few_data);
   EXPECT_EQ(summary.summary.error, want.error);
+  EXPECT_EQ(summary.histogram, analysis::iw_histogram(in_ram.records));
   fs::remove_all(dir);
 }
 

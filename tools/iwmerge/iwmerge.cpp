@@ -87,7 +87,7 @@ int print_report(const std::vector<std::string>& inputs) {
               merged.summary.few_data_rate() * 100,
               merged.summary.error_rate() * 100);
   std::printf("\nIW distribution (successful estimates):\n");
-  for (const auto& [iw, fraction] : analysis::spill_iw_fractions(merged)) {
+  for (const auto& [iw, fraction] : analysis::to_fractions(merged.histogram)) {
     if (fraction < 0.001) continue;
     std::printf("  IW %-3u %6.2f%%  %s\n", iw, fraction * 100,
                 std::string(static_cast<std::size_t>(fraction * 120), '#').c_str());

@@ -4,9 +4,9 @@
 Usage: check_bench_regression.py BENCH_datapath.json FRESH.json [FRESH.json...]
 
 Every fresh file contributes the entries of its top-level `benchmarks`
-array (bench_micro emits one per microbenchmark; bench_s34_scan_rate emits
-the scan/sweep rate counters). A name appearing in several files takes the
-last file's value.
+array (bench_micro emits one per case, including the whole-scan
+stateless_sweep_rate / stateful_iw_scan_rate; bench_spill emits the spill
+rates). A name appearing in several files takes the last file's value.
 
 The baseline file (see BENCH_datapath.json at the repo root) maps benchmark
 names to expected counters. Two kinds of counters are checked:

@@ -28,7 +28,8 @@ struct World {
 
 inline void define_common_flags(util::Flags& flags) {
   flags.define_u64("scale", 16,
-                   "log2 of the simulated address-space size (16 = 65k addresses)");
+                   "log2 of the simulated address-space size (16 = 65k addresses)",
+                   model::ModelConfig::kMinScaleLog2, model::ModelConfig::kMaxScaleLog2);
   flags.define_u64("seed", 42, "population seed (same seed → same Internet)");
   flags.define_u64("scan-seed", 7, "scanner seed (address order, ISNs)");
   flags.define_double("loss", 0.002, "per-packet per-direction loss rate");
@@ -39,7 +40,8 @@ inline void define_common_flags(util::Flags& flags) {
 }
 
 /// Parse flags; on --help or error prints and exits the process. A --scale
-/// outside [12, 24], a --rate that is not finite and > 0, or a --loss
+/// outside ModelConfig's range (checked by the parser, before model_config
+/// narrows it to an int), a --rate that is not finite and > 0, or a --loss
 /// outside [0, 1], is an error.
 inline void parse_or_exit(util::Flags& flags, int argc, char** argv) {
   const auto fail = [&](const char* error) {
@@ -56,11 +58,6 @@ inline void parse_or_exit(util::Flags& flags, int argc, char** argv) {
     std::snprintf(error, sizeof(error), "--%s must be %s, got %g", flag, need, got);
     fail(error);
   };
-  // Checked as a u64, before model_config narrows it to an int.
-  const std::uint64_t scale = flags.u64("scale");
-  if (scale < 12 || scale > 24) {
-    out_of_range("scale", "in [12, 24]", static_cast<double>(scale));
-  }
   const double rate = flags.real("rate");
   if (!(std::isfinite(rate) && rate > 0)) out_of_range("rate", "finite and > 0", rate);
   const double loss = flags.real("loss");

@@ -92,7 +92,8 @@ int main(int argc, char** argv) {
                    "spill segment size in bytes");
   flags.define_u64("scan-scale", 12,
                    "log2 address-space size for the end-to-end spilled-scan "
-                   "equality check");
+                   "equality check",
+                   model::ModelConfig::kMinScaleLog2, model::ModelConfig::kMaxScaleLog2);
   flags.define_string("json", "",
                       "write machine-readable results (rates, RSS ceiling) "
                       "to this path");

@@ -113,22 +113,6 @@ scan::EngineStats run_module(const util::Flags& flags, scan::ProbeModule& module
   return engine.stats();
 }
 
-/// One full prober session against `target`, driven on the network's loop.
-core::HostScanRecord probe_host(sim::Network& network, net::IPv4Address target,
-                                const core::IwScanConfig& config) {
-  scan::DirectServices services(network);
-  core::HostScanRecord record;
-  bool done = false;
-  core::HostProber prober(services, target, config,
-                          [&](const core::HostScanRecord& r) { record = r; },
-                          [&] { done = true; });
-  services.set_handler([&](const net::Datagram& d) { prober.on_datagram(d); });
-  prober.start();
-  while (!done && network.loop().step()) {
-  }
-  return record;
-}
-
 // ---- Table 1: reachable hosts and the Success / Few Data / Error split for
 // HTTP and TLS, probed with MSS 64; plus §4's dual-service agreement.
 void table1(const Run& run) {
@@ -702,7 +686,8 @@ struct HostSetup {
     config.mss_primary = mss;
     config.mss_secondary = 0;
     config.probes_per_mss = probes;
-    return probe_host(network, ip, config);
+    scan::DirectServices services(network);
+    return core::probe_host(services, ip, config);
   }
 
   static tcp::StackConfig stack(std::uint32_t iw_segments, tcp::OsProfile os) {
@@ -917,7 +902,8 @@ void s43(const Run& run) {
     config.protocol = ProbeProtocol::Http;
     config.port = 80;
     config.curated_host = curated_host;
-    return probe_host(network, edge, config);
+    scan::DirectServices services(network);
+    return core::probe_host(services, edge, config);
   };
   const auto describe = [](const core::HostScanRecord& record) {
     if (record.success()) return "IW " + std::to_string(record.iw_segments);

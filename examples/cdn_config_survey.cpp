@@ -24,17 +24,7 @@ core::HostScanRecord probe(sim::Network& network, net::IPv4Address target,
   core::IwScanConfig config;
   config.protocol = protocol;
   config.port = protocol == core::ProbeProtocol::Http ? 80 : 443;
-
-  core::HostScanRecord record;
-  bool done = false;
-  core::HostProber prober(services, target, config,
-                          [&](const core::HostScanRecord& r) { record = r; },
-                          [&] { done = true; });
-  services.set_handler([&](const net::Datagram& d) { prober.on_datagram(d); });
-  prober.start();
-  while (!done && network.loop().step()) {
-  }
-  return record;
+  return core::probe_host(services, target, config);
 }
 
 }  // namespace

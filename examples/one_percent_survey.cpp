@@ -17,10 +17,11 @@ int main(int argc, char** argv) {
   using namespace iwscan;
 
   util::Flags flags;
-  flags.define_u64("scale", 16, "log2 of the simulated address space");
+  flags.define_u64("scale", 16, "log2 of the simulated address space",
+                   model::ModelConfig::kMinScaleLog2, model::ModelConfig::kMaxScaleLog2);
   flags.define_double("fraction", 0.01, "sample fraction");
   if (!flags.parse(argc, argv)) {
-    std::fprintf(stderr, "%s\n", flags.error().c_str());
+    std::fprintf(stderr, "%s\n%s", flags.error().c_str(), flags.usage(argv[0]).c_str());
     return 2;
   }
   if (flags.help_requested()) {

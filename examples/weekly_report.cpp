@@ -14,11 +14,12 @@ int main(int argc, char** argv) {
   using namespace iwscan;
 
   util::Flags flags;
-  flags.define_u64("scale", 15, "log2 of the simulated address space");
+  flags.define_u64("scale", 15, "log2 of the simulated address space",
+                   model::ModelConfig::kMinScaleLog2, model::ModelConfig::kMaxScaleLog2);
   flags.define_double("fraction", 0.10, "sample fraction (1.0 = full sweep)");
   flags.define_bool("markdown", false, "emit Markdown instead of plain text");
   if (!flags.parse(argc, argv)) {
-    std::fprintf(stderr, "%s\n", flags.error().c_str());
+    std::fprintf(stderr, "%s\n%s", flags.error().c_str(), flags.usage(argv[0]).c_str());
     return 2;
   }
   if (flags.help_requested()) {

@@ -5,34 +5,9 @@
 
 #include "analysis/table_writer.hpp"
 #include "store/spill.hpp"
-#include "util/strings.hpp"
 
 namespace iwscan::analysis {
 namespace {
-
-std::string render_table(const TextTable& table, bool markdown) {
-  if (!markdown) return table.render();
-  const std::string csv = table.csv();
-  std::string out;
-  bool header = true;
-  for (const auto line : util::split(csv, '\n')) {
-    if (line.empty()) continue;
-    out += "| ";
-    std::size_t columns = 0;
-    for (const auto cell : util::split(line, ',')) {
-      out += std::string(cell) + " | ";
-      ++columns;
-    }
-    out += '\n';
-    if (header) {
-      out += "|";
-      for (std::size_t i = 0; i < columns; ++i) out += "---|";
-      out += '\n';
-      header = false;
-    }
-  }
-  return out;
-}
 
 std::uint32_t histogram_median(const std::map<std::uint32_t, std::uint64_t>& hist) {
   std::uint64_t total = 0;
@@ -60,10 +35,7 @@ std::vector<ProviderIwRow> provider_breakdown(
   for (const auto& record : records) {
     const model::AsInfo* as = registry.find(record.ip);
     if (as == nullptr) continue;
-    std::size_t index = 0;
-    for (; index < registry.all().size(); ++index) {
-      if (&registry.all()[index] == as) break;
-    }
+    const auto index = static_cast<std::size_t>(as - registry.all().data());
     ProviderIwRow& row = slots[index];
     if (!touched[index]) {
       touched[index] = true;
@@ -178,7 +150,7 @@ std::string render_longitudinal_table(std::span<const EpochBreakdown> epochs,
     }
     table.add_row(std::move(cells));
   }
-  return render_table(table, markdown);
+  return markdown ? table.markdown() : table.render();
 }
 
 }  // namespace iwscan::analysis

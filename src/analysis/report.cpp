@@ -9,31 +9,6 @@
 namespace iwscan::analysis {
 namespace {
 
-std::string render_table(const TextTable& table, bool markdown) {
-  if (!markdown) return table.render();
-  // Markdown: rebuild from the CSV form.
-  const std::string csv = table.csv();
-  std::string out;
-  bool header = true;
-  for (const auto line : util::split(csv, '\n')) {
-    if (line.empty()) continue;
-    out += "| ";
-    std::size_t columns = 0;
-    for (const auto cell : util::split(line, ',')) {
-      out += std::string(cell) + " | ";
-      ++columns;
-    }
-    out += '\n';
-    if (header) {
-      out += "|";
-      for (std::size_t i = 0; i < columns; ++i) out += "---|";
-      out += '\n';
-      header = false;
-    }
-  }
-  return out;
-}
-
 void append_summary(std::ostringstream& out, std::string_view tag,
                     std::span<const core::HostScanRecord> records, bool markdown) {
   const auto summary = summarize(records);
@@ -43,7 +18,7 @@ void append_summary(std::ostringstream& out, std::string_view tag,
                  util::format_percent(summary.success_rate()),
                  util::format_percent(summary.few_data_rate()),
                  util::format_percent(summary.error_rate())});
-  out << render_table(table, markdown) << '\n';
+  out << (markdown ? table.markdown() : table.render()) << '\n';
 }
 
 void append_distribution(std::ostringstream& out, std::string_view tag,
@@ -54,7 +29,7 @@ void append_distribution(std::ostringstream& out, std::string_view tag,
   for (const auto& [iw, fraction] : fractions) {
     table.add_row({std::to_string(iw), util::format_percent(fraction)});
   }
-  out << render_table(table, markdown) << '\n';
+  out << (markdown ? table.markdown() : table.render()) << '\n';
 }
 
 void append_few_data(std::ostringstream& out, std::string_view tag,
@@ -68,7 +43,7 @@ void append_few_data(std::ostringstream& out, std::string_view tag,
     table.add_row({bound == 0 ? "no data" : "IW >= " + std::to_string(bound),
                    util::format_percent(fraction)});
   }
-  out << render_table(table, markdown) << '\n';
+  out << (markdown ? table.markdown() : table.render()) << '\n';
 }
 
 void append_anomalies(std::ostringstream& out, std::string_view tag,
@@ -86,7 +61,7 @@ void append_anomalies(std::ostringstream& out, std::string_view tag,
   for (const auto& [anomaly, count] : counts) {
     table.add_row({std::string(to_string(anomaly)), util::format_count(count)});
   }
-  out << render_table(table, markdown) << '\n';
+  out << (markdown ? table.markdown() : table.render()) << '\n';
 }
 
 void append_per_service(std::ostringstream& out, const ScanInputs& inputs,
@@ -126,7 +101,7 @@ void append_per_service(std::ostringstream& out, const ScanInputs& inputs,
   };
   if (!inputs.http.empty()) add_rows("HTTP", inputs.http);
   if (!inputs.tls.empty()) add_rows("TLS", inputs.tls);
-  out << render_table(table, markdown) << '\n';
+  out << (markdown ? table.markdown() : table.render()) << '\n';
 }
 
 }  // namespace

@@ -57,6 +57,21 @@ std::string TextTable::csv() const {
   return out;
 }
 
+std::string TextTable::markdown() const {
+  std::string out;
+  const auto emit_row = [&](const std::vector<std::string>& cells) {
+    out += "| ";
+    for (const std::string& cell : cells) out += cell + " | ";
+    out += '\n';
+  };
+  emit_row(headers_);
+  out += '|';
+  for (std::size_t i = 0; i < headers_.size(); ++i) out += "---|";
+  out += '\n';
+  for (const auto& row : rows_) emit_row(row);
+  return out;
+}
+
 std::string fmt_double(double value, int decimals) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);

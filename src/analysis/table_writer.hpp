@@ -19,6 +19,10 @@ class TextTable {
   /// RFC-4180-ish CSV (quotes cells containing commas/quotes).
   [[nodiscard]] std::string csv() const;
 
+  /// GitHub-flavored Markdown: one "| cell | " row per line, a "|---|"
+  /// separator after the header. Cells are emitted verbatim.
+  [[nodiscard]] std::string markdown() const;
+
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

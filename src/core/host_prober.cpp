@@ -283,4 +283,18 @@ std::unique_ptr<scan::ProbeSession> IwProbeModule::create_session(
                                       std::move(finish));
 }
 
+HostScanRecord probe_host(scan::DirectServices& services, net::IPv4Address target,
+                          const IwScanConfig& config) {
+  HostScanRecord record;
+  bool done = false;
+  HostProber prober(services, target, config,
+                    [&](const HostScanRecord& r) { record = r; }, [&] { done = true; });
+  services.set_handler([&](const net::Datagram& datagram) { prober.on_datagram(datagram); });
+  prober.start();
+  while (!done && services.loop().step()) {
+  }
+  services.set_handler(nullptr);
+  return record;
+}
+
 }  // namespace iwscan::core

@@ -18,6 +18,7 @@
 #include "core/estimator.hpp"
 #include "core/probe_strategy.hpp"
 #include "core/result.hpp"
+#include "scanner/direct_services.hpp"
 #include "scanner/scan_engine.hpp"
 
 namespace iwscan::core {
@@ -130,5 +131,13 @@ class IwProbeModule final : public scan::ProbeModule {
   IwScanConfig config_;
   HostProber::RecordFn on_record_;
 };
+
+/// One full HostProber session against `target` through `services`, run on
+/// the services' loop until the host's record is in. Ports and session
+/// seeds continue `services`' sequences, so a probe that must not depend on
+/// earlier ones gets a fresh DirectServices.
+[[nodiscard]] HostScanRecord probe_host(scan::DirectServices& services,
+                                        net::IPv4Address target,
+                                        const IwScanConfig& config);
 
 }  // namespace iwscan::core

@@ -1,10 +1,10 @@
 // Bounded multi-producer single-consumer channel.
 //
-// The hand-off between shard workers and the merger in the scan executor
-// (see executor.hpp): workers block when the merger falls behind (bounded
-// memory, like the engine's own max_outstanding backpressure), and the
-// merger blocks when no results are pending. Closing wakes everyone; a closed channel drains remaining
-// items before reporting exhaustion, so no record is ever lost.
+// The one hand-off from shard tasks to the merger in the scan executor
+// (see executor.hpp); it never carries single records. Tasks block when the
+// merger falls behind, and the merger blocks when no results are pending.
+// Closing wakes everyone; a closed channel drains remaining items before
+// reporting exhaustion, so no result is ever lost.
 #pragma once
 
 #include <condition_variable>

@@ -6,7 +6,9 @@
 #include <cstdio>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -32,34 +34,33 @@ constexpr std::size_t kChannelCapacity = 1024;
 /// The cap threshold that keeps every responsive host.
 constexpr std::uint64_t kKeepAll = std::numeric_limits<std::uint64_t>::max();
 
+/// A shard's private world, seeded like the caller's (shards>1).
+struct World {
+  World(const sim::Network& like_network, const model::InternetModel& like_internet)
+      : network(loop, like_network.seed()), internet(network, like_internet.config()) {
+    network.set_default_path(like_network.default_path());
+    internet.install();
+  }
+  sim::EventLoop loop;
+  sim::Network network;
+  model::InternetModel internet;
+};
+
 // ------------------------------------------------ worker → merger messages
 
-/// One host record, RAM mode.
-struct TaggedRecord {
-  std::uint64_t cycle = 0;  // global permutation-cycle index of the target
+/// A host record and its target's global permutation-cycle index.
+struct CycleRecord {
+  std::uint64_t cycle = 0;
   core::HostScanRecord record;
 };
 
-/// Spill mode: this many more host records reached the worker's spill
-/// file. Sent every progress_interval records and once at the end, so
-/// progress stays live without records crossing the channel.
-struct RecordsSpilled {
+/// This many more host records reached the shard's vector or spill file:
+/// sent every progress_interval records and at the end, for live progress.
+struct RecordsKept {
   std::uint64_t count = 0;
 };
 
-/// One shard's sweep records, cycle order, moved as a whole (RAM mode).
-struct SweepBatch {
-  std::vector<scan::SweepRecord> records;
-};
-
-/// Capped mode: this shard's sweep finished; the worker now waits for the
-/// global truncation threshold before its estimate stage.
-struct PhaseOneDone {
-  /// This shard's responsive cycle indices, ascending. The merger pools
-  /// them to name the K-th smallest index across shards.
-  std::vector<std::uint64_t> responsive_cycles;
-};
-
+/// A finished shard, with its records as vectors (RAM) or files (spill).
 struct ShardDone {
   std::uint64_t shard = 0;
   scan::EngineStats engine;
@@ -67,26 +68,45 @@ struct ShardDone {
   sim::SimTime sweep_duration{};  // two-phase: the sweep stage
   sim::SimTime duration{};        // the estimate stage
   std::uint64_t promoted = 0;
-  std::string spill_file;        // spill mode only: host records
-  std::string sweep_spill_file;  // spill mode, two-phase only
+  std::uint64_t truncated = 0;                   // responsive, dropped by the cap
+  std::vector<CycleRecord> records;              // completion order
+  std::vector<scan::SweepRecord> sweep_records;  // cycle order
+  std::string spill_file;
+  std::string sweep_spill_file;
 };
 
-using Message =
-    std::variant<TaggedRecord, RecordsSpilled, SweepBatch, PhaseOneDone, ShardDone>;
+/// A swept shard and the responsive hosts it may promote, by cycle. Round 1
+/// of a sharded capped scan sends it with the world the sweep swept.
+struct Swept {
+  ShardDone done;
+  std::vector<scan::ListTargetSource::Entry> responsive;
+  std::unique_ptr<World> world;
+};
+
+using Message = std::variant<RecordsKept, Swept, ShardDone>;
 
 // ------------------------------------------------------------- helpers ----
 
-std::vector<core::HostScanRecord> sorted_records(std::vector<TaggedRecord> tagged) {
-  // Cycle indices are unique across shards (shard k of n owns exactly the
-  // indices ≡ k mod n), so this recovers the shards=1 emission order.
-  std::sort(tagged.begin(), tagged.end(),
-            [](const TaggedRecord& a, const TaggedRecord& b) {
-              return a.cycle < b.cycle;
-            });
-  std::vector<core::HostScanRecord> records;
-  records.reserve(tagged.size());
-  for (TaggedRecord& entry : tagged) records.push_back(std::move(entry.record));
-  return records;
+/// Moves `from` to the end of `to`; takes `from`'s buffer if `to` is empty
+/// and has no room for it.
+template <class T>
+void append(std::vector<T>& to, std::vector<T>& from) {
+  if (to.empty() && to.capacity() < from.size()) std::swap(to, from);
+  to.insert(to.end(), std::make_move_iterator(from.begin()),
+            std::make_move_iterator(from.end()));
+  from = {};
+}
+
+/// This thread shard's (index, count) among every process's thread shards.
+std::pair<std::uint64_t, std::uint64_t> global_shard(const ScanOptions& job,
+                                                     const ShardSpec& spec) {
+  return {job.process_shard + job.process_shards * spec.shard,
+          job.process_shards * spec.total_shards};
+}
+
+scan::TargetGenerator shard_targets(const ScanOptions& job, const ShardSpec& spec) {
+  const auto [shard, total] = global_shard(job, spec);
+  return {job.allow, job.blocklist, job.scan_seed, job.sample_fraction, shard, total};
 }
 
 scan::EngineConfig engine_config_for(const ScanOptions& job, const ShardSpec& spec) {
@@ -108,9 +128,9 @@ scan::SweepConfig sweep_config_for(const ScanOptions& job, const ShardSpec& spec
 }
 
 /// Upper bound on the records this process can emit: its slice of the
-/// allowlist (ceil over process shards), scaled by the sample fraction.
-/// Used to pre-size the stateful tier's merge vector so the record path
-/// never reallocates mid-scan (pinned in tests/alloc_budget_test.cpp).
+/// allowlist (ceil over process shards), scaled by the sample fraction. A
+/// stateful shard pre-sizes its record vector to its share, so the record
+/// path never reallocates mid-scan (pinned in tests/alloc_budget_test.cpp).
 std::size_t expected_records(const ScanOptions& job, std::uint64_t address_space) {
   const std::uint64_t per_process =
       (address_space + job.process_shards - 1) / job.process_shards;
@@ -120,14 +140,14 @@ std::size_t expected_records(const ScanOptions& job, std::uint64_t address_space
          1;
 }
 
-store::SpillConfig spill_config_for(const ScanOptions& job, std::uint64_t global_shard,
-                                    std::uint64_t global_total) {
+store::SpillConfig spill_config_for(const ScanOptions& job, const ShardSpec& spec) {
+  const auto [shard, total] = global_shard(job, spec);
   store::SpillConfig config;
   config.directory = job.spill_dir;
   config.segment_bytes = job.spill_segment_bytes;
   config.seed = job.scan_seed;
-  config.shard = static_cast<std::uint32_t>(global_shard);
-  config.total_shards = static_cast<std::uint32_t>(global_total);
+  config.shard = static_cast<std::uint32_t>(shard);
+  config.total_shards = static_cast<std::uint32_t>(total);
   return config;
 }
 
@@ -150,37 +170,26 @@ std::string finish_spill(store::SpillWriter<Record>& writer) {
   return writer.path();
 }
 
-/// Folds a cycle's sweep events (Responsive, then possibly Banner; or
-/// Closed) into one SweepRecord per host. Events are appended as they
-/// arrive and folded once, at the end: a stable sort by cycle keeps each
-/// host's events in arrival order, so the fold equals folding on arrival.
-class SweepCollector {
- public:
-  void on_event(const scan::SweepEvent& event) { events_.push_back(event); }
-
-  [[nodiscard]] std::vector<scan::SweepRecord> take_sorted() {
-    std::stable_sort(events_.begin(), events_.end(),
-                     [](const scan::SweepEvent& a, const scan::SweepEvent& b) {
-                       return a.cycle < b.cycle;
-                     });
-    std::size_t hosts = 0;
-    for (std::size_t i = 0; i < events_.size(); ++i) {
-      hosts += i == 0 || events_[i].cycle != events_[i - 1].cycle ? 1 : 0;
-    }
-    std::vector<scan::SweepRecord> records;
-    records.reserve(hosts);
-    for (const scan::SweepEvent& event : events_) {
-      if (records.empty() || records.back().cycle != event.cycle) {
-        records.emplace_back().cycle = event.cycle;
-      }
-      fold(records.back(), event);
-    }
-    events_ = {};
-    return records;
+/// Folds a shard's sweep events (per host: Responsive, then possibly Banner;
+/// or Closed) into one SweepRecord per host, in cycle order. The stable
+/// sort keeps each host's events in arrival order, so the fold equals
+/// folding on arrival.
+std::vector<scan::SweepRecord> fold_sweep(std::vector<scan::SweepEvent> events) {
+  std::stable_sort(events.begin(), events.end(),
+                   [](const scan::SweepEvent& a, const scan::SweepEvent& b) {
+                     return a.cycle < b.cycle;
+                   });
+  std::size_t hosts = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    hosts += i == 0 || events[i].cycle != events[i - 1].cycle ? 1 : 0;
   }
-
- private:
-  static void fold(scan::SweepRecord& record, const scan::SweepEvent& event) {
+  std::vector<scan::SweepRecord> records;
+  records.reserve(hosts);
+  for (const scan::SweepEvent& event : events) {
+    if (records.empty() || records.back().cycle != event.cycle) {
+      records.emplace_back().cycle = event.cycle;
+    }
+    scan::SweepRecord& record = records.back();
     record.ip = event.source;
     switch (event.kind) {
       case scan::SweepEventKind::Responsive:
@@ -197,118 +206,138 @@ class SweepCollector {
         break;
     }
   }
+  return records;
+}
 
-  std::vector<scan::SweepEvent> events_;
-};
+// -------------------------------------------------------------- stages ----
 
-// -------------------------------------------------------------- worker ----
-
-/// Runs sweep → promote → estimate for one shard on `network`. `send`
-/// delivers a Message alternative to the merger; `await_threshold` blocks
-/// until the merger names the capped-mode truncation threshold.
-template <class Send, class AwaitThreshold>
-void run_worker(const ScanOptions& job, const ShardSpec& spec, sim::Network& network,
-                std::atomic<std::uint64_t>& launched, Send&& send,
-                AwaitThreshold&& await_threshold) {
-  const std::uint64_t global_total = job.process_shards * spec.total_shards;
-  const std::uint64_t global_shard = job.process_shard + job.process_shards * spec.shard;
-  scan::TargetGenerator targets(job.allow, job.blocklist, job.scan_seed,
-                                job.sample_fraction, global_shard, global_total);
-  sim::EventLoop& loop = network.loop();
-  ShardDone done;
-  done.shard = spec.shard;
-
-  std::optional<store::SpillWriter<core::HostScanRecord>> spill;
-  if (!job.spill_dir.empty()) {
-    spill.emplace(spill_config_for(job, global_shard, global_total));
+/// Sweep stage: sweeps this shard's stride of the space to completion.
+Swept sweep_shard(const ScanOptions& job, const ShardSpec& spec, sim::Network& network) {
+  Swept swept;
+  swept.done.shard = spec.shard;
+  std::vector<scan::SweepEvent> events;
+  {
+    scan::StatelessSweep sweep(
+        network, sweep_config_for(job, spec), shard_targets(job, spec),
+        [&events](const scan::SweepEvent& event) { events.push_back(event); });
+    const sim::SimTime start = network.loop().now();
+    sweep.start();
+    while (!sweep.done() && network.loop().step()) {
+    }
+    swept.done.sweep_duration = network.loop().now() - start;
+    swept.done.sweep = sweep.stats();
   }
-  std::uint64_t unreported = 0;  // spilled records not yet counted by the merger
+  std::vector<scan::SweepRecord> records = fold_sweep(std::move(events));
+  for (const scan::SweepRecord& record : records) {
+    if (record.responsive) swept.responsive.emplace_back(record.ip, record.cycle);
+  }
+  if (job.spill_dir.empty()) {
+    swept.done.sweep_records = std::move(records);
+  } else {
+    store::SpillWriter<scan::SweepRecord> writer(spill_config_for(job, spec));
+    for (const scan::SweepRecord& record : records) writer.append(record.cycle, record);
+    swept.done.sweep_spill_file = finish_spill(writer);
+  }
+  return swept;
+}
+
+/// Estimate stage: probes every target of `source`, keeping each host
+/// record in `done` (RAM mode, pre-sized to `expected`) or in the shard's
+/// spill file, and sending only RecordsKept counts.
+template <class Send>
+ShardDone estimate_shard(const ScanOptions& job, const ShardSpec& spec,
+                         sim::Network& network, scan::TargetSource& source,
+                         std::size_t expected, std::atomic<std::uint64_t>& launched,
+                         ShardDone done, Send&& send) {
+  std::optional<store::SpillWriter<core::HostScanRecord>> spill;
+  if (!job.spill_dir.empty()) spill.emplace(spill_config_for(job, spec));
+  if (!spill.has_value()) done.records.reserve(expected);
+  std::uint64_t unreported = 0;  // kept records not yet counted by the merger
   std::unordered_map<net::IPv4Address, std::uint64_t> cycle_of;
   core::IwProbeModule module(job.probe, [&](const core::HostScanRecord& record) {
     const auto it = cycle_of.find(record.ip);
     const std::uint64_t cycle = it == cycle_of.end() ? 0 : it->second;
     if (it != cycle_of.end()) cycle_of.erase(it);  // one record per host
-    if (!spill.has_value()) {
-      send(TaggedRecord{cycle, record});
-      return;
+    if (spill.has_value()) {
+      spill->append(cycle, record);
+    } else {
+      done.records.push_back({cycle, record});
     }
-    spill->append(cycle, record);
     if (++unreported == job.progress_interval) {
-      send(RecordsSpilled{unreported});
+      send(RecordsKept{unreported});
       unreported = 0;
     }
   });
-
-  auto estimate = [&](scan::TargetSource& source) {
-    const sim::SimTime start = loop.now();
+  {
+    const sim::SimTime start = network.loop().now();
     scan::ScanEngine engine(network, engine_config_for(job, spec), source, module);
     engine.set_launch_observer([&](net::IPv4Address ip, std::uint64_t cycle) {
       cycle_of[ip] = cycle;
       launched.fetch_add(1, std::memory_order_relaxed);
     });
     engine.start();
-    while (!engine.done() && loop.step()) {
+    while (!engine.done() && network.loop().step()) {
     }
-    done.duration = loop.now() - start;
+    done.duration = network.loop().now() - start;
     done.engine = engine.stats();
-  };
-  auto hand_over_sweep = [&](std::vector<scan::SweepRecord> records) {
-    if (!spill.has_value()) {
-      send(SweepBatch{std::move(records)});
-      return;
-    }
-    store::SpillWriter<scan::SweepRecord> writer(
-        spill_config_for(job, global_shard, global_total));
-    for (const scan::SweepRecord& record : records) writer.append(record.cycle, record);
-    done.sweep_spill_file = finish_spill(writer);
-  };
-
-  if (!job.two_phase) {
-    scan::GeneratorTargetSource source(std::move(targets));
-    estimate(source);
-  } else {
-    // Sweep to completion, then estimate the responsive set. A cap first
-    // reports that set and waits for the global threshold; stride sharding
-    // means every promoted cycle this shard keeps is one it swept.
-    std::vector<scan::SweepRecord> swept;
-    {
-      SweepCollector collector;
-      scan::StatelessSweep sweep(
-          network, sweep_config_for(job, spec), std::move(targets),
-          [&](const scan::SweepEvent& event) { collector.on_event(event); });
-      const sim::SimTime start = loop.now();
-      sweep.start();
-      while (!sweep.done() && loop.step()) {
-      }
-      done.sweep_duration = loop.now() - start;
-      done.sweep = sweep.stats();
-      swept = collector.take_sorted();
-    }
-    std::vector<scan::ListTargetSource::Entry> entries;
-    for (const scan::SweepRecord& record : swept) {
-      if (record.responsive) entries.emplace_back(record.ip, record.cycle);
-    }
-    hand_over_sweep(std::move(swept));
-    if (job.max_promoted_hosts > 0) {
-      PhaseOneDone phase1;
-      phase1.responsive_cycles.reserve(entries.size());
-      for (const auto& entry : entries) phase1.responsive_cycles.push_back(entry.second);
-      send(std::move(phase1));
-      const std::uint64_t threshold = await_threshold();
-      std::erase_if(entries, [threshold](const scan::ListTargetSource::Entry& entry) {
-        return entry.second > threshold;
-      });
-    }
-    done.promoted = entries.size();
-    scan::ListTargetSource source(std::move(entries));
-    estimate(source);
   }
+  if (spill.has_value()) done.spill_file = finish_spill(*spill);
+  if (unreported > 0) send(RecordsKept{unreported});
+  return done;
+}
 
-  if (spill.has_value()) {
-    done.spill_file = finish_spill(*spill);
-    if (unreported > 0) send(RecordsSpilled{unreported});
+/// Promote + estimate stages of a swept shard, on the world it swept: the
+/// responsive hosts whose cycle is at most `threshold`. Stride sharding
+/// means every cycle a shard keeps is one it swept.
+template <class Send>
+ShardDone estimate_swept(const ScanOptions& job, const ShardSpec& spec,
+                         sim::Network& network, Swept swept, std::uint64_t threshold,
+                         std::atomic<std::uint64_t>& launched, Send&& send) {
+  const std::size_t responsive = swept.responsive.size();
+  std::erase_if(swept.responsive, [threshold](const scan::ListTargetSource::Entry& entry) {
+    return entry.second > threshold;
+  });
+  swept.done.promoted = swept.responsive.size();
+  swept.done.truncated = responsive - swept.done.promoted;
+  scan::ListTargetSource source(std::move(swept.responsive));
+  return estimate_shard(job, spec, network, source, swept.done.promoted, launched,
+                        std::move(swept.done), send);
+}
+
+/// The cap threshold: the K-th smallest responsive cycle over all shards'
+/// sweeps, or kKeepAll without a cap or with fewer than K responsive hosts.
+/// Cycle indices are globally unique, so exactly K hosts lie at or below.
+std::uint64_t cap_threshold(std::span<const Swept> swept, std::uint64_t cap) {
+  if (cap == 0) return kKeepAll;
+  std::vector<std::uint64_t> cycles;
+  for (const Swept& shard : swept) {
+    for (const auto& entry : shard.responsive) cycles.push_back(entry.second);
   }
-  send(std::move(done));
+  if (cycles.size() < cap) return kKeepAll;
+  const auto kth = cycles.begin() + static_cast<std::ptrdiff_t>(cap - 1);
+  std::nth_element(cycles.begin(), kth, cycles.end());
+  return *kth;
+}
+
+/// Every stage of one shard on `network`. The cap threshold comes from this
+/// shard's sweep alone, which is global only in a one-shard scan; a sharded
+/// capped scan runs the stages as two rounds instead (run_scan).
+template <class Send>
+ShardDone run_shard(const ScanOptions& job, const ShardSpec& spec, sim::Network& network,
+                    std::atomic<std::uint64_t>& launched, Send&& send) {
+  if (job.two_phase) {
+    Swept swept = sweep_shard(job, spec, network);
+    const std::uint64_t threshold = cap_threshold({&swept, 1}, job.max_promoted_hosts);
+    return estimate_swept(job, spec, network, std::move(swept), threshold, launched, send);
+  }
+  scan::TargetGenerator targets = shard_targets(job, spec);
+  const std::size_t share =
+      (expected_records(job, targets.address_space_size()) + spec.total_shards - 1) /
+      spec.total_shards;
+  scan::GeneratorTargetSource source(std::move(targets));
+  ShardDone done;
+  done.shard = spec.shard;
+  return estimate_shard(job, spec, network, source, share, launched, std::move(done), send);
 }
 
 // -------------------------------------------------------------- merger ----
@@ -319,63 +348,37 @@ void run_worker(const ScanOptions& job, const ShardSpec& spec, sim::Network& net
 class Merger {
  public:
   Merger(const ScanOptions& job, std::uint64_t shard_count,
-         const std::atomic<std::uint64_t>& launched,
-         BoundedChannel<std::uint64_t>* thresholds)
-      : job_(job), launched_(launched), thresholds_(thresholds), done_(shard_count) {
+         const std::atomic<std::uint64_t>& launched)
+      : job_(job), launched_(launched), done_(shard_count) {
     result_.address_space = scan::TargetGenerator(job.allow, job.blocklist,
                                                   job.scan_seed, job.sample_fraction)
                                 .address_space_size();
-    if (!job.two_phase && job.spill_dir.empty()) {
+    if (shard_count > 1 && !job.two_phase && job.spill_dir.empty()) {
       tagged_.reserve(expected_records(job, result_.address_space));
     }
   }
 
-  void operator()(TaggedRecord&& record) {
-    tagged_.push_back(std::move(record));
-    count(1);
-  }
-
-  void operator()(RecordsSpilled&& spilled) { count(spilled.count); }
-
-  void operator()(SweepBatch&& batch) {
-    std::vector<scan::SweepRecord>& all = result_.sweep_records;
-    if (all.empty()) {
-      all = std::move(batch.records);
-    } else {
-      all.insert(all.end(), std::make_move_iterator(batch.records.begin()),
-                 std::make_move_iterator(batch.records.end()));
-    }
-    ++sweep_batches_;
-  }
-
-  void operator()(PhaseOneDone&& phase1) {
-    responsive_.insert(responsive_.end(), phase1.responsive_cycles.begin(),
-                       phase1.responsive_cycles.end());
-    if (++phase1_done_ < done_.size()) return;
-    // Cycle indices are globally unique, so after sorting the pooled
-    // responsive set, index K-1 carries exactly the K-th smallest index.
-    std::sort(responsive_.begin(), responsive_.end());
-    const std::uint64_t responsive = responsive_.size();
-    const std::uint64_t cap = job_.max_promoted_hosts;
-    threshold_ = responsive >= cap ? responsive_[cap - 1] : kKeepAll;
-    result_.truncated = responsive - std::min(responsive, cap);
-    responsive_ = {};
-    if (thresholds_ != nullptr) {
-      for (std::size_t i = 0; i < done_.size(); ++i) thresholds_->push(threshold_);
+  void operator()(RecordsKept&& kept) {
+    merged_ += kept.count;
+    const std::uint64_t interval = job_.progress_interval;
+    if (interval > 0 && merged_ / interval != (merged_ - kept.count) / interval) {
+      progress();
     }
   }
+
+  void operator()(Swept&& swept) { swept_.push_back(std::move(swept)); }
 
   void operator()(ShardDone&& fin) {
+    append(tagged_, fin.records);
+    append(result_.sweep_records, fin.sweep_records);
     done_[fin.shard] = std::move(fin);
     ++shards_done_;
     progress();
   }
 
+  [[nodiscard]] bool swept_all() const noexcept { return swept_.size() == done_.size(); }
   [[nodiscard]] bool finished() const noexcept { return shards_done_ == done_.size(); }
-
-  /// Capped mode, shards<=1: the inline worker's PhaseOneDone was a direct
-  /// call, so the threshold is already named when the worker asks.
-  [[nodiscard]] std::uint64_t threshold() const noexcept { return threshold_; }
+  [[nodiscard]] std::vector<Swept>& swept() noexcept { return swept_; }
 
   [[nodiscard]] ScanResult merged_result() {
     sim::SimTime sweep_span{};
@@ -392,31 +395,26 @@ class Merger {
       sweep_span = std::max(sweep_span, fin.sweep_duration);
       span = std::max(span, fin.duration);
       result_.promoted += fin.promoted;
-      if (!fin.spill_file.empty()) {
-        result_.spill_files.push_back(std::move(fin.spill_file));
-      }
+      result_.truncated += fin.truncated;
+      if (!fin.spill_file.empty()) result_.spill_files.push_back(fin.spill_file);
       if (!fin.sweep_spill_file.empty()) {
-        result_.sweep_spill_files.push_back(std::move(fin.sweep_spill_file));
+        result_.sweep_spill_files.push_back(fin.sweep_spill_file);
       }
     }
     result_.duration = sweep_span + span;
-    result_.records = sorted_records(std::move(tagged_));
-    if (sweep_batches_ > 1) {
-      std::sort(result_.sweep_records.begin(), result_.sweep_records.end(),
-                [](const scan::SweepRecord& a, const scan::SweepRecord& b) {
-                  return a.cycle < b.cycle;
-                });
-    }
+    // Cycle indices are unique across shards (shard k of n owns exactly the
+    // indices ≡ k mod n), so sorting by them recovers the shards=1 order.
+    const auto by_cycle = [](const auto& a, const auto& b) { return a.cycle < b.cycle; };
+    std::sort(tagged_.begin(), tagged_.end(), by_cycle);
+    result_.records.reserve(tagged_.size());
+    for (CycleRecord& entry : tagged_) result_.records.push_back(std::move(entry.record));
+    tagged_ = {};
+    std::vector<scan::SweepRecord>& sweep_records = result_.sweep_records;
+    if (done_.size() > 1) std::sort(sweep_records.begin(), sweep_records.end(), by_cycle);
     return std::move(result_);
   }
 
  private:
-  void count(std::uint64_t records) {
-    merged_ += records;
-    const std::uint64_t interval = job_.progress_interval;
-    if (interval > 0 && merged_ / interval != (merged_ - records) / interval) progress();
-  }
-
   void progress() {
     if (!job_.progress) return;
     ProgressSnapshot snap;
@@ -430,15 +428,11 @@ class Merger {
 
   const ScanOptions& job_;
   const std::atomic<std::uint64_t>& launched_;
-  BoundedChannel<std::uint64_t>* thresholds_;  // shards>1, capped mode
-  std::vector<ShardDone> done_;                // indexed by shard
+  std::vector<ShardDone> done_;  // indexed by shard
   std::uint64_t shards_done_ = 0;
-  std::vector<TaggedRecord> tagged_;
-  std::uint64_t merged_ = 0;  // host records taken or spilled
-  std::size_t sweep_batches_ = 0;
-  std::vector<std::uint64_t> responsive_;
-  std::uint64_t phase1_done_ = 0;
-  std::uint64_t threshold_ = kKeepAll;
+  std::vector<Swept> swept_;  // capped scans with shards>1: round 1
+  std::vector<CycleRecord> tagged_;
+  std::uint64_t merged_ = 0;  // host records the shards reported as kept
   ScanResult result_;
 };
 
@@ -473,61 +467,60 @@ ScanResult run_scan(const ScanOptions& options, sim::Network& network,
   const ShardPlan plan = ShardPlan::make(job.shards, job.rate_pps, job.max_outstanding);
   const std::uint64_t shard_count = plan.shards.size();
   std::atomic<std::uint64_t> launched{0};
+  Merger merger(job, shard_count, launched);
 
   if (shard_count == 1) {
-    Merger merger(job, 1, launched, nullptr);
-    run_worker(
+    merger(run_shard(
         job, plan.shards.front(), network, launched,
-        [&merger](auto&& message) { merger(std::forward<decltype(message)>(message)); },
-        [&merger] { return merger.threshold(); });
+        [&merger](auto&& message) { merger(std::forward<decltype(message)>(message)); }));
     return merger.merged_result();
   }
 
-  const bool capped = job.two_phase && job.max_promoted_hosts > 0;
-  const std::uint64_t network_seed = network.seed();
-  const sim::PathConfig default_path = network.default_path();
-  const model::ModelConfig model_config = internet.config();
   BoundedChannel<Message> channel(kChannelCapacity);
-  // Capped mode: the merger pushes one copy of the threshold per worker
-  // (BoundedChannel is the repo's only sanctioned cross-thread hand-off;
-  // see DESIGN.md §9).
-  BoundedChannel<std::uint64_t> thresholds(shard_count);
-  Merger merger(job, shard_count, launched, &thresholds);
-
-  // Capped mode holds a mid-task barrier (the threshold pop) in every
-  // worker, so all shards must be able to run concurrently — one thread
-  // each, not capped at hardware concurrency. Workers mostly sleep in
-  // virtual time, so oversubscription is harmless.
-  ThreadPool pool(capped ? shard_count
-                         : std::min<std::size_t>(
-                               shard_count,
-                               std::max<std::size_t>(
-                                   1, std::thread::hardware_concurrency())));
+  const auto send = [&channel](auto&& message) {
+    channel.push(std::forward<decltype(message)>(message));
+  };
+  const auto merge_until = [&](auto&& done) {
+    while (!done()) {
+      std::optional<Message> message = channel.pop();
+      if (!message) break;  // closed early — unreachable in normal operation
+      std::visit(merger, std::move(*message));
+    }
+  };
+  ThreadPool pool(std::min<std::size_t>(
+      shard_count, std::max<std::size_t>(1, std::thread::hardware_concurrency())));
+  // A global cap needs every shard's responsive set before any shard may
+  // estimate, so a capped scan runs two rounds: each shard sweeps and hands
+  // its world back, the threshold is named here, then each shard estimates
+  // on the world it swept. No task ever waits on another.
+  const bool capped = job.two_phase && job.max_promoted_hosts > 0;
   for (const ShardSpec& spec : plan.shards) {
-    pool.submit([&job, spec, network_seed, default_path, model_config, &channel,
-                 &launched, &thresholds] {
-      sim::EventLoop loop;
-      sim::Network world(loop, network_seed);
-      world.set_default_path(default_path);
-      model::InternetModel internet_model(world, model_config);
-      internet_model.install();
-      run_worker(
-          job, spec, world, launched,
-          [&channel](auto&& message) {
-            channel.push(std::forward<decltype(message)>(message));
-          },
-          [&thresholds] { return thresholds.pop().value_or(kKeepAll); });
+    pool.submit([&job, &network, &internet, &launched, &send, capped, spec] {
+      auto world = std::make_unique<World>(network, internet);
+      if (!capped) {
+        send(run_shard(job, spec, world->network, launched, send));
+        return;
+      }
+      Swept swept = sweep_shard(job, spec, world->network);
+      swept.world = std::move(world);
+      send(std::move(swept));
     });
   }
-
-  while (!merger.finished()) {
-    std::optional<Message> message = channel.pop();
-    if (!message) break;  // closed early — unreachable in normal operation
-    std::visit(merger, std::move(*message));
+  if (capped) {
+    merge_until([&merger] { return merger.swept_all(); });
+    const std::uint64_t threshold = cap_threshold(merger.swept(), job.max_promoted_hosts);
+    for (Swept& shard : merger.swept()) {
+      pool.submit([&job, &launched, &send, &swept = shard, threshold,
+                   spec = plan.shards[shard.done.shard]] {
+        const std::unique_ptr<World> world = std::move(swept.world);
+        send(estimate_swept(job, spec, world->network, std::move(swept), threshold,
+                            launched, send));
+      });
+    }
   }
+  merge_until([&merger] { return merger.finished(); });
   pool.wait();
   channel.close();
-  thresholds.close();
   return merger.merged_result();
 }
 

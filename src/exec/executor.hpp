@@ -9,15 +9,17 @@
 //   promote   picks the estimator's targets: every address (stateful
 //             tier), every responsive host the sweep found (two-phase),
 //             or the K responsive hosts with the lowest global cycle
-//             indices (two-phase with max_promoted_hosts, which waits for
+//             indices (two-phase with max_promoted_hosts, which needs
 //             every shard's sweep);
 //   estimate  ScanEngine runs the full IW probe sequence against each
 //             promoted target (core::IwProbeModule).
 //
-// A worker runs those stages on one world and reports to a single merger.
-// shards<=1 runs one worker inline on the caller's world (no pool, no
-// channel); shards>1 runs one worker per shard on a private,
-// identically-seeded world, reporting through a BoundedChannel.
+// A shard runs those stages on one world and keeps its records until it is
+// done; only counts reach the merger before then. shards<=1 runs inline on
+// the caller's world; shards>1 runs on min(shards, hardware threads) pool
+// threads, each shard on a private, identically-seeded world, reporting
+// through one BoundedChannel. A capped scan runs two pool rounds (sweep,
+// then estimate on the swept world) around the K-th-cycle threshold.
 //
 // Byte-identical output for any shard count rests on three legs:
 //   1. per-target determinism upstream — session seeds, source ports
@@ -83,7 +85,7 @@ struct ScanOptions {
   // indices. With process_shards > 1 the cap is per process, since
   // processes cannot see each other's responsive sets.
   std::uint64_t max_promoted_hosts = 0;
-  // Bounded-memory result path: when non-empty, workers stream records
+  // Bounded-memory result path: when non-empty, shards stream records
   // into per-shard columnar spill files under this directory
   // (store::SpillWriter) instead of growing ScanResult::records — RSS
   // stays O(spill_segment_bytes), not O(targets). Read the files back in

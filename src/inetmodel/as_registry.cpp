@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "inetmodel/profiles.hpp"
 #include "util/check.hpp"
 
 namespace iwscan::model {
@@ -263,7 +264,8 @@ struct AsSpec {
 }  // namespace
 
 AsRegistry AsRegistry::standard(int scale_log2) {
-  IWSCAN_ASSERT(scale_log2 >= 12 && scale_log2 <= 24,
+  IWSCAN_ASSERT(scale_log2 >= ModelConfig::kMinScaleLog2 &&
+                    scale_log2 <= ModelConfig::kMaxScaleLog2,
                 "AsRegistry::standard scale must stay within the synthetic "
                 "population's supported range");
 

@@ -130,7 +130,8 @@ struct AsInfo {
 class AsRegistry {
  public:
   /// Build the standard registry in a universe of 2^scale_log2 addresses
-  /// starting at 10.0.0.0 (scale_log2 in [12, 24]; default 20 ≈ 1M).
+  /// starting at 10.0.0.0 (scale_log2 within ModelConfig's kMinScaleLog2..
+  /// kMaxScaleLog2, [12, 24]; default 20 ≈ 1M).
   [[nodiscard]] static AsRegistry standard(int scale_log2 = 20);
 
   [[nodiscard]] const std::vector<AsInfo>& all() const noexcept { return ases_; }

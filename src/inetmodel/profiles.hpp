@@ -65,6 +65,9 @@ struct GroundTruth {
 /// The simulated world's parameters: its size and seed, path impairments,
 /// and the three overlays the ground truth layers on the paper's snapshot.
 struct ModelConfig {
+  // The scale_log2 range the synthetic population supports.
+  static constexpr int kMinScaleLog2 = 12;
+  static constexpr int kMaxScaleLog2 = 24;
   int scale_log2 = 18;       // universe of 2^N addresses (default 256 Ki)
   std::uint64_t seed = 42;
   double loss_rate = 0.002;  // per-packet, per-direction

@@ -1,6 +1,7 @@
 #include "util/flags.hpp"
 
 #include <charconv>
+#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
@@ -8,11 +9,14 @@
 
 namespace iwscan::util {
 
-void Flags::define_u64(std::string name, std::uint64_t default_value, std::string help) {
+void Flags::define_u64(std::string name, std::uint64_t default_value, std::string help,
+                       std::uint64_t min, std::uint64_t max) {
   Entry entry;
   entry.kind = Kind::U64;
   entry.help = std::move(help);
   entry.u64_value = default_value;
+  entry.u64_min = min;
+  entry.u64_max = max;
   entries_.emplace(std::move(name), std::move(entry));
 }
 
@@ -52,6 +56,15 @@ bool Flags::assign(Entry& entry, std::string_view name, std::string_view value) 
       if (!parsed) {
         error_ = "flag --" + std::string(name) + ": expected unsigned integer, got '" +
                  std::string(value) + "'";
+        return false;
+      }
+      if (*parsed < entry.u64_min || *parsed > entry.u64_max) {
+        char range[48];
+        std::snprintf(range, sizeof(range), "[%llu, %llu]",
+                      static_cast<unsigned long long>(entry.u64_min),
+                      static_cast<unsigned long long>(entry.u64_max));
+        error_ = "flag --" + std::string(name) + ": must be in " + range + ", got " +
+                 std::string(value);
         return false;
       }
       entry.u64_value = *parsed;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -16,8 +17,11 @@ namespace iwscan::util {
 
 class Flags {
  public:
-  /// Declare flags before parse(). `help` is printed by usage().
-  void define_u64(std::string name, std::uint64_t default_value, std::string help);
+  /// Declare flags before parse(). `help` is printed by usage(). parse()
+  /// rejects a u64 value outside [min, max].
+  void define_u64(std::string name, std::uint64_t default_value, std::string help,
+                  std::uint64_t min = 0,
+                  std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
   void define_double(std::string name, double default_value, std::string help);
   void define_bool(std::string name, bool default_value, std::string help);
   void define_string(std::string name, std::string default_value, std::string help);
@@ -41,6 +45,8 @@ class Flags {
     Kind kind = Kind::U64;
     std::string help;
     std::uint64_t u64_value = 0;
+    std::uint64_t u64_min = 0;
+    std::uint64_t u64_max = 0;
     double double_value = 0.0;
     bool bool_value = false;
     std::string string_value;

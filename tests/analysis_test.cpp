@@ -276,6 +276,12 @@ TEST(TextTable, CsvEscapesSpecials) {
   EXPECT_NE(csv.find("\"with\"\"quote\""), std::string::npos);
 }
 
+TEST(TextTable, MarkdownKeepsCommasInsideCells) {
+  TextTable table({"scan", "probed"});
+  table.add_row({"HTTP", "6,650"});
+  EXPECT_EQ(table.markdown(), "| scan | probed | \n|---|---|\n| HTTP | 6,650 | \n");
+}
+
 TEST(FmtDouble, Precision) {
   EXPECT_EQ(fmt_double(3.14159, 2), "3.14");
   EXPECT_EQ(fmt_double(50.0), "50.0");
@@ -355,6 +361,22 @@ TEST(RenderReport, MarkdownModeEmitsTables) {
   EXPECT_NE(report.find("# TCP Initial Window"), std::string::npos);
   EXPECT_NE(report.find("|---|"), std::string::npos);
   EXPECT_NE(report.find("| HTTP |"), std::string::npos);
+}
+
+TEST(RenderReport, MarkdownCountWithThousandsSeparatorIsOneCell) {
+  std::vector<core::HostScanRecord> http;
+  for (std::uint32_t i = 0; i < 6650; ++i) {
+    http.push_back(make_record(0x0A000000 + i, core::HostOutcome::Success, 10));
+  }
+  ScanInputs inputs;
+  inputs.http = http;
+  ReportOptions options;
+  options.markdown = true;
+  options.include_per_service = false;
+  options.dominant_threshold = 0.0;
+  const std::string report = render_report(inputs, options);
+  EXPECT_NE(report.find("| HTTP | 6,650 | 6,650 | "), std::string::npos) << report;
+  EXPECT_EQ(report.find('"'), std::string::npos) << report;
 }
 
 TEST(RecordsToCsv, OneRowPerHostWithHeader) {

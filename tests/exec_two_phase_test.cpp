@@ -202,8 +202,9 @@ TEST(TwoPhaseScan, MaxPromotedHostsTruncatesToLowestCycleIndices) {
         << "record " << i << " (ip " << full.records[i].ip.to_string() << ")";
   }
 
-  // The truncation is global: any shard count picks the same K hosts.
-  for (const std::uint64_t shards : {2u, 4u}) {
+  // The truncation is global: any shard count picks the same K hosts, also
+  // with more shards than pool threads (8 shards on a 4-thread machine).
+  for (const std::uint64_t shards : {2u, 4u, 8u}) {
     const analysis::ScanOutput sharded = run_two_phase(shards, cap);
     expect_identical(sharded, capped, shards);
   }

@@ -378,17 +378,7 @@ core::HostScanRecord probe_varying(std::vector<int> bursts) {
   config.protocol = core::ProbeProtocol::Http;
   config.port = 80;
   config.mss_secondary = 0;  // single pass of 3 probes
-
-  core::HostScanRecord record;
-  bool done = false;
-  core::HostProber prober(services, kServerIp, config,
-                          [&](const core::HostScanRecord& r) { record = r; },
-                          [&] { done = true; });
-  services.set_handler([&](const net::Datagram& d) { prober.on_datagram(d); });
-  prober.start();
-  while (!done && loop.step()) {
-  }
-  return record;
+  return core::probe_host(services, kServerIp, config);
 }
 
 TEST(AgreementRule, ConsistentHostSucceeds) {

@@ -79,18 +79,7 @@ class Testbed {
   /// Run a full multi-probe host session; returns the host record.
   core::HostScanRecord probe_host(net::IPv4Address target,
                                   const core::IwScanConfig& config) {
-    core::HostScanRecord record;
-    bool done = false;
-    core::HostProber prober(
-        services_, target, config,
-        [&](const core::HostScanRecord& r) { record = r; }, [&] { done = true; });
-    services_.set_handler(
-        [&](const net::Datagram& datagram) { prober.on_datagram(datagram); });
-    prober.start();
-    while (!done && loop_.step()) {
-    }
-    services_.set_handler(nullptr);
-    return record;
+    return core::probe_host(services_, target, config);
   }
 
   /// Record every TCP segment put on the wire, in injection order (the

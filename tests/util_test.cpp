@@ -254,6 +254,21 @@ TEST(Flags, NoPrefixDisablesBool) {
   EXPECT_FALSE(flags.boolean("feature"));
 }
 
+TEST(Flags, RejectsU64OutsideItsRange) {
+  for (const char* bad : {"--scale=11", "--scale=25", "--scale=4294967308"}) {
+    Flags flags;
+    flags.define_u64("scale", 16, "", 12, 24);
+    const char* argv[] = {"prog", bad};
+    EXPECT_FALSE(flags.parse(2, argv)) << bad;
+    EXPECT_NE(flags.error().find("[12, 24]"), std::string::npos) << flags.error();
+  }
+  Flags flags;
+  flags.define_u64("scale", 16, "", 12, 24);
+  const char* argv[] = {"prog", "--scale=24"};
+  ASSERT_TRUE(flags.parse(2, argv)) << flags.error();
+  EXPECT_EQ(flags.u64("scale"), 24u);
+}
+
 TEST(Flags, RejectsUnknownAndBadValues) {
   Flags flags;
   flags.define_u64("count", 5, "");

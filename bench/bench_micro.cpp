@@ -421,7 +421,6 @@ double sweep_allocs_per_packet() {
   sim::Network network(loop, 9);
   scan::SweepConfig config;
   config.seed = 11;
-  config.cooldown = sim::msec(1);
   const net::Cidr space = *net::Cidr::parse("10.50.0.0/24");
   scan::StatelessSweep sweep(network, config,
                              scan::TargetGenerator({space}, {}, config.seed),

@@ -44,7 +44,6 @@ constexpr double kDbscanEpsilon = 0.15;          // Fig. 5: neighbourhood radius
 constexpr int kDbscanMinPoints = 3;              // Fig. 5: density threshold
 constexpr int kLossTrials = 40;                  // §3.5: probe trials per loss level
 constexpr int kTrendEpochs = 10;                 // §5 trend: epochs after epoch 0
-constexpr double kUpgradeRate = 0.06;            // §5 trend: per-epoch upgrade odds
 constexpr double kTrendFraction = 0.25;          // §5 trend: sample fraction per epoch
 constexpr double kIpv4Addresses = 3.7e9;         // §3.4: addresses a full scan probes
 constexpr double kRealResponderShare = 0.013;    // §3.4: 48.3 M responders of ~3.7 B
@@ -583,9 +582,7 @@ void s34(const Run& run) {
   std::uint64_t open = 0;
   std::uint64_t closed = 0;
   std::uint64_t unresponsive = 0;
-  scan::SynScanConfig syn_config;
-  syn_config.port = 80;
-  scan::SynScanModule module(syn_config, [&](const scan::SynScanResult& result) {
+  scan::SynScanModule module(80, [&](const scan::SynScanResult& result) {
     switch (result.state) {
       case scan::PortState::Open: ++open; break;
       case scan::PortState::Closed: ++closed; break;
@@ -938,7 +935,7 @@ void s43(const Run& run) {
 // requirements.
 void fn1(const Run& run) {
   std::vector<scan::MtuProbeResult> results;
-  scan::IcmpMtuModule module({}, [&](const scan::MtuProbeResult& result) {
+  scan::IcmpMtuModule module([&](const scan::MtuProbeResult& result) {
     if (result.responded) results.push_back(result);
   });
   run_module(run.flags, module, scan::EngineConfig{}.max_outstanding);
@@ -989,7 +986,6 @@ void trend(const Run& run) {
   for (int epoch = 0; epoch <= kTrendEpochs; ++epoch) {
     model::ModelConfig config = bench::model_config(run.flags);
     config.epoch = epoch;
-    config.upgrade_rate_per_epoch = kUpgradeRate;
     auto world = bench::make_world(config);
     analysis::ScanOptions options = bench::scan_options(run.flags, ProbeProtocol::Http);
     options.sample_fraction = kTrendFraction;

@@ -1,10 +1,8 @@
 #include "analysis/provider_table.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "analysis/table_writer.hpp"
-#include "store/spill.hpp"
 
 namespace iwscan::analysis {
 namespace {
@@ -67,46 +65,6 @@ std::vector<ProviderIwRow> provider_breakdown(
     rows.push_back(std::move(slots[i]));
   }
   return rows;
-}
-
-std::vector<EpochBreakdown> longitudinal_breakdown(
-    const LongitudinalOptions& options, std::string* error) {
-  std::vector<EpochBreakdown> out;
-  for (const int epoch : options.epochs) {
-    model::ModelConfig model_config = options.model;
-    model_config.epoch = epoch;
-
-    // Each epoch is a self-contained world on its own event loop: the same
-    // (seed, ip) draws plus the epoch's deterministic drift — nothing leaks
-    // from one epoch's scan into the next.
-    sim::EventLoop loop;
-    sim::Network network(loop, options.network_seed);
-    model::InternetModel internet(network, model_config);
-    internet.install();
-
-    ScanOptions scan = options.scan;
-    if (!scan.spill_dir.empty()) {
-      scan.spill_dir += "/epoch" + std::to_string(epoch);
-    }
-    const ScanOutput output = run_iw_scan(network, internet, scan);
-
-    EpochBreakdown breakdown;
-    breakdown.epoch = epoch;
-    if (!scan.spill_dir.empty()) {
-      std::vector<core::HostScanRecord> records;
-      std::string merge_error;
-      if (!store::read_merged<core::HostScanRecord>(output.spill_files, records,
-                                                    &merge_error)) {
-        if (error != nullptr) *error = merge_error;
-        return {};
-      }
-      breakdown.rows = provider_breakdown(records, internet.registry());
-    } else {
-      breakdown.rows = provider_breakdown(output.records, internet.registry());
-    }
-    out.push_back(std::move(breakdown));
-  }
-  return out;
 }
 
 std::string render_longitudinal_table(std::span<const EpochBreakdown> epochs,

@@ -6,11 +6,11 @@
 // (IW ≥ 16) windows, and how many of its hosts degraded to bounded
 // estimates because the first flight was paced (ProbeAnomaly::PacedDelivery).
 //
-// The longitudinal mode re-synthesizes the same world at epochs T0/T1/T2
-// (the IW and CDN-tier drift that ModelConfig::epoch drives is monotone and
-// deterministic per host) and scans each snapshot on a fresh event loop —
-// the §5 trend-monitoring loop in library form. Output is byte-identical across shard counts and under
-// the spill path, which cdn_test pins.
+// The longitudinal table puts one breakdown per epoch side by side: the
+// same world scanned at T0/T1/T2, whose IW and CDN-tier drift
+// (ModelConfig::epoch) is monotone and deterministic per host — the §5
+// trend-monitoring loop. cdn_test pins it byte-identical across shard
+// counts and under the spill path.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/scan_runner.hpp"
 #include "core/result.hpp"
 #include "inetmodel/as_registry.hpp"
 
@@ -56,25 +55,11 @@ struct ProviderIwRow {
     std::span<const core::HostScanRecord> records,
     const model::AsRegistry& registry);
 
-/// One epoch of the longitudinal mode.
+/// One epoch's breakdown, a column group of the longitudinal table.
 struct EpochBreakdown {
   int epoch = 0;
   std::vector<ProviderIwRow> rows;
 };
-
-struct LongitudinalOptions {
-  model::ModelConfig model;  // `epoch` is overridden per run
-  ScanOptions scan;          // spill_dir gets a per-epoch subdirectory
-  std::vector<int> epochs = {0, 1, 2};
-  std::uint64_t network_seed = 1;
-};
-
-/// Runs one scan per epoch against a freshly-synthesized world (same seed,
-/// the drift/CDN epoch advanced). With scan.spill_dir set, each epoch
-/// spills under "<dir>/epoch<N>" and is read back through the K-way merge.
-/// Returns an empty vector (with `*error` set, if given) on spill failures.
-[[nodiscard]] std::vector<EpochBreakdown> longitudinal_breakdown(
-    const LongitudinalOptions& options, std::string* error = nullptr);
 
 /// The drift table: one row per provider, one column group per epoch
 /// (successes, median IW, IW ≥ 16 share, paced share).

@@ -8,6 +8,12 @@
 #include "util/strings.hpp"
 
 namespace iwscan::http {
+namespace {
+
+/// Filler bytes an echoing 404 page carries around the echoed URI.
+constexpr std::size_t kNotFoundPadding = 160;
+
+}  // namespace
 
 void HttpServerApp::on_data(tcp::TcpConnection& conn,
                             std::span<const std::uint8_t> data) {
@@ -40,10 +46,6 @@ void HttpServerApp::on_data(tcp::TcpConnection& conn,
   respond(conn, parser_.request());
 }
 
-HttpServerApp::~HttpServerApp() {
-  if (loop_ != nullptr) loop_->cancel(pending_response_);
-}
-
 void HttpServerApp::respond(tcp::TcpConnection& conn, const HttpRequest& request) {
   // Per-vhost IW: a request naming the canonical vhost is served from the
   // vhost's (larger) first-flight config. Must precede the first response
@@ -55,24 +57,8 @@ void HttpServerApp::respond(tcp::TcpConnection& conn, const HttpRequest& request
     }
   }
   const HttpResponse response = build_response(request);
-  const bool close_after = request.wants_close() || response.status == 301;
-  std::string wire = response.serialize();
-  if (config_->processing_delay == sim::SimTime::zero()) {
-    conn.send(wire);
-    if (close_after) conn.close();
-    return;
-  }
-  // Delayed response. The connection owns this app, so if the connection is
-  // destroyed first the app destructor cancels the event — the captured
-  // references can never dangle.
-  loop_ = &conn.loop();
-  pending_response_ = loop_->schedule(
-      config_->processing_delay, [this, &conn, wire = std::move(wire), close_after] {
-        pending_response_ = sim::kNullEvent;
-        if (conn.state() == tcp::TcpState::Closed) return;
-        conn.send(wire);
-        if (close_after) conn.close();
-      });
+  conn.send(response.serialize());
+  if (request.wants_close() || response.status == 301) conn.close();
 }
 
 HttpResponse HttpServerApp::build_response(const HttpRequest& request) const {
@@ -118,23 +104,11 @@ HttpResponse HttpServerApp::build_response(const HttpRequest& request) const {
                          "<h1>Not Found</h1><p>The requested URL ";
       body += request.target;
       body += " was not found on this server.</p>";
-      body.append(config_->not_found_extra, '.');
+      body.append(kNotFoundPadding, '.');
       body += "</body></html>";
       response.body = std::move(body);
       return response;
     }
-
-    case RootBehavior::NotFoundPlain:
-      response.status = 404;
-      response.reason = "Not Found";
-      response.body = "<html><body><h1>404 Not Found</h1></body></html>";
-      return response;
-
-    case RootBehavior::EmptyReply:
-      response.status = 200;
-      response.reason = "OK";
-      response.body.clear();
-      return response;
 
     case RootBehavior::VirtualHosted:
       // Only a valid (customer) Host name selects a real service; IP-based

@@ -24,8 +24,6 @@ enum class RootBehavior {
   Page,            // "/" serves a page directly
   RedirectToName,  // "/" with an IP Host header → 301 to the canonical name
   NotFoundEcho,    // unknown URIs → 404 echoing the request URI
-  NotFoundPlain,   // unknown URIs → short fixed 404
-  EmptyReply,      // headers only, zero-length body (never enough data)
   RawBanner,       // non-HTTP service: page_size raw bytes, then close
   Silent,          // accepts requests, never answers (Table 2 "NoData")
   VirtualHosted,   // CDN edge: real page only for a known Host header,
@@ -39,9 +37,6 @@ struct WebConfig {
   std::string server_header = "Apache";
   // When redirecting: body size of the page reached via the redirect.
   std::size_t redirected_page_size = 8192;
-  // 404 body overhead around the echoed URI.
-  std::size_t not_found_extra = 160;
-  sim::SimTime processing_delay = sim::SimTime::zero();
   // Per-vhost IW split (CDN edges): requests whose Host header names the
   // canonical vhost are answered with this IwConfig instead of the
   // listener's default — applied before the first response byte, so
@@ -55,7 +50,6 @@ class HttpServerApp final : public tcp::Application {
   /// `config` is the listener's, shared read-only by all its connections.
   explicit HttpServerApp(std::shared_ptr<const WebConfig> config)
       : config_(std::move(config)) {}
-  ~HttpServerApp() override;
 
   void on_data(tcp::TcpConnection& conn, std::span<const std::uint8_t> data) override;
 
@@ -71,10 +65,6 @@ class HttpServerApp final : public tcp::Application {
   std::shared_ptr<const WebConfig> config_;
   RequestParser parser_;
   bool responded_ = false;
-  // Pending delayed-response event; cancelled on destruction so it can
-  // never fire against a torn-down connection (the app dies with it).
-  sim::EventLoop* loop_ = nullptr;
-  sim::EventId pending_response_ = sim::kNullEvent;
 };
 
 }  // namespace iwscan::http

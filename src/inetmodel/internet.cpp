@@ -46,7 +46,7 @@ InternetModel::~InternetModel() {
 
 void InternetModel::install() {
   network_.set_resolver([this](net::IPv4Address ip) { return resolve(ip); });
-  sweep_event_ = network_.loop().schedule(config_.sweep_interval, [this] { sweep(); });
+  sweep_event_ = network_.loop().schedule(kSweepInterval, [this] { sweep(); });
 }
 
 sim::Endpoint* InternetModel::resolve(net::IPv4Address ip) {
@@ -62,7 +62,7 @@ sim::Endpoint* InternetModel::resolve(net::IPv4Address ip) {
 
   sim::PathConfig path = network_.default_path();
   path.latency = sim::usec(gt.latency_us);
-  path.jitter = config_.jitter;
+  path.jitter = kPathJitter;
   path.loss_rate = config_.loss_rate;
   path.reorder_rate = config_.reorder_rate;
   path.duplicate_rate = config_.duplicate_rate;
@@ -87,18 +87,14 @@ std::unique_ptr<tcp::TcpHost> InternetModel::build_host(net::IPv4Address ip,
   // The factories capture only {this, ip}, which std::function stores
   // inline; each accepted SYN derives its daemon from truth(ip).
   if (gt.http) {
-    tcp::StackConfig http_stack = base;
-    http_stack.iw = gt.http_iw;
     host->listen(
         80, [this, ip](net::IPv4Address, std::uint16_t) { return http_app(ip); },
-        http_stack);
+        gt.http_iw);
   }
   if (gt.tls) {
-    tcp::StackConfig tls_stack = base;
-    tls_stack.iw = gt.tls_iw;
     host->listen(
         443, [this, ip](net::IPv4Address, std::uint16_t) { return tls_app(ip); },
-        tls_stack);
+        gt.tls_iw);
   }
   return host;
 }
@@ -132,7 +128,6 @@ http::WebConfig InternetModel::web_config(net::IPv4Address ip, GroundTruth gt) c
       break;
     case HttpCategory::SuccessEcho:
       web.root = http::RootBehavior::NotFoundEcho;
-      web.not_found_extra = 160;
       break;
     case HttpCategory::FewData: {
       const std::uint32_t eff = gt.os == tcp::OsProfile::Windows ? 536 : 64;
@@ -183,7 +178,7 @@ tls::TlsConfig InternetModel::tls_config(net::IPv4Address ip, GroundTruth gt) co
 }
 
 void InternetModel::sweep() {
-  sweep_event_ = network_.loop().schedule(config_.sweep_interval, [this] { sweep(); });
+  sweep_event_ = network_.loop().schedule(kSweepInterval, [this] { sweep(); });
   for (auto it = hosts_.begin(); it != hosts_.end();) {
     if (it->second->quiescent()) {
       network_.detach(it->first);

@@ -26,6 +26,11 @@ namespace iwscan::model {
 
 class InternetModel {
  public:
+  /// Uniform extra one-way delay on every modeled host's path.
+  static constexpr sim::SimTime kPathJitter = sim::msec(3);
+  /// Period of the eviction poll that drops quiescent hosts.
+  static constexpr sim::SimTime kSweepInterval = sim::sec(5);
+
   InternetModel(sim::Network& network, ModelConfig config);
   ~InternetModel();
 

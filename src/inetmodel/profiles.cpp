@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <initializer_list>
-#include <limits>
 #include <string_view>
 
 #include "httpd/http_message.hpp"
@@ -105,14 +104,19 @@ std::uint32_t GroundTruth::true_iw_segments(bool for_tls,
 
 namespace {
 
+/// Per-epoch odds that a legacy-IW Linux host still waiting upgrades to
+/// IW 10 (§5 trend drift).
+constexpr double kLegacyUpgradeRate = 0.06;
+/// Per-epoch odds of a CDN edge's next step up a tier.
+constexpr double kCdnTierUpgradeRate = 0.08;
+
 /// Epoch at which a host's (salt-identified) upgrade lands: geometric in the
 /// per-epoch rate, deterministic per (seed, salt, ip), ≥ 1.
 int upgrade_epoch(std::uint64_t seed, std::uint64_t salt, net::IPv4Address ip,
                   double rate) {
-  if (rate <= 0.0) return std::numeric_limits<int>::max();
   const double u =
       static_cast<double>(util::mix64(seed ^ salt, ip.value()) >> 11) * 0x1.0p-53;
-  const double epochs = std::log(1.0 - u) / std::log(1.0 - std::min(rate, 0.999));
+  const double epochs = std::log(1.0 - u) / std::log(1.0 - rate);
   return 1 + static_cast<int>(epochs);
 }
 
@@ -168,7 +172,7 @@ GroundTruth synthesize_host(const AsRegistry& registry, const ModelConfig& confi
   // one kernel, so both services upgrade together.
   if (config.epoch > 0 && gt.os == tcp::OsProfile::Linux &&
       config.epoch >=
-          upgrade_epoch(seed, 0xeb0c4ULL, ip, config.upgrade_rate_per_epoch)) {
+          upgrade_epoch(seed, 0xeb0c4ULL, ip, kLegacyUpgradeRate)) {
     const auto upgrade = [](tcp::IwConfig& iw) {
       if (iw.policy == tcp::IwPolicy::Segments && iw.segments <= 4) {
         iw = tcp::IwConfig::segments_of(10);
@@ -326,17 +330,9 @@ GroundTruth synthesize_host(const AsRegistry& registry, const ModelConfig& confi
       // geometric epoch (pure in (seed, step, ip) — the draws themselves
       // never depend on the epoch, so advancing the epoch only ever raises
       // the tier: monotone drift).
-      for (int step = 0; tier < 3; ++step) {
-        int lands_at = 0;
-        for (int s = 0; s <= step; ++s) {
-          const int draw = upgrade_epoch(seed, 0x7d21fULL + static_cast<std::uint64_t>(s),
-                                         ip, config.cdn_tier_upgrade_rate);
-          if (draw >= std::numeric_limits<int>::max() - lands_at) {
-            lands_at = std::numeric_limits<int>::max();
-            break;
-          }
-          lands_at += draw;
-        }
+      int lands_at = 0;
+      for (std::uint64_t step = 0; tier < 3; ++step) {
+        lands_at += upgrade_epoch(seed, 0x7d21fULL + step, ip, kCdnTierUpgradeRate);
         if (lands_at > config.epoch) break;
         ++tier;
       }

@@ -73,24 +73,22 @@ struct ModelConfig {
   double loss_rate = 0.002;  // per-packet, per-direction
   double reorder_rate = 0.003;
   double duplicate_rate = 0.0;
-  sim::SimTime jitter = sim::msec(3);
-  sim::SimTime sweep_interval = sim::sec(5);
   // Hostile-stack overlay: this fraction of present hosts swap their modeled
   // daemons for a pathology from inetmodel/adversarial.hpp. Drawn from a
   // dedicated RNG stream, so 0.0 reproduces pre-overlay worlds exactly.
   double adversarial_fraction = 0.0;
   // Longitudinal drift (the §5 trend-monitoring extension): each epoch,
-  // a fraction of legacy-IW Linux hosts upgrades to IW 10 (kernel/distro
-  // updates — the mechanism the paper names for the slow IW10 adoption).
-  // Upgrades are deterministic per host and monotone across epochs.
+  // 6 % of the legacy-IW Linux hosts still waiting upgrade to IW 10
+  // (kernel/distro updates — the mechanism the paper names for the slow
+  // IW10 adoption). Upgrades are deterministic per host and monotone
+  // across epochs.
   int epoch = 0;
-  double upgrade_rate_per_epoch = 0.06;
   // CDN overlay (modern-stack follow-up): this fraction of present web hosts
   // inside CDN-eligible ASes become tiered large-IW edges (paced first
   // flights, per-vhost splits). Dedicated RNG stream: 0.0 reproduces
-  // pre-overlay worlds exactly. Tier drift shares `epoch` above.
+  // pre-overlay worlds exactly. Tier drift shares `epoch` above: each step
+  // up a tier lands after a geometric wait at 8 % per epoch.
   double cdn_fraction = 0.0;
-  double cdn_tier_upgrade_rate = 0.08;
 };
 
 /// Synthesize the ground truth for one address. Pure in (config, ip), of

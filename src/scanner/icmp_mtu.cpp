@@ -3,13 +3,17 @@
 namespace iwscan::scan {
 namespace {
 
+constexpr std::uint32_t kInitialMtu = 1500;  // the first probe's size
+constexpr std::uint32_t kMinMtu = 68;        // RFC 791 minimum
+constexpr sim::SimTime kTimeout = sim::sec(5);
+constexpr int kMaxProbes = 8;
+
 class MtuSession final : public ProbeSession {
  public:
-  MtuSession(SessionServices& services, net::IPv4Address target, MtuProbeConfig config,
+  MtuSession(SessionServices& services, net::IPv4Address target,
              IcmpMtuModule::ResultFn* on_result, std::function<void()> finish)
       : services_(services),
         target_(target),
-        config_(config),
         on_result_(on_result),
         finish_(std::move(finish)) {}
 
@@ -17,7 +21,7 @@ class MtuSession final : public ProbeSession {
 
   void start() override {
     echo_id_ = static_cast<std::uint16_t>(services_.session_seed(target_));
-    probe(config_.initial_mtu);
+    probe(kInitialMtu);
   }
 
   void on_datagram(const net::Datagram& datagram) override {
@@ -34,8 +38,8 @@ class MtuSession final : public ProbeSession {
     if (icmp->icmp.type == net::IcmpType::DestinationUnreachable &&
         icmp->icmp.code == net::kIcmpFragNeeded) {
       const std::uint32_t next_hop = icmp->icmp.seq_or_mtu;
-      if (next_hop >= config_.min_mtu && next_hop < current_mtu_ &&
-          probes_sent_ < config_.max_probes) {
+      if (next_hop >= kMinMtu && next_hop < current_mtu_ &&
+          probes_sent_ < kMaxProbes) {
         probe(next_hop);  // confirm the advertised MTU end-to-end
       } else {
         conclude(false, 0);
@@ -62,7 +66,7 @@ class MtuSession final : public ProbeSession {
     services_.send_packet(echo);
 
     services_.loop().cancel(timeout_event_);
-    timeout_event_ = services_.loop().schedule(config_.timeout, [this] {
+    timeout_event_ = services_.loop().schedule(kTimeout, [this] {
       timeout_event_ = sim::kNullEvent;
       conclude(false, 0);
     });
@@ -79,7 +83,6 @@ class MtuSession final : public ProbeSession {
 
   SessionServices& services_;
   net::IPv4Address target_;
-  MtuProbeConfig config_;
   IcmpMtuModule::ResultFn* on_result_;
   std::function<void()> finish_;
   std::uint16_t echo_id_ = 0;
@@ -93,8 +96,7 @@ class MtuSession final : public ProbeSession {
 
 std::unique_ptr<ProbeSession> IcmpMtuModule::create_session(
     SessionServices& services, net::IPv4Address target, std::function<void()> finish) {
-  return std::make_unique<MtuSession>(services, target, config_, &on_result_,
-                                      std::move(finish));
+  return std::make_unique<MtuSession>(services, target, &on_result_, std::move(finish));
 }
 
 }  // namespace iwscan::scan

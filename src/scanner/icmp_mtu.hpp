@@ -23,26 +23,17 @@ struct MtuProbeResult {
   }
 };
 
-struct MtuProbeConfig {
-  std::uint32_t initial_mtu = 1500;
-  std::uint32_t min_mtu = 68;  // RFC 791 minimum
-  sim::SimTime timeout = sim::sec(5);
-  int max_probes = 8;
-};
-
 class IcmpMtuModule final : public ProbeModule {
  public:
   using ResultFn = std::function<void(const MtuProbeResult&)>;
 
-  IcmpMtuModule(MtuProbeConfig config, ResultFn on_result)
-      : config_(config), on_result_(std::move(on_result)) {}
+  explicit IcmpMtuModule(ResultFn on_result) : on_result_(std::move(on_result)) {}
 
   std::unique_ptr<ProbeSession> create_session(SessionServices& services,
                                                net::IPv4Address target,
                                                std::function<void()> finish) override;
 
  private:
-  MtuProbeConfig config_;
   ResultFn on_result_;
 };
 

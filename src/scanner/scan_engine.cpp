@@ -1,15 +1,28 @@
 #include "scanner/scan_engine.hpp"
 
+#include "util/check.hpp"
+
 namespace iwscan::scan {
 
 ScanEngine::ScanEngine(sim::Network& network, EngineConfig config,
                        TargetGenerator targets, ProbeModule& module)
+    : ScanEngine(network, config,
+                 std::make_unique<GeneratorTargetSource>(std::move(targets)), nullptr,
+                 module) {}
+
+ScanEngine::ScanEngine(sim::Network& network, EngineConfig config,
+                       TargetSource& source, ProbeModule& module)
+    : ScanEngine(network, config, nullptr, &source, module) {}
+
+ScanEngine::ScanEngine(sim::Network& network, EngineConfig config,
+                       std::unique_ptr<TargetSource> owned_source, TargetSource* source,
+                       ProbeModule& module)
     : network_(network),
       config_(config),
-      owned_source_(std::make_unique<GeneratorTargetSource>(std::move(targets))),
-      source_(owned_source_.get()),
+      owned_source_(std::move(owned_source)),
+      source_(source != nullptr ? source : owned_source_.get()),
       module_(module) {
-  // Session/draw maps never exceed the outstanding window, and the fabric
+  // The session table never exceeds the outstanding window, and the fabric
   // instantiates at most one endpoint per in-flight target plus whatever
   // is already attached — reserve both up front so the steady-state scan
   // loop never rehashes (ScanOptions::max_outstanding flows in via
@@ -17,17 +30,6 @@ ScanEngine::ScanEngine(sim::Network& network, EngineConfig config,
   const std::size_t hint = static_cast<std::size_t>(
       std::min<std::uint64_t>(config_.max_outstanding, source_->size_hint()));
   sessions_.reserve(hint);
-  draws_.reserve(hint);
-  network_.reserve_endpoints(hint);
-}
-
-ScanEngine::ScanEngine(sim::Network& network, EngineConfig config,
-                       TargetSource& source, ProbeModule& module)
-    : network_(network), config_(config), source_(&source), module_(module) {
-  const std::size_t hint = static_cast<std::size_t>(
-      std::min<std::uint64_t>(config_.max_outstanding, source_->size_hint()));
-  sessions_.reserve(hint);
-  draws_.reserve(hint);
   network_.reserve_endpoints(hint);
 }
 
@@ -80,12 +82,15 @@ void ScanEngine::launch_next_target() {
   if (launch_observer_) launch_observer_(target, cycle);
   auto session = module_.create_session(*this, target,
                                         [this, t = target] { finish_session(t); });
-  auto [it, inserted] = sessions_.emplace(target, SessionState{std::move(session)});
+  const std::uint64_t key = util::mix64(config_.seed, target.value());
+  const auto [it, inserted] = sessions_.try_emplace(
+      target, std::move(session),
+      TargetDraws{util::Rng(key), static_cast<std::uint32_t>(key >> 32)});
   if (!inserted) {
-    // Duplicate target (overlapping allowlist); replace and run anyway.
+    // Duplicate target (overlapping allowlist): replace the session and run
+    // it anyway; the draws continue where the replaced session left them.
     network_.loop().cancel(it->second.deadline);
-    it->second = SessionState{module_.create_session(
-        *this, target, [this, t = target] { finish_session(t); })};
+    it->second = SessionState{std::move(session), it->second.draws};
   }
   arm_deadline(it->second, target);
   it->second.session->start();
@@ -124,7 +129,6 @@ void ScanEngine::finish_session(net::IPv4Address target) {
   auto node = sessions_.extract(target);
   if (node.empty()) return;
   network_.loop().cancel(node.mapped().deadline);
-  draws_.erase(target);
   // The session is likely on the call stack; free it on the next tick.
   // iwlint: allow(hot-path) -- once-per-session teardown, not per-packet;
   // graveyard capacity is reused across reap ticks
@@ -177,15 +181,9 @@ void ScanEngine::send_packet(net::PacketBuf packet) {
 }
 
 ScanEngine::TargetDraws& ScanEngine::target_draws(net::IPv4Address target) {
-  auto it = draws_.find(target);
-  if (it == draws_.end()) {
-    const std::uint64_t key = util::mix64(config_.seed, target.value());
-    it = draws_
-             .emplace(target, TargetDraws{util::Rng(key),
-                                          static_cast<std::uint32_t>(key >> 32)})
-             .first;
-  }
-  return it->second;
+  const auto it = sessions_.find(target);
+  IWSCAN_ASSERT(it != sessions_.end(), "draws are drawn only by a live session");
+  return it->second.draws;
 }
 
 std::uint16_t ScanEngine::allocate_port(net::IPv4Address target) {

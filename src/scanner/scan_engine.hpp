@@ -238,22 +238,28 @@ class ScanEngine final : public sim::Endpoint, public SessionServices {
   // Per-target draw state: seeded purely from (scan seed, target) so the
   // sequence a session observes is identical no matter how many other
   // sessions interleave with it — the property that makes sharded scans
-  // byte-identical to shards=1. Erased when the session finishes.
+  // byte-identical to shards=1.
   struct TargetDraws {
     util::Rng rng;
     std::uint32_t port_offset;
   };
-  [[nodiscard]] TargetDraws& target_draws(net::IPv4Address target);
 
-  // One live conversation plus its budget accounting. The wall-time
-  // deadline is armed at launch; byte/packet counters are checked in
-  // handle_packet before delivery.
+  // One live conversation: its draw state and its budget accounting. The
+  // wall-time deadline is armed at launch; byte/packet counters are
+  // checked in handle_packet before delivery. Erased when the session
+  // finishes.
   struct SessionState {
     std::unique_ptr<ProbeSession> session;
+    TargetDraws draws;
     sim::EventId deadline = sim::kNullEvent;
     std::uint64_t rx_bytes = 0;
     std::uint64_t rx_packets = 0;
   };
+
+  ScanEngine(sim::Network& network, EngineConfig config,
+             std::unique_ptr<TargetSource> owned_source, TargetSource* source,
+             ProbeModule& module);
+  [[nodiscard]] TargetDraws& target_draws(net::IPv4Address target);
 
   void pace();
   void launch_next_target();
@@ -274,7 +280,6 @@ class ScanEngine final : public sim::Endpoint, public SessionServices {
   // while a session still reads it.
   net::Datagram rx_;
   std::unordered_map<net::IPv4Address, SessionState> sessions_;
-  std::unordered_map<net::IPv4Address, TargetDraws> draws_;
   std::vector<std::unique_ptr<ProbeSession>> graveyard_;
   sim::EventId reap_event_ = sim::kNullEvent;
   sim::EventId pace_event_ = sim::kNullEvent;

@@ -94,13 +94,13 @@ struct SweepConfig {
   /// First-flight request pushed on the handshake ACK. Static, so a data
   /// segment's ack (= cookie+1+len) still recovers the cookie statelessly.
   static constexpr std::string_view request = "GET / HTTP/1.0\r\n\r\n";
+  /// Answer window after the last SYN: must exceed the host stack's
+  /// SYN-ACK retransmission span (~31 s at the simulated defaults).
+  static constexpr sim::SimTime cooldown = sim::sec(40);
 
   std::uint16_t target_port = 80;
   double rate_pps = 600'000;
   std::uint64_t seed = 7;
-  /// Answer window after the last SYN: must exceed the host stack's
-  /// SYN-ACK retransmission span (~31 s at the simulated defaults).
-  sim::SimTime cooldown = sim::sec(40);
 };
 
 struct SweepStats {

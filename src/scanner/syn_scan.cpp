@@ -5,11 +5,11 @@ namespace {
 
 class SynSession final : public ProbeSession {
  public:
-  SynSession(SessionServices& services, net::IPv4Address target, SynScanConfig config,
+  SynSession(SessionServices& services, net::IPv4Address target, std::uint16_t port,
              SynScanModule::ResultFn* on_result, std::function<void()> finish)
       : services_(services),
         target_(target),
-        config_(config),
+        port_(port),
         on_result_(on_result),
         finish_(std::move(finish)) {}
 
@@ -25,13 +25,13 @@ class SynSession final : public ProbeSession {
     syn.ip.ttl = 64;
     syn.ip.dont_fragment = true;
     syn.tcp.src_port = source_port_;
-    syn.tcp.dst_port = config_.port;
+    syn.tcp.dst_port = port_;
     syn.tcp.seq = isn_;
     syn.tcp.flags = net::kSyn;
     syn.tcp.window = 65535;
     services_.send_packet(syn);
 
-    timeout_event_ = services_.loop().schedule(config_.timeout, [this] {
+    timeout_event_ = services_.loop().schedule(SynScanModule::kTimeout, [this] {
       timeout_event_ = sim::kNullEvent;
       conclude(PortState::Unresponsive);
     });
@@ -42,7 +42,7 @@ class SynSession final : public ProbeSession {
     const auto* segment = std::get_if<net::TcpSegment>(&datagram);
     if (segment == nullptr) return;
     if (segment->tcp.dst_port != source_port_ ||
-        segment->tcp.src_port != config_.port) {
+        segment->tcp.src_port != port_) {
       return;
     }
     if (segment->tcp.has(net::kRst)) {
@@ -57,7 +57,7 @@ class SynSession final : public ProbeSession {
       rst.ip.dst = target_;
       rst.ip.ttl = 64;
       rst.tcp.src_port = source_port_;
-      rst.tcp.dst_port = config_.port;
+      rst.tcp.dst_port = port_;
       rst.tcp.seq = isn_ + 1;
       rst.tcp.flags = net::kRst;
       services_.send_packet(rst);
@@ -77,7 +77,7 @@ class SynSession final : public ProbeSession {
 
   SessionServices& services_;
   net::IPv4Address target_;
-  SynScanConfig config_;
+  std::uint16_t port_;
   SynScanModule::ResultFn* on_result_;
   std::function<void()> finish_;
   std::uint16_t source_port_ = 0;
@@ -90,7 +90,7 @@ class SynSession final : public ProbeSession {
 
 std::unique_ptr<ProbeSession> SynScanModule::create_session(
     SessionServices& services, net::IPv4Address target, std::function<void()> finish) {
-  return std::make_unique<SynSession>(services, target, config_, &on_result_,
+  return std::make_unique<SynSession>(services, target, port_, &on_result_,
                                       std::move(finish));
 }
 

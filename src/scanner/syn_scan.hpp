@@ -21,24 +21,22 @@ struct SynScanResult {
   PortState state = PortState::Unresponsive;
 };
 
-struct SynScanConfig {
-  std::uint16_t port = 80;
-  sim::SimTime timeout = sim::sec(8);
-};
-
 class SynScanModule final : public ProbeModule {
  public:
   using ResultFn = std::function<void(const SynScanResult&)>;
 
-  SynScanModule(SynScanConfig config, ResultFn on_result)
-      : config_(config), on_result_(std::move(on_result)) {}
+  /// How long a target may stay silent before it counts as Unresponsive.
+  static constexpr sim::SimTime kTimeout = sim::sec(8);
+
+  SynScanModule(std::uint16_t port, ResultFn on_result)
+      : port_(port), on_result_(std::move(on_result)) {}
 
   std::unique_ptr<ProbeSession> create_session(SessionServices& services,
                                                net::IPv4Address target,
                                                std::function<void()> finish) override;
 
  private:
-  SynScanConfig config_;
+  std::uint16_t port_;
   ResultFn on_result_;
 };
 

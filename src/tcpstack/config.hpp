@@ -15,14 +15,11 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "netsim/event_loop.hpp"
-
 namespace iwscan::tcp {
 
 enum class OsProfile {
   Linux,    // accepts MSS >= 64; below that clamps to 64
   Windows,  // announced MSS < 536 → uses 536
-  Permissive,  // uses whatever the peer announces (>= 1)
 };
 
 /// Effective segment size a host uses toward a peer that announced
@@ -37,9 +34,6 @@ enum class OsProfile {
       break;
     case OsProfile::Windows:
       if (mss < 536) mss = 536;
-      break;
-    case OsProfile::Permissive:
-      mss = std::max<std::uint16_t>(mss, 1);
       break;
   }
   return std::min(mss, own_limit);
@@ -117,18 +111,16 @@ struct IwConfig {
   friend constexpr bool operator==(const IwConfig&, const IwConfig&) = default;
 };
 
-// Fields are ordered so the struct packs into 64 bytes: every
-// materialized host holds one, plus one per listener override.
+/// What a simulated host varies: its OS clamping rule, its IW and its own
+/// MSS limit. The timers and the advertised window every host shares are
+/// constants of TcpConnection.
 struct StackConfig {
   OsProfile os = OsProfile::Linux;
   IwConfig iw = IwConfig::segments_of(10);
   std::uint16_t own_mss_limit = 1460;  // own interface MTU - 40
-  std::uint16_t advertised_window = 65535;
-  int max_retransmits = 5;
-  bool reset_on_closed_port = true;  // false = silently drop (filtered)
-  sim::SimTime rto_initial = sim::sec(1);  // Linux default initial RTO
-  sim::SimTime rto_max = sim::sec(60);
-  sim::SimTime idle_timeout = sim::sec(30);
 };
+// Every materialized host holds one and each connection a copy: a field
+// added here shows up in review.
+static_assert(sizeof(StackConfig) == 32);
 
 }  // namespace iwscan::tcp

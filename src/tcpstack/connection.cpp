@@ -37,7 +37,7 @@ TcpConnection::TcpConnection(sim::EventLoop& loop, const StackConfig& config,
   snd_nxt_ = iss_ + 1;
   buffer_start_seq_ = iss_ + 1;
 
-  rto_ = config_.rto_initial;
+  rto_ = kInitialRto;
   synack_sent_at_ = loop_.now();
   send_syn_ack();
   arm_retransmit();
@@ -102,7 +102,7 @@ void TcpConnection::on_segment(const net::TcpSegment& segment) {
     loop_.cancel(retx_event_);
     retx_event_ = sim::kNullEvent;
     retx_count_ = 0;
-    rto_ = config_.rto_initial;
+    rto_ = kInitialRto;
     if (app_) app_->on_established(*this);
     // Fall through: the handshake ACK may carry the request payload
     // (Fig. 1 of the paper: "ACK, REQUEST" in one segment).
@@ -158,7 +158,7 @@ void TcpConnection::handle_ack(const net::TcpSegment& segment) {
   cwnd_ += std::min<std::uint32_t>(acked, mss_);
 
   retx_count_ = 0;
-  rto_ = config_.rto_initial;
+  rto_ = kInitialRto;
   if (bytes_in_flight() == 0) {
     loop_.cancel(retx_event_);
     retx_event_ = sim::kNullEvent;
@@ -379,7 +379,7 @@ void TcpConnection::emit_segment(std::uint32_t seq,
   tcp.seq = seq;
   tcp.ack = (flags & net::kAck) ? rcv_nxt_ : 0;
   tcp.flags = flags;
-  tcp.window = config_.advertised_window;
+  tcp.window = kAdvertisedWindow;
   ++stats_.segments_sent;
   if (retransmission) ++stats_.segments_retransmitted;
   send_fn_(ip_header(), tcp, payload);
@@ -405,7 +405,7 @@ void TcpConnection::send_syn_ack() {
   tcp.seq = iss_;
   tcp.ack = rcv_nxt_;
   tcp.flags = net::kSyn | net::kAck;
-  tcp.window = config_.advertised_window;
+  tcp.window = kAdvertisedWindow;
   // iwlint: allow(hot-path) -- one MSS option per SYN-ACK; connection setup,
   // not steady-state transfer
   tcp.options.push_back(net::MssOption{config_.own_mss_limit});
@@ -426,7 +426,7 @@ void TcpConnection::on_retransmit_timeout() {
   retx_event_ = sim::kNullEvent;
   if (state_ == TcpState::Closed) return;
   if (pacing_active_) cancel_pacing();  // the RTO path owns transmission now
-  if (++retx_count_ > config_.max_retransmits) {
+  if (++retx_count_ > kMaxRetransmits) {
     enter_closed();
     return;
   }
@@ -455,13 +455,13 @@ void TcpConnection::on_retransmit_timeout() {
     return;  // nothing outstanding; timer was stale
   }
 
-  rto_ = std::min(rto_ * 2, config_.rto_max);
+  rto_ = std::min(rto_ * 2, kMaxRto);
   arm_retransmit();
 }
 
 void TcpConnection::touch_idle_timer() {
   loop_.cancel(idle_event_);
-  idle_event_ = loop_.schedule(config_.idle_timeout, [this] { on_idle_timeout(); });
+  idle_event_ = loop_.schedule(kIdleTimeout, [this] { on_idle_timeout(); });
 }
 
 void TcpConnection::on_idle_timeout() {

@@ -52,6 +52,16 @@ struct ConnectionStats {
 
 class TcpConnection {
  public:
+  // What every simulated stack shares: the receive window it advertises,
+  // its retransmission timer (Linux's 1 s initial RTO, the backoff
+  // ceiling, the retries before it aborts) and the silence after which it
+  // drops a connection.
+  static constexpr std::uint16_t kAdvertisedWindow = 65535;
+  static constexpr sim::SimTime kInitialRto = sim::sec(1);
+  static constexpr sim::SimTime kMaxRto = sim::sec(60);
+  static constexpr int kMaxRetransmits = 5;
+  static constexpr sim::SimTime kIdleTimeout = sim::sec(30);
+
   /// Transmits one segment: headers plus a payload borrowed from the send
   /// buffer for the duration of the call.
   using SendFn = std::function<void(const net::Ipv4Header&, const net::TcpHeader&,

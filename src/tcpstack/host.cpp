@@ -16,13 +16,13 @@ TcpHost::~TcpHost() {
 }
 
 void TcpHost::listen(std::uint16_t port, AppFactory factory,
-                     std::optional<StackConfig> config_override) {
+                     std::optional<IwConfig> iw) {
   if (Listener* listener = find_listener(port)) {
     listener->factory = std::move(factory);
-    listener->config_override = std::move(config_override);
+    listener->iw = iw;
     return;
   }
-  listeners_.push_back(Listener{port, std::move(factory), std::move(config_override)});
+  listeners_.push_back(Listener{port, std::move(factory), iw});
 }
 
 TcpHost::Listener* TcpHost::find_listener(std::uint16_t port) noexcept {
@@ -69,11 +69,12 @@ void TcpHost::on_tcp(const net::TcpSegment& segment) {
   if (segment.tcp.has(net::kSyn) && !segment.tcp.has(net::kAck)) {
     const Listener* listener = find_listener(segment.tcp.dst_port);
     if (listener == nullptr) {
-      if (config_.reset_on_closed_port) send_reset_for(segment);
+      send_reset_for(segment);
       return;
     }
     auto app = listener->factory(segment.ip.src, segment.tcp.src_port);
-    const StackConfig& conn_config = listener->config_override.value_or(config_);
+    StackConfig conn_config = config_;
+    if (listener->iw) conn_config.iw = *listener->iw;
     // ISN derived deterministically from the 4-tuple; good enough for a
     // simulation (no off-path attacker to defend against).
     const std::uint32_t isn = static_cast<std::uint32_t>(util::mix64(

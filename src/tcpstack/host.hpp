@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "netsim/network.hpp"
@@ -31,12 +32,12 @@ class TcpHost : public sim::Endpoint {
   TcpHost& operator=(const TcpHost&) = delete;
 
   /// Accept connections on `port`, creating one Application per connection.
-  /// `config_override` replaces the host-wide StackConfig for connections
-  /// on this port — used for per-service IW customization (the paper finds
-  /// e.g. Akamai running different IWs per service, §4.3). Listening again
-  /// on a port replaces its factory and override.
+  /// `iw` replaces the host-wide initial window for connections on this
+  /// port — per-service IW customization (the paper finds e.g. Akamai
+  /// running different IWs per service, §4.3). Listening again on a port
+  /// replaces its factory and IW.
   void listen(std::uint16_t port, AppFactory factory,
-              std::optional<StackConfig> config_override = std::nullopt);
+              std::optional<IwConfig> iw = std::nullopt);
 
   void handle_packet(net::PacketView bytes) override;
 
@@ -70,7 +71,7 @@ class TcpHost : public sim::Endpoint {
   struct Listener {
     std::uint16_t port;
     AppFactory factory;
-    std::optional<StackConfig> config_override;
+    std::optional<IwConfig> iw;
   };
   struct Connection {
     ConnKey key;

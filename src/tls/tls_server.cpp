@@ -4,6 +4,14 @@
 #include "util/rng.hpp"
 
 namespace iwscan::tls {
+namespace {
+
+/// Bytes of a stapled OCSP response (CertificateStatus body).
+constexpr std::size_t kOcspResponseBytes = 1600;
+/// ServerHello extension bytes beyond the OCSP flag: a realistic size.
+constexpr std::uint16_t kHelloExtraBytes = 140;
+
+}  // namespace
 
 void TlsServerApp::on_data(tcp::TcpConnection& conn,
                            std::span<const std::uint8_t> data) {
@@ -63,19 +71,19 @@ void TlsServerApp::on_data(tcp::TcpConnection& conn,
     conn.set_initial_window(*config_.sni_iw);
   }
 
-  send_first_flight(conn, *hello);
+  send_first_flight(conn, *hello, chosen);
 }
 
 void TlsServerApp::send_first_flight(tcp::TcpConnection& conn,
-                                     const ClientHello& hello) {
+                                     const ClientHello& hello, CipherSuite chosen) {
   ServerHello server_hello;
   server_hello.version = kTls12;
   util::Rng rng(util::mix64(config_.seed, conn.remote_addr().value()));
   for (auto& byte : server_hello.random) byte = static_cast<std::uint8_t>(rng());
-  server_hello.cipher_suite = negotiate(hello.cipher_suites, config_.supported_ciphers);
+  server_hello.cipher_suite = chosen;
   const bool staple = config_.ocsp_staple && hello.ocsp_stapling;
   server_hello.ocsp_stapling = staple;
-  server_hello.extra_extension_bytes = config_.hello_extra_bytes;
+  server_hello.extra_extension_bytes = kHelloExtraBytes;
   server_hello.session_id.assign(32, 0x42);  // servers typically issue one
 
   const CertificateChain chain =
@@ -97,9 +105,9 @@ void TlsServerApp::send_first_flight(tcp::TcpConnection& conn,
     net::Bytes status;
     net::WireWriter writer(status);
     writer.u8(1);  // ocsp
-    writer.u24(static_cast<std::uint32_t>(config_.ocsp_response_bytes));
+    writer.u24(static_cast<std::uint32_t>(kOcspResponseBytes));
     util::Rng ocsp_rng(util::mix64(config_.seed, 0x0c5b));
-    for (std::size_t i = 0; i < config_.ocsp_response_bytes; ++i) {
+    for (std::size_t i = 0; i < kOcspResponseBytes; ++i) {
       status.push_back(static_cast<std::uint8_t>(ocsp_rng()));
     }
     const net::Bytes status_msg =

@@ -27,7 +27,8 @@ class TlsServerApp final : public tcp::Application {
   [[nodiscard]] static tcp::TcpHost::AppFactory factory(TlsConfig config);
 
  private:
-  void send_first_flight(tcp::TcpConnection& conn, const ClientHello& hello);
+  void send_first_flight(tcp::TcpConnection& conn, const ClientHello& hello,
+                         CipherSuite chosen);
   void send_alert(tcp::TcpConnection& conn, AlertDescription description);
 
   TlsConfig config_;

@@ -23,8 +23,6 @@ struct TlsConfig {
   std::vector<CipherSuite> supported_ciphers = cipher_set(CipherProfile::Standard);
   std::size_t chain_bytes = 2186;  // total certificate bytes (Fig. 2 mean)
   bool ocsp_staple = false;        // adds a CertificateStatus message
-  std::size_t ocsp_response_bytes = 1600;
-  std::uint16_t hello_extra_bytes = 140;  // realistic ServerHello extensions
   std::string server_name;         // certificate subject hint
   std::uint64_t seed = 0;
   // Per-vhost IW split (CDN edges): a ClientHello whose SNI names

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -313,15 +314,14 @@ TEST(CdnLongitudinal, TierDriftIsMonotonePerHost) {
   model::ModelConfig config;
   config.scale_log2 = 12;
   config.cdn_fraction = 1.0;
-  config.cdn_tier_upgrade_rate = 0.5;
 
   sim::EventLoop loop;
   sim::Network network(loop, 1);
   config.epoch = 0;
   model::InternetModel t0(network, config);
-  config.epoch = 1;
+  config.epoch = 4;
   model::InternetModel t1(network, config);
-  config.epoch = 2;
+  config.epoch = 8;
   model::InternetModel t2(network, config);
 
   int overlaid = 0;
@@ -345,46 +345,73 @@ TEST(CdnLongitudinal, TierDriftIsMonotonePerHost) {
     }
   }
   EXPECT_GT(overlaid, 0);
-  EXPECT_GT(upgraded, 0);  // two epochs at rate 0.5: drift must be visible
+  EXPECT_GT(upgraded, 0);  // eight epochs at 8 % per step: drift must be visible
 }
 
 TEST(CdnOverlay, FractionZeroReproducesPreOverlayWorlds) {
-  // Ground truth: with the overlay disabled, the CDN knobs must not perturb
-  // a single draw — any tier-upgrade rate yields the identical world.
-  model::ModelConfig a;
-  a.scale_log2 = 12;
-  a.cdn_fraction = 0.0;
-  a.cdn_tier_upgrade_rate = 0.08;
-  model::ModelConfig b = a;
-  b.cdn_tier_upgrade_rate = 0.97;
+  // Ground truth: with the overlay disabled, no epoch's tier drift reaches
+  // a host; and the overlay's draws perturb no other draw, so a host the
+  // overlay skips in a CDN-heavy world is the host a fraction-zero world
+  // holds at that address.
+  model::ModelConfig off;
+  off.scale_log2 = 12;
+  off.cdn_fraction = 0.0;
+  model::ModelConfig on = cdn_world();
+  const auto key = [](const model::GroundTruth& gt) {
+    return std::tuple(gt.present, gt.http, gt.tls, gt.os, gt.http_iw, gt.tls_iw,
+                      gt.http_category, gt.tls_category, gt.http_page_bytes,
+                      gt.chain_bytes, gt.canonical_name, gt.cdn_tier);
+  };
 
   sim::EventLoop loop;
   sim::Network network(loop, 1);
-  model::InternetModel wa(network, a);
-  model::InternetModel wb(network, b);
-  for (std::uint32_t i = 0; i < (1u << 12); ++i) {
-    const net::IPv4Address ip{10, 0, static_cast<std::uint8_t>(i >> 8),
-                              static_cast<std::uint8_t>(i & 0xff)};
-    const auto ga = wa.truth(ip);
-    const auto gb = wb.truth(ip);
-    ASSERT_EQ(ga.cdn_tier, 0u) << ip.to_string();
-    ASSERT_FALSE(ga.http_vhost_iw.has_value()) << ip.to_string();
-    ASSERT_FALSE(ga.tls_vhost_iw.has_value()) << ip.to_string();
-    const auto key = [](const model::GroundTruth& gt) {
-      return std::tuple(gt.present, gt.http, gt.tls, gt.http_iw, gt.tls_iw,
-                        gt.http_page_bytes, gt.chain_bytes, gt.canonical_name,
-                        gt.cdn_tier);
-    };
-    ASSERT_TRUE(key(ga) == key(gb)) << ip.to_string();
+  int overlaid = 0;
+  int skipped = 0;
+  for (const int epoch : {0, 4, 8}) {
+    off.epoch = epoch;
+    on.epoch = epoch;
+    const model::InternetModel w_off(network, off);
+    const model::InternetModel w_on(network, on);
+    for (std::uint32_t i = 0; i < (1u << 12); ++i) {
+      const net::IPv4Address ip{10, 0, static_cast<std::uint8_t>(i >> 8),
+                                static_cast<std::uint8_t>(i & 0xff)};
+      const auto g_off = w_off.truth(ip);
+      ASSERT_EQ(g_off.cdn_tier, 0u) << ip.to_string();
+      ASSERT_FALSE(g_off.http_vhost_iw.has_value()) << ip.to_string();
+      ASSERT_FALSE(g_off.tls_vhost_iw.has_value()) << ip.to_string();
+      const auto g_on = w_on.truth(ip);
+      if (g_on.cdn_tier != 0) {
+        ++overlaid;
+        continue;
+      }
+      ++skipped;
+      ASSERT_TRUE(key(g_off) == key(g_on)) << ip.to_string();
+    }
   }
+  EXPECT_GT(overlaid, 0);
+  EXPECT_GT(skipped, 0);
 
-  // Scan level: the records of two epoch-0 fraction-zero scans are
-  // byte-identical even when the (unused) CDN parameters differ.
+  // Scan level: every host the overlay skips yields the same record in
+  // the CDN-heavy world's scan as in the fraction-zero world's.
+  off.epoch = 0;
+  on.epoch = 0;
   const analysis::ScanOptions options = cdn_scan_options();
-  const auto ra = scan_world(a, options);
-  const auto rb = scan_world(b, options);
-  ASSERT_FALSE(ra.records.empty());
-  EXPECT_TRUE(ra.records == rb.records);
+  const auto r_off = scan_world(off, options);
+  const auto r_on = scan_world(on, options);
+  ASSERT_FALSE(r_off.records.empty());
+  const model::InternetModel w_on(network, on);
+  std::map<std::uint32_t, const core::HostScanRecord*> on_by_ip;
+  for (const auto& record : r_on.records) on_by_ip[record.ip.value()] = &record;
+  std::size_t compared = 0;
+  for (const auto& record : r_off.records) {
+    if (w_on.truth(record.ip).cdn_tier != 0) continue;
+    const auto it = on_by_ip.find(record.ip.value());
+    ASSERT_NE(it, on_by_ip.end()) << record.ip.to_string();
+    EXPECT_TRUE(*it->second == record) << record.ip.to_string();
+    ++compared;
+  }
+  EXPECT_GT(compared, 0u);
+  EXPECT_LT(compared, r_off.records.size());  // the overlay did take hosts
 }
 
 TEST(CdnShardIdentity, RecordsAreByteIdenticalAcrossShardCounts) {
@@ -455,21 +482,44 @@ TEST(CdnShardIdentity, SpillPathReproducesTheInMemoryRecords) {
   EXPECT_TRUE(merged == in_memory.records);
 }
 
-// The PR's pinned deliverable: the IW-by-provider longitudinal table over
+/// The IW-by-provider breakdown of `world` at T0/T1/T2 (the §5
+/// trend-monitoring loop): each epoch is scanned on a freshly synthesized
+/// world, so nothing leaks from one epoch's scan into the next. With
+/// `options.spill_dir` set, each epoch spills under "<dir>/epoch<N>" and is
+/// read back through the K-way merge.
+std::vector<analysis::EpochBreakdown> epoch_breakdowns(model::ModelConfig world,
+                                                       const analysis::ScanOptions& options) {
+  const model::AsRegistry registry = model::AsRegistry::standard(world.scale_log2);
+  std::vector<analysis::EpochBreakdown> epochs;
+  for (const int epoch : {0, 1, 2}) {
+    world.epoch = epoch;
+    analysis::ScanOptions scan = options;
+    if (!scan.spill_dir.empty()) scan.spill_dir += "/epoch" + std::to_string(epoch);
+    const analysis::ScanOutput output = scan_world(world, scan);
+    std::vector<core::HostScanRecord> records = output.records;
+    if (!scan.spill_dir.empty()) {
+      std::string error;
+      EXPECT_TRUE(store::read_merged<core::HostScanRecord>(output.spill_files,
+                                                           records, &error))
+          << error;
+    }
+    epochs.push_back({epoch, analysis::provider_breakdown(records, registry)});
+  }
+  return epochs;
+}
+
+// The pinned deliverable: the IW-by-provider longitudinal table over
 // T0/T1/T2 is byte-identical for any shard count and under --spill-dir.
 TEST(CdnLongitudinal, ProviderTableIsByteIdenticalAcrossShardsAndSpill) {
-  analysis::LongitudinalOptions options;
-  options.model = cdn_world();
-  options.scan = cdn_scan_options();
+  const model::ModelConfig world = cdn_world();
+  analysis::ScanOptions options = cdn_scan_options();
 
   std::string pinned;
   std::vector<analysis::EpochBreakdown> baseline;
   for (const std::uint64_t shards : {1u, 2u, 4u}) {
     SCOPED_TRACE(shards);
-    options.scan.shards = shards;
-    std::string error;
-    const auto epochs = analysis::longitudinal_breakdown(options, &error);
-    ASSERT_EQ(epochs.size(), 3u) << error;
+    options.shards = shards;
+    const auto epochs = epoch_breakdowns(world, options);
     const std::string table = analysis::render_longitudinal_table(epochs);
     if (shards == 1) {
       pinned = table;
@@ -479,12 +529,10 @@ TEST(CdnLongitudinal, ProviderTableIsByteIdenticalAcrossShardsAndSpill) {
     }
   }
 
-  options.scan.shards = 1;
-  options.scan.spill_dir =
+  options.shards = 1;
+  options.spill_dir =
       (std::filesystem::path(::testing::TempDir()) / "cdn_longitudinal").string();
-  std::string error;
-  const auto spill_epochs = analysis::longitudinal_breakdown(options, &error);
-  ASSERT_EQ(spill_epochs.size(), 3u) << error;
+  const auto spill_epochs = epoch_breakdowns(world, options);
   EXPECT_EQ(analysis::render_longitudinal_table(spill_epochs), pinned);
 
   // The table's content contract: every CDN provider shows up at every

@@ -367,7 +367,6 @@ TEST(InternetModel, LazyMaterializationAndEviction) {
   sim::Network network(loop, 1);
   ModelConfig config;
   config.scale_log2 = 16;
-  config.sweep_interval = sim::sec(1);
   InternetModel internet(network, config);
   internet.install();
 
@@ -483,26 +482,22 @@ std::unique_ptr<tcp::TcpHost> eager_host(test::Testbed& bed, const InternetModel
     return std::make_unique<EagerAbortApp>();
   };
   if (gt.http) {
-    tcp::StackConfig stack = base;
-    stack.iw = gt.http_iw;
     host->listen(80,
                  gt.http_category == HttpCategory::Abort
                      ? tcp::TcpHost::AppFactory(abort_factory)
                      : http::HttpServerApp::factory(internet.web_config(ip, gt)),
-                 stack);
+                 gt.http_iw);
   }
   if (gt.tls) {
-    tcp::StackConfig stack = base;
-    stack.iw = gt.tls_iw;
     host->listen(443,
                  gt.tls_category == TlsCategory::Abort
                      ? tcp::TcpHost::AppFactory(abort_factory)
                      : tls::TlsServerApp::factory(internet.tls_config(ip, gt)),
-                 stack);
+                 gt.tls_iw);
   }
   sim::PathConfig path = bed.network().default_path();
   path.latency = sim::usec(gt.latency_us);
-  path.jitter = internet.config().jitter;
+  path.jitter = InternetModel::kPathJitter;
   path.path_mtu = gt.path_mtu;
   bed.network().set_path(ip, path);
   bed.network().attach(ip, host.get());
@@ -514,9 +509,7 @@ TEST(InternetModel, TruthDerivedServicesMatchEagerBuild) {
   config.scale_log2 = 12;
   config.loss_rate = 0.0;
   config.reorder_rate = 0.0;
-  config.jitter = sim::SimTime::zero();
   config.cdn_fraction = 0.3;  // adds per-vhost IW splits on both ports
-  config.sweep_interval = sim::sec(1);
 
   // Each host is probed in a fresh world and against a fresh eager twin, so
   // both see the same scanner ports, seeds and virtual times.

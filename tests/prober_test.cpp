@@ -116,7 +116,7 @@ TEST(HostProber, NonEchoing404StaysFewData) {
   Testbed bed;
   const net::IPv4Address host{10, 1, 0, 6};
   http::WebConfig web;
-  web.root = http::RootBehavior::NotFoundPlain;
+  web.root = http::RootBehavior::VirtualHosted;  // IP Host → short 404
   bed.add_http_host(host, stack_with_iw(10), web);
 
   const auto record = bed.probe_host(host, http_config());
@@ -132,7 +132,7 @@ TEST(HostProber, HttpRequestShape) {
   Testbed bed;
   const net::IPv4Address host{10, 1, 0, 11};
   http::WebConfig web;
-  web.root = http::RootBehavior::NotFoundPlain;
+  web.root = http::RootBehavior::VirtualHosted;  // IP Host → short 404
   bed.add_http_host(host, stack_with_iw(10), web);
   std::vector<net::TcpSegment> wire;
   bed.tap_segments(wire);

@@ -355,9 +355,7 @@ TEST(ScanEngine, SynScanClassifiesAllThreeStates) {
   for (int i = 5; i < 10; ++i) rig.add_host(net::IPv4Address(10, 2, 0, static_cast<std::uint8_t>(i)), false);
 
   std::map<PortState, int> counts;
-  SynScanConfig config;
-  config.timeout = sim::sec(2);
-  SynScanModule module(config, [&](const SynScanResult& result) {
+  SynScanModule module(80, [&](const SynScanResult& result) {
     ++counts[result.state];
   });
   TargetGenerator targets({*net::Cidr::parse("10.2.0.0/28")}, {}, 3);
@@ -378,26 +376,25 @@ TEST(ScanEngine, SynScanClassifiesAllThreeStates) {
 
 TEST(ScanEngine, PacingSpreadsSessionStarts) {
   EngineRig rig;
-  SynScanConfig config;
-  config.timeout = sim::msec(100);
-  SynScanModule module(config, [](const SynScanResult&) {});
+  SynScanModule module(80, [](const SynScanResult&) {});
   TargetGenerator targets({*net::Cidr::parse("10.3.0.0/24")}, {}, 3);
   EngineConfig engine_config;
-  engine_config.rate_pps = 1000;  // 1 ms per target → 256 ms minimum
+  engine_config.rate_pps = 1000;  // 1 ms per target → 255 ms to the last start
   ScanEngine engine(rig.network, engine_config, std::move(targets), module);
   engine.start();
   while (!engine.done() && rig.loop.step()) {
   }
+  // Every target is dark, so the last session ends one timeout after the
+  // last start.
   const auto duration = engine.stats().finished_at - engine.stats().started_at;
-  EXPECT_GE(duration, sim::msec(255));
-  EXPECT_LE(duration, sim::msec(500));
+  EXPECT_GE(duration, SynScanModule::kTimeout + sim::msec(255));
+  EXPECT_LE(duration, SynScanModule::kTimeout + sim::msec(500));
 }
 
 TEST(ScanEngine, OutstandingCapThrottles) {
   EngineRig rig;
-  SynScanConfig config;
-  config.timeout = sim::msec(500);  // every session lives 500 ms (all dark)
-  SynScanModule module(config, [](const SynScanResult&) {});
+  // Every session lives one SYN timeout (all dark).
+  SynScanModule module(80, [](const SynScanResult&) {});
   TargetGenerator targets({*net::Cidr::parse("10.4.0.0/24")}, {}, 3);
   EngineConfig engine_config;
   engine_config.rate_pps = 1'000'000;  // pacing not the bottleneck
@@ -406,8 +403,9 @@ TEST(ScanEngine, OutstandingCapThrottles) {
   engine.start();
   while (!engine.done() && rig.loop.step()) {
   }
-  // 256 targets / 16 concurrent × 500 ms ≈ 8 s minimum.
-  EXPECT_GE(engine.stats().finished_at - engine.stats().started_at, sim::sec(7));
+  // 256 targets / 16 concurrent = 16 back-to-back rounds of one timeout.
+  EXPECT_GE(engine.stats().finished_at - engine.stats().started_at,
+            16 * SynScanModule::kTimeout);
   EXPECT_EQ(engine.stats().targets_finished, 256u);
 }
 
@@ -425,7 +423,7 @@ TEST_P(MtuDiscovery, FindsConfiguredPathMtu) {
   rig.network.set_path(host_ip, path);
 
   std::vector<MtuProbeResult> results;
-  IcmpMtuModule module({}, [&](const MtuProbeResult& r) { results.push_back(r); });
+  IcmpMtuModule module([&](const MtuProbeResult& r) { results.push_back(r); });
   TargetGenerator targets({*net::Cidr::parse("10.6.0.1/32")}, {}, 3);
   ScanEngine engine(rig.network, EngineConfig{}, std::move(targets), module);
   engine.start();
@@ -445,9 +443,7 @@ INSTANTIATE_TEST_SUITE_P(Mtus, MtuDiscovery,
 TEST(MtuDiscovery, DarkHostIsUnresponsive) {
   EngineRig rig;
   std::vector<MtuProbeResult> results;
-  MtuProbeConfig config;
-  config.timeout = sim::msec(500);
-  IcmpMtuModule module(config, [&](const MtuProbeResult& r) { results.push_back(r); });
+  IcmpMtuModule module([&](const MtuProbeResult& r) { results.push_back(r); });
   TargetGenerator targets({*net::Cidr::parse("10.7.0.1/32")}, {}, 3);
   ScanEngine engine(rig.network, EngineConfig{}, std::move(targets), module);
   engine.start();
@@ -594,7 +590,8 @@ TEST(ChecksumUpdate, NoopUpdateIsIdentity) {
 struct SweepRig : EngineRig {
   std::vector<SweepEvent> events;
 
-  SweepStats sweep(net::Cidr space, SweepConfig config = {}) {
+  SweepStats sweep(net::Cidr space) {
+    const SweepConfig config;
     StatelessSweep sweep(network, config, TargetGenerator({space}, {}, config.seed),
                          [&](const SweepEvent& event) { events.push_back(event); });
     sweep.start();
@@ -692,15 +689,13 @@ TEST(StatelessSweep, ForgedAcksAreRejectedByCookieValidation) {
 
 TEST(StatelessSweep, DarkSpaceFinishesViaCooldownAndSignalsCompletion) {
   SweepRig rig;
-  SweepConfig config;
-  config.cooldown = sim::sec(2);
   // rig.sweep() requires done(): the sweep signals completion on its own.
-  const SweepStats stats = rig.sweep(*net::Cidr::parse("10.2.4.0/28"), config);
+  const SweepStats stats = rig.sweep(*net::Cidr::parse("10.2.4.0/28"));
   EXPECT_EQ(stats.targets_probed, 16u);
   EXPECT_EQ(stats.packets_sent, 16u);  // one SYN each, nothing to answer
   EXPECT_EQ(stats.responsive, 0u);
   EXPECT_EQ(stats.packets_received, 0u);
-  EXPECT_GE(stats.finished_at - stats.started_at, config.cooldown);
+  EXPECT_GE(stats.finished_at - stats.started_at, SweepConfig::cooldown);
 }
 
 }  // namespace

@@ -166,15 +166,6 @@ TEST(TcpStack, ClosedPortAnswersRst) {
   EXPECT_EQ(rig.client->received[0].tcp.ack, 1001u);
 }
 
-TEST(TcpStack, FilteredModeDropsSilently) {
-  StackConfig config = config_with_iw(10);
-  config.reset_on_closed_port = false;
-  Rig rig(config);
-  rig.client->send(1000, 0, net::kSyn, 65535, {}, 64, /*dst_port=*/81);
-  rig.loop.run_until(sim::msec(100));
-  EXPECT_TRUE(rig.client->received.empty());
-}
-
 TEST(TcpStack, RetransmittedSynGetsSynAckAgain) {
   Rig rig(config_with_iw(10));
   rig.client->send(1000, 0, net::kSyn, 65535, {}, 64);
@@ -226,18 +217,6 @@ TEST(TcpStack, WindowsClampsTo536) {
   EXPECT_EQ(data[0]->payload.size(), 536u);
 }
 
-TEST(TcpStack, PermissiveUsesAnnouncedMss) {
-  StackConfig config;
-  config.os = OsProfile::Permissive;
-  config.iw = IwConfig::segments_of(4);
-  Rig rig(config, 64 * 1024);
-  rig.open_and_request(48);
-  rig.loop.run_until(sim::msec(300));
-  const auto data = rig.client->data_segments();
-  ASSERT_EQ(data.size(), 4u);
-  EXPECT_EQ(data[0]->payload.size(), 48u);
-}
-
 TEST(TcpStack, ByteIwSendsBudgetWorthOfSegments) {
   StackConfig config;
   config.iw = IwConfig::bytes_of(1536);
@@ -285,13 +264,23 @@ TEST(TcpStack, RtoBacksOffExponentially) {
 }
 
 TEST(TcpStack, GivesUpAfterMaxRetransmits) {
-  StackConfig config = config_with_iw(2);
-  config.max_retransmits = 2;
-  Rig rig(config, 64 * 1024);
-  rig.open_and_request(64);
-  rig.loop.run_until(sim::sec(60));
+  Rig rig(config_with_iw(2), 64 * 1024);
+  const std::uint32_t isn = rig.open_and_request(64);
+  // A duplicate ACK every 10 s keeps the idle timer from firing first; it
+  // acknowledges nothing new, so the RTO keeps backing off (1, 2, 4, ...
+  // s) until the retries run out.
+  for (int tick = 1; tick <= 12; ++tick) {
+    rig.loop.run_until(sim::sec(10 * tick));
+    if (rig.host->active_connections() == 0) break;
+    rig.client->send(1005, isn + 1, net::kAck, 65535);
+  }
   EXPECT_EQ(rig.host->active_connections(), 0u)
       << "connection must abort after retry exhaustion";
+  int first_seg_copies = 0;
+  for (const auto* segment : rig.client->data_segments()) {
+    if (segment->tcp.seq == isn + 1) ++first_seg_copies;
+  }
+  EXPECT_EQ(first_seg_copies, 1 + TcpConnection::kMaxRetransmits);
 }
 
 TEST(TcpStack, AckReleasesMoreDataAndGrowsCwnd) {
@@ -398,26 +387,26 @@ TEST(TcpStack, LateSegmentToDeadConnectionGetsRst) {
 }
 
 TEST(TcpStack, IdleConnectionTimesOut) {
-  StackConfig config = config_with_iw(10);
-  config.idle_timeout = sim::sec(2);
-  config.max_retransmits = 100;  // keep retransmitting; idle won't fire while
-                                 // segments flow — so use a silent app
-  Rig rig(config, 0, false);  // app responds with nothing
+  // A silent app leaves nothing to retransmit, so only the idle timer,
+  // armed by the request, can close the connection.
+  Rig rig(config_with_iw(10), 0, false);
   rig.open_and_request(64);
   rig.loop.run_until(sim::msec(200));
   EXPECT_EQ(rig.host->active_connections(), 1u);
-  rig.loop.run_until(sim::sec(10));
+  rig.loop.run_until(TcpConnection::kIdleTimeout - sim::sec(1));
+  EXPECT_EQ(rig.host->active_connections(), 1u);
+  rig.loop.run_until(TcpConnection::kIdleTimeout + sim::sec(1));
   EXPECT_EQ(rig.host->active_connections(), 0u);
 }
 
-TEST(TcpStack, PerPortConfigOverride) {
+TEST(TcpStack, PerPortIwOverride) {
   // §4.3 per-service IWs: port 80 uses IW2, port 8080 IW10.
   Rig rig(config_with_iw(2), 64 * 1024);
   rig.host->listen(8080,
                    [](net::IPv4Address, std::uint16_t) {
                      return std::make_unique<FixedResponseApp>(64 * 1024, false);
                    },
-                   config_with_iw(10));
+                   IwConfig::segments_of(10));
 
   rig.open_and_request(64);
   rig.loop.run_until(sim::msec(300));
@@ -456,7 +445,7 @@ TEST(TcpStack, RelistenReplacesFactoryAndOverride) {
                      ++replaced_calls;
                      return std::make_unique<FixedResponseApp>(64 * 1024, false);
                    },
-                   config_with_iw(10));
+                   IwConfig::segments_of(10));
   rig.open_and_request(64);
   rig.loop.run_until(sim::msec(300));
   EXPECT_EQ(replaced_calls, 1);
@@ -693,7 +682,6 @@ TEST(EffectiveMss, ClampRules) {
   EXPECT_EQ(effective_mss(OsProfile::Windows, 64, 1460), 536);
   EXPECT_EQ(effective_mss(OsProfile::Windows, 535, 1460), 536);
   EXPECT_EQ(effective_mss(OsProfile::Windows, 1400, 1460), 1400);
-  EXPECT_EQ(effective_mss(OsProfile::Permissive, 16, 1460), 16);
   // Own interface limit always caps.
   EXPECT_EQ(effective_mss(OsProfile::Linux, 9000, 1460), 1460);
 }

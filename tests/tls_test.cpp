@@ -519,7 +519,6 @@ TEST(TlsServer, OcspStaplingAddsCertificateStatus) {
   TlsConfig config;
   config.chain_bytes = 1000;
   config.ocsp_staple = true;
-  config.ocsp_response_bytes = 800;
   TlsRig rig(config);
   const auto stream = rig.run(true);
   net::Bytes payload;

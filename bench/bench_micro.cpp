@@ -34,8 +34,8 @@
 #include "scanner/stateless.hpp"
 #include "scanner/syncookie.hpp"
 #include "tcpstack/host.hpp"
-#include "tls/cert.hpp"
 #include "tls/handshake.hpp"
+#include "tls/tls_server.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
@@ -99,23 +99,45 @@ void BM_PermutationNext(benchmark::State& state) {
 BENCHMARK(BM_PermutationNext)->Arg(1 << 16)->Arg(1 << 24)->Arg(1u << 31);
 
 void BM_ClientHelloEncode(benchmark::State& state) {
+  // The probe's ClientHello record, as TlsStrategy::request() writes it.
   tls::ClientHello hello;
   const auto list = tls::probe_cipher_list();
   hello.cipher_suites.assign(list.begin(), list.end());
   hello.ocsp_stapling = true;
+  const tls::ClientHelloFields fields = hello.fields();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(hello.encode());
+    benchmark::DoNotOptimize(tls::encode_client_hello_record(fields, tls::kTls10));
   }
 }
 BENCHMARK(BM_ClientHelloEncode);
 
-void BM_CertChainGenerate(benchmark::State& state) {
+void BM_TlsFirstFlight(benchmark::State& state) {
+  // The TLS daemon's reply to a ClientHello — ServerHello, a chain of
+  // range(0) certificate bytes, ServerHelloDone — written in one pass into
+  // one buffer. bytes_per_second counts wire bytes; allocs_per_flight is a
+  // ceiling in BENCH_datapath.json.
+  tls::TlsConfig config;
+  config.chain_bytes = static_cast<std::size_t>(state.range(0));
+  config.server_name = "bench";
+  config.seed = 1;
+  const net::IPv4Address client{192, 0, 2, 1};
+  const tls::CipherSuite chosen = tls::probe_cipher_list().front();
+  std::uint64_t bytes = 0;
+  std::uint64_t flights = 0;
+  std::uint64_t allocs = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tls::make_chain(static_cast<std::size_t>(state.range(0)), "bench", 1));
+    const std::uint64_t before = util::alloc_stats::allocations();
+    const net::Bytes flight = tls::encode_first_flight(config, client, chosen, false);
+    allocs += util::alloc_stats::allocations() - before;
+    bytes += flight.size();
+    ++flights;
+    benchmark::DoNotOptimize(flight.data());
   }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+  state.counters["allocs_per_flight"] =
+      flights == 0 ? 0.0 : static_cast<double>(allocs) / static_cast<double>(flights);
 }
-BENCHMARK(BM_CertChainGenerate)->Arg(640)->Arg(2186)->Arg(16384);
+BENCHMARK(BM_TlsFirstFlight)->Arg(640)->Arg(2186)->Arg(16384)->Arg(65000);
 
 void BM_CertLengthSample(benchmark::State& state) {
   util::Rng rng(1);

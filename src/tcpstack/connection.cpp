@@ -220,6 +220,13 @@ void TcpConnection::send(std::span<const std::uint8_t> data) {
   if (state_ != TcpState::SynReceived && !in_segment_processing_) try_send();
 }
 
+void TcpConnection::send(net::Bytes&& data) {
+  // An empty send buffer adopts the bytes; send(span) then has nothing
+  // left to copy and only starts the transmission.
+  if (buffer_.empty() && state_ != TcpState::Closed && !fin_pending_) buffer_.swap(data);
+  send(std::span<const std::uint8_t>(data));
+}
+
 void TcpConnection::close() {
   if (state_ == TcpState::Closed || fin_pending_) return;
   fin_pending_ = true;
@@ -455,7 +462,7 @@ void TcpConnection::on_retransmit_timeout() {
     return;  // nothing outstanding; timer was stale
   }
 
-  rto_ = std::min(rto_ * 2, kMaxRto);
+  rto_ *= 2;
   arm_retransmit();
 }
 

@@ -53,12 +53,15 @@ struct ConnectionStats {
 class TcpConnection {
  public:
   // What every simulated stack shares: the receive window it advertises,
-  // its retransmission timer (Linux's 1 s initial RTO, the backoff
-  // ceiling, the retries before it aborts) and the silence after which it
-  // drops a connection.
+  // its retransmission timer (Linux's 1 s initial RTO, doubled per timeout,
+  // and the retries before it aborts) and the silence after which it drops
+  // a connection. Against a silent peer the first flight is retransmitted
+  // 1, 3, 7 and 15 s after it went out; the next retransmission would be
+  // due at 31 s, but the idle timer closes the connection at 30 s first.
+  // Retries run out (kMaxRetransmits + 1 timeouts, the last at 63 s) only
+  // when the peer keeps talking without acknowledging anything new.
   static constexpr std::uint16_t kAdvertisedWindow = 65535;
   static constexpr sim::SimTime kInitialRto = sim::sec(1);
-  static constexpr sim::SimTime kMaxRto = sim::sec(60);
   static constexpr int kMaxRetransmits = 5;
   static constexpr sim::SimTime kIdleTimeout = sim::sec(30);
 
@@ -86,6 +89,9 @@ class TcpConnection {
   /// Queue response bytes; transmission is governed by cwnd/rwnd.
   void send(std::span<const std::uint8_t> data);
   void send(std::string_view text) { send(util::as_bytes(text)); }
+  /// Like send(span), for a response built whole: it becomes the send
+  /// buffer without a copy when that is empty, and is appended otherwise.
+  void send(net::Bytes&& data);
   /// Half-close after all queued data: FIN goes out once the buffer drains.
   void close();
   /// Abort with RST.

@@ -1,19 +1,86 @@
 #include "tls/handshake.hpp"
 
+#include "util/bytes.hpp"
+
 namespace iwscan::tls {
 namespace {
 
-constexpr std::uint16_t kExtServerName = 0;
-constexpr std::uint16_t kExtStatusRequest = 5;
-constexpr std::uint16_t kExtSupportedGroups = 10;
-constexpr std::uint16_t kExtEcPointFormats = 11;
-constexpr std::uint16_t kExtSignatureAlgorithms = 13;
+// What every ClientHello offers: x25519, secp256r1, secp384r1; uncompressed
+// points; a typical browser set of signature algorithms.
+constexpr std::uint16_t kSupportedGroups[] = {0x001d, 0x0017, 0x0018};
+constexpr std::uint8_t kEcPointFormats[] = {0x00};
+constexpr std::uint16_t kSignatureAlgorithms[] = {0x0403, 0x0503, 0x0603, 0x0401,
+                                                  0x0501, 0x0601, 0x0201};
+constexpr std::size_t kExtensionHeaderBytes = 4;  // type + length
+constexpr std::size_t kServerNameFixedBytes = 5;  // list length, name type, name length
+constexpr std::size_t kStatusRequestBytes = 5;    // status type + two empty lists
 
 void write_extension(net::WireWriter& writer, std::uint16_t type,
                      std::span<const std::uint8_t> data) {
   writer.u16(type);
   writer.u16(static_cast<std::uint16_t>(data.size()));
   writer.raw(data);
+}
+
+std::size_t client_hello_extensions_size(const ClientHelloFields& hello) noexcept {
+  std::size_t size = kExtensionHeaderBytes + 2 + sizeof(kSupportedGroups) +
+                     kExtensionHeaderBytes + 1 + sizeof(kEcPointFormats) +
+                     kExtensionHeaderBytes + 2 + sizeof(kSignatureAlgorithms);
+  if (hello.server_name) {
+    size += kExtensionHeaderBytes + kServerNameFixedBytes + hello.server_name->size();
+  }
+  if (hello.ocsp_stapling) size += kExtensionHeaderBytes + kStatusRequestBytes;
+  return size;
+}
+
+std::size_t client_hello_body_size(const ClientHelloFields& hello) noexcept {
+  return 2 + hello.random.size() + 1 + hello.session_id.size() + 2 +
+         2 * hello.cipher_suites.size() + 1 + hello.compression_methods.size() + 2 +
+         client_hello_extensions_size(hello);
+}
+
+/// The one ClientHello body layout, written into a growing buffer
+/// (net::WireWriter) or in place into records (FragmentWriter).
+template <class Writer>
+void write_client_hello_body(const ClientHelloFields& hello, Writer& out) {
+  out.u16(hello.version);
+  out.raw(hello.random);
+  out.u8(static_cast<std::uint8_t>(hello.session_id.size()));
+  out.raw(hello.session_id);
+  out.u16(static_cast<std::uint16_t>(hello.cipher_suites.size() * 2));
+  for (const CipherSuite suite : hello.cipher_suites) out.u16(suite);
+  out.u8(static_cast<std::uint8_t>(hello.compression_methods.size()));
+  out.raw(hello.compression_methods);
+
+  out.u16(static_cast<std::uint16_t>(client_hello_extensions_size(hello)));
+  if (hello.server_name) {
+    const std::string_view name = *hello.server_name;
+    out.u16(kExtServerName);
+    out.u16(static_cast<std::uint16_t>(name.size() + kServerNameFixedBytes));
+    out.u16(static_cast<std::uint16_t>(name.size() + 3));  // server_name_list
+    out.u8(0);                                              // host_name
+    out.u16(static_cast<std::uint16_t>(name.size()));
+    out.raw(util::as_bytes(name));
+  }
+  if (hello.ocsp_stapling) {
+    out.u16(kExtStatusRequest);
+    out.u16(static_cast<std::uint16_t>(kStatusRequestBytes));
+    out.u8(1);   // status_type = ocsp
+    out.u16(0);  // responder_id_list
+    out.u16(0);  // request_extensions
+  }
+  out.u16(kExtSupportedGroups);
+  out.u16(static_cast<std::uint16_t>(2 + sizeof(kSupportedGroups)));
+  out.u16(static_cast<std::uint16_t>(sizeof(kSupportedGroups)));
+  for (const std::uint16_t group : kSupportedGroups) out.u16(group);
+  out.u16(kExtEcPointFormats);
+  out.u16(static_cast<std::uint16_t>(1 + sizeof(kEcPointFormats)));
+  out.u8(static_cast<std::uint8_t>(sizeof(kEcPointFormats)));
+  out.raw(kEcPointFormats);
+  out.u16(kExtSignatureAlgorithms);
+  out.u16(static_cast<std::uint16_t>(2 + sizeof(kSignatureAlgorithms)));
+  out.u16(static_cast<std::uint16_t>(sizeof(kSignatureAlgorithms)));
+  for (const std::uint16_t algorithm : kSignatureAlgorithms) out.u16(algorithm);
 }
 
 }  // namespace
@@ -30,78 +97,57 @@ net::Bytes encode_handshake(HandshakeType type, std::span<const std::uint8_t> bo
 
 std::optional<std::vector<HandshakeMessage>> split_handshakes(
     std::span<const std::uint8_t> payload) {
-  std::vector<HandshakeMessage> messages;
-  net::WireReader reader(payload);
-  while (reader.remaining() > 0) {
-    if (reader.remaining() < 4) return std::nullopt;
-    const auto type = static_cast<HandshakeType>(reader.u8());
+  // Validate the framing and count the messages first, so the vector is
+  // sized once.
+  std::size_t count = 0;
+  for (net::WireReader reader(payload); reader.remaining() > 0; ++count) {
+    if (reader.remaining() < kHandshakeHeaderBytes) return std::nullopt;
+    reader.u8();
     const std::uint32_t length = reader.u24();
     if (length > reader.remaining()) return std::nullopt;
-    const auto body = reader.raw(length);
+    reader.skip(length);
+  }
+  std::vector<HandshakeMessage> messages;
+  // iwlint: allow(hot-path) -- per-conversation handshake decode, sized once;
+  // covered by alloc_budget_test's TLS budget
+  messages.reserve(count);
+  net::WireReader reader(payload);
+  while (reader.remaining() > 0) {
+    const auto type = static_cast<HandshakeType>(reader.u8());
+    const auto body = reader.raw(reader.u24());
     messages.push_back(HandshakeMessage{type, net::Bytes(body.begin(), body.end())});
   }
   return messages;
 }
 
+net::Bytes encode_client_hello_record(const ClientHelloFields& hello,
+                                      std::uint16_t record_version) {
+  const std::size_t body = client_hello_body_size(hello);
+  net::Bytes wire;
+  FragmentWriter out(ContentType::Handshake, record_version, kHandshakeHeaderBytes + body,
+                     wire);
+  out.u8(static_cast<std::uint8_t>(HandshakeType::ClientHello));
+  out.u24(static_cast<std::uint32_t>(body));
+  write_client_hello_body(hello, out);
+  return wire;
+}
+
+ClientHelloFields ClientHello::fields() const noexcept {
+  ClientHelloFields out;
+  out.version = version;
+  out.random = random;
+  out.session_id = session_id;
+  out.cipher_suites = cipher_suites;
+  out.compression_methods = compression_methods;
+  if (server_name) out.server_name = *server_name;
+  out.ocsp_stapling = ocsp_stapling;
+  return out;
+}
+
 net::Bytes ClientHello::encode() const {
   net::Bytes out;
   net::WireWriter writer(out);
-  writer.u16(version);
-  writer.raw(std::span<const std::uint8_t>(random));
-  writer.u8(static_cast<std::uint8_t>(session_id.size()));
-  writer.raw(session_id);
-  writer.u16(static_cast<std::uint16_t>(cipher_suites.size() * 2));
-  for (const CipherSuite suite : cipher_suites) writer.u16(suite);
-  writer.u8(static_cast<std::uint8_t>(compression_methods.size()));
-  for (const std::uint8_t method : compression_methods) writer.u8(method);
-
-  // Extensions block.
-  net::Bytes extensions;
-  net::WireWriter ext(extensions);
-  if (server_name) {
-    net::Bytes sni;
-    net::WireWriter sni_writer(sni);
-    sni_writer.u16(static_cast<std::uint16_t>(server_name->size() + 3));
-    sni_writer.u8(0);  // host_name
-    sni_writer.u16(static_cast<std::uint16_t>(server_name->size()));
-    sni_writer.raw(*server_name);
-    write_extension(ext, kExtServerName, sni);
-  }
-  if (ocsp_stapling) {
-    net::Bytes status;
-    net::WireWriter status_writer(status);
-    status_writer.u8(1);   // status_type = ocsp
-    status_writer.u16(0);  // responder_id_list
-    status_writer.u16(0);  // request_extensions
-    write_extension(ext, kExtStatusRequest, status);
-  }
-  {
-    // supported_groups: x25519, secp256r1, secp384r1
-    net::Bytes groups;
-    net::WireWriter groups_writer(groups);
-    groups_writer.u16(6);
-    groups_writer.u16(0x001d);
-    groups_writer.u16(0x0017);
-    groups_writer.u16(0x0018);
-    write_extension(ext, kExtSupportedGroups, groups);
-  }
-  {
-    // ec_point_formats: uncompressed
-    const net::Bytes formats{0x01, 0x00};
-    write_extension(ext, kExtEcPointFormats, formats);
-  }
-  {
-    // signature_algorithms: a typical browser set
-    net::Bytes algorithms;
-    net::WireWriter algorithms_writer(algorithms);
-    const std::uint16_t algos[] = {0x0403, 0x0503, 0x0603, 0x0401,
-                                   0x0501, 0x0601, 0x0201};
-    algorithms_writer.u16(static_cast<std::uint16_t>(sizeof(algos) / 2 * 2));
-    for (const std::uint16_t algo : algos) algorithms_writer.u16(algo);
-    write_extension(ext, kExtSignatureAlgorithms, algorithms);
-  }
-  writer.u16(static_cast<std::uint16_t>(extensions.size()));
-  writer.raw(extensions);
+  write_client_hello_body(fields(), writer);
   return out;
 }
 
@@ -115,24 +161,22 @@ std::optional<ClientHello> ClientHello::decode(std::span<const std::uint8_t> bod
 
   const std::uint8_t session_len = reader.u8();
   const auto session = reader.raw(session_len);
-  // iwlint: allow(hot-path) -- TLS parsing runs per probe conversation, not
-  // per fabric packet; reached only via the over-approximate decode edge
+  // iwlint: allow(hot-path) -- per-conversation handshake decode, sized
+  // once; covered by alloc_budget_test's TLS budget
   hello.session_id.assign(session.begin(), session.end());
 
   const std::uint16_t cipher_bytes = reader.u16();
   if (cipher_bytes % 2 != 0) return std::nullopt;
   if (cipher_bytes > reader.remaining()) return std::nullopt;
-  hello.cipher_suites.clear();
-  for (std::size_t i = 0; i < cipher_bytes / 2u; ++i) {
-    // iwlint: allow(hot-path) -- per-conversation handshake decode; a hello
-    // carries at most a few dozen suites
-    hello.cipher_suites.push_back(reader.u16());
-  }
+  // iwlint: allow(hot-path) -- per-conversation handshake decode, sized
+  // once; covered by alloc_budget_test's TLS budget
+  hello.cipher_suites.resize(cipher_bytes / 2u);
+  for (CipherSuite& suite : hello.cipher_suites) suite = reader.u16();
 
   const std::uint8_t compression_len = reader.u8();
   const auto compressions = reader.raw(compression_len);
-  // iwlint: allow(hot-path) -- per-conversation handshake decode; the
-  // compression list is a handful of bytes
+  // iwlint: allow(hot-path) -- per-conversation handshake decode, sized
+  // once; covered by alloc_budget_test's TLS budget
   hello.compression_methods.assign(compressions.begin(), compressions.end());
   if (!reader.ok()) return std::nullopt;
 
@@ -177,7 +221,7 @@ net::Bytes ServerHello::encode() const {
     if (ocsp_stapling) write_extension(ext, kExtStatusRequest, {});
     if (extra_extension_bytes > 0) {
       const net::Bytes padding(extra_extension_bytes, 0);
-      write_extension(ext, 0x0015, padding);  // padding extension (RFC 7685)
+      write_extension(ext, kExtPadding, padding);  // padding extension (RFC 7685)
     }
     writer.u16(static_cast<std::uint16_t>(extensions.size()));
     writer.raw(extensions);

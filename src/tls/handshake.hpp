@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "netbase/wire.hpp"
@@ -23,6 +24,16 @@ enum class HandshakeType : std::uint8_t {
   CertificateStatus = 22,
 };
 
+inline constexpr std::size_t kHandshakeHeaderBytes = 4;  // type + 24-bit length
+
+// Extension types (RFC 6066, RFC 8422, RFC 5246, RFC 7685).
+inline constexpr std::uint16_t kExtServerName = 0;
+inline constexpr std::uint16_t kExtStatusRequest = 5;
+inline constexpr std::uint16_t kExtSupportedGroups = 10;
+inline constexpr std::uint16_t kExtEcPointFormats = 11;
+inline constexpr std::uint16_t kExtSignatureAlgorithms = 13;
+inline constexpr std::uint16_t kExtPadding = 0x0015;
+
 /// Frame a handshake message (type + 24-bit length + body).
 [[nodiscard]] net::Bytes encode_handshake(HandshakeType type,
                                           std::span<const std::uint8_t> body);
@@ -35,6 +46,25 @@ struct HandshakeMessage {
 [[nodiscard]] std::optional<std::vector<HandshakeMessage>> split_handshakes(
     std::span<const std::uint8_t> payload);
 
+/// A ClientHello's fields, borrowed: what both ClientHello::encode and
+/// encode_client_hello_record write from.
+struct ClientHelloFields {
+  std::uint16_t version = kTls12;
+  std::span<const std::uint8_t> random;  // 32 bytes
+  std::span<const std::uint8_t> session_id;
+  std::span<const CipherSuite> cipher_suites;
+  std::span<const std::uint8_t> compression_methods;
+  std::optional<std::string_view> server_name;  // SNI
+  bool ocsp_stapling = false;                    // status_request extension
+};
+
+/// A ClientHello as the handshake record(s) a client sends — record
+/// header, handshake header, body — written in one pass into a buffer of
+/// its exact size. The bytes are those of encode_fragmented(Handshake,
+/// record_version, encode_handshake(ClientHello, body)).
+[[nodiscard]] net::Bytes encode_client_hello_record(const ClientHelloFields& hello,
+                                                    std::uint16_t record_version);
+
 struct ClientHello {
   std::uint16_t version = kTls12;
   std::array<std::uint8_t, 32> random{};
@@ -44,6 +74,7 @@ struct ClientHello {
   std::optional<std::string> server_name;  // SNI
   bool ocsp_stapling = false;              // status_request extension
 
+  [[nodiscard]] ClientHelloFields fields() const noexcept;
   /// Body bytes (without the handshake frame).
   [[nodiscard]] net::Bytes encode() const;
   [[nodiscard]] static std::optional<ClientHello> decode(

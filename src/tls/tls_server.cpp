@@ -1,6 +1,8 @@
 #include "tls/tls_server.hpp"
 
+#include "tls/cert.hpp"
 #include "tls/handshake.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace iwscan::tls {
@@ -10,8 +12,85 @@ namespace {
 constexpr std::size_t kOcspResponseBytes = 1600;
 /// ServerHello extension bytes beyond the OCSP flag: a realistic size.
 constexpr std::uint16_t kHelloExtraBytes = 140;
+/// Servers typically issue a session id; every byte of it is this value.
+constexpr std::size_t kSessionIdBytes = 32;
+constexpr std::uint8_t kSessionIdByte = 0x42;
+constexpr std::size_t kRandomBytes = 32;
+
+void write_handshake_header(FragmentWriter& out, HandshakeType type, std::size_t body) {
+  out.u8(static_cast<std::uint8_t>(type));
+  out.u24(static_cast<std::uint32_t>(body));
+}
+
+void write_draws(FragmentWriter& out, std::size_t n, util::Rng& rng) {
+  while (n > 0) {
+    const auto piece = out.claim(n);
+    fill_draws(piece, rng);
+    n -= piece.size();
+  }
+}
 
 }  // namespace
+
+net::Bytes encode_first_flight(const TlsConfig& config, net::IPv4Address client,
+                               CipherSuite chosen, bool staple) {
+  // Every size first. The ServerHello carries the empty status_request
+  // echo when stapling and a padding extension for the realistic extra
+  // bytes (4-byte extension headers); its fixed fields are version (2),
+  // random, session id length (1) and id, cipher (2), compression (1) and
+  // the extensions length (2). Certificate lengths are 24-bit (3 bytes).
+  const std::size_t extensions = (staple ? 4 : 0) + 4 + std::size_t{kHelloExtraBytes};
+  const std::size_t hello_body =
+      2 + kRandomBytes + 1 + kSessionIdBytes + 2 + 1 + 2 + extensions;
+  const ChainLayout chain =
+      chain_layout(config.chain_bytes, config.server_name, config.seed);
+  std::size_t chain_list = 0;
+  for (const CertificateSpec& cert : chain.certificates()) chain_list += 3 + cert.size;
+  const std::size_t status_body = 1 + 3 + kOcspResponseBytes;  // type, length, response
+  const std::size_t flight =
+      kHandshakeHeaderBytes + hello_body + kHandshakeHeaderBytes + 3 + chain_list +
+      (staple ? kHandshakeHeaderBytes + status_body : 0) + kHandshakeHeaderBytes;
+
+  net::Bytes wire;
+  FragmentWriter out(ContentType::Handshake, kTls12, flight, wire);
+
+  write_handshake_header(out, HandshakeType::ServerHello, hello_body);
+  out.u16(kTls12);
+  util::Rng rng(util::mix64(config.seed, client.value()));
+  write_draws(out, kRandomBytes, rng);
+  out.u8(static_cast<std::uint8_t>(kSessionIdBytes));
+  out.fill(kSessionIdBytes, kSessionIdByte);
+  out.u16(chosen);
+  out.u8(0);  // compression: null
+  out.u16(static_cast<std::uint16_t>(extensions));
+  if (staple) {
+    out.u16(kExtStatusRequest);
+    out.u16(0);
+  }
+  out.u16(kExtPadding);
+  out.u16(kHelloExtraBytes);
+  out.fill(kHelloExtraBytes, 0);
+
+  write_handshake_header(out, HandshakeType::Certificate, 3 + chain_list);
+  out.u24(static_cast<std::uint32_t>(chain_list));
+  for (const CertificateSpec& cert : chain.certificates()) {
+    out.u24(static_cast<std::uint32_t>(cert.size));
+    CertificateFiller filler(cert);
+    while (filler.remaining() > 0) filler.fill(out.claim(filler.remaining()));
+  }
+
+  if (staple) {
+    write_handshake_header(out, HandshakeType::CertificateStatus, status_body);
+    out.u8(1);  // status_type = ocsp
+    out.u24(static_cast<std::uint32_t>(kOcspResponseBytes));
+    util::Rng ocsp_rng(util::mix64(config.seed, 0x0c5b));
+    write_draws(out, kOcspResponseBytes, ocsp_rng);
+  }
+
+  write_handshake_header(out, HandshakeType::ServerHelloDone, 0);
+  IWSCAN_ASSERT(out.done(), "first flight shorter than its computed size");
+  return wire;
+}
 
 void TlsServerApp::on_data(tcp::TcpConnection& conn,
                            std::span<const std::uint8_t> data) {
@@ -71,57 +150,8 @@ void TlsServerApp::on_data(tcp::TcpConnection& conn,
     conn.set_initial_window(*config_.sni_iw);
   }
 
-  send_first_flight(conn, *hello, chosen);
-}
-
-void TlsServerApp::send_first_flight(tcp::TcpConnection& conn,
-                                     const ClientHello& hello, CipherSuite chosen) {
-  ServerHello server_hello;
-  server_hello.version = kTls12;
-  util::Rng rng(util::mix64(config_.seed, conn.remote_addr().value()));
-  for (auto& byte : server_hello.random) byte = static_cast<std::uint8_t>(rng());
-  server_hello.cipher_suite = chosen;
-  const bool staple = config_.ocsp_staple && hello.ocsp_stapling;
-  server_hello.ocsp_stapling = staple;
-  server_hello.extra_extension_bytes = kHelloExtraBytes;
-  server_hello.session_id.assign(32, 0x42);  // servers typically issue one
-
-  const CertificateChain chain =
-      make_chain(config_.chain_bytes, config_.server_name, config_.seed);
-
-  net::Bytes flight;
-  {
-    const net::Bytes hello_msg =
-        encode_handshake(HandshakeType::ServerHello, server_hello.encode());
-    flight.insert(flight.end(), hello_msg.begin(), hello_msg.end());
-  }
-  {
-    const net::Bytes cert_msg =
-        encode_handshake(HandshakeType::Certificate, chain.encode());
-    flight.insert(flight.end(), cert_msg.begin(), cert_msg.end());
-  }
-  if (staple) {
-    // CertificateStatus: status_type(1) + 24-bit length + OCSP response.
-    net::Bytes status;
-    net::WireWriter writer(status);
-    writer.u8(1);  // ocsp
-    writer.u24(static_cast<std::uint32_t>(kOcspResponseBytes));
-    util::Rng ocsp_rng(util::mix64(config_.seed, 0x0c5b));
-    for (std::size_t i = 0; i < kOcspResponseBytes; ++i) {
-      status.push_back(static_cast<std::uint8_t>(ocsp_rng()));
-    }
-    const net::Bytes status_msg =
-        encode_handshake(HandshakeType::CertificateStatus, status);
-    flight.insert(flight.end(), status_msg.begin(), status_msg.end());
-  }
-  {
-    const net::Bytes done_msg = encode_handshake(HandshakeType::ServerHelloDone, {});
-    flight.insert(flight.end(), done_msg.begin(), done_msg.end());
-  }
-
-  net::Bytes wire;
-  encode_fragmented(ContentType::Handshake, kTls12, flight, wire);
-  conn.send(std::span<const std::uint8_t>(wire));
+  conn.send(encode_first_flight(config_, conn.remote_addr(), chosen,
+                                config_.ocsp_staple && hello->ocsp_stapling));
   // The server now waits for the client's key exchange; it does NOT close —
   // so an IW-limited flight is followed by silence + RTO retransmission,
   // exactly what the estimator needs.
@@ -131,7 +161,7 @@ void TlsServerApp::send_alert(tcp::TcpConnection& conn, AlertDescription descrip
   const net::Bytes alert = encode_alert(AlertLevel::Fatal, description);
   net::Bytes wire;
   encode_fragmented(ContentType::Alert, kTls12, alert, wire);
-  conn.send(std::span<const std::uint8_t>(wire));
+  conn.send(std::move(wire));
   conn.close();
 }
 

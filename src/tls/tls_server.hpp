@@ -18,6 +18,14 @@
 
 namespace iwscan::tls {
 
+/// The first flight a TLS host configured by `config` answers `client`'s
+/// ClientHello with — ServerHello, Certificate, CertificateStatus when
+/// `staple`, ServerHelloDone — as handshake records, written in one pass
+/// into a buffer of its exact wire size.
+[[nodiscard]] net::Bytes encode_first_flight(const TlsConfig& config,
+                                             net::IPv4Address client,
+                                             CipherSuite chosen, bool staple);
+
 class TlsServerApp final : public tcp::Application {
  public:
   explicit TlsServerApp(TlsConfig config) : config_(std::move(config)) {}
@@ -27,8 +35,6 @@ class TlsServerApp final : public tcp::Application {
   [[nodiscard]] static tcp::TcpHost::AppFactory factory(TlsConfig config);
 
  private:
-  void send_first_flight(tcp::TcpConnection& conn, const ClientHello& hello,
-                         CipherSuite chosen);
   void send_alert(tcp::TcpConnection& conn, AlertDescription description);
 
   TlsConfig config_;

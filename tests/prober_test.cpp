@@ -5,8 +5,11 @@
 #include <string>
 #include <vector>
 
+#include "core/probe_strategy.hpp"
 #include "testbed.hpp"
+#include "tls/handshake.hpp"
 #include "util/bytes.hpp"
+#include "util/rng.hpp"
 
 namespace iwscan {
 namespace {
@@ -161,6 +164,30 @@ TEST(HostProber, HttpRequestShape) {
   ASSERT_NE(path_end, std::string::npos);
   EXPECT_EQ(path_end - 4, 1300u) << "long-URI path length";
   EXPECT_NE(requests[1].find("\r\nHost: 10.1.0.11\r\n"), std::string::npos);
+}
+
+TEST(HostProber, TlsRequestMatchesComposedEncoders) {
+  // §3.3's probe on the wire: one handshake record (TLS 1.0 record version)
+  // carrying a TLS 1.2 ClientHello with the 40-suite probe list, the null
+  // compression method, the OCSP status request and, in curated mode, the
+  // SNI — byte for byte what the composed encoders make of that hello.
+  for (const std::string server_name : {"", "www.example.net"}) {
+    const std::uint64_t seed = 0x5eed;
+    tls::ClientHello hello;
+    util::Rng rng(util::mix64(seed, 0x7175c11e));
+    for (auto& byte : hello.random) byte = static_cast<std::uint8_t>(rng());
+    const auto probe = tls::probe_cipher_list();
+    hello.cipher_suites.assign(probe.begin(), probe.end());
+    if (!server_name.empty()) hello.server_name = server_name;
+    hello.ocsp_stapling = true;
+    net::Bytes expected;
+    tls::encode_fragmented(
+        tls::ContentType::Handshake, tls::kTls10,
+        tls::encode_handshake(tls::HandshakeType::ClientHello, hello.encode()), expected);
+
+    EXPECT_EQ(core::make_tls_strategy(seed, server_name)->request(), expected)
+        << "SNI '" << server_name << "'";
+  }
 }
 
 TEST(HostProber, UnreachableHostShortCircuits) {

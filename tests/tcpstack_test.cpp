@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
 #include <random>
 #include <string>
 
@@ -12,6 +13,7 @@
 #include "netsim/network.hpp"
 #include "tcpstack/host.hpp"
 #include "tcpstack/seq.hpp"
+#include "util/bytes.hpp"
 
 namespace iwscan::tcp {
 namespace {
@@ -281,6 +283,61 @@ TEST(TcpStack, GivesUpAfterMaxRetransmits) {
     if (segment->tcp.seq == isn + 1) ++first_seg_copies;
   }
   EXPECT_EQ(first_seg_copies, 1 + TcpConnection::kMaxRetransmits);
+}
+
+TEST(TcpStack, SilentPeerSeesFourRetransmissionsThenIdleClose) {
+  // A peer that never acknowledges the flight: the RTO doubles from 1 s, so
+  // the first segment is resent 1, 3, 7 and 15 s after the flight. The
+  // next resend would be due at 31 s, but the idle timer, armed by the
+  // request, closes the connection at 30 s first; the retries never run out.
+  Rig rig(config_with_iw(2), 64 * 1024);
+  const std::uint32_t isn = rig.open_and_request(64);
+  const sim::SimTime request_sent = rig.loop.now();
+  std::vector<sim::SimTime> copies;  // arrivals of the first segment
+  std::optional<sim::SimTime> closed_at;
+  std::size_t seen = 0;
+  const sim::SimTime step = sim::msec(10);
+  for (sim::SimTime t = request_sent + step; t <= sim::sec(70); t += step) {
+    rig.loop.run_until(t);
+    for (; seen < rig.client->received.size(); ++seen) {
+      const auto& segment = rig.client->received[seen];
+      if (!segment.payload.empty() && segment.tcp.seq == isn + 1) copies.push_back(t);
+    }
+    if (!closed_at && rig.host->active_connections() == 0) closed_at = t;
+  }
+  ASSERT_EQ(copies.size(), 5u) << "the flight and four retransmissions";
+  const std::int64_t resend_after_s[] = {1, 3, 7, 15};
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_LE(copies[i + 1] - copies[0], sim::sec(resend_after_s[i]) + step) << i;
+    EXPECT_GE(copies[i + 1] - copies[0], sim::sec(resend_after_s[i]) - step) << i;
+  }
+  ASSERT_TRUE(closed_at.has_value());
+  EXPECT_LE(*closed_at - request_sent, TcpConnection::kIdleTimeout + sim::msec(50));
+  EXPECT_LT(*closed_at - copies[0], sim::sec(31)) << "closed before the 31 s resend";
+}
+
+TEST(TcpStack, MovedSendIsAdoptedOrAppended) {
+  // send(Bytes&&) adopts the bytes when nothing is queued and appends them
+  // otherwise: either way the stream is the sends in order.
+  class TwoSendsApp final : public Application {
+   public:
+    void on_data(TcpConnection& conn, std::span<const std::uint8_t>) override {
+      conn.send(net::Bytes{'a', 'b'});  // adopted: the buffer is empty
+      conn.send(std::string_view("cd"));
+      conn.send(net::Bytes{'e', 'f'});  // appended behind "abcd"
+    }
+  };
+  Rig rig(config_with_iw(10));
+  rig.host->listen(80, [](net::IPv4Address, std::uint16_t) {
+    return std::make_unique<TwoSendsApp>();
+  });
+  rig.open_and_request(64);
+  rig.loop.run_until(sim::msec(300));
+  std::string stream;
+  for (const auto* segment : rig.client->data_segments()) {
+    stream += util::as_text(segment->payload);
+  }
+  EXPECT_EQ(stream, "abcdef");
 }
 
 TEST(TcpStack, AckReleasesMoreDataAndGrowsCwnd) {

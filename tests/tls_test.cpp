@@ -2,6 +2,10 @@
 // server's first-flight behaviour (§3.3's counterparty).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string_view>
+#include <vector>
+
 #include "netsim/network.hpp"
 #include "tcpstack/host.hpp"
 #include "tls/cert.hpp"
@@ -532,6 +536,118 @@ TEST(TlsServer, OcspStaplingAddsCertificateStatus) {
     has_status |= message.type == HandshakeType::CertificateStatus;
   }
   EXPECT_TRUE(has_status);
+}
+
+// The first flight as it was composed before it was written in one pass:
+// a chain of certificates grown byte by byte, each handshake message
+// encoded on its own, concatenated, then record-fragmented. Kept here only
+// as the oracle the server's byte stream must equal.
+net::Bytes reference_certificate(std::size_t size, std::string_view subject,
+                                 std::uint64_t seed) {
+  size = std::max<std::size_t>(size, 8);
+  net::Bytes cert;
+  cert.reserve(size);
+  const std::size_t content_len = size - 4;
+  cert.push_back(0x30);
+  cert.push_back(0x82);
+  cert.push_back(static_cast<std::uint8_t>(content_len >> 8));
+  cert.push_back(static_cast<std::uint8_t>(content_len));
+  const std::size_t tag_len = std::min(subject.size(), size - cert.size());
+  cert.insert(cert.end(), subject.begin(), subject.begin() + tag_len);
+  util::Rng rng(util::mix64(seed, size));
+  while (cert.size() < size) cert.push_back(static_cast<std::uint8_t>(rng() & 0xff));
+  return cert;
+}
+
+std::vector<net::Bytes> reference_certificates(std::size_t total,
+                                               std::string_view subject,
+                                               std::uint64_t seed) {
+  total = std::max<std::size_t>(total, 8);
+  if (total < 1200) return {reference_certificate(total, subject, seed)};
+  const int intermediates = total >= 4200 ? 2 : 1;
+  const std::size_t leaf = total * 55 / 100;
+  std::size_t remaining = total - leaf;
+  std::vector<net::Bytes> certs{reference_certificate(leaf, subject, seed)};
+  for (int i = 0; i < intermediates; ++i) {
+    const std::size_t piece = i + 1 == intermediates ? remaining : remaining / 2;
+    certs.push_back(
+        reference_certificate(piece, "intermediate-ca", util::mix64(seed, 1000 + i)));
+    remaining -= piece;
+  }
+  return certs;
+}
+
+net::Bytes composed_first_flight(const TlsConfig& config, net::IPv4Address client,
+                                 CipherSuite chosen, bool staple) {
+  ServerHello server_hello;
+  util::Rng rng(util::mix64(config.seed, client.value()));
+  for (auto& byte : server_hello.random) byte = static_cast<std::uint8_t>(rng());
+  server_hello.cipher_suite = chosen;
+  server_hello.ocsp_stapling = staple;
+  server_hello.extra_extension_bytes = 140;
+  server_hello.session_id.assign(32, 0x42);
+
+  net::Bytes flight;
+  const auto append = [&flight](const net::Bytes& message) {
+    flight.insert(flight.end(), message.begin(), message.end());
+  };
+  append(encode_handshake(HandshakeType::ServerHello, server_hello.encode()));
+  append(encode_handshake(
+      HandshakeType::Certificate,
+      make_chain(config.chain_bytes, config.server_name, config.seed).encode()));
+  if (staple) {
+    net::Bytes status;
+    net::WireWriter writer(status);
+    writer.u8(1);
+    writer.u24(1600);
+    util::Rng ocsp_rng(util::mix64(config.seed, 0x0c5b));
+    for (int i = 0; i < 1600; ++i) status.push_back(static_cast<std::uint8_t>(ocsp_rng()));
+    append(encode_handshake(HandshakeType::CertificateStatus, status));
+  }
+  append(encode_handshake(HandshakeType::ServerHelloDone, {}));
+
+  net::Bytes wire;
+  encode_fragmented(ContentType::Handshake, kTls12, flight, wire);
+  return wire;
+}
+
+TEST(TlsServer, FirstFlightMatchesComposedEncoders) {
+  // Chain sizes around every layout step (one, two and three
+  // certificates) and every record boundary: one, two and four records.
+  const std::size_t chains[] = {8,    36,     1199,   1200,       2186,
+                                4199, 4200,   16'380, 16'384 + 1, 65'000};
+  struct Variant {
+    bool staple;
+    bool with_sni;
+    bool sni_iw;
+  };
+  const Variant variants[] = {{false, false, false}, {true, false, false},
+                              {false, true, false},  {true, true, false},
+                              {false, true, true},   {true, true, true}};
+  for (const std::size_t chain_bytes : chains) {
+    ASSERT_EQ(make_chain(chain_bytes, "www.example.net", 77).certificates,
+              reference_certificates(chain_bytes, "www.example.net", 77))
+        << chain_bytes;
+    for (const Variant& variant : variants) {
+      TlsConfig config;
+      config.chain_bytes = chain_bytes;
+      config.ocsp_staple = variant.staple;
+      config.server_name = "www.example.net";
+      config.seed = 77;
+      if (variant.sni_iw) config.sni_iw = tcp::IwConfig::segments_of(2);
+      TlsRig rig(config);
+      const auto stream = rig.run(variant.with_sni);
+      const CipherSuite chosen = negotiate(probe_cipher_list(), config.supported_ciphers);
+      const auto expected =
+          composed_first_flight(config, rig.client_ip, chosen, variant.staple);
+      EXPECT_EQ(stream.size(), expected.size()) << chain_bytes;
+      EXPECT_TRUE(stream == expected)
+          << "chain " << chain_bytes << " staple " << variant.staple << " sni "
+          << variant.with_sni << " sni_iw " << variant.sni_iw;
+      EXPECT_EQ(encode_first_flight(config, rig.client_ip, chosen, variant.staple),
+                expected);
+    }
+  }
 }
 
 TEST(TlsServer, SniAlertPolicy) {

@@ -14,7 +14,7 @@ names to expected counters. Two kinds of counters are checked:
   * rates (items_per_second, bytes_per_second): the fresh value must be at
     least (1 - TOLERANCE) of the baseline — a >25% drop fails the job;
   * ceilings (allocs_per_packet, allocs_per_conn, allocs_per_host,
-    peak_rss_bytes): the
+    allocs_per_flight, peak_rss_bytes): the
     fresh value must not exceed the baseline — allocation counts are
     deterministic and the spill path's RSS is O(segment) by design, so any
     excess is a real regression, not noise.
@@ -29,7 +29,7 @@ import sys
 TOLERANCE = 0.25
 RATE_KEYS = ("items_per_second", "bytes_per_second")
 CEILING_KEYS = ("allocs_per_packet", "allocs_per_conn", "allocs_per_host",
-                "peak_rss_bytes")
+                "allocs_per_flight", "peak_rss_bytes")
 
 
 def load(path):

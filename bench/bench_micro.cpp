@@ -350,6 +350,12 @@ void BM_EstimatorConnection(benchmark::State& state) {
     std::uint64_t session_seed(net::IPv4Address) override { return seed += 12345; }
   };
 
+  // One owner for every connection, as a probe module serves every session
+  // of a scan: connections after the first reuse its evidence block.
+  bool done = false;
+  core::FixedRequestOwner owner(
+      net::to_bytes("GET / HTTP/1.1\r\nHost: 10.0.0.1\r\nConnection: close\r\n\r\n"),
+      [&](const core::ConnObservation&) { done = true; });
   std::uint64_t connections = 0;
   const std::uint64_t allocs_before = util::alloc_stats::allocations();
   for (auto _ : state) {
@@ -365,11 +371,9 @@ void BM_EstimatorConnection(benchmark::State& state) {
 
     Services services(network);
     network.attach(services.scanner_address(), &services);
-    bool done = false;
-    core::IwEstimator estimator(
-        services, net::IPv4Address{10, 0, 0, 1}, 80, /*announced_mss=*/64,
-        net::to_bytes("GET / HTTP/1.1\r\nHost: 10.0.0.1\r\nConnection: close\r\n\r\n"),
-        [&](const core::ConnObservation&) { done = true; });
+    done = false;
+    core::IwEstimator estimator(services, net::IPv4Address{10, 0, 0, 1}, 80,
+                                /*announced_mss=*/64, owner);
     services.handler = [&](const net::Datagram& d) { estimator.on_datagram(d); };
     estimator.start();
     while (!done && loop.step()) {

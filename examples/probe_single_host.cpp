@@ -140,13 +140,13 @@ int main(int argc, char** argv) {
 
   bool done = false;
   core::ConnObservation result;
-  core::IwEstimator estimator(
-      services, host_ip, 80, announced_mss,
+  core::FixedRequestOwner owner(
       net::to_bytes("GET / HTTP/1.1\r\nHost: 10.0.0.1\r\nConnection: close\r\n\r\n"),
       [&](const core::ConnObservation& observation) {
         result = observation;
         done = true;
       });
+  core::IwEstimator estimator(services, host_ip, 80, announced_mss, owner);
   services.set_handler([&](const net::Datagram& d) { estimator.on_datagram(d); });
   estimator.start();
   while (!done && loop.step()) {

@@ -18,7 +18,7 @@
 #pragma once
 
 #include <functional>
-#include <vector>
+#include <memory>
 
 #include "core/result.hpp"
 #include "netsim/event_loop.hpp"
@@ -26,16 +26,51 @@
 
 namespace iwscan::core {
 
+/// The collect/verify state of one connection: received ranges, the
+/// reassembly buffer and its index, the request, hostile-stack and pacing
+/// evidence, and the observation being built. A connection holds one only
+/// once its target has answered the SYN (defined in estimator.cpp).
+class ConnEvidence;
+
+/// Free list of ConnEvidence blocks. A released block keeps its vectors'
+/// capacity (up to a cap), so the next connection that gets a SYN/ACK
+/// reuses both the block and its buffers. One pool serves the connections
+/// of one event loop; it must outlive every estimator drawing from it.
+class EvidencePool {
+ public:
+  EvidencePool() = default;
+  ~EvidencePool();
+  EvidencePool(const EvidencePool&) = delete;
+  EvidencePool& operator=(const EvidencePool&) = delete;
+
+  [[nodiscard]] std::unique_ptr<ConnEvidence> acquire();
+  void release(std::unique_ptr<ConnEvidence> evidence) noexcept;
+
+ private:
+  ConnEvidence* free_ = nullptr;  // singly linked through ConnEvidence
+};
+
 class IwEstimator {
  public:
-  /// `done` fires exactly once; it may tear the estimator down only
-  /// indirectly (schedule, don't destroy — the estimator is still on the
-  /// call stack).
-  using DoneFn = std::function<void(const ConnObservation&)>;
+  /// Whoever runs the connection. The estimator asks for the request only
+  /// when the target answers, so a SYN nobody answers never builds one.
+  class Owner {
+   public:
+    /// Where the connection's evidence block comes from and goes back to.
+    [[nodiscard]] virtual EvidencePool& evidence_pool() = 0;
+    /// The request payload, asked for at most once per connection: on the
+    /// first segment from the target that is not a RST.
+    [[nodiscard]] virtual net::Bytes request() = 0;
+    /// Fires exactly once; it may tear the estimator down only indirectly
+    /// (schedule, don't destroy — the estimator is still on the call stack).
+    virtual void connection_done(const ConnObservation& observation) = 0;
+
+   protected:
+    ~Owner() = default;
+  };
 
   IwEstimator(scan::SessionServices& services, net::IPv4Address target,
-              std::uint16_t target_port, std::uint16_t announced_mss, net::Bytes request,
-              DoneFn done);
+              std::uint16_t target_port, std::uint16_t announced_mss, Owner& owner);
   ~IwEstimator();
 
   IwEstimator(const IwEstimator&) = delete;
@@ -48,19 +83,12 @@ class IwEstimator {
   [[nodiscard]] std::uint16_t local_port() const noexcept { return local_port_; }
 
  private:
-  enum class Phase { Idle, SynSent, Collect, Verify, Done };
+  enum class Phase : std::uint8_t { Idle, SynSent, Collect, Verify, Done };
 
   void on_syn_ack(const net::TcpSegment& segment);
   void on_collect_data(const net::TcpSegment& segment);
   void on_verify_data(const net::TcpSegment& segment);
-  void record_range(std::uint64_t start, std::uint64_t end,
-                    std::span<const std::uint8_t> payload);
-  void store_chunk(std::uint64_t start, std::span<const std::uint8_t> payload);
-  void reassemble_prefix();
-  [[nodiscard]] bool covered(std::uint64_t start, std::uint64_t end) const noexcept;
-  [[nodiscard]] bool overlaps(std::uint64_t start, std::uint64_t end) const noexcept;
   void note_payload(std::size_t payload_size);
-  [[nodiscard]] bool contiguous_from_zero(std::uint64_t upto) const noexcept;
   void enter_verify();
   void conclude(ConnOutcome outcome);
   void send_segment(std::uint32_t seq, std::uint32_t ack, std::uint8_t flags,
@@ -71,55 +99,41 @@ class IwEstimator {
   void on_collect_timeout();
   void on_verify_timeout();
 
+  // The SYN phase holds only what follows; everything else is in
+  // `evidence_`, drawn from the owner's pool when the target answers and
+  // returned to it when the connection concludes.
   scan::SessionServices& services_;
+  Owner& owner_;
+  std::unique_ptr<ConnEvidence> evidence_;
+  sim::EventId timer_ = sim::kNullEvent;
   net::IPv4Address target_;
   std::uint16_t target_port_;
   std::uint16_t announced_mss_;
+  std::uint16_t local_port_ = 0;
+  Phase phase_ = Phase::Idle;
+  std::uint32_t isn_ = 0;  // our initial sequence number
+};
+
+/// The simplest Owner: a fixed request and a callback, for connections run
+/// outside any prober (tests, the single-host example, micro benchmarks).
+/// Must outlive every estimator it serves.
+class FixedRequestOwner final : public IwEstimator::Owner {
+ public:
+  using DoneFn = std::function<void(const ConnObservation&)>;
+
+  FixedRequestOwner(net::Bytes request, DoneFn done)
+      : request_(std::move(request)), done_(std::move(done)) {}
+
+  EvidencePool& evidence_pool() override { return pool_; }
+  net::Bytes request() override { return request_; }
+  void connection_done(const ConnObservation& observation) override {
+    done_(observation);
+  }
+
+ private:
+  EvidencePool pool_;
   net::Bytes request_;
   DoneFn done_;
-
-  Phase phase_ = Phase::Idle;
-  std::uint16_t local_port_ = 0;
-  std::uint32_t isn_ = 0;       // our initial sequence number
-  std::uint32_t irs_ = 0;       // server initial sequence number
-  std::uint32_t data_base_ = 0; // irs_ + 1: sequence of the first data byte
-
-  // Received sequence ranges relative to data_base_ ([start, end)),
-  // coalesced and sorted by start. Almost always a single range.
-  struct Range {
-    std::uint64_t start;
-    std::uint64_t end;
-  };
-  std::vector<Range> ranges_;
-  // Payload kept for prefix reassembly: the bytes of every stored segment
-  // in arrival order, and an index of them sorted by stream offset, at most
-  // one per offset. In-order segments append to both.
-  struct Chunk {
-    std::uint64_t start;   // stream offset, relative to data_base_
-    std::uint32_t offset;  // position in chunk_bytes_
-    std::uint32_t size;
-  };
-  net::Bytes chunk_bytes_;
-  std::vector<Chunk> chunks_;
-  std::uint64_t max_end_ = 0;
-
-  // Hostile-stack evidence (§5 / DESIGN.md §11). `request_acked_`
-  // distinguishes a tarpit (SYN/ACK, then deaf) from a host that accepted
-  // the request but had nothing to say; the trickle counter separates a
-  // slowloris byte-dripper from a sender whose retransmissions were lost.
-  bool request_acked_ = false;
-  std::uint32_t trickle_gaps_ = 0;
-  sim::SimTime last_data_at_ = sim::SimTime::min();
-
-  // Pacing evidence: arrival instants of the first and last fresh data
-  // byte, and how many distinct instants delivered fresh data. Evaluated
-  // against the RTO window when the retransmission closes the collect
-  // phase (enter_verify).
-  sim::SimTime first_data_at_ = sim::SimTime::min();
-  std::uint32_t fresh_arrival_instants_ = 0;
-
-  ConnObservation observation_;
-  sim::EventId timer_ = sim::kNullEvent;
 };
 
 }  // namespace iwscan::core

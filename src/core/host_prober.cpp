@@ -11,15 +11,16 @@ constexpr sim::SimTime kInterConnectionDelay = sim::msec(20);
 }  // namespace
 
 HostProber::HostProber(scan::SessionServices& services, net::IPv4Address target,
-                       const IwScanConfig& config, RecordFn on_record,
-                       std::function<void()> finish)
-    : services_(services),
-      target_(target),
-      config_(config),
-      on_record_(std::move(on_record)),
-      finish_(std::move(finish)) {}
+                       IwProbeModule& module, std::function<void()> finish)
+    : services_(services), module_(module), finish_(std::move(finish)), target_(target) {}
 
 HostProber::~HostProber() { services_.loop().cancel(continuation_); }
+
+EvidencePool& HostProber::evidence_pool() { return module_.evidence_; }
+
+void HostProber::emit(const HostScanRecord& record) {
+  if (module_.on_record_) module_.on_record_(record);
+}
 
 void HostProber::start() { begin_probe(); }
 
@@ -28,26 +29,32 @@ void HostProber::on_datagram(const net::Datagram& datagram) {
   estimator_->on_datagram(datagram);
 }
 
-std::unique_ptr<ProbeStrategy> HostProber::make_strategy() {
-  if (config_.protocol == ProbeProtocol::Http) {
-    if (!config_.curated_host.empty()) {
-      return make_url_list_strategy(config_.curated_host);
+std::unique_ptr<ProbeStrategy> HostProber::make_strategy() const {
+  const IwScanConfig& config = module_.config();
+  if (config.protocol == ProbeProtocol::Http) {
+    if (!config.curated_host.empty()) {
+      return make_url_list_strategy(config.curated_host);
     }
-    return make_http_strategy(target_, config_.max_connections,
-                              config_.max_redirect_hops);
+    return make_http_strategy(target_, config.max_connections, config.max_redirect_hops);
   }
   // Curated mode carries over to TLS as a curated SNI: with prior knowledge
   // of the vhost name, the probe measures the named service's IW instead of
   // the IP-as-Host default.
-  return make_tls_strategy(services_.session_seed(target_), config_.curated_host);
+  return make_tls_strategy(tls_seed_, config.curated_host);
+}
+
+net::Bytes HostProber::request() {
+  // The target answered this probe's first SYN (or a follow-up's, with the
+  // strategy already built): only now does the probe need its strategy.
+  if (!strategy_) strategy_ = make_strategy();
+  return strategy_->request();
 }
 
 void HostProber::begin_probe() {
-  if (probe_ == 0) {
-    const int probes = std::max(config_.probes_per_mss, 1);
-    pass_probes_[pass_].reserve(static_cast<std::size_t>(probes));
+  strategy_.reset();
+  if (module_.config().protocol == ProbeProtocol::Tls) {
+    tls_seed_ = services_.session_seed(target_);
   }
-  strategy_ = make_strategy();
   current_probe_ = ProbeResult{};
   current_probe_has_conn_ = false;
   begin_connection();
@@ -56,14 +63,15 @@ void HostProber::begin_probe() {
 void HostProber::begin_connection() {
   // The previous connection concluded before the continuation that got us
   // here was scheduled, so its estimator is off the stack and can go.
-  estimator_.emplace(
-      services_, target_, config_.port, current_mss(), strategy_->request(),
-      [this](const ConnObservation& observation) { on_connection_done(observation); });
+  const IwScanConfig& config = module_.config();
+  const std::uint16_t mss = pass_ == 0 ? config.mss_primary : config.mss_secondary;
+  estimator_.emplace(services_, target_, config.port, mss,
+                     static_cast<IwEstimator::Owner&>(*this));
   ++connections_used_;
   estimator_->start();
 }
 
-void HostProber::on_connection_done(const ConnObservation& observation) {
+void HostProber::connection_done(const ConnObservation& observation) {
   if (finished_) return;
 
   // A dead port / dead host on the very first contact: the host is not
@@ -77,7 +85,7 @@ void HostProber::on_connection_done(const ConnObservation& observation) {
     record.probes_run = 1;
     record.connections_used = connections_used_;
     finished_ = true;
-    if (on_record_) on_record_(record);
+    emit(record);
     finish_();
     return;
   }
@@ -85,7 +93,8 @@ void HostProber::on_connection_done(const ConnObservation& observation) {
 
   if (anomaly_ == ProbeAnomaly::None) {
     anomaly_ = observation.anomaly;
-    if (anomaly_ == ProbeAnomaly::None && config_.protocol == ProbeProtocol::Tls &&
+    if (anomaly_ == ProbeAnomaly::None &&
+        module_.config().protocol == ProbeProtocol::Tls &&
         !observation.prefix.empty() && observation.prefix[0] == 0x15) {
       // The reply opened with a TLS alert record instead of a ServerHello:
       // the handshake was refused at the TLS layer (§3.3 SNI-required
@@ -128,8 +137,11 @@ void HostProber::on_connection_done(const ConnObservation& observation) {
   current_probe_.loss_holes |= observation.loss_holes;
   current_probe_has_conn_ = true;
 
-  const bool followup = strategy_->wants_followup(observation);
-  if (anomaly_ == ProbeAnomaly::None) anomaly_ = strategy_->anomaly();
+  // A connection that never got an answer built no strategy: it concluded
+  // Unreachable or Refused, which no strategy follows up, and a fresh
+  // strategy has no anomaly to report.
+  const bool followup = strategy_ && strategy_->wants_followup(observation);
+  if (anomaly_ == ProbeAnomaly::None && strategy_) anomaly_ = strategy_->anomaly();
   services_.loop().cancel(continuation_);
   continuation_ = services_.loop().schedule(kInterConnectionDelay, [this, followup] {
     continuation_ = sim::kNullEvent;
@@ -142,16 +154,23 @@ void HostProber::on_connection_done(const ConnObservation& observation) {
 }
 
 void HostProber::finish_probe() {
-  pass_probes_[pass_].push_back(current_probe_);
+  const IwScanConfig& config = module_.config();
+  if (!probes_) {
+    const int passes = config.mss_secondary != 0 ? 2 : 1;
+    probes_ = std::make_unique<ProbeResult[]>(
+        static_cast<std::size_t>(std::max(config.probes_per_mss, 1) * passes));
+  }
+  probes_[probes_done_++] = current_probe_;
+  if (pass_ == 0) primary_probes_ = probes_done_;
 
   ++probe_;
-  if (probe_ < config_.probes_per_mss) {
+  if (probe_ < config.probes_per_mss) {
     begin_probe();
     return;
   }
   // Pass complete; move to the secondary MSS or finish.
   probe_ = 0;
-  if (pass_ == 0 && config_.mss_secondary != 0) {
+  if (pass_ == 0 && config.mss_secondary != 0) {
     pass_ = 1;
     begin_probe();
     return;
@@ -160,7 +179,7 @@ void HostProber::finish_probe() {
 }
 
 HostProber::PassResult HostProber::aggregate_pass(
-    const std::vector<ProbeResult>& probes) const {
+    std::span<const ProbeResult> probes) const {
   PassResult pass;
   for (const auto& probe : probes) {
     pass.fin_seen |= probe.fin_seen;
@@ -225,7 +244,8 @@ HostProber::PassResult HostProber::aggregate_pass(
 }
 
 void HostProber::finish_host() {
-  const PassResult primary = aggregate_pass(pass_probes_[0]);
+  const auto probes = std::span<const ProbeResult>(probes_.get(), probes_done_);
+  const PassResult primary = aggregate_pass(probes.first(primary_probes_));
   HostScanRecord record;
   record.ip = target_;
   record.outcome = primary.outcome;
@@ -237,12 +257,11 @@ void HostProber::finish_host() {
   record.reorder_seen = primary.reorder_seen;
   record.loss_suspected = primary.loss_suspected;
   record.anomaly = anomaly_;
-  record.probes_run = static_cast<std::uint8_t>(pass_probes_[0].size() +
-                                                pass_probes_[1].size());
+  record.probes_run = static_cast<std::uint8_t>(probes.size());
   record.connections_used = connections_used_;
 
-  if (!pass_probes_[1].empty()) {
-    const PassResult secondary = aggregate_pass(pass_probes_[1]);
+  if (probes.size() > primary_probes_) {
+    const PassResult secondary = aggregate_pass(probes.subspan(primary_probes_));
     if (secondary.outcome == HostOutcome::Success) {
       record.iw_segments_b = secondary.iw_segments;
       record.iw_bytes_b = secondary.iw_bytes;
@@ -251,7 +270,7 @@ void HostProber::finish_host() {
   }
 
   finished_ = true;
-  if (on_record_) on_record_(record);
+  emit(record);
   finish_();
 }
 
@@ -265,30 +284,30 @@ void HostProber::on_budget_exhausted(scan::BudgetKind kind) {
   record.outcome = HostOutcome::Error;
   record.anomaly =
       anomaly_ != ProbeAnomaly::None ? anomaly_ : ProbeAnomaly::BudgetExceeded;
-  record.probes_run = static_cast<std::uint8_t>(pass_probes_[0].size() +
-                                                pass_probes_[1].size());
+  record.probes_run = static_cast<std::uint8_t>(probes_done_);
   record.connections_used = connections_used_;
   (void)kind;
   finished_ = true;
   services_.loop().cancel(continuation_);
   continuation_ = sim::kNullEvent;
-  if (on_record_) on_record_(record);
+  emit(record);
   finish_();
 }
 
 std::unique_ptr<scan::ProbeSession> IwProbeModule::create_session(
     scan::SessionServices& services, net::IPv4Address target,
     std::function<void()> finish) {
-  return std::make_unique<HostProber>(services, target, config_, on_record_,
-                                      std::move(finish));
+  return std::make_unique<HostProber>(services, target, *this, std::move(finish));
 }
 
 HostScanRecord probe_host(scan::DirectServices& services, net::IPv4Address target,
                           const IwScanConfig& config) {
   HostScanRecord record;
   bool done = false;
-  HostProber prober(services, target, config,
-                    [&](const HostScanRecord& r) { record = r; }, [&] { done = true; });
+  // The module holds the record sink the prober refers to; it is declared
+  // first, so it outlives the prober.
+  IwProbeModule module(config, [&](const HostScanRecord& r) { record = r; });
+  HostProber prober(services, target, module, [&] { done = true; });
   services.set_handler([&](const net::Datagram& datagram) { prober.on_datagram(datagram); });
   prober.start();
   while (!done && services.loop().step()) {

@@ -13,7 +13,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <vector>
+#include <span>
 
 #include "core/estimator.hpp"
 #include "core/probe_strategy.hpp"
@@ -42,13 +42,20 @@ struct IwScanConfig {
   std::string curated_host;
 };
 
-class HostProber final : public scan::ProbeSession {
+class IwProbeModule;
+
+/// One target's probe sequence. A session whose SYN is still unanswered
+/// holds only its counters and the current connection's SYN-phase state;
+/// the probe strategy, its request and the connection's evidence block are
+/// built when the target first answers (DESIGN §10).
+class HostProber final : public scan::ProbeSession, private IwEstimator::Owner {
  public:
   using RecordFn = std::function<void(const HostScanRecord&)>;
 
+  /// Reads `module`'s config, record sink and evidence pool, which must
+  /// outlive the prober.
   HostProber(scan::SessionServices& services, net::IPv4Address target,
-             const IwScanConfig& config, RecordFn on_record,
-             std::function<void()> finish);
+             IwProbeModule& module, std::function<void()> finish);
   ~HostProber() override;
 
   void start() override;
@@ -58,11 +65,11 @@ class HostProber final : public scan::ProbeSession {
  private:
   // Per-probe merged view over its connections.
   struct ProbeResult {
-    ConnOutcome outcome = ConnOutcome::Error;
-    std::uint32_t iw_estimate = 0;
     std::uint64_t span_bytes = 0;
-    std::uint16_t max_segment = 0;
+    std::uint32_t iw_estimate = 0;
     std::uint32_t lower_bound = 0;
+    std::uint16_t max_segment = 0;
+    ConnOutcome outcome = ConnOutcome::Error;
     bool fin_seen = false;
     bool reorder_seen = false;
     bool loss_holes = false;
@@ -79,43 +86,54 @@ class HostProber final : public scan::ProbeSession {
     bool loss_suspected = false;
   };
 
+  // IwEstimator::Owner
+  EvidencePool& evidence_pool() override;
+  net::Bytes request() override;
+  void connection_done(const ConnObservation& observation) override;
+
   void begin_probe();
   void begin_connection();
-  void on_connection_done(const ConnObservation& observation);
   void finish_probe();
-  [[nodiscard]] PassResult aggregate_pass(const std::vector<ProbeResult>& probes) const;
+  [[nodiscard]] PassResult aggregate_pass(std::span<const ProbeResult> probes) const;
   void finish_host();
-  [[nodiscard]] std::uint16_t current_mss() const noexcept {
-    return pass_ == 0 ? config_.mss_primary : config_.mss_secondary;
-  }
-  [[nodiscard]] std::unique_ptr<ProbeStrategy> make_strategy();
+  void emit(const HostScanRecord& record);
+  [[nodiscard]] std::unique_ptr<ProbeStrategy> make_strategy() const;
 
   scan::SessionServices& services_;
-  net::IPv4Address target_;
-  IwScanConfig config_;
-  RecordFn on_record_;
+  IwProbeModule& module_;
   std::function<void()> finish_;
-
-  int pass_ = 0;   // 0 = primary MSS, 1 = secondary
-  int probe_ = 0;  // within the pass
-  std::vector<ProbeResult> pass_probes_[2];
+  // Null until the current probe's target answers.
+  std::unique_ptr<ProbeStrategy> strategy_;
+  // Completed probes of both passes, primary first. Allocated when the
+  // first probe completes: an unanswered target never needs it.
+  std::unique_ptr<ProbeResult[]> probes_;
+  // The current connection. Replaced only from the inter-connection
+  // continuation, never while the previous estimator is on the stack.
+  std::optional<IwEstimator> estimator_;
+  sim::EventId continuation_ = sim::kNullEvent;
+  // The TLS ClientHello seed, drawn when each probe begins so every
+  // per-target draw keeps its order; the strategy is built from it later.
+  std::uint64_t tls_seed_ = 0;
   ProbeResult current_probe_;
-  bool current_probe_has_conn_ = false;
+  net::IPv4Address target_;
+
+  std::uint16_t probe_ = 0;           // within the pass
+  std::uint16_t probes_done_ = 0;     // entries of probes_
+  std::uint16_t primary_probes_ = 0;  // of which the primary pass's
+  std::uint8_t pass_ = 0;             // 0 = primary MSS, 1 = secondary
   std::uint8_t connections_used_ = 0;
+  bool current_probe_has_conn_ = false;
   bool first_connection_ = true;
   bool finished_ = false;
   // First anomaly observed across all connections of this host (wire-level
   // from the estimator, or application-level from the strategy).
   ProbeAnomaly anomaly_ = ProbeAnomaly::None;
-
-  std::unique_ptr<ProbeStrategy> strategy_;
-  // The current connection. Replaced only from the inter-connection
-  // continuation, never while the previous estimator is on the stack.
-  std::optional<IwEstimator> estimator_;
-  sim::EventId continuation_ = sim::kNullEvent;
 };
 
-/// ProbeModule adapter so HostProber plugs into the ScanEngine.
+/// ProbeModule adapter so HostProber plugs into the ScanEngine. Owns what
+/// its sessions share: the probe config, the record sink and the pool of
+/// connection evidence blocks. Sessions refer to all three, so the module
+/// must outlive them (and serve one event loop).
 class IwProbeModule final : public scan::ProbeModule {
  public:
   IwProbeModule(IwScanConfig config, HostProber::RecordFn on_record)
@@ -128,8 +146,11 @@ class IwProbeModule final : public scan::ProbeModule {
   [[nodiscard]] const IwScanConfig& config() const noexcept { return config_; }
 
  private:
+  friend class HostProber;
+
   IwScanConfig config_;
   HostProber::RecordFn on_record_;
+  EvidencePool evidence_;
 };
 
 /// One full HostProber session against `target` through `services`, run on

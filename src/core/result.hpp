@@ -10,7 +10,7 @@
 namespace iwscan::core {
 
 /// Outcome of a single estimation connection (Fig. 1 run).
-enum class ConnOutcome {
+enum class ConnOutcome : std::uint8_t {
   Unreachable,  // no SYN/ACK before timeout
   Refused,      // RST in answer to our SYN (port closed)
   Success,      // first-segment retransmission seen AND ACK release produced

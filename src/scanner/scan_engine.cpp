@@ -54,20 +54,21 @@ void ScanEngine::pace() {
   pace_event_ = sim::kNullEvent;
   if (targets_exhausted_) return;
 
-  const auto interval = sim::SimTime{
-      static_cast<std::int64_t>(1e9 / (config_.rate_pps > 0 ? config_.rate_pps : 1.0))};
-
   if (sessions_.size() >= config_.max_outstanding) {
     // Backpressure: per-connection state is bounded (the lightweight-state
-    // design of §3.4); retry this slot shortly.
-    pace_event_ = network_.loop().schedule(interval, [this] { pace(); });
+    // design of §3.4). Stay idle until finish_session frees a slot.
+    window_full_ = true;
     return;
   }
 
   launch_next_target();
-  if (!targets_exhausted_) {
-    pace_event_ = network_.loop().schedule(interval, [this] { pace(); });
-  }
+  if (!targets_exhausted_) schedule_pace();
+}
+
+void ScanEngine::schedule_pace() {
+  const auto interval = sim::SimTime{
+      static_cast<std::int64_t>(1e9 / (config_.rate_pps > 0 ? config_.rate_pps : 1.0))};
+  pace_event_ = network_.loop().schedule(interval, [this] { pace(); });
 }
 
 void ScanEngine::launch_next_target() {
@@ -82,16 +83,16 @@ void ScanEngine::launch_next_target() {
   if (launch_observer_) launch_observer_(target, cycle);
   auto session = module_.create_session(*this, target,
                                         [this, t = target] { finish_session(t); });
-  const std::uint64_t key = util::mix64(config_.seed, target.value());
-  const auto [it, inserted] = sessions_.try_emplace(
-      target, std::move(session),
-      TargetDraws{util::Rng(key), static_cast<std::uint32_t>(key >> 32)});
+  const auto [it, inserted] = sessions_.try_emplace(target);
   if (!inserted) {
     // Duplicate target (overlapping allowlist): replace the session and run
     // it anyway; the draws continue where the replaced session left them.
     network_.loop().cancel(it->second.deadline);
-    it->second = SessionState{std::move(session), it->second.draws};
+    const TargetDraws draws = it->second.draws;
+    it->second = SessionState{};
+    it->second.draws = draws;
   }
+  it->second.session = std::move(session);
   arm_deadline(it->second, target);
   it->second.session->start();
 }
@@ -140,6 +141,11 @@ void ScanEngine::finish_session(net::IPv4Address target) {
     });
   }
   ++stats_.targets_finished;
+  if (window_full_) {
+    // A slot is free again: the pacer resumes one interval from now.
+    window_full_ = false;
+    schedule_pace();
+  }
   maybe_complete();
 }
 
@@ -189,15 +195,19 @@ ScanEngine::TargetDraws& ScanEngine::target_draws(net::IPv4Address target) {
 std::uint16_t ScanEngine::allocate_port(net::IPv4Address target) {
   // Ephemeral range 32768..60999, walked from a per-target start offset.
   constexpr std::uint32_t kRange = 61000 - 32768;
-  TargetDraws& draws = target_draws(target);
-  const std::uint16_t port =
-      static_cast<std::uint16_t>(32768 + draws.port_offset % kRange);
-  ++draws.port_offset;
-  return port;
+  const auto start = static_cast<std::uint32_t>(target_key(target) >> 32);
+  const std::uint32_t offset = start + target_draws(target).ports++;
+  return static_cast<std::uint16_t>(32768 + offset % kRange);
 }
 
 std::uint64_t ScanEngine::session_seed(net::IPv4Address target) {
-  return target_draws(target).rng();
+  // The n-th output of the target's generator: a session draws a handful
+  // of seeds (one per connection), so replaying the sequence costs less
+  // than keeping a generator's state in every session entry.
+  const std::uint32_t n = target_draws(target).seeds++;
+  util::Rng rng(target_key(target));
+  for (std::uint32_t i = 0; i < n; ++i) (void)rng();
+  return rng();
 }
 
 }  // namespace iwscan::scan

@@ -235,33 +235,42 @@ class ScanEngine final : public sim::Endpoint, public SessionServices {
   [[nodiscard]] std::uint64_t session_seed(net::IPv4Address target) override;
 
  private:
-  // Per-target draw state: seeded purely from (scan seed, target) so the
-  // sequence a session observes is identical no matter how many other
-  // sessions interleave with it — the property that makes sharded scans
-  // byte-identical to shards=1.
+  // Per-target draw state: the draws are a pure function of (scan seed,
+  // target) and a per-target count, so the sequence a session observes is
+  // identical no matter how many other sessions interleave with it — the
+  // property that makes sharded scans byte-identical to shards=1. Only the
+  // counts are stored; the generator is rebuilt from the key per draw.
   struct TargetDraws {
-    util::Rng rng;
-    std::uint32_t port_offset;
+    std::uint32_t seeds = 0;  // session_seed draws so far
+    std::uint32_t ports = 0;  // allocate_port draws so far
   };
 
-  // One live conversation: its draw state and its budget accounting. The
+  // One live conversation: its draw counts and its budget accounting. The
   // wall-time deadline is armed at launch; byte/packet counters are
   // checked in handle_packet before delivery. Erased when the session
   // finishes.
   struct SessionState {
     std::unique_ptr<ProbeSession> session;
-    TargetDraws draws;
     sim::EventId deadline = sim::kNullEvent;
     std::uint64_t rx_bytes = 0;
     std::uint64_t rx_packets = 0;
+    TargetDraws draws;
   };
 
   ScanEngine(sim::Network& network, EngineConfig config,
              std::unique_ptr<TargetSource> owned_source, TargetSource* source,
              ProbeModule& module);
   [[nodiscard]] TargetDraws& target_draws(net::IPv4Address target);
+  [[nodiscard]] std::uint64_t target_key(net::IPv4Address target) const noexcept {
+    return util::mix64(config_.seed, target.value());
+  }
 
-  void pace();
+  // The pacer's event handler: launches one target per interval. A
+  // hot-path boundary because it runs from its own event, once per launch:
+  // finish_session, which a budget kill reaches from handle_packet, only
+  // schedules it when it frees a slot in a full window.
+  IWSCAN_HOT_BOUNDARY void pace();
+  void schedule_pace();
   void launch_next_target();
   void maybe_complete();
   void finish_session(net::IPv4Address target);
@@ -283,6 +292,9 @@ class ScanEngine final : public sim::Endpoint, public SessionServices {
   std::vector<std::unique_ptr<ProbeSession>> graveyard_;
   sim::EventId reap_event_ = sim::kNullEvent;
   sim::EventId pace_event_ = sim::kNullEvent;
+  // The pacer found the outstanding window full and stopped; the next
+  // finish_session restarts it.
+  bool window_full_ = false;
   bool targets_exhausted_ = false;
   LaunchObserver launch_observer_;
   EngineStats stats_;

@@ -88,20 +88,23 @@ std::string cipher_name(CipherSuite suite) {
   return buf;
 }
 
-std::vector<CipherSuite> cipher_set(CipherProfile profile) {
+std::span<const CipherSuite> cipher_set(CipherProfile profile) noexcept {
+  static constexpr CipherSuite kModern[] = {0xC02C, 0xC02B, 0xC030,
+                                            0xC02F, 0xCCA9, 0xCCA8};
+  static constexpr CipherSuite kStandard[] = {0xC030, 0xC02F, 0xC028, 0xC027, 0xC014,
+                                              0xC013, 0x009D, 0x009C, 0x003D, 0x003C,
+                                              0x0035, 0x002F, 0x000A};
+  static constexpr CipherSuite kLegacy[] = {0x0035, 0x002F, 0x000A, 0x0005,
+                                            0x0004, 0xC011, 0x0016};
+  // Suites deliberately outside the probe list (e.g. PSK/ARIA families) so
+  // negotiation fails — modeling the "no common cipher" hosts that yield
+  // only an alert (§4, Table 2 discussion).
+  static constexpr CipherSuite kExotic[] = {0x008C, 0x008D, 0xC03C, 0xC03D, 0x00A8};
   switch (profile) {
-    case CipherProfile::Modern:
-      return {0xC02C, 0xC02B, 0xC030, 0xC02F, 0xCCA9, 0xCCA8};
-    case CipherProfile::Standard:
-      return {0xC030, 0xC02F, 0xC028, 0xC027, 0xC014, 0xC013,
-              0x009D, 0x009C, 0x003D, 0x003C, 0x0035, 0x002F, 0x000A};
-    case CipherProfile::Legacy:
-      return {0x0035, 0x002F, 0x000A, 0x0005, 0x0004, 0xC011, 0x0016};
-    case CipherProfile::Exotic:
-      // Suites deliberately outside the probe list (e.g. PSK/ARIA families)
-      // so negotiation fails — modeling the "no common cipher" hosts that
-      // yield only an alert (§4, Table 2 discussion).
-      return {0x008C, 0x008D, 0xC03C, 0xC03D, 0x00A8};
+    case CipherProfile::Modern: return kModern;
+    case CipherProfile::Standard: return kStandard;
+    case CipherProfile::Legacy: return kLegacy;
+    case CipherProfile::Exotic: return kExotic;
   }
   return {};
 }

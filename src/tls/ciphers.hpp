@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 namespace iwscan::tls {
 
@@ -30,7 +29,8 @@ enum class CipherProfile {
   Exotic,    // suites outside the probe list → handshake failure
 };
 
-[[nodiscard]] std::vector<CipherSuite> cipher_set(CipherProfile profile);
+/// The profile's suites: a static table, so a config can refer to it.
+[[nodiscard]] std::span<const CipherSuite> cipher_set(CipherProfile profile) noexcept;
 
 /// First probe-list suite supported by the server, or 0 if none.
 [[nodiscard]] CipherSuite negotiate(std::span<const CipherSuite> client_offer,

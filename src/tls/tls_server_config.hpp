@@ -4,8 +4,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "tcpstack/config.hpp"
 #include "tls/ciphers.hpp"
@@ -20,7 +20,9 @@ enum class SniPolicy {
 
 struct TlsConfig {
   SniPolicy sni_policy = SniPolicy::Ignore;
-  std::vector<CipherSuite> supported_ciphers = cipher_set(CipherProfile::Standard);
+  // Refers to a cipher_set table (or other storage that outlives the
+  // config): every accepted connection derives a config, so no copy.
+  std::span<const CipherSuite> supported_ciphers = cipher_set(CipherProfile::Standard);
   std::size_t chain_bytes = 2186;  // total certificate bytes (Fig. 2 mean)
   bool ocsp_staple = false;        // adds a CertificateStatus message
   std::string server_name;         // certificate subject hint

@@ -545,12 +545,12 @@ Expected run_map_model(const std::vector<Arrival>& arrivals, bool verify_fresh) 
 }
 
 /// Session services for driving one estimator by hand: packets it sends are
-/// dropped, and time moves only when the test runs the loop.
+/// kept in `sent`, and time moves only when the test runs the loop.
 class ManualServices final : public scan::SessionServices {
  public:
   static constexpr std::uint32_t kIsn = 0x5eed;
 
-  void send_packet(net::Bytes) override {}
+  void send_packet(net::Bytes bytes) override { sent.push_back(std::move(bytes)); }
   sim::EventLoop& loop() override { return loop_; }
   net::IPv4Address scanner_address() const override { return test::kScannerIp; }
   std::uint16_t allocate_port(net::IPv4Address) override { return 40000; }
@@ -558,6 +558,9 @@ class ManualServices final : public scan::SessionServices {
 
  private:
   sim::EventLoop loop_;
+
+ public:
+  std::vector<net::Bytes> sent;
 };
 
 /// One random response: a stream cut into MSS-sized segments, then gaps,
@@ -630,6 +633,12 @@ TEST(Estimator, ReassemblyMatchesMapModel) {
   constexpr std::uint16_t kTargetPort = 80;
   util::Rng rng(2017);
   int concluded_by[6] = {};
+  // One owner, so one evidence pool, for every trial: each connection
+  // reuses the block (and buffers) the previous one returned.
+  const net::Bytes request = net::to_bytes("GET / HTTP/1.1\r\n\r\n");
+  std::optional<core::ConnObservation> observed;
+  core::FixedRequestOwner owner(request,
+                                [&](const core::ConnObservation& o) { observed = o; });
   for (int trial = 0; trial < 3000; ++trial) {
     const std::vector<Arrival> arrivals = random_arrivals(rng);
     const bool verify_fresh = rng.chance(0.5);
@@ -639,10 +648,8 @@ TEST(Estimator, ReassemblyMatchesMapModel) {
     const Expected expected = run_map_model(arrivals, verify_fresh);
 
     ManualServices services;
-    std::optional<core::ConnObservation> observed;
-    const net::Bytes request = net::to_bytes("GET / HTTP/1.1\r\n\r\n");
-    core::IwEstimator estimator(services, target, kTargetPort, 64, request,
-                                [&](const core::ConnObservation& o) { observed = o; });
+    observed.reset();
+    core::IwEstimator estimator(services, target, kTargetPort, 64, owner);
     estimator.start();
     const auto deliver = [&](std::uint32_t seq, std::uint8_t flags,
                              const net::Bytes& payload) {
@@ -690,6 +697,98 @@ TEST(Estimator, ReassemblyMatchesMapModel) {
                                          core::ConnOutcome::Error}) {
     EXPECT_GT(concluded_by[static_cast<int>(outcome)], 50) << core::to_string(outcome);
   }
+}
+
+// The SYN phase builds nothing: the request is asked for only when the
+// target answers, once per connection, and a connection the target never
+// answers concludes from its SYN-phase state alone.
+
+/// Counts request() calls; hands the estimator a fixed request.
+class CountingOwner final : public core::IwEstimator::Owner {
+ public:
+  core::EvidencePool& evidence_pool() override { return pool; }
+  net::Bytes request() override {
+    ++requests;
+    return net::to_bytes("GET / HTTP/1.1\r\n\r\n");
+  }
+  void connection_done(const core::ConnObservation& observation) override {
+    observed = observation;
+  }
+
+  core::EvidencePool pool;
+  int requests = 0;
+  std::optional<core::ConnObservation> observed;
+};
+
+/// One connection to 10.0.3.2:80 over ManualServices, fed by hand.
+struct ManualConnection {
+  static constexpr net::IPv4Address kTarget{10, 0, 3, 2};
+  static constexpr std::uint32_t kIrs = 0x1000;
+
+  ManualConnection() { estimator.start(); }
+
+  void deliver(std::uint32_t seq, std::uint32_t ack, std::uint8_t flags) {
+    net::TcpSegment segment;
+    segment.ip.src = kTarget;
+    segment.ip.dst = test::kScannerIp;
+    segment.tcp.src_port = 80;
+    segment.tcp.dst_port = estimator.local_port();
+    segment.tcp.seq = seq;
+    segment.tcp.ack = ack;
+    segment.tcp.flags = flags;
+    segment.tcp.window = 65535;
+    estimator.on_datagram(net::Datagram{std::move(segment)});
+  }
+  void deliver_syn_ack() {
+    deliver(kIrs, ManualServices::kIsn + 1, net::kSyn | net::kAck);
+  }
+  [[nodiscard]] net::TcpSegment sent(std::size_t i) const {
+    const auto datagram = net::decode_datagram(services.sent.at(i));
+    return std::get<net::TcpSegment>(*datagram);
+  }
+
+  ManualServices services;
+  CountingOwner owner;
+  core::IwEstimator estimator{services, kTarget, 80, 64, owner};
+};
+
+TEST(EstimatorSynPhase, RstBeforeSynAckIsRefusedWithoutARequest) {
+  ManualConnection conn;
+  conn.deliver(0, ManualServices::kIsn + 1, net::kRst | net::kAck);
+  ASSERT_TRUE(conn.owner.observed);
+  EXPECT_EQ(conn.owner.observed->outcome, core::ConnOutcome::Refused);
+  EXPECT_EQ(conn.owner.observed->anomaly, core::ProbeAnomaly::None);
+  EXPECT_EQ(conn.owner.requests, 0);
+  EXPECT_EQ(conn.services.sent.size(), 1u);  // the SYN; a refusal is not reset
+  EXPECT_TRUE(conn.estimator.finished());
+}
+
+TEST(EstimatorSynPhase, SynTimeoutIsUnreachableWithoutARequest) {
+  ManualConnection conn;
+  conn.deliver(ManualConnection::kIrs, 0, net::kSyn);  // a bare SYN is no answer
+  while (!conn.owner.observed && conn.services.loop().step()) {
+  }
+  ASSERT_TRUE(conn.owner.observed);
+  EXPECT_EQ(conn.owner.observed->outcome, core::ConnOutcome::Unreachable);
+  EXPECT_EQ(conn.services.loop().now(), sim::sec(3));
+  EXPECT_EQ(conn.owner.requests, 0);
+  EXPECT_EQ(conn.services.sent.size(), 1u);
+}
+
+TEST(EstimatorSynPhase, RetransmittedSynAckInCollectResendsTheRequest) {
+  ManualConnection conn;
+  conn.deliver_syn_ack();
+  ASSERT_EQ(conn.services.sent.size(), 2u);
+  const net::TcpSegment first = conn.sent(1);
+  EXPECT_EQ(first.payload, net::to_bytes("GET / HTTP/1.1\r\n\r\n"));
+  EXPECT_EQ(first.tcp.ack, ManualConnection::kIrs + 1);
+
+  // The handshake ACK + request was lost: the server repeats its SYN/ACK.
+  conn.deliver_syn_ack();
+  ASSERT_EQ(conn.services.sent.size(), 3u);
+  EXPECT_EQ(conn.services.sent[2], conn.services.sent[1]);  // same segment again
+  EXPECT_EQ(conn.owner.requests, 1);  // resent from the evidence, not rebuilt
+  EXPECT_FALSE(conn.owner.observed);
 }
 
 // --------------------------------------------------------------------------

@@ -190,6 +190,68 @@ TEST(HostProber, TlsRequestMatchesComposedEncoders) {
   }
 }
 
+/// Every payload the scanner put on the wire while probing one host (the
+/// six requests or ClientHellos of a full session), folded to a digest.
+struct WirePayloads {
+  std::size_t count = 0;
+  std::size_t bytes = 0;
+  std::uint64_t digest = 0;
+};
+
+WirePayloads probe_payloads(bool tls, const std::string& curated_host) {
+  Testbed bed;
+  const net::IPv4Address host{10, 1, 0, 12};
+  if (tls) {
+    tls::TlsConfig config;
+    config.chain_bytes = 3'000;
+    bed.add_tls_host(host, stack_with_iw(4), config);
+  } else {
+    bed.add_http_host(host, stack_with_iw(10), big_page(16'000));
+  }
+  std::vector<net::TcpSegment> wire;
+  bed.tap_segments(wire);
+  core::IwScanConfig config = tls ? tls_config() : http_config();
+  config.curated_host = curated_host;
+  const auto record = bed.probe_host(host, config);
+  EXPECT_EQ(record.outcome, core::HostOutcome::Success);
+
+  WirePayloads out;
+  std::string all;
+  for (const auto& segment : wire) {
+    if (segment.ip.src == test::kScannerIp && !segment.payload.empty()) {
+      ++out.count;
+      out.bytes += segment.payload.size();
+      all += util::as_text(segment.payload);
+    }
+  }
+  out.digest = util::hash_seed(all);
+  return out;
+}
+
+TEST(HostProber, RequestBytesArePinned) {
+  // The probe builds its strategy and request only when the target
+  // answers; the bytes it sends are pinned to those of the prober that
+  // built both at launch, for HTTP and TLS, each with and without curated
+  // mode (the ClientHello random comes from the per-probe seed draw).
+  struct Case {
+    bool tls;
+    std::string curated_host;
+    WirePayloads expected;
+  };
+  const Case cases[] = {
+      {false, "", {6, 756, 0x973a5b3c444a0cbeULL}},
+      {false, "www.example.net", {6, 696, 0xfa6aaf48d7171e75ULL}},
+      {true, "", {6, 1062, 0x8e78734e4f3091bfULL}},
+      {true, "www.example.net", {6, 1206, 0xff077d92a6f0d88bULL}},
+  };
+  for (const Case& c : cases) {
+    const WirePayloads got = probe_payloads(c.tls, c.curated_host);
+    EXPECT_EQ(got.count, c.expected.count) << c.tls << " '" << c.curated_host << "'";
+    EXPECT_EQ(got.bytes, c.expected.bytes) << c.tls << " '" << c.curated_host << "'";
+    EXPECT_EQ(got.digest, c.expected.digest) << c.tls << " '" << c.curated_host << "'";
+  }
+}
+
 TEST(HostProber, UnreachableHostShortCircuits) {
   Testbed bed;
   const auto record = bed.probe_host(net::IPv4Address{10, 1, 0, 7}, http_config());

@@ -409,6 +409,62 @@ TEST(ScanEngine, OutstandingCapThrottles) {
   EXPECT_EQ(engine.stats().targets_finished, 256u);
 }
 
+/// Sessions that send nothing, arm nothing and finish only when the test
+/// calls their finish callback.
+class HeldModule final : public ProbeModule {
+ public:
+  std::unique_ptr<ProbeSession> create_session(SessionServices&, net::IPv4Address,
+                                               std::function<void()> finish) override {
+    finishes.push_back(std::move(finish));
+    return std::make_unique<HeldSession>();
+  }
+
+  std::vector<std::function<void()>> finishes;
+
+ private:
+  struct HeldSession final : ProbeSession {
+    void start() override {}
+    void on_datagram(const net::Datagram&) override {}
+  };
+};
+
+TEST(ScanEngine, FullWindowFiresNoPaceEventsUntilASessionFinishes) {
+  EngineRig rig;
+  HeldModule module;
+  TargetGenerator targets({*net::Cidr::parse("10.5.0.0/29")}, {}, 3);
+  EngineConfig engine_config;
+  engine_config.rate_pps = 1'000'000;
+  engine_config.max_outstanding = 4;
+  engine_config.budget.wall_time = sim::SimTime::zero();  // only the pacer schedules
+  ScanEngine engine(rig.network, engine_config, std::move(targets), module);
+  engine.start();
+  // Bounded: a pacer that polls a full window would never drain the loop.
+  for (int i = 0; i < 1000 && rig.loop.step(); ++i) {
+  }
+  ASSERT_EQ(module.finishes.size(), 4u);
+  EXPECT_TRUE(rig.loop.empty()) << rig.loop.pending_events() << " events pending";
+
+  // One finish frees one slot: the reap, then one launch an interval
+  // later, and one pace event that finds the window full again.
+  const std::uint64_t before = rig.loop.events_processed();
+  const sim::SimTime freed_at = rig.loop.now();
+  module.finishes[0]();
+  while (rig.loop.step()) {
+  }
+  EXPECT_EQ(module.finishes.size(), 5u);
+  EXPECT_EQ(rig.loop.events_processed() - before, 3u);
+  EXPECT_EQ(rig.loop.now() - freed_at, sim::usec(2));
+
+  for (std::size_t i = 1; i < module.finishes.size(); ++i) {
+    module.finishes[i]();
+    while (rig.loop.step()) {
+    }
+  }
+  EXPECT_TRUE(engine.done());
+  EXPECT_EQ(engine.stats().targets_started, 8u);
+  EXPECT_EQ(engine.stats().targets_finished, 8u);
+}
+
 // --------------------------------------------------------- ICMP MTU ------
 
 class MtuDiscovery : public ::testing::TestWithParam<std::uint32_t> {};

@@ -147,12 +147,12 @@ struct ScriptRig {
   core::ConnObservation estimate() {
     core::ConnObservation result;
     bool done = false;
-    core::IwEstimator estimator(*services, kServerIp, 80, /*announced_mss=*/64,
-                                net::to_bytes("GET / HTTP/1.1\r\n\r\n"),
-                                [&](const core::ConnObservation& observation) {
-                                  result = observation;
-                                  done = true;
-                                });
+    core::FixedRequestOwner owner(net::to_bytes("GET / HTTP/1.1\r\n\r\n"),
+                                  [&](const core::ConnObservation& observation) {
+                                    result = observation;
+                                    done = true;
+                                  });
+    core::IwEstimator estimator(*services, kServerIp, 80, /*announced_mss=*/64, owner);
     services->set_handler(
         [&](const net::Datagram& d) { estimator.on_datagram(d); });
     estimator.start();

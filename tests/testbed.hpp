@@ -62,11 +62,12 @@ class Testbed {
                                  std::uint16_t announced_mss, net::Bytes request) {
     core::ConnObservation result;
     bool done = false;
-    core::IwEstimator estimator(services_, target, port, announced_mss, std::move(request),
-                                [&](const core::ConnObservation& observation) {
-                                  result = observation;
-                                  done = true;
-                                });
+    core::FixedRequestOwner owner(std::move(request),
+                                  [&](const core::ConnObservation& observation) {
+                                    result = observation;
+                                    done = true;
+                                  });
+    core::IwEstimator estimator(services_, target, port, announced_mss, owner);
     services_.set_handler(
         [&](const net::Datagram& datagram) { estimator.on_datagram(datagram); });
     estimator.start();

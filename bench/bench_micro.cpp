@@ -53,7 +53,7 @@ net::TcpSegment make_segment(std::size_t payload_size) {
   segment.tcp.ack = 67890;
   segment.tcp.flags = net::kAck | net::kPsh;
   segment.tcp.window = 65535;
-  segment.tcp.options.push_back(net::MssOption{64});
+  segment.tcp.mss = 64;
   segment.payload.assign(payload_size, 0x41);
   return segment;
 }

@@ -98,14 +98,14 @@ struct Run {
 scan::EngineStats run_module(const util::Flags& flags, scan::ProbeModule& module,
                              std::size_t max_outstanding) {
   auto world = bench::make_world(flags);
-  scan::TargetGenerator targets(world.internet->registry().scan_space(), {},
-                                flags.u64("scan-seed"));
+  scan::GeneratorTargetSource targets(scan::TargetGenerator(
+      world.internet->registry().scan_space(), {}, flags.u64("scan-seed")));
   scan::EngineConfig engine_config;
   engine_config.scanner_address = net::IPv4Address{192, 0, 2, 1};
   engine_config.rate_pps = flags.real("rate");
   engine_config.seed = flags.u64("scan-seed");
   engine_config.max_outstanding = max_outstanding;
-  scan::ScanEngine engine(*world.network, engine_config, std::move(targets), module);
+  scan::ScanEngine engine(*world.network, engine_config, targets, module);
   engine.start();
   while (!engine.done() && world.loop.step()) {
   }

@@ -72,9 +72,7 @@ class TracingServices final : public scan::SessionServices, public sim::Endpoint
                 std::chrono::duration<double, std::milli>(loop().now()).count(),
                 direction, flags.c_str(), segment.tcp.seq, segment.tcp.ack,
                 segment.tcp.window, segment.payload.size());
-    if (const auto mss = net::find_mss(segment.tcp.options)) {
-      std::printf(" mss=%u", *mss);
-    }
+    if (segment.tcp.mss) std::printf(" mss=%u", *segment.tcp.mss);
     std::printf("\n");
   }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "netbase/tcp_options.hpp"
 #include "tcpstack/seq.hpp"
 
 namespace iwscan::core {
@@ -550,9 +549,7 @@ void IwEstimator::send_segment(std::uint32_t seq, std::uint32_t ack, std::uint8_
   tcp.ack = ack;
   tcp.flags = flags;
   tcp.window = window;
-  if (with_mss_option) {
-    tcp.options.push_back(net::MssOption{announced_mss_});
-  }
+  if (with_mss_option) tcp.mss = announced_mss_;
   services_.send_packet(ip, tcp, payload);
 }
 

@@ -74,7 +74,7 @@ void TcpHeader::encode(WireWriter& writer) const {
   writer.u16(window);
   writer.u16(0);  // checksum patched by the packet codec
   writer.u16(urgent);
-  encode_tcp_options(options, writer);
+  if (mss) encode_mss_option(*mss, writer);
 }
 
 bool TcpHeader::decode_into(WireReader& reader, std::size_t& data_offset_bytes,
@@ -93,7 +93,7 @@ bool TcpHeader::decode_into(WireReader& reader, std::size_t& data_offset_bytes,
   out.urgent = reader.u16();
   const std::size_t options_len = data_offset_bytes - 20;
   if (options_len > reader.remaining()) return false;
-  return decode_tcp_options_into(reader.raw(options_len), out.options);
+  return read_tcp_options(reader.raw(options_len), out.mss);
 }
 
 void IcmpMessage::encode(WireWriter& writer) const {

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "netbase/ipv4.hpp"
 #include "netbase/tcp_options.hpp"
@@ -58,21 +57,23 @@ struct TcpHeader {
   std::uint8_t flags = 0;
   std::uint16_t window = 0;
   std::uint16_t urgent = 0;
-  std::vector<TcpOption> options;
+  std::optional<std::uint16_t> mss;  // the MSS option, the one option modeled
 
   [[nodiscard]] bool has(TcpFlag flag) const noexcept { return (flags & flag) != 0; }
-  [[nodiscard]] std::size_t encoded_size() const {
-    return 20 + encoded_tcp_options_size(options);
+  [[nodiscard]] std::size_t encoded_size() const noexcept {
+    return 20 + (mss ? std::size_t{kMssWireSize} : 0);
   }
 
   /// Serialize with a zero checksum placeholder; the packet codec patches
   /// in the pseudo-header checksum afterwards.
   void encode(WireWriter& writer) const;
 
-  /// Parse header + options into `out`, reusing its options capacity;
-  /// `data_offset_bytes` receives the data offset so the caller can slice
-  /// the payload. Checksum verification happens at the packet layer where
-  /// the pseudo-header addresses are known. On false, `out` is unspecified.
+  /// Parse header + options into `out`: read_tcp_options() validates the
+  /// options area and `mss` takes its first MSS (nullopt if none), so every
+  /// field is overwritten. `data_offset_bytes` receives the data offset so
+  /// the caller can slice the payload. Checksum verification happens at the
+  /// packet layer where the pseudo-header addresses are known. On false,
+  /// `out` is unspecified.
   [[nodiscard]] static bool decode_into(WireReader& reader,
                                         std::size_t& data_offset_bytes, TcpHeader& out);
 };

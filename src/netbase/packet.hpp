@@ -63,11 +63,13 @@ void encode_into(const Ipv4Header& ip, const TcpHeader& tcp,
                  std::span<const std::uint8_t> payload, Bytes& out);
 
 /// Parse any supported datagram into `out`, reusing its storage: when `out`
-/// already holds the same alternative, its payload (and TCP options)
-/// capacity carries over, so a receiver that keeps one Datagram decodes
-/// without allocating once the capacity has grown. Every field is overwritten on success; on
-/// failure (malformed bytes, bad checksum, unsupported protocol) returns
-/// false and leaves `out` unspecified — valid, but not to be read.
+/// already holds the same alternative, its payload capacity carries over,
+/// so a receiver that keeps one Datagram decodes without allocating once
+/// the capacity has grown. Every field is overwritten on success — `mss`
+/// included, so a segment without an MSS option never shows the previous
+/// packet's; on failure (malformed bytes, bad checksum, unsupported
+/// protocol) returns false and leaves `out` unspecified — valid, but not
+/// to be read.
 [[nodiscard]] bool decode_datagram_into(std::span<const std::uint8_t> bytes,
                                         Datagram& out);
 

@@ -1,69 +1,32 @@
-// TCP option encoding/decoding (RFC 793 §3.1, RFC 7323, RFC 2018).
+// TCP options area (RFC 793 §3.1, RFC 7323, RFC 2018).
 //
-// Only the options the scan methodology touches are modeled: MSS (announced
-// small to maximize segment counts, §3.1 of the paper), window scale (to
-// advertise a large receive window), and SACK-permitted (deliberately NOT
-// offered, disabling tail-loss probes, §3.1). Unknown options round-trip as
-// raw bytes so foreign stacks can be represented faithfully.
+// The scan's SYN announces one small MSS and deliberately offers neither
+// window scale nor SACK-permitted (§3.1 of the paper); the simulated hosts
+// answer with their own MSS and nothing else. So MSS is the only option a
+// header carries, and read_tcp_options() is the one walk over an options
+// area: the header decoder and the stateless sweep both call it.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <variant>
-#include <vector>
 
 #include "netbase/wire.hpp"
 
 namespace iwscan::net {
 
-struct MssOption {
-  std::uint16_t mss = 536;
-  bool operator==(const MssOption&) const = default;
-};
+/// Wire size of the MSS option: kind, length, 16-bit value.
+inline constexpr std::uint8_t kMssWireSize = 4;
 
-struct WindowScaleOption {
-  std::uint8_t shift = 0;
-  bool operator==(const WindowScaleOption&) const = default;
-};
+/// Write an MSS option (`02 04 hi lo`). Four bytes, so no NOP padding.
+void encode_mss_option(std::uint16_t mss, WireWriter& writer);
 
-struct SackPermittedOption {
-  bool operator==(const SackPermittedOption&) const = default;
-};
-
-struct UnknownOption {
-  std::uint8_t kind = 0;
-  Bytes data;  // option payload, excluding kind and length octets
-  bool operator==(const UnknownOption&) const = default;
-};
-
-using TcpOption =
-    std::variant<MssOption, WindowScaleOption, SackPermittedOption, UnknownOption>;
-
-/// Serialize options and pad with NOPs to a 4-byte boundary.
-void encode_tcp_options(const std::vector<TcpOption>& options, WireWriter& writer);
-
-/// Size in bytes that encode_tcp_options will produce (incl. padding).
-[[nodiscard]] std::size_t encoded_tcp_options_size(const std::vector<TcpOption>& options);
-
-/// Parse the options area of a TCP header into `options` (cleared first,
-/// capacity kept). Returns false on malformed lengths, leaving `options`
-/// unspecified; NOP and END are consumed silently.
-[[nodiscard]] bool decode_tcp_options_into(std::span<const std::uint8_t> data,
-                                           std::vector<TcpOption>& options);
-
-/// decode_tcp_options_into() a fresh list; nullopt where that returns false.
-[[nodiscard]] std::optional<std::vector<TcpOption>> decode_tcp_options(
-    std::span<const std::uint8_t> data);
-
-/// First MSS option found, if any.
-[[nodiscard]] std::optional<std::uint16_t> find_mss(const std::vector<TcpOption>& options);
-
-/// First window-scale option found, if any.
-[[nodiscard]] std::optional<std::uint8_t> find_window_scale(
-    const std::vector<TcpOption>& options);
-
-/// True if SACK-permitted is present.
-[[nodiscard]] bool has_sack_permitted(const std::vector<TcpOption>& options);
+/// Validate an options area and report its first MSS (nullopt if none).
+/// Returns false on a malformed area: a length below 2 or past the end,
+/// or a known kind (MSS, window scale, SACK-permitted) of the wrong
+/// length. NOP and END are honoured; other kinds are skipped. Allocates
+/// nothing; on false, `mss` is unspecified.
+[[nodiscard]] bool read_tcp_options(std::span<const std::uint8_t> area,
+                                    std::optional<std::uint16_t>& mss) noexcept;
 
 }  // namespace iwscan::net

@@ -49,9 +49,7 @@ std::string format_packet(net::PacketView bytes) {
     if (flags.empty()) flags = "none";
 
     std::string options;
-    if (const auto mss = net::find_mss(segment->tcp.options)) {
-      options = ", mss " + std::to_string(*mss);
-    }
+    if (segment->tcp.mss) options = ", mss " + std::to_string(*segment->tcp.mss);
     std::snprintf(buf, sizeof(buf), "IP %s.%u > %s.%u: Flags [%s], seq %u, ack %u, win %u%s, length %zu",
                   segment->ip.src.to_string().c_str(), segment->tcp.src_port,
                   segment->ip.dst.to_string().c_str(), segment->tcp.dst_port,

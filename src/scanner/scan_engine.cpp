@@ -5,22 +5,10 @@
 namespace iwscan::scan {
 
 ScanEngine::ScanEngine(sim::Network& network, EngineConfig config,
-                       TargetGenerator targets, ProbeModule& module)
-    : ScanEngine(network, config,
-                 std::make_unique<GeneratorTargetSource>(std::move(targets)), nullptr,
-                 module) {}
-
-ScanEngine::ScanEngine(sim::Network& network, EngineConfig config,
                        TargetSource& source, ProbeModule& module)
-    : ScanEngine(network, config, nullptr, &source, module) {}
-
-ScanEngine::ScanEngine(sim::Network& network, EngineConfig config,
-                       std::unique_ptr<TargetSource> owned_source, TargetSource* source,
-                       ProbeModule& module)
     : network_(network),
       config_(config),
-      owned_source_(std::move(owned_source)),
-      source_(source != nullptr ? source : owned_source_.get()),
+      source_(source),
       module_(module) {
   // The session table never exceeds the outstanding window, and the fabric
   // instantiates at most one endpoint per in-flight target plus whatever
@@ -28,7 +16,7 @@ ScanEngine::ScanEngine(sim::Network& network, EngineConfig config,
   // loop never rehashes (ScanOptions::max_outstanding flows in via
   // EngineConfig; the allowlist bounds it for small worlds).
   const std::size_t hint = static_cast<std::size_t>(
-      std::min<std::uint64_t>(config_.max_outstanding, source_->size_hint()));
+      std::min<std::uint64_t>(config_.max_outstanding, source_.size_hint()));
   sessions_.reserve(hint);
   network_.reserve_endpoints(hint);
 }
@@ -74,7 +62,7 @@ void ScanEngine::schedule_pace() {
 void ScanEngine::launch_next_target() {
   net::IPv4Address target;
   std::uint64_t cycle = 0;
-  if (!source_->next(target, cycle)) {
+  if (!source_.next(target, cycle)) {
     targets_exhausted_ = true;
     maybe_complete();
     return;

@@ -185,11 +185,9 @@ struct EngineStats {
 
 class ScanEngine final : public sim::Endpoint, public SessionServices {
  public:
-  ScanEngine(sim::Network& network, EngineConfig config, TargetGenerator targets,
-             ProbeModule& module);
-  /// Pull targets from an external source instead of an owned generator —
-  /// the two-phase executor feeds the engine the sweep's responsive set
-  /// this way. `source` must outlive the engine.
+  /// Pull targets from `source`: a GeneratorTargetSource for a whole
+  /// space, or the two-phase executor's list of the sweep's responsive
+  /// set. `source` must outlive the engine.
   ScanEngine(sim::Network& network, EngineConfig config, TargetSource& source,
              ProbeModule& module);
   ~ScanEngine() override;
@@ -257,9 +255,6 @@ class ScanEngine final : public sim::Endpoint, public SessionServices {
     TargetDraws draws;
   };
 
-  ScanEngine(sim::Network& network, EngineConfig config,
-             std::unique_ptr<TargetSource> owned_source, TargetSource* source,
-             ProbeModule& module);
   [[nodiscard]] TargetDraws& target_draws(net::IPv4Address target);
   [[nodiscard]] std::uint64_t target_key(net::IPv4Address target) const noexcept {
     return util::mix64(config_.seed, target.value());
@@ -279,8 +274,7 @@ class ScanEngine final : public sim::Endpoint, public SessionServices {
 
   sim::Network& network_;
   EngineConfig config_;
-  std::unique_ptr<TargetSource> owned_source_;  // generator-ctor path only
-  TargetSource* source_;                        // never null
+  TargetSource& source_;
   ProbeModule& module_;
 
   // The one decoded rx datagram, lent to a session for each on_datagram

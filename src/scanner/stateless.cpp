@@ -1,6 +1,7 @@
 #include "scanner/stateless.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <utility>
@@ -8,6 +9,7 @@
 #include "netbase/checksum.hpp"
 #include "netbase/headers.hpp"
 #include "netbase/packet.hpp"
+#include "netbase/tcp_options.hpp"
 #include "util/check.hpp"
 
 namespace iwscan::scan {
@@ -23,28 +25,6 @@ constexpr std::size_t kTcpChecksumAt = 36;
 
 [[nodiscard]] std::uint16_t read_u16(const net::Bytes& bytes, std::size_t at) noexcept {
   return static_cast<std::uint16_t>((bytes[at] << 8) | bytes[at + 1]);
-}
-
-/// Scan the TCP options block for an MSS option (kind 2). Allocation-free
-/// and bounds-guarded: every index is checked against the span before use.
-[[nodiscard]] std::uint16_t parse_mss(std::span<const std::uint8_t> options) noexcept {
-  std::size_t at = 0;
-  while (at < options.size()) {
-    const std::uint8_t kind = options[at];
-    if (kind == 0) break;  // end-of-options
-    if (kind == 1) {       // NOP
-      ++at;
-      continue;
-    }
-    if (at + 2 > options.size()) break;
-    const std::uint8_t length = options[at + 1];
-    if (length < 2 || length > options.size() - at) break;
-    if (kind == 2 && length == 4) {
-      return static_cast<std::uint16_t>((options[at + 2] << 8) | options[at + 3]);
-    }
-    at += length;
-  }
-  return 0;
 }
 
 constexpr auto kRequestLength = static_cast<std::uint32_t>(SweepConfig::request.size());
@@ -201,9 +181,10 @@ void StatelessSweep::emit(const SweepEvent& event) {
 void StatelessSweep::handle_packet(net::PacketView bytes) {
   ++stats_.packets_received;
   // Hand-rolled header walk instead of decode_datagram(): the general
-  // decoder allocates for payload/options, and the sweep needs neither —
-  // just a handful of fixed-offset fields, all bounds-checked by the
-  // reader. The fabric routed the packet here, so the destination matched.
+  // decoder copies the payload, and the sweep needs only a handful of
+  // fixed-offset fields, all bounds-checked by the reader, plus the MSS
+  // from net::read_tcp_options, the walk the header decoder uses. The
+  // fabric routed the packet here, so the destination matched.
   net::WireReader reader(bytes);
   if (reader.u8() != 0x45) return;  // IPv4, 20-byte header only
   reader.skip(8);                   // tos, total_length, id, flags/fragment, ttl
@@ -259,7 +240,8 @@ void StatelessSweep::handle_packet(net::PacketView bytes) {
     event.cycle = cycle;
     event.source = source;
     event.window = window;
-    event.mss = parse_mss(options);
+    std::optional<std::uint16_t> mss;
+    if (net::read_tcp_options(options, mss)) event.mss = mss.value_or(0);
     emit(event);
     return;
   }

@@ -60,7 +60,8 @@ struct SweepEvent {
   std::uint64_t cycle = 0;
   net::IPv4Address source;
   std::uint16_t window = 0;  // Responsive: advertised receive window
-  std::uint16_t mss = 0;     // Responsive: MSS option, 0 if absent
+  std::uint16_t mss = 0;     // Responsive: first MSS option, 0 if absent or
+                             // the options area is malformed
   std::uint8_t banner_length = 0;                   // Banner
   std::array<std::uint8_t, kSweepBannerCap> banner{};  // Banner
 };

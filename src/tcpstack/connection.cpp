@@ -23,9 +23,8 @@ TcpConnection::TcpConnection(sim::EventLoop& loop, const StackConfig& config,
       app_(std::move(app)),
       send_fn_(std::move(send)),
       on_closed_(std::move(on_closed)) {
-  const auto announced = net::find_mss(syn.tcp.options);
   // RFC 1122: absent MSS option implies the 536-byte default.
-  mss_ = effective_mss(config_.os, announced.value_or(536), config_.own_mss_limit);
+  mss_ = effective_mss(config_.os, syn.tcp.mss.value_or(536), config_.own_mss_limit);
   cwnd_ = config_.iw.initial_cwnd(mss_);
 
   irs_ = syn.tcp.seq;
@@ -413,9 +412,7 @@ void TcpConnection::send_syn_ack() {
   tcp.ack = rcv_nxt_;
   tcp.flags = net::kSyn | net::kAck;
   tcp.window = kAdvertisedWindow;
-  // iwlint: allow(hot-path) -- one MSS option per SYN-ACK; connection setup,
-  // not steady-state transfer
-  tcp.options.push_back(net::MssOption{config_.own_mss_limit});
+  tcp.mss = config_.own_mss_limit;
   ++stats_.segments_sent;
   send_fn_(ip_header(), tcp, {});
 }

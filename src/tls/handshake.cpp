@@ -115,7 +115,7 @@ std::optional<std::vector<HandshakeMessage>> split_handshakes(
   while (reader.remaining() > 0) {
     const auto type = static_cast<HandshakeType>(reader.u8());
     const auto body = reader.raw(reader.u24());
-    messages.push_back(HandshakeMessage{type, net::Bytes(body.begin(), body.end())});
+    messages.push_back(HandshakeMessage{type, body});
   }
   return messages;
 }

@@ -39,9 +39,11 @@ inline constexpr std::uint16_t kExtPadding = 0x0015;
                                           std::span<const std::uint8_t> body);
 
 /// Iterate handshake messages inside concatenated handshake payload bytes.
+/// Each body is borrowed: a view into the payload it was split from, valid
+/// while that payload is.
 struct HandshakeMessage {
   HandshakeType type;
-  net::Bytes body;
+  std::span<const std::uint8_t> body;
 };
 [[nodiscard]] std::optional<std::vector<HandshakeMessage>> split_handshakes(
     std::span<const std::uint8_t> payload);

@@ -139,10 +139,9 @@ test::ScenarioResult run_cdn_scenario(const CdnScenario& scenario,
   config.max_outstanding = 16;
   config.seed = scan_seed;
 
-  scan::ScanEngine engine(network, config,
-                          scan::TargetGenerator({net::Cidr{target, 32}}, {},
-                                                scan_seed, 1.0),
-                          module);
+  scan::GeneratorTargetSource targets(
+      scan::TargetGenerator({net::Cidr{target, 32}}, {}, scan_seed, 1.0));
+  scan::ScanEngine engine(network, config, targets, module);
   const sim::SimTime start = loop.now();
   engine.start();
   while (!engine.done() && loop.now() - start < scenario.deadline && loop.step()) {

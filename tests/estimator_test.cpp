@@ -266,16 +266,20 @@ TEST(Estimator, WireShapeMatchesPaper) {
     const net::IPv4Address host{10, 0, 0, 14};
     bed.add_http_host(host, stack_with_iw(10), big_page(16'000));
     std::vector<net::TcpSegment> wire;
-    bed.tap_segments(wire);
+    std::vector<net::Bytes> wire_bytes;
+    bed.tap_segments(wire, &wire_bytes);
     const net::Bytes request = Testbed::http_get(host);
     const auto obs = bed.estimate(host, 80, mss, request);
     ASSERT_EQ(obs.outcome, core::ConnOutcome::Success) << "MSS " << mss;
 
     std::vector<net::TcpSegment> sent;  // scanner → host
+    net::Bytes syn_bytes;
     std::optional<std::uint32_t> first_data_seq;
     int first_data_copies_before_verify = 0;
-    for (const auto& segment : wire) {
+    for (std::size_t i = 0; i < wire.size(); ++i) {
+      const auto& segment = wire[i];
       if (segment.ip.src == test::kScannerIp) {
+        if (sent.empty()) syn_bytes = wire_bytes[i];
         sent.push_back(segment);
       } else if (!segment.payload.empty() && sent.size() <= 2) {
         if (!first_data_seq) first_data_seq = segment.tcp.seq;
@@ -287,9 +291,14 @@ TEST(Estimator, WireShapeMatchesPaper) {
     const auto& syn = sent[0];
     EXPECT_EQ(int{syn.tcp.flags}, net::kSyn);
     EXPECT_EQ(syn.tcp.window, 65535);
-    // Exactly one option: neither SACK-permitted nor window scale.
-    ASSERT_EQ(syn.tcp.options.size(), 1u);
-    EXPECT_EQ(syn.tcp.options[0], net::TcpOption{net::MssOption{mss}});
+    // Exactly one option, on the wire: a 24-byte TCP header whose options
+    // are `02 04 <mss>`, so neither SACK-permitted nor window scale.
+    ASSERT_EQ(syn_bytes.size(), 20u + 24u);
+    EXPECT_EQ(syn_bytes[20 + 12] >> 4, 6) << "data offset in words";
+    EXPECT_EQ(net::Bytes(syn_bytes.begin() + 40, syn_bytes.end()),
+              (net::Bytes{2, 4, static_cast<std::uint8_t>(mss >> 8),
+                          static_cast<std::uint8_t>(mss & 0xff)}));
+    EXPECT_EQ(syn.tcp.mss, mss);
 
     const auto& request_ack = sent[1];
     EXPECT_EQ(int{request_ack.tcp.flags}, net::kAck | net::kPsh);

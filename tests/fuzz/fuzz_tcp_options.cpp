@@ -1,14 +1,18 @@
-// Structured fuzz driver for the TCP options codec (netbase/tcp_options).
+// Structured fuzz driver for the TCP options walk (netbase/tcp_options).
 //
-// Property under test: decode_tcp_options never crashes or reads out of
-// bounds on arbitrary bytes, and everything it accepts survives an exact
-// encode→decode round trip (NOP padding aside, which decode consumes).
-// Each input also rides a whole TCP segment, as its options area and its
+// Properties under test: read_tcp_options never crashes or reads out of
+// bounds on arbitrary bytes; an accepted area yields its first MSS (a NOP
+// in front changes nothing, an MSS in front wins, bytes after END are
+// never read); the MSS survives a header encode→decode round trip. Each
+// input also rides a whole TCP segment, as its options area and its
 // payload, decoded both fresh and into one Datagram reused across inputs:
-// the two must agree, so no state survives from the input before.
+// the two must agree, MSS included, so no state survives from the input
+// before, and both must accept and read what the walk does.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
+#include <optional>
 #include <span>
 
 #include "fuzz_harness.hpp"
@@ -61,64 +65,96 @@ iwscan::net::Bytes wrap_in_segment(std::span<const std::uint8_t> data) {
 }
 
 /// Decode `wire` fresh and into the reused datagram; both must agree.
-void check_reused_decode(const iwscan::net::Bytes& wire) {
+/// Returns the fresh decode.
+std::optional<iwscan::net::Datagram> check_reused_decode(const iwscan::net::Bytes& wire) {
   namespace net = iwscan::net;
   static net::Datagram reused;  // carries the previous input's decode
-  const auto fresh = net::decode_datagram(wire);
+  auto fresh = net::decode_datagram(wire);
   const bool ok = net::decode_datagram_into(wire, reused);
   require(ok == fresh.has_value(), "reused and fresh decode disagree on acceptance");
-  if (!ok) return;
+  if (!ok) return fresh;
   const auto& a = std::get<net::TcpSegment>(*fresh);
   const auto* b = std::get_if<net::TcpSegment>(&reused);
   require(b != nullptr, "reused decode holds the wrong datagram kind");
-  require(a.tcp.options == b->tcp.options, "reused decode kept stale options");
+  require(a.tcp.mss == b->tcp.mss, "reused decode kept a stale MSS");
   require(a.payload == b->payload, "reused decode kept stale payload bytes");
   require(net::encode(a) == net::encode(*b), "reused decode differs from a fresh one");
+  return fresh;
+}
+
+/// read_tcp_options() as a value: nullopt when it rejects `area`.
+std::optional<std::optional<std::uint16_t>> walk(std::span<const std::uint8_t> area) {
+  std::optional<std::uint16_t> mss;
+  if (!iwscan::net::read_tcp_options(area, mss)) return std::nullopt;
+  return mss;
+}
+
+iwscan::net::Bytes concat(std::initializer_list<std::uint8_t> head,
+                          std::span<const std::uint8_t> data,
+                          std::initializer_list<std::uint8_t> tail = {}) {
+  iwscan::net::Bytes out(head);
+  out.insert(out.end(), data.begin(), data.end());
+  out.insert(out.end(), tail);
+  return out;
 }
 
 void fuzz_one(std::span<const std::uint8_t> data) {
   namespace net = iwscan::net;
-  check_reused_decode(wrap_in_segment(data));
-  const auto decoded = net::decode_tcp_options(data);
-  if (!decoded) return;  // rejecting malformed input is a valid outcome
+  const auto result = walk(data);
 
-  // Accessors must tolerate any accepted option list.
-  (void)net::find_mss(*decoded);
-  (void)net::find_window_scale(*decoded);
-  (void)net::has_sack_permitted(*decoded);
+  // The header decoder accepts exactly the options areas the walk accepts
+  // and carries the MSS it reports.
+  net::Bytes padded = concat({}, data.first(std::min<std::size_t>(data.size(), 40)));
+  padded.resize((padded.size() + 3) / 4 * 4, 0);  // as wrap_in_segment pads it
+  const auto segment = check_reused_decode(wrap_in_segment(data));
+  const auto padded_result = walk(padded);
+  require(segment.has_value() == padded_result.has_value(),
+          "header decode and option walk disagree on acceptance");
+  if (segment) {
+    require(std::get<net::TcpSegment>(*segment).tcp.mss == *padded_result,
+            "header decode and option walk disagree on the MSS");
+  }
 
+  // A NOP in front changes nothing; an MSS in front is the first MSS.
+  require(walk(concat({1}, data)) == result, "a leading NOP changed the walk");
+  const auto fronted = walk(concat({2, 4, 0xab, 0xcd}, data));
+  require(fronted.has_value() == result.has_value(), "a leading MSS changed acceptance");
+  if (!result) return;  // rejecting malformed input is a valid outcome
+  require(*fronted == std::optional<std::uint16_t>(0xabcd), "the first MSS did not win");
+  // END closes the area: what follows it is never read.
+  require(walk(concat({}, data, {0, 2, 1, 0xff})) == result,
+          "bytes after END changed the walk");
+
+  // The MSS survives a header encode → decode round trip, as 4 option bytes.
+  net::TcpHeader header;
+  header.mss = *result;
   net::Bytes wire;
   net::WireWriter writer(wire);
-  net::encode_tcp_options(*decoded, writer);
-  require(wire.size() == net::encoded_tcp_options_size(*decoded),
-          "encoded size disagrees with encoded_tcp_options_size");
-  require(wire.size() % 4 == 0, "encoded options not padded to 32-bit boundary");
-
-  const auto again = net::decode_tcp_options(wire);
-  require(again.has_value(), "re-decode of our own encoding failed");
-  require(*again == *decoded, "decode(encode(options)) != options");
+  header.encode(writer);
+  require(wire.size() == header.encoded_size() &&
+              wire.size() == (result->has_value() ? 24u : 20u),
+          "encoded size disagrees with encoded_size or the 4-byte MSS");
+  net::WireReader reader(wire);
+  net::TcpHeader again;
+  again.mss = 1;  // must be overwritten
+  std::size_t data_offset = 0;
+  require(net::TcpHeader::decode_into(reader, data_offset, again),
+          "re-decode of our own header failed");
+  require(data_offset == wire.size(), "data offset disagrees with the header size");
+  require(again.mss == header.mss, "decode(encode(header)).mss != mss");
 }
 
 std::vector<Input> fuzz_corpus() {
-  namespace net = iwscan::net;
-  std::vector<Input> corpus;
-  const std::vector<std::vector<net::TcpOption>> seeds = {
-      {net::MssOption{1460}, net::WindowScaleOption{7}, net::SackPermittedOption{}},
-      {net::MssOption{536}},
-      {net::WindowScaleOption{14}, net::MssOption{9000}},
-      {net::UnknownOption{8, net::Bytes{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}},
-       net::SackPermittedOption{}},
+  // Option areas as a stack sends them, NOP-padded to 32 bits, plus one
+  // hand-built pathological area: END mid-list, zero-length option after.
+  return {
+      {2, 4, 0x05, 0xb4, 3, 3, 7, 4, 2, 1, 1, 1},  // MSS 1460, WS 7, SACK-ok
+      {2, 4, 0x02, 0x18},                          // MSS 536
+      {3, 3, 14, 2, 4, 0x23, 0x28, 1},             // WS 14, MSS 9000
+      {8, 12, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 4, 2, 1, 1},  // kind 8, SACK-ok
       {},
+      {2, 4, 5, 0xb4, 0, 3, 0, 3},
   };
-  for (const auto& options : seeds) {
-    net::Bytes wire;
-    net::WireWriter writer(wire);
-    net::encode_tcp_options(options, writer);
-    corpus.push_back(wire);
-  }
-  // A hand-built pathological seed: END mid-list, zero-length option after.
-  corpus.push_back(Input{2, 4, 5, 0xb4, 0, 3, 0, 3});
-  return corpus;
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // with encode→decode round-trip checks on everything that parses.
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <span>
 
 #include "fuzz_harness.hpp"
@@ -28,6 +29,10 @@ void check_handshake_payload(std::span<const std::uint8_t> payload) {
   const auto messages = tls::split_handshakes(payload);
   if (!messages) return;
   for (const auto& message : *messages) {
+    require(std::less_equal<>{}(payload.data(), message.body.data()) &&
+                std::less_equal<>{}(message.body.data() + message.body.size(),
+                                    payload.data() + payload.size()),
+            "handshake body is not a view into the split payload");
     switch (message.type) {
       case tls::HandshakeType::ClientHello: {
         const auto hello = tls::ClientHello::decode(message.body);

@@ -287,7 +287,7 @@ class FetchClient final : public sim::Endpoint {
     segment.tcp.ack = ack;
     segment.tcp.flags = flags;
     segment.tcp.window = 65535;
-    if (mss) segment.tcp.options.push_back(net::MssOption{*mss});
+    segment.tcp.mss = mss;
     segment.payload = std::move(payload);
     network_.send(net::encode(segment));
   }

@@ -396,7 +396,7 @@ TEST(InternetModel, LazyMaterializationAndEviction) {
   syn.tcp.seq = 1;
   syn.tcp.flags = net::kSyn;
   syn.tcp.window = 65535;
-  syn.tcp.options.push_back(net::MssOption{64});
+  syn.tcp.mss = 64;
   network.send(net::encode(syn));
   loop.run_until(sim::msec(500));
   EXPECT_EQ(internet.live_hosts(), 1u);

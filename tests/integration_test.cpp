@@ -173,8 +173,8 @@ TEST(Integration, ShardedScannersPartitionTheWork) {
     core::IwScanConfig probe;
     probe.protocol = core::ProbeProtocol::Http;
     probe.port = 80;
-    scan::TargetGenerator targets(world.internet.registry().scan_space(), {},
-                                  /*seed=*/7, 1.0, shard, 2);
+    scan::GeneratorTargetSource targets(scan::TargetGenerator(
+        world.internet.registry().scan_space(), {}, /*seed=*/7, 1.0, shard, 2));
     core::IwProbeModule module(probe, [&](const core::HostScanRecord& record) {
       all_records.push_back(record);
     });
@@ -182,8 +182,7 @@ TEST(Integration, ShardedScannersPartitionTheWork) {
     engine_config.scanner_address =
         net::IPv4Address{192, 0, 2, static_cast<std::uint8_t>(10 + shard)};
     engine_config.rate_pps = 40'000;
-    scan::ScanEngine engine(world.network, engine_config, std::move(targets),
-                            module);
+    scan::ScanEngine engine(world.network, engine_config, targets, module);
     engine.start();
     while (!engine.done() && world.loop.step()) {
     }

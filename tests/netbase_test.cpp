@@ -169,66 +169,60 @@ TEST(Checksum, ChunkedAddsMatchSingleAdd) {
 
 // -------------------------------------------------------- TCP options ----
 
-TEST(TcpOptions, RoundTripStandardSet) {
-  const std::vector<TcpOption> options = {MssOption{64}, WindowScaleOption{7},
-                                          SackPermittedOption{}};
-  Bytes bytes;
-  WireWriter writer(bytes);
-  encode_tcp_options(options, writer);
-  EXPECT_EQ(bytes.size() % 4, 0u);
-  EXPECT_EQ(bytes.size(), encoded_tcp_options_size(options));
-
-  const auto decoded = decode_tcp_options(bytes);
-  ASSERT_TRUE(decoded);
-  EXPECT_EQ(find_mss(*decoded), 64);
-  EXPECT_EQ(find_window_scale(*decoded), 7);
-  EXPECT_TRUE(has_sack_permitted(*decoded));
+/// read_tcp_options() over `area`: nullopt when it rejects the area,
+/// otherwise the first MSS it reports (0 when the area has none).
+std::optional<std::uint16_t> walk(const Bytes& area) {
+  std::optional<std::uint16_t> mss = 9999;  // must be overwritten
+  if (!read_tcp_options(area, mss)) return std::nullopt;
+  return mss.value_or(0);
 }
 
-TEST(TcpOptions, UnknownOptionsRoundTrip) {
-  const std::vector<TcpOption> options = {
-      UnknownOption{8, Bytes{1, 2, 3, 4, 5, 6, 7, 8}},  // timestamps-shaped
-      MssOption{1460},
-  };
+TEST(TcpOptions, MssEncodesAsFourBytes) {
   Bytes bytes;
   WireWriter writer(bytes);
-  encode_tcp_options(options, writer);
-  const auto decoded = decode_tcp_options(bytes);
-  ASSERT_TRUE(decoded);
-  ASSERT_EQ(decoded->size(), 2u);
-  const auto* unknown = std::get_if<UnknownOption>(&decoded->front());
-  ASSERT_NE(unknown, nullptr);
-  EXPECT_EQ(unknown->kind, 8);
-  EXPECT_EQ(unknown->data.size(), 8u);
-  EXPECT_EQ(find_mss(*decoded), 1460);
+  encode_mss_option(1460, writer);
+  EXPECT_EQ(bytes, (Bytes{2, 4, 0x05, 0xb4}));
+  EXPECT_EQ(bytes.size(), kMssWireSize);
+  EXPECT_EQ(walk(bytes), 1460);
+}
+
+TEST(TcpOptions, FirstMssWins) {
+  EXPECT_EQ(walk(Bytes{2, 4, 0x05, 0xb4, 2, 4, 0, 64}), 1460);
+  EXPECT_EQ(walk(Bytes{1, 2, 4, 0, 64, 1, 2, 4, 0x05, 0xb4}), 64);
+}
+
+TEST(TcpOptions, OtherKindsValidatedAndSkipped) {
+  // Window scale 7, SACK-permitted, a timestamps-shaped unknown kind, then
+  // the MSS: each is checked and stepped over by its length octet.
+  const Bytes area = {3, 3, 7, 4, 2, 8, 10, 1, 2, 3, 4, 5, 6, 7, 8, 2, 4, 0, 64, 1};
+  EXPECT_EQ(walk(area), 64);
+  // The same kinds without an MSS are a valid area with none.
+  EXPECT_EQ(walk(Bytes{3, 3, 14, 4, 2, 8, 2, 1, 1}), 0);
+  // Known kinds must have their own length, wherever they sit.
+  EXPECT_FALSE(walk(Bytes{3, 2, 2, 4, 0, 64}));      // window scale of 2
+  EXPECT_FALSE(walk(Bytes{4, 3, 0, 2, 4, 0, 64}));   // SACK-permitted of 3
+  EXPECT_FALSE(walk(Bytes{2, 4, 0, 64, 4, 3, 0}));   // after a valid MSS
 }
 
 TEST(TcpOptions, MalformedLengthRejected) {
   // MSS option with bogus length.
-  EXPECT_FALSE(decode_tcp_options(Bytes{2, 3, 0}).has_value());
+  EXPECT_FALSE(walk(Bytes{2, 3, 0}));
   // Length extending past the buffer.
-  EXPECT_FALSE(decode_tcp_options(Bytes{2, 4, 0}).has_value());
+  EXPECT_FALSE(walk(Bytes{2, 4, 0}));
   // Zero-length option.
-  EXPECT_FALSE(decode_tcp_options(Bytes{8, 0}).has_value());
+  EXPECT_FALSE(walk(Bytes{8, 0}));
   // Truncated: kind without length.
-  EXPECT_FALSE(decode_tcp_options(Bytes{2}).has_value());
+  EXPECT_FALSE(walk(Bytes{2}));
 }
 
 TEST(TcpOptions, NopPaddingAndEndHandled) {
   // NOP NOP MSS, then END followed by garbage that must be ignored.
-  const Bytes bytes = {1, 1, 2, 4, 0x05, 0xb4, 0, 0xde, 0xad};
-  const auto decoded = decode_tcp_options(bytes);
-  ASSERT_TRUE(decoded);
-  EXPECT_EQ(find_mss(*decoded), 1460);
-  EXPECT_EQ(decoded->size(), 1u);
+  EXPECT_EQ(walk(Bytes{1, 1, 2, 4, 0x05, 0xb4, 0, 0xde, 0xad}), 1460);
+  // An MSS after END is not read.
+  EXPECT_EQ(walk(Bytes{0, 2, 4, 0x05, 0xb4}), 0);
 }
 
-TEST(TcpOptions, EmptyIsValid) {
-  const auto decoded = decode_tcp_options({});
-  ASSERT_TRUE(decoded);
-  EXPECT_TRUE(decoded->empty());
-  EXPECT_EQ(encoded_tcp_options_size({}), 0u);
-}
+TEST(TcpOptions, EmptyIsValid) { EXPECT_EQ(walk({}), 0); }
 
 // ----------------------------------------------------------- packets -----
 
@@ -244,7 +238,7 @@ TcpSegment sample_segment() {
   segment.tcp.ack = 0x01020304;
   segment.tcp.flags = kSyn;
   segment.tcp.window = 65535;
-  segment.tcp.options.push_back(MssOption{64});
+  segment.tcp.mss = 64;
   return segment;
 }
 
@@ -262,7 +256,7 @@ TEST(Packet, TcpRoundTrip) {
   EXPECT_EQ(segment->tcp.src_port, 40001);
   EXPECT_EQ(segment->tcp.seq, 0xdeadbeef);
   EXPECT_EQ(segment->tcp.flags, kSyn);
-  EXPECT_EQ(find_mss(segment->tcp.options), 64);
+  EXPECT_EQ(segment->tcp.mss, 64);
   EXPECT_TRUE(segment->payload.empty());
 }
 
@@ -274,7 +268,7 @@ TEST(Packet, TcpPayloadRoundTripProperty) {
     segment.tcp.seq = static_cast<std::uint32_t>(rng());
     segment.tcp.ack = static_cast<std::uint32_t>(rng());
     segment.tcp.window = static_cast<std::uint16_t>(rng());
-    if (rng.chance(0.5)) segment.tcp.options.clear();
+    if (rng.chance(0.5)) segment.tcp.mss.reset();
     const std::size_t payload_len = rng.below(1460);
     segment.payload.resize(payload_len);
     for (auto& byte : segment.payload) byte = static_cast<std::uint8_t>(rng());
@@ -302,7 +296,7 @@ TEST(Packet, EncodeFromHeadersMatchesSegmentEncode) {
     segment.tcp.flags = static_cast<std::uint8_t>(rng.below(0x40));
     segment.tcp.seq = static_cast<std::uint32_t>(rng());
     segment.tcp.window = static_cast<std::uint16_t>(rng());
-    if (rng.chance(0.5)) segment.tcp.options.clear();
+    if (rng.chance(0.5)) segment.tcp.mss.reset();
     segment.payload.resize(rng.below(1460));
     for (auto& byte : segment.payload) byte = static_cast<std::uint8_t>(rng());
 
@@ -338,7 +332,7 @@ void expect_same(const Datagram& fresh, const Datagram& reused, const std::strin
     EXPECT_EQ(a->tcp.flags, b.tcp.flags) << what;
     EXPECT_EQ(a->tcp.window, b.tcp.window) << what;
     EXPECT_EQ(a->tcp.urgent, b.tcp.urgent) << what;
-    EXPECT_EQ(a->tcp.options, b.tcp.options) << what;
+    EXPECT_EQ(a->tcp.mss, b.tcp.mss) << what;
     EXPECT_EQ(a->payload, b.payload) << what;
   } else {
     const auto& x = std::get<IcmpDatagram>(fresh);
@@ -355,16 +349,16 @@ void expect_same(const Datagram& fresh, const Datagram& reused, const std::strin
 TEST(Packet, ReusedDecodeMatchesFreshDecode) {
   // One Datagram decoded into again and again (the scanner's rx path) must
   // read exactly like a fresh decode of each packet: no payload byte,
-  // option or alternative may survive from the packet before.
+  // MSS or alternative may survive from the packet before.
   TcpSegment long_segment = sample_segment();  // SYN with an MSS option
   long_segment.payload.assign(1400, 0xaa);
   TcpSegment short_segment = sample_segment();
-  short_segment.tcp.options.clear();
+  short_segment.tcp.mss.reset();
   short_segment.tcp.flags = kAck | kFin;
   short_segment.tcp.seq = 7;
   short_segment.payload = {1, 2, 3};
   TcpSegment empty_segment = sample_segment();
-  empty_segment.tcp.options = {WindowScaleOption{7}, SackPermittedOption{}};
+  empty_segment.tcp.mss = 1460;
   empty_segment.payload.clear();
   IcmpDatagram icmp;
   icmp.ip.src = IPv4Address(10, 3, 2, 1);
@@ -382,8 +376,8 @@ TEST(Packet, ReusedDecodeMatchesFreshDecode) {
       {"long tcp again", encode(long_segment)},
       {"corrupt", corrupt},                 {"good after corrupt", encode(short_segment)},
       {"icmp again", encode(icmp)},         {"icmp repeated", encode(icmp)},
-      {"options replaced", encode(empty_segment)},
-      {"truncated", Bytes(19, 0x45)},       {"options dropped", encode(short_segment)},
+      {"mss replaced", encode(empty_segment)},
+      {"truncated", Bytes(19, 0x45)},       {"mss dropped", encode(short_segment)},
   };
   Datagram reused;
   for (const auto& [what, bytes] : packets) {
@@ -393,7 +387,23 @@ TEST(Packet, ReusedDecodeMatchesFreshDecode) {
     if (ok) expect_same(*fresh, reused, what);
   }
   EXPECT_EQ(std::get<TcpSegment>(reused).payload, (Bytes{1, 2, 3}));
-  EXPECT_TRUE(std::get<TcpSegment>(reused).tcp.options.empty());
+  EXPECT_FALSE(std::get<TcpSegment>(reused).tcp.mss);
+}
+
+TEST(Packet, ReusedDecodeDropsPreviousMss) {
+  // A host's SYN/ACK carries its MSS; the bare ACK decoded next into the
+  // same Datagram must hold none.
+  TcpSegment syn_ack = sample_segment();
+  syn_ack.tcp.flags = kSyn | kAck;
+  syn_ack.tcp.mss = 1460;
+  TcpSegment ack = sample_segment();
+  ack.tcp.flags = kAck;
+  ack.tcp.mss.reset();
+  Datagram reused;
+  ASSERT_TRUE(decode_datagram_into(encode(syn_ack), reused));
+  EXPECT_EQ(std::get<TcpSegment>(reused).tcp.mss, 1460);
+  ASSERT_TRUE(decode_datagram_into(encode(ack), reused));
+  EXPECT_FALSE(std::get<TcpSegment>(reused).tcp.mss);
 }
 
 TEST(Packet, ReusedDecodeMatchesFreshDecodeProperty) {
@@ -412,7 +422,7 @@ TEST(Packet, ReusedDecodeMatchesFreshDecodeProperty) {
     } else {
       TcpSegment segment = sample_segment();
       segment.tcp.seq = static_cast<std::uint32_t>(rng());
-      if (rng.chance(0.5)) segment.tcp.options.clear();
+      if (rng.chance(0.5)) segment.tcp.mss.reset();
       segment.payload.resize(rng.below(1460));
       for (auto& byte : segment.payload) byte = static_cast<std::uint8_t>(rng());
       bytes = encode(segment);
@@ -568,26 +578,19 @@ TEST(WireWriter, PatchPastEndThrows) {
 
 TEST(TcpOptions, OverrunKindRejected) {
   // Unknown kind whose length runs past the buffer.
-  EXPECT_FALSE(decode_tcp_options(Bytes{99, 10, 1, 2}).has_value());
+  EXPECT_FALSE(walk(Bytes{99, 10, 1, 2}));
   // Unknown kind with zero length (would never make progress).
-  EXPECT_FALSE(decode_tcp_options(Bytes{99, 0, 1, 2}).has_value());
+  EXPECT_FALSE(walk(Bytes{99, 0, 1, 2}));
   // Unknown kind with length 1 (covers only the kind octet).
-  EXPECT_FALSE(decode_tcp_options(Bytes{99, 1, 1, 2}).has_value());
+  EXPECT_FALSE(walk(Bytes{99, 1, 1, 2}));
 }
 
-TEST(TcpOptions, OversizedUnknownPayloadClamped) {
-  // The option length octet tops out at 255 (2 + 253 payload bytes); the
-  // encoder must clamp, not truncate the length and desync the stream.
-  const std::vector<TcpOption> options = {UnknownOption{99, Bytes(300, 0xab)}};
-  Bytes bytes;
-  WireWriter writer(bytes);
-  encode_tcp_options(options, writer);
-  EXPECT_EQ(bytes.size(), encoded_tcp_options_size(options));
-  const auto decoded = decode_tcp_options(bytes);
-  ASSERT_TRUE(decoded);
-  const auto* unknown = std::get_if<UnknownOption>(&decoded->front());
-  ASSERT_NE(unknown, nullptr);
-  EXPECT_EQ(unknown->data.size(), 253u);
+TEST(TcpOptions, LongestUnknownKindSkipped) {
+  // The length octet tops out at 255 (2 + 253 payload bytes).
+  Bytes area = {99, 255};
+  area.resize(255, 0xab);
+  area.insert(area.end(), {2, 4, 0x05, 0xb4});
+  EXPECT_EQ(walk(area), 1460);
 }
 
 TEST(IPv4AddressHash, DispersesSequentialAddresses) {

@@ -724,7 +724,7 @@ TEST(Capture, TextLooksLikeTcpdump) {
   segment.tcp.seq = 7;
   segment.tcp.flags = net::kSyn;
   segment.tcp.window = 65535;
-  segment.tcp.options.push_back(net::MssOption{64});
+  segment.tcp.mss = 64;
   capture.record(msec(1500), net::encode(segment));
 
   const std::string text = capture.text();

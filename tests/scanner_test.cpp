@@ -138,8 +138,8 @@ TEST(TargetGenerator, DifferentSeedsDifferentOrder) {
 TEST(TargetGenerator, CopiesAndMovesKeepEmittingTheSameSequence) {
   // Regression: iterator_ points at the generator's own permutation_, so a
   // memberwise copy/move left it aimed at the source object — a dangling
-  // read once a temporary source died (ASan stack-use-after-scope via
-  // ScanEngine's by-value TargetGenerator parameter).
+  // read once a temporary source died (ASan stack-use-after-scope via a
+  // by-value TargetGenerator parameter, as GeneratorTargetSource takes).
   const std::vector<net::Cidr> space = {*net::Cidr::parse("10.0.0.0/23")};
   TargetGenerator reference(space, {}, 17);
   for (int i = 0; i < 5; ++i) (void)reference.next();
@@ -358,10 +358,11 @@ TEST(ScanEngine, SynScanClassifiesAllThreeStates) {
   SynScanModule module(80, [&](const SynScanResult& result) {
     ++counts[result.state];
   });
-  TargetGenerator targets({*net::Cidr::parse("10.2.0.0/28")}, {}, 3);
+  GeneratorTargetSource targets(
+      TargetGenerator({*net::Cidr::parse("10.2.0.0/28")}, {}, 3));
   EngineConfig engine_config;
   engine_config.rate_pps = 1000;
-  ScanEngine engine(rig.network, engine_config, std::move(targets), module);
+  ScanEngine engine(rig.network, engine_config, targets, module);
   engine.start();
   while (!engine.done() && rig.loop.step()) {
   }
@@ -377,10 +378,11 @@ TEST(ScanEngine, SynScanClassifiesAllThreeStates) {
 TEST(ScanEngine, PacingSpreadsSessionStarts) {
   EngineRig rig;
   SynScanModule module(80, [](const SynScanResult&) {});
-  TargetGenerator targets({*net::Cidr::parse("10.3.0.0/24")}, {}, 3);
+  GeneratorTargetSource targets(
+      TargetGenerator({*net::Cidr::parse("10.3.0.0/24")}, {}, 3));
   EngineConfig engine_config;
   engine_config.rate_pps = 1000;  // 1 ms per target → 255 ms to the last start
-  ScanEngine engine(rig.network, engine_config, std::move(targets), module);
+  ScanEngine engine(rig.network, engine_config, targets, module);
   engine.start();
   while (!engine.done() && rig.loop.step()) {
   }
@@ -395,11 +397,12 @@ TEST(ScanEngine, OutstandingCapThrottles) {
   EngineRig rig;
   // Every session lives one SYN timeout (all dark).
   SynScanModule module(80, [](const SynScanResult&) {});
-  TargetGenerator targets({*net::Cidr::parse("10.4.0.0/24")}, {}, 3);
+  GeneratorTargetSource targets(
+      TargetGenerator({*net::Cidr::parse("10.4.0.0/24")}, {}, 3));
   EngineConfig engine_config;
   engine_config.rate_pps = 1'000'000;  // pacing not the bottleneck
   engine_config.max_outstanding = 16;
-  ScanEngine engine(rig.network, engine_config, std::move(targets), module);
+  ScanEngine engine(rig.network, engine_config, targets, module);
   engine.start();
   while (!engine.done() && rig.loop.step()) {
   }
@@ -431,12 +434,13 @@ class HeldModule final : public ProbeModule {
 TEST(ScanEngine, FullWindowFiresNoPaceEventsUntilASessionFinishes) {
   EngineRig rig;
   HeldModule module;
-  TargetGenerator targets({*net::Cidr::parse("10.5.0.0/29")}, {}, 3);
+  GeneratorTargetSource targets(
+      TargetGenerator({*net::Cidr::parse("10.5.0.0/29")}, {}, 3));
   EngineConfig engine_config;
   engine_config.rate_pps = 1'000'000;
   engine_config.max_outstanding = 4;
   engine_config.budget.wall_time = sim::SimTime::zero();  // only the pacer schedules
-  ScanEngine engine(rig.network, engine_config, std::move(targets), module);
+  ScanEngine engine(rig.network, engine_config, targets, module);
   engine.start();
   // Bounded: a pacer that polls a full window would never drain the loop.
   for (int i = 0; i < 1000 && rig.loop.step(); ++i) {
@@ -480,8 +484,9 @@ TEST_P(MtuDiscovery, FindsConfiguredPathMtu) {
 
   std::vector<MtuProbeResult> results;
   IcmpMtuModule module([&](const MtuProbeResult& r) { results.push_back(r); });
-  TargetGenerator targets({*net::Cidr::parse("10.6.0.1/32")}, {}, 3);
-  ScanEngine engine(rig.network, EngineConfig{}, std::move(targets), module);
+  GeneratorTargetSource targets(
+      TargetGenerator({*net::Cidr::parse("10.6.0.1/32")}, {}, 3));
+  ScanEngine engine(rig.network, EngineConfig{}, targets, module);
   engine.start();
   while (!engine.done() && rig.loop.step()) {
   }
@@ -500,8 +505,9 @@ TEST(MtuDiscovery, DarkHostIsUnresponsive) {
   EngineRig rig;
   std::vector<MtuProbeResult> results;
   IcmpMtuModule module([&](const MtuProbeResult& r) { results.push_back(r); });
-  TargetGenerator targets({*net::Cidr::parse("10.7.0.1/32")}, {}, 3);
-  ScanEngine engine(rig.network, EngineConfig{}, std::move(targets), module);
+  GeneratorTargetSource targets(
+      TargetGenerator({*net::Cidr::parse("10.7.0.1/32")}, {}, 3));
+  ScanEngine engine(rig.network, EngineConfig{}, targets, module);
   engine.start();
   while (!engine.done() && rig.loop.step()) {
   }
@@ -741,6 +747,80 @@ TEST(StatelessSweep, ForgedAcksAreRejectedByCookieValidation) {
   EXPECT_EQ(stats.responsive, 1u);  // the honest host still classified
   EXPECT_EQ(stats.banners, 1u);
   EXPECT_EQ(rig.count(SweepEventKind::Closed), 0);
+}
+
+/// A host whose SYN/ACK carries `area` (a multiple of 4 bytes) as its
+/// options area, written by hand so that areas TcpHeader cannot encode
+/// reach the sweep. Everything but a SYN is ignored.
+class RawSynAckHost final : public sim::Endpoint {
+ public:
+  RawSynAckHost(sim::Network& network, net::IPv4Address self, net::Bytes area)
+      : network_(network), self_(self), area_(std::move(area)) {
+    network_.attach(self_, this);
+  }
+  ~RawSynAckHost() override { network_.detach(self_); }
+
+  void handle_packet(net::PacketView bytes) override {
+    const auto datagram = net::decode_datagram(bytes);
+    const auto* syn = datagram ? std::get_if<net::TcpSegment>(&*datagram) : nullptr;
+    if (syn == nullptr || syn->tcp.flags != net::kSyn) return;
+    net::Bytes wire;
+    net::WireWriter writer(wire);
+    net::Ipv4Header ip;
+    ip.src = self_;
+    ip.dst = syn->ip.src;
+    ip.total_length = static_cast<std::uint16_t>(40 + area_.size());
+    ip.encode(writer);
+    writer.u16(syn->tcp.dst_port);
+    writer.u16(syn->tcp.src_port);
+    writer.u32(7);                // seq
+    writer.u32(syn->tcp.seq + 1);  // ack
+    writer.u8(static_cast<std::uint8_t>((20 + area_.size()) / 4 << 4));
+    writer.u8(net::kSyn | net::kAck);
+    writer.u16(29200);
+    writer.u16(0);  // checksum, patched below
+    writer.u16(0);
+    writer.raw(area_);
+    const auto l4 = std::span<const std::uint8_t>(wire).subspan(net::Ipv4Header::kSize);
+    writer.patch_u16(net::Ipv4Header::kSize + 16, net::tcp_checksum(ip.src, ip.dst, l4));
+    network_.send(std::move(wire));
+  }
+
+ private:
+  sim::Network& network_;
+  net::IPv4Address self_;
+  net::Bytes area_;
+};
+
+TEST(StatelessSweep, MssComesFromTheOneOptionWalk) {
+  // The sweep reads the SYN-ACK's MSS with net::read_tcp_options, the walk
+  // the header decoder uses: a valid area yields its first MSS, and an area
+  // the decoder rejects records mss 0 — still a Responsive event.
+  const std::vector<std::pair<net::Bytes, std::uint16_t>> cases = {
+      {{2, 4, 0x05, 0xb4}, 1460},
+      {{3, 3, 7, 1, 2, 4, 0x02, 0x18}, 536},           // window scale skipped
+      {{2, 4, 0x05, 0xb4, 2, 4, 0, 64}, 1460},         // first MSS wins
+      {{1, 1, 1, 1}, 0},                               // no MSS at all
+      {{3, 2, 2, 4, 0x05, 0xb4, 0, 0}, 0},             // bad window scale first
+      {{2, 3, 0, 2, 4, 0x05, 0xb4, 0}, 0},             // 3-byte MSS first
+      {{2, 4, 0x05, 0xb4, 4, 3, 0, 0}, 0},             // bad SACK-ok after
+      {{2, 4, 0x05, 0xb4, 8, 9, 0, 0}, 0},             // overrun after the MSS
+  };
+  SweepRig rig;
+  std::vector<std::unique_ptr<RawSynAckHost>> hosts;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    hosts.push_back(std::make_unique<RawSynAckHost>(
+        rig.network, net::IPv4Address(10, 2, 5, static_cast<std::uint8_t>(i)),
+        cases[i].first));
+  }
+  const SweepStats stats = rig.sweep(*net::Cidr::parse("10.2.5.0/29"));
+  EXPECT_EQ(stats.responsive, cases.size());
+  ASSERT_EQ(rig.count(SweepEventKind::Responsive), static_cast<int>(cases.size()));
+  for (const SweepEvent& event : rig.events) {
+    const std::size_t i = event.source.octet(3);
+    ASSERT_LT(i, cases.size());
+    EXPECT_EQ(event.mss, cases[i].second) << "case " << i;
+  }
 }
 
 TEST(StatelessSweep, DarkSpaceFinishesViaCooldownAndSignalsCompletion) {

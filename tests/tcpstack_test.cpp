@@ -50,7 +50,7 @@ class RawClient final : public sim::Endpoint {
     segment.tcp.ack = ack;
     segment.tcp.flags = flags;
     segment.tcp.window = window;
-    if (mss) segment.tcp.options.push_back(net::MssOption{*mss});
+    segment.tcp.mss = mss;
     segment.payload = std::move(payload);
     network_.send(net::encode(segment));
   }
@@ -150,13 +150,24 @@ TEST(SeqArithmetic, WrapAround) {
 
 TEST(TcpStack, HandshakeAnnouncesOwnMss) {
   Rig rig(config_with_iw(10));
+  net::Bytes syn_ack_bytes;  // the host's first packet, as the fabric carried it
+  rig.network.set_tap([&syn_ack_bytes](net::PacketView bytes) {
+    if (syn_ack_bytes.empty() && net::peek_source(bytes) == kHostIp) {
+      syn_ack_bytes.assign(bytes.begin(), bytes.end());
+    }
+  });
   rig.client->send(1000, 0, net::kSyn, 65535, {}, 64);
   rig.loop.run_until(sim::msec(100));
   const auto* syn_ack = rig.client->syn_ack();
   ASSERT_NE(syn_ack, nullptr);
   EXPECT_EQ(syn_ack->tcp.ack, 1001u);
-  EXPECT_EQ(net::find_mss(syn_ack->tcp.options), 1460);
-  EXPECT_FALSE(net::has_sack_permitted(syn_ack->tcp.options));
+  EXPECT_EQ(syn_ack->tcp.mss, 1460);
+  // Its own MSS and nothing else: a 24-byte TCP header whose options are
+  // `02 04 05 b4`, so no SACK-permitted and no window scale.
+  ASSERT_EQ(syn_ack_bytes.size(), 20u + 24u);
+  EXPECT_EQ(syn_ack_bytes[20 + 12] >> 4, 6) << "data offset in words";
+  EXPECT_EQ(net::Bytes(syn_ack_bytes.begin() + 40, syn_ack_bytes.end()),
+            (net::Bytes{2, 4, 0x05, 0xb4}));
 }
 
 TEST(TcpStack, ClosedPortAnswersRst) {

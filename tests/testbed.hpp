@@ -84,13 +84,16 @@ class Testbed {
   }
 
   /// Record every TCP segment put on the wire, in injection order (the
-  /// sender-side vantage point), into `segments`.
-  void tap_segments(std::vector<net::TcpSegment>& segments) {
-    network_.set_tap([&segments](net::PacketView bytes) {
+  /// sender-side vantage point), into `segments`, and its bytes as the
+  /// fabric carried them into `wire` when given (same index).
+  void tap_segments(std::vector<net::TcpSegment>& segments,
+                    std::vector<net::Bytes>* wire = nullptr) {
+    network_.set_tap([&segments, wire](net::PacketView bytes) {
       const auto datagram = net::decode_datagram(bytes);
       if (!datagram) return;
       if (const auto* segment = std::get_if<net::TcpSegment>(&*datagram)) {
         segments.push_back(*segment);
+        if (wire != nullptr) wire->emplace_back(bytes.begin(), bytes.end());
       }
     });
   }
@@ -173,10 +176,9 @@ inline ScenarioResult run_scenario(const Scenario& scenario,
   config.seed = scan_seed;
   config.budget = scenario.budget;
 
-  scan::ScanEngine engine(network, config,
-                          scan::TargetGenerator({net::Cidr{target, 32}}, {},
-                                                scan_seed, 1.0),
-                          module);
+  scan::GeneratorTargetSource targets(
+      scan::TargetGenerator({net::Cidr{target, 32}}, {}, scan_seed, 1.0));
+  scan::ScanEngine engine(network, config, targets, module);
   const sim::SimTime start = loop.now();
   engine.start();
   while (!engine.done() && loop.now() - start < scenario.deadline && loop.step()) {

@@ -151,7 +151,9 @@ TEST(Handshake, FramingRoundTrip) {
   ASSERT_TRUE(messages);
   ASSERT_EQ(messages->size(), 1u);
   EXPECT_EQ(messages->front().type, HandshakeType::Certificate);
-  EXPECT_EQ(messages->front().body, body);
+  EXPECT_TRUE(std::ranges::equal(messages->front().body, body));
+  // Borrowed from the framed bytes, past the 4-byte handshake header.
+  EXPECT_EQ(messages->front().body.data(), framed.data() + 4);
 }
 
 TEST(Handshake, ConcatenatedMessagesSplit) {
@@ -409,7 +411,7 @@ struct TlsRig {
       segment.tcp.ack = ack;
       segment.tcp.flags = flags;
       segment.tcp.window = 65535;
-      if (mss) segment.tcp.options.push_back(net::MssOption{1460});
+      if (mss) segment.tcp.mss = 1460;
       segment.payload = std::move(payload);
       network.send(net::encode(segment));
     }

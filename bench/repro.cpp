@@ -776,7 +776,8 @@ void s35(const Run& run) {
               "    IW look complete; without the 2*MSS-window ACK release the\n"
               "    estimator could not tell Success from FewData.\n");
   // Exact-fit host: sends exactly IW bytes then FIN.
-  const std::size_t overhead = model::http_response_overhead("Apache", 200, 640, true);
+  const std::size_t overhead =
+      http::response_head_size({http::StatusCode::Ok, "Apache", true, {}}, 640);
   HostSetup exact_fit(10, tcp::OsProfile::Linux, 640 - overhead, 0.0, 9);
   const auto record = exact_fit.probe(64, 3);
   std::printf("exact-fit 640B response on IW10 host → %s (lower bound %u)\n",

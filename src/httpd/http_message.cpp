@@ -3,24 +3,21 @@
 #include <algorithm>
 #include <charconv>
 
+#include "util/bytes.hpp"
+#include "util/check.hpp"
 #include "util/strings.hpp"
 
 namespace iwscan::http {
 namespace {
 
-std::optional<std::string_view> find_header(const std::vector<Header>& headers,
-                                            std::string_view name) {
-  for (const auto& header : headers) {
-    if (util::iequals(header.name, name)) return header.value;
-  }
-  return std::nullopt;
-}
+/// A request head longer than this (a hostile or broken peer) is rejected.
+constexpr std::size_t kMaxHeaderBytes = 64 * 1024;
 
-/// Parse the "Name: value" lines of a header block (the text between the
-/// start line and the blank line). Blank lines are skipped.
-bool parse_header_block(std::string_view block, std::vector<Header>& out) {
-  const auto lines = std::count(block.begin(), block.end(), '\n') + 1;
-  out.reserve(out.size() + static_cast<std::size_t>(lines));
+/// Calls on_header(name, value), both trimmed, for each "Name: value" line
+/// of a header block (the text between the start line and the blank line).
+/// Blank lines are skipped; a line without a colon ends the walk with false.
+template <typename OnHeader>
+bool walk_header_block(std::string_view block, OnHeader&& on_header) {
   while (true) {
     const std::size_t newline = block.find('\n');
     std::string_view line = block.substr(0, newline);
@@ -28,65 +25,63 @@ bool parse_header_block(std::string_view block, std::vector<Header>& out) {
     if (!line.empty()) {
       const std::size_t colon = line.find(':');
       if (colon == std::string_view::npos) return false;
-      out.push_back(Header{std::string(util::trim(line.substr(0, colon))),
-                           std::string(util::trim(line.substr(colon + 1)))});
+      on_header(util::trim(line.substr(0, colon)), util::trim(line.substr(colon + 1)));
     }
     if (newline == std::string_view::npos) return true;
     block.remove_prefix(newline + 1);
   }
 }
 
+std::string_view status_line(StatusCode status) noexcept {
+  switch (status) {
+    case StatusCode::Ok: return "200 OK";
+    case StatusCode::MovedPermanently: return "301 Moved Permanently";
+    case StatusCode::NotFound: return "404 Not Found";
+  }
+  IWSCAN_UNREACHABLE("unknown status code");
+}
+
+/// Hands the head's pieces, in wire order, to `emit`: the one place the
+/// response format is spelled out, shared by the size and the writer.
+template <typename Emit>
+void emit_head(const ResponseHead& head, std::size_t body_bytes, Emit&& emit) {
+  char digits[20];
+  const char* digits_end = std::to_chars(digits, digits + sizeof digits, body_bytes).ptr;
+  emit("HTTP/1.1 ");
+  emit(status_line(head.status));
+  emit("\r\nServer: ");
+  emit(head.server);
+  emit("\r\nContent-Type: text/html\r\n");
+  if (head.close) emit("Connection: close\r\n");
+  if (head.status == StatusCode::MovedPermanently) {
+    emit("Location: http://");
+    emit(head.location_host);
+    emit("/\r\n");
+  }
+  emit("Content-Length: ");
+  emit(std::string_view(digits, static_cast<std::size_t>(digits_end - digits)));
+  emit("\r\n\r\n");
+}
+
 }  // namespace
 
-std::optional<std::string_view> HttpRequest::header(std::string_view name) const {
-  return find_header(headers, name);
-}
-
-bool HttpRequest::wants_close() const {
-  const auto connection = header("Connection");
-  return connection && util::icontains(*connection, "close");
-}
-
-std::optional<std::string_view> HttpResponse::header(std::string_view name) const {
-  return find_header(headers, name);
-}
-
-std::string HttpResponse::serialize() const {
-  std::string out;
-  out.reserve(128 + body.size());
-  out += version;
-  out += ' ';
-  out += std::to_string(status);
-  out += ' ';
-  out += reason;
-  out += "\r\n";
-  for (const auto& header : headers) {
-    out += header.name;
-    out += ": ";
-    out += header.value;
-    out += "\r\n";
-  }
-  out += "Content-Length: ";
-  out += std::to_string(body.size());
-  out += "\r\n\r\n";
-  out += body;
-  return out;
-}
-
-RequestParser::Status RequestParser::feed(std::string_view data) {
-  if (complete_) return Status::Complete;
-  if (invalid_) return Status::Invalid;
+RequestStatus RequestReader::feed(std::string_view data) {
+  if (status_ != RequestStatus::NeedMore) return status_;
   // A request that arrives whole (the common case: one segment) is parsed
-  // where it lies; only a split one is gathered in buffer_.
+  // where it lies; only a split one is gathered in pending_.
   std::string_view text = data;
-  if (!buffer_.empty() || data.find("\r\n\r\n") == std::string_view::npos) {
-    buffer_.append(data);
-    text = buffer_;
+  if (!pending_.empty() || data.find("\r\n\r\n") == std::string_view::npos) {
+    pending_.append(data);
+    text = pending_;
   }
-  if (text.size() > kMaxHeaderBytes) return fail();
+  status_ = parse(text);
+  return status_;
+}
 
+RequestStatus RequestReader::parse(std::string_view text) {
+  if (text.size() > kMaxHeaderBytes) return RequestStatus::Invalid;
   const std::size_t end = text.find("\r\n\r\n");
-  if (end == std::string_view::npos) return Status::NeedMore;
+  if (end == std::string_view::npos) return RequestStatus::NeedMore;
 
   const std::string_view head = text.substr(0, end);
   const std::size_t line_end = head.find("\r\n");
@@ -100,35 +95,53 @@ RequestParser::Status RequestParser::feed(std::string_view data) {
                               : request_line.find(' ', sp1 + 1);
   if (sp2 == std::string_view::npos ||
       request_line.find(' ', sp2 + 1) != std::string_view::npos || sp1 == 0 ||
-      sp2 == sp1 + 1) {
-    return fail();
+      sp2 == sp1 + 1 || !request_line.substr(sp2 + 1).starts_with("HTTP/")) {
+    return RequestStatus::Invalid;
   }
-  request_.method = std::string(request_line.substr(0, sp1));
-  request_.target = std::string(request_line.substr(sp1 + 1, sp2 - sp1 - 1));
-  request_.version = std::string(request_line.substr(sp2 + 1));
-  if (!request_.version.starts_with("HTTP/")) return fail();
 
-  request_.headers.clear();
+  RequestView request;
+  request.target = request_line.substr(sp1 + 1, sp2 - sp1 - 1);
+  bool connection_seen = false;
+  const auto on_header = [&](std::string_view name, std::string_view value) {
+    if (!request.host && util::iequals(name, "Host")) request.host = value;
+    if (!connection_seen && util::iequals(name, "Connection")) {
+      connection_seen = true;
+      request.wants_close = util::icontains(value, "close");
+    }
+  };
   if (line_end != std::string_view::npos &&
-      !parse_header_block(head.substr(line_end + 2), request_.headers)) {
-    return fail();
+      !walk_header_block(head.substr(line_end + 2), on_header)) {
+    return RequestStatus::Invalid;
   }
-  complete_ = true;
-  return Status::Complete;
+  request_ = request;
+  return RequestStatus::Complete;
 }
 
-RequestParser::Status RequestParser::fail() {
-  // Latch: once a request is rejected, later bytes on the same connection
-  // must not resurrect it as a parse of a half-garbled buffer.
-  invalid_ = true;
-  return Status::Invalid;
+std::size_t response_head_size(const ResponseHead& head,
+                               std::size_t body_bytes) noexcept {
+  std::size_t size = 0;
+  emit_head(head, body_bytes, [&size](std::string_view piece) { size += piece.size(); });
+  return size;
 }
 
-void RequestParser::reset() {
-  buffer_.clear();
-  request_ = HttpRequest{};
-  complete_ = false;
-  invalid_ = false;
+ResponseWriter::ResponseWriter(const ResponseHead& head, std::size_t body_bytes)
+    : size_(response_head_size(head, body_bytes) + body_bytes) {
+  out_.reserve(size_);
+  emit_head(head, body_bytes, [this](std::string_view piece) { text(piece); });
+}
+
+void ResponseWriter::text(std::string_view bytes) {
+  const auto raw = util::as_bytes(bytes);
+  out_.insert(out_.end(), raw.begin(), raw.end());
+}
+
+void ResponseWriter::fill(std::size_t n, char byte) {
+  out_.insert(out_.end(), n, static_cast<std::uint8_t>(byte));
+}
+
+net::Bytes ResponseWriter::finish() && {
+  IWSCAN_ASSERT(out_.size() == size_, "response body differs from its declared size");
+  return std::move(out_);
 }
 
 std::optional<ParsedResponseHead> parse_response_head(std::string_view data) {
@@ -165,15 +178,23 @@ std::optional<ParsedResponseHead> parse_response_head(std::string_view data) {
     parsed.reason = std::string(status_line.substr(sp2 + 1));
   }
   parsed.header_bytes = end + 4;
-  if (line_end != std::string_view::npos &&
-      !parse_header_block(head.substr(line_end + 2), parsed.headers)) {
-    return std::nullopt;
+  if (line_end != std::string_view::npos) {
+    const std::string_view block = head.substr(line_end + 2);
+    parsed.headers.reserve(
+        static_cast<std::size_t>(std::count(block.begin(), block.end(), '\n') + 1));
+    const auto on_header = [&parsed](std::string_view name, std::string_view value) {
+      parsed.headers.push_back(Header{std::string(name), std::string(value)});
+    };
+    if (!walk_header_block(block, on_header)) return std::nullopt;
   }
   return parsed;
 }
 
 std::optional<std::string_view> ParsedResponseHead::header(std::string_view name) const {
-  return find_header(headers, name);
+  for (const auto& header : headers) {
+    if (util::iequals(header.name, name)) return header.value;
+  }
+  return std::nullopt;
 }
 
 std::optional<std::uint64_t> ParsedResponseHead::content_length() const {

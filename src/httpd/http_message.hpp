@@ -1,5 +1,6 @@
-// HTTP/1.1 message parsing and generation (request/response subset used by
-// the scan: GET requests, status lines, Host/Location/Connection headers).
+// HTTP/1.1 messages as the scan uses them: the simulated daemons frame GET
+// requests in place and write their responses in one pass; the prober
+// parses response heads and Location headers.
 #pragma once
 
 #include <cstdint>
@@ -9,6 +10,8 @@
 #include <utility>
 #include <vector>
 
+#include "netbase/wire.hpp"
+
 namespace iwscan::http {
 
 struct Header {
@@ -16,53 +19,68 @@ struct Header {
   std::string value;
 };
 
-struct HttpRequest {
-  std::string method;
-  std::string target;
-  std::string version;
-  std::vector<Header> headers;
-
-  /// First header with the given name, case-insensitive.
-  [[nodiscard]] std::optional<std::string_view> header(std::string_view name) const;
-  [[nodiscard]] bool wants_close() const;
+/// What a simulated server reads of a request, as views into the bytes it
+/// was parsed from.
+struct RequestView {
+  std::string_view target;
+  std::optional<std::string_view> host;  // the first Host header's value
+  bool wants_close = false;              // the first Connection header says close
 };
 
-struct HttpResponse {
-  int status = 200;
-  std::string reason;
-  std::string version = "HTTP/1.1";
-  std::vector<Header> headers;
-  std::string body;
+enum class RequestStatus : std::uint8_t { NeedMore, Complete, Invalid };
 
-  [[nodiscard]] std::optional<std::string_view> header(std::string_view name) const;
-  /// Serialize with Content-Length computed from the body.
-  [[nodiscard]] std::string serialize() const;
-};
-
-/// Incremental request parser. Feed bytes as they arrive; a complete
-/// request (through the blank line; bodies are not expected on GET) is
-/// returned once available.
-class RequestParser {
+/// Frames one request (through the blank line; GET carries no body) from a
+/// connection's bytes. A request that arrives whole in one feed is parsed
+/// where it lies; only one split over feeds is gathered in a buffer. Both
+/// Complete and Invalid latch: later feeds return the same status.
+class RequestReader {
  public:
-  enum class Status { NeedMore, Complete, Invalid };
+  RequestStatus feed(std::string_view data);
 
-  Status feed(std::string_view data);
-
-  /// Valid only after feed() returned Complete.
-  [[nodiscard]] const HttpRequest& request() const noexcept { return request_; }
-
-  /// Prepare for the next request on the same connection.
-  void reset();
+  /// Valid once feed() returned Complete, for as long as the bytes of the
+  /// feed that completed the request.
+  [[nodiscard]] const RequestView& request() const noexcept { return request_; }
 
  private:
-  Status fail();
+  RequestStatus parse(std::string_view text);
 
-  std::string buffer_;
-  HttpRequest request_;
-  bool complete_ = false;
-  bool invalid_ = false;
-  // Guard against unbounded header growth from a hostile/buggy peer.
-  static constexpr std::size_t kMaxHeaderBytes = 64 * 1024;
+  std::string pending_;  // a request split over feeds, until its blank line
+  RequestView request_;
+  RequestStatus status_ = RequestStatus::NeedMore;
+};
+
+/// The status lines the simulated daemons answer with.
+enum class StatusCode : std::uint16_t { Ok = 200, MovedPermanently = 301, NotFound = 404 };
+
+/// A response head as the daemons write it: the status line, then Server,
+/// Content-Type, Connection (when closing) and Location (301 only, to the
+/// named host's root), then Content-Length and the blank line.
+struct ResponseHead {
+  StatusCode status = StatusCode::Ok;
+  std::string_view server;
+  bool close = false;
+  std::string_view location_host;
+};
+
+/// Bytes the head takes on the wire in front of a body of `body_bytes`.
+[[nodiscard]] std::size_t response_head_size(const ResponseHead& head,
+                                             std::size_t body_bytes) noexcept;
+
+/// Writes one response — head, then body — in one pass into a buffer of its
+/// exact size. The body writes must total the declared body size.
+class ResponseWriter {
+ public:
+  ResponseWriter(const ResponseHead& head, std::size_t body_bytes);
+
+  void text(std::string_view bytes);
+  void fill(std::size_t n, char byte);
+
+  /// The whole response.
+  [[nodiscard]] net::Bytes finish() &&;
+
+ private:
+  net::Bytes out_;
+  std::size_t size_;
 };
 
 /// Parse a serialized response's status line and headers (body follows per

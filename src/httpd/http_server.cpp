@@ -13,147 +13,148 @@ namespace {
 /// Filler bytes an echoing 404 page carries around the echoed URI.
 constexpr std::size_t kNotFoundPadding = 160;
 
+constexpr std::string_view kMovedBody =
+    "<html><head><title>301 Moved Permanently</title></head>"
+    "<body><h1>Moved Permanently</h1></body></html>";
+constexpr std::string_view kShortNotFoundBody =
+    "<html><body><h1>404 Not Found</h1></body></html>";
+constexpr std::string_view kEchoHead =
+    "<html><head><title>404 Not Found</title></head><body>"
+    "<h1>Not Found</h1><p>The requested URL ";
+constexpr std::string_view kEchoTail = " was not found on this server.</p>";
+
+constexpr std::string_view kPageHead = "<html><head><title>";
+constexpr std::string_view kPageBodyOpen = "</title></head><body>";
+constexpr std::string_view kPageFiller = "<p>lorem ipsum dolor sit amet consectetur</p>";
+constexpr std::string_view kPageTail = "</body></html>";
+
+/// A page of `size` bytes titled `tag`, unless the fixed markup alone is
+/// longer: the markup, lorem-ipsum paragraphs while a whole one fits, and
+/// 'x' up to the size.
+net::Bytes page(const ResponseHead& head, std::size_t size, std::string_view tag) {
+  const std::size_t markup =
+      kPageHead.size() + tag.size() + kPageBodyOpen.size() + kPageTail.size();
+  ResponseWriter out(head, std::max(size, markup));
+  out.text(kPageHead);
+  out.text(tag);
+  out.text(kPageBodyOpen);
+  std::size_t written = markup;
+  while (written + kPageFiller.size() < size) {
+    out.text(kPageFiller);
+    written += kPageFiller.size();
+  }
+  if (written < size) out.fill(size - written, 'x');
+  out.text(kPageTail);
+  return std::move(out).finish();
+}
+
+/// A response whose body is the constant `body`.
+net::Bytes fixed(const ResponseHead& head, std::string_view body) {
+  ResponseWriter out(head, body.size());
+  out.text(body);
+  return std::move(out).finish();
+}
+
+/// The 404 page that echoes the requested URI (§3.2's long-URI lever).
+net::Bytes echo_not_found(const ResponseHead& head, std::string_view target) {
+  ResponseWriter out(head, kEchoHead.size() + target.size() + kEchoTail.size() +
+                               kNotFoundPadding + kPageTail.size());
+  out.text(kEchoHead);
+  out.text(target);
+  out.text(kEchoTail);
+  out.fill(kNotFoundPadding, '.');
+  out.text(kPageTail);
+  return std::move(out).finish();
+}
+
+/// A non-HTTP service's greeting, cut or '*'-filled to `size` bytes.
+net::Bytes raw_banner(std::size_t size) {
+  constexpr std::string_view kBanner = "220 device ready\r\n";
+  net::Bytes banner(size, '*');
+  const auto greeting = util::as_bytes(kBanner.substr(0, std::min(size, kBanner.size())));
+  std::copy(greeting.begin(), greeting.end(), banner.begin());
+  return banner;
+}
+
 }  // namespace
 
 void HttpServerApp::on_data(tcp::TcpConnection& conn,
                             std::span<const std::uint8_t> data) {
-  if (config_->root == RootBehavior::Silent) return;
+  // One response per connection; peers send Connection: close.
+  if (responded_ || config_->root == RootBehavior::Silent) return;
   if (config_->root == RootBehavior::RawBanner) {
-    if (responded_) return;
     responded_ = true;
-    std::string banner = "220 device ready\r\n";
-    if (banner.size() < config_->page_size) {
-      banner.append(config_->page_size - banner.size(), '*');
-    } else {
-      banner.resize(config_->page_size);
-    }
-    conn.send(banner);
+    conn.send(raw_banner(config_->page_size));
     conn.close();
     return;
   }
 
-  switch (parser_.feed(util::as_text(data))) {
-    case RequestParser::Status::NeedMore:
+  switch (reader_.feed(util::as_text(data))) {
+    case RequestStatus::NeedMore:
       return;
-    case RequestParser::Status::Invalid:
+    case RequestStatus::Invalid:
       conn.abort();
       return;
-    case RequestParser::Status::Complete:
+    case RequestStatus::Complete:
       break;
   }
-  if (responded_) return;  // one response per connection; peers send Connection: close
   responded_ = true;
-  respond(conn, parser_.request());
+  respond(conn, reader_.request());
 }
 
-void HttpServerApp::respond(tcp::TcpConnection& conn, const HttpRequest& request) {
+void HttpServerApp::respond(tcp::TcpConnection& conn, const RequestView& request) {
+  const WebConfig& web = *config_;
+  const bool named_vhost = request.host && util::iequals(*request.host, web.canonical_name);
   // Per-vhost IW: a request naming the canonical vhost is served from the
   // vhost's (larger) first-flight config. Must precede the first response
   // byte — set_initial_window is a no-op once the flight has started.
-  if (config_->vhost_iw && !config_->canonical_name.empty()) {
-    const auto host = request.header("Host");
-    if (host && util::iequals(*host, config_->canonical_name)) {
-      conn.set_initial_window(*config_->vhost_iw);
-    }
+  if (web.vhost_iw && !web.canonical_name.empty() && named_vhost) {
+    conn.set_initial_window(*web.vhost_iw);
   }
-  const HttpResponse response = build_response(request);
-  conn.send(response.serialize());
-  if (request.wants_close() || response.status == 301) conn.close();
-}
 
-HttpResponse HttpServerApp::build_response(const HttpRequest& request) const {
-  HttpResponse response;
-  // Server, Content-Type, and at most Connection and Location.
-  response.headers.reserve(4);
-  response.headers.push_back({"Server", config_->server_header});
-  response.headers.push_back({"Content-Type", "text/html"});
-  if (request.wants_close()) response.headers.push_back({"Connection", "close"});
-
-  const auto host = request.header("Host");
-  const bool host_is_name = host && !net::IPv4Address::parse(*host).has_value() &&
-                            !host->empty();
-  const bool is_root = request.target == "/";
-
-  switch (config_->root) {
+  ResponseHead head{StatusCode::Ok, web.server_header, request.wants_close,
+                    web.canonical_name};
+  switch (web.root) {
     case RootBehavior::Page:
-      response.status = 200;
-      response.reason = "OK";
-      response.body = page_body(config_->page_size, "page");
-      return response;
+      conn.send(page(head, web.page_size, "page"));
+      break;
 
-    case RootBehavior::RedirectToName:
-      if (is_root && !host_is_name) {
-        response.status = 301;
-        response.reason = "Moved Permanently";
-        response.headers.push_back(
-            {"Location", "http://" + config_->canonical_name + "/"});
-        response.body = "<html><head><title>301 Moved Permanently</title></head>"
-                        "<body><h1>Moved Permanently</h1></body></html>";
-        return response;
+    case RootBehavior::RedirectToName: {
+      const bool host_is_name = request.host && !request.host->empty() &&
+                                !net::IPv4Address::parse(*request.host).has_value();
+      if (request.target == "/" && !host_is_name) {
+        head.status = StatusCode::MovedPermanently;
+        conn.send(fixed(head, kMovedBody));
+      } else {
+        // Named virtual host (or deep link): the real page.
+        conn.send(page(head, web.redirected_page_size, "vhost"));
       }
-      // Named virtual host (or deep link): the real page.
-      response.status = 200;
-      response.reason = "OK";
-      response.body = page_body(config_->redirected_page_size, "vhost");
-      return response;
-
-    case RootBehavior::NotFoundEcho: {
-      response.status = 404;
-      response.reason = "Not Found";
-      std::string body = "<html><head><title>404 Not Found</title></head><body>"
-                         "<h1>Not Found</h1><p>The requested URL ";
-      body += request.target;
-      body += " was not found on this server.</p>";
-      body.append(kNotFoundPadding, '.');
-      body += "</body></html>";
-      response.body = std::move(body);
-      return response;
+      break;
     }
+
+    case RootBehavior::NotFoundEcho:
+      head.status = StatusCode::NotFound;
+      conn.send(echo_not_found(head, request.target));
+      break;
 
     case RootBehavior::VirtualHosted:
       // Only a valid (customer) Host name selects a real service; IP-based
       // probing sees a short error — the reason the paper's generalized
       // methodology cannot assess virtualized services without prior
       // knowledge (§4.3/§5).
-      if (host && util::iequals(*host, config_->canonical_name)) {
-        response.status = 200;
-        response.reason = "OK";
-        response.body = page_body(config_->redirected_page_size, "vhost");
+      if (named_vhost) {
+        conn.send(page(head, web.redirected_page_size, "vhost"));
       } else {
-        response.status = 404;
-        response.reason = "Not Found";
-        response.body = "<html><body><h1>404 Not Found</h1></body></html>";
+        head.status = StatusCode::NotFound;
+        conn.send(fixed(head, kShortNotFoundBody));
       }
-      return response;
+      break;
 
     case RootBehavior::RawBanner:
     case RootBehavior::Silent:
-      break;  // handled before parsing; unreachable here
+      return;  // answered before parsing
   }
-  response.status = 500;
-  response.reason = "Internal Server Error";
-  return response;
-}
-
-std::string HttpServerApp::page_body(std::size_t size, std::string_view tag) {
-  static constexpr std::string_view kHead = "<html><head><title>";
-  static constexpr std::string_view kBodyOpen = "</title></head><body>";
-  static constexpr std::string_view kFiller =
-      "<p>lorem ipsum dolor sit amet consectetur</p>";
-  static constexpr std::string_view kTail = "</body></html>";
-  std::string body;
-  // The page is `size` bytes unless the fixed markup alone is longer.
-  const std::size_t markup = kHead.size() + tag.size() + kBodyOpen.size() + kTail.size();
-  body.reserve(std::max(size, markup));
-  body += kHead;
-  body += tag;
-  body += kBodyOpen;
-  while (body.size() + kFiller.size() + kTail.size() < size) body += kFiller;
-  if (body.size() + kTail.size() < size) {
-    body.append(size - body.size() - kTail.size(), 'x');
-  }
-  body += kTail;
-  return body;
+  if (request.wants_close || head.status == StatusCode::MovedPermanently) conn.close();
 }
 
 tcp::TcpHost::AppFactory HttpServerApp::factory(WebConfig config) {

@@ -58,12 +58,10 @@ class HttpServerApp final : public tcp::Application {
   [[nodiscard]] static tcp::TcpHost::AppFactory factory(WebConfig config);
 
  private:
-  void respond(tcp::TcpConnection& conn, const HttpRequest& request);
-  [[nodiscard]] HttpResponse build_response(const HttpRequest& request) const;
-  [[nodiscard]] static std::string page_body(std::size_t size, std::string_view tag);
+  void respond(tcp::TcpConnection& conn, const RequestView& request);
 
   std::shared_ptr<const WebConfig> config_;
-  RequestParser parser_;
+  RequestReader reader_;
   bool responded_ = false;
 };
 

@@ -7,6 +7,7 @@
 #include <variant>
 
 #include "tcpstack/host.hpp"
+#include "tls/records.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -315,9 +316,8 @@ class TlsAlertApp final : public tcp::Application {
   void on_data(tcp::TcpConnection& conn, std::span<const std::uint8_t>) override {
     if (sent_) return;
     sent_ = true;
-    // Record: Alert(21), TLS 1.2, length 2; body: fatal(2), handshake_failure(40).
-    static constexpr std::uint8_t kAlert[] = {0x15, 0x03, 0x03,
-                                              0x00, 0x02, 0x02, 0x28};
+    static constexpr auto kAlert =
+        tls::fatal_alert_record(tls::AlertDescription::HandshakeFailure);
     conn.send(std::span<const std::uint8_t>(kAlert));
     conn.close();
   }

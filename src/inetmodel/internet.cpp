@@ -132,8 +132,8 @@ http::WebConfig InternetModel::web_config(net::IPv4Address ip, GroundTruth gt) c
     case HttpCategory::FewData: {
       const std::uint32_t eff = gt.os == tcp::OsProfile::Windows ? 536 : 64;
       const std::size_t span = gt.few_bound * eff - eff / 2;
-      const std::size_t overhead =
-          http_response_overhead(web.server_header, 200, span, true);
+      const std::size_t overhead = http::response_head_size(
+          {http::StatusCode::Ok, web.server_header, true, {}}, span);
       web.root = span > overhead + 8 ? http::RootBehavior::Page
                                      : http::RootBehavior::RawBanner;
       web.page_size = gt.http_page_bytes;

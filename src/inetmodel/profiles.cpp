@@ -70,25 +70,6 @@ std::string canonical_name_for(std::uint64_t seed, net::IPv4Address ip) {
 
 }  // namespace
 
-std::size_t http_response_overhead(std::string_view server_header, int status,
-                                   std::size_t body_size, bool connection_close) {
-  // Counts what http::HttpResponse::serialize() writes around the body
-  // instead of building the response: ground truth sizes every few-data
-  // page with this, and the model derives each accepted connection's
-  // config from ground truth again. A test pins the count to serialize():
-  // GroundTruth.ResponseOverheadMatchesSerializedResponse.
-  const auto header = [](std::string_view name, std::string_view value) {
-    return name.size() + 2 + value.size() + 2;  // "name: value\r\n"
-  };
-  const std::string_view reason =
-      status == 200 ? "OK" : (status == 404 ? "Not Found" : "Moved");
-  std::size_t size = http::HttpResponse{}.version.size() + 1 +
-                     std::to_string(status).size() + 1 + reason.size() + 2;
-  size += header("Server", server_header) + header("Content-Type", "text/html");
-  if (connection_close) size += header("Connection", "close");
-  return size + header("Content-Length", std::to_string(body_size)) + 2;
-}
-
 std::uint32_t GroundTruth::true_iw_segments(bool for_tls,
                                             std::uint16_t announced_mss,
                                             bool vhost) const {
@@ -222,7 +203,8 @@ GroundTruth synthesize_host(const AsRegistry& registry, const ModelConfig& confi
       // estimator's lower bound ceil(span/mss) then equals few_bound.
       const std::uint32_t eff = gt.os == tcp::OsProfile::Windows ? 536 : 64;
       const std::size_t span = gt.few_bound * eff - eff / 2;
-      const std::size_t overhead = http_response_overhead("Apache", 200, span, true);
+      const std::size_t overhead =
+          http::response_head_size({http::StatusCode::Ok, "Apache", true, {}}, span);
       if (span > overhead + 8) {
         gt.http_page_bytes = span - overhead;
       } else {

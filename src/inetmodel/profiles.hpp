@@ -98,12 +98,4 @@ struct ModelConfig {
                                           const ModelConfig& config,
                                           net::IPv4Address ip);
 
-/// Exact on-wire size of the head (everything but the body) of a response
-/// our httpd sends for the given parameters, with the Server, Content-Type
-/// and optional Connection headers it writes (used to hit few-data bound
-/// targets).
-[[nodiscard]] std::size_t http_response_overhead(std::string_view server_header,
-                                                 int status, std::size_t body_size,
-                                                 bool connection_close);
-
 }  // namespace iwscan::model

@@ -102,7 +102,6 @@ void TcpConnection::on_segment(const net::TcpSegment& segment) {
     retx_event_ = sim::kNullEvent;
     retx_count_ = 0;
     rto_ = kInitialRto;
-    if (app_) app_->on_established(*this);
     // Fall through: the handshake ACK may carry the request payload
     // (Fig. 1 of the paper: "ACK, REQUEST" in one segment).
   } else {
@@ -204,7 +203,6 @@ void TcpConnection::handle_payload(const net::TcpSegment& segment) {
       default:
         break;
     }
-    if (app_) app_->on_peer_close(*this);
   }
 }
 

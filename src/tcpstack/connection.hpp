@@ -26,12 +26,8 @@ class TcpConnection;
 class Application {
  public:
   virtual ~Application() = default;
-  /// Three-way handshake completed.
-  virtual void on_established(TcpConnection& conn) { (void)conn; }
   /// In-order payload bytes arrived.
   virtual void on_data(TcpConnection& conn, std::span<const std::uint8_t> data) = 0;
-  /// Peer half-closed (FIN received).
-  virtual void on_peer_close(TcpConnection& conn) { (void)conn; }
 };
 
 enum class TcpState {

@@ -1,7 +1,6 @@
 #include "tls/records.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace iwscan::tls {
 namespace {
@@ -15,19 +14,6 @@ std::size_t fragmented_size(std::size_t payload_bytes) noexcept {
 }
 
 }  // namespace
-
-void encode_record(const Record& record, net::Bytes& out) {
-  // A larger payload must go through encode_fragmented; the 16-bit length
-  // field would silently truncate and desync the record stream.
-  if (record.payload.size() > kMaxRecordPayload) {
-    throw std::length_error("TLS record payload exceeds 2^14 bytes");
-  }
-  net::WireWriter writer(out);
-  writer.u8(static_cast<std::uint8_t>(record.type));
-  writer.u16(record.version);
-  writer.u16(static_cast<std::uint16_t>(record.payload.size()));
-  writer.raw(record.payload);
-}
 
 void encode_fragmented(ContentType type, std::uint16_t version,
                        std::span<const std::uint8_t> payload, net::Bytes& out) {
@@ -81,45 +67,21 @@ void FragmentWriter::fill(std::size_t n, std::uint8_t value) noexcept {
   }
 }
 
-void RecordReader::feed(std::span<const std::uint8_t> data) {
-  buffer_.insert(buffer_.end(), data.begin(), data.end());
-}
-
-std::optional<Record> RecordReader::next() {
-  if (malformed_ || buffer_.size() < 5) return std::nullopt;
-  const std::uint8_t type = buffer_[0];
-  if (type < 20 || type > 23) {
-    malformed_ = true;
-    return std::nullopt;
+RecordFrame frame_record(std::span<const std::uint8_t> stream) noexcept {
+  RecordFrame frame;
+  if (stream.size() < kRecordHeaderBytes) return frame;
+  const std::uint8_t type = stream[0];
+  const std::size_t length = static_cast<std::size_t>((stream[3] << 8) | stream[4]);
+  if (type < 20 || type > 23 || length > kMaxRecordPayload + 256) {
+    frame.status = RecordFrame::Status::Malformed;
+    return frame;
   }
-  const std::uint16_t version =
-      static_cast<std::uint16_t>((buffer_[1] << 8) | buffer_[2]);
-  const std::size_t length = (buffer_[3] << 8) | buffer_[4];
-  if (length > kMaxRecordPayload + 256) {
-    malformed_ = true;
-    return std::nullopt;
-  }
-  if (buffer_.size() < 5 + length) return std::nullopt;
-
-  Record record;
-  record.type = static_cast<ContentType>(type);
-  record.version = version;
-  record.payload.assign(buffer_.begin() + 5,
-                        buffer_.begin() + 5 + static_cast<std::ptrdiff_t>(length));
-  buffer_.erase(buffer_.begin(),
-                buffer_.begin() + 5 + static_cast<std::ptrdiff_t>(length));
-  return record;
-}
-
-net::Bytes encode_alert(AlertLevel level, AlertDescription description) {
-  return net::Bytes{static_cast<std::uint8_t>(level),
-                    static_cast<std::uint8_t>(description)};
-}
-
-std::optional<Alert> decode_alert(std::span<const std::uint8_t> payload) {
-  if (payload.size() != 2) return std::nullopt;
-  return Alert{static_cast<AlertLevel>(payload[0]),
-               static_cast<AlertDescription>(payload[1])};
+  if (stream.size() < kRecordHeaderBytes + length) return frame;
+  frame.status = RecordFrame::Status::Complete;
+  frame.type = static_cast<ContentType>(type);
+  frame.version = static_cast<std::uint16_t>((stream[1] << 8) | stream[2]);
+  frame.payload = stream.subspan(kRecordHeaderBytes, length);
+  return frame;
 }
 
 }  // namespace iwscan::tls

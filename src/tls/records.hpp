@@ -3,9 +3,9 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
-#include <optional>
-#include <vector>
+#include <span>
 
 #include "netbase/wire.hpp"
 #include "util/check.hpp"
@@ -23,15 +23,6 @@ inline constexpr std::uint16_t kTls12 = 0x0303;
 inline constexpr std::uint16_t kTls10 = 0x0301;
 inline constexpr std::size_t kMaxRecordPayload = 1 << 14;
 inline constexpr std::size_t kRecordHeaderBytes = 5;  // type, version, length
-
-struct Record {
-  ContentType type = ContentType::Handshake;
-  std::uint16_t version = kTls12;
-  net::Bytes payload;
-};
-
-/// Serialize one record (payload must be ≤ 2^14 bytes).
-void encode_record(const Record& record, net::Bytes& out);
 
 /// Serialize a payload, fragmenting across records if it exceeds 2^14.
 void encode_fragmented(ContentType type, std::uint16_t version,
@@ -87,22 +78,25 @@ class FragmentWriter {
   std::size_t record_left_ = 0;  // of those, in the current record
 };
 
-/// Incremental record deframer: feed TCP payload bytes, pop whole records.
-class RecordReader {
- public:
-  void feed(std::span<const std::uint8_t> data);
+/// The record at the front of a TCP byte stream, framed where it lies.
+struct RecordFrame {
+  enum class Status : std::uint8_t { NeedMore, Complete, Malformed };
 
-  /// Next complete record, or nullopt if more bytes are needed.
-  /// Sets malformed() and returns nullopt on a bad header.
-  [[nodiscard]] std::optional<Record> next();
+  Status status = Status::NeedMore;
+  ContentType type = ContentType::Handshake;
+  std::uint16_t version = 0;
+  std::span<const std::uint8_t> payload;  // a view into the framed bytes
 
-  [[nodiscard]] bool malformed() const noexcept { return malformed_; }
-  [[nodiscard]] std::size_t buffered() const noexcept { return buffer_.size(); }
-
- private:
-  net::Bytes buffer_;
-  bool malformed_ = false;
+  /// Wire bytes of a Complete record: its header and payload.
+  [[nodiscard]] std::size_t size() const noexcept {
+    return kRecordHeaderBytes + payload.size();
+  }
 };
+
+/// Frames the first record of `stream` without copying it: NeedMore until
+/// its header and payload are all there; Malformed on a content type the
+/// record layer does not define or a length beyond kMaxRecordPayload + 256.
+[[nodiscard]] RecordFrame frame_record(std::span<const std::uint8_t> stream) noexcept;
 
 enum class AlertLevel : std::uint8_t { Warning = 1, Fatal = 2 };
 enum class AlertDescription : std::uint8_t {
@@ -113,12 +107,17 @@ enum class AlertDescription : std::uint8_t {
   UnrecognizedName = 112,
 };
 
-/// Two-byte alert payload inside an Alert record.
-[[nodiscard]] net::Bytes encode_alert(AlertLevel level, AlertDescription description);
-struct Alert {
-  AlertLevel level;
-  AlertDescription description;
-};
-[[nodiscard]] std::optional<Alert> decode_alert(std::span<const std::uint8_t> payload);
+/// A fatal alert as the one record a server sends it in: Alert, TLS 1.2,
+/// length 2, then the level and the description.
+[[nodiscard]] constexpr std::array<std::uint8_t, 7> fatal_alert_record(
+    AlertDescription description) noexcept {
+  return {static_cast<std::uint8_t>(ContentType::Alert),
+          static_cast<std::uint8_t>(kTls12 >> 8),
+          static_cast<std::uint8_t>(kTls12),
+          0,
+          2,
+          static_cast<std::uint8_t>(AlertLevel::Fatal),
+          static_cast<std::uint8_t>(description)};
+}
 
 }  // namespace iwscan::tls

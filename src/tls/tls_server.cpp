@@ -94,29 +94,50 @@ net::Bytes encode_first_flight(const TlsConfig& config, net::IPv4Address client,
 
 void TlsServerApp::on_data(tcp::TcpConnection& conn,
                            std::span<const std::uint8_t> data) {
-  if (handled_hello_) return;
-  reader_.feed(data);
-  const auto record = reader_.next();
-  if (reader_.malformed()) {
-    conn.abort();
-    return;
+  if (done_) return;
+  // A ClientHello that arrives whole (one segment) is framed where it
+  // lies; only a split one is gathered in pending_.
+  std::span<const std::uint8_t> stream = data;
+  if (!pending_.empty()) {
+    pending_.insert(pending_.end(), data.begin(), data.end());
+    stream = pending_;
   }
-  if (!record) return;  // ClientHello spans more TCP segments; wait
+  const RecordFrame record = frame_record(stream);
+  switch (record.status) {
+    case RecordFrame::Status::NeedMore:
+      // ClientHello spans more TCP segments; wait
+      if (pending_.empty()) pending_.assign(data.begin(), data.end());
+      return;
+    case RecordFrame::Status::Malformed:
+      done_ = true;
+      conn.abort();
+      return;
+    case RecordFrame::Status::Complete:
+      break;
+  }
+  done_ = true;
+  answer(conn, record);
+}
 
-  handled_hello_ = true;
-  if (record->type != ContentType::Handshake) {
-    send_alert(conn, AlertDescription::InternalError);
+void TlsServerApp::answer(tcp::TcpConnection& conn, const RecordFrame& record) {
+  const auto send_alert = [&conn](AlertDescription description) {
+    const auto alert = fatal_alert_record(description);
+    conn.send(std::span<const std::uint8_t>(alert));
+    conn.close();
+  };
+  if (record.type != ContentType::Handshake) {
+    send_alert(AlertDescription::InternalError);
     return;
   }
-  const auto messages = split_handshakes(record->payload);
+  const auto messages = split_handshakes(record.payload);
   if (!messages || messages->empty() ||
       messages->front().type != HandshakeType::ClientHello) {
-    send_alert(conn, AlertDescription::InternalError);
+    send_alert(AlertDescription::InternalError);
     return;
   }
   const auto hello = ClientHello::decode(messages->front().body);
   if (!hello) {
-    send_alert(conn, AlertDescription::InternalError);
+    send_alert(AlertDescription::InternalError);
     return;
   }
 
@@ -127,7 +148,7 @@ void TlsServerApp::on_data(tcp::TcpConnection& conn,
       case SniPolicy::Ignore:
         break;
       case SniPolicy::AlertAndClose:
-        send_alert(conn, AlertDescription::UnrecognizedName);
+        send_alert(AlertDescription::UnrecognizedName);
         return;
       case SniPolicy::SilentClose:
         conn.close();  // FIN with zero application bytes
@@ -138,7 +159,7 @@ void TlsServerApp::on_data(tcp::TcpConnection& conn,
   const CipherSuite chosen =
       negotiate(hello->cipher_suites, config_.supported_ciphers);
   if (chosen == 0) {
-    send_alert(conn, AlertDescription::HandshakeFailure);
+    send_alert(AlertDescription::HandshakeFailure);
     return;
   }
 
@@ -155,14 +176,6 @@ void TlsServerApp::on_data(tcp::TcpConnection& conn,
   // The server now waits for the client's key exchange; it does NOT close —
   // so an IW-limited flight is followed by silence + RTO retransmission,
   // exactly what the estimator needs.
-}
-
-void TlsServerApp::send_alert(tcp::TcpConnection& conn, AlertDescription description) {
-  const net::Bytes alert = encode_alert(AlertLevel::Fatal, description);
-  net::Bytes wire;
-  encode_fragmented(ContentType::Alert, kTls12, alert, wire);
-  conn.send(std::move(wire));
-  conn.close();
 }
 
 tcp::TcpHost::AppFactory TlsServerApp::factory(TlsConfig config) {

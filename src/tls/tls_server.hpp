@@ -35,11 +35,11 @@ class TlsServerApp final : public tcp::Application {
   [[nodiscard]] static tcp::TcpHost::AppFactory factory(TlsConfig config);
 
  private:
-  void send_alert(tcp::TcpConnection& conn, AlertDescription description);
+  void answer(tcp::TcpConnection& conn, const RecordFrame& record);
 
   TlsConfig config_;
-  RecordReader reader_;
-  bool handled_hello_ = false;
+  net::Bytes pending_;  // a ClientHello record split over segments
+  bool done_ = false;   // the first record was answered or rejected
 };
 
 }  // namespace iwscan::tls

@@ -103,7 +103,7 @@ TEST(Estimator, ExactFitIsClassifiedFewData) {
   web.root = http::RootBehavior::Page;
   // 4 segments × 64 B = 256 B total response.
   const std::size_t overhead =
-      model::http_response_overhead("Apache", 200, 256, true);
+      http::response_head_size({http::StatusCode::Ok, "Apache", true, {}}, 256);
   web.page_size = 256 - overhead;
   bed.add_http_host(host, stack, web);
 
@@ -124,7 +124,7 @@ TEST(Estimator, OneByteOverExactFitFlipsToSuccess) {
   http::WebConfig web;
   web.root = http::RootBehavior::Page;
   const std::size_t overhead =
-      model::http_response_overhead("Apache", 200, 257, true);
+      http::response_head_size({http::StatusCode::Ok, "Apache", true, {}}, 257);
   web.page_size = 257 - overhead;  // total response = 4 × 64 + 1 bytes
   bed.add_http_host(host, stack, web);
 

@@ -2,8 +2,8 @@
 //
 // Covers both directions the scanner uses: parse_response_head on probe
 // answers (status line, headers, Content-Length, Location → redirect
-// following) and the incremental RequestParser the simulated servers run
-// on attacker-supplied request bytes.
+// following) and the in-place RequestReader the simulated servers run on
+// attacker-supplied request bytes.
 #include <cstdio>
 #include <cstdlib>
 #include <span>
@@ -24,18 +24,17 @@ void require(bool condition, const char* what) {
 }
 
 void fuzz_one(std::span<const std::uint8_t> data) {
-  namespace http = iwscan::http;
   const std::string_view text = iwscan::util::as_text(data);
 
   // ---- Response path (scanner side) ----
-  if (const auto head = http::parse_response_head(text)) {
+  if (const auto head = iwscan::http::parse_response_head(text)) {
     require(head->header_bytes <= text.size(),
             "header_bytes points past the input");
     require(head->status >= 100 && head->status <= 999,
             "status outside the three-digit range accepted");
     (void)head->content_length();  // must never overflow or throw
     if (const auto location = head->header("Location")) {
-      if (const auto parts = http::parse_location(*location)) {
+      if (const auto parts = iwscan::http::parse_location(*location)) {
         require(parts->host.empty() || parts->host.find('/') == std::string::npos,
                 "parsed Location host contains a path separator");
         require(!parts->path.empty(), "parsed Location path is empty");
@@ -43,36 +42,48 @@ void fuzz_one(std::span<const std::uint8_t> data) {
     }
   }
 
-  // ---- Request path (simulated server side), hostile chunk sizes ----
+  // ---- Request path (simulated server side) ----
+  namespace http = iwscan::http;
+  http::RequestReader whole;
+  const http::RequestStatus status = whole.feed(text);
+  const auto same_request = [&whole](const http::RequestView& other) {
+    return other.target == whole.request().target &&
+           other.host == whole.request().host &&
+           other.wants_close == whole.request().wants_close;
+  };
+  // Every two-way split must give what the whole input gives.
+  for (std::size_t cut = 1; cut < text.size(); ++cut) {
+    http::RequestReader split;
+    http::RequestStatus split_status = split.feed(text.substr(0, cut));
+    if (split_status == http::RequestStatus::NeedMore) {
+      split_status = split.feed(text.substr(cut));
+    }
+    require(split_status == status, "split vs whole-buffer status disagree");
+    require(status != http::RequestStatus::Complete || same_request(split.request()),
+            "split vs whole-buffer request disagree");
+  }
+  // Hostile chunk sizes, the same.
   static constexpr std::size_t kChunks[] = {1, 5, 113};
-  http::RequestParser parser;
-  std::size_t pos = 0;
-  std::size_t chunk_index = 0;
-  auto status = http::RequestParser::Status::NeedMore;
-  while (pos < text.size() && status == http::RequestParser::Status::NeedMore) {
-    const std::size_t n = std::min(kChunks[chunk_index % 3], text.size() - pos);
-    status = parser.feed(text.substr(pos, n));
-    ++chunk_index;
+  http::RequestReader chunked;
+  http::RequestStatus chunked_status = http::RequestStatus::NeedMore;
+  for (std::size_t pos = 0, i = 0;
+       pos < text.size() && chunked_status == http::RequestStatus::NeedMore; ++i) {
+    const std::size_t n = std::min(kChunks[i % 3], text.size() - pos);
+    chunked_status = chunked.feed(text.substr(pos, n));
     pos += n;
   }
-  if (status == http::RequestParser::Status::Complete) {
-    const auto& request = parser.request();
-    require(request.version.starts_with("HTTP/"),
-            "completed request with a non-HTTP version token");
-    (void)request.wants_close();
-    (void)request.header("Host");
-    // Whole-buffer feed must agree with the chunked feed.
-    http::RequestParser whole;
-    require(whole.feed(text.substr(0, pos)) == http::RequestParser::Status::Complete,
-            "chunked vs whole-buffer parse disagree");
-    require(whole.request().method == request.method &&
-                whole.request().target == request.target,
-            "chunked vs whole-buffer request line disagree");
-  } else if (status == http::RequestParser::Status::Invalid) {
-    // Latched: anything fed afterwards must keep reporting Invalid.
-    require(parser.feed("GET / HTTP/1.1\r\n\r\n") ==
-                http::RequestParser::Status::Invalid,
+  require(chunked_status == status, "chunked vs whole-buffer status disagree");
+  require(status != http::RequestStatus::Complete || same_request(chunked.request()),
+          "chunked vs whole-buffer request disagree");
+  // Latched: anything fed afterwards must keep the status and the request.
+  if (status == http::RequestStatus::Invalid) {
+    require(whole.feed("GET / HTTP/1.1\r\n\r\n") == http::RequestStatus::Invalid,
             "Invalid state did not latch");
+  } else if (status == http::RequestStatus::Complete) {
+    const std::string_view target = whole.request().target;
+    require(whole.feed("NOT-HTTP\r\n\r\n") == http::RequestStatus::Complete &&
+                whole.request().target == target,
+            "Complete state did not latch");
   }
 
   // parse_location accepts arbitrary text directly.
@@ -86,19 +97,19 @@ std::vector<Input> fuzz_corpus() {
     corpus.emplace_back(text.begin(), text.end());
   };
 
-  http::HttpResponse ok;
-  ok.status = 200;
-  ok.reason = "OK";
-  ok.headers.push_back({"Server", "Apache/2.4"});
-  ok.headers.push_back({"Content-Type", "text/html"});
-  ok.body = "<html><body>hello</body></html>";
-  push(ok.serialize());
-
-  http::HttpResponse redirect;
-  redirect.status = 301;
-  redirect.reason = "Moved Permanently";
-  redirect.headers.push_back({"Location", "http://www.example.com:8080/path?q=1"});
-  push(redirect.serialize());
+  // The simulated daemons' own responses, as the one writer makes them.
+  const auto respond = [&push](const http::ResponseHead& head, std::string_view body) {
+    http::ResponseWriter out(head, body.size());
+    out.text(body);
+    const iwscan::net::Bytes bytes = std::move(out).finish();
+    push(iwscan::util::as_text(bytes));
+  };
+  respond({http::StatusCode::Ok, "Apache/2.4", false, {}},
+          "<html><body>hello</body></html>");
+  respond({http::StatusCode::MovedPermanently, "Apache", true, "www.example.com:8080"},
+          "<html><body><h1>Moved Permanently</h1></body></html>");
+  respond({http::StatusCode::NotFound, "GHost", true, {}},
+          "<html><body><p>The requested URL /xxxx was not found</p></body></html>");
 
   push("GET / HTTP/1.1\r\nHost: example.com\r\nConnection: close\r\n\r\n");
   push("GET /this-is-a-long-uri-xxxxxxxxxxxxxxxx HTTP/1.0\r\n\r\n");

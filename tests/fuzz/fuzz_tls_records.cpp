@@ -1,9 +1,11 @@
 // Structured fuzz driver for the TLS wire codecs (tls/records, tls/handshake).
 //
 // Exercises the full hostile-responder path the scanner depends on:
-// incremental record deframing (in adversarial chunk sizes), handshake
-// splitting, and the ClientHello / ServerHello / Certificate decoders —
-// with encode→decode round-trip checks on everything that parses.
+// in-place record framing (whole, and split at every point as segments
+// split it), handshake splitting, and the ClientHello / ServerHello /
+// Certificate decoders — with encode→decode round-trip checks on everything
+// that parses.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -78,44 +80,54 @@ void check_handshake_payload(std::span<const std::uint8_t> payload) {
   }
 }
 
+bool same_frame(const iwscan::tls::RecordFrame& a, const iwscan::tls::RecordFrame& b) {
+  return a.status == b.status && a.type == b.type && a.version == b.version &&
+         std::equal(a.payload.begin(), a.payload.end(), b.payload.begin(),
+                    b.payload.end());
+}
+
 void fuzz_one(std::span<const std::uint8_t> data) {
   namespace tls = iwscan::tls;
+  using Status = tls::RecordFrame::Status;
 
-  // Deframe the input as a TCP byte stream delivered in hostile chunk
-  // sizes (1, then 7, then 64, cycling — all derived deterministically).
-  static constexpr std::size_t kChunks[] = {1, 7, 64};
-  tls::RecordReader reader;
-  std::size_t pos = 0;
-  std::size_t chunk_index = 0;
-  while (pos < data.size()) {
-    const std::size_t n = std::min(kChunks[chunk_index % 3], data.size() - pos);
-    reader.feed(data.subspan(pos, n));
-    ++chunk_index;
-    pos += n;
-    while (const auto record = reader.next()) {
-      require(record->payload.size() <= tls::kMaxRecordPayload + 256,
-              "RecordReader surfaced an oversized record");
-      // Byte-exact record round trip. The reader tolerates slightly
-      // oversized records (kMax + 256); the encoder, by design, does not.
-      if (record->payload.size() <= tls::kMaxRecordPayload) {
-        iwscan::net::Bytes wire;
-        tls::encode_record(*record, wire);
-        tls::RecordReader verify;
-        verify.feed(wire);
-        const auto again = verify.next();
-        require(again && again->type == record->type &&
-                    again->version == record->version &&
-                    again->payload == record->payload,
-                "record encode/decode round trip mismatch");
-      }
+  // The first record, framed from the whole input. Cut in two anywhere (a
+  // daemon gathers the parts and frames again), the first part frames
+  // nothing yet or the same record.
+  const tls::RecordFrame first = tls::frame_record(data);
+  for (std::size_t cut = 0; cut < data.size(); ++cut) {
+    const tls::RecordFrame head = tls::frame_record(data.first(cut));
+    require(head.status == Status::NeedMore || same_frame(head, first),
+            "a split of the input frames a different record");
+  }
+  // Invalid latches: a malformed header stays malformed whatever follows.
+  if (first.status == Status::Malformed) {
+    iwscan::net::Bytes longer(data.begin(), data.end());
+    longer.resize(longer.size() + 64, 0x16);
+    require(tls::frame_record(longer).status == Status::Malformed,
+            "Malformed framing did not latch");
+  }
 
-      if (record->type == tls::ContentType::Handshake) {
-        check_handshake_payload(record->payload);
-      } else if (record->type == tls::ContentType::Alert) {
-        (void)tls::decode_alert(record->payload);
-      }
+  // Walk the stream record by record, framed in place.
+  std::span<const std::uint8_t> rest = data;
+  for (tls::RecordFrame record = first; record.status == Status::Complete;
+       record = tls::frame_record(rest)) {
+    require(record.payload.size() <= tls::kMaxRecordPayload + 256,
+            "framed an oversized record");
+    require(record.payload.data() == rest.data() + tls::kRecordHeaderBytes,
+            "record payload is not a view into the framed bytes");
+    // Byte-exact record round trip. The framer tolerates slightly
+    // oversized records (kMax + 256); the encoder, by design, does not.
+    if (record.payload.size() <= tls::kMaxRecordPayload) {
+      iwscan::net::Bytes wire;
+      tls::encode_fragmented(record.type, record.version, record.payload, wire);
+      require(same_frame(tls::frame_record(wire), record) &&
+                  wire.size() == record.size(),
+              "record encode/frame round trip mismatch");
     }
-    if (reader.malformed()) break;
+    if (record.type == tls::ContentType::Handshake) {
+      check_handshake_payload(record.payload);
+    }
+    rest = rest.subspan(record.size());
   }
 
   // Also aim the inner decoders directly at the raw input: a responder can
@@ -124,7 +136,6 @@ void fuzz_one(std::span<const std::uint8_t> data) {
   (void)tls::ClientHello::decode(data);
   (void)tls::ServerHello::decode(data);
   (void)tls::CertificateChain::decode(data);
-  (void)tls::decode_alert(data);
 }
 
 std::vector<Input> fuzz_corpus() {
@@ -169,13 +180,8 @@ std::vector<Input> fuzz_corpus() {
 
   // A fatal alert record.
   {
-    tls::Record record;
-    record.type = tls::ContentType::Alert;
-    record.payload = tls::encode_alert(tls::AlertLevel::Fatal,
-                                       tls::AlertDescription::HandshakeFailure);
-    net::Bytes wire;
-    tls::encode_record(record, wire);
-    corpus.push_back(wire);
+    const auto alert = tls::fatal_alert_record(tls::AlertDescription::HandshakeFailure);
+    corpus.emplace_back(alert.begin(), alert.end());
   }
 
   // Truncated record header (3 of 5 bytes) — must stay pending, not parse.

@@ -10,123 +10,154 @@
 namespace iwscan::http {
 namespace {
 
-// ------------------------------------------------------ RequestParser ----
+// ------------------------------------------------------ RequestReader ----
 
-TEST(RequestParser, ParsesSimpleGet) {
-  RequestParser parser;
-  const auto status = parser.feed(
+TEST(RequestReader, ParsesSimpleGet) {
+  RequestReader reader;
+  const std::string wire =
       "GET /index.html HTTP/1.1\r\nHost: example.com\r\n"
-      "Connection: close\r\n\r\n");
-  ASSERT_EQ(status, RequestParser::Status::Complete);
-  const auto& request = parser.request();
-  EXPECT_EQ(request.method, "GET");
+      "Connection: close\r\n\r\n";
+  ASSERT_EQ(reader.feed(wire), RequestStatus::Complete);
+  const RequestView& request = reader.request();
   EXPECT_EQ(request.target, "/index.html");
-  EXPECT_EQ(request.version, "HTTP/1.1");
-  EXPECT_EQ(request.header("host"), "example.com");
-  EXPECT_TRUE(request.wants_close());
+  EXPECT_EQ(request.host, "example.com");
+  EXPECT_TRUE(request.wants_close);
+  // A request that arrives whole is parsed where it lies.
+  EXPECT_EQ(request.target.data(), wire.data() + 4);
 }
 
-TEST(RequestParser, IncrementalFeeding) {
-  RequestParser parser;
-  EXPECT_EQ(parser.feed("GET / HT"), RequestParser::Status::NeedMore);
-  EXPECT_EQ(parser.feed("TP/1.1\r\nHost: h"), RequestParser::Status::NeedMore);
-  EXPECT_EQ(parser.feed("\r\n\r\n"), RequestParser::Status::Complete);
-  EXPECT_EQ(parser.request().header("Host"), "h");
+TEST(RequestReader, HeadersAreMatchedCaseInsensitivelyFirstWins) {
+  RequestReader reader;
+  ASSERT_EQ(reader.feed("GET / HTTP/1.1\r\nhOST:  a.example \r\nHost: b.example\r\n"
+                        "CONNECTION: keep-alive\r\nConnection: close\r\n\r\n"),
+            RequestStatus::Complete);
+  EXPECT_EQ(reader.request().host, "a.example");
+  EXPECT_FALSE(reader.request().wants_close);
+
+  RequestReader bare;
+  ASSERT_EQ(bare.feed("GET / HTTP/1.0\r\n\r\n"), RequestStatus::Complete);
+  EXPECT_FALSE(bare.request().host.has_value());
+  EXPECT_FALSE(bare.request().wants_close);
 }
 
-TEST(RequestParser, InvalidRequests) {
-  {
-    RequestParser parser;
-    EXPECT_EQ(parser.feed("GARBAGE\r\n\r\n"), RequestParser::Status::Invalid);
-  }
-  {
-    RequestParser parser;
-    EXPECT_EQ(parser.feed("GET /\r\n\r\n"), RequestParser::Status::Invalid);
-  }
-  {
-    RequestParser parser;
-    EXPECT_EQ(parser.feed("GET / FTP/1.0\r\n\r\n"), RequestParser::Status::Invalid);
-  }
-  {
-    RequestParser parser;
-    EXPECT_EQ(parser.feed("GET / HTTP/1.1\r\nNoColonHere\r\n\r\n"),
-              RequestParser::Status::Invalid);
+TEST(RequestReader, IncrementalFeeding) {
+  RequestReader reader;
+  EXPECT_EQ(reader.feed("GET / HT"), RequestStatus::NeedMore);
+  EXPECT_EQ(reader.feed("TP/1.1\r\nHost: h"), RequestStatus::NeedMore);
+  EXPECT_EQ(reader.feed("\r\n\r\n"), RequestStatus::Complete);
+  EXPECT_EQ(reader.request().host, "h");
+}
+
+TEST(RequestReader, InvalidRequests) {
+  for (const std::string_view wire :
+       {"GARBAGE\r\n\r\n", "GET /\r\n\r\n", "GET / FTP/1.0\r\n\r\n",
+        "GET / HTTP/1.1\r\nNoColonHere\r\n\r\n"}) {
+    RequestReader reader;
+    EXPECT_EQ(reader.feed(wire), RequestStatus::Invalid) << wire;
   }
   // The request line is three space-separated parts; method and target are
   // non-empty.
   for (const std::string_view line :
        {"GET  HTTP/1.1", " / HTTP/1.1", "GET / HTTP/1.1 extra", "GET /HTTP/1.1"}) {
-    RequestParser parser;
-    EXPECT_EQ(parser.feed(std::string(line) + "\r\n\r\n"),
-              RequestParser::Status::Invalid)
+    RequestReader reader;
+    EXPECT_EQ(reader.feed(std::string(line) + "\r\n\r\n"), RequestStatus::Invalid)
         << line;
   }
 }
 
-TEST(RequestParser, WholeAndSplitFeedsAgree) {
+TEST(RequestReader, WholeAndSplitFeedsAgree) {
   // A request arriving in one piece is parsed in place; one split across
   // feeds is gathered first. Both must yield the same request.
   const std::string wire =
-      "GET /a?b=c HTTP/1.0\r\nHost: example.com\r\n\r\nUser-Agent: x\r\n"
-      "Connection: close\r\n\r\n";
-  RequestParser whole;
-  ASSERT_EQ(whole.feed(wire), RequestParser::Status::Complete);
+      "GET /a?b=c HTTP/1.0\r\nHost: example.com\r\n\r\nConnection: close\r\n"
+      "\r\n";
+  RequestReader whole;
+  ASSERT_EQ(whole.feed(wire), RequestStatus::Complete);
+  EXPECT_EQ(whole.request().target, "/a?b=c");
+  EXPECT_FALSE(whole.request().wants_close);  // stops at the first blank line
   for (std::size_t cut = 1; cut < wire.size(); ++cut) {
-    RequestParser split;
+    RequestReader split;
     auto status = split.feed(std::string_view(wire).substr(0, cut));
-    if (status == RequestParser::Status::NeedMore) {
+    if (status == RequestStatus::NeedMore) {
       status = split.feed(std::string_view(wire).substr(cut));
     }
-    ASSERT_EQ(status, RequestParser::Status::Complete) << cut;
-    EXPECT_EQ(split.request().method, whole.request().method) << cut;
+    ASSERT_EQ(status, RequestStatus::Complete) << cut;
     EXPECT_EQ(split.request().target, whole.request().target) << cut;
-    EXPECT_EQ(split.request().version, whole.request().version) << cut;
-    ASSERT_EQ(split.request().headers.size(), whole.request().headers.size()) << cut;
-    for (std::size_t i = 0; i < whole.request().headers.size(); ++i) {
-      EXPECT_EQ(split.request().headers[i].name, whole.request().headers[i].name);
-      EXPECT_EQ(split.request().headers[i].value, whole.request().headers[i].value);
-    }
+    EXPECT_EQ(split.request().host, whole.request().host) << cut;
+    EXPECT_EQ(split.request().wants_close, whole.request().wants_close) << cut;
   }
-  EXPECT_EQ(whole.request().headers.size(), 1u);  // stops at the first blank line
 }
 
-TEST(RequestParser, HeaderFloodIsRejected) {
-  RequestParser parser;
+TEST(RequestReader, HeaderFloodIsRejected) {
+  RequestReader reader;
   std::string flood = "GET / HTTP/1.1\r\n";
   while (flood.size() < 70'000) flood += "X-Pad: aaaaaaaaaaaaaaaaaaaaaaa\r\n";
-  EXPECT_EQ(parser.feed(flood), RequestParser::Status::Invalid);
+  EXPECT_EQ(reader.feed(flood), RequestStatus::Invalid);
 }
 
-TEST(RequestParser, ResetAllowsReuse) {
-  RequestParser parser;
-  ASSERT_EQ(parser.feed("GET /a HTTP/1.1\r\n\r\n"), RequestParser::Status::Complete);
-  parser.reset();
-  ASSERT_EQ(parser.feed("GET /b HTTP/1.1\r\n\r\n"), RequestParser::Status::Complete);
-  EXPECT_EQ(parser.request().target, "/b");
+TEST(RequestReader, CompleteAndInvalidLatch) {
+  RequestReader invalid;
+  EXPECT_EQ(invalid.feed("NOT-HTTP\r\n\r\n"), RequestStatus::Invalid);
+  // A valid request on the same connection must not resurrect the reader.
+  EXPECT_EQ(invalid.feed("GET / HTTP/1.1\r\n\r\n"), RequestStatus::Invalid);
+
+  RequestReader complete;
+  ASSERT_EQ(complete.feed("GET /a HTTP/1.1\r\n\r\n"), RequestStatus::Complete);
+  EXPECT_EQ(complete.feed("GARBAGE\r\n\r\n"), RequestStatus::Complete);
+  EXPECT_EQ(complete.request().target, "/a");
 }
 
-// ------------------------------------------------------- HttpResponse ----
+// ----------------------------------------------------- ResponseWriter ----
 
-TEST(HttpResponse, SerializeComputesContentLength) {
-  HttpResponse response;
-  response.status = 404;
-  response.reason = "Not Found";
-  response.headers.push_back({"Server", "testd"});
-  response.body = "12345";
-  const std::string wire = response.serialize();
-  EXPECT_NE(wire.find("HTTP/1.1 404 Not Found\r\n"), std::string::npos);
-  EXPECT_NE(wire.find("Content-Length: 5\r\n"), std::string::npos);
-  EXPECT_TRUE(wire.ends_with("\r\n\r\n12345"));
+std::string written(const ResponseHead& head, std::string_view body) {
+  ResponseWriter out(head, body.size());
+  out.text(body);
+  const net::Bytes bytes = std::move(out).finish();
+  return std::string(bytes.begin(), bytes.end());
+}
+
+TEST(ResponseWriter, WritesHeadersInOrderAndContentLength) {
+  const std::string wire = written({StatusCode::NotFound, "testd", false, {}}, "12345");
+  EXPECT_EQ(wire,
+            "HTTP/1.1 404 Not Found\r\nServer: testd\r\nContent-Type: text/html\r\n"
+            "Content-Length: 5\r\n\r\n12345");
+  EXPECT_EQ(written({StatusCode::MovedPermanently, "Apache", true, "www.example.net"},
+                    "moved"),
+            "HTTP/1.1 301 Moved Permanently\r\nServer: Apache\r\n"
+            "Content-Type: text/html\r\nConnection: close\r\n"
+            "Location: http://www.example.net/\r\nContent-Length: 5\r\n\r\nmoved");
+}
+
+TEST(ResponseWriter, HeadSizeMatchesWrittenHead) {
+  // The head-size function is what ground truth sizes few-data pages with;
+  // it must count exactly the head the writer puts in front of each body.
+  for (const std::string_view server : {"GHost", "Apache", "Microsoft-IIS/8.5"}) {
+    for (const StatusCode status :
+         {StatusCode::Ok, StatusCode::MovedPermanently, StatusCode::NotFound}) {
+      for (const std::size_t body : {0u, 9u, 10u, 99u, 100u, 1460u, 12345u}) {
+        for (const bool close : {false, true}) {
+          const ResponseHead head{status, server, close, "www.canonical.test"};
+          ResponseWriter out(head, body);
+          out.fill(body, 'x');
+          const net::Bytes bytes = std::move(out).finish();
+          const std::string wire(bytes.begin(), bytes.end());
+          const auto parsed = parse_response_head(wire);
+          ASSERT_TRUE(parsed);
+          EXPECT_EQ(parsed->status, static_cast<int>(status));
+          EXPECT_EQ(parsed->header_bytes, wire.size() - body);
+          EXPECT_EQ(parsed->content_length(), body);
+          EXPECT_EQ(response_head_size(head, body), wire.size() - body)
+              << server << " " << static_cast<int>(status) << " " << body << " "
+              << close;
+        }
+      }
+    }
+  }
 }
 
 TEST(ParseResponseHead, RoundTrip) {
-  HttpResponse response;
-  response.status = 301;
-  response.reason = "Moved Permanently";
-  response.headers.push_back({"Location", "http://www.example.net/"});
-  response.body = "moved";
-  const std::string wire = response.serialize();
-
+  const std::string wire = written(
+      {StatusCode::MovedPermanently, "Apache", false, "www.example.net"}, "moved");
   const auto head = parse_response_head(wire);
   ASSERT_TRUE(head);
   EXPECT_EQ(head->status, 301);
@@ -190,16 +221,6 @@ TEST(ParseResponseHead, ContentLength) {
                    .has_value());
 }
 
-TEST(RequestParser, InvalidStateLatches) {
-  RequestParser parser;
-  EXPECT_EQ(parser.feed("NOT-HTTP\r\n\r\n"), RequestParser::Status::Invalid);
-  // A valid request on the same connection must not resurrect the parser…
-  EXPECT_EQ(parser.feed("GET / HTTP/1.1\r\n\r\n"), RequestParser::Status::Invalid);
-  // …until the server explicitly resets it.
-  parser.reset();
-  EXPECT_EQ(parser.feed("GET / HTTP/1.1\r\n\r\n"), RequestParser::Status::Complete);
-}
-
 TEST(ParseLocation, Variants) {
   auto parts = parse_location("http://www.example.net/path/x");
   ASSERT_TRUE(parts);
@@ -238,8 +259,11 @@ class FetchClient final : public sim::Endpoint {
   }
   ~FetchClient() override { network_.detach(self_); }
 
-  void fetch(const std::string& request) {
+  /// Sends `request` once the handshake completes: in one segment, or in
+  /// two when `split` cuts it (0 < split < size).
+  void fetch(const std::string& request, std::size_t split = 0) {
     request_ = request;
+    split_ = split;
     send(isn_, 0, net::kSyn, std::optional<std::uint16_t>(1460));
   }
 
@@ -254,8 +278,14 @@ class FetchClient final : public sim::Endpoint {
     }
     if (segment->tcp.has(net::kSyn) && segment->tcp.has(net::kAck)) {
       rcv_nxt_ = segment->tcp.seq + 1;
+      const std::size_t cut = split_ == 0 ? request_.size() : split_;
       send(isn_ + 1, rcv_nxt_, net::kAck | net::kPsh, std::nullopt,
-           net::to_bytes(request_));
+           net::to_bytes(std::string_view(request_).substr(0, cut)));
+      if (cut < request_.size()) {
+        send(isn_ + 1 + static_cast<std::uint32_t>(cut), rcv_nxt_,
+             net::kAck | net::kPsh, std::nullopt,
+             net::to_bytes(std::string_view(request_).substr(cut)));
+      }
       return;
     }
     if (!segment->payload.empty() && segment->tcp.seq == rcv_nxt_) {
@@ -298,6 +328,7 @@ class FetchClient final : public sim::Endpoint {
   std::uint32_t isn_ = 9000;
   std::uint32_t rcv_nxt_ = 0;
   std::string request_;
+  std::size_t split_ = 0;
 };
 
 struct ServerRig {
@@ -431,14 +462,23 @@ TEST(HttpServer, RequestSplitAcrossSegmentsIsParsed) {
   WebConfig web;
   web.root = RootBehavior::Page;
   web.page_size = 500;
+  {
+    // Without its blank line the request is incomplete: no answer.
+    ServerRig rig(web);
+    rig.client->fetch("GET / HTTP/1.1\r\nHost: 10.0.0.1\r\nConnection: close");
+    rig.loop.run_until(sim::msec(300));
+    EXPECT_TRUE(rig.client->body.empty()) << "no response before the blank line";
+  }
+  // The blank line in a second segment completes it.
   ServerRig rig(web);
-  // fetch() sends the whole request in one segment; emulate splitting by
-  // issuing the request without the final CRLF first, then completing it.
-  rig.client->fetch("GET / HTTP/1.1\r\nHost: 10.0.0.1\r\nConnection: close");
-  rig.loop.run_until(sim::msec(300));
-  EXPECT_TRUE(rig.client->body.empty()) << "no response before the blank line";
-  // (Completing the split request would need a stateful client; the parser
-  // path itself is covered by RequestParser.IncrementalFeeding.)
+  const std::string request = "GET / HTTP/1.1\r\nHost: 10.0.0.1\r\nConnection: close\r\n\r\n";
+  rig.client->fetch(request, request.size() - 3);
+  rig.loop.run_until(sim::sec(5));
+  const std::string response(rig.client->body.begin(), rig.client->body.end());
+  const auto head = parse_response_head(response);
+  ASSERT_TRUE(head);
+  EXPECT_EQ(response.size() - head->header_bytes, 500u);
+  EXPECT_TRUE(rig.client->fin);
 }
 
 TEST(HttpServer, ServerHeaderIsConfigurable) {
@@ -450,6 +490,160 @@ TEST(HttpServer, ServerHeaderIsConfigurable) {
   const auto head = parse_response_head(response);
   ASSERT_TRUE(head);
   EXPECT_EQ(head->header("Server"), "GHost");
+}
+
+// ------------------------------------------------- wire-byte identity ----
+
+/// FNV-1a over a response's bytes: the table below pins each response by
+/// its length and this digest.
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    hash ^= static_cast<std::uint8_t>(c);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+enum class Ask {
+  IpClose,    // Host: the server's IP, Connection: close (the prober's first)
+  IpKeep,     // Host: the server's IP, no Connection header
+  NameClose,  // Host: the canonical name, Connection: close (curated URL)
+  NameKeep,   // Host: the canonical name, no Connection header
+  LongUri,    // the prober's 1,300-character URI, IP Host, Connection: close
+  Sweep,      // the two-phase sweep's banner grab
+};
+
+std::string request_for(Ask ask) {
+  const auto get = [](std::string_view target, std::string_view host, bool close) {
+    std::string request = "GET ";
+    request += target;
+    request += " HTTP/1.1\r\nHost: ";
+    request += host;
+    request += "\r\nUser-Agent: iwscan/1.0 (+https://iw.example.net/research)"
+               "\r\nAccept: */*\r\n";
+    if (close) request += "Connection: close\r\n";
+    request += "\r\n";
+    return request;
+  };
+  switch (ask) {
+    case Ask::IpClose: return get("/", "10.0.0.1", true);
+    case Ask::IpKeep: return get("/", "10.0.0.1", false);
+    case Ask::NameClose: return get("/", "www.canonical.test", true);
+    case Ask::NameKeep: return get("/", "www.canonical.test", false);
+    case Ask::LongUri: {
+      std::string uri = "/this-is-a-tcp-initial-window-measurement-see-"
+                        "iw.example.net-for-details-";
+      uri.append(1300 - uri.size(), 'x');
+      return get(uri, "10.0.0.1", true);
+    }
+    case Ask::Sweep: return "GET / HTTP/1.0\r\n\r\n";
+  }
+  return {};
+}
+
+WebConfig wire_config(RootBehavior root, std::size_t page_size) {
+  WebConfig web;
+  web.root = root;
+  web.page_size = page_size;
+  web.canonical_name = "www.canonical.test";
+  web.server_header = "Apache";
+  web.redirected_page_size = 5000;
+  return web;
+}
+
+struct Fetched {
+  std::string bytes;
+  bool fin = false;
+};
+
+Fetched fetch_once(const WebConfig& web, const std::string& request,
+                   std::size_t split = 0) {
+  ServerRig rig(web);
+  rig.client->fetch(request, split);
+  rig.loop.run_until(rig.loop.now() + sim::sec(5));
+  return {std::string(rig.client->body.begin(), rig.client->body.end()),
+          rig.client->fin};
+}
+
+struct WireCase {
+  RootBehavior root;
+  std::size_t page_size;
+  Ask ask;
+  std::size_t length;
+  std::uint64_t digest;
+  bool fin;
+};
+
+// Captured from the daemon as it was when it still built a generic
+// response object and serialized it; the one-pass writer reproduces them.
+constexpr WireCase kWireCases[] = {
+    {RootBehavior::Page, 3000, Ask::IpClose, 3101, 0xe453acea7b4fdaa8ull, true},
+    {RootBehavior::Page, 3000, Ask::IpKeep, 3082, 0xafe73a09667be2b3ull, false},
+    {RootBehavior::Page, 3000, Ask::NameClose, 3101, 0xe453acea7b4fdaa8ull, true},
+    {RootBehavior::Page, 3000, Ask::NameKeep, 3082, 0xafe73a09667be2b3ull, false},
+    {RootBehavior::Page, 3000, Ask::LongUri, 3101, 0xe453acea7b4fdaa8ull, true},
+    {RootBehavior::Page, 3000, Ask::Sweep, 3082, 0xafe73a09667be2b3ull, false},
+    {RootBehavior::RedirectToName, 3000, Ask::IpClose, 254, 0x36fd2e6756f3679full, true},
+    {RootBehavior::RedirectToName, 3000, Ask::IpKeep, 235, 0x299212317cdd7890ull, true},
+    {RootBehavior::RedirectToName, 3000, Ask::NameClose, 5101, 0x8f1e27202208c46bull, true},
+    {RootBehavior::RedirectToName, 3000, Ask::NameKeep, 5082, 0x992d3fa9db7b2cb8ull, false},
+    {RootBehavior::RedirectToName, 3000, Ask::LongUri, 5101, 0x8f1e27202208c46bull, true},
+    {RootBehavior::RedirectToName, 3000, Ask::Sweep, 235, 0x299212317cdd7890ull, true},
+    {RootBehavior::NotFoundEcho, 3000, Ask::IpClose, 408, 0x77ebe875aedf6d3eull, true},
+    {RootBehavior::NotFoundEcho, 3000, Ask::IpKeep, 389, 0x70262f22cfc5d0ebull, false},
+    {RootBehavior::NotFoundEcho, 3000, Ask::NameClose, 408, 0x77ebe875aedf6d3eull, true},
+    {RootBehavior::NotFoundEcho, 3000, Ask::NameKeep, 389, 0x70262f22cfc5d0ebull, false},
+    {RootBehavior::NotFoundEcho, 3000, Ask::LongUri, 1708, 0xda5f6c42b4fda6a9ull, true},
+    {RootBehavior::NotFoundEcho, 3000, Ask::Sweep, 389, 0x70262f22cfc5d0ebull, false},
+    {RootBehavior::RawBanner, 3000, Ask::IpClose, 3000, 0x4d86cd5ccc2c5cafull, true},
+    {RootBehavior::RawBanner, 3000, Ask::IpKeep, 3000, 0x4d86cd5ccc2c5cafull, true},
+    {RootBehavior::RawBanner, 3000, Ask::NameClose, 3000, 0x4d86cd5ccc2c5cafull, true},
+    {RootBehavior::RawBanner, 3000, Ask::NameKeep, 3000, 0x4d86cd5ccc2c5cafull, true},
+    {RootBehavior::RawBanner, 3000, Ask::LongUri, 3000, 0x4d86cd5ccc2c5cafull, true},
+    {RootBehavior::RawBanner, 3000, Ask::Sweep, 3000, 0x4d86cd5ccc2c5cafull, true},
+    {RootBehavior::Silent, 3000, Ask::IpClose, 0, 0xcbf29ce484222325ull, false},
+    {RootBehavior::Silent, 3000, Ask::IpKeep, 0, 0xcbf29ce484222325ull, false},
+    {RootBehavior::Silent, 3000, Ask::NameClose, 0, 0xcbf29ce484222325ull, false},
+    {RootBehavior::Silent, 3000, Ask::NameKeep, 0, 0xcbf29ce484222325ull, false},
+    {RootBehavior::Silent, 3000, Ask::LongUri, 0, 0xcbf29ce484222325ull, false},
+    {RootBehavior::Silent, 3000, Ask::Sweep, 0, 0xcbf29ce484222325ull, false},
+    {RootBehavior::VirtualHosted, 3000, Ask::IpClose, 154, 0x7888b19df2222a9full, true},
+    {RootBehavior::VirtualHosted, 3000, Ask::IpKeep, 135, 0x5c6acec626bc8d76ull, false},
+    {RootBehavior::VirtualHosted, 3000, Ask::NameClose, 5101, 0x8f1e27202208c46bull, true},
+    {RootBehavior::VirtualHosted, 3000, Ask::NameKeep, 5082, 0x992d3fa9db7b2cb8ull, false},
+    {RootBehavior::VirtualHosted, 3000, Ask::LongUri, 154, 0x7888b19df2222a9full, true},
+    {RootBehavior::VirtualHosted, 3000, Ask::Sweep, 135, 0x5c6acec626bc8d76ull, false},
+    {RootBehavior::Page, 20, Ask::IpClose, 157, 0x97a3cb176b95714aull, true},
+    {RootBehavior::RawBanner, 5, Ask::IpClose, 5, 0x1300281d46781b9bull, true},
+    {RootBehavior::RawBanner, 18, Ask::IpClose, 18, 0x95fe4248c2a99fefull, true},
+};
+
+std::string describe(const WireCase& c) {
+  return "root " + std::to_string(static_cast<int>(c.root)) + " page " +
+         std::to_string(c.page_size) + " ask " + std::to_string(static_cast<int>(c.ask));
+}
+
+TEST(HttpServerWire, ResponsesMatchCapturedBytes) {
+  for (const WireCase& c : kWireCases) {
+    const Fetched got = fetch_once(wire_config(c.root, c.page_size), request_for(c.ask));
+    EXPECT_EQ(got.bytes.size(), c.length) << describe(c);
+    EXPECT_EQ(fnv1a(got.bytes), c.digest) << describe(c);
+    EXPECT_EQ(got.fin, c.fin) << describe(c);
+  }
+}
+
+TEST(HttpServerWire, EverySplitPointYieldsTheSameBytes) {
+  for (const WireCase& c : kWireCases) {
+    const WebConfig web = wire_config(c.root, c.page_size);
+    const std::string request = request_for(c.ask);
+    const Fetched whole = fetch_once(web, request);
+    for (std::size_t cut = 1; cut < request.size(); ++cut) {
+      const Fetched split = fetch_once(web, request, cut);
+      ASSERT_EQ(split.bytes, whole.bytes) << describe(c) << " cut " << cut;
+      ASSERT_EQ(split.fin, whole.fin) << describe(c) << " cut " << cut;
+    }
+  }
 }
 
 }  // namespace

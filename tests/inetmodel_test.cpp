@@ -339,27 +339,6 @@ TEST(GroundTruth, DriftIsMonotoneAndTargetsLegacyLinux) {
   EXPECT_NEAR(upgraded / double(legacy_at_zero), 0.52, 0.05);
 }
 
-TEST(GroundTruth, ResponseOverheadMatchesSerializedResponse) {
-  for (const std::string_view server : {"GHost", "Apache", "Microsoft-IIS/8.5"}) {
-    for (const int status : {200, 301, 404}) {
-      for (const std::size_t body : {0u, 9u, 10u, 99u, 100u, 1460u, 12345u}) {
-        for (const bool close : {false, true}) {
-          http::HttpResponse response;
-          response.status = status;
-          response.reason = status == 200 ? "OK" : (status == 404 ? "Not Found" : "Moved");
-          response.headers.push_back({"Server", std::string(server)});
-          response.headers.push_back({"Content-Type", "text/html"});
-          if (close) response.headers.push_back({"Connection", "close"});
-          response.body.assign(body, 'x');
-          EXPECT_EQ(http_response_overhead(server, status, body, close),
-                    response.serialize().size() - body)
-              << server << " " << status << " " << body << " " << close;
-        }
-      }
-    }
-  }
-}
-
 // ------------------------------------------------------ InternetModel ----
 
 TEST(InternetModel, LazyMaterializationAndEviction) {

@@ -60,6 +60,9 @@ const std::vector<RuleFixture>& rule_fixtures() {
       {"wire-enum-default", "bad_wire_enum_default.cpp",
        "src/tls/bad_wire_enum_default.cpp", 1, "good_wire_enum_default.cpp",
        "src/tls/good_wire_enum_default.cpp"},
+      {"wire-enum-default", "bad_wire_enum_default_http.cpp",
+       "src/httpd/bad_wire_enum_default_http.cpp", 1,
+       "good_wire_enum_default_http.cpp", "src/httpd/good_wire_enum_default_http.cpp"},
       {"header-hygiene", "bad_header_hygiene.hpp",
        "src/netbase/bad_header_hygiene.hpp", 3, "good_header_hygiene.hpp",
        "src/netbase/good_header_hygiene.hpp"},

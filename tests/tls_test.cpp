@@ -19,127 +19,107 @@ namespace {
 
 // ------------------------------------------------------------ records ----
 
-TEST(Records, RoundTrip) {
-  Record record;
-  record.type = ContentType::Handshake;
-  record.version = kTls12;
-  record.payload = {1, 2, 3, 4, 5};
+/// A payload framed as one record by the reference fragmenter.
+net::Bytes one_record(ContentType type, const net::Bytes& payload) {
   net::Bytes wire;
-  encode_record(record, wire);
-  ASSERT_EQ(wire.size(), 10u);
-
-  RecordReader reader;
-  reader.feed(wire);
-  const auto out = reader.next();
-  ASSERT_TRUE(out);
-  EXPECT_EQ(out->type, ContentType::Handshake);
-  EXPECT_EQ(out->version, kTls12);
-  EXPECT_EQ(out->payload, record.payload);
-  EXPECT_FALSE(reader.next().has_value());
+  encode_fragmented(type, kTls12, payload, wire);
+  return wire;
 }
 
-TEST(Records, IncrementalDeframing) {
-  Record record;
-  record.payload.assign(100, 0xaa);
-  net::Bytes wire;
-  encode_record(record, wire);
+TEST(Records, FramesInPlace) {
+  const net::Bytes wire = one_record(ContentType::Handshake, {1, 2, 3, 4, 5});
+  ASSERT_EQ(wire.size(), 10u);
+  const RecordFrame record = frame_record(wire);
+  ASSERT_EQ(record.status, RecordFrame::Status::Complete);
+  EXPECT_EQ(record.type, ContentType::Handshake);
+  EXPECT_EQ(record.version, kTls12);
+  EXPECT_EQ(net::Bytes(record.payload.begin(), record.payload.end()),
+            (net::Bytes{1, 2, 3, 4, 5}));
+  EXPECT_EQ(record.payload.data(), wire.data() + kRecordHeaderBytes);
+  EXPECT_EQ(record.size(), wire.size());
+}
 
-  RecordReader reader;
-  // Feed byte by byte; a record must only appear once complete.
-  for (std::size_t i = 0; i < wire.size(); ++i) {
-    EXPECT_FALSE(reader.next().has_value());
-    reader.feed(std::span(&wire[i], 1));
+TEST(Records, IncompleteRecordNeedsMore) {
+  // Every strict prefix — 1–4 header bytes included — neither frames nor
+  // trips Malformed; the record frames once its last byte is there.
+  const net::Bytes wire = one_record(ContentType::Handshake, net::Bytes(100, 0xaa));
+  for (std::size_t cut = 0; cut < wire.size(); ++cut) {
+    EXPECT_EQ(frame_record(std::span<const std::uint8_t>(wire).first(cut)).status,
+              RecordFrame::Status::NeedMore)
+        << "cut at " << cut;
   }
-  EXPECT_TRUE(reader.next().has_value());
+  EXPECT_EQ(frame_record(wire).status, RecordFrame::Status::Complete);
 }
 
 TEST(Records, MultipleRecordsInOneBuffer) {
   net::Bytes wire;
-  for (int i = 0; i < 3; ++i) {
-    Record record;
-    record.type = ContentType::Alert;
-    record.payload = {static_cast<std::uint8_t>(i)};
-    encode_record(record, wire);
-  }
-  RecordReader reader;
-  reader.feed(wire);
   for (std::uint8_t i = 0; i < 3; ++i) {
-    const auto record = reader.next();
-    ASSERT_TRUE(record);
-    EXPECT_EQ(record->payload[0], i);
+    encode_fragmented(ContentType::Alert, kTls12, net::Bytes{i}, wire);
   }
+  std::span<const std::uint8_t> rest(wire);
+  for (std::uint8_t i = 0; i < 3; ++i) {
+    const RecordFrame record = frame_record(rest);
+    ASSERT_EQ(record.status, RecordFrame::Status::Complete);
+    EXPECT_EQ(record.payload[0], i);
+    rest = rest.subspan(record.size());
+  }
+  EXPECT_TRUE(rest.empty());
 }
 
 TEST(Records, FragmentationSplitsLargePayloads) {
   net::Bytes payload(40'000, 0x5c);
   net::Bytes wire;
   encode_fragmented(ContentType::Handshake, kTls12, payload, wire);
+  EXPECT_EQ(wire.size(), payload.size() + 3 * kRecordHeaderBytes);
 
-  RecordReader reader;
-  reader.feed(wire);
+  std::span<const std::uint8_t> rest(wire);
   std::size_t total = 0;
   int records = 0;
-  while (const auto record = reader.next()) {
-    EXPECT_LE(record->payload.size(), kMaxRecordPayload);
-    total += record->payload.size();
+  while (!rest.empty()) {
+    const RecordFrame record = frame_record(rest);
+    ASSERT_EQ(record.status, RecordFrame::Status::Complete);
+    EXPECT_LE(record.payload.size(), kMaxRecordPayload);
+    total += record.payload.size();
     ++records;
+    rest = rest.subspan(record.size());
   }
   EXPECT_EQ(total, 40'000u);
   EXPECT_EQ(records, 3);
 }
 
-TEST(Records, TruncatedHeaderStaysPending) {
-  // 1–4 header bytes must neither parse nor trip malformed(); the record
-  // completes once the remaining bytes arrive.
-  Record record;
-  record.payload = {0xaa, 0xbb};
-  net::Bytes wire;
-  encode_record(record, wire);
-  for (std::size_t cut = 1; cut < 5; ++cut) {
-    RecordReader reader;
-    reader.feed(std::span<const std::uint8_t>(wire).first(cut));
-    EXPECT_FALSE(reader.next().has_value()) << "cut at " << cut;
-    EXPECT_FALSE(reader.malformed()) << "cut at " << cut;
-    reader.feed(std::span<const std::uint8_t>(wire).subspan(cut));
-    const auto out = reader.next();
-    ASSERT_TRUE(out) << "cut at " << cut;
-    EXPECT_EQ(out->payload, record.payload);
-  }
-}
-
 TEST(Records, OversizedLengthRejected) {
-  RecordReader reader;
-  // Valid type/version but a length beyond the reader's tolerance.
-  reader.feed(net::Bytes{22, 3, 3, 0xff, 0xff});
-  EXPECT_FALSE(reader.next().has_value());
-  EXPECT_TRUE(reader.malformed());
-}
-
-TEST(Records, EncodeOversizedPayloadThrows) {
-  Record record;
-  record.payload.assign(kMaxRecordPayload + 1, 0);
-  net::Bytes wire;
-  EXPECT_THROW(encode_record(record, wire), std::length_error);
-  // encode_fragmented is the sanctioned path for large payloads.
-  encode_fragmented(ContentType::Handshake, kTls12, record.payload, wire);
-  EXPECT_EQ(wire.size(), record.payload.size() + 2 * 5);
+  // Valid type/version but a length beyond the framer's tolerance.
+  EXPECT_EQ(frame_record(net::Bytes{22, 3, 3, 0xff, 0xff}).status,
+            RecordFrame::Status::Malformed);
+  // kMaxRecordPayload + 256 is still tolerated, one byte more is not.
+  constexpr std::size_t kTolerated = kMaxRecordPayload + 256;
+  EXPECT_EQ(frame_record(net::Bytes{22, 3, 3, kTolerated >> 8, kTolerated & 0xff}).status,
+            RecordFrame::Status::NeedMore);
+  EXPECT_EQ(frame_record(net::Bytes{22, 3, 3, kTolerated >> 8, (kTolerated + 1) & 0xff})
+                .status,
+            RecordFrame::Status::Malformed);
 }
 
 TEST(Records, MalformedTypeDetected) {
-  RecordReader reader;
-  reader.feed(net::Bytes{99, 3, 3, 0, 1, 0});
-  EXPECT_FALSE(reader.next().has_value());
-  EXPECT_TRUE(reader.malformed());
+  EXPECT_EQ(frame_record(net::Bytes{99, 3, 3, 0, 1, 0}).status,
+            RecordFrame::Status::Malformed);
+  EXPECT_EQ(frame_record(net::Bytes{19, 3, 3, 0, 1, 0}).status,
+            RecordFrame::Status::Malformed);
+  EXPECT_EQ(frame_record(net::Bytes{24, 3, 3, 0, 1, 0}).status,
+            RecordFrame::Status::Malformed);
 }
 
-TEST(Records, AlertRoundTrip) {
-  const auto wire = encode_alert(AlertLevel::Fatal, AlertDescription::UnrecognizedName);
-  const auto alert = decode_alert(wire);
-  ASSERT_TRUE(alert);
-  EXPECT_EQ(alert->level, AlertLevel::Fatal);
-  EXPECT_EQ(alert->description, AlertDescription::UnrecognizedName);
-  EXPECT_FALSE(decode_alert(net::Bytes{1}).has_value());
-  EXPECT_FALSE(decode_alert(net::Bytes{1, 2, 3}).has_value());
+TEST(Records, FatalAlertRecordBytes) {
+  static constexpr auto kUnrecognizedName =
+      fatal_alert_record(AlertDescription::UnrecognizedName);
+  EXPECT_EQ(net::Bytes(kUnrecognizedName.begin(), kUnrecognizedName.end()),
+            (net::Bytes{0x15, 0x03, 0x03, 0x00, 0x02, 0x02, 112}));
+  const auto failure = fatal_alert_record(AlertDescription::HandshakeFailure);
+  EXPECT_EQ(net::Bytes(failure.begin(), failure.end()),
+            (net::Bytes{0x15, 0x03, 0x03, 0x00, 0x02, 0x02, 0x28}));
+  // The same bytes the reference fragmenter frames the two-byte body in.
+  EXPECT_EQ(net::Bytes(failure.begin(), failure.end()),
+            one_record(ContentType::Alert, net::Bytes{2, 40}));
 }
 
 // ---------------------------------------------------------- handshake ----
@@ -427,9 +407,10 @@ struct TlsRig {
     client = std::make_unique<Client>(network, client_ip, server_ip);
   }
 
-  /// Like run(), but the ClientHello is delivered in two TCP segments —
-  /// the record reassembly path a real fragmented handshake exercises.
-  net::Bytes run_split(bool with_sni) {
+  /// Like run(), but the ClientHello is delivered in two TCP segments, cut
+  /// at `cut` (its middle by default) — the record reassembly path a real
+  /// fragmented handshake exercises.
+  net::Bytes run_split(bool with_sni, std::size_t cut = 0) {
     ClientHello hello;
     const auto probe = probe_cipher_list();
     hello.cipher_suites.assign(probe.begin(), probe.end());
@@ -438,11 +419,11 @@ struct TlsRig {
     net::Bytes wire;
     encode_fragmented(ContentType::Handshake, kTls10, framed, wire);
 
-    // First half rides on the handshake ACK; the rest follows.
-    const std::size_t half = wire.size() / 2;
-    client->split_tail.assign(wire.begin() + static_cast<std::ptrdiff_t>(half),
+    // The first part rides on the handshake ACK; the rest follows.
+    if (cut == 0) cut = wire.size() / 2;
+    client->split_tail.assign(wire.begin() + static_cast<std::ptrdiff_t>(cut),
                               wire.end());
-    wire.resize(half);
+    wire.resize(cut);
     client->start(wire);
     loop.run_until(loop.now() + sim::sec(5));
     return client->stream;
@@ -464,11 +445,20 @@ struct TlsRig {
   }
 };
 
-std::vector<Record> parse_stream(const net::Bytes& stream) {
-  RecordReader reader;
-  reader.feed(stream);
-  std::vector<Record> records;
-  while (auto record = reader.next()) records.push_back(std::move(*record));
+struct StreamRecord {
+  ContentType type;
+  net::Bytes payload;
+};
+
+/// The records of a server's byte stream, up to the first one incomplete.
+std::vector<StreamRecord> parse_stream(const net::Bytes& stream) {
+  std::vector<StreamRecord> records;
+  std::span<const std::uint8_t> rest(stream);
+  for (RecordFrame record = frame_record(rest);
+       record.status == RecordFrame::Status::Complete; record = frame_record(rest)) {
+    records.push_back({record.type, net::Bytes(record.payload.begin(), record.payload.end())});
+    rest = rest.subspan(record.size());
+  }
   return records;
 }
 
@@ -519,6 +509,25 @@ TEST(TlsServer, ClientHelloSplitAcrossSegmentsIsReassembled) {
   const auto messages = split_handshakes(payload);
   ASSERT_TRUE(messages);
   EXPECT_EQ(messages->front().type, HandshakeType::ServerHello);
+}
+
+TEST(TlsServer, EverySplitOfTheClientHelloYieldsTheSameFlight) {
+  // The hello run_split sends, whole: one segment, framed in place.
+  TlsConfig config;
+  config.chain_bytes = 2000;
+  ClientHello hello;
+  const auto probe = probe_cipher_list();
+  hello.cipher_suites.assign(probe.begin(), probe.end());
+  hello.server_name = "www.example.net";
+  const std::size_t wire_bytes =
+      kRecordHeaderBytes + kHandshakeHeaderBytes + hello.encode().size();
+  TlsRig whole_rig(config);
+  const net::Bytes whole = whole_rig.run_split(true, wire_bytes);
+  ASSERT_FALSE(whole.empty());
+  for (std::size_t cut = 1; cut < wire_bytes; ++cut) {
+    TlsRig rig(config);
+    ASSERT_EQ(rig.run_split(true, cut), whole) << "cut at " << cut;
+  }
 }
 
 TEST(TlsServer, OcspStaplingAddsCertificateStatus) {
@@ -660,9 +669,8 @@ TEST(TlsServer, SniAlertPolicy) {
   const auto records = parse_stream(stream);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].type, ContentType::Alert);
-  const auto alert = decode_alert(records[0].payload);
-  ASSERT_TRUE(alert);
-  EXPECT_EQ(alert->description, AlertDescription::UnrecognizedName);
+  const auto alert = fatal_alert_record(AlertDescription::UnrecognizedName);
+  EXPECT_EQ(stream, net::Bytes(alert.begin(), alert.end()));
   EXPECT_TRUE(rig.client->fin);
 }
 
@@ -692,9 +700,8 @@ TEST(TlsServer, NoCommonCipherYieldsHandshakeFailure) {
   const auto stream = rig.run(true, /*exotic_client=*/true);
   const auto records = parse_stream(stream);
   ASSERT_EQ(records.size(), 1u);
-  const auto alert = decode_alert(records[0].payload);
-  ASSERT_TRUE(alert);
-  EXPECT_EQ(alert->description, AlertDescription::HandshakeFailure);
+  const auto alert = fatal_alert_record(AlertDescription::HandshakeFailure);
+  EXPECT_EQ(stream, net::Bytes(alert.begin(), alert.end()));
 }
 
 }  // namespace

@@ -67,15 +67,15 @@ const ModuleSpec* find_module(std::string_view dir) {
 // Wire enums whose switches must stay default-free so a newly registered
 // value is a compile-time (-Wswitch) event, not a silent fall-through.
 // Matched against qualified case labels (`tls::HandshakeType::ClientHello`
-// contains "HandshakeType"; `RequestParser::Status::Complete` contains
-// "RequestParser").
+// contains "HandshakeType"; `http::RequestStatus::Complete` contains
+// "RequestStatus").
 constexpr std::array<std::string_view, 6> kWireEnums = {
     "ContentType",      // TLS record types (tls/records.hpp)
     "HandshakeType",    // TLS handshake types (tls/handshake.hpp)
     "AlertLevel",       // TLS alerts (tls/records.hpp)
     "AlertDescription", // TLS alerts (tls/records.hpp)
     "IcmpType",         // ICMP message types (netbase/headers.hpp)
-    "RequestParser",    // HTTP parser states (httpd/http_message.hpp)
+    "RequestStatus",    // HTTP request framing states (httpd/http_message.hpp)
 };
 
 // TCP option kinds are plain constants, not an enum class; a switch whose

@@ -11,6 +11,8 @@
 // baseline in BENCH_datapath.json.
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include <memory>
 #include <string>
 #include <string_view>
@@ -100,11 +102,13 @@ BENCHMARK(BM_PermutationNext)->Arg(1 << 16)->Arg(1 << 24)->Arg(1u << 31);
 
 void BM_ClientHelloEncode(benchmark::State& state) {
   // The probe's ClientHello record, as TlsStrategy::request() writes it.
-  tls::ClientHello hello;
-  const auto list = tls::probe_cipher_list();
-  hello.cipher_suites.assign(list.begin(), list.end());
-  hello.ocsp_stapling = true;
-  const tls::ClientHelloFields fields = hello.fields();
+  static constexpr std::uint8_t kNullCompression[] = {0};
+  const std::array<std::uint8_t, 32> random{};
+  tls::ClientHelloFields fields;
+  fields.random = random;
+  fields.cipher_suites = tls::probe_cipher_list();
+  fields.compression_methods = kNullCompression;
+  fields.ocsp_stapling = true;
   for (auto _ : state) {
     benchmark::DoNotOptimize(tls::encode_client_hello_record(fields, tls::kTls10));
   }

@@ -1,6 +1,5 @@
 #include "httpd/http_message.hpp"
 
-#include <algorithm>
 #include <charconv>
 
 #include "util/bytes.hpp"
@@ -174,27 +173,23 @@ std::optional<ParsedResponseHead> parse_response_head(std::string_view data) {
 
   ParsedResponseHead parsed;
   parsed.status = status;
-  if (sp2 != std::string_view::npos) {
-    parsed.reason = std::string(status_line.substr(sp2 + 1));
-  }
+  if (sp2 != std::string_view::npos) parsed.reason = status_line.substr(sp2 + 1);
   parsed.header_bytes = end + 4;
   if (line_end != std::string_view::npos) {
-    const std::string_view block = head.substr(line_end + 2);
-    parsed.headers.reserve(
-        static_cast<std::size_t>(std::count(block.begin(), block.end(), '\n') + 1));
-    const auto on_header = [&parsed](std::string_view name, std::string_view value) {
-      parsed.headers.push_back(Header{std::string(name), std::string(value)});
-    };
-    if (!walk_header_block(block, on_header)) return std::nullopt;
+    parsed.header_block = head.substr(line_end + 2);
+    if (!walk_header_block(parsed.header_block, [](std::string_view, std::string_view) {})) {
+      return std::nullopt;
+    }
   }
   return parsed;
 }
 
 std::optional<std::string_view> ParsedResponseHead::header(std::string_view name) const {
-  for (const auto& header : headers) {
-    if (util::iequals(header.name, name)) return header.value;
-  }
-  return std::nullopt;
+  std::optional<std::string_view> found;
+  walk_header_block(header_block, [&](std::string_view key, std::string_view value) {
+    if (!found && util::iequals(key, name)) found = value;
+  });
+  return found;
 }
 
 std::optional<std::uint64_t> ParsedResponseHead::content_length() const {

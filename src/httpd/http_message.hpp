@@ -8,16 +8,10 @@
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "netbase/wire.hpp"
 
 namespace iwscan::http {
-
-struct Header {
-  std::string name;
-  std::string value;
-};
 
 /// What a simulated server reads of a request, as views into the bytes it
 /// was parsed from.
@@ -83,14 +77,16 @@ class ResponseWriter {
   std::size_t size_;
 };
 
-/// Parse a serialized response's status line and headers (body follows per
-/// Content-Length). Used by the scanner to interpret probe answers.
+/// A response's status line and headers (body follows per Content-Length),
+/// as the scanner reads probe answers: views into the bytes it was parsed
+/// from, valid while they are.
 struct ParsedResponseHead {
   int status = 0;
-  std::string reason;
-  std::vector<Header> headers;
-  std::size_t header_bytes = 0;  // offset where the body starts
+  std::string_view reason;
+  std::string_view header_block;  // the header lines, validated by the parse
+  std::size_t header_bytes = 0;   // offset where the body starts
 
+  /// The first header named `name` (compared case-insensitively), trimmed.
   [[nodiscard]] std::optional<std::string_view> header(std::string_view name) const;
 
   /// Content-Length as an integer. nullopt when the header is absent,

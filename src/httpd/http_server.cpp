@@ -1,6 +1,7 @@
 #include "httpd/http_server.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "netbase/ipv4.hpp"
 #include "tcpstack/host.hpp"
@@ -81,10 +82,10 @@ net::Bytes raw_banner(std::size_t size) {
 void HttpServerApp::on_data(tcp::TcpConnection& conn,
                             std::span<const std::uint8_t> data) {
   // One response per connection; peers send Connection: close.
-  if (responded_ || config_->root == RootBehavior::Silent) return;
-  if (config_->root == RootBehavior::RawBanner) {
+  if (responded_ || config_.root == RootBehavior::Silent) return;
+  if (config_.root == RootBehavior::RawBanner) {
     responded_ = true;
-    conn.send(raw_banner(config_->page_size));
+    conn.send(raw_banner(config_.page_size));
     conn.close();
     return;
   }
@@ -103,7 +104,7 @@ void HttpServerApp::on_data(tcp::TcpConnection& conn,
 }
 
 void HttpServerApp::respond(tcp::TcpConnection& conn, const RequestView& request) {
-  const WebConfig& web = *config_;
+  const WebConfig& web = config_;
   const bool named_vhost = request.host && util::iequals(*request.host, web.canonical_name);
   // Per-vhost IW: a request naming the canonical vhost is served from the
   // vhost's (larger) first-flight config. Must precede the first response
@@ -158,9 +159,8 @@ void HttpServerApp::respond(tcp::TcpConnection& conn, const RequestView& request
 }
 
 tcp::TcpHost::AppFactory HttpServerApp::factory(WebConfig config) {
-  return [shared = std::make_shared<const WebConfig>(std::move(config))](
-             net::IPv4Address, std::uint16_t) {
-    return std::make_unique<HttpServerApp>(shared);
+  return [config = std::move(config)](net::IPv4Address, std::uint16_t) {
+    return std::make_unique<HttpServerApp>(config);
   };
 }
 

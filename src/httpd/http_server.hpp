@@ -10,9 +10,9 @@
 //     a response ends before the IW is exhausted.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "httpd/http_message.hpp"
 #include "tcpstack/connection.hpp"
@@ -34,7 +34,7 @@ struct WebConfig {
   RootBehavior root = RootBehavior::Page;
   std::size_t page_size = 4096;        // body bytes of the canonical page
   std::string canonical_name;          // e.g. "www.example-a1b2.net"
-  std::string server_header = "Apache";
+  std::string_view server_header = "Apache";  // a string literal
   // When redirecting: body size of the page reached via the redirect.
   std::size_t redirected_page_size = 8192;
   // Per-vhost IW split (CDN edges): requests whose Host header names the
@@ -47,20 +47,18 @@ struct WebConfig {
 /// Per-connection HTTP application. Create via factory() for TcpHost.
 class HttpServerApp final : public tcp::Application {
  public:
-  /// `config` is the listener's, shared read-only by all its connections.
-  explicit HttpServerApp(std::shared_ptr<const WebConfig> config)
-      : config_(std::move(config)) {}
+  explicit HttpServerApp(WebConfig config) : config_(std::move(config)) {}
 
   void on_data(tcp::TcpConnection& conn, std::span<const std::uint8_t> data) override;
 
-  /// TcpHost-compatible factory: every connection it creates shares one
-  /// immutable copy of `config`.
+  /// TcpHost-compatible factory: every connection it creates gets its own
+  /// copy of `config`.
   [[nodiscard]] static tcp::TcpHost::AppFactory factory(WebConfig config);
 
  private:
   void respond(tcp::TcpConnection& conn, const RequestView& request);
 
-  std::shared_ptr<const WebConfig> config_;
+  WebConfig config_;
   RequestReader reader_;
   bool responded_ = false;
 };

@@ -102,8 +102,7 @@ std::unique_ptr<tcp::TcpHost> InternetModel::build_host(net::IPv4Address ip,
 std::unique_ptr<tcp::Application> InternetModel::http_app(net::IPv4Address ip) const {
   GroundTruth gt = truth(ip);
   if (gt.http_category == HttpCategory::Abort) return std::make_unique<AbortApp>();
-  return std::make_unique<http::HttpServerApp>(
-      std::make_shared<const http::WebConfig>(web_config(ip, std::move(gt))));
+  return std::make_unique<http::HttpServerApp>(web_config(ip, std::move(gt)));
 }
 
 std::unique_ptr<tcp::Application> InternetModel::tls_app(net::IPv4Address ip) const {

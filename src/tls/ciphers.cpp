@@ -1,8 +1,6 @@
 #include "tls/ciphers.hpp"
 
-#include <algorithm>
 #include <array>
-#include <cstdio>
 
 namespace iwscan::tls {
 namespace {
@@ -53,40 +51,9 @@ constexpr std::array<CipherSuite, 40> kProbeList = {
     0x0066,  // TLS_DHE_DSS_WITH_RC4_128_SHA             (censys extra)
 };
 
-struct NamedSuite {
-  CipherSuite id;
-  const char* name;
-};
-
-constexpr std::array<NamedSuite, 14> kNames = {{
-    {0xC02C, "TLS_ECDHE_ECDSA_WITH_AES_256_GCM_SHA384"},
-    {0xC02B, "TLS_ECDHE_ECDSA_WITH_AES_128_GCM_SHA256"},
-    {0xC030, "TLS_ECDHE_RSA_WITH_AES_256_GCM_SHA384"},
-    {0xC02F, "TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256"},
-    {0xCCA9, "TLS_ECDHE_ECDSA_WITH_CHACHA20_POLY1305_SHA256"},
-    {0xCCA8, "TLS_ECDHE_RSA_WITH_CHACHA20_POLY1305_SHA256"},
-    {0xC014, "TLS_ECDHE_RSA_WITH_AES_256_CBC_SHA"},
-    {0xC013, "TLS_ECDHE_RSA_WITH_AES_128_CBC_SHA"},
-    {0x009C, "TLS_RSA_WITH_AES_128_GCM_SHA256"},
-    {0x009D, "TLS_RSA_WITH_AES_256_GCM_SHA384"},
-    {0x0035, "TLS_RSA_WITH_AES_256_CBC_SHA"},
-    {0x002F, "TLS_RSA_WITH_AES_128_CBC_SHA"},
-    {0x000A, "TLS_RSA_WITH_3DES_EDE_CBC_SHA"},
-    {0x0005, "TLS_RSA_WITH_RC4_128_SHA"},
-}};
-
 }  // namespace
 
 std::span<const CipherSuite> probe_cipher_list() noexcept { return kProbeList; }
-
-std::string cipher_name(CipherSuite suite) {
-  for (const auto& named : kNames) {
-    if (named.id == suite) return named.name;
-  }
-  char buf[8];
-  std::snprintf(buf, sizeof(buf), "0x%04X", suite);
-  return buf;
-}
 
 std::span<const CipherSuite> cipher_set(CipherProfile profile) noexcept {
   static constexpr CipherSuite kModern[] = {0xC02C, 0xC02B, 0xC030,
@@ -107,16 +74,6 @@ std::span<const CipherSuite> cipher_set(CipherProfile profile) noexcept {
     case CipherProfile::Exotic: return kExotic;
   }
   return {};
-}
-
-CipherSuite negotiate(std::span<const CipherSuite> client_offer,
-                      std::span<const CipherSuite> server_set) noexcept {
-  for (const CipherSuite offered : client_offer) {
-    if (std::find(server_set.begin(), server_set.end(), offered) != server_set.end()) {
-      return offered;
-    }
-  }
-  return 0;
 }
 
 }  // namespace iwscan::tls

@@ -6,9 +6,9 @@
 // wire is a faithful byte-level artifact.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
-#include <string>
 
 namespace iwscan::tls {
 
@@ -16,10 +16,6 @@ using CipherSuite = std::uint16_t;
 
 /// The 40-suite probe list (browser union + censys extras), strongest first.
 [[nodiscard]] std::span<const CipherSuite> probe_cipher_list() noexcept;
-
-/// Human-readable suite name ("TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256"),
-/// or "0xXXXX" if unregistered.
-[[nodiscard]] std::string cipher_name(CipherSuite suite);
 
 /// Typical server-side support sets, used to populate host profiles.
 enum class CipherProfile {
@@ -32,8 +28,16 @@ enum class CipherProfile {
 /// The profile's suites: a static table, so a config can refer to it.
 [[nodiscard]] std::span<const CipherSuite> cipher_set(CipherProfile profile) noexcept;
 
-/// First probe-list suite supported by the server, or 0 if none.
-[[nodiscard]] CipherSuite negotiate(std::span<const CipherSuite> client_offer,
-                                    std::span<const CipherSuite> server_set) noexcept;
+/// The first suite of `client_offer` the server supports, or 0 if none. The
+/// offer is any range of suites in the client's order: the probe list, or a
+/// ClientHello's suites read where they lie (tls::OfferedSuites).
+template <class Offer>
+[[nodiscard]] CipherSuite negotiate(const Offer& client_offer,
+                                    std::span<const CipherSuite> server_set) noexcept {
+  for (const CipherSuite offered : client_offer) {
+    if (std::ranges::find(server_set, offered) != server_set.end()) return offered;
+  }
+  return 0;
+}
 
 }  // namespace iwscan::tls

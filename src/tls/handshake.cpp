@@ -39,10 +39,8 @@ std::size_t client_hello_body_size(const ClientHelloFields& hello) noexcept {
          client_hello_extensions_size(hello);
 }
 
-/// The one ClientHello body layout, written into a growing buffer
-/// (net::WireWriter) or in place into records (FragmentWriter).
-template <class Writer>
-void write_client_hello_body(const ClientHelloFields& hello, Writer& out) {
+/// The ClientHello body layout, written in place into records.
+void write_client_hello_body(const ClientHelloFields& hello, FragmentWriter& out) {
   out.u16(hello.version);
   out.raw(hello.random);
   out.u8(static_cast<std::uint8_t>(hello.session_id.size()));
@@ -95,31 +93,6 @@ net::Bytes encode_handshake(HandshakeType type, std::span<const std::uint8_t> bo
   return out;
 }
 
-std::optional<std::vector<HandshakeMessage>> split_handshakes(
-    std::span<const std::uint8_t> payload) {
-  // Validate the framing and count the messages first, so the vector is
-  // sized once.
-  std::size_t count = 0;
-  for (net::WireReader reader(payload); reader.remaining() > 0; ++count) {
-    if (reader.remaining() < kHandshakeHeaderBytes) return std::nullopt;
-    reader.u8();
-    const std::uint32_t length = reader.u24();
-    if (length > reader.remaining()) return std::nullopt;
-    reader.skip(length);
-  }
-  std::vector<HandshakeMessage> messages;
-  // iwlint: allow(hot-path) -- per-conversation handshake decode, sized once;
-  // covered by alloc_budget_test's TLS budget
-  messages.reserve(count);
-  net::WireReader reader(payload);
-  while (reader.remaining() > 0) {
-    const auto type = static_cast<HandshakeType>(reader.u8());
-    const auto body = reader.raw(reader.u24());
-    messages.push_back(HandshakeMessage{type, body});
-  }
-  return messages;
-}
-
 net::Bytes encode_client_hello_record(const ClientHelloFields& hello,
                                       std::uint16_t record_version) {
   const std::size_t body = client_hello_body_size(hello);
@@ -132,52 +105,15 @@ net::Bytes encode_client_hello_record(const ClientHelloFields& hello,
   return wire;
 }
 
-ClientHelloFields ClientHello::fields() const noexcept {
-  ClientHelloFields out;
-  out.version = version;
-  out.random = random;
-  out.session_id = session_id;
-  out.cipher_suites = cipher_suites;
-  out.compression_methods = compression_methods;
-  if (server_name) out.server_name = *server_name;
-  out.ocsp_stapling = ocsp_stapling;
-  return out;
-}
-
-net::Bytes ClientHello::encode() const {
-  net::Bytes out;
-  net::WireWriter writer(out);
-  write_client_hello_body(fields(), writer);
-  return out;
-}
-
-std::optional<ClientHello> ClientHello::decode(std::span<const std::uint8_t> body) {
+std::optional<ClientHelloView> decode_client_hello(std::span<const std::uint8_t> body) {
   net::WireReader reader(body);
-  ClientHello hello;
-  hello.version = reader.u16();
-  const auto random = reader.raw(32);
-  if (!reader.ok()) return std::nullopt;
-  std::copy(random.begin(), random.end(), hello.random.begin());
-
-  const std::uint8_t session_len = reader.u8();
-  const auto session = reader.raw(session_len);
-  // iwlint: allow(hot-path) -- per-conversation handshake decode, sized
-  // once; covered by alloc_budget_test's TLS budget
-  hello.session_id.assign(session.begin(), session.end());
-
-  const std::uint16_t cipher_bytes = reader.u16();
-  if (cipher_bytes % 2 != 0) return std::nullopt;
-  if (cipher_bytes > reader.remaining()) return std::nullopt;
-  // iwlint: allow(hot-path) -- per-conversation handshake decode, sized
-  // once; covered by alloc_budget_test's TLS budget
-  hello.cipher_suites.resize(cipher_bytes / 2u);
-  for (CipherSuite& suite : hello.cipher_suites) suite = reader.u16();
-
-  const std::uint8_t compression_len = reader.u8();
-  const auto compressions = reader.raw(compression_len);
-  // iwlint: allow(hot-path) -- per-conversation handshake decode, sized
-  // once; covered by alloc_budget_test's TLS budget
-  hello.compression_methods.assign(compressions.begin(), compressions.end());
+  reader.skip(2 + 32);       // version, random
+  reader.skip(reader.u8());  // session id
+  const std::uint16_t suite_bytes = reader.u16();
+  if (suite_bytes % 2 != 0) return std::nullopt;
+  ClientHelloView hello;
+  hello.cipher_suites = OfferedSuites(reader.raw(suite_bytes));
+  reader.skip(reader.u8());  // compression methods
   if (!reader.ok()) return std::nullopt;
 
   if (reader.remaining() >= 2) {
@@ -192,17 +128,13 @@ std::optional<ClientHello> ClientHello::decode(std::span<const std::uint8_t> bod
       if (type == kExtServerName && length >= 5) {
         data.u16();  // list length
         const std::uint8_t name_type = data.u8();
-        const std::uint16_t name_len = data.u16();
-        const auto name = data.raw(name_len);
-        if (data.ok() && name_type == 0) {
-          hello.server_name = std::string(name.begin(), name.end());
-        }
+        const auto name = data.raw(data.u16());
+        if (data.ok() && name_type == 0) hello.server_name = util::as_text(name);
       } else if (type == kExtStatusRequest) {
         hello.ocsp_stapling = true;
       }
     }
   }
-  if (!reader.ok()) return std::nullopt;
   return hello;
 }
 

@@ -4,9 +4,10 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <optional>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -38,18 +39,31 @@ inline constexpr std::uint16_t kExtPadding = 0x0015;
 [[nodiscard]] net::Bytes encode_handshake(HandshakeType type,
                                           std::span<const std::uint8_t> body);
 
-/// Iterate handshake messages inside concatenated handshake payload bytes.
-/// Each body is borrowed: a view into the payload it was split from, valid
-/// while that payload is.
+/// One handshake message of a handshake payload. The body is borrowed: a
+/// view into the payload it was walked from, valid while that payload is.
 struct HandshakeMessage {
   HandshakeType type;
   std::span<const std::uint8_t> body;
 };
-[[nodiscard]] std::optional<std::vector<HandshakeMessage>> split_handshakes(
-    std::span<const std::uint8_t> payload);
 
-/// A ClientHello's fields, borrowed: what both ClientHello::encode and
-/// encode_client_hello_record write from.
+/// Walks concatenated handshake messages where they lie, calling
+/// visit(HandshakeMessage) for each in order. Returns false when a message
+/// header or body runs past the payload — after visiting the messages
+/// before it, so a caller acts on what it saw only once the walk returns
+/// true.
+template <class Visit>
+[[nodiscard]] bool walk_handshakes(std::span<const std::uint8_t> payload, Visit&& visit) {
+  net::WireReader reader(payload);
+  while (reader.remaining() > 0) {
+    if (reader.remaining() < kHandshakeHeaderBytes) return false;
+    const auto type = static_cast<HandshakeType>(reader.u8());
+    const std::uint32_t length = reader.u24();
+    if (length > reader.remaining()) return false;
+    visit(HandshakeMessage{type, reader.raw(length)});
+  }
+  return true;
+}
+
 struct ClientHelloFields {
   std::uint16_t version = kTls12;
   std::span<const std::uint8_t> random;  // 32 bytes
@@ -67,21 +81,64 @@ struct ClientHelloFields {
 [[nodiscard]] net::Bytes encode_client_hello_record(const ClientHelloFields& hello,
                                                     std::uint16_t record_version);
 
-struct ClientHello {
-  std::uint16_t version = kTls12;
-  std::array<std::uint8_t, 32> random{};
-  net::Bytes session_id;
-  std::vector<CipherSuite> cipher_suites;
-  std::vector<std::uint8_t> compression_methods{0};
-  std::optional<std::string> server_name;  // SNI
-  bool ocsp_stapling = false;              // status_request extension
+/// The cipher suites a ClientHello offers, read where they lie on the wire
+/// (big-endian pairs, in the client's order) and copied nowhere.
+class OfferedSuites {
+ public:
+  class Iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = CipherSuite;
+    using difference_type = std::ptrdiff_t;
 
-  [[nodiscard]] ClientHelloFields fields() const noexcept;
-  /// Body bytes (without the handshake frame).
-  [[nodiscard]] net::Bytes encode() const;
-  [[nodiscard]] static std::optional<ClientHello> decode(
-      std::span<const std::uint8_t> body);
+    Iterator() = default;
+    explicit Iterator(const std::uint8_t* at) noexcept : at_(at) {}
+    CipherSuite operator*() const noexcept {
+      return static_cast<CipherSuite>((at_[0] << 8) | at_[1]);
+    }
+    Iterator& operator++() noexcept {
+      at_ += 2;
+      return *this;
+    }
+    Iterator operator++(int) noexcept {
+      const Iterator was = *this;
+      ++*this;
+      return was;
+    }
+    bool operator==(const Iterator&) const noexcept = default;
+
+   private:
+    const std::uint8_t* at_ = nullptr;
+  };
+
+  OfferedSuites() = default;
+  /// `wire` holds an even number of bytes.
+  explicit OfferedSuites(std::span<const std::uint8_t> wire) noexcept : wire_(wire) {}
+
+  [[nodiscard]] Iterator begin() const noexcept { return Iterator(wire_.data()); }
+  [[nodiscard]] Iterator end() const noexcept {
+    return Iterator(wire_.data() + wire_.size());
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return wire_.size() / 2; }
+  [[nodiscard]] std::span<const std::uint8_t> wire() const noexcept { return wire_; }
+
+ private:
+  std::span<const std::uint8_t> wire_;
 };
+
+/// What a TLS daemon reads of a ClientHello, as views into the body it was
+/// decoded from.
+struct ClientHelloView {
+  std::optional<std::string_view> server_name;  // the last well-formed SNI
+  OfferedSuites cipher_suites;
+  bool ocsp_stapling = false;  // a status_request extension is present
+};
+
+/// Decodes a ClientHello body (without the handshake frame). Rejects a body
+/// whose fixed fields, suite list (an even byte count) or extension block
+/// run short; unknown extensions and trailing bytes are skipped.
+[[nodiscard]] std::optional<ClientHelloView> decode_client_hello(
+    std::span<const std::uint8_t> body);
 
 struct ServerHello {
   std::uint16_t version = kTls12;

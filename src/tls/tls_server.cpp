@@ -129,13 +129,16 @@ void TlsServerApp::answer(tcp::TcpConnection& conn, const RecordFrame& record) {
     send_alert(AlertDescription::InternalError);
     return;
   }
-  const auto messages = split_handshakes(record.payload);
-  if (!messages || messages->empty() ||
-      messages->front().type != HandshakeType::ClientHello) {
+  // The daemon reads the first message, once the whole record walks.
+  std::optional<HandshakeMessage> first;
+  const bool framed = walk_handshakes(record.payload, [&first](HandshakeMessage message) {
+    if (!first) first = message;
+  });
+  if (!framed || !first || first->type != HandshakeType::ClientHello) {
     send_alert(AlertDescription::InternalError);
     return;
   }
-  const auto hello = ClientHello::decode(messages->front().body);
+  const auto hello = decode_client_hello(first->body);
   if (!hello) {
     send_alert(AlertDescription::InternalError);
     return;
@@ -156,8 +159,7 @@ void TlsServerApp::answer(tcp::TcpConnection& conn, const RecordFrame& record) {
     }
   }
 
-  const CipherSuite chosen =
-      negotiate(hello->cipher_suites, config_.supported_ciphers);
+  const CipherSuite chosen = negotiate(hello->cipher_suites, config_.supported_ciphers);
   if (chosen == 0) {
     send_alert(AlertDescription::HandshakeFailure);
     return;

@@ -1,6 +1,5 @@
 #include "util/strings.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <cstdio>
 
@@ -27,13 +26,6 @@ std::string_view trim(std::string_view text) noexcept {
   while (!text.empty() && is_space(text.front())) text.remove_prefix(1);
   while (!text.empty() && is_space(text.back())) text.remove_suffix(1);
   return text;
-}
-
-std::string to_lower(std::string_view text) {
-  std::string out(text);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return out;
 }
 
 bool iequals(std::string_view a, std::string_view b) noexcept {

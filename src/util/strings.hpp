@@ -15,9 +15,6 @@ namespace iwscan::util {
 /// Strip leading/trailing ASCII whitespace.
 [[nodiscard]] std::string_view trim(std::string_view text) noexcept;
 
-/// ASCII lowercase copy.
-[[nodiscard]] std::string to_lower(std::string_view text);
-
 /// Case-insensitive ASCII equality.
 [[nodiscard]] bool iequals(std::string_view a, std::string_view b) noexcept;
 

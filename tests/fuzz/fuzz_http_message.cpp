@@ -2,15 +2,20 @@
 //
 // Covers both directions the scanner uses: parse_response_head on probe
 // answers (status line, headers, Content-Length, Location → redirect
-// following) and the in-place RequestReader the simulated servers run on
-// attacker-supplied request bytes.
+// following; every header lookup a view into the input, equal to a plain
+// first-match line scan) and the in-place RequestReader the simulated
+// servers run on attacker-supplied request bytes.
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <optional>
 #include <span>
+#include <string_view>
 
 #include "fuzz_harness.hpp"
 #include "httpd/http_message.hpp"
 #include "util/bytes.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -23,6 +28,36 @@ void require(bool condition, const char* what) {
   }
 }
 
+/// True iff `view` lies inside `text` (an empty view lies anywhere).
+bool lies_inside(std::string_view view, std::string_view text) {
+  return view.empty() ||
+         (std::less_equal<>{}(text.data(), view.data()) &&
+          std::less_equal<>{}(view.data() + view.size(), text.data() + text.size()));
+}
+
+/// The first header named `name` of a parsed response head, by a plain scan
+/// of the lines between the status line and the blank line: the oracle
+/// ParsedResponseHead::header must agree with.
+std::optional<std::string_view> first_header(std::string_view text, std::string_view name) {
+  namespace util = iwscan::util;
+  const std::size_t end = text.find("\r\n\r\n");
+  const std::size_t status_end = text.find("\r\n");
+  if (status_end == end) return std::nullopt;  // no header lines
+  std::string_view block = text.substr(status_end + 2, end - status_end - 2);
+  while (!block.empty()) {
+    const std::size_t newline = block.find('\n');
+    std::string_view line = block.substr(0, newline);
+    block = newline == std::string_view::npos ? std::string_view{}
+                                              : block.substr(newline + 1);
+    if (line.ends_with('\r')) line.remove_suffix(1);
+    const std::size_t colon = line.find(':');
+    if (colon != std::string_view::npos && util::iequals(util::trim(line.substr(0, colon)), name)) {
+      return util::trim(line.substr(colon + 1));
+    }
+  }
+  return std::nullopt;
+}
+
 void fuzz_one(std::span<const std::uint8_t> data) {
   const std::string_view text = iwscan::util::as_text(data);
 
@@ -33,6 +68,18 @@ void fuzz_one(std::span<const std::uint8_t> data) {
     require(head->status >= 100 && head->status <= 999,
             "status outside the three-digit range accepted");
     (void)head->content_length();  // must never overflow or throw
+    require(lies_inside(head->reason, text) && lies_inside(head->header_block, text),
+            "reason or header block is not a view into the input");
+    for (const std::string_view name :
+         {"Location", "server", "CONTENT-LENGTH", "Content-Type", ""}) {
+      const auto value = head->header(name);
+      const auto expected = first_header(text, name);
+      require(!value || lies_inside(*value, text), "header value is not a view into the input");
+      require(value.has_value() == expected.has_value() &&
+                  (!value || (value->data() == expected->data() &&
+                              value->size() == expected->size())),
+              "header lookup differs from the first-match line scan");
+    }
     if (const auto location = head->header("Location")) {
       if (const auto parts = iwscan::http::parse_location(*location)) {
         require(parts->host.empty() || parts->host.find('/') == std::string::npos,

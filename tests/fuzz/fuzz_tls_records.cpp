@@ -2,18 +2,24 @@
 //
 // Exercises the full hostile-responder path the scanner depends on:
 // in-place record framing (whole, and split at every point as segments
-// split it), handshake splitting, and the ClientHello / ServerHello /
+// split it), the in-place handshake walk, the TLS daemon's borrowed
+// ClientHello decode (every view inside its input), and the ServerHello /
 // Certificate decoders — with encode→decode round-trip checks on everything
-// that parses.
+// that parses, and a ClientHello built from each input's bytes put through
+// the probe's encoder, the record framer, the walk and the decode.
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <optional>
 #include <span>
+#include <vector>
 
 #include "fuzz_harness.hpp"
 #include "tls/handshake.hpp"
 #include "tls/records.hpp"
+#include "util/bytes.hpp"
 
 namespace {
 
@@ -26,31 +32,34 @@ void require(bool condition, const char* what) {
   }
 }
 
+/// True iff `view` lies inside `bytes` (an empty view lies anywhere).
+bool lies_inside(std::span<const std::uint8_t> view, std::span<const std::uint8_t> bytes) {
+  return view.empty() ||
+         (std::less_equal<>{}(bytes.data(), view.data()) &&
+          std::less_equal<>{}(view.data() + view.size(), bytes.data() + bytes.size()));
+}
+
+void check_client_hello(std::span<const std::uint8_t> body) {
+  const auto hello = iwscan::tls::decode_client_hello(body);
+  if (!hello) return;
+  require(lies_inside(hello->cipher_suites.wire(), body) &&
+              hello->cipher_suites.wire().size() % 2 == 0,
+          "offered suites are not an even-length view into the body");
+  require(!hello->server_name || lies_inside(iwscan::util::as_bytes(*hello->server_name), body),
+          "SNI is not a view into the body");
+}
+
 void check_handshake_payload(std::span<const std::uint8_t> payload) {
   namespace tls = iwscan::tls;
-  const auto messages = tls::split_handshakes(payload);
-  if (!messages) return;
-  for (const auto& message : *messages) {
-    require(std::less_equal<>{}(payload.data(), message.body.data()) &&
-                std::less_equal<>{}(message.body.data() + message.body.size(),
-                                    payload.data() + payload.size()),
-            "handshake body is not a view into the split payload");
+  // A walk that ends in a truncated message has still visited (and so
+  // checked) the messages before it.
+  (void)tls::walk_handshakes(payload, [payload](tls::HandshakeMessage message) {
+    require(lies_inside(message.body, payload),
+            "handshake body is not a view into the walked payload");
     switch (message.type) {
-      case tls::HandshakeType::ClientHello: {
-        const auto hello = tls::ClientHello::decode(message.body);
-        if (!hello) break;
-        // Re-encoding drops unknown extensions, so assert semantic (not
-        // byte) round-trip on the fields the scanner reads.
-        const auto again = tls::ClientHello::decode(hello->encode());
-        require(again.has_value(), "re-decode of re-encoded ClientHello failed");
-        require(again->version == hello->version &&
-                    again->random == hello->random &&
-                    again->session_id == hello->session_id &&
-                    again->cipher_suites == hello->cipher_suites &&
-                    again->server_name == hello->server_name,
-                "ClientHello round trip changed scanner-visible fields");
+      case tls::HandshakeType::ClientHello:
+        check_client_hello(message.body);
         break;
-      }
       case tls::HandshakeType::ServerHello: {
         const auto hello = tls::ServerHello::decode(message.body);
         if (!hello) break;
@@ -77,7 +86,54 @@ void check_handshake_payload(std::span<const std::uint8_t> payload) {
         // bytes outside the enum fall out of the switch without matching.
         break;
     }
-  }
+  });
+}
+
+/// A ClientHello whose session id, suites and SNI are drawn from the input
+/// (seeded by its bytes), written by the probe's encoder, framed, walked
+/// and decoded: the daemon must read back the SNI, suites and OCSP flag.
+void check_client_hello_round_trip(std::span<const std::uint8_t> data) {
+  namespace tls = iwscan::tls;
+  std::uint64_t seed = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t byte : data) seed = (seed ^ byte) * 0x100000001b3ULL;
+  iwscan::fuzz::Rng rng(seed);
+
+  std::array<std::uint8_t, 32> random{};
+  for (auto& byte : random) byte = static_cast<std::uint8_t>(rng.next());
+  std::vector<tls::CipherSuite> suites(rng.below(80));
+  for (auto& suite : suites) suite = static_cast<tls::CipherSuite>(rng.next());
+  const std::vector<std::uint8_t> compression(1 + rng.below(3), 0);
+  const auto session_id = data.first(std::min<std::size_t>(rng.below(33), data.size()));
+  const auto name = iwscan::util::as_text(
+      data.last(std::min<std::size_t>(rng.below(256), data.size())));
+
+  tls::ClientHelloFields fields;
+  fields.random = random;
+  fields.session_id = session_id;
+  fields.cipher_suites = suites;
+  fields.compression_methods = compression;
+  if (rng.below(4) != 0) fields.server_name = name;
+  fields.ocsp_stapling = rng.below(2) != 0;
+
+  const iwscan::net::Bytes wire = tls::encode_client_hello_record(fields, tls::kTls10);
+  const tls::RecordFrame record = tls::frame_record(wire);
+  require(record.status == tls::RecordFrame::Status::Complete &&
+              record.size() == wire.size(),
+          "the probe's ClientHello record does not frame whole");
+  std::optional<tls::HandshakeMessage> first;
+  std::size_t messages = 0;
+  const bool framed =
+      tls::walk_handshakes(record.payload, [&](tls::HandshakeMessage message) {
+        if (messages++ == 0) first = message;
+      });
+  require(framed && messages == 1 && first->type == tls::HandshakeType::ClientHello,
+          "the probe's ClientHello record does not walk as one ClientHello");
+  const auto hello = tls::decode_client_hello(first->body);
+  require(hello.has_value(), "the probe's ClientHello does not decode");
+  require(hello->server_name == fields.server_name &&
+              std::ranges::equal(hello->cipher_suites, fields.cipher_suites) &&
+              hello->ocsp_stapling == fields.ocsp_stapling,
+          "ClientHello round trip changed the SNI, the suites or the OCSP flag");
 }
 
 bool same_frame(const iwscan::tls::RecordFrame& a, const iwscan::tls::RecordFrame& b) {
@@ -133,9 +189,11 @@ void fuzz_one(std::span<const std::uint8_t> data) {
   // Also aim the inner decoders directly at the raw input: a responder can
   // put anything inside a well-formed record.
   check_handshake_payload(data);
-  (void)tls::ClientHello::decode(data);
+  check_client_hello(data);
   (void)tls::ServerHello::decode(data);
   (void)tls::CertificateChain::decode(data);
+
+  check_client_hello_round_trip(data);
 }
 
 std::vector<Input> fuzz_corpus() {
@@ -143,19 +201,16 @@ std::vector<Input> fuzz_corpus() {
   namespace net = iwscan::net;
   std::vector<Input> corpus;
 
-  // A plausible ClientHello record.
-  tls::ClientHello client;
-  client.random.fill(0x42);
-  client.cipher_suites = {0xc02f, 0xc030, 0x009e};
+  // The probe's ClientHello record: the 40-suite list, SNI and OCSP.
+  static constexpr std::uint8_t kNullCompression[] = {0};
+  const std::array<std::uint8_t, 32> random{};
+  tls::ClientHelloFields client;
+  client.random = random;
+  client.cipher_suites = tls::probe_cipher_list();
+  client.compression_methods = kNullCompression;
   client.server_name = "scan-target.example";
   client.ocsp_stapling = true;
-  {
-    net::Bytes wire;
-    tls::encode_fragmented(
-        tls::ContentType::Handshake, tls::kTls10,
-        tls::encode_handshake(tls::HandshakeType::ClientHello, client.encode()), wire);
-    corpus.push_back(wire);
-  }
+  corpus.push_back(tls::encode_client_hello_record(client, tls::kTls10));
 
   // A first flight: ServerHello + Certificate + ServerHelloDone.
   tls::ServerHello server;

@@ -3,13 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/probe_strategy.hpp"
 #include "testbed.hpp"
-#include "tls/handshake.hpp"
 #include "util/bytes.hpp"
-#include "util/rng.hpp"
 
 namespace iwscan {
 namespace {
@@ -166,27 +165,29 @@ TEST(HostProber, HttpRequestShape) {
   EXPECT_NE(requests[1].find("\r\nHost: 10.1.0.11\r\n"), std::string::npos);
 }
 
-TEST(HostProber, TlsRequestMatchesComposedEncoders) {
+TEST(HostProber, TlsRequestMatchesPinnedBytes) {
   // §3.3's probe on the wire: one handshake record (TLS 1.0 record version)
   // carrying a TLS 1.2 ClientHello with the 40-suite probe list, the null
   // compression method, the OCSP status request and, in curated mode, the
-  // SNI — byte for byte what the composed encoders make of that hello.
-  for (const std::string server_name : {"", "www.example.net"}) {
-    const std::uint64_t seed = 0x5eed;
-    tls::ClientHello hello;
-    util::Rng rng(util::mix64(seed, 0x7175c11e));
-    for (auto& byte : hello.random) byte = static_cast<std::uint8_t>(rng());
-    const auto probe = tls::probe_cipher_list();
-    hello.cipher_suites.assign(probe.begin(), probe.end());
-    if (!server_name.empty()) hello.server_name = server_name;
-    hello.ocsp_stapling = true;
-    net::Bytes expected;
-    tls::encode_fragmented(
-        tls::ContentType::Handshake, tls::kTls10,
-        tls::encode_handshake(tls::HandshakeType::ClientHello, hello.encode()), expected);
-
-    EXPECT_EQ(core::make_tls_strategy(seed, server_name)->request(), expected)
-        << "SNI '" << server_name << "'";
+  // SNI. Each record is pinned by its length and FNV-1a digest, as the
+  // composed encoders (a ClientHello body, a handshake frame, a record
+  // fragmenter) wrote it.
+  struct Pin {
+    std::string_view server_name;
+    std::size_t length;
+    std::uint64_t digest;
+  };
+  static constexpr Pin kPins[] = {
+      {"", 177, 0x3e706ff5629427c5ULL},
+      {"www.example.net", 201, 0x0377b3e449d56d48ULL},
+  };
+  for (const Pin& pin : kPins) {
+    const net::Bytes wire =
+        core::make_tls_strategy(0x5eed, std::string(pin.server_name))->request();
+    std::uint64_t digest = 0xcbf29ce484222325ULL;
+    for (const std::uint8_t byte : wire) digest = (digest ^ byte) * 0x100000001b3ULL;
+    EXPECT_EQ(wire.size(), pin.length) << "SNI '" << pin.server_name << "'";
+    EXPECT_EQ(digest, pin.digest) << "SNI '" << pin.server_name << "'";
   }
 }
 

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <functional>
+#include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -12,6 +16,7 @@
 #include "tls/handshake.hpp"
 #include "tls/records.hpp"
 #include "tls/tls_server.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace iwscan::tls {
@@ -124,10 +129,21 @@ TEST(Records, FatalAlertRecordBytes) {
 
 // ---------------------------------------------------------- handshake ----
 
+/// The messages walk_handshakes visits in a payload, or nullopt when the
+/// walk rejects it.
+std::optional<std::vector<HandshakeMessage>> collect_handshakes(
+    std::span<const std::uint8_t> payload) {
+  std::vector<HandshakeMessage> messages;
+  const bool framed = walk_handshakes(
+      payload, [&messages](HandshakeMessage message) { messages.push_back(message); });
+  if (!framed) return std::nullopt;
+  return messages;
+}
+
 TEST(Handshake, FramingRoundTrip) {
   const net::Bytes body = {9, 9, 9};
   const auto framed = encode_handshake(HandshakeType::Certificate, body);
-  const auto messages = split_handshakes(framed);
+  const auto messages = collect_handshakes(framed);
   ASSERT_TRUE(messages);
   ASSERT_EQ(messages->size(), 1u);
   EXPECT_EQ(messages->front().type, HandshakeType::Certificate);
@@ -145,7 +161,7 @@ TEST(Handshake, ConcatenatedMessagesSplit) {
         encode_handshake(type, net::Bytes{static_cast<std::uint8_t>(type)});
     flight.insert(flight.end(), framed.begin(), framed.end());
   }
-  const auto messages = split_handshakes(flight);
+  const auto messages = collect_handshakes(flight);
   ASSERT_TRUE(messages);
   ASSERT_EQ(messages->size(), 3u);
   EXPECT_EQ((*messages)[2].type, HandshakeType::ServerHelloDone);
@@ -154,42 +170,119 @@ TEST(Handshake, ConcatenatedMessagesSplit) {
 TEST(Handshake, TruncatedSplitRejected) {
   auto framed = encode_handshake(HandshakeType::ServerHello, net::Bytes(10, 0));
   framed.pop_back();
-  EXPECT_FALSE(split_handshakes(framed).has_value());
+  EXPECT_FALSE(collect_handshakes(framed).has_value());
 }
 
-TEST(ClientHello, RoundTripWithSniAndOcsp) {
-  ClientHello hello;
-  const auto probe = probe_cipher_list();
-  hello.cipher_suites.assign(probe.begin(), probe.end());
-  hello.server_name = "www.example.net";
-  hello.ocsp_stapling = true;
-  util::Rng rng(4);
-  for (auto& byte : hello.random) byte = static_cast<std::uint8_t>(rng());
+TEST(Handshake, TruncatedLaterMessageRejectsTheWalk) {
+  // A whole first message does not save a payload whose second message runs
+  // short: the walk visits the first, then reports the payload malformed.
+  net::Bytes payload = encode_handshake(HandshakeType::ClientHello, net::Bytes(6, 1));
+  const auto second = encode_handshake(HandshakeType::Certificate, net::Bytes(10, 2));
+  payload.insert(payload.end(), second.begin(), second.end() - 1);
+  std::size_t visited = 0;
+  EXPECT_FALSE(walk_handshakes(payload, [&visited](HandshakeMessage) { ++visited; }));
+  EXPECT_EQ(visited, 1u);
+  // A lone header byte after a whole message is rejected the same way.
+  payload.resize(kHandshakeHeaderBytes + 6 + 3);
+  EXPECT_FALSE(collect_handshakes(payload).has_value());
+}
 
-  const auto decoded = ClientHello::decode(hello.encode());
+constexpr std::uint8_t kNullCompression[] = {0};
+constexpr std::array<std::uint8_t, 32> kZeroRandom{};
+
+/// The probe's ClientHello fields: TLS 1.2, null compression, no session id.
+ClientHelloFields hello_fields(std::span<const CipherSuite> suites,
+                               std::optional<std::string_view> server_name,
+                               bool ocsp_stapling) {
+  ClientHelloFields hello;
+  hello.random = kZeroRandom;
+  hello.cipher_suites = suites;
+  hello.compression_methods = kNullCompression;
+  hello.server_name = server_name;
+  hello.ocsp_stapling = ocsp_stapling;
+  return hello;
+}
+
+/// A ClientHello body: the record encode_client_hello_record writes, less its
+/// record and handshake headers.
+net::Bytes hello_body(const ClientHelloFields& hello) {
+  const net::Bytes record = encode_client_hello_record(hello, kTls10);
+  return net::Bytes(record.begin() + kRecordHeaderBytes + kHandshakeHeaderBytes,
+                    record.end());
+}
+
+/// True iff `view` lies inside `bytes` (an empty view lies anywhere).
+bool lies_inside(std::string_view view, std::span<const std::uint8_t> bytes) {
+  const std::string_view text = util::as_text(bytes);
+  return view.empty() || (std::less_equal<>{}(text.data(), view.data()) &&
+                          std::less_equal<>{}(view.data() + view.size(),
+                                              text.data() + text.size()));
+}
+
+TEST(ClientHello, DecodesSniSuitesAndOcspInPlace) {
+  const net::Bytes body =
+      hello_body(hello_fields(probe_cipher_list(), "www.example.net", true));
+  const auto decoded = decode_client_hello(body);
   ASSERT_TRUE(decoded);
   EXPECT_EQ(decoded->cipher_suites.size(), 40u);
-  EXPECT_EQ(decoded->cipher_suites, hello.cipher_suites);
+  EXPECT_TRUE(std::ranges::equal(decoded->cipher_suites, probe_cipher_list()));
   EXPECT_EQ(decoded->server_name, "www.example.net");
   EXPECT_TRUE(decoded->ocsp_stapling);
-  EXPECT_EQ(decoded->random, hello.random);
+  // Views into the body: the suites right after version, random and the
+  // empty session id's length octet, the name near the end.
+  EXPECT_EQ(decoded->cipher_suites.wire().data(), body.data() + 2 + 32 + 1 + 2);
+  EXPECT_TRUE(lies_inside(*decoded->server_name, body));
 }
 
 TEST(ClientHello, NoSniDecodesAsAbsent) {
-  ClientHello hello;
-  hello.cipher_suites = {0xC02F};
-  hello.server_name.reset();
-  const auto decoded = ClientHello::decode(hello.encode());
+  const CipherSuite suite[] = {0xC02F};
+  const auto decoded = decode_client_hello(hello_body(hello_fields(suite, {}, false)));
   ASSERT_TRUE(decoded);
   EXPECT_FALSE(decoded->server_name.has_value());
+  EXPECT_FALSE(decoded->ocsp_stapling);
+}
+
+TEST(ClientHello, EmptyAndRepeatedSniFollowTheLastWellFormedName) {
+  // An empty host name is a present (empty) SNI; of two SNI extensions the
+  // later one wins — unless it is malformed, which leaves the earlier one.
+  const CipherSuite suite[] = {0xC02F};
+  const auto empty = decode_client_hello(hello_body(hello_fields(suite, "", false)));
+  ASSERT_TRUE(empty);
+  ASSERT_TRUE(empty->server_name.has_value());
+  EXPECT_TRUE(empty->server_name->empty());
+
+  net::Bytes body = hello_body(hello_fields(suite, "first.example", false));
+  const auto append_sni = [&body](std::uint8_t name_type, std::string_view name) {
+    const std::size_t ext_length_at = 2 + 32 + 1 + 2 + 2 + 1 + 1;
+    net::WireWriter writer(body);
+    writer.u16(kExtServerName);
+    writer.u16(static_cast<std::uint16_t>(name.size() + 5));
+    writer.u16(static_cast<std::uint16_t>(name.size() + 3));
+    writer.u8(name_type);
+    writer.u16(static_cast<std::uint16_t>(name.size()));
+    writer.raw(util::as_bytes(name));
+    const std::size_t extensions = body.size() - ext_length_at - 2;
+    body[ext_length_at] = static_cast<std::uint8_t>(extensions >> 8);
+    body[ext_length_at + 1] = static_cast<std::uint8_t>(extensions);
+  };
+  append_sni(0, "second.example");
+  EXPECT_EQ(decode_client_hello(body)->server_name, "second.example");
+  append_sni(1, "not-a-host-name");  // name type 1: skipped
+  EXPECT_EQ(decode_client_hello(body)->server_name, "second.example");
 }
 
 TEST(ClientHello, TruncatedRejected) {
-  ClientHello hello;
-  hello.cipher_suites = {0xC02F};
-  auto body = hello.encode();
+  const CipherSuite suite[] = {0xC02F};
+  auto body = hello_body(hello_fields(suite, {}, false));
   body.resize(20);
-  EXPECT_FALSE(ClientHello::decode(body).has_value());
+  EXPECT_FALSE(decode_client_hello(body).has_value());
+}
+
+TEST(ClientHello, OddSuiteByteCountRejected) {
+  const CipherSuite suite[] = {0xC02F};
+  auto body = hello_body(hello_fields(suite, {}, false));
+  body[36] = 3;  // suite list length after version, random, session id length
+  EXPECT_FALSE(decode_client_hello(body).has_value());
 }
 
 TEST(ServerHello, RoundTripWithExtras) {
@@ -230,14 +323,13 @@ TEST(ServerHello, ExtensionTotalPastBodyRejected) {
 }
 
 TEST(ClientHello, CipherLengthOverrunRejected) {
-  ClientHello hello;
-  hello.cipher_suites = {0xC02F};
-  auto body = hello.encode();
+  const CipherSuite suite[] = {0xC02F};
+  auto body = hello_body(hello_fields(suite, {}, false));
   // cipher_suites length field sits after version(2) + random(32) +
   // session_id_len(1): claim more suite bytes than the body holds.
   body[35] = 0xff;
-  body[36] = 0xff;
-  EXPECT_FALSE(ClientHello::decode(body).has_value());
+  body[36] = 0xfe;
+  EXPECT_FALSE(decode_client_hello(body).has_value());
 }
 
 TEST(CertificateChain, RoundTrip) {
@@ -283,11 +375,6 @@ TEST(Ciphers, ExoticSetNeverNegotiates) {
        {CipherProfile::Modern, CipherProfile::Standard, CipherProfile::Legacy}) {
     EXPECT_NE(negotiate(probe_cipher_list(), cipher_set(profile)), 0);
   }
-}
-
-TEST(Ciphers, Names) {
-  EXPECT_EQ(cipher_name(0xC02F), "TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256");
-  EXPECT_EQ(cipher_name(0xBEEF), "0xBEEF");
 }
 
 // --------------------------------------------------------------- cert ----
@@ -411,13 +498,12 @@ struct TlsRig {
   /// at `cut` (its middle by default) — the record reassembly path a real
   /// fragmented handshake exercises.
   net::Bytes run_split(bool with_sni, std::size_t cut = 0) {
-    ClientHello hello;
-    const auto probe = probe_cipher_list();
-    hello.cipher_suites.assign(probe.begin(), probe.end());
-    if (with_sni) hello.server_name = "www.example.net";
-    const auto framed = encode_handshake(HandshakeType::ClientHello, hello.encode());
-    net::Bytes wire;
-    encode_fragmented(ContentType::Handshake, kTls10, framed, wire);
+    net::Bytes wire = encode_client_hello_record(
+        hello_fields(probe_cipher_list(),
+                     with_sni ? std::optional<std::string_view>("www.example.net")
+                              : std::nullopt,
+                     false),
+        kTls10);
 
     // The first part rides on the handshake ACK; the rest follows.
     if (cut == 0) cut = wire.size() / 2;
@@ -430,16 +516,20 @@ struct TlsRig {
   }
 
   net::Bytes run(bool with_sni, bool exotic_client = false) {
-    ClientHello hello;
-    const auto probe = probe_cipher_list();
-    hello.cipher_suites.assign(probe.begin(), probe.end());
-    if (exotic_client) hello.cipher_suites = {0x9999};
-    hello.ocsp_stapling = true;
-    if (with_sni) hello.server_name = "www.example.net";
-    const auto framed = encode_handshake(HandshakeType::ClientHello, hello.encode());
-    net::Bytes wire;
-    encode_fragmented(ContentType::Handshake, kTls10, framed, wire);
-    client->start(wire);
+    static constexpr CipherSuite kExoticOffer[] = {0x9999};
+    const net::Bytes wire = encode_client_hello_record(
+        hello_fields(exotic_client ? std::span<const CipherSuite>(kExoticOffer)
+                                   : probe_cipher_list(),
+                     with_sni ? std::optional<std::string_view>("www.example.net")
+                              : std::nullopt,
+                     true),
+        kTls10);
+    return send(wire);
+  }
+
+  /// The server's byte stream in answer to `wire`, sent in one segment.
+  net::Bytes send(net::Bytes wire) {
+    client->start(std::move(wire));
     loop.run_until(loop.now() + sim::sec(5));
     return client->stream;
   }
@@ -477,7 +567,7 @@ TEST(TlsServer, FirstFlightContainsFullChain) {
     handshake_payload.insert(handshake_payload.end(), record.payload.begin(),
                              record.payload.end());
   }
-  const auto messages = split_handshakes(handshake_payload);
+  const auto messages = collect_handshakes(handshake_payload);
   ASSERT_TRUE(messages);
   ASSERT_GE(messages->size(), 3u);
   EXPECT_EQ((*messages)[0].type, HandshakeType::ServerHello);
@@ -506,7 +596,7 @@ TEST(TlsServer, ClientHelloSplitAcrossSegmentsIsReassembled) {
   for (const auto& record : records) {
     payload.insert(payload.end(), record.payload.begin(), record.payload.end());
   }
-  const auto messages = split_handshakes(payload);
+  const auto messages = collect_handshakes(payload);
   ASSERT_TRUE(messages);
   EXPECT_EQ(messages->front().type, HandshakeType::ServerHello);
 }
@@ -515,12 +605,10 @@ TEST(TlsServer, EverySplitOfTheClientHelloYieldsTheSameFlight) {
   // The hello run_split sends, whole: one segment, framed in place.
   TlsConfig config;
   config.chain_bytes = 2000;
-  ClientHello hello;
-  const auto probe = probe_cipher_list();
-  hello.cipher_suites.assign(probe.begin(), probe.end());
-  hello.server_name = "www.example.net";
   const std::size_t wire_bytes =
-      kRecordHeaderBytes + kHandshakeHeaderBytes + hello.encode().size();
+      encode_client_hello_record(
+          hello_fields(probe_cipher_list(), "www.example.net", false), kTls10)
+          .size();
   TlsRig whole_rig(config);
   const net::Bytes whole = whole_rig.run_split(true, wire_bytes);
   ASSERT_FALSE(whole.empty());
@@ -540,7 +628,7 @@ TEST(TlsServer, OcspStaplingAddsCertificateStatus) {
   for (const auto& record : parse_stream(stream)) {
     payload.insert(payload.end(), record.payload.begin(), record.payload.end());
   }
-  const auto messages = split_handshakes(payload);
+  const auto messages = collect_handshakes(payload);
   ASSERT_TRUE(messages);
   bool has_status = false;
   for (const auto& message : *messages) {
@@ -683,6 +771,49 @@ TEST(TlsServer, SniAlertPolicyStillServesNamedClients) {
   const auto records = parse_stream(stream);
   ASSERT_FALSE(records.empty());
   EXPECT_EQ(records[0].type, ContentType::Handshake);
+}
+
+TEST(TlsServer, UnreadableHelloRecordsAreRefused) {
+  // What frames as a record but does not read as a ClientHello — another
+  // record type, a record whose later handshake message runs short, another
+  // first message, a ClientHello body that does not decode — is answered
+  // with a fatal internal_error alert and a FIN.
+  const auto record = [](ContentType type, const net::Bytes& payload) {
+    net::Bytes wire;
+    encode_fragmented(type, kTls10, payload, wire);
+    return wire;
+  };
+  const net::Bytes hello = encode_client_hello_record(
+      hello_fields(probe_cipher_list(), "www.example.net", true), kTls10);
+  net::Bytes hello_then_truncated(hello.begin() + kRecordHeaderBytes, hello.end());
+  const auto second = encode_handshake(HandshakeType::Certificate, net::Bytes(10, 2));
+  hello_then_truncated.insert(hello_then_truncated.end(), second.begin(), second.end() - 1);
+  const net::Bytes refused[] = {
+      record(ContentType::ApplicationData, {1, 2, 3}),
+      record(ContentType::Handshake, hello_then_truncated),
+      record(ContentType::Handshake, {}),
+      record(ContentType::Handshake,
+             encode_handshake(HandshakeType::ServerHello, net::Bytes(40, 0))),
+      record(ContentType::Handshake,
+             encode_handshake(HandshakeType::ClientHello, net::Bytes(20, 0))),
+  };
+  const auto alert = fatal_alert_record(AlertDescription::InternalError);
+  for (const net::Bytes& wire : refused) {
+    TlsRig rig(TlsConfig{});
+    EXPECT_EQ(rig.send(wire), net::Bytes(alert.begin(), alert.end()));
+    EXPECT_TRUE(rig.client->fin);
+  }
+  // The whole hello still gets its flight; a record header the framer
+  // rejects (content type 99) is reset with no answer at all.
+  TlsRig served(TlsConfig{});
+  const auto flight = parse_stream(served.send(hello));
+  ASSERT_FALSE(flight.empty());
+  EXPECT_EQ(flight.front().type, ContentType::Handshake);
+  net::Bytes malformed = hello;
+  malformed[0] = 99;
+  TlsRig reset(TlsConfig{});
+  EXPECT_TRUE(reset.send(malformed).empty());
+  EXPECT_FALSE(reset.client->fin);
 }
 
 TEST(TlsServer, SilentClosePolicy) {

@@ -14,6 +14,7 @@
 #include <array>
 
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,12 +39,21 @@
 #include "tcpstack/host.hpp"
 #include "tls/handshake.hpp"
 #include "tls/tls_server.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
 namespace {
 
 using namespace iwscan;
+
+// The largest payload the segment benchmarks send, as constant bytes a
+// segment's payload can point at.
+constexpr auto kSegmentFill = [] {
+  std::array<std::uint8_t, 1460> bytes{};
+  bytes.fill(0x41);
+  return bytes;
+}();
 
 net::TcpSegment make_segment(std::size_t payload_size) {
   net::TcpSegment segment;
@@ -56,7 +66,7 @@ net::TcpSegment make_segment(std::size_t payload_size) {
   segment.tcp.flags = net::kAck | net::kPsh;
   segment.tcp.window = 65535;
   segment.tcp.mss = 64;
-  segment.payload.assign(payload_size, 0x41);
+  segment.payload = std::span(kSegmentFill).first(payload_size);
   return segment;
 }
 
@@ -248,8 +258,7 @@ void BM_NetworkPacketDeliveryManyHosts(benchmark::State& state) {
 
   // One pass over every host warms the pool, the slab and every flow.
   for (const net::TcpSegment& segment : segments) {
-    net::PacketBuf warm =
-        network.pool().acquire(net::encoded_size(segment.tcp, segment.payload));
+    net::PacketBuf warm = network.pool().acquire(net::encoded_size(segment));
     net::encode_into(segment, warm.bytes());
     network.send(std::move(warm));
     loop.run();
@@ -260,8 +269,7 @@ void BM_NetworkPacketDeliveryManyHosts(benchmark::State& state) {
   const std::uint64_t allocs_before = util::alloc_stats::allocations();
   for (auto _ : state) {
     const net::TcpSegment& segment = segments[next];
-    net::PacketBuf buf =
-        network.pool().acquire(net::encoded_size(segment.tcp, segment.payload));
+    net::PacketBuf buf = network.pool().acquire(net::encoded_size(segment));
     net::encode_into(segment, buf.bytes());
     network.send(std::move(buf));
     loop.run();
@@ -477,7 +485,7 @@ double sweep_allocs_per_packet() {
     replies.push_back(net::encode(reply));
     reply.tcp.flags = net::kAck | net::kPsh;
     reply.tcp.ack = cookie + 1 + static_cast<std::uint32_t>(config.request.size());
-    reply.payload = net::to_bytes("HTTP/1.1 200 OK\r\n");
+    reply.payload = util::as_bytes("HTTP/1.1 200 OK\r\n");
     replies.push_back(net::encode(reply));
   }
   const auto feed = [&] {

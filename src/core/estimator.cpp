@@ -537,20 +537,20 @@ void IwEstimator::send_segment(std::uint32_t seq, std::uint32_t ack, std::uint8_
                                std::uint16_t window,
                                std::span<const std::uint8_t> payload,
                                bool with_mss_option) {
-  net::Ipv4Header ip;
-  ip.src = services_.scanner_address();
-  ip.dst = target_;
-  ip.ttl = 64;
-  ip.dont_fragment = true;
-  net::TcpHeader tcp;
-  tcp.src_port = local_port_;
-  tcp.dst_port = target_port_;
-  tcp.seq = seq;
-  tcp.ack = ack;
-  tcp.flags = flags;
-  tcp.window = window;
-  if (with_mss_option) tcp.mss = announced_mss_;
-  services_.send_packet(ip, tcp, payload);
+  net::TcpSegment segment;
+  segment.ip.src = services_.scanner_address();
+  segment.ip.dst = target_;
+  segment.ip.ttl = 64;
+  segment.ip.dont_fragment = true;
+  segment.tcp.src_port = local_port_;
+  segment.tcp.dst_port = target_port_;
+  segment.tcp.seq = seq;
+  segment.tcp.ack = ack;
+  segment.tcp.flags = flags;
+  segment.tcp.window = window;
+  if (with_mss_option) segment.tcp.mss = announced_mss_;
+  segment.payload = payload;
+  services_.send_packet(segment);
 }
 
 void IwEstimator::arm_timer(sim::SimTime delay, void (IwEstimator::*handler)()) {

@@ -1,11 +1,13 @@
 #include "inetmodel/adversarial.hpp"
 
+#include <array>
 #include <span>
-#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <variant>
 
+#include "httpd/http_message.hpp"
 #include "tcpstack/host.hpp"
 #include "tls/records.hpp"
 #include "util/bytes.hpp"
@@ -13,6 +15,14 @@
 
 namespace iwscan::model {
 namespace {
+
+// `N` copies of `Byte`: the constant payload a raw endpoint's reply points at.
+template <char Byte, std::size_t N>
+constexpr auto kFill = [] {
+  std::array<std::uint8_t, N> bytes{};
+  bytes.fill(static_cast<std::uint8_t>(Byte));
+  return bytes;
+}();
 
 // ---------------------------------------------------------------------------
 // Raw scripted endpoints: wire-level pathologies that no real TCP stack
@@ -121,13 +131,13 @@ class RawAdversary final : public sim::Endpoint {
         // honest RTO retransmission so the estimator still converges.
         for (std::uint32_t i = 0; i < 4; ++i) {
           reply(conn, data_seq(conn, i * 1000), conn.request_end, net::kAck, 65535,
-                net::Bytes(1000, 'M'));
+                kFill<'M', 1000>);
         }
         conn.rto = loop().schedule(sim::sec(1), [this, key] {
           if (Conn* c = find_conn(key)) {
             c->rto = sim::kNullEvent;
             reply(*c, data_seq(*c, 0), c->request_end, net::kAck, 65535,
-                  net::Bytes(1000, 'M'));
+                  kFill<'M', 1000>);
           }
         });
         return;
@@ -137,7 +147,7 @@ class RawAdversary final : public sim::Endpoint {
         // One burst, then nothing — the RTO-based IW boundary never fires.
         for (std::uint32_t i = 0; i < 8; ++i) {
           reply(conn, data_seq(conn, i * 64), conn.request_end, net::kAck, 65535,
-                net::Bytes(64, 'N'));
+                kFill<'N', 64>);
         }
         return;
 
@@ -145,7 +155,7 @@ class RawAdversary final : public sim::Endpoint {
         // Data starts flowing, then the stream is torn down mid-response.
         for (std::uint32_t i = 0; i < 3; ++i) {
           reply(conn, data_seq(conn, i * 64), conn.request_end, net::kAck, 65535,
-                net::Bytes(64, 'R'));
+                kFill<'R', 64>);
         }
         conn.aux = loop().schedule(sim::msec(100), [this, key] {
           if (Conn* c = find_conn(key)) {
@@ -173,19 +183,18 @@ class RawAdversary final : public sim::Endpoint {
         // [0,256) now, the straddling [192,448) shortly after, then a
         // "retransmission" of [0,256): ranges that rewrite stream history.
         reply(conn, data_seq(conn, 0), conn.request_end, net::kAck, 65535,
-              net::Bytes(256, 'S'));
+              kFill<'S', 256>);
         conn.aux = loop().schedule(sim::msec(200), [this, key] {
           if (Conn* c = find_conn(key)) {
             c->aux = sim::kNullEvent;
             reply(*c, data_seq(*c, 192), c->request_end, net::kAck, 65535,
-                  net::Bytes(256, 'T'));
+                  kFill<'T', 256>);
           }
         });
         conn.rto = loop().schedule(sim::sec(1), [this, key] {
           if (Conn* c = find_conn(key)) {
             c->rto = sim::kNullEvent;
-            reply(*c, data_seq(*c, 0), c->request_end, net::kAck, 65535,
-                  net::Bytes(256, 'S'));
+            reply(*c, data_seq(*c, 0), c->request_end, net::kAck, 65535, kFill<'S', 256>);
           }
         });
         return;
@@ -204,7 +213,7 @@ class RawAdversary final : public sim::Endpoint {
       // Fresh data released by the ACK — the MSS violator is otherwise a
       // perfectly IW-limited sender.
       reply(conn, data_seq(conn, 4 * 1000), conn.request_end, net::kAck, 65535,
-            net::Bytes(1000, 'V'));
+            kFill<'V', 1000>);
     }
     // Everyone else: silence. The scanner's teardown RST erases the conn.
   }
@@ -217,7 +226,7 @@ class RawAdversary final : public sim::Endpoint {
       if (c == nullptr) return;
       c->aux = sim::kNullEvent;
       reply(*c, data_seq(*c, static_cast<std::uint32_t>(c->dripped)), c->request_end,
-            net::kAck | net::kPsh, 65535, net::Bytes(1, 'z'));
+            net::kAck | net::kPsh, 65535, kFill<'z', 1>);
       ++c->dripped;
       if (c->dripped < 40) drip(key);  // bounded: ~20 s of dripping
     });
@@ -256,7 +265,8 @@ class RawAdversary final : public sim::Endpoint {
   }
 
   void reply(const Conn& conn, std::uint32_t seq, std::uint32_t ack,
-             std::uint8_t flags, std::uint16_t window, net::Bytes payload) {
+             std::uint8_t flags, std::uint16_t window,
+             std::span<const std::uint8_t> payload) {
     net::TcpSegment segment;
     segment.ip.src = ip_;
     segment.ip.dst = conn.peer;
@@ -266,8 +276,10 @@ class RawAdversary final : public sim::Endpoint {
     segment.tcp.ack = ack;
     segment.tcp.flags = flags;
     segment.tcp.window = window;
-    segment.payload = std::move(payload);
-    network_.send(net::encode(segment));
+    segment.payload = payload;
+    net::PacketBuf packet = network_.pool().acquire(net::encoded_size(segment));
+    net::encode_into(segment, packet.bytes());
+    network_.send(std::move(packet));
   }
 
   [[nodiscard]] sim::EventLoop& loop() noexcept { return network_.loop(); }
@@ -289,23 +301,31 @@ class RawAdversary final : public sim::Endpoint {
 class RedirectLoopApp final : public tcp::Application {
  public:
   void on_data(tcp::TcpConnection& conn, std::span<const std::uint8_t> data) override {
-    buffer_.insert(buffer_.end(), data.begin(), data.end());
     if (responded_) return;
-    const std::string_view text = util::as_text(buffer_);
-    if (text.find("\r\n\r\n") == std::string_view::npos) return;
+    switch (reader_.feed(util::as_text(data))) {
+      case http::RequestStatus::NeedMore:
+        return;
+      case http::RequestStatus::Invalid:
+        conn.abort();
+        return;
+      case http::RequestStatus::Complete:
+        break;
+    }
     responded_ = true;
-    const bool to_b = text.find("GET /loop-a ") != std::string_view::npos;
-    std::string response = "HTTP/1.1 301 Moved Permanently\r\n";
-    response += "Server: loopd\r\n";
-    response += std::string("Location: ") + (to_b ? "/loop-b" : "/loop-a") + "\r\n";
-    response += "Connection: close\r\n";
-    response += "Content-Length: 0\r\n\r\n";
-    conn.send(response);
+    // A relative Location is outside ResponseHead's vocabulary, so the two
+    // responses stay literal.
+    static constexpr std::string_view kToA =
+        "HTTP/1.1 301 Moved Permanently\r\nServer: loopd\r\nLocation: /loop-a\r\n"
+        "Connection: close\r\nContent-Length: 0\r\n\r\n";
+    static constexpr std::string_view kToB =
+        "HTTP/1.1 301 Moved Permanently\r\nServer: loopd\r\nLocation: /loop-b\r\n"
+        "Connection: close\r\nContent-Length: 0\r\n\r\n";
+    conn.send(reader_.request().target == "/loop-a" ? kToB : kToA);
     conn.close();
   }
 
  private:
-  net::Bytes buffer_;
+  http::RequestReader reader_;
   bool responded_ = false;
 };
 

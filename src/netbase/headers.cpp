@@ -123,10 +123,7 @@ std::optional<IcmpMessage> IcmpMessage::decode(std::span<const std::uint8_t> dat
   reader.u16();  // checksum
   message.id_or_unused = reader.u16();
   message.seq_or_mtu = reader.u16();
-  const auto rest = reader.raw(reader.remaining());
-  // iwlint: allow(hot-path) -- ICMP payload copy into the decoded message;
-  // counted by the runtime allocs-per-packet budget (alloc_budget_test)
-  message.payload.assign(rest.begin(), rest.end());
+  message.payload = reader.raw(reader.remaining());
   return message;
 }
 

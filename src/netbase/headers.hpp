@@ -96,9 +96,13 @@ struct IcmpMessage {
   // next-hop MTU for Fragmentation Needed.
   std::uint16_t id_or_unused = 0;
   std::uint16_t seq_or_mtu = 0;
-  Bytes payload;
+  // Borrowed: a decoded message points into the bytes it was decoded from;
+  // a sender points it at storage it keeps until the encode.
+  std::span<const std::uint8_t> payload;
 
   void encode(WireWriter& writer) const;
+  /// The returned message's payload views `data`, so it is valid for as
+  /// long as `data` is.
   [[nodiscard]] static std::optional<IcmpMessage> decode(
       std::span<const std::uint8_t> data);
 };

@@ -4,31 +4,26 @@
 
 namespace iwscan::net {
 
-void encode_into(const Ipv4Header& ip_header, const TcpHeader& tcp,
-                 std::span<const std::uint8_t> payload, Bytes& out) {
+void encode_into(const TcpSegment& segment, Bytes& out) {
   out.clear();
-  const std::size_t wire_size = encoded_size(tcp, payload);
+  const std::size_t wire_size = encoded_size(segment);
   // iwlint: allow(hot-path) -- reserve on a pooled buffer reusing its
   // capacity; a no-op in steady state (pinned by alloc_budget_test)
   out.reserve(wire_size);
   WireWriter writer(out);
 
-  Ipv4Header ip = ip_header;
+  Ipv4Header ip = segment.ip;
   ip.protocol = kProtocolTcp;
   ip.total_length = static_cast<std::uint16_t>(wire_size);
   ip.encode(writer);
 
   const std::size_t tcp_start = writer.offset();
-  tcp.encode(writer);
-  writer.raw(payload);
+  segment.tcp.encode(writer);
+  writer.raw(segment.payload);
 
   const std::uint16_t checksum = tcp_checksum(
       ip.src, ip.dst, std::span<const std::uint8_t>(out).subspan(tcp_start));
   writer.patch_u16(tcp_start + 16, checksum);
-}
-
-void encode_into(const TcpSegment& segment, Bytes& out) {
-  encode_into(segment.ip, segment.tcp, segment.payload, out);
 }
 
 void encode_into(const IcmpDatagram& datagram, Bytes& out) {
@@ -59,50 +54,35 @@ Bytes encode(const IcmpDatagram& datagram) {
   return out;
 }
 
-bool decode_datagram_into(std::span<const std::uint8_t> bytes, Datagram& out) {
+std::optional<Datagram> decode_datagram(std::span<const std::uint8_t> bytes) {
   WireReader reader(bytes);
   const auto ip = Ipv4Header::decode(reader);
-  if (!ip) return false;
+  if (!ip) return std::nullopt;
   if (ip->total_length < Ipv4Header::kSize || ip->total_length > bytes.size()) {
-    return false;
+    return std::nullopt;
   }
   const std::size_t l4_len = ip->total_length - Ipv4Header::kSize;
   const auto l4 = bytes.subspan(Ipv4Header::kSize, l4_len);
 
   if (ip->protocol == kProtocolTcp) {
-    if (tcp_checksum(ip->src, ip->dst, l4) != 0) return false;
-    auto* segment = std::get_if<TcpSegment>(&out);
-    if (segment == nullptr) segment = &out.emplace<TcpSegment>();
+    if (tcp_checksum(ip->src, ip->dst, l4) != 0) return std::nullopt;
+    TcpSegment segment;
+    segment.ip = *ip;
     WireReader tcp_reader(l4);
     std::size_t data_offset = 0;
-    if (!TcpHeader::decode_into(tcp_reader, data_offset, segment->tcp)) return false;
-    if (data_offset > l4_len) return false;
-    segment->ip = *ip;
-    const auto payload = l4.subspan(data_offset);
-    // iwlint: allow(hot-path) -- refills the caller's reused datagram: the
-    // copy out of the borrowed fabric buffer lands in capacity kept from
-    // earlier packets, so it allocates only while that capacity grows
-    segment->payload.assign(payload.begin(), payload.end());
-    return true;
+    if (!TcpHeader::decode_into(tcp_reader, data_offset, segment.tcp)) return std::nullopt;
+    if (data_offset > l4_len) return std::nullopt;
+    segment.payload = l4.subspan(data_offset);
+    return segment;
   }
 
   if (ip->protocol == kProtocolIcmp) {
     auto icmp = IcmpMessage::decode(l4);
-    if (!icmp) return false;
-    auto* datagram = std::get_if<IcmpDatagram>(&out);
-    if (datagram == nullptr) datagram = &out.emplace<IcmpDatagram>();
-    datagram->ip = *ip;
-    datagram->icmp = std::move(*icmp);
-    return true;
+    if (!icmp) return std::nullopt;
+    return IcmpDatagram{*ip, *icmp};
   }
 
-  return false;
-}
-
-std::optional<Datagram> decode_datagram(std::span<const std::uint8_t> bytes) {
-  std::optional<Datagram> datagram(std::in_place);
-  if (!decode_datagram_into(bytes, *datagram)) return std::nullopt;
-  return datagram;
+  return std::nullopt;
 }
 
 std::optional<IPv4Address> peek_destination(

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <variant>
 
 #include "netbase/headers.hpp"
@@ -13,12 +14,14 @@
 
 namespace iwscan::net {
 
+// A decoded datagram is a view, like a PacketView: its payload points into
+// the bytes it was decoded from and is valid for as long as they are. A
+// sender points the payload at storage it keeps until the encode.
 struct TcpSegment {
   Ipv4Header ip;
   TcpHeader tcp;
-  Bytes payload;
+  std::span<const std::uint8_t> payload;
 
-  [[nodiscard]] std::size_t payload_size() const noexcept { return payload.size(); }
   /// Sequence space consumed: payload plus SYN/FIN flags.
   [[nodiscard]] std::uint32_t seq_length() const noexcept {
     return static_cast<std::uint32_t>(payload.size()) + (tcp.has(kSyn) ? 1 : 0) +
@@ -40,11 +43,10 @@ using Datagram = std::variant<TcpSegment, IcmpDatagram>;
 /// Serialize an ICMP datagram.
 [[nodiscard]] Bytes encode(const IcmpDatagram& datagram);
 
-/// Wire size of the datagram encode_into() writes for these headers and
-/// payload — what a pooled sender passes to BufferPool::acquire().
-[[nodiscard]] inline std::size_t encoded_size(const TcpHeader& tcp,
-                                              std::span<const std::uint8_t> payload) {
-  return Ipv4Header::kSize + tcp.encoded_size() + payload.size();
+/// Wire size of the datagram encode_into() writes — what a pooled sender
+/// passes to BufferPool::acquire().
+[[nodiscard]] inline std::size_t encoded_size(const TcpSegment& segment) {
+  return Ipv4Header::kSize + segment.tcp.encoded_size() + segment.payload.size();
 }
 [[nodiscard]] inline std::size_t encoded_size(const IcmpDatagram& datagram) {
   return Ipv4Header::kSize + IcmpMessage::kHeaderSize + datagram.icmp.payload.size();
@@ -56,26 +58,12 @@ using Datagram = std::variant<TcpSegment, IcmpDatagram>;
 void encode_into(const TcpSegment& segment, Bytes& out);
 void encode_into(const IcmpDatagram& datagram, Bytes& out);
 
-/// The TCP encoder proper: headers plus a borrowed payload, so a sender
-/// that keeps its bytes elsewhere (a send buffer, a request) need not
-/// stage them in a TcpSegment first. The TcpSegment overload delegates.
-void encode_into(const Ipv4Header& ip, const TcpHeader& tcp,
-                 std::span<const std::uint8_t> payload, Bytes& out);
-
-/// Parse any supported datagram into `out`, reusing its storage: when `out`
-/// already holds the same alternative, its payload capacity carries over,
-/// so a receiver that keeps one Datagram decodes without allocating once
-/// the capacity has grown. Every field is overwritten on success — `mss`
-/// included, so a segment without an MSS option never shows the previous
-/// packet's; on failure (malformed bytes, bad checksum, unsupported
-/// protocol) returns false and leaves `out` unspecified — valid, but not
-/// to be read.
-[[nodiscard]] bool decode_datagram_into(std::span<const std::uint8_t> bytes,
-                                        Datagram& out);
-
-/// decode_datagram_into() a fresh Datagram. Returns nullopt where that
-/// returns false.
+/// Parse any supported datagram. The result's payload views `bytes`, so it
+/// is valid for as long as `bytes` is. Returns nullopt on malformed bytes,
+/// a bad checksum or an unsupported protocol.
 [[nodiscard]] std::optional<Datagram> decode_datagram(std::span<const std::uint8_t> bytes);
+/// A temporary's bytes die with the full expression, and the view with them.
+std::optional<Datagram> decode_datagram(Bytes&& bytes) = delete;
 
 /// Destination address without full parsing (for simulator routing).
 /// Returns nullopt if the buffer cannot possibly hold an IPv4 header.

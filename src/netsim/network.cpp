@@ -163,10 +163,7 @@ void Network::send_frag_needed(net::IPv4Address original_src,
   reply.icmp.seq_or_mtu = static_cast<std::uint16_t>(next_hop_mtu);
   // RFC 792: original IP header + first 8 payload bytes.
   const std::size_t quote = std::min<std::size_t>(original.size(), 28);
-  // iwlint: allow(hot-path) -- ICMP error path (Fragmentation Needed), not
-  // steady-state forwarding; quotes at most 28 bytes of the original
-  reply.icmp.payload.assign(original.begin(),
-                            original.begin() + static_cast<std::ptrdiff_t>(quote));
+  reply.icmp.payload = original.first(quote);
 
   // The ICMP reply traverses the same path back (without MTU trouble).
   net::PacketBuf encoded = pool_.acquire(net::encoded_size(reply));

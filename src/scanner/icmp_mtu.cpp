@@ -62,7 +62,8 @@ class MtuSession final : public ProbeSession {
     echo.icmp.id_or_unused = echo_id_;
     echo.icmp.seq_or_mtu = static_cast<std::uint16_t>(probes_sent_);
     // Pad so the datagram is exactly `mtu` bytes: 20 IP + 8 ICMP + payload.
-    echo.icmp.payload.assign(mtu > 28 ? mtu - 28 : 0, 0x5a);
+    const net::Bytes pad(mtu > 28 ? mtu - 28 : 0, 0x5a);
+    echo.icmp.payload = pad;
     services_.send_packet(echo);
 
     services_.loop().cancel(timeout_event_);

@@ -139,12 +139,13 @@ void ScanEngine::finish_session(net::IPv4Address target) {
 
 void ScanEngine::handle_packet(net::PacketView bytes) {
   ++stats_.packets_received;
-  if (!net::decode_datagram_into(bytes, rx_)) {
+  const auto datagram = net::decode_datagram(bytes);
+  if (!datagram) {
     ++stats_.stray_packets;
     return;
   }
   const net::IPv4Address source = std::visit(
-      [](const auto& d) { return d.ip.src; }, rx_);
+      [](const auto& d) { return d.ip.src; }, *datagram);
   const auto it = sessions_.find(source);
   if (it == sessions_.end()) {
     ++stats_.stray_packets;
@@ -161,7 +162,7 @@ void ScanEngine::handle_packet(net::PacketView bytes) {
     abort_session(source, BudgetKind::RxBytes);
     return;
   }
-  state.session->on_datagram(rx_);
+  state.session->on_datagram(*datagram);
 }
 
 void ScanEngine::send_packet(net::Bytes bytes) {

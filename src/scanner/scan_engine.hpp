@@ -45,19 +45,12 @@ class SessionServices {
   /// route through the pooled buffer when one is available so steady-state
   /// probing does not allocate per packet.
   void send_packet(const net::TcpSegment& segment) {
-    send_packet(segment.ip, segment.tcp, segment.payload);
+    encode_and_send(net::encoded_size(segment),
+                    [&](net::Bytes& out) { net::encode_into(segment, out); });
   }
   void send_packet(const net::IcmpDatagram& datagram) {
     encode_and_send(net::encoded_size(datagram),
                     [&](net::Bytes& out) { net::encode_into(datagram, out); });
-  }
-  /// TCP headers plus a borrowed payload (e.g. a request the session keeps
-  /// for retransmission): encoded straight into the outgoing buffer, with
-  /// no TcpSegment staging copy.
-  void send_packet(const net::Ipv4Header& ip, const net::TcpHeader& tcp,
-                   std::span<const std::uint8_t> payload) {
-    encode_and_send(net::encoded_size(tcp, payload),
-                    [&](net::Bytes& out) { net::encode_into(ip, tcp, payload, out); });
   }
 
   [[nodiscard]] virtual sim::EventLoop& loop() = 0;
@@ -277,11 +270,6 @@ class ScanEngine final : public sim::Endpoint, public SessionServices {
   TargetSource& source_;
   ProbeModule& module_;
 
-  // The one decoded rx datagram, lent to a session for each on_datagram
-  // call; its payload capacity is reused from packet to packet. Delivery
-  // is always a scheduled event, so handle_packet never re-enters itself
-  // while a session still reads it.
-  net::Datagram rx_;
   std::unordered_map<net::IPv4Address, SessionState> sessions_;
   std::vector<std::unique_ptr<ProbeSession>> graveyard_;
   sim::EventId reap_event_ = sim::kNullEvent;

@@ -10,6 +10,7 @@
 #include "netbase/headers.hpp"
 #include "netbase/packet.hpp"
 #include "netbase/tcp_options.hpp"
+#include "util/bytes.hpp"
 #include "util/check.hpp"
 
 namespace iwscan::scan {
@@ -75,7 +76,7 @@ void StatelessSweep::build_templates() {
     segment.tcp.ack = 0;  // patched per target
     segment.tcp.flags = flags;
     segment.tcp.window = 65535;
-    segment.payload = net::to_bytes(payload);
+    segment.payload = util::as_bytes(payload);
     out.bytes = net::encode(segment);
     out.ip_checksum = read_u16(out.bytes, kIpChecksumAt);
     out.tcp_checksum = read_u16(out.bytes, kTcpChecksumAt);
@@ -180,11 +181,11 @@ void StatelessSweep::emit(const SweepEvent& event) {
 
 void StatelessSweep::handle_packet(net::PacketView bytes) {
   ++stats_.packets_received;
-  // Hand-rolled header walk instead of decode_datagram(): the general
-  // decoder copies the payload, and the sweep needs only a handful of
-  // fixed-offset fields, all bounds-checked by the reader, plus the MSS
-  // from net::read_tcp_options, the walk the header decoder uses. The
-  // fabric routed the packet here, so the destination matched.
+  // Hand-rolled header walk instead of decode_datagram(), which drops a
+  // segment whose options area net::read_tcp_options rejects: here such a
+  // SYN/ACK is still Responsive, with mss 0. The walk reads a handful of
+  // fixed-offset fields, all bounds-checked by the reader. The fabric
+  // routed the packet here, so the destination matched.
   net::WireReader reader(bytes);
   if (reader.u8() != 0x45) return;  // IPv4, 20-byte header only
   reader.skip(8);                   // tos, total_length, id, flags/fragment, ttl

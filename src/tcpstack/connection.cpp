@@ -386,7 +386,7 @@ void TcpConnection::emit_segment(std::uint32_t seq,
   tcp.window = kAdvertisedWindow;
   ++stats_.segments_sent;
   if (retransmission) ++stats_.segments_retransmitted;
-  send_fn_(ip_header(), tcp, payload);
+  send_fn_({ip_header(), tcp, payload});
 }
 
 net::Ipv4Header TcpConnection::ip_header() const noexcept {
@@ -412,7 +412,7 @@ void TcpConnection::send_syn_ack() {
   tcp.window = kAdvertisedWindow;
   tcp.mss = config_.own_mss_limit;
   ++stats_.segments_sent;
-  send_fn_(ip_header(), tcp, {});
+  send_fn_({ip_header(), tcp, {}});
 }
 
 void TcpConnection::send_rst(std::uint32_t seq) {

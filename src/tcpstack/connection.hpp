@@ -61,10 +61,9 @@ class TcpConnection {
   static constexpr int kMaxRetransmits = 5;
   static constexpr sim::SimTime kIdleTimeout = sim::sec(30);
 
-  /// Transmits one segment: headers plus a payload borrowed from the send
-  /// buffer for the duration of the call.
-  using SendFn = std::function<void(const net::Ipv4Header&, const net::TcpHeader&,
-                                    std::span<const std::uint8_t>)>;
+  /// Transmits one segment, whose payload is borrowed from the send buffer
+  /// for the duration of the call.
+  using SendFn = std::function<void(const net::TcpSegment&)>;
   using ClosedFn = std::function<void(TcpConnection&)>;
 
   /// Constructed by TcpHost in response to a SYN; sends the SYN/ACK.

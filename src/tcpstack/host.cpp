@@ -83,8 +83,7 @@ void TcpHost::on_tcp(const net::TcpSegment& segment) {
     auto connection = std::make_unique<TcpConnection>(
         network_.loop(), conn_config, address_, segment.tcp.dst_port, segment.ip.src,
         segment.tcp.src_port, segment, isn, std::move(app),
-        [this](const net::Ipv4Header& ip, const net::TcpHeader& tcp,
-               std::span<const std::uint8_t> payload) { transmit(ip, tcp, payload); },
+        [this](const net::TcpSegment& out) { transmit(out); },
         [this, key](TcpConnection&) {
           // Only mark it: the connection may be deep in its own call stack
           // right now.
@@ -120,7 +119,7 @@ void TcpHost::send_reset_for(const net::TcpSegment& offending) {
     rst.tcp.ack = offending.tcp.seq + offending.seq_length();
     rst.tcp.flags = net::kRst | net::kAck;
   }
-  transmit(rst.ip, rst.tcp, {});
+  transmit(rst);
 }
 
 void TcpHost::on_icmp(const net::IcmpDatagram& datagram) {
@@ -139,18 +138,15 @@ void TcpHost::on_icmp(const net::IcmpDatagram& datagram) {
   network_.send(std::move(packet));
 }
 
-void TcpHost::transmit(const net::Ipv4Header& ip, const net::TcpHeader& tcp,
-                       std::span<const std::uint8_t> payload) {
-  net::PacketBuf packet = network_.pool().acquire(net::encoded_size(tcp, payload));
-  net::encode_into(ip, tcp, payload, packet.bytes());
+void TcpHost::transmit(const net::TcpSegment& segment) {
+  net::PacketBuf packet = network_.pool().acquire(net::encoded_size(segment));
+  net::encode_into(segment, packet.bytes());
   network_.send(std::move(packet));
 }
 
 void TcpHost::reap_closed() {
   reap_event_ = sim::kNullEvent;
   std::erase_if(connections_, [](const Connection& entry) { return entry.closed; });
-  // An idle host keeps no connection storage; most never connect again.
-  if (connections_.empty()) connections_ = std::vector<Connection>();
 }
 
 }  // namespace iwscan::tcp

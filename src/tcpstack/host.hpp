@@ -59,8 +59,7 @@ class TcpHost : public sim::Endpoint {
   void on_tcp(const net::TcpSegment& segment);
   void on_icmp(const net::IcmpDatagram& datagram);
   void send_reset_for(const net::TcpSegment& offending);
-  IWSCAN_HOT void transmit(const net::Ipv4Header& ip, const net::TcpHeader& tcp,
-                           std::span<const std::uint8_t> payload);
+  IWSCAN_HOT void transmit(const net::TcpSegment& segment);
   void reap_closed();
 
   sim::Network& network_;

@@ -12,10 +12,12 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 
 #include "analysis/scan_runner.hpp"
 #include "inetmodel/internet.hpp"
 #include "testbed.hpp"
+#include "util/bytes.hpp"
 
 namespace iwscan {
 namespace {
@@ -123,6 +125,44 @@ TEST(AdversarialBattery, MssViolatorStillYieldsAnIwMeasurement) {
   EXPECT_EQ(result.record.iw_segments, 4u);
   EXPECT_EQ(result.record.observed_mss, 1000u);
   EXPECT_EQ(result.record.anomaly, core::ProbeAnomaly::MssViolation);
+}
+
+/// The first response segment the redirect-loop daemon sends to a GET of
+/// `path`, as the fabric carried it.
+std::string redirect_loop_response(std::string_view path) {
+  test::Testbed bed;
+  const net::IPv4Address ip{10, 66, 0, 2};
+  const auto host = model::make_adversarial_host(bed.network(), ip,
+                                                 AdversarialBehavior::RedirectLoop, 0xfeed);
+  bed.network().attach(ip, host.get());
+  std::string response;
+  bed.network().set_tap([&](net::PacketView bytes) {
+    const auto datagram = net::decode_datagram(bytes);
+    const auto* segment = datagram ? std::get_if<net::TcpSegment>(&*datagram) : nullptr;
+    if (segment != nullptr && segment->ip.src == ip && !segment->payload.empty() &&
+        response.empty()) {
+      response = util::as_text(segment->payload);
+    }
+  });
+  bed.estimate(ip, 80, 1460, test::Testbed::http_get(ip, path));
+  bed.network().set_tap(nullptr);
+  bed.network().detach(ip);
+  return response;
+}
+
+TEST(AdversarialBattery, RedirectLoopResponseBytesArePinned) {
+  // "/loop-a" redirects to "/loop-b"; every other path to "/loop-a".
+  const std::string to_a =
+      "HTTP/1.1 301 Moved Permanently\r\n"
+      "Server: loopd\r\n"
+      "Location: /loop-a\r\n"
+      "Connection: close\r\n"
+      "Content-Length: 0\r\n\r\n";
+  std::string to_b = to_a;
+  to_b.replace(to_b.find("/loop-a"), 7, "/loop-b");
+  EXPECT_EQ(redirect_loop_response("/"), to_a);
+  EXPECT_EQ(redirect_loop_response("/loop-b"), to_a);
+  EXPECT_EQ(redirect_loop_response("/loop-a"), to_b);
 }
 
 // ------------------------------------------------ graceful degradation ----

@@ -303,7 +303,7 @@ TEST(Estimator, WireShapeMatchesPaper) {
     const auto& request_ack = sent[1];
     EXPECT_EQ(int{request_ack.tcp.flags}, net::kAck | net::kPsh);
     EXPECT_EQ(request_ack.tcp.seq, syn.tcp.seq + 1);
-    EXPECT_EQ(request_ack.payload, request);
+    EXPECT_EQ(util::as_text(request_ack.payload), util::as_text(request));
 
     EXPECT_GE(first_data_copies_before_verify, 2)
         << "the verify ACK waits for the RTO retransmission; MSS " << mss;
@@ -789,7 +789,7 @@ TEST(EstimatorSynPhase, RetransmittedSynAckInCollectResendsTheRequest) {
   conn.deliver_syn_ack();
   ASSERT_EQ(conn.services.sent.size(), 2u);
   const net::TcpSegment first = conn.sent(1);
-  EXPECT_EQ(first.payload, net::to_bytes("GET / HTTP/1.1\r\n\r\n"));
+  EXPECT_EQ(util::as_text(first.payload), "GET / HTTP/1.1\r\n\r\n");
   EXPECT_EQ(first.tcp.ack, ManualConnection::kIrs + 1);
 
   // The handshake ACK + request was lost: the server repeats its SYN/ACK.

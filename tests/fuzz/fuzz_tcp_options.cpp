@@ -5,9 +5,12 @@
 // in front changes nothing, an MSS in front wins, bytes after END are
 // never read); the MSS survives a header encode→decode round trip. Each
 // input also rides a whole TCP segment, as its options area and its
-// payload, decoded both fresh and into one Datagram reused across inputs:
-// the two must agree, MSS included, so no state survives from the input
-// before, and both must accept and read what the walk does.
+// payload: the datagram decoder must accept and read what the walk does,
+// its payload must be the input's bytes after the header, where they lie,
+// and encoding the decode must give the input back (byte for byte where
+// the options area is one the encoder writes). Each input also rides an
+// ICMP datagram as its whole message, whose decoded payload must lie
+// inside the input too.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -64,22 +67,72 @@ iwscan::net::Bytes wrap_in_segment(std::span<const std::uint8_t> data) {
   return wire;
 }
 
-/// Decode `wire` fresh and into the reused datagram; both must agree.
-/// Returns the fresh decode.
-std::optional<iwscan::net::Datagram> check_reused_decode(const iwscan::net::Bytes& wire) {
+/// `view` lies inside `wire`, `offset` bytes in, and runs to its end.
+bool views_tail(std::span<const std::uint8_t> view, const iwscan::net::Bytes& wire,
+                std::size_t offset) {
+  return offset <= wire.size() && view.data() == wire.data() + offset &&
+         view.size() == wire.size() - offset;
+}
+
+/// Decode `wire` (wrap_in_segment of `data`): an accepted segment's
+/// payload is `data` where it lies in `wire`, and its encode reproduces
+/// `wire` when the options area is empty or one MSS option, the only ones
+/// the encoder writes; any other area is dropped, so the encode then
+/// re-decodes to the same fields. Returns the decoded MSS, or nullopt if
+/// the decoder rejected `wire`.
+std::optional<std::optional<std::uint16_t>> check_segment_decode(
+    const iwscan::net::Bytes& wire, std::span<const std::uint8_t> data) {
   namespace net = iwscan::net;
-  static net::Datagram reused;  // carries the previous input's decode
-  auto fresh = net::decode_datagram(wire);
-  const bool ok = net::decode_datagram_into(wire, reused);
-  require(ok == fresh.has_value(), "reused and fresh decode disagree on acceptance");
-  if (!ok) return fresh;
-  const auto& a = std::get<net::TcpSegment>(*fresh);
-  const auto* b = std::get_if<net::TcpSegment>(&reused);
-  require(b != nullptr, "reused decode holds the wrong datagram kind");
-  require(a.tcp.mss == b->tcp.mss, "reused decode kept a stale MSS");
-  require(a.payload == b->payload, "reused decode kept stale payload bytes");
-  require(net::encode(a) == net::encode(*b), "reused decode differs from a fresh one");
-  return fresh;
+  const auto decoded = net::decode_datagram(wire);
+  if (!decoded) return std::nullopt;
+  const auto* segment = std::get_if<net::TcpSegment>(&*decoded);
+  require(segment != nullptr, "a TCP datagram decoded as another kind");
+  const std::size_t header_bytes = wire.size() - data.size();
+  require(views_tail(segment->payload, wire, header_bytes),
+          "the payload is not the bytes after the header, where they lie");
+  require(std::ranges::equal(segment->payload, data), "the payload bytes differ");
+  const net::Bytes encoded = net::encode(*segment);
+  if (header_bytes == net::Ipv4Header::kSize + segment->tcp.encoded_size()) {
+    require(encoded == wire, "encode of the decode does not reproduce the input");
+  } else {
+    const auto again = net::decode_datagram(encoded);
+    require(again.has_value(), "encode of the decode does not decode");
+    const auto& b = std::get<net::TcpSegment>(*again);
+    require(b.tcp.mss == segment->tcp.mss && b.tcp.seq == segment->tcp.seq &&
+                b.tcp.flags == segment->tcp.flags &&
+                std::ranges::equal(b.payload, segment->payload),
+            "encode of the decode re-decodes differently");
+  }
+  return segment->tcp.mss;
+}
+
+/// An IPv4 datagram whose ICMP message is `data`, checksum patched in when
+/// `data` can hold one: a decoded message's payload must be `data` past
+/// its 8-byte header, where it lies.
+void check_icmp_decode(std::span<const std::uint8_t> data) {
+  namespace net = iwscan::net;
+  net::Bytes wire;
+  net::WireWriter writer(wire);
+  net::Ipv4Header ip;
+  ip.protocol = net::kProtocolIcmp;
+  ip.src = net::IPv4Address(10, 3, 2, 1);
+  ip.dst = net::IPv4Address(192, 0, 2, 1);
+  ip.total_length = static_cast<std::uint16_t>(net::Ipv4Header::kSize + data.size());
+  ip.encode(writer);
+  writer.raw(data);
+  if (data.size() >= net::IcmpMessage::kHeaderSize) {
+    writer.patch_u16(net::Ipv4Header::kSize + 2, 0);
+    const auto l4 = std::span<const std::uint8_t>(wire).subspan(net::Ipv4Header::kSize);
+    writer.patch_u16(net::Ipv4Header::kSize + 2, net::internet_checksum(l4));
+  }
+  const auto decoded = net::decode_datagram(wire);
+  require(decoded.has_value() == (data.size() >= net::IcmpMessage::kHeaderSize),
+          "ICMP decode acceptance does not follow the header size");
+  if (!decoded) return;
+  const auto& icmp = std::get<net::IcmpDatagram>(*decoded);
+  require(views_tail(icmp.icmp.payload, wire,
+                     net::Ipv4Header::kSize + net::IcmpMessage::kHeaderSize),
+          "the ICMP payload is not the bytes after its header, where they lie");
 }
 
 /// read_tcp_options() as a value: nullopt when it rejects `area`.
@@ -106,14 +159,10 @@ void fuzz_one(std::span<const std::uint8_t> data) {
   // and carries the MSS it reports.
   net::Bytes padded = concat({}, data.first(std::min<std::size_t>(data.size(), 40)));
   padded.resize((padded.size() + 3) / 4 * 4, 0);  // as wrap_in_segment pads it
-  const auto segment = check_reused_decode(wrap_in_segment(data));
-  const auto padded_result = walk(padded);
-  require(segment.has_value() == padded_result.has_value(),
-          "header decode and option walk disagree on acceptance");
-  if (segment) {
-    require(std::get<net::TcpSegment>(*segment).tcp.mss == *padded_result,
-            "header decode and option walk disagree on the MSS");
-  }
+  const auto decoded_mss = check_segment_decode(wrap_in_segment(data), data);
+  require(decoded_mss == walk(padded),
+          "header decode and option walk disagree on acceptance or the MSS");
+  check_icmp_decode(data);
 
   // A NOP in front changes nothing; an MSS in front is the first MSS.
   require(walk(concat({1}, data)) == result, "a leading NOP changed the walk");

@@ -318,7 +318,7 @@ class FetchClient final : public sim::Endpoint {
     segment.tcp.flags = flags;
     segment.tcp.window = 65535;
     segment.tcp.mss = mss;
-    segment.payload = std::move(payload);
+    segment.payload = payload;
     network_.send(net::encode(segment));
   }
 

@@ -433,7 +433,8 @@ std::vector<HostSegment> probe_exchange(test::Testbed& bed, net::IPv4Address ip,
   for (const net::TcpSegment& segment : wire) {
     if (segment.ip.src != ip) continue;
     out.push_back(HostSegment{segment.tcp.flags, segment.tcp.seq, segment.tcp.ack,
-                              segment.tcp.window, segment.payload});
+                              segment.tcp.window,
+                              net::Bytes(segment.payload.begin(), segment.payload.end())});
   }
   return out;
 }

@@ -362,7 +362,8 @@ net::Bytes make_packet(net::IPv4Address src, net::IPv4Address dst,
   segment.tcp.src_port = 1;
   segment.tcp.dst_port = 2;
   segment.tcp.flags = net::kAck;
-  segment.payload.assign(payload, 0x7e);
+  const net::Bytes fill(payload, 0x7e);
+  segment.payload = fill;
   return net::encode(segment);
 }
 
@@ -739,7 +740,8 @@ TEST(Capture, IcmpFormatting) {
   echo.ip.src = kA;
   echo.ip.dst = kB;
   echo.icmp.type = net::IcmpType::Echo;
-  echo.icmp.payload = {1, 2, 3};
+  const net::Bytes payload = {1, 2, 3};
+  echo.icmp.payload = payload;
   const std::string line = format_packet(net::encode(echo));
   EXPECT_NE(line.find("ICMP echo request"), std::string::npos);
   EXPECT_NE(line.find("length 11"), std::string::npos);

@@ -19,6 +19,7 @@
 #include "scanner/syncookie.hpp"
 #include "scanner/targets.hpp"
 #include "tcpstack/host.hpp"
+#include "util/bytes.hpp"
 
 namespace iwscan::scan {
 namespace {
@@ -599,7 +600,7 @@ TEST(ChecksumUpdate, PatchedTemplateMatchesFromScratchEncoding) {
     base.tcp.ack = 0;
     base.tcp.flags = net::kAck | net::kPsh;
     base.tcp.window = 65535;
-    base.payload = net::to_bytes("GET / HTTP/1.0\r\n\r\n");
+    base.payload = util::as_bytes("GET / HTTP/1.0\r\n\r\n");
     net::Bytes patched = net::encode(base);
 
     const std::uint32_t dst = static_cast<std::uint32_t>(rng());
@@ -734,7 +735,7 @@ TEST(StatelessSweep, ForgedAcksAreRejectedByCookieValidation) {
       segment.tcp.seq = 1;
       segment.tcp.ack = 0xdeadbeef;
       segment.tcp.flags = flags;
-      segment.payload = net::to_bytes(payload);
+      segment.payload = util::as_bytes(payload);
       net::PacketBuf buf = rig.network.pool().adopt(net::encode(segment));
       rig.network.send(std::move(buf));
     };

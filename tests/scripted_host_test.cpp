@@ -114,7 +114,7 @@ class ScriptedServer final : public sim::Endpoint {
     segment.tcp.ack = ack;
     segment.tcp.flags = flags;
     segment.tcp.window = 65535;
-    segment.payload = std::move(payload);
+    segment.payload = payload;
     network_.send(net::encode(segment));
   }
 
@@ -355,7 +355,7 @@ class VaryingServer final : public sim::Endpoint {
     segment.tcp.ack = ack;
     segment.tcp.flags = flags | (ack ? net::kAck : 0);
     segment.tcp.window = 65535;
-    segment.payload = std::move(payload);
+    segment.payload = payload;
     network_.send(net::encode(segment));
   }
 

@@ -30,10 +30,12 @@ class RawClient final : public sim::Endpoint {
   ~RawClient() override { network_.detach(kClientIp); }
 
   void handle_packet(net::PacketView bytes) override {
-    auto datagram = net::decode_datagram(bytes);
+    // `received` views the bytes, so keep a copy of them.
+    const net::Bytes& kept = wire_.emplace_back(bytes.begin(), bytes.end());
+    const auto datagram = net::decode_datagram(kept);
     ASSERT_TRUE(datagram.has_value());
-    if (auto* segment = std::get_if<net::TcpSegment>(&*datagram)) {
-      received.push_back(std::move(*segment));
+    if (const auto* segment = std::get_if<net::TcpSegment>(&*datagram)) {
+      received.push_back(*segment);
     }
   }
 
@@ -51,7 +53,7 @@ class RawClient final : public sim::Endpoint {
     segment.tcp.flags = flags;
     segment.tcp.window = window;
     segment.tcp.mss = mss;
-    segment.payload = std::move(payload);
+    segment.payload = payload;
     network_.send(net::encode(segment));
   }
 
@@ -75,6 +77,7 @@ class RawClient final : public sim::Endpoint {
 
  private:
   sim::Network& network_;
+  std::deque<net::Bytes> wire_;
 };
 
 /// App that immediately sends a fixed payload (optionally closing after).
@@ -635,7 +638,8 @@ TEST(TcpStack, IcmpEchoIsAnswered) {
   echo.icmp.type = net::IcmpType::Echo;
   echo.icmp.id_or_unused = 42;
   echo.icmp.seq_or_mtu = 7;
-  echo.icmp.payload = {1, 2, 3};
+  const net::Bytes payload = {1, 2, 3};
+  echo.icmp.payload = payload;
   rig.network.send(net::encode(echo));
   rig.loop.run_until(sim::msec(100));
   ASSERT_EQ(rig.client->received.size(), 0u);  // no TCP

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdlib>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -85,15 +86,18 @@ class Testbed {
 
   /// Record every TCP segment put on the wire, in injection order (the
   /// sender-side vantage point), into `segments`, and its bytes as the
-  /// fabric carried them into `wire` when given (same index).
+  /// fabric carried them into `wire` when given (same index). A decoded
+  /// segment views its bytes, so the testbed keeps a copy of them for as
+  /// long as it lives.
   void tap_segments(std::vector<net::TcpSegment>& segments,
                     std::vector<net::Bytes>* wire = nullptr) {
-    network_.set_tap([&segments, wire](net::PacketView bytes) {
-      const auto datagram = net::decode_datagram(bytes);
+    network_.set_tap([this, &segments, wire](net::PacketView bytes) {
+      const net::Bytes& kept = tapped_.emplace_back(bytes.begin(), bytes.end());
+      const auto datagram = net::decode_datagram(kept);
       if (!datagram) return;
       if (const auto* segment = std::get_if<net::TcpSegment>(&*datagram)) {
         segments.push_back(*segment);
-        if (wire != nullptr) wire->emplace_back(bytes.begin(), bytes.end());
+        if (wire != nullptr) wire->push_back(kept);
       }
     });
   }
@@ -110,6 +114,7 @@ class Testbed {
   sim::Network network_;
   DirectServices services_;
   std::vector<std::unique_ptr<tcp::TcpHost>> hosts_;
+  std::deque<net::Bytes> tapped_;  // the bytes tap_segments' segments view
 };
 
 // ---------------------------------------------------------------------------

@@ -479,7 +479,7 @@ struct TlsRig {
       segment.tcp.flags = flags;
       segment.tcp.window = 65535;
       if (mss) segment.tcp.mss = 1460;
-      segment.payload = std::move(payload);
+      segment.payload = payload;
       network.send(net::encode(segment));
     }
   };

@@ -11,7 +11,6 @@
 #include <span>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <variant>
 
@@ -253,11 +252,11 @@ ShardDone estimate_shard(const ScanOptions& job, const ShardSpec& spec,
   if (!job.spill_dir.empty()) spill.emplace(spill_config_for(job, spec));
   if (!spill.has_value()) done.records.reserve(expected);
   std::uint64_t unreported = 0;  // kept records not yet counted by the merger
-  std::unordered_map<net::IPv4Address, std::uint64_t> cycle_of;
+  // Sessions emit only while the engine runs, and before they finish, so
+  // the engine still holds the emitting session's launch cycle.
+  const scan::ScanEngine* running = nullptr;
   core::IwProbeModule module(job.probe, [&](const core::HostScanRecord& record) {
-    const auto it = cycle_of.find(record.ip);
-    const std::uint64_t cycle = it == cycle_of.end() ? 0 : it->second;
-    if (it != cycle_of.end()) cycle_of.erase(it);  // one record per host
+    const std::uint64_t cycle = running->session_cycle(record.ip);
     if (spill.has_value()) {
       spill->append(cycle, record);
     } else {
@@ -271,8 +270,8 @@ ShardDone estimate_shard(const ScanOptions& job, const ShardSpec& spec,
   {
     const sim::SimTime start = network.loop().now();
     scan::ScanEngine engine(network, engine_config_for(job, spec), source, module);
-    engine.set_launch_observer([&](net::IPv4Address ip, std::uint64_t cycle) {
-      cycle_of[ip] = cycle;
+    running = &engine;
+    engine.set_launch_observer([&](net::IPv4Address, std::uint64_t) {
       launched.fetch_add(1, std::memory_order_relaxed);
     });
     engine.start();

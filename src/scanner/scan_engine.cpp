@@ -81,6 +81,7 @@ void ScanEngine::launch_next_target() {
     it->second.draws = draws;
   }
   it->second.session = std::move(session);
+  it->second.cycle = cycle;
   arm_deadline(it->second, target);
   it->second.session->start();
 }

@@ -204,6 +204,14 @@ class ScanEngine final : public sim::Endpoint, public SessionServices {
     return targets_exhausted_ && sessions_.empty();
   }
   [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
+  /// The global permutation-cycle index `target`'s live session was
+  /// launched with, or 0 when no session for it is live. A record sink
+  /// reads it from inside the session's emit: a session emits its record
+  /// before it finishes, so the entry is still there.
+  [[nodiscard]] std::uint64_t session_cycle(net::IPv4Address target) const {
+    const auto it = sessions_.find(target);
+    return it == sessions_.end() ? 0 : it->second.cycle;
+  }
   /// Sessions currently holding engine state — the leak-check hook for
   /// tests: must be 0 once done() holds.
   [[nodiscard]] std::size_t live_sessions() const noexcept { return sessions_.size(); }
@@ -236,15 +244,16 @@ class ScanEngine final : public sim::Endpoint, public SessionServices {
     std::uint32_t ports = 0;  // allocate_port draws so far
   };
 
-  // One live conversation: its draw counts and its budget accounting. The
-  // wall-time deadline is armed at launch; byte/packet counters are
-  // checked in handle_packet before delivery. Erased when the session
-  // finishes.
+  // One live conversation: its launch cycle, its draw counts and its
+  // budget accounting. The wall-time deadline is armed at launch;
+  // byte/packet counters are checked in handle_packet before delivery.
+  // Erased when the session finishes.
   struct SessionState {
     std::unique_ptr<ProbeSession> session;
     sim::EventId deadline = sim::kNullEvent;
     std::uint64_t rx_bytes = 0;
     std::uint64_t rx_packets = 0;
+    std::uint64_t cycle = 0;
     TargetDraws draws;
   };
 

@@ -5,6 +5,8 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <array>
+#include <bit>
 #include <filesystem>
 #include <numeric>
 
@@ -69,6 +71,26 @@ bool collect_spill_files(const std::vector<std::string>& inputs, RecordKind kind
 }
 
 namespace detail {
+
+void radix_sort_keys(std::vector<RunKey>& keys, std::vector<RunKey>& scratch,
+                     std::size_t n, std::uint64_t min_cycle, std::uint64_t max_cycle) {
+  constexpr unsigned kDigitBits = 11;
+  constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+  const unsigned bits = static_cast<unsigned>(std::bit_width(max_cycle - min_cycle));
+  std::array<std::uint32_t, kBuckets> counts;
+  for (unsigned shift = 0; shift < bits; shift += kDigitBits) {
+    const auto digit = [&](const RunKey& key) {
+      return static_cast<std::size_t>(((key.cycle - min_cycle) >> shift) & (kBuckets - 1));
+    };
+    counts.fill(0);
+    for (std::size_t i = 0; i < n; ++i) ++counts[digit(keys[i])];
+    if (counts[digit(keys[0])] == n) continue;  // one digit for every key
+    std::uint32_t total = 0;
+    for (std::uint32_t& count : counts) total += std::exchange(count, total);
+    for (std::size_t i = 0; i < n; ++i) scratch[counts[digit(keys[i])]++] = keys[i];
+    keys.swap(scratch);
+  }
+}
 
 FileSink::~FileSink() { static_cast<void>(close()); }
 

@@ -4,8 +4,8 @@
 //
 // The in-RAM result path grows one vector across the whole scan — ~400 GB
 // at 2^32 targets. SpillWriter caps that at O(segment): records accumulate
-// in a fixed-capacity buffer, and when it fills the buffer is sorted by
-// global permutation-cycle index and flushed as one self-describing,
+// in a fixed-capacity staged payload, and when it fills the run is sorted
+// by global permutation-cycle index and flushed as one self-describing,
 // CRC-guarded segment (store/spill_format.hpp). Every segment is therefore
 // a sorted run, so reading the scan back is a K-way heap merge over all
 // segments of all shards — cycle indices are globally unique, which makes
@@ -14,12 +14,14 @@
 //
 // Hot-path contract (iwlint): SpillWriter::append and SegmentReader::next
 // are IWSCAN_HOT roots — no allocation, no locking, no syscalls per
-// record. The segment flush (sort + encode + CRC + buffered fwrite) is the
-// audited IWSCAN_HOT_BOUNDARY; it reuses its scratch buffers' capacity, so
-// steady-state appends stay allocation-free (tests/alloc_budget_test.cpp).
+// record. The segment flush (order check, radix sort + gather, CRC,
+// buffered fwrite) is the audited IWSCAN_HOT_BOUNDARY; it reuses its
+// scratch buffers' capacity, so steady-state appends stay allocation-free
+// (tests/alloc_budget_test.cpp).
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -29,7 +31,6 @@
 #include <utility>
 #include <vector>
 
-#include "netbase/wire.hpp"
 #include "store/crc32.hpp"
 #include "store/spill_format.hpp"
 #include "util/annotations.hpp"
@@ -122,19 +123,39 @@ struct SegmentView {
   std::span<const std::uint8_t> payload;
 };
 
+namespace detail {
+
+/// One record of a run being sorted: its cycle and its slot in append order.
+struct RunKey {
+  std::uint64_t cycle = 0;
+  std::uint32_t slot = 0;
+};
+
+/// Stable LSD radix sort of keys[0, n) by cycle, 11 bits a pass over the
+/// bits of (cycle - min_cycle) that can differ; a pass whose digit is the
+/// same for every key is skipped. `scratch` holds ≥ n keys; the two
+/// vectors may trade buffers.
+void radix_sort_keys(std::vector<RunKey>& keys, std::vector<RunKey>& scratch,
+                     std::size_t n, std::uint64_t min_cycle, std::uint64_t max_cycle);
+
+}  // namespace detail
+
 /// Streams (cycle, record) pairs into fixed-size sorted segments. Records
-/// may arrive in any order (sessions complete out of cycle order); each
-/// segment is sorted at flush time.
+/// may arrive in any order (sessions complete out of cycle order): append
+/// encodes each into the segment's staged payload at its arrival slot, and
+/// the flush sorts the run by (cycle, slot) keys — or, when the run
+/// arrived in cycle order, writes the staged payload as it is.
 template <class Record>
 class SpillWriter {
+  static constexpr std::size_t kWidth = RecordTraits<Record>::wire_bytes;
+
  public:
   explicit SpillWriter(const SpillConfig& config)
-      : seed_(config.seed),
+      : capacity_(std::clamp<std::size_t>(config.segment_bytes / kWidth, 1, 1u << 26)),
+        seed_(config.seed),
         shard_(config.shard),
         total_shards_(config.total_shards) {
-    const std::size_t capacity = std::clamp<std::size_t>(
-        config.segment_bytes / RecordTraits<Record>::wire_bytes, 1, 1u << 26);
-    buffer_.resize(capacity);
+    staged_.resize(capacity_ * kWidth);
     path_ = join_path(config.directory,
                       spill_file_name(RecordTraits<Record>::kind, shard_,
                                       total_shards_));
@@ -144,12 +165,12 @@ class SpillWriter {
   SpillWriter(const SpillWriter&) = delete;
   SpillWriter& operator=(const SpillWriter&) = delete;
 
-  /// Hot per-record entry point: one buffer store, no allocation, no lock;
-  /// only a full buffer crosses into the flush boundary below.
+  /// Hot per-record entry point: one fixed-offset encode into the staged
+  /// payload, no allocation, no lock; only a full segment crosses into the
+  /// flush boundary below.
   IWSCAN_HOT void append(std::uint64_t cycle, const Record& record) {
-    if (count_ == buffer_.size()) flush_segment();
-    buffer_[count_].cycle = cycle;
-    buffer_[count_].record = record;
+    if (count_ == capacity_) flush_segment();
+    encode_record(staged_.data() + count_ * kWidth, cycle, record);
     ++count_;
     ++appended_;
   }
@@ -174,52 +195,82 @@ class SpillWriter {
   [[nodiscard]] const std::string& error() const noexcept { return error_; }
 
  private:
-  struct Tagged {
-    std::uint64_t cycle = 0;
-    Record record{};
-  };
-
-  /// The audited hot/cold hand-off: sort the run, encode it through the
-  /// wire codecs into reused scratch buffers, CRC it, and hand it to the
-  /// buffered file sink in two writes.
+  /// The audited hot/cold hand-off: order the run, CRC it, and hand it to
+  /// the buffered file sink in two writes. The sort scratch is sized by
+  /// the first run that needs it and reused after.
   IWSCAN_HOT_BOUNDARY void flush_segment() {
-    if (count_ == 0 || !ok_) return;
-    std::sort(buffer_.begin(),
-              buffer_.begin() + static_cast<std::ptrdiff_t>(count_),
-              [](const Tagged& a, const Tagged& b) { return a.cycle < b.cycle; });
-    payload_.clear();
-    net::WireWriter writer(payload_);
-    for (std::size_t i = 0; i < count_; ++i) {
-      encode_record(writer, buffer_[i].cycle, buffer_[i].record);
+    if (count_ == 0) return;
+    if (!ok_) {  // a failed sink drops the run; close() reports the error
+      count_ = 0;
+      return;
     }
+    std::span<const std::uint8_t> payload(staged_.data(), count_ * kWidth);
+    if (!cycle_ordered(payload)) payload = sort_run(payload);
     SegmentMeta meta;
     meta.kind = RecordTraits<Record>::kind;
     meta.seed = seed_;
     meta.shard = shard_;
     meta.total_shards = total_shards_;
-    meta.record_bytes = static_cast<std::uint32_t>(RecordTraits<Record>::wire_bytes);
+    meta.record_bytes = static_cast<std::uint32_t>(kWidth);
     meta.record_count = static_cast<std::uint32_t>(count_);
-    meta.first_cycle = buffer_.front().cycle;
-    meta.last_cycle = buffer_[count_ - 1].cycle;
-    meta.payload_crc = crc32(payload_);
-    header_.clear();
-    encode_segment_header(header_, meta);
-    sink_.write(header_);
-    sink_.write(payload_);
+    meta.first_cycle = record_cycle(payload.data());
+    meta.last_cycle = record_cycle(payload.data() + payload.size() - kWidth);
+    meta.payload_crc = crc32(payload);
+    std::array<std::uint8_t, kSegmentHeaderBytes> header;
+    encode_segment_header(header, meta);
+    sink_.write(header);
+    sink_.write(payload);
     if (!sink_.ok()) ok_ = false;
     count_ = 0;
     ++segments_flushed_;
   }
 
+  /// One linear check: does the staged run already ascend by cycle?
+  static bool cycle_ordered(std::span<const std::uint8_t> run) {
+    std::uint64_t previous = record_cycle(run.data());
+    for (std::size_t at = kWidth; at < run.size(); at += kWidth) {
+      const std::uint64_t cycle = record_cycle(run.data() + at);
+      if (cycle < previous) return false;
+      previous = cycle;
+    }
+    return true;
+  }
+
+  /// Radix-sorts the run's (cycle, slot) keys, then gathers the records
+  /// into `sorted_` in key order.
+  std::span<const std::uint8_t> sort_run(std::span<const std::uint8_t> run) {
+    if (keys_.size() < count_) {
+      keys_.resize(count_);
+      key_scratch_.resize(count_);
+      sorted_.resize(count_ * kWidth);
+    }
+    std::uint64_t min_cycle = ~std::uint64_t{0};
+    std::uint64_t max_cycle = 0;
+    for (std::size_t slot = 0; slot < count_; ++slot) {
+      const std::uint64_t cycle = record_cycle(run.data() + slot * kWidth);
+      keys_[slot] = detail::RunKey{cycle, static_cast<std::uint32_t>(slot)};
+      min_cycle = std::min(min_cycle, cycle);
+      max_cycle = std::max(max_cycle, cycle);
+    }
+    detail::radix_sort_keys(keys_, key_scratch_, count_, min_cycle, max_cycle);
+    for (std::size_t i = 0; i < count_; ++i) {
+      std::copy_n(run.data() + std::size_t{keys_[i].slot} * kWidth, kWidth,
+                  sorted_.data() + i * kWidth);
+    }
+    return {sorted_.data(), run.size()};
+  }
+
+  std::size_t capacity_ = 1;  // records per segment
   std::uint64_t seed_ = 0;
   std::uint32_t shard_ = 0;
   std::uint32_t total_shards_ = 1;
-  std::vector<Tagged> buffer_;  // fixed capacity; count_ tracks the fill
+  std::vector<std::uint8_t> staged_;  // capacity_ records in arrival order
   std::size_t count_ = 0;
   std::uint64_t appended_ = 0;
   std::uint64_t segments_flushed_ = 0;
-  net::Bytes payload_;  // encode scratch, capacity reused across segments
-  net::Bytes header_;
+  std::vector<detail::RunKey> keys_;  // sort scratch, sized at first use
+  std::vector<detail::RunKey> key_scratch_;
+  std::vector<std::uint8_t> sorted_;
   std::string path_;
   std::string error_;
   detail::FileSink sink_;
@@ -232,31 +283,38 @@ class SpillWriter {
 /// then iterates records in file order via next().
 template <class Record>
 class SegmentReader {
+  static constexpr std::size_t kWidth = RecordTraits<Record>::wire_bytes;
+
  public:
   [[nodiscard]] bool open(const std::string& path, std::string* error) {
     path_ = path;
     if (!file_.map(path, error)) return false;
-    net::WireReader reader(file_.bytes());
-    while (reader.remaining() > 0) {
+    std::span<const std::uint8_t> rest = file_.bytes();
+    while (!rest.empty()) {
+      if (rest.size() < kSegmentHeaderBytes) {
+        return fail(error, "truncated segment header");
+      }
       SegmentMeta meta;
       std::string detail_error;
-      if (!decode_segment_header(reader, meta, &detail_error)) {
+      if (!decode_segment_header(rest.first<kSegmentHeaderBytes>(), meta,
+                                 &detail_error)) {
         return fail(error, detail_error);
       }
+      rest = rest.subspan(kSegmentHeaderBytes);
       if (meta.kind != RecordTraits<Record>::kind) {
         return fail(error, "segment holds the wrong record kind");
       }
-      if (meta.record_bytes != RecordTraits<Record>::wire_bytes) {
+      if (meta.record_bytes != kWidth) {
         return fail(error, "segment record width " +
                                std::to_string(meta.record_bytes) +
                                " does not match this build's codec");
       }
-      const std::size_t payload_bytes =
-          std::size_t{meta.record_count} * RecordTraits<Record>::wire_bytes;
-      if (!reader.require(payload_bytes)) {
+      const std::size_t payload_bytes = std::size_t{meta.record_count} * kWidth;
+      if (rest.size() < payload_bytes) {
         return fail(error, "truncated segment payload (file cut short mid-segment)");
       }
-      const std::span<const std::uint8_t> payload = reader.raw(payload_bytes);
+      const std::span<const std::uint8_t> payload = rest.first(payload_bytes);
+      rest = rest.subspan(payload_bytes);
       if (crc32(payload) != meta.payload_crc) {
         return fail(error, "segment payload CRC mismatch (corrupted records)");
       }
@@ -270,23 +328,20 @@ class SegmentReader {
       record_count_ += meta.record_count;
       segments_.push_back(SegmentView{meta, payload});
     }
-    if (!segments_.empty()) {
-      cursor_ = net::WireReader(segments_.front().payload);
-    }
     return true;
   }
 
   /// Hot sequential read: records in file order (per-segment cycle order).
   IWSCAN_HOT bool next(std::uint64_t& cycle, Record& out) {
     while (segment_index_ < segments_.size()) {
-      if (cursor_.remaining() >= RecordTraits<Record>::wire_bytes) {
-        decode_record(cursor_, cycle, out);
+      const std::span<const std::uint8_t> payload = segments_[segment_index_].payload;
+      if (offset_ < payload.size()) {
+        cycle = decode_record(payload.data() + offset_, out);
+        offset_ += kWidth;
         return true;
       }
       ++segment_index_;
-      if (segment_index_ < segments_.size()) {
-        cursor_ = net::WireReader(segments_[segment_index_].payload);
-      }
+      offset_ = 0;
     }
     return false;
   }
@@ -314,10 +369,10 @@ class SegmentReader {
   }
 
   MappedFile file_;
-  std::vector<SegmentView> segments_;
+  std::vector<SegmentView> segments_;  // payloads are whole records
   std::uint64_t record_count_ = 0;
   std::size_t segment_index_ = 0;
-  net::WireReader cursor_{std::span<const std::uint8_t>{}};
+  std::size_t offset_ = 0;  // into segments_[segment_index_].payload
   std::string path_;
 };
 
@@ -326,38 +381,50 @@ class SegmentReader {
 /// a repeated or out-of-order cycle (overlapping shards, duplicated
 /// inputs) stops the stream with ok() == false instead of emitting a
 /// corrupt merge.
+///
+/// The heap holds (next cycle, cursor) pairs over raw segment positions:
+/// ordering reads only the cycle a record opens with, and a record is
+/// decoded once, when it is emitted, straight into the caller's `out`.
 template <class Record>
 class MergeReader {
+  static constexpr std::size_t kWidth = RecordTraits<Record>::wire_bytes;
+  static constexpr std::ptrdiff_t kPrefetchAhead = 256;  // bytes, ~5 records
+
  public:
   explicit MergeReader(std::vector<SegmentReader<Record>> inputs)
       : inputs_(std::move(inputs)) {
     for (const SegmentReader<Record>& input : inputs_) {
       for (const SegmentView& segment : input.segments()) {
-        if (segment.meta.record_count == 0) continue;
-        Cursor cursor;
-        cursor.reader = net::WireReader(segment.payload);
-        decode_record(cursor.reader, cursor.cycle, cursor.record);
-        cursors_.push_back(std::move(cursor));
+        if (segment.payload.empty()) continue;
+        heap_.push_back(Head{record_cycle(segment.payload.data()),
+                             static_cast<std::uint32_t>(cursors_.size())});
+        cursors_.push_back(Cursor{segment.payload.data(),
+                                  segment.payload.data() + segment.payload.size()});
       }
       record_count_ += input.record_count();
     }
-    heap_.resize(cursors_.size());
-    for (std::size_t i = 0; i < heap_.size(); ++i) heap_[i] = i;
-    std::make_heap(heap_.begin(), heap_.end(), CycleGreater{this});
+    std::make_heap(heap_.begin(), heap_.end(),
+                   [](const Head& a, const Head& b) { return a.cycle > b.cycle; });
   }
 
   bool next(std::uint64_t& cycle, Record& out) {
     if (!error_.empty() || heap_.empty()) return false;
-    std::pop_heap(heap_.begin(), heap_.end(), CycleGreater{this});
-    Cursor& top = cursors_[heap_.back()];
-    cycle = top.cycle;
-    out = top.record;
-    if (top.reader.remaining() >= RecordTraits<Record>::wire_bytes) {
-      decode_record(top.reader, top.cycle, top.record);
-      std::push_heap(heap_.begin(), heap_.end(), CycleGreater{this});
+    Head& top = heap_.front();
+    Cursor& cursor = cursors_[top.cursor];
+    cycle = decode_record(cursor.at, out);
+    cursor.at += kWidth;
+    if (cursor.at != cursor.end) {
+      // Every cursor streams its own stretch of the mapping, more streams
+      // than the hardware prefetcher follows: ask for this one's bytes a
+      // few records ahead, long before the heap comes back to it.
+      __builtin_prefetch(
+          cursor.at + std::min<std::ptrdiff_t>(kPrefetchAhead, cursor.end - cursor.at - 1));
+      top.cycle = record_cycle(cursor.at);
     } else {
+      top = heap_.back();
       heap_.pop_back();
     }
+    sift_down();
     if (emitted_ > 0 && cycle <= last_cycle_) {
       error_ = "cycle index " + std::to_string(cycle) +
                " repeats or regresses in the merge (overlapping or "
@@ -381,20 +448,35 @@ class MergeReader {
 
  private:
   struct Cursor {
-    net::WireReader reader{std::span<const std::uint8_t>{}};
-    std::uint64_t cycle = 0;
-    Record record{};
+    const std::uint8_t* at;   // the segment's next record
+    const std::uint8_t* end;  // one past its last
   };
-  struct CycleGreater {
-    const MergeReader* self;
-    bool operator()(std::size_t a, std::size_t b) const {
-      return self->cursors_[a].cycle > self->cursors_[b].cycle;
+  struct Head {
+    std::uint64_t cycle;  // the cycle *cursors_[cursor].at opens with
+    std::uint32_t cursor;
+  };
+
+  /// Restores the min-heap after the root's cycle grew: one pass down,
+  /// taking the smaller child branch-free, stopping where the root fits.
+  void sift_down() {
+    const std::size_t n = heap_.size();
+    if (n < 2) return;
+    const Head moving = heap_.front();
+    std::size_t hole = 0;
+    for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+      if (child + 1 < n) {
+        child += static_cast<std::size_t>(heap_[child + 1].cycle < heap_[child].cycle);
+      }
+      if (moving.cycle <= heap_[child].cycle) break;
+      heap_[hole] = heap_[child];
+      hole = child;
     }
-  };
+    heap_[hole] = moving;
+  }
 
   std::vector<SegmentReader<Record>> inputs_;  // owns the mappings
   std::vector<Cursor> cursors_;
-  std::vector<std::size_t> heap_;
+  std::vector<Head> heap_;
   std::uint64_t record_count_ = 0;
   std::uint64_t last_cycle_ = 0;
   std::uint64_t emitted_ = 0;

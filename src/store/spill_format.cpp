@@ -1,186 +1,62 @@
 #include "store/spill_format.hpp"
 
-#include <algorithm>
-
 #include "store/crc32.hpp"
 
 namespace iwscan::store {
-namespace {
 
-// Little-endian field helpers built on the byte primitives, so the spill
-// codecs share WireWriter/WireReader's pooled-buffer and bounds-checking
-// behavior (the wire stack itself is big-endian; the spill format is LE by
-// design — it is a host-side file format, not a network protocol).
-void put_u16le(net::WireWriter& writer, std::uint16_t v) {
-  writer.u8(static_cast<std::uint8_t>(v));
-  writer.u8(static_cast<std::uint8_t>(v >> 8));
+void encode_segment_header(std::span<std::uint8_t, kSegmentHeaderBytes> out,
+                           const SegmentMeta& meta) {
+  std::uint8_t* const p = out.data();
+  util::store_le<std::uint32_t>(p, kSegmentMagic);
+  util::store_le<std::uint16_t>(p + 4, kFormatVersion);
+  p[6] = static_cast<std::uint8_t>(meta.kind);
+  p[7] = 0;  // reserved
+  util::store_le<std::uint64_t>(p + 8, meta.seed);
+  util::store_le<std::uint32_t>(p + 16, meta.shard);
+  util::store_le<std::uint32_t>(p + 20, meta.total_shards);
+  util::store_le<std::uint32_t>(p + 24, meta.record_bytes);
+  util::store_le<std::uint32_t>(p + 28, meta.record_count);
+  util::store_le<std::uint64_t>(p + 32, meta.first_cycle);
+  util::store_le<std::uint64_t>(p + 40, meta.last_cycle);
+  util::store_le<std::uint32_t>(p + 48, meta.payload_crc);
+  util::store_le<std::uint32_t>(p + 52, crc32(out.first<kSegmentHeaderBytes - 4>()));
 }
 
-void put_u32le(net::WireWriter& writer, std::uint32_t v) {
-  put_u16le(writer, static_cast<std::uint16_t>(v));
-  put_u16le(writer, static_cast<std::uint16_t>(v >> 16));
-}
-
-void put_u64le(net::WireWriter& writer, std::uint64_t v) {
-  put_u32le(writer, static_cast<std::uint32_t>(v));
-  put_u32le(writer, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint16_t get_u16le(net::WireReader& reader) {
-  const std::uint16_t lo = reader.u8();
-  const std::uint16_t hi = reader.u8();
-  return static_cast<std::uint16_t>(lo | (hi << 8));
-}
-
-std::uint32_t get_u32le(net::WireReader& reader) {
-  const std::uint32_t lo = get_u16le(reader);
-  const std::uint32_t hi = get_u16le(reader);
-  return lo | (hi << 16);
-}
-
-std::uint64_t get_u64le(net::WireReader& reader) {
-  const std::uint64_t lo = get_u32le(reader);
-  const std::uint64_t hi = get_u32le(reader);
-  return lo | (hi << 32);
-}
-
-}  // namespace
-
-void encode_segment_header(net::Bytes& out, const SegmentMeta& meta) {
-  const std::size_t start = out.size();
-  net::WireWriter writer(out);
-  put_u32le(writer, kSegmentMagic);
-  put_u16le(writer, kFormatVersion);
-  writer.u8(static_cast<std::uint8_t>(meta.kind));
-  writer.u8(0);  // reserved
-  put_u64le(writer, meta.seed);
-  put_u32le(writer, meta.shard);
-  put_u32le(writer, meta.total_shards);
-  put_u32le(writer, meta.record_bytes);
-  put_u32le(writer, meta.record_count);
-  put_u64le(writer, meta.first_cycle);
-  put_u64le(writer, meta.last_cycle);
-  put_u32le(writer, meta.payload_crc);
-  const std::span<const std::uint8_t> body(out.data() + start,
-                                           kSegmentHeaderBytes - 4);
-  put_u32le(writer, crc32(body));
-}
-
-bool decode_segment_header(net::WireReader& reader, SegmentMeta& meta,
-                           std::string* error) {
-  if (!reader.require(kSegmentHeaderBytes)) {
-    if (error != nullptr) *error = "truncated segment header";
-    return false;
-  }
-  const std::span<const std::uint8_t> body = reader.raw(kSegmentHeaderBytes - 4);
-  net::WireReader header(body);
-  const std::uint32_t magic = get_u32le(header);
-  const std::uint16_t version = get_u16le(header);
-  const auto kind = static_cast<RecordKind>(header.u8());
-  header.u8();  // reserved
-  meta.seed = get_u64le(header);
-  meta.shard = get_u32le(header);
-  meta.total_shards = get_u32le(header);
-  meta.record_bytes = get_u32le(header);
-  meta.record_count = get_u32le(header);
-  meta.first_cycle = get_u64le(header);
-  meta.last_cycle = get_u64le(header);
-  meta.payload_crc = get_u32le(header);
-  const std::uint32_t header_crc = get_u32le(reader);
-  if (header_crc != crc32(body)) {
+bool decode_segment_header(std::span<const std::uint8_t, kSegmentHeaderBytes> in,
+                           SegmentMeta& meta, std::string* error) {
+  const std::uint8_t* const p = in.data();
+  if (util::load_le<std::uint32_t>(p + 52) != crc32(in.first<kSegmentHeaderBytes - 4>())) {
     if (error != nullptr) *error = "segment header CRC mismatch (corrupted header)";
     return false;
   }
-  if (magic != kSegmentMagic) {
+  if (util::load_le<std::uint32_t>(p) != kSegmentMagic) {
     if (error != nullptr) *error = "bad segment magic (not an iwspill file)";
     return false;
   }
+  const std::uint16_t version = util::load_le<std::uint16_t>(p + 4);
   if (version != kFormatVersion) {
     if (error != nullptr) {
       *error = "unsupported spill format version " + std::to_string(version);
     }
     return false;
   }
+  const auto kind = static_cast<RecordKind>(p[6]);
   if (kind != RecordKind::Host && kind != RecordKind::Sweep) {
     if (error != nullptr) {
-      *error = "unknown record kind " +
-               std::to_string(static_cast<unsigned>(kind));
+      *error = "unknown record kind " + std::to_string(static_cast<unsigned>(kind));
     }
     return false;
   }
   meta.kind = kind;
+  meta.seed = util::load_le<std::uint64_t>(p + 8);
+  meta.shard = util::load_le<std::uint32_t>(p + 16);
+  meta.total_shards = util::load_le<std::uint32_t>(p + 20);
+  meta.record_bytes = util::load_le<std::uint32_t>(p + 24);
+  meta.record_count = util::load_le<std::uint32_t>(p + 28);
+  meta.first_cycle = util::load_le<std::uint64_t>(p + 32);
+  meta.last_cycle = util::load_le<std::uint64_t>(p + 40);
+  meta.payload_crc = util::load_le<std::uint32_t>(p + 48);
   return true;
-}
-
-void encode_record(net::WireWriter& writer, std::uint64_t cycle,
-                   const core::HostScanRecord& record) {
-  put_u64le(writer, cycle);
-  put_u32le(writer, record.ip.value());
-  writer.u8(static_cast<std::uint8_t>(record.outcome));
-  writer.u8(static_cast<std::uint8_t>(record.anomaly));
-  writer.u8(static_cast<std::uint8_t>((record.fin_seen ? 1u : 0u) |
-                                      (record.reorder_seen ? 2u : 0u) |
-                                      (record.loss_suspected ? 4u : 0u)));
-  writer.u8(record.probes_run);
-  writer.u8(record.connections_used);
-  put_u32le(writer, record.iw_segments);
-  put_u64le(writer, record.iw_bytes);
-  put_u16le(writer, record.observed_mss);
-  put_u32le(writer, record.lower_bound);
-  put_u32le(writer, record.iw_segments_b);
-  put_u64le(writer, record.iw_bytes_b);
-  put_u16le(writer, record.observed_mss_b);
-}
-
-void decode_record(net::WireReader& reader, std::uint64_t& cycle,
-                   core::HostScanRecord& record) {
-  cycle = get_u64le(reader);
-  record.ip = net::IPv4Address{get_u32le(reader)};
-  // HostOutcome has no fixed underlying type, so an out-of-range cast would
-  // be UB; the mask is a no-op on writer-produced (CRC-verified) bytes.
-  record.outcome = static_cast<core::HostOutcome>(reader.u8() & 0x03u);
-  record.anomaly = static_cast<core::ProbeAnomaly>(reader.u8());
-  const std::uint8_t flags = reader.u8();
-  record.fin_seen = (flags & 1u) != 0;
-  record.reorder_seen = (flags & 2u) != 0;
-  record.loss_suspected = (flags & 4u) != 0;
-  record.probes_run = reader.u8();
-  record.connections_used = reader.u8();
-  record.iw_segments = get_u32le(reader);
-  record.iw_bytes = get_u64le(reader);
-  record.observed_mss = get_u16le(reader);
-  record.lower_bound = get_u32le(reader);
-  record.iw_segments_b = get_u32le(reader);
-  record.iw_bytes_b = get_u64le(reader);
-  record.observed_mss_b = get_u16le(reader);
-}
-
-void encode_record(net::WireWriter& writer, std::uint64_t cycle,
-                   const scan::SweepRecord& record) {
-  put_u64le(writer, cycle);
-  put_u32le(writer, record.ip.value());
-  writer.u8(static_cast<std::uint8_t>((record.responsive ? 1u : 0u) |
-                                      (record.closed ? 2u : 0u)));
-  writer.u8(record.banner_length);
-  put_u16le(writer, record.window);
-  put_u16le(writer, record.mss);
-  writer.raw(std::span<const std::uint8_t>(record.banner));
-}
-
-void decode_record(net::WireReader& reader, std::uint64_t& cycle,
-                   scan::SweepRecord& record) {
-  cycle = get_u64le(reader);
-  record.cycle = cycle;
-  record.ip = net::IPv4Address{get_u32le(reader)};
-  const std::uint8_t flags = reader.u8();
-  record.responsive = (flags & 1u) != 0;
-  record.closed = (flags & 2u) != 0;
-  record.banner_length =
-      std::min<std::uint8_t>(reader.u8(), scan::kSweepBannerCap);
-  record.window = get_u16le(reader);
-  record.mss = get_u16le(reader);
-  const auto banner = reader.raw(scan::kSweepBannerCap);
-  std::copy(banner.begin(), banner.end(), record.banner.begin());
 }
 
 }  // namespace iwscan::store

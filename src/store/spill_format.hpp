@@ -1,9 +1,11 @@
 // On-disk columnar spill format for scan records (DESIGN.md §10).
 //
 // A spill file is a concatenation of self-describing segments. Every field
-// is explicit little-endian, written byte by byte through the WireWriter /
-// WireReader primitives — no struct memcpy, so the layout is identical on
-// every host and survives compiler/ABI changes. Each segment:
+// is little-endian at a fixed offset, read and written through
+// util::load_le / util::store_le: one unaligned load or store per field on
+// a little-endian host, byte by byte on any other, so the layout is the
+// same on every host and survives compiler/ABI changes (a record is never
+// a struct memcpy). Each segment:
 //
 //   offset  width  field
 //   ------  -----  -----------------------------------------------------
@@ -23,20 +25,42 @@
 //       56      –  payload: `record count` fixed-width records, sorted by
 //                  ascending cycle index (each segment is a sorted run)
 //
+// Every record opens with its 8-byte cycle index, so a reader orders
+// records by one load at the record's first byte and decodes the rest only
+// when it emits it. A host record (49 bytes):
+//
+//    0 cycle u64   12 outcome u8    15 probes_run u8        21 iw_bytes u64
+//    8 ip u32      13 anomaly u8    16 connections_used u8  29 observed_mss u16
+//                  14 flags u8      17 iw_segments u32      31 lower_bound u32
+//   35 iw_segments_b u32   39 iw_bytes_b u64   47 observed_mss_b u16
+//
+// flags: bit 0 fin_seen, bit 1 reorder_seen, bit 2 loss_suspected. A sweep
+// record (50 bytes):
+//
+//    0 cycle u64   12 flags u8 (bit 0 responsive, bit 1 closed)   14 window u16
+//    8 ip u32      13 banner_length u8                           16 mss u16
+//   18 banner, 32 bytes
+//
+// Decoding normalizes what a record cannot hold: the outcome keeps its low
+// two bits, flags their defined bits, and banner_length is capped at 32.
+//
 // Records are keyed by the *global* permutation-cycle index, which is
 // unique across shards and processes — K-way merging any disjoint set of
 // spill files by cycle reproduces exactly the record order a
 // single-process, single-thread scan emits (exec/executor.hpp).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
 #include "core/result.hpp"
-#include "netbase/wire.hpp"
+#include "netbase/ipv4.hpp"
 #include "scanner/stateless.hpp"
+#include "util/bytes.hpp"
 
 namespace iwscan::store {
 
@@ -82,25 +106,96 @@ struct SegmentMeta {
   std::uint32_t payload_crc = 0;
 };
 
-/// Appends the 56-byte segment header (including its own CRC) to `out`.
-void encode_segment_header(net::Bytes& out, const SegmentMeta& meta);
+/// Writes the 56-byte segment header, including its own CRC.
+void encode_segment_header(std::span<std::uint8_t, kSegmentHeaderBytes> out,
+                           const SegmentMeta& meta);
 
-/// Consumes one segment header. False (with `error` filled) on a short
-/// read, bad magic, unknown version, or a header CRC mismatch.
-[[nodiscard]] bool decode_segment_header(net::WireReader& reader, SegmentMeta& meta,
-                                         std::string* error);
+/// Reads one segment header. False (with `error` filled) on bad magic,
+/// unknown version or kind, or a header CRC mismatch.
+[[nodiscard]] bool decode_segment_header(
+    std::span<const std::uint8_t, kSegmentHeaderBytes> in, SegmentMeta& meta,
+    std::string* error);
 
-// Fixed-width record codecs: encode appends exactly k*RecordBytes; decode
-// consumes the same. The tagged cycle index is authoritative — for sweep
+// Fixed-offset record codecs over raw record bytes. The caller guarantees
+// the record's wire width at `out` / `in`: the writer sizes its payload
+// once per segment, and readers validate width and byte count before the
+// first decode. The tagged cycle index is authoritative — for sweep
 // records, decode writes it back into SweepRecord::cycle.
-void encode_record(net::WireWriter& writer, std::uint64_t cycle,
-                   const core::HostScanRecord& record);
-void decode_record(net::WireReader& reader, std::uint64_t& cycle,
-                   core::HostScanRecord& record);
-void encode_record(net::WireWriter& writer, std::uint64_t cycle,
-                   const scan::SweepRecord& record);
-void decode_record(net::WireReader& reader, std::uint64_t& cycle,
-                   scan::SweepRecord& record);
+
+/// The cycle index a record opens with.
+[[nodiscard]] inline std::uint64_t record_cycle(const std::uint8_t* in) noexcept {
+  return util::load_le<std::uint64_t>(in);
+}
+
+inline void encode_record(std::uint8_t* out, std::uint64_t cycle,
+                          const core::HostScanRecord& record) noexcept {
+  util::store_le<std::uint64_t>(out, cycle);
+  util::store_le<std::uint32_t>(out + 8, record.ip.value());
+  out[12] = static_cast<std::uint8_t>(record.outcome);
+  out[13] = static_cast<std::uint8_t>(record.anomaly);
+  out[14] = static_cast<std::uint8_t>((record.fin_seen ? 1u : 0u) |
+                                      (record.reorder_seen ? 2u : 0u) |
+                                      (record.loss_suspected ? 4u : 0u));
+  out[15] = record.probes_run;
+  out[16] = record.connections_used;
+  util::store_le<std::uint32_t>(out + 17, record.iw_segments);
+  util::store_le<std::uint64_t>(out + 21, record.iw_bytes);
+  util::store_le<std::uint16_t>(out + 29, record.observed_mss);
+  util::store_le<std::uint32_t>(out + 31, record.lower_bound);
+  util::store_le<std::uint32_t>(out + 35, record.iw_segments_b);
+  util::store_le<std::uint64_t>(out + 39, record.iw_bytes_b);
+  util::store_le<std::uint16_t>(out + 47, record.observed_mss_b);
+}
+
+/// Decodes the record at `in` into `record`; returns its cycle index.
+inline std::uint64_t decode_record(const std::uint8_t* in,
+                                   core::HostScanRecord& record) noexcept {
+  record.ip = net::IPv4Address{util::load_le<std::uint32_t>(in + 8)};
+  // HostOutcome has no fixed underlying type, so an out-of-range cast would
+  // be UB; the mask is a no-op on writer-produced (CRC-verified) bytes.
+  record.outcome = static_cast<core::HostOutcome>(in[12] & 0x03u);
+  record.anomaly = static_cast<core::ProbeAnomaly>(in[13]);
+  const std::uint8_t flags = in[14];
+  record.fin_seen = (flags & 1u) != 0;
+  record.reorder_seen = (flags & 2u) != 0;
+  record.loss_suspected = (flags & 4u) != 0;
+  record.probes_run = in[15];
+  record.connections_used = in[16];
+  record.iw_segments = util::load_le<std::uint32_t>(in + 17);
+  record.iw_bytes = util::load_le<std::uint64_t>(in + 21);
+  record.observed_mss = util::load_le<std::uint16_t>(in + 29);
+  record.lower_bound = util::load_le<std::uint32_t>(in + 31);
+  record.iw_segments_b = util::load_le<std::uint32_t>(in + 35);
+  record.iw_bytes_b = util::load_le<std::uint64_t>(in + 39);
+  record.observed_mss_b = util::load_le<std::uint16_t>(in + 47);
+  return record_cycle(in);
+}
+
+inline void encode_record(std::uint8_t* out, std::uint64_t cycle,
+                          const scan::SweepRecord& record) noexcept {
+  util::store_le<std::uint64_t>(out, cycle);
+  util::store_le<std::uint32_t>(out + 8, record.ip.value());
+  out[12] = static_cast<std::uint8_t>((record.responsive ? 1u : 0u) |
+                                      (record.closed ? 2u : 0u));
+  out[13] = record.banner_length;
+  util::store_le<std::uint16_t>(out + 14, record.window);
+  util::store_le<std::uint16_t>(out + 16, record.mss);
+  std::copy(record.banner.begin(), record.banner.end(), out + 18);
+}
+
+inline std::uint64_t decode_record(const std::uint8_t* in,
+                                   scan::SweepRecord& record) noexcept {
+  record.cycle = record_cycle(in);
+  record.ip = net::IPv4Address{util::load_le<std::uint32_t>(in + 8)};
+  const std::uint8_t flags = in[12];
+  record.responsive = (flags & 1u) != 0;
+  record.closed = (flags & 2u) != 0;
+  record.banner_length = std::min<std::uint8_t>(in[13], scan::kSweepBannerCap);
+  record.window = util::load_le<std::uint16_t>(in + 14);
+  record.mss = util::load_le<std::uint16_t>(in + 16);
+  std::copy(in + 18, in + 18 + scan::kSweepBannerCap, record.banner.begin());
+  return record.cycle;
+}
 
 template <class Record>
 struct RecordTraits;

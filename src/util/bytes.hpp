@@ -1,13 +1,16 @@
 // Byte ↔ text bridging for codec boundaries (TCP payload bytes carrying
-// ASCII protocols). Centralizes the two reinterpret_casts — and the one
-// raw-memory word load — the codebase needs so call sites stay cast-free
-// and greppable.
+// ASCII protocols). Centralizes the two reinterpret_casts — and the
+// raw-memory word loads and stores — the codebase needs so call sites stay
+// cast-free and greppable.
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <span>
 #include <string_view>
+#include <type_traits>
 
 namespace iwscan::util {
 
@@ -27,6 +30,40 @@ namespace iwscan::util {
   std::uint64_t value;
   std::memcpy(&value, bytes, sizeof(value));
   return value;
+}
+
+/// Fixed-width little-endian load of an unsigned integer from `bytes`, for
+/// host-side file formats (store/spill_format.hpp). One unaligned load on a
+/// little-endian host; byte by byte on any other, so the value read is the
+/// same everywhere. `bytes` must point at ≥ sizeof(T) readable bytes.
+template <class T>
+[[nodiscard]] inline T load_le(const std::uint8_t* bytes) noexcept {
+  static_assert(std::is_unsigned_v<T>);
+  if constexpr (std::endian::native == std::endian::little) {
+    T value;
+    std::memcpy(&value, bytes, sizeof(value));
+    return value;
+  } else {
+    T value = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      value = static_cast<T>(value | (T{bytes[i]} << (8 * i)));
+    }
+    return value;
+  }
+}
+
+/// The store matching load_le: `bytes` must point at ≥ sizeof(T) writable
+/// bytes, which receive `value` least significant byte first.
+template <class T>
+inline void store_le(std::uint8_t* bytes, T value) noexcept {
+  static_assert(std::is_unsigned_v<T>);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(bytes, &value, sizeof(value));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
+    }
+  }
 }
 
 /// View text as raw bytes. The text must outlive the span.

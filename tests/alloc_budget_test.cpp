@@ -203,14 +203,14 @@ TEST(AllocBudget, DatagramDecodesAreAllocationFree) {
 
 TEST(AllocBudget, SpillWriterSteadyStateAppendsAreAllocationFree) {
   // SpillWriter::append is an IWSCAN_HOT root: after construction sizes
-  // the segment buffer and the first flush sizes the encode scratch, a
-  // sustained append stream must never touch operator new — the flush
-  // boundary reuses both buffers' capacity. Budget 0 per record; only the
-  // per-segment header/payload vectors may have grown once at the start.
+  // the staged payload and the first out-of-order run sizes the sort
+  // scratch, a sustained append stream must never touch operator new — the
+  // flush boundary reuses every buffer's capacity. Budget 0 per record,
+  // for runs that arrive in cycle order (no sort) and scrambled (sorted).
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "iwscan_alloc_spill";
-  fs::remove_all(dir);
-  {
+  for (const bool scrambled : {false, true}) {
+    fs::remove_all(dir);
     store::SpillConfig config;
     config.directory = dir.string();
     config.segment_bytes = 1u << 12;  // ~83 records/segment: many flushes
@@ -223,23 +223,25 @@ TEST(AllocBudget, SpillWriterSteadyStateAppendsAreAllocationFree) {
     record.iw_segments = 10;
     record.iw_bytes = 14'600;
     record.observed_mss = 1460;
+    // An odd multiplier permutes the 2^17 cycles the stream covers.
+    const auto cycle_of = [scrambled](std::uint64_t i) {
+      return scrambled ? (i * 0x9E3779B1u) & ((1u << 17) - 1) : i;
+    };
 
-    // Warm the scratch buffers across the first few segments.
-    for (std::uint64_t cycle = 0; cycle < 512; ++cycle) {
-      writer.append(cycle, record);
-    }
+    // Warm the buffers across the first few segments.
+    for (std::uint64_t i = 0; i < 512; ++i) writer.append(cycle_of(i), record);
 
     const std::uint64_t before = util::alloc_stats::allocations();
     const std::uint64_t appends = 1u << 16;
-    for (std::uint64_t cycle = 512; cycle < 512 + appends; ++cycle) {
-      writer.append(cycle, record);
+    for (std::uint64_t i = 512; i < 512 + appends; ++i) {
+      writer.append(cycle_of(i), record);
     }
     const std::uint64_t allocations = util::alloc_stats::allocations() - before;
 
     EXPECT_EQ(allocations, 0u)
         << allocations << " allocations across " << appends
-        << " steady-state appends (" << writer.segments_flushed()
-        << " segments flushed)";
+        << (scrambled ? " scrambled" : " in-order") << " steady-state appends ("
+        << writer.segments_flushed() << " segments flushed)";
     ASSERT_TRUE(writer.close()) << writer.error();
   }
   fs::remove_all(dir);

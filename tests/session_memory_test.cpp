@@ -41,7 +41,7 @@ namespace {
 
 constexpr std::size_t kSessions = 4096;
 /// Budget per SYN-phase session, in live-heap bytes (malloc chunk sizes,
-/// so allocator headers and rounding count). Measured ~559 B; a session
+/// so allocator headers and rounding count). Measured ~575 B; a session
 /// took ~1,359 B while the prober built its strategy, request and
 /// estimator evidence at launch, so the budget is also under half of that.
 constexpr double kBudgetBytes = 640;

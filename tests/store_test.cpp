@@ -7,13 +7,16 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "core/result.hpp"
 #include "scanner/stateless.hpp"
+#include "store/crc32.hpp"
 #include "store/spill.hpp"
 #include "store/spill_format.hpp"
 #include "util/rng.hpp"
@@ -232,6 +235,30 @@ TEST(SpillStore, FlippedHeaderByteFailsTheHeaderCrc) {
   fs::remove_all(dir);
 }
 
+TEST(SpillStore, WriterThatCannotOpenItsFileKeepsAppendingInBounds) {
+  // The spill directory is a regular file, so the sink never opens. Every
+  // full run is then dropped, not flushed: appends stay inside the staged
+  // payload, and close() reports the error.
+  const fs::path dir = scratch_dir("unopenable");
+  const fs::path not_a_dir = dir / "plain_file";
+  std::ofstream(not_a_dir) << "x";
+  SpillConfig config;
+  config.directory = not_a_dir.string();
+  config.segment_bytes = 4 * kHostRecordBytes;
+  SpillWriter<core::HostScanRecord> writer(config);
+  EXPECT_FALSE(writer.ok());
+  util::Rng rng(4);
+  for (std::uint64_t cycle = 0; cycle < 40; ++cycle) {
+    writer.append(cycle, random_host_record(rng));
+  }
+  EXPECT_EQ(writer.appended(), 40u);
+  EXPECT_EQ(writer.segments_flushed(), 0u);
+  EXPECT_FALSE(writer.close());
+  EXPECT_NE(writer.error().find("cannot create spill directory"), std::string::npos)
+      << writer.error();
+  fs::remove_all(dir);
+}
+
 // ---------------------------------------------- multi-shard merging ----
 
 TEST(SpillStore, MergeAcrossShardsReconstructsGlobalCycleOrder) {
@@ -344,6 +371,170 @@ TEST(SpillStore, DuplicateCycleInDisjointlyLabeledInputsStopsTheStream) {
                                                  got, &error));
   EXPECT_NE(error.find("repeats or regresses"), std::string::npos) << error;
   fs::remove_all(dir);
+}
+
+// ------------------------------------------------ pinned file bytes ----
+
+/// splitmix64 finalizer: the golden records below come from this fixed
+/// formula rather than util::Rng, so the pin holds whatever the RNG does.
+std::uint64_t golden_mix(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+core::HostScanRecord golden_host_record(std::uint64_t cycle) {
+  const std::uint64_t h = golden_mix(cycle);
+  const std::uint64_t g = golden_mix(h);
+  core::HostScanRecord record;
+  record.ip = net::IPv4Address{static_cast<std::uint32_t>(h >> 32)};
+  record.outcome = static_cast<core::HostOutcome>(h & 0x03u);
+  record.anomaly = static_cast<core::ProbeAnomaly>((h >> 2) % 14);
+  record.fin_seen = (h & 0x40u) != 0;
+  record.reorder_seen = (h & 0x80u) != 0;
+  record.loss_suspected = (h & 0x100u) != 0;
+  record.probes_run = static_cast<std::uint8_t>(h >> 9);
+  record.connections_used = static_cast<std::uint8_t>(h >> 17);
+  record.iw_segments = static_cast<std::uint32_t>(g);
+  record.iw_bytes = g * 0x10001;
+  record.observed_mss = static_cast<std::uint16_t>(g >> 32);
+  record.lower_bound = static_cast<std::uint32_t>(g >> 20);
+  record.iw_segments_b = static_cast<std::uint32_t>(g >> 28);
+  record.iw_bytes_b = ~g;
+  record.observed_mss_b = static_cast<std::uint16_t>(g >> 48);
+  return record;
+}
+
+scan::SweepRecord golden_sweep_record(std::uint64_t cycle) {
+  const std::uint64_t h = golden_mix(cycle ^ 0x5ee9);
+  scan::SweepRecord record;
+  record.cycle = cycle;
+  record.ip = net::IPv4Address{static_cast<std::uint32_t>(h)};
+  record.responsive = (h & 0x100u) != 0;
+  record.closed = !record.responsive && (h & 0x200u) != 0;
+  record.window = static_cast<std::uint16_t>(h >> 16);
+  record.mss = static_cast<std::uint16_t>(h >> 32);
+  record.banner_length = static_cast<std::uint8_t>((h >> 40) % (scan::kSweepBannerCap + 1));
+  for (std::size_t i = 0; i < record.banner_length; ++i) {
+    record.banner[i] = static_cast<std::uint8_t>(golden_mix(h + i));
+  }
+  return record;
+}
+
+/// Appends 50 records of cycles 3k+1: the first 14 in cycle order (two
+/// runs that arrive sorted), the rest scrambled (k = (25j + 5) mod 36 + 14).
+template <class Record, class Make>
+std::string write_golden_spill(const fs::path& dir, std::size_t records_per_segment,
+                               Make make) {
+  SpillConfig config;
+  config.directory = dir.string();
+  config.segment_bytes = records_per_segment * RecordTraits<Record>::wire_bytes;
+  config.seed = 0x601dULL;
+  config.shard = 1;
+  config.total_shards = 3;
+  SpillWriter<Record> writer(config);
+  for (std::uint64_t k = 0; k < 14; ++k) writer.append(3 * k + 1, make(3 * k + 1));
+  for (std::uint64_t j = 0; j < 36; ++j) {
+    const std::uint64_t cycle = 3 * ((25 * j + 5) % 36 + 14) + 1;
+    writer.append(cycle, make(cycle));
+  }
+  EXPECT_TRUE(writer.close()) << writer.error();
+  return writer.path();
+}
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(file), std::istreambuf_iterator<char>()};
+}
+
+/// FNV-1a 64 over the whole file.
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : bytes) h = (h ^ b) * 0x100000001b3ULL;
+  return h;
+}
+
+std::string hex(const std::vector<std::uint8_t>& bytes, std::size_t offset,
+                std::size_t count) {
+  std::string out;
+  for (std::size_t i = offset; i < offset + count && i < bytes.size(); ++i) {
+    char buf[3];
+    std::snprintf(buf, sizeof(buf), "%02x", bytes[i]);
+    out += buf;
+  }
+  return out;
+}
+
+TEST(SpillStore, SegmentBytesArePinned) {
+  // The on-disk layout is a contract with every spill file already
+  // written: any codec, sort or merge rewrite must reproduce these bytes.
+  const fs::path dir = scratch_dir("golden");
+
+  const std::vector<std::uint8_t> host =
+      read_file(write_golden_spill<core::HostScanRecord>(dir, 7, golden_host_record));
+  EXPECT_EQ(host.size(), 8 * kSegmentHeaderBytes + 50 * kHostRecordBytes);
+  EXPECT_EQ(fnv1a(host), 0xbe958df531ab9051ULL);
+  // The third record of the third segment, a run that arrived scrambled.
+  const std::size_t host_at = 3 * kSegmentHeaderBytes + 16 * kHostRecordBytes;
+  EXPECT_EQ(hex(host, host_at, kHostRecordBytes),
+            "4c000000000000005807f5e50204066d38effe463ceffe353b6814e68b21d8c4"
+            "13824d13824d3c1001b9c3de273b4cc4b3");
+
+  const std::vector<std::uint8_t> sweep =
+      read_file(write_golden_spill<scan::SweepRecord>(dir, 5, golden_sweep_record));
+  EXPECT_EQ(sweep.size(), 10 * kSegmentHeaderBytes + 50 * kSweepRecordBytes);
+  EXPECT_EQ(fnv1a(sweep), 0x84eb4098c047a234ULL);
+  // The third record of the fourth segment, a run that arrived scrambled.
+  const std::size_t sweep_at = 4 * kSegmentHeaderBytes + 17 * kSweepRecordBytes;
+  EXPECT_EQ(hex(sweep, sweep_at, kSweepRecordBytes),
+            "6d000000000000001a0364c7011364c7c397a901bbd56e7d4c9f88613e49685a"
+            "57e610c43f00000000000000000000000000");
+  fs::remove_all(dir);
+}
+
+// ------------------------------------------------------------ CRC-32 ----
+
+/// Bit-at-a-time CRC-32 (reflected 0xEDB88320): the definition the table
+/// kernels must agree with.
+std::uint32_t crc32_bitwise(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t crc = ~std::uint32_t{0};
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) != 0 ? 0xEDB88320u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32, KnownAnswers) {
+  const std::string check = "123456789";
+  const std::vector<std::uint8_t> digits(check.begin(), check.end());
+  EXPECT_EQ(crc32(digits), 0xCBF43926u);
+  EXPECT_EQ(crc32(std::span<const std::uint8_t>{}), 0u);
+}
+
+TEST(Crc32, MatchesTheBitwiseReferenceAtEveryLengthAndAlignment) {
+  std::vector<std::uint8_t> bytes(4096 + 64);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(golden_mix(i));
+  }
+  for (std::size_t start = 0; start < 16; ++start) {
+    for (std::size_t length = 0; length <= 160; ++length) {
+      EXPECT_EQ(crc32({bytes.data() + start, length}),
+                crc32_bitwise(bytes.data() + start, length))
+          << "start " << start << ", length " << length;
+    }
+  }
+  // Long inputs run every kernel's main loop and its tail.
+  for (const std::size_t length : {255u, 1024u, 1031u, 4096u}) {
+    for (std::size_t start = 0; start < 64; start += 7) {
+      EXPECT_EQ(crc32({bytes.data() + start, length}),
+                crc32_bitwise(bytes.data() + start, length))
+          << "start " << start << ", length " << length;
+    }
+  }
 }
 
 // ----------------------------------------------------------- helpers ----

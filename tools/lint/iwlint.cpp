@@ -662,7 +662,7 @@ std::string_view rule_explanation(std::string_view rule) {
            "static complement of the runtime allocs-per-packet budget. "
            "IWSCAN_HOT_BOUNDARY marks audited hand-off points (virtual "
            "per-packet entry points like Endpoint::handle_packet, and "
-           "SpillWriter::flush_segment, which amortizes its sort + encode + "
+           "SpillWriter::flush_segment, which amortizes its sort + CRC + "
            "write over a whole segment) where the traversal stops; "
            "[[noreturn]] failure paths are exempt. Call "
            "edges resolve by unqualified callee name, deliberately "

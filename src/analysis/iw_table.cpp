@@ -68,40 +68,6 @@ std::map<std::uint32_t, double> few_data_lower_bounds(
   return to_fractions(counts);
 }
 
-std::string records_to_csv(std::span<const core::HostScanRecord> records) {
-  std::string out =
-      "ip,outcome,iw_segments,iw_bytes,observed_mss,lower_bound,"
-      "iw_segments_alt_mss,fin_seen,reorder_seen,loss_suspected,probes,"
-      "connections\n";
-  for (const auto& record : records) {
-    out += record.ip.to_string();
-    out += ',';
-    out += to_string(record.outcome);
-    out += ',';
-    out += std::to_string(record.iw_segments);
-    out += ',';
-    out += std::to_string(record.iw_bytes);
-    out += ',';
-    out += std::to_string(record.observed_mss);
-    out += ',';
-    out += std::to_string(record.lower_bound);
-    out += ',';
-    out += std::to_string(record.iw_segments_b);
-    out += ',';
-    out += record.fin_seen ? '1' : '0';
-    out += ',';
-    out += record.reorder_seen ? '1' : '0';
-    out += ',';
-    out += record.loss_suspected ? '1' : '0';
-    out += ',';
-    out += std::to_string(record.probes_run);
-    out += ',';
-    out += std::to_string(record.connections_used);
-    out += '\n';
-  }
-  return out;
-}
-
 double l1_distance(const std::map<std::uint32_t, double>& a,
                    const std::map<std::uint32_t, double>& b) {
   double distance = 0.0;

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <span>
 #include <vector>
 
@@ -65,9 +64,5 @@ void accumulate(DatasetSummary& summary, const core::HostScanRecord& record);
 /// stability analysis, §4.1).
 [[nodiscard]] double l1_distance(const std::map<std::uint32_t, double>& a,
                                  const std::map<std::uint32_t, double>& b);
-
-/// Serialize host records as CSV (one row per host) for external tooling —
-/// the library analog of the raw result files the authors publish weekly.
-[[nodiscard]] std::string records_to_csv(std::span<const core::HostScanRecord> records);
 
 }  // namespace iwscan::analysis

@@ -192,12 +192,6 @@ std::optional<std::string_view> ParsedResponseHead::header(std::string_view name
   return found;
 }
 
-std::optional<std::uint64_t> ParsedResponseHead::content_length() const {
-  const auto value = header("Content-Length");
-  if (!value) return std::nullopt;
-  return util::parse_u64(util::trim(*value));
-}
-
 std::optional<LocationParts> parse_location(std::string_view uri) {
   uri = util::trim(uri);
   if (uri.empty()) return std::nullopt;

@@ -88,11 +88,6 @@ struct ParsedResponseHead {
 
   /// The first header named `name` (compared case-insensitively), trimmed.
   [[nodiscard]] std::optional<std::string_view> header(std::string_view name) const;
-
-  /// Content-Length as an integer. nullopt when the header is absent,
-  /// non-numeric, or would overflow 64 bits (hostile responders announce
-  /// absurd lengths; never fold those into buffer arithmetic).
-  [[nodiscard]] std::optional<std::uint64_t> content_length() const;
 };
 
 [[nodiscard]] std::optional<ParsedResponseHead> parse_response_head(std::string_view data);

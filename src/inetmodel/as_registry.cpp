@@ -571,13 +571,7 @@ const AsInfo* AsRegistry::find(net::IPv4Address addr) const noexcept {
   return &ases_[it->as_index];
 }
 
-const AsInfo* AsRegistry::by_asn(std::uint32_t asn) const noexcept {
-  for (const auto& as : ases_) {
-    if (as.asn == asn) return &as;
-  }
-  return nullptr;
-}
-
+// iwlint: allow(unreached) -- tests pin the AS table and place targets by AS name
 const AsInfo* AsRegistry::by_name(std::string_view name) const noexcept {
   for (const auto& as : ases_) {
     if (as.name == name) return &as;
@@ -601,17 +595,13 @@ std::vector<net::Cidr> AsRegistry::popular_space() const {
   return space;
 }
 
+// iwlint: allow(unreached) -- sharded scans must cover the scan space exactly once
 std::uint64_t AsRegistry::scan_space_size() const noexcept {
   std::uint64_t total = 0;
   for (const auto& as : ases_) {
     for (const auto& prefix : as.prefixes) total += prefix.size();
   }
   return total;
-}
-
-bool AsRegistry::is_popular(net::IPv4Address addr) const noexcept {
-  const AsInfo* as = find(addr);
-  return as != nullptr && as->popular_prefix && as->popular_prefix->contains(addr);
 }
 
 }  // namespace iwscan::model

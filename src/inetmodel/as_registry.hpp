@@ -136,7 +136,6 @@ class AsRegistry {
 
   [[nodiscard]] const std::vector<AsInfo>& all() const noexcept { return ases_; }
   [[nodiscard]] const AsInfo* find(net::IPv4Address addr) const noexcept;
-  [[nodiscard]] const AsInfo* by_asn(std::uint32_t asn) const noexcept;
   [[nodiscard]] const AsInfo* by_name(std::string_view name) const noexcept;
 
   /// Allowlist for a full scan: every AS prefix.
@@ -145,9 +144,6 @@ class AsRegistry {
   [[nodiscard]] std::vector<net::Cidr> popular_space() const;
   /// Total addresses in scan_space().
   [[nodiscard]] std::uint64_t scan_space_size() const noexcept;
-
-  /// True if addr falls inside an AS's popular sub-block.
-  [[nodiscard]] bool is_popular(net::IPv4Address addr) const noexcept;
 
  private:
   struct Range {

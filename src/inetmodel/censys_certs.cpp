@@ -49,13 +49,6 @@ std::size_t CertChainDistribution::sample(util::Rng& rng) noexcept {
   return inverse_cdf(rng.uniform01());
 }
 
-std::size_t CertChainDistribution::sample_for(std::uint64_t seed,
-                                              std::uint64_t key) noexcept {
-  const double quantile =
-      static_cast<double>(util::mix64(seed, key) >> 11) * 0x1.0p-53;
-  return inverse_cdf(quantile);
-}
-
 double CertChainDistribution::ccdf(double bytes) noexcept {
   if (bytes <= kAnchors.front().bytes) return 1.0;
   for (std::size_t i = 1; i < kAnchors.size(); ++i) {

@@ -24,10 +24,6 @@ class CertChainDistribution {
   /// Draw one chain length (bytes).
   [[nodiscard]] static std::size_t sample(util::Rng& rng) noexcept;
 
-  /// Deterministic draw for a given host (pure in (seed, key)).
-  [[nodiscard]] static std::size_t sample_for(std::uint64_t seed,
-                                              std::uint64_t key) noexcept;
-
   /// CCDF P(length ≥ bytes) of the model distribution (for Fig. 2 checks).
   [[nodiscard]] static double ccdf(double bytes) noexcept;
 

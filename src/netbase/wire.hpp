@@ -51,20 +51,10 @@ class WireWriter {
   /// Current write offset, for later patch_u16 (length fields).
   [[nodiscard]] std::size_t offset() const noexcept { return out_.size(); }
 
-  void patch_u8(std::size_t at, std::uint8_t v) {
-    check_patch(at, 1);
-    out_[at] = v;
-  }
   void patch_u16(std::size_t at, std::uint16_t v) {
     check_patch(at, 2);
     out_[at] = static_cast<std::uint8_t>(v >> 8);
     out_[at + 1] = static_cast<std::uint8_t>(v);
-  }
-  void patch_u24(std::size_t at, std::uint32_t v) {
-    check_patch(at, 3);
-    out_[at] = static_cast<std::uint8_t>(v >> 16);
-    out_[at + 1] = static_cast<std::uint8_t>(v >> 8);
-    out_[at + 2] = static_cast<std::uint8_t>(v);
   }
 
  private:

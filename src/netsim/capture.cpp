@@ -22,9 +22,6 @@ void put_u16le(net::Bytes& out, std::uint16_t value) {
 }  // namespace
 
 void PacketCapture::record(SimTime timestamp, net::PacketView bytes) {
-  if (limit_ != 0 && entries_.size() >= limit_) {
-    entries_.erase(entries_.begin());
-  }
   entries_.push_back(Entry{timestamp, net::Bytes(bytes.begin(), bytes.end())});
 }
 

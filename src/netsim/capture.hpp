@@ -35,9 +35,6 @@ class PacketCapture {
   }
   void clear() noexcept { entries_.clear(); }
 
-  /// Optional cap on retained packets (oldest dropped); 0 = unlimited.
-  void set_limit(std::size_t limit) noexcept { limit_ = limit; }
-
   /// tcpdump-style one-line-per-packet rendering.
   [[nodiscard]] std::string text() const;
 
@@ -47,7 +44,6 @@ class PacketCapture {
 
  private:
   std::vector<Entry> entries_;
-  std::size_t limit_ = 0;
 };
 
 /// Render one datagram as a tcpdump-like line (no timestamp).

@@ -276,6 +276,7 @@ void EventLoop::clear_all_records() {
 
 bool EventLoop::step() { return fire_next(kNoLimit); }
 
+// iwlint: allow(unreached) -- tests stop virtual time at a deadline mid-flight
 void EventLoop::run_until(SimTime deadline) {
   const SimTime::rep limit = deadline.count();
   while (fire_next(limit)) {

@@ -107,6 +107,7 @@ class EventLoop {
   /// lazily-dropped cancelled ones). Test/debug introspection: lets tests
   /// pin that record accounting never drifts (underflow here would degrade
   /// every cancel into a full sweep).
+  // iwlint: allow(unreached) -- pins that the physical record count never underflows
   [[nodiscard]] std::size_t stored_records() const noexcept {
     return records_;
   }

@@ -114,6 +114,7 @@ class Network {
   /// Flows that hold impairment state: one per ordered (src, dst) pair that
   /// has drawn a random number. Test introspection: pins that unimpaired
   /// paths cost no flow state.
+  // iwlint: allow(unreached) -- pins that unimpaired paths hold no flow state
   [[nodiscard]] std::size_t flow_states() const noexcept { return flows_.size(); }
 
   void set_resolver(Resolver resolver) { resolver_ = std::move(resolver); }
@@ -122,6 +123,7 @@ class Network {
   /// before impairments; returning false drops it (counted as lost). The
   /// filter must not attach, detach or change paths.
   using Filter = std::function<bool(net::PacketView)>;
+  // iwlint: allow(unreached) -- deterministic fault injection for tests
   void set_filter(Filter filter) { filter_ = std::move(filter); }
 
   /// Wire tap (see PacketCapture): observes every packet at injection
@@ -158,7 +160,6 @@ class Network {
   [[nodiscard]] net::BufferPool& pool() noexcept { return pool_; }
 
   [[nodiscard]] const NetworkStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = {}; }
 
   [[nodiscard]] EventLoop& loop() noexcept { return loop_; }
 

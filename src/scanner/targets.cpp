@@ -5,28 +5,8 @@
 #include <utility>
 
 #include "util/rng.hpp"
-#include "util/strings.hpp"
 
 namespace iwscan::scan {
-
-std::vector<net::Cidr> parse_cidr_list(std::string_view text,
-                                       std::vector<std::string>* errors) {
-  std::vector<net::Cidr> list;
-  for (const auto raw_line : util::split(text, '\n')) {
-    std::string_view line = raw_line;
-    if (const std::size_t hash = line.find('#'); hash != std::string_view::npos) {
-      line = line.substr(0, hash);
-    }
-    line = util::trim(line);
-    if (line.empty()) continue;
-    if (const auto cidr = net::Cidr::parse(line)) {
-      list.push_back(*cidr);
-    } else if (errors != nullptr) {
-      errors->emplace_back(line);
-    }
-  }
-  return list;
-}
 
 namespace {
 std::uint64_t total_size(const std::vector<net::Cidr>& blocks) {
@@ -41,9 +21,9 @@ std::uint64_t total_size(const std::vector<net::Cidr>& blocks) {
 // later copies of exact duplicates): the survivors are pairwise disjoint,
 // and disjoint inputs pass through untouched, keeping the index→address
 // assignment stable for callers that already pass disjoint lists.
-TargetGenerator::Normalized TargetGenerator::normalize(std::vector<net::Cidr> blocks) {
-  Normalized out;
-  out.blocks.reserve(blocks.size());
+std::vector<net::Cidr> TargetGenerator::normalize(std::vector<net::Cidr> blocks) {
+  std::vector<net::Cidr> out;
+  out.reserve(blocks.size());
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     bool drop = false;
     for (std::size_t j = 0; j < blocks.size() && !drop; ++j) {
@@ -55,11 +35,7 @@ TargetGenerator::Normalized TargetGenerator::normalize(std::vector<net::Cidr> bl
                              blocks[j].first() == blocks[i].first();
       drop = nested || duplicate;
     }
-    if (drop) {
-      out.merged += blocks[i].size();
-    } else {
-      out.blocks.push_back(blocks[i]);
-    }
+    if (!drop) out.push_back(blocks[i]);
   }
   return out;
 }
@@ -68,20 +44,13 @@ TargetGenerator::TargetGenerator(std::vector<net::Cidr> allow,
                                  std::vector<net::Cidr> block, std::uint64_t seed,
                                  double sample_fraction, std::uint64_t shard,
                                  std::uint64_t total_shards)
-    : TargetGenerator(normalize(std::move(allow)), std::move(block), seed,
-                      sample_fraction, shard, total_shards) {}
-
-TargetGenerator::TargetGenerator(Normalized allow, std::vector<net::Cidr> block,
-                                 std::uint64_t seed, double sample_fraction,
-                                 std::uint64_t shard, std::uint64_t total_shards)
-    : allow_(std::move(allow.blocks)),
+    : allow_(normalize(std::move(allow))),
       block_(std::move(block)),
       total_(total_size(allow_)),
       permutation_(total_, seed),
       iterator_(shard, total_shards),
       sample_seed_(util::mix64(seed, 0x5a3b7e11)),
-      sample_fraction_(sample_fraction),
-      merged_overlap_(allow.merged) {
+      sample_fraction_(sample_fraction) {
   cumulative_.reserve(allow_.size());
   std::uint64_t running = 0;
   for (const auto& cidr : allow_) {
@@ -109,22 +78,15 @@ std::optional<net::IPv4Address> TargetGenerator::next() {
   std::uint64_t index = 0;
   while (iterator_.next(permutation_, index)) {
     const net::IPv4Address addr = index_to_address(index);
-    if (blocked(addr)) {
-      ++skipped_blocked_;
-      continue;
-    }
+    if (blocked(addr)) continue;
     if (sample_fraction_ < 1.0) {
       // Deterministic per-address coin: the same 1% sample is drawn on
       // every run with the same seed (and across shards).
       const double coin =
           static_cast<double>(util::mix64(sample_seed_, addr.value()) >> 11) *
           0x1.0p-53;
-      if (coin >= sample_fraction_) {
-        ++skipped_sampled_out_;
-        continue;
-      }
+      if (coin >= sample_fraction_) continue;
     }
-    ++emitted_;
     last_cycle_index_ = iterator_.last_index();
     return addr;
   }

@@ -16,20 +16,12 @@
 
 namespace iwscan::scan {
 
-/// Parse a ZMap-style blocklist/allowlist: one CIDR (or bare address) per
-/// line, '#' comments, blank lines ignored. Malformed lines are collected
-/// into `errors` (if non-null) and skipped — a scan must not silently probe
-/// a network someone tried to exclude, so callers should surface errors.
-[[nodiscard]] std::vector<net::Cidr> parse_cidr_list(
-    std::string_view text, std::vector<std::string>* errors = nullptr);
-
 class TargetGenerator {
  public:
   /// `allow` is normalized at construction: blocks nested inside another
   /// block (and exact duplicates) are merged away, so every address is
   /// visited exactly once and sharded partitions are provably disjoint.
-  /// The number of addresses removed by merging is reported by
-  /// merged_overlap(). `sample_fraction` in (0,1] keeps each address
+  /// `sample_fraction` in (0,1] keeps each address
   /// independently with that probability (deterministic in seed).
   TargetGenerator(std::vector<net::Cidr> allow, std::vector<net::Cidr> block,
                   std::uint64_t seed, double sample_fraction = 1.0,
@@ -48,28 +40,8 @@ class TargetGenerator {
   /// Total addresses in the allowlist (before blocklist/sampling).
   [[nodiscard]] std::uint64_t address_space_size() const noexcept { return total_; }
 
-  [[nodiscard]] std::uint64_t emitted() const noexcept { return emitted_; }
-  [[nodiscard]] std::uint64_t skipped_blocked() const noexcept {
-    return skipped_blocked_;
-  }
-  [[nodiscard]] std::uint64_t skipped_sampled_out() const noexcept {
-    return skipped_sampled_out_;
-  }
-  /// Addresses dropped by allowlist normalization (nested/duplicate CIDRs).
-  [[nodiscard]] std::uint64_t merged_overlap() const noexcept {
-    return merged_overlap_;
-  }
-
  private:
-  struct Normalized {
-    std::vector<net::Cidr> blocks;
-    std::uint64_t merged = 0;  // addresses dropped as nested/duplicate
-  };
-  [[nodiscard]] static Normalized normalize(std::vector<net::Cidr> blocks);
-  TargetGenerator(Normalized allow, std::vector<net::Cidr> block, std::uint64_t seed,
-                  double sample_fraction, std::uint64_t shard,
-                  std::uint64_t total_shards);
-
+  [[nodiscard]] static std::vector<net::Cidr> normalize(std::vector<net::Cidr> blocks);
   [[nodiscard]] net::IPv4Address index_to_address(std::uint64_t index) const noexcept;
   [[nodiscard]] bool blocked(net::IPv4Address addr) const noexcept;
 
@@ -82,10 +54,6 @@ class TargetGenerator {
   std::uint64_t sample_seed_;
   double sample_fraction_;
   std::uint64_t last_cycle_index_ = 0;
-  std::uint64_t emitted_ = 0;
-  std::uint64_t skipped_blocked_ = 0;
-  std::uint64_t skipped_sampled_out_ = 0;
-  std::uint64_t merged_overlap_ = 0;
 };
 
 /// Where a scan engine's targets come from: a TargetGenerator (every

@@ -276,7 +276,7 @@ void TcpConnection::try_send() {
     const bool attach_fin = last_chunk && fin_pending_ && !fin_sent_;
     if (attach_fin) flags |= net::kFin;
 
-    emit_segment(snd_nxt_, payload, flags, /*retransmission=*/false);
+    emit_segment(snd_nxt_, payload, flags);
     stats_.bytes_sent += chunk;
     snd_nxt_ += chunk;
     if (attach_fin) {
@@ -290,7 +290,7 @@ void TcpConnection::try_send() {
   // Bare FIN once every queued byte has been transmitted (data may still be
   // unacked; the FIN occupies the next sequence number after it).
   if (fin_pending_ && !fin_sent_ && unsent_bytes() == 0) {
-    emit_segment(snd_nxt_, {}, net::kFin | net::kAck, /*retransmission=*/false);
+    emit_segment(snd_nxt_, {}, net::kFin | net::kAck);
     fin_sent_ = true;
     snd_nxt_ += 1;
     state_ = state_ == TcpState::CloseWait ? TcpState::LastAck : TcpState::FinWait1;
@@ -341,7 +341,7 @@ void TcpConnection::on_pacing_slot(std::size_t index) {
   // re-arming the RTO: the timer from slot 0 already covers everything
   // unacked); residual window-limited data waits for the next ACK.
   if (fin_pending_ && !fin_sent_ && unsent_bytes() == 0) {
-    emit_segment(snd_nxt_, {}, net::kFin | net::kAck, /*retransmission=*/false);
+    emit_segment(snd_nxt_, {}, net::kFin | net::kAck);
     fin_sent_ = true;
     snd_nxt_ += 1;
     state_ =
@@ -361,7 +361,7 @@ void TcpConnection::emit_paced_chunk(std::uint32_t chunk_bytes, bool last_slot) 
       std::span<const std::uint8_t>(buffer_).subspan(offset, chunk);
   std::uint8_t flags = net::kAck;
   if (last_slot || chunk == unsent) flags |= net::kPsh;
-  emit_segment(snd_nxt_, payload, flags, /*retransmission=*/false);
+  emit_segment(snd_nxt_, payload, flags);
   stats_.bytes_sent += chunk;
   snd_nxt_ += chunk;
 }
@@ -376,7 +376,7 @@ void TcpConnection::cancel_pacing() {
 
 void TcpConnection::emit_segment(std::uint32_t seq,
                                  std::span<const std::uint8_t> payload,
-                                 std::uint8_t flags, bool retransmission) {
+                                 std::uint8_t flags) {
   net::TcpHeader tcp;
   tcp.src_port = local_port_;
   tcp.dst_port = remote_port_;
@@ -385,7 +385,6 @@ void TcpConnection::emit_segment(std::uint32_t seq,
   tcp.flags = flags;
   tcp.window = kAdvertisedWindow;
   ++stats_.segments_sent;
-  if (retransmission) ++stats_.segments_retransmitted;
   send_fn_({ip_header(), tcp, payload});
 }
 
@@ -399,7 +398,7 @@ net::Ipv4Header TcpConnection::ip_header() const noexcept {
 }
 
 void TcpConnection::send_pure_ack() {
-  emit_segment(snd_nxt_, {}, net::kAck, /*retransmission=*/false);
+  emit_segment(snd_nxt_, {}, net::kAck);
 }
 
 void TcpConnection::send_syn_ack() {
@@ -416,7 +415,7 @@ void TcpConnection::send_syn_ack() {
 }
 
 void TcpConnection::send_rst(std::uint32_t seq) {
-  emit_segment(seq, {}, net::kRst | net::kAck, /*retransmission=*/false);
+  emit_segment(seq, {}, net::kRst | net::kAck);
 }
 
 void TcpConnection::arm_retransmit() {
@@ -435,7 +434,6 @@ void TcpConnection::on_retransmit_timeout() {
 
   if (state_ == TcpState::SynReceived) {
     send_syn_ack();
-    ++stats_.segments_retransmitted;
   } else if (bytes_in_flight() > 0) {
     // Retransmit only the first unacknowledged segment (classic RTO
     // behaviour — exactly what the scanner waits for, Fig. 1).
@@ -449,9 +447,9 @@ void TcpConnection::on_retransmit_timeout() {
       std::uint8_t flags = net::kAck;
       const bool covers_fin = fin_sent_ && snd_una_ + len == sent_data_end;
       if (covers_fin) flags |= net::kFin | net::kPsh;
-      emit_segment(snd_una_, payload, flags, /*retransmission=*/true);
+      emit_segment(snd_una_, payload, flags);
     } else if (fin_sent_) {
-      emit_segment(snd_una_, {}, net::kFin | net::kAck, /*retransmission=*/true);
+      emit_segment(snd_una_, {}, net::kFin | net::kAck);
     }
   } else {
     return;  // nothing outstanding; timer was stale

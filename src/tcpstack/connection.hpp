@@ -42,7 +42,6 @@ enum class TcpState {
 
 struct ConnectionStats {
   std::uint64_t segments_sent = 0;
-  std::uint64_t segments_retransmitted = 0;
   std::uint64_t bytes_sent = 0;  // payload bytes, first transmissions only
 };
 
@@ -101,7 +100,6 @@ class TcpConnection {
   [[nodiscard]] std::uint16_t mss() const noexcept { return mss_; }
   [[nodiscard]] std::uint32_t cwnd() const noexcept { return cwnd_; }
   [[nodiscard]] std::uint32_t bytes_in_flight() const noexcept;
-  [[nodiscard]] const ConnectionStats& stats() const noexcept { return stats_; }
   [[nodiscard]] net::IPv4Address remote_addr() const noexcept { return remote_addr_; }
   [[nodiscard]] std::uint16_t remote_port() const noexcept { return remote_port_; }
   [[nodiscard]] std::uint16_t local_port() const noexcept { return local_port_; }
@@ -116,7 +114,7 @@ class TcpConnection {
   void emit_paced_chunk(std::uint32_t chunk_bytes, bool last_slot);
   void cancel_pacing();
   void emit_segment(std::uint32_t seq, std::span<const std::uint8_t> payload,
-                    std::uint8_t flags, bool retransmission);
+                    std::uint8_t flags);
   [[nodiscard]] net::Ipv4Header ip_header() const noexcept;
   void send_pure_ack();
   void send_syn_ack();

@@ -40,6 +40,7 @@ std::vector<TcpHost::Connection>::iterator TcpHost::find_connection(
                       });
 }
 
+// iwlint: allow(unreached) -- pins connection teardown on RST, give-up and close
 std::size_t TcpHost::active_connections() const noexcept {
   return static_cast<std::size_t>(
       std::count_if(connections_.begin(), connections_.end(),

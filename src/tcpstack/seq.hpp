@@ -8,9 +8,6 @@ namespace iwscan::tcp {
 [[nodiscard]] constexpr bool seq_lt(std::uint32_t a, std::uint32_t b) noexcept {
   return static_cast<std::int32_t>(a - b) < 0;
 }
-[[nodiscard]] constexpr bool seq_le(std::uint32_t a, std::uint32_t b) noexcept {
-  return static_cast<std::int32_t>(a - b) <= 0;
-}
 [[nodiscard]] constexpr bool seq_gt(std::uint32_t a, std::uint32_t b) noexcept {
   return static_cast<std::int32_t>(a - b) > 0;
 }

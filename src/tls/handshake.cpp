@@ -83,6 +83,7 @@ void write_client_hello_body(const ClientHelloFields& hello, FragmentWriter& out
 
 }  // namespace
 
+// iwlint: allow(unreached) -- composed reference for the in-place TLS first flight
 net::Bytes encode_handshake(HandshakeType type, std::span<const std::uint8_t> body) {
   net::Bytes out;
   out.reserve(4 + body.size());
@@ -193,6 +194,7 @@ std::optional<ServerHello> ServerHello::decode(std::span<const std::uint8_t> bod
   return reader.ok() ? std::optional(hello) : std::nullopt;
 }
 
+// iwlint: allow(unreached) -- pins generated chain sizes (CertChainGen tests)
 std::size_t CertificateChain::total_certificate_bytes() const noexcept {
   std::size_t total = 0;
   for (const auto& cert : certificates) total += cert.size();

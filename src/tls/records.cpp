@@ -15,6 +15,7 @@ std::size_t fragmented_size(std::size_t payload_bytes) noexcept {
 
 }  // namespace
 
+// iwlint: allow(unreached) -- composed reference for the in-place TLS first flight
 void encode_fragmented(ContentType type, std::uint16_t version,
                        std::span<const std::uint8_t> payload, net::Bytes& out) {
   std::size_t offset = 0;

@@ -50,6 +50,7 @@ std::size_t Rng::weighted(std::span<const double> weights) noexcept {
   return weights.size() - 1;
 }
 
+// iwlint: allow(unreached) -- digest of the probe's pinned request bytes (prober_test)
 std::uint64_t hash_seed(std::string_view text) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const char c : text) {

@@ -379,23 +379,5 @@ TEST(RenderReport, MarkdownCountWithThousandsSeparatorIsOneCell) {
   EXPECT_EQ(report.find('"'), std::string::npos) << report;
 }
 
-TEST(RecordsToCsv, OneRowPerHostWithHeader) {
-  std::vector<core::HostScanRecord> records = {
-      make_record(0x0A000001, core::HostOutcome::Success, 10),
-      make_record(0x0A000002, core::HostOutcome::FewData, 0, 7),
-  };
-  records[0].iw_bytes = 640;
-  records[0].observed_mss = 64;
-  records[0].iw_segments_b = 10;
-  records[1].fin_seen = true;
-
-  const std::string csv = records_to_csv(records);
-  const auto lines = util::split(csv, '\n');
-  ASSERT_GE(lines.size(), 3u);
-  EXPECT_TRUE(lines[0].starts_with("ip,outcome,iw_segments"));
-  EXPECT_TRUE(lines[1].starts_with("10.0.0.1,success,10,640,64,0,10,0,"));
-  EXPECT_TRUE(lines[2].starts_with("10.0.0.2,few-data,0,0,0,7,0,1,"));
-}
-
 }  // namespace
 }  // namespace iwscan::analysis

@@ -455,6 +455,140 @@ TEST(IwlintProgram, StatsReportGraphSize) {
   EXPECT_GE(stats.call_edges, 1u);
 }
 
+// ---------------------------------------------------------------------------
+// unreached: src/ functions that no bench/, examples/ or tools/ main reaches.
+
+/// `files` plus a main in examples/ and tools/; each test brings its own
+/// bench/ file (or leaves it out to show the rule's whole-program gate).
+std::vector<SourceFile> with_drivers(std::vector<SourceFile> files) {
+  files.push_back({"examples/demo.cpp", "int main() { return 0; }\n"});
+  files.push_back({"tools/probe/main.cpp", "int main() { return 0; }\n"});
+  return files;
+}
+
+const SourceFile kLib = {"src/netsim/lib.cpp",
+                         "namespace iwscan::sim {\n"
+                         "int inner() { return 1; }\n"
+                         "int used() { return inner(); }\n"
+                         "int test_only() { return 2; }\n"
+                         "int dead() { return 3; }\n"
+                         "}  // namespace iwscan::sim\n"};
+const SourceFile kBenchMain = {"bench/run.cpp",
+                               "int helper() { return iwscan::sim::used(); }\n"
+                               "int main() { return helper(); }\n"};
+const SourceFile kLibTest = {
+    "tests/lib_test.cpp",
+    "TEST(Lib, TestOnly) { EXPECT_EQ(iwscan::sim::test_only(), 2); }\n"};
+
+TEST(IwlintUnreached, FlagsWhatNoMainReachesAndSaysWhetherTestsDo) {
+  const auto findings = lint_program(with_drivers({kLib, kBenchMain, kLibTest}));
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(count_rule(findings, "unreached"), 2);
+  // inner and used are reached through the bench helper; the rest is not.
+  EXPECT_EQ(findings[0].file, "src/netsim/lib.cpp");
+  EXPECT_EQ(findings[0].line, 4);
+  EXPECT_NE(findings[0].message.find("'sim::test_only'"), std::string::npos);
+  EXPECT_NE(findings[0].message.find("only tests reach it"), std::string::npos);
+  EXPECT_EQ(findings[1].line, 5);
+  EXPECT_NE(findings[1].message.find("'sim::dead'"), std::string::npos);
+  EXPECT_NE(findings[1].message.find("nothing reaches it"), std::string::npos);
+
+  Options no_unreached;
+  no_unreached.disabled_rules.push_back("unreached");
+  EXPECT_TRUE(lint_program(with_drivers({kLib, kBenchMain, kLibTest}), no_unreached)
+                  .empty());
+}
+
+TEST(IwlintUnreached, AnyUseOfTheNameIsAReference) {
+  // Passed as a value, named in a namespace-scope table, used in a macro
+  // body or an operator body, or building a constexpr table: all reached.
+  // Constructors and destructors are called implicitly and are exempt.
+  const std::vector<SourceFile> program = with_drivers(
+      {{"src/netsim/refs.hpp",
+        "#pragma once\n"
+        "namespace iwscan::sim {\n"
+        "void check_fail(int code);\n"
+        "#define SIM_CHECK(c) ::iwscan::sim::check_fail(c)\n"
+        "}  // namespace iwscan::sim\n"},
+       {"src/netsim/refs.cpp",
+        "namespace iwscan::sim {\n"
+        "void check_fail(int code) { static_cast<void>(code); }\n"
+        "int run_table() { return 1; }\n"
+        "int run_value() { return 2; }\n"
+        "int apply(int (*fn)()) { SIM_CHECK(0); return fn(); }\n"
+        "int via_value() { return apply(run_value); }\n"
+        "int counted(int n) { return n; }\n"
+        "struct Box {\n"
+        "  Box() {}\n"
+        "  ~Box() {}\n"
+        "  int operator()(int n) const { return counted(n); }\n"
+        "};\n"
+        "constexpr int make_table() { return 7; }\n"
+        "constexpr int kTable = make_table();\n"
+        "}  // namespace iwscan::sim\n"},
+       {"bench/repro.cpp",
+        "struct Experiment { const char* name; int (*run)(); };\n"
+        "const Experiment kExperiments[] = {{\"table\", iwscan::sim::run_table}};\n"
+        "int main() { return kExperiments[0].run() + iwscan::sim::via_value(); }\n"}});
+  const auto findings = lint_program(program);
+  EXPECT_TRUE(findings.empty()) << iwscan::lint::format_text(findings.front());
+}
+
+TEST(IwlintUnreached, JustifiedAllowKeepsATestSeam) {
+  const SourceFile seams = {
+      "src/netsim/seams.cpp",
+      "namespace iwscan::sim {\n"
+      "// iwlint: allow(unreached) -- fixture: the reference a test compares against\n"
+      "int reference() { return 1; }\n"
+      "// iwlint: allow(unreached)\n"
+      "int bare() { return 2; }\n"
+      "}  // namespace iwscan::sim\n"};
+  iwscan::lint::ProgramStats stats;
+  const auto findings =
+      iwscan::lint::lint_files(with_drivers({seams, kBenchMain}), {}, &stats);
+  // The bare allow suppresses nothing and is itself a finding.
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(findings[0].rule, "suppression");
+  EXPECT_EQ(findings[0].line, 4);
+  EXPECT_EQ(findings[1].rule, "unreached");
+  EXPECT_EQ(findings[1].line, 5);
+  EXPECT_EQ(stats.unreached_seams, 1u);
+  EXPECT_EQ(stats.unreached_roots, 3u);
+}
+
+TEST(IwlintUnreached, SilentWithoutAllThreeDriverTrees) {
+  // Without every root directory in the linted set, every src/ function
+  // would look dead; the rule reports nothing instead.
+  EXPECT_TRUE(lint_program({kLib, kLibTest}).empty());
+  const auto no_tools = lint_program(
+      {kLib, kBenchMain, kLibTest, {"examples/demo.cpp", "int main() { return 0; }\n"}});
+  EXPECT_EQ(count_rule(no_tools, "unreached"), 0);
+  iwscan::lint::ProgramStats stats;
+  EXPECT_TRUE(iwscan::lint::lint_files({kLib, kLibTest}, {}, &stats).empty());
+  EXPECT_EQ(stats.unreached_roots, 0u);
+}
+
+TEST(IwlintUnreached, DriverFunctionsNeverJoinTheHotPathGraph) {
+  // bench/ defines its own `emit` that grows a vector. Files outside src/
+  // join the index only as callers, so the hot root's call to emit links
+  // to the src/ definition alone.
+  iwscan::lint::ProgramStats stats;
+  const auto findings = iwscan::lint::lint_files(
+      with_drivers({{"src/netsim/pump.cpp",
+                     "namespace iwscan::sim {\n"
+                     "void emit(int v);\n"
+                     "IWSCAN_HOT void pump() { emit(1); }\n"
+                     "void emit(int v) { static_cast<void>(v); }\n"
+                     "}  // namespace iwscan::sim\n"},
+                    {"bench/emit.cpp",
+                     "void emit(int v) { std::vector<int> out; out.push_back(v); }\n"
+                     "int main() { iwscan::sim::pump(); emit(2); return 0; }\n"}}),
+      {}, &stats);
+  EXPECT_TRUE(findings.empty()) << iwscan::lint::format_text(findings.front());
+  EXPECT_EQ(stats.functions, 2u);  // src/ definitions only
+  EXPECT_EQ(stats.hot_roots, 1u);
+}
+
 TEST(IwlintSuppression, StandaloneCommentCoversTheWholeStatement) {
   // The banned call sits on the statement's continuation line, not the line
   // right after the comment; the suppression must cover the full span.
@@ -491,6 +625,9 @@ TEST(IwlintExplain, EveryRuleHasAnExplanation) {
             iwscan::lint::rule_names().end());
   EXPECT_NE(std::find(iwscan::lint::rule_names().begin(),
                       iwscan::lint::rule_names().end(), "determinism-taint"),
+            iwscan::lint::rule_names().end());
+  EXPECT_NE(std::find(iwscan::lint::rule_names().begin(),
+                      iwscan::lint::rule_names().end(), "unreached"),
             iwscan::lint::rule_names().end());
 }
 

@@ -775,16 +775,6 @@ TEST(Capture, PcapFileFormat) {
   EXPECT_TRUE(std::equal(packet.begin(), packet.end(), pcap.begin() + 40));
 }
 
-TEST(Capture, LimitEvictsOldest) {
-  PacketCapture capture;
-  capture.set_limit(2);
-  for (int i = 0; i < 5; ++i) {
-    capture.record(msec(i), make_packet(kA, kB, static_cast<std::size_t>(i)));
-  }
-  EXPECT_EQ(capture.size(), 2u);
-  EXPECT_EQ(capture.entries()[0].timestamp, msec(3));
-}
-
 TEST(Network, StatsCountBytes) {
   EventLoop loop;
   Network network(loop, 1);
@@ -794,8 +784,7 @@ TEST(Network, StatsCountBytes) {
   network.send(packet);
   loop.run();
   EXPECT_EQ(network.stats().bytes_sent, packet.size());
-  network.reset_stats();
-  EXPECT_EQ(network.stats().packets_sent, 0u);
+  EXPECT_EQ(network.stats().packets_sent, 1u);
 }
 
 }  // namespace

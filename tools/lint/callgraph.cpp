@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 
 namespace iwscan::lint {
 namespace {
@@ -112,6 +113,112 @@ void report(const Graph& graph, const std::map<int, int>& parent,
   }
 }
 
+// ---------------------------------------------------------------------------
+// unreached: src/ definitions that no driver main reaches. Edges are every
+// name a definition uses (FunctionDef::refs), resolved by bare name like the
+// call edges, so reach over-approximates: a name collision can hide dead
+// code, but live code is never reported dead.
+// ---------------------------------------------------------------------------
+
+enum class Tree { Src, Driver, Test, Other };
+
+[[nodiscard]] Tree tree_of(std::string_view file) {
+  const auto under = [&](std::string_view dir) { return file.rfind(dir, 0) == 0; };
+  if (under("src/")) return Tree::Src;
+  if (under("bench/") || under("examples/") || under("tools/")) return Tree::Driver;
+  if (under("tests/")) return Tree::Test;
+  return Tree::Other;
+}
+
+struct RefGraph {
+  std::vector<const FunctionDef*> nodes;  // src/ definitions first
+  std::vector<Tree> trees;                // parallel to nodes
+  std::map<std::string_view, std::vector<int>, std::less<>> by_last;
+};
+
+/// Definitions reachable from `seeds`, entering only src/ and `side`.
+[[nodiscard]] std::vector<bool> reach_refs(const RefGraph& graph,
+                                           const std::vector<int>& seeds,
+                                           Tree side) {
+  std::vector<bool> seen(graph.nodes.size(), false);
+  std::deque<int> queue;
+  for (const int seed : seeds) {
+    if (!seen[static_cast<std::size_t>(seed)]) {
+      seen[static_cast<std::size_t>(seed)] = true;
+      queue.push_back(seed);
+    }
+  }
+  while (!queue.empty()) {
+    const int at = queue.front();
+    queue.pop_front();
+    for (const auto& name : graph.nodes[static_cast<std::size_t>(at)]->refs) {
+      const auto targets = graph.by_last.find(name);
+      if (targets == graph.by_last.end()) continue;
+      for (const int target : targets->second) {
+        const auto t = static_cast<std::size_t>(target);
+        if (seen[t] || (graph.trees[t] != Tree::Src && graph.trees[t] != side)) {
+          continue;
+        }
+        seen[t] = true;
+        queue.push_back(target);
+      }
+    }
+  }
+  return seen;
+}
+
+/// Returns the number of driver mains (0 when the rule stays silent).
+std::size_t report_unreached(const std::vector<FunctionDef>& defs,
+                             const std::vector<FunctionDef>& callers,
+                             std::vector<Finding>& findings) {
+  RefGraph graph;
+  for (const auto& def : defs) graph.nodes.push_back(&def);
+  for (const auto& def : callers) graph.nodes.push_back(&def);
+  std::set<std::string_view> driver_dirs;
+  for (std::size_t i = 0; i < graph.nodes.size(); ++i) {
+    const FunctionDef& def = *graph.nodes[i];
+    graph.trees.push_back(tree_of(def.file));
+    if (!def.last.empty()) graph.by_last[def.last].push_back(static_cast<int>(i));
+    if (graph.trees.back() == Tree::Driver) {
+      driver_dirs.insert(std::string_view(def.file).substr(0, def.file.find('/')));
+    }
+  }
+  // Roots exist only in a whole-program run: without all three driver
+  // trees every src/ function would look dead.
+  if (driver_dirs.size() < 3) return 0;
+
+  // Roots: the driver mains, and every file-scope entry (names used
+  // outside any function) of src/ and the driver trees.
+  std::size_t mains = 0;
+  std::vector<int> roots;
+  std::vector<int> tests;
+  for (std::size_t i = 0; i < graph.nodes.size(); ++i) {
+    const FunctionDef& def = *graph.nodes[i];
+    const Tree tree = graph.trees[i];
+    const bool is_main = tree == Tree::Driver && def.qualified == "main";
+    mains += is_main ? 1 : 0;
+    if (is_main || (def.last.empty() && (tree == Tree::Src || tree == Tree::Driver))) {
+      roots.push_back(static_cast<int>(i));
+    }
+    if (tree == Tree::Test) tests.push_back(static_cast<int>(i));
+  }
+  const auto from_roots = reach_refs(graph, roots, Tree::Driver);
+  const auto from_tests = reach_refs(graph, tests, Tree::Test);
+  for (std::size_t i = 0; i < defs.size(); ++i) {
+    const FunctionDef& def = defs[i];
+    if (from_roots[i] || def.implicit) continue;
+    findings.push_back(
+        {def.file, def.line, "unreached",
+         "'" + def.display +
+             "' is reached from no bench/, examples/ or tools/ main; " +
+             (from_tests[i]
+                  ? "only tests reach it. Delete it, or keep it as a test "
+                    "seam: // iwlint: allow(unreached) -- <what it pins>"
+                  : "nothing reaches it, tests included. Delete it")});
+  }
+  return mains;
+}
+
 }  // namespace
 
 void run_callgraph_rules(SymbolTable symbols, std::vector<Finding>& findings,
@@ -163,7 +270,10 @@ void run_callgraph_rules(SymbolTable symbols, std::vector<Finding>& findings,
          "src/util/rng.cpp and src/util/stopwatch.cpp (DESIGN.md §9)",
          quarantine, findings);
 
+  const std::size_t mains = report_unreached(graph.defs, symbols.callers, findings);
+
   if (stats != nullptr) {
+    stats->unreached_roots = mains;
     stats->files = symbols.files_indexed;
     stats->functions = graph.defs.size();
     std::size_t edges = 0;

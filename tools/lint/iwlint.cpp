@@ -600,7 +600,8 @@ const std::vector<std::string>& rule_names() {
   static const std::vector<std::string> names = {
       "layering",      "byte-bridge",    "banned-call", "wire-enum-default",
       "header-hygiene", "determinism",   "hot-path",    "determinism-taint",
-      "wire-taint",    "concurrency-confinement", "suppression",
+      "wire-taint",    "concurrency-confinement", "unreached",
+      "suppression",
   };
   return names;
 }
@@ -719,6 +720,25 @@ std::string_view rule_explanation(std::string_view rule) {
            "suppressions cover the audited exceptions (the allocation "
            "counter in util/alloc_stats.hpp).";
   }
+  if (rule == "unreached") {
+    return "Whole-program reachability rule. Its roots are every main in "
+           "bench/, examples/ and tools/; it reports each function defined "
+           "in src/ that no root reaches, and says whether tests reach it. "
+           "A function only tests reach is either a test seam that pins an "
+           "invariant, kept with a justified allow(unreached), or dead code "
+           "to delete. Any use of a name is a reference, not just a call: a "
+           "function passed as a value, named in a namespace- or class-scope "
+           "initializer (repro's experiment table), or used in a macro body "
+           "(check_fail behind IWSCAN_ASSERT) is reached, and so is every "
+           "name in a brace block the index cannot attribute to a function "
+           "(operator bodies). Constructors, destructors and conversion "
+           "operators are exempt. References resolve by bare name, so reach "
+           "over-approximates: a name collision can hide dead code, but live "
+           "code is never reported dead. Files outside src/ join only as "
+           "callers; the hot-path and determinism-taint graphs never see "
+           "them. The rule stays silent unless the linted set holds all "
+           "three root directories.";
+  }
   if (rule == "suppression") {
     return "Findings are silenced inline with the iwlint marker comment "
            "followed by 'allow(<rule>) -- <reason>'. The justification is "
@@ -740,6 +760,7 @@ std::vector<Finding> lint_source(std::string_view path, std::string_view source,
   Options per_tu = options;
   per_tu.disabled_rules.emplace_back("hot-path");
   per_tu.disabled_rules.emplace_back("determinism-taint");
+  per_tu.disabled_rules.emplace_back("unreached");
   return lint_files(one, per_tu, nullptr);
 }
 
@@ -775,7 +796,8 @@ std::vector<Finding> lint_files(const std::vector<SourceFile>& files,
   const bool want_dataflow = !rule_disabled(options, "wire-taint") ||
                              !rule_disabled(options, "concurrency-confinement");
   const bool want_graph = !rule_disabled(options, "hot-path") ||
-                          !rule_disabled(options, "determinism-taint");
+                          !rule_disabled(options, "determinism-taint") ||
+                          !rule_disabled(options, "unreached");
   if (want_dataflow || want_graph || stats != nullptr) {
     std::vector<Finding> program;
     SymbolTable symbols = extract_symbols(files, scans);
@@ -785,7 +807,10 @@ std::vector<Finding> lint_files(const std::vector<SourceFile>& files,
     for (auto& finding : program) {
       if (rule_disabled(options, finding.rule)) continue;
       const auto it = suppressions_by_file.find(finding.file);
-      if (it != suppressions_by_file.end() && it->second.covers(finding)) continue;
+      if (it != suppressions_by_file.end() && it->second.covers(finding)) {
+        if (stats != nullptr && finding.rule == "unreached") ++stats->unreached_seams;
+        continue;
+      }
       kept.push_back(std::move(finding));
     }
   }

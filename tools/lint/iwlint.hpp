@@ -10,7 +10,8 @@
 //
 // Self-contained C++20: a small tokenizer (tokens.hpp) + include-graph
 // walker + per-TU rule engine, plus a cross-TU call-graph layer
-// (callgraph.hpp) for the hot-path purity and determinism-taint rules.
+// (callgraph.hpp) for the hot-path purity, determinism-taint and unreached
+// rules.
 // No libclang; the whole tree lints in well under two seconds.
 #pragma once
 
@@ -36,7 +37,8 @@ struct Options {
 
 /// One translation unit handed to the whole-program entry point. `path`
 /// is repo-relative with forward slashes; only "src/..." files join the
-/// call graph, everything still gets the per-TU rules.
+/// call graph (the rest join the unreached rule as callers only),
+/// everything still gets the per-TU rules.
 struct SourceFile {
   std::string path;
   std::string content;
@@ -54,15 +56,16 @@ struct ProgramStats;  // callgraph.hpp
 /// Lint one translation unit with the per-TU rules only. `path` must be
 /// repo-relative with forward slashes (e.g. "src/netbase/wire.hpp"); rules
 /// key off the path to decide module membership and allowlists. The
-/// cross-TU rules (hot-path, determinism-taint) need the whole program and
-/// only run under lint_files/lint_tree.
+/// cross-TU rules (hot-path, determinism-taint, unreached) need the whole
+/// program and only run under lint_files/lint_tree.
 [[nodiscard]] std::vector<Finding> lint_source(std::string_view path,
                                                std::string_view source,
                                                const Options& options = {});
 
 /// Whole-program lint: per-TU rules on every file plus the cross-TU
-/// call-graph rules over the src/ subset. Findings are sorted by
-/// (file, line, rule, message); inline suppressions apply to both layers.
+/// call-graph rules over the src/ subset (unreached: over all files).
+/// Findings are sorted by (file, line, rule, message); inline suppressions
+/// apply to both layers.
 [[nodiscard]] std::vector<Finding> lint_files(const std::vector<SourceFile>& files,
                                               const Options& options = {},
                                               ProgramStats* stats = nullptr);

@@ -8,7 +8,7 @@
 // examples tools. Run from the repo root, or point --root at it.
 //
 // --json emits an object: schema_version, the findings array, the
-// call-graph and dataflow stats, and the whole-tree wall time
+// call-graph, unreached and dataflow stats, and the whole-tree wall time
 // ("elapsed_ms") — CI's bench guard keys off the latter to keep the
 // cross-TU analysis under its two-second budget.
 //
@@ -176,11 +176,13 @@ int main(int argc, char** argv) {
     std::fprintf(stdout,
                  ",\n\"files\": %zu,\n\"functions\": %zu,\n\"call_edges\": %zu,"
                  "\n\"hot_roots\": %zu,\n\"taint_roots\": %zu,"
+                 "\n\"unreached_roots\": %zu,\n\"unreached_seams\": %zu,"
                  "\n\"dataflow\": {\"functions\": %zu, \"taint_sources\": %zu, "
                  "\"taint_sinks\": %zu, \"taint_guards\": %zu},"
                  "\n\"elapsed_ms\": %lld\n}\n",
                  stats.files, stats.functions, stats.call_edges, stats.hot_roots,
-                 stats.taint_roots, stats.dataflow.functions,
+                 stats.taint_roots, stats.unreached_roots, stats.unreached_seams,
+                 stats.dataflow.functions,
                  stats.dataflow.taint_sources, stats.dataflow.taint_sinks,
                  stats.dataflow.taint_guards, elapsed_ms);
   } else {

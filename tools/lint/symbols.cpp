@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <iterator>
 
 namespace iwscan::lint {
 
@@ -81,11 +82,23 @@ constexpr std::array<std::string_view, 16> kNotAGlobalStmt = {
     "namespace", "struct", "class",         "union",    "(",
     "["};
 
+/// Every identifier in tokens [begin, end) joins `refs`.
+void add_idents(const std::vector<Token>& tokens, std::size_t begin,
+                std::size_t end, std::set<std::string>& refs) {
+  for (std::size_t k = begin; k < end && k < tokens.size(); ++k) {
+    if (tokens[k].kind == TokKind::Ident) refs.emplace(tokens[k].text);
+  }
+}
+
 class Extractor {
  public:
   Extractor(std::string_view path, std::size_t file_index,
-            const ScanResult& scan, SymbolTable& out)
-      : path_(path), file_index_(file_index), t_(scan.tokens), out_(out) {}
+            const ScanResult& scan, SymbolTable& out, FunctionDef& file_scope)
+      : path_(path),
+        file_index_(file_index),
+        t_(scan.tokens),
+        out_(out),
+        file_scope_(file_scope) {}
 
   void run() {
     while (i_ < t_.size()) step();
@@ -125,6 +138,17 @@ class Extractor {
 
   [[nodiscard]] bool at_namespace_scope() const {
     return scopes_.empty() || scopes_.back().kind == Scope::Kind::Namespace;
+  }
+
+  /// Outside any function: inside a namespace- or class-scope initializer,
+  /// or inside a brace block that is no indexed function's body (a brace
+  /// initializer, an operator body, a macro's do-while). Names used here
+  /// are references the unreached rule counts for the whole file.
+  [[nodiscard]] bool in_file_scope_code() const {
+    if (initializer_depth_ >= 0) return true;
+    return std::any_of(scopes_.begin(), scopes_.end(), [](const Scope& scope) {
+      return scope.kind == Scope::Kind::Block;
+    });
   }
 
   void reset_pending() {
@@ -226,6 +250,7 @@ class Extractor {
     }
     if (is(j, "{")) {
       ++depth_;
+      initializer_depth_ = -1;
       scopes_.push_back({Scope::Kind::Namespace, name, depth_, -1});
       i_ = j + 1;
       stmt_start_ = i_;
@@ -251,6 +276,7 @@ class Extractor {
     while (j < t_.size() && t_[j].text != "{" && t_[j].text != ";") ++j;
     if (is(j, "{")) {
       ++depth_;
+      initializer_depth_ = -1;
       scopes_.push_back({Scope::Kind::Class, name, depth_, -1});
       i_ = j + 1;
       stmt_start_ = i_;
@@ -362,6 +388,9 @@ class Extractor {
     const std::size_t start = chain_start(i);
     const std::size_t params_open = i + 1;
     const std::size_t after_params = skip_balanced(params_open, "(", ")");
+    // An expression at file scope, not a declarator: the names it passes
+    // are references even when the parse below skips past them.
+    if (in_file_scope_code()) add_idents(t_, params_open, after_params, file_scope_.refs);
     if (after_params >= t_.size()) {
       ++i_;
       return;
@@ -442,6 +471,7 @@ class Extractor {
     if (!qualified.empty() && !chain.empty()) qualified += "::";
     qualified += chain;
 
+    initializer_depth_ = -1;
     if (is_declaration) {
       if (pending_hot_) out_.hot_qualified.insert(qualified);
       if (pending_noreturn_) out_.noreturn_qualified.insert(qualified);
@@ -467,6 +497,15 @@ class Extractor {
     def.params_end = (after_params > 0) ? after_params - 1 : 0;
     def.body_begin = body_open + 1;
     def.body_end = t_.size();  // patched in close_brace
+    add_idents(t_, params_open, body_open, def.refs);
+    // Called without its name appearing at the call site.
+    const bool in_class_named = !scopes_.empty() &&
+                                scopes_.back().kind == Scope::Kind::Class &&
+                                scopes_.back().name == name;
+    def.implicit = (start >= 1 && (t_[start - 1].text == "~" ||
+                                   t_[start - 1].text == "operator")) ||
+                   (start + 2 <= i && t_[i - 2].text == name) ||
+                   (start == i && in_class_named);
     // Display name: the last two segments ("Class::method") read well in
     // chains without the namespace noise.
     {
@@ -509,9 +548,17 @@ class Extractor {
       }
       if (t.text == ";") {
         reset_pending();
+        if (depth_ <= initializer_depth_) initializer_depth_ = -1;
         ++i_;
         stmt_start_ = i_;
         return;
+      }
+      // `name = ...` / `name[] = ...` outside a function opens an
+      // initializer (`operator=` and comparisons inside one do not).
+      if (t.text == "=" && i_ > 0 && current_function() < 0 &&
+          ((t_[i_ - 1].kind == TokKind::Ident && t_[i_ - 1].text != "operator") ||
+           t_[i_ - 1].text == "]")) {
+        if (initializer_depth_ < 0) initializer_depth_ = depth_;
       }
       ++i_;
       return;
@@ -538,7 +585,13 @@ class Extractor {
       return;
     }
 
-    const bool in_fn = current_function() >= 0;
+    const int fn = current_function();
+    const bool in_fn = fn >= 0;
+    if (in_fn) {
+      out_.defs[static_cast<std::size_t>(fn)].refs.emplace(text);
+    } else if (in_file_scope_code()) {
+      file_scope_.refs.emplace(text);
+    }
     if (!in_fn) {
       if (text == "namespace") {
         handle_namespace();
@@ -574,9 +627,11 @@ class Extractor {
   std::size_t file_index_;
   const std::vector<Token>& t_;
   SymbolTable& out_;
+  FunctionDef& file_scope_;
   std::size_t i_ = 0;
   std::size_t stmt_start_ = 0;
   int depth_ = 0;
+  int initializer_depth_ = -1;  // brace depth of the open initializer, or -1
   std::vector<Scope> scopes_;
   bool pending_hot_ = false;
   bool pending_boundary_ = false;
@@ -589,9 +644,25 @@ SymbolTable extract_symbols(const std::vector<SourceFile>& files,
                             const std::vector<ScanResult>& scans) {
   SymbolTable out;
   for (std::size_t f = 0; f < files.size() && f < scans.size(); ++f) {
-    if (files[f].path.rfind("src/", 0) != 0) continue;
-    ++out.files_indexed;
-    Extractor(files[f].path, f, scans[f], out).run();
+    const std::string& path = files[f].path;
+    FunctionDef file_scope;
+    file_scope.display = "<file scope>";
+    file_scope.file = path;
+    file_scope.file_index = f;
+    if (path.rfind("src/", 0) == 0) {
+      ++out.files_indexed;
+      Extractor(path, f, scans[f], out, file_scope).run();
+    } else {
+      // Callers only: nothing of this file reaches the src/ tables.
+      SymbolTable local;
+      Extractor(path, f, scans[f], local, file_scope).run();
+      std::move(local.defs.begin(), local.defs.end(),
+                std::back_inserter(out.callers));
+    }
+    for (const auto& [first, end] : scans[f].macro_spans) {
+      add_idents(scans[f].tokens, first, end, file_scope.refs);
+    }
+    out.callers.push_back(std::move(file_scope));
   }
   return out;
 }

@@ -4,10 +4,12 @@
 // One pass over each src/ translation unit's tokens builds the function
 // definitions — with their local facts, call sites, and body/parameter
 // token ranges — plus the annotation sets and the namespace-scope mutable
-// globals. Scope tracking is brace-based: namespaces and classes push
-// named scopes, function bodies push a function scope, and every other
-// '{' (lambdas, control flow) pushes an anonymous block — which is exactly
-// the fold-lambdas-into-their-enclosing-function semantics the rules want.
+// globals. The same pass over bench/, examples/, tools/ and tests/ builds
+// caller-only definitions for the unreached rule (callgraph.hpp). Scope
+// tracking is brace-based: namespaces and classes push named scopes,
+// function bodies push a function scope, and every other '{' (lambdas,
+// control flow) pushes an anonymous block — which is exactly the
+// fold-lambdas-into-their-enclosing-function semantics the rules want.
 #pragma once
 
 #include <cstddef>
@@ -58,6 +60,10 @@ struct FunctionDef {
   std::size_t body_end = 0;      // the braces ([begin, end))
   std::vector<Fact> facts;
   std::set<std::string> callees;  // unqualified callee names, deduplicated
+  // Every identifier in the parameters, initializer list and body: the
+  // unreached rule's edges, where any use of a name counts, not just a call.
+  std::set<std::string> refs;
+  bool implicit = false;  // constructor, destructor or conversion operator
 };
 
 /// A mutable variable declared at namespace scope — shared state the
@@ -77,12 +83,18 @@ struct SymbolTable {
   std::set<std::string> boundary_last;       // IWSCAN_HOT_BOUNDARY names
   std::set<std::string> boundary_qualified;  // ... and qualified forms
   std::size_t files_indexed = 0;             // src/ files fed into the pass
+  // Read only by the unreached rule, so the hot-path, determinism-taint and
+  // dataflow passes stay src/-only: the definitions of files outside src/,
+  // plus one unnamed entry per file (src/ included) whose refs are the names
+  // used outside any indexed function — namespace- and class-scope
+  // initializers, macro bodies, and bodies the index cannot name (operators).
+  std::vector<FunctionDef> callers;
 };
 
-/// Build the symbol table over the src/ subset of `files`. `scans` is the
-/// per-file tokenization, parallel to `files` (tokenize once, analyze
-/// many times). FunctionDef token ranges index into the matching scan's
-/// token vector via `file_index`.
+/// Build the symbol table over `files`: src/ files feed every table above,
+/// the rest only `callers`. `scans` is the per-file tokenization, parallel
+/// to `files` (tokenize once, analyze many times). FunctionDef token ranges
+/// index into the matching scan's token vector via `file_index`.
 [[nodiscard]] SymbolTable extract_symbols(const std::vector<SourceFile>& files,
                                           const std::vector<ScanResult>& scans);
 

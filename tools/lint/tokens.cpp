@@ -29,6 +29,13 @@ ScanResult tokenize(std::string_view src) {
     for (int l = from_line; l <= to_line; ++l) note_code(l);
   };
 
+  // A newline at `at` continues the directive line when a backslash
+  // (optionally followed by '\r') precedes it.
+  auto escaped_newline = [&](std::size_t at) {
+    if (at > 0 && src[at - 1] == '\r') --at;
+    return at > 0 && src[at - 1] == '\\';
+  };
+
   auto skip_string = [&](char quote) {
     // i points at the opening quote.
     ++i;
@@ -40,7 +47,17 @@ ScanResult tokenize(std::string_view src) {
     if (i < src.size()) ++i;  // closing quote
   };
 
+  // An open #define: its first token index and the offset of the newline
+  // that ends it (the first one not escaped by a backslash).
+  std::size_t define_first = 0;
+  std::size_t define_end = std::string_view::npos;
+  auto close_define = [&] {
+    out.macro_spans.emplace_back(define_first, out.tokens.size());
+    define_end = std::string_view::npos;
+  };
+
   while (i < src.size()) {
+    if (i >= define_end) close_define();
     const char c = src[i];
 
     if (c == '\n') {
@@ -108,6 +125,14 @@ ScanResult tokenize(std::string_view src) {
         // Other directives (#define, #if, ...): the keyword is consumed and
         // the body falls through to normal tokenization so banned calls
         // inside macro bodies are still seen.
+        if (word == "define") {
+          define_first = out.tokens.size();
+          define_end = i;
+          while (define_end < src.size() &&
+                 !(src[define_end] == '\n' && !escaped_newline(define_end))) {
+            ++define_end;
+          }
+        }
         note_code(dir_line);
       }
       at_line_start = false;
@@ -191,6 +216,7 @@ ScanResult tokenize(std::string_view src) {
     }
     note_code(line);
   }
+  if (define_end != std::string_view::npos) close_define();
   return out;
 }
 

@@ -5,11 +5,15 @@
 // streams the rules pattern-match against. Preprocessor directives are
 // recognized only enough to capture #include targets and the leading
 // #pragma once; other directive bodies fall through to normal
-// tokenization so banned calls inside macro bodies are still seen.
+// tokenization so banned calls inside macro bodies are still seen, and
+// #define spans are recorded so the unreached rule can count the names a
+// macro body uses as references.
 #pragma once
 
+#include <cstddef>
 #include <set>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace iwscan::lint {
@@ -37,6 +41,9 @@ struct ScanResult {
   std::vector<Token> tokens;
   std::vector<IncludeDirective> includes;
   std::vector<Comment> comments;
+  // Token index ranges [first, end) of #define directives (name, parameter
+  // list and body), in file order.
+  std::vector<std::pair<std::size_t, std::size_t>> macro_spans;
   std::set<int> code_lines;            // lines holding at least one token/directive
   int first_code_line = 0;             // 0 = file holds no code at all
   bool first_code_is_pragma_once = false;

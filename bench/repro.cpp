@@ -925,7 +925,7 @@ void s43(const Run& run) {
   std::printf("\nGeneric scanning cannot assess virtualized services: without a\n"
               "valid Host name the edge serves a short error page, so only a\n"
               "lower bound is learned. With a curated URL list (the future work\n"
-              "proposed in §5, implemented here as make_url_list_strategy) the\n"
+              "proposed in §5, implemented here as HostProber's curated mode) the\n"
               "per-customer IW configurations become measurable — reproducing\n"
               "the paper's manual finding of customized IW 16/32 at Akamai.\n");
 }

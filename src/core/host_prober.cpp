@@ -1,6 +1,13 @@
 #include "core/host_prober.hpp"
 
 #include <algorithm>
+#include <array>
+
+#include "httpd/http_message.hpp"
+#include "tls/handshake.hpp"
+#include "tls/records.hpp"
+#include "util/bytes.hpp"
+#include "util/rng.hpp"
 
 namespace iwscan::core {
 namespace {
@@ -8,7 +15,70 @@ namespace {
 /// Pause between one connection's conclusion and the next connection.
 constexpr sim::SimTime kInterConnectionDelay = sim::msec(20);
 
+/// Names the scan and where operators can read about it.
+constexpr std::string_view kUserAgent = "iwscan/1.0 (+https://iw.example.net/research)";
+constexpr std::string_view kCuratedUserAgent = "iwscan/1.0 (curated-url mode)";
+/// Long-URI length (§3.2): many servers echo the unknown URI in their 404
+/// body, so a long one inflates the error page past the IW. The URI states
+/// the nature of the scan, as the paper's does, and is padded with 'x'. The
+/// request carrying it is ~1,466 B with DF set, which exceeds rather than
+/// fills smaller path MTUs: on one path in five of the Internet model (MTU
+/// 1400, 1376 or 576) it is dropped with ICMP Fragmentation Needed, which
+/// the estimator ignores. An echoing host whose IW the short 404 cannot
+/// fill then ends FewData instead of Success — a known accuracy defect
+/// (ROADMAP).
+constexpr std::size_t kLongUriLength = 1300;
+constexpr std::string_view kLongUriStem =
+    "/this-is-a-tcp-initial-window-measurement-see-iw.example.net-for-details-";
+
+constexpr std::uint8_t kNullCompression[] = {0};
+
+/// A GET of `path` followed by `padding` 'x' bytes, under `host`, written
+/// into one buffer of its exact size. Connection: close makes the server
+/// FIN once the response is done — the signal that the IW was *not*
+/// filled (§3.2).
+net::Bytes http_get(std::string_view path, std::size_t padding, std::string_view host,
+                    std::string_view user_agent) {
+  const std::string_view tail[] = {" HTTP/1.1\r\nHost: ", host, "\r\nUser-Agent: ",
+                                   user_agent,
+                                   "\r\nAccept: */*\r\nConnection: close\r\n\r\n"};
+  std::size_t size = 4 + path.size() + padding;
+  for (const std::string_view piece : tail) size += piece.size();
+  net::Bytes out;
+  out.reserve(size);
+  const auto put = [&out](std::string_view piece) {
+    const auto bytes = util::as_bytes(piece);
+    out.insert(out.end(), bytes.begin(), bytes.end());
+  };
+  put("GET ");
+  put(path);
+  out.insert(out.end(), padding, 'x');
+  for (const std::string_view piece : tail) put(piece);
+  return out;
+}
+
 }  // namespace
+
+net::Bytes client_hello(std::uint64_t seed, std::string_view server_name) {
+  std::array<std::uint8_t, 32> random{};
+  util::Rng rng(util::mix64(seed, 0x7175c11e));
+  for (auto& byte : random) byte = static_cast<std::uint8_t>(rng());
+
+  tls::ClientHelloFields hello;
+  hello.version = tls::kTls12;
+  hello.random = random;
+  hello.cipher_suites = tls::probe_cipher_list();
+  hello.compression_methods = kNullCompression;
+  // No SNI by default: the scan enumerates IPs without forward-DNS
+  // knowledge (§4, "missing Server Name Indication" explains part of the
+  // few-data TLS hosts). Curated-SNI mode names a known vhost instead —
+  // the only way to measure per-vhost IW tiers on multi-tenant edges.
+  // OCSP stapling is requested to coax even more first-flight bytes out
+  // of the server (§3.3).
+  if (!server_name.empty()) hello.server_name = server_name;
+  hello.ocsp_stapling = true;
+  return tls::encode_client_hello_record(hello, tls::kTls10);
+}
 
 HostProber::HostProber(scan::SessionServices& services, net::IPv4Address target,
                        IwProbeModule& module, std::function<void()> finish)
@@ -29,29 +99,99 @@ void HostProber::on_datagram(const net::Datagram& datagram) {
   estimator_->on_datagram(datagram);
 }
 
-std::unique_ptr<ProbeStrategy> HostProber::make_strategy() const {
+net::Bytes HostProber::request() {
+  // The target answered: only now does the connection need its request.
   const IwScanConfig& config = module_.config();
-  if (config.protocol == ProbeProtocol::Http) {
-    if (!config.curated_host.empty()) {
-      return make_url_list_strategy(config.curated_host);
-    }
-    return make_http_strategy(target_, config.max_connections, config.max_redirect_hops);
+  if (config.protocol == ProbeProtocol::Tls) {
+    // Curated mode carries over to TLS as a curated SNI: with prior
+    // knowledge of the vhost name, the probe measures the named service's
+    // IW instead of the IP-as-Host default.
+    return client_hello(tls_seed_, config.curated_host);
   }
-  // Curated mode carries over to TLS as a curated SNI: with prior knowledge
-  // of the vhost name, the probe measures the named service's IW instead of
-  // the IP-as-Host default.
-  return make_tls_strategy(tls_seed_, config.curated_host);
+  if (!config.curated_host.empty()) {
+    // §5's curated URL: the named host's root page.
+    return http_get("/", 0, config.curated_host, kCuratedUserAgent);
+  }
+  const std::string origin = target_.to_string();
+  const Redirect* redirect = redirects_ ? &redirects_->back() : nullptr;
+  const std::string_view host = redirect ? std::string_view(redirect->host) : origin;
+  if (long_uri_path_) {
+    return http_get(kLongUriStem, kLongUriLength - kLongUriStem.size(), host, kUserAgent);
+  }
+  return http_get(redirect ? std::string_view(redirect->path) : "/", 0, host, kUserAgent);
 }
 
-net::Bytes HostProber::request() {
-  // The target answered this probe's first SYN (or a follow-up's, with the
-  // strategy already built): only now does the probe need its strategy.
-  if (!strategy_) strategy_ = make_strategy();
-  return strategy_->request();
+bool HostProber::visited(std::string_view host, std::string_view path) const {
+  // Every probe starts at the target's root.
+  if (path == "/" && host == target_.to_string()) return true;
+  return redirects_ && std::any_of(redirects_->begin(), redirects_->end(),
+                                   [&](const Redirect& redirect) {
+                                     return redirect.host == host && redirect.path == path;
+                                   });
+}
+
+bool HostProber::follow_up(const ConnObservation& observation) {
+  // Only the generic HTTP probe escalates: a curated URL is already
+  // known-good, and §3.3 has no TLS retry (the certificate chain either
+  // fills the IW or it does not). A connection that was never answered
+  // concluded with no prefix, so it is never followed up either.
+  const IwScanConfig& config = module_.config();
+  if (config.protocol == ProbeProtocol::Tls || !config.curated_host.empty()) return false;
+  if (1 + redirect_hops_ + (tried_long_uri_ ? 1 : 0) >= config.max_connections) return false;
+  if (observation.outcome != ConnOutcome::FewData || observation.prefix.empty()) return false;
+
+  const auto head = http::parse_response_head(util::as_text(observation.prefix));
+  if (!head) return false;
+
+  if (head->status == 301 || head->status == 302 || head->status == 307 ||
+      head->status == 308) {
+    const auto location = head->header("Location");
+    auto parts = location ? http::parse_location(*location) : std::nullopt;
+    if (parts) {
+      std::string next_host = parts->host;
+      if (next_host.empty()) {
+        next_host = redirects_ ? redirects_->back().host : target_.to_string();
+      }
+      if (visited(next_host, parts->path)) {
+        // The chain revisits a URL it already served: an infinite redirect
+        // loop. Stop here — following it again can only burn the
+        // connection budget.
+        if (anomaly_ == ProbeAnomaly::None) anomaly_ = ProbeAnomaly::RedirectLoop;
+        return false;
+      }
+      if (redirect_hops_ >= config.max_redirect_hops) {
+        // A chain still redirecting after several hops is
+        // indistinguishable from a loop at our budget.
+        if (redirect_hops_ >= 2 && anomaly_ == ProbeAnomaly::None) {
+          anomaly_ = ProbeAnomaly::RedirectLoop;
+        }
+        return false;
+      }
+      // A valid URI (and possibly a common name for the Host header)
+      // extracted from the error response (§3.2).
+      if (!redirects_) redirects_ = std::make_unique<std::vector<Redirect>>();
+      redirects_->push_back({std::move(next_host), std::move(parts->path)});
+      ++redirect_hops_;
+      long_uri_path_ = false;
+      return true;
+    }
+  }
+
+  if (!tried_long_uri_) {
+    // Bloat the error page: many servers echo the unknown URI in their 404
+    // body, so a long URI inflates the response (§3.2).
+    tried_long_uri_ = true;
+    long_uri_path_ = true;
+    return true;
+  }
+  return false;
 }
 
 void HostProber::begin_probe() {
-  strategy_.reset();
+  redirects_.reset();
+  redirect_hops_ = 0;
+  tried_long_uri_ = false;
+  long_uri_path_ = false;
   if (module_.config().protocol == ProbeProtocol::Tls) {
     tls_seed_ = services_.session_seed(target_);
   }
@@ -137,11 +277,7 @@ void HostProber::connection_done(const ConnObservation& observation) {
   current_probe_.loss_holes |= observation.loss_holes;
   current_probe_has_conn_ = true;
 
-  // A connection that never got an answer built no strategy: it concluded
-  // Unreachable or Refused, which no strategy follows up, and a fresh
-  // strategy has no anomaly to report.
-  const bool followup = strategy_ && strategy_->wants_followup(observation);
-  if (anomaly_ == ProbeAnomaly::None && strategy_) anomaly_ = strategy_->anomaly();
+  const bool followup = follow_up(observation);
   services_.loop().cancel(continuation_);
   continuation_ = services_.loop().schedule(kInterConnectionDelay, [this, followup] {
     continuation_ = sim::kNullEvent;

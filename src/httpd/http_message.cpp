@@ -195,6 +195,10 @@ std::optional<std::string_view> ParsedResponseHead::header(std::string_view name
 std::optional<LocationParts> parse_location(std::string_view uri) {
   uri = util::trim(uri);
   if (uri.empty()) return std::nullopt;
+  for (const char c : uri) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (byte <= 0x20 || byte == 0x7f) return std::nullopt;
+  }
 
   LocationParts parts;
   if (util::istarts_with(uri, "http://")) {

@@ -94,6 +94,9 @@ struct ParsedResponseHead {
 
 /// Extract the path (and implicit host) from an absolute or relative URI in
 /// a Location header. Returns {host, path}; host is empty for relative URIs.
+/// Both go into the follow-up request's line and Host header, so a URI
+/// holding a space, a control byte or DEL (after trimming its ends) is
+/// rejected.
 struct LocationParts {
   std::string host;
   std::string path;

@@ -127,4 +127,9 @@ std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept {
   return ~crc32_tables(crc, data);
 }
 
+// iwlint: allow(unreached) -- the tables kernel over whole spans, checked where crc32() folds
+std::uint32_t crc32_portable(std::span<const std::uint8_t> data) noexcept {
+  return ~crc32_tables(~std::uint32_t{0}, data);
+}
+
 }  // namespace iwscan::store

@@ -15,4 +15,8 @@ namespace iwscan::store {
 
 [[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept;
 
+/// crc32() by the slicing-by-8 tables alone over the whole span, as a CPU
+/// without PCLMULQDQ computes it, so tests check both kernels on any CPU.
+[[nodiscard]] std::uint32_t crc32_portable(std::span<const std::uint8_t> data) noexcept;
+
 }  // namespace iwscan::store

@@ -127,6 +127,26 @@ TEST(AdversarialBattery, MssViolatorStillYieldsAnIwMeasurement) {
   EXPECT_EQ(result.record.anomaly, core::ProbeAnomaly::MssViolation);
 }
 
+TEST(AdversarialBattery, RedirectLoopAtThePapersBudgetsEndsFewDataUnflagged) {
+  // At IwScanConfig's defaults (§3.2: one redirect, two connections per
+  // probe) each probe follows "/" → "/loop-a", and the second 301 meets
+  // the connection budget before any URL repeats: the loop is never seen,
+  // so the host ends FewData with no anomaly. Only the battery's raised
+  // budgets walk the chain far enough to flag RedirectLoop.
+  Scenario scenario = kBattery[5];
+  scenario.max_redirect_hops = core::IwScanConfig{}.max_redirect_hops;
+  scenario.max_connections = core::IwScanConfig{}.max_connections;
+  const ScenarioResult result = test::run_scenario(scenario);
+
+  EXPECT_TRUE(result.completed);
+  EXPECT_EQ(result.record.outcome, core::HostOutcome::FewData);
+  EXPECT_EQ(result.record.anomaly, core::ProbeAnomaly::None);
+  EXPECT_EQ(result.record.lower_bound, 2u);
+  EXPECT_EQ(result.record.probes_run, 6);
+  EXPECT_EQ(result.record.connections_used, 12);
+  EXPECT_EQ(result.live_sessions, 0u);
+}
+
 /// The first response segment the redirect-loop daemon sends to a GET of
 /// `path`, as the fabric carried it.
 std::string redirect_loop_response(std::string_view path) {

@@ -20,7 +20,7 @@
 #include <string_view>
 
 #include "analysis/scan_runner.hpp"
-#include "core/probe_strategy.hpp"
+#include "core/host_prober.hpp"
 #include "httpd/http_message.hpp"
 #include "inetmodel/internet.hpp"
 #include "netbase/packet.hpp"
@@ -125,7 +125,7 @@ TEST(AllocBudget, ProbeAnswerDecodesAreAllocationFree) {
   // walks and decodes the probe's ClientHello (SNI, 40 suites, OCSP) and
   // negotiates against every server profile; the prober parses the
   // daemon's 301 head and looks up its Location. None of it allocates.
-  const net::Bytes hello_record = core::make_tls_strategy(7, "www.example.net")->request();
+  const net::Bytes hello_record = core::client_hello(7, "www.example.net");
   constexpr std::string_view kMovedBody =
       "<html><head><title>301 Moved Permanently</title></head>"
       "<body><h1>Moved Permanently</h1></body></html>";

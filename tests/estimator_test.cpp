@@ -223,8 +223,7 @@ TEST(Estimator, TlsFirstFlightYieldsIw) {
   config.chain_bytes = 4'000;  // plenty for IW 10 at 64 B
   bed.add_tls_host(host, stack_with_iw(10), config);
 
-  auto strategy = core::make_tls_strategy(0, "");
-  const auto obs = bed.estimate(host, 443, 64, strategy->request());
+  const auto obs = bed.estimate(host, 443, 64, core::client_hello(0, ""));
   ASSERT_EQ(obs.outcome, core::ConnOutcome::Success);
   EXPECT_EQ(obs.iw_estimate, 10u);
 }
@@ -236,8 +235,7 @@ TEST(Estimator, TlsAlertWithoutSniIsFewDataBoundOne) {
   config.sni_policy = tls::SniPolicy::AlertAndClose;
   bed.add_tls_host(host, stack_with_iw(10), config);
 
-  auto strategy = core::make_tls_strategy(0, "");
-  const auto obs = bed.estimate(host, 443, 64, strategy->request());
+  const auto obs = bed.estimate(host, 443, 64, core::client_hello(0, ""));
   EXPECT_EQ(obs.outcome, core::ConnOutcome::FewData);
   EXPECT_EQ(obs.iw_estimate, 1u);
   EXPECT_TRUE(obs.fin_seen);
@@ -250,8 +248,7 @@ TEST(Estimator, TlsSilentCloseIsNoData) {
   config.sni_policy = tls::SniPolicy::SilentClose;
   bed.add_tls_host(host, stack_with_iw(10), config);
 
-  auto strategy = core::make_tls_strategy(0, "");
-  const auto obs = bed.estimate(host, 443, 64, strategy->request());
+  const auto obs = bed.estimate(host, 443, 64, core::client_hello(0, ""));
   EXPECT_EQ(obs.outcome, core::ConnOutcome::NoData);
 }
 

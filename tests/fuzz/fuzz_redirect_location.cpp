@@ -1,9 +1,11 @@
 // Structured fuzz driver for 301 Location parsing (http::parse_location) —
 // the single input an adversarial redirecting host fully controls. The HTTP
-// probe strategy builds its visited-URL loop detector from the (host, path)
-// this parser returns, so the invariants below are what keep a hostile
-// Location header from derailing redirect following (see the RedirectLoop
-// profile in inetmodel/adversarial.hpp).
+// prober (core/host_prober) checks the (host, path) this parser returns
+// against the URLs its probe already visited and writes them into its next
+// request line and Host header, so the invariants below are what keep a
+// hostile Location header from derailing redirect following (see the
+// RedirectLoop profile in inetmodel/adversarial.hpp) or injecting into the
+// next request.
 #include <cstdio>
 #include <cstdlib>
 #include <span>
@@ -37,14 +39,26 @@ void fuzz_one(std::span<const std::uint8_t> data) {
   }
   if (!parts) return;
 
-  // The redirect follower concatenates host + path into its visited-set
-  // key and its next request line; both must be well-formed.
+  // The redirect follower compares host and path against the URLs it
+  // visited and writes them into its next request; both must be
+  // well-formed.
   require(!parts->path.empty(), "parsed path is empty");
   require(parts->path.front() == '/', "parsed path does not start with '/'");
   require(parts->host.find('/') == std::string::npos,
           "parsed host contains a path separator");
   require(parts->host.find(':') == std::string::npos,
           "parsed host still carries a port");
+  // Nothing that could split the request line or the Host header: no
+  // space, control byte or DEL.
+  const auto clean = [](const std::string& text) {
+    for (const char c : text) {
+      const auto byte = static_cast<unsigned char>(c);
+      if (byte <= 0x20 || byte == 0x7f) return false;
+    }
+    return true;
+  };
+  require(clean(parts->host), "parsed host holds a space, control byte or DEL");
+  require(clean(parts->path), "parsed path holds a space, control byte or DEL");
 
   // Normalization is idempotent: re-serializing the parts and re-parsing
   // yields the same parts — a hostile Location cannot smuggle a different

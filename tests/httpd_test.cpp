@@ -223,6 +223,21 @@ TEST(ParseLocation, Variants) {
   EXPECT_FALSE(parse_location("http:///nohost"));
 }
 
+TEST(ParseLocation, RejectsWhitespaceAndControlBytes) {
+  // Host and path are written into the follow-up request as they are; a
+  // space would split its request line and a CR or LF its Host header.
+  EXPECT_FALSE(parse_location("/a b"));
+  EXPECT_FALSE(parse_location("http://ho\tst/\r\n"));
+  EXPECT_FALSE(parse_location("http://host\r\nX-Injected: 1/"));
+  EXPECT_FALSE(parse_location(std::string_view("/nul\0byte", 9)));
+  EXPECT_FALSE(parse_location("/del\x7f"));
+  // Only the ends are trimmed, and bytes above DEL pass.
+  const auto parts = parse_location("  http://example.net/caf\xc3\xa9\r\n");
+  ASSERT_TRUE(parts);
+  EXPECT_EQ(parts->host, "example.net");
+  EXPECT_EQ(parts->path, "/caf\xc3\xa9");
+}
+
 // -------------------------------------------- server behaviour harness ---
 
 /// Full-ACK client: completes the handshake, sends one request, ACKs every

@@ -6,7 +6,7 @@
 #include <string_view>
 #include <vector>
 
-#include "core/probe_strategy.hpp"
+#include "core/host_prober.hpp"
 #include "testbed.hpp"
 #include "util/bytes.hpp"
 
@@ -182,8 +182,7 @@ TEST(HostProber, TlsRequestMatchesPinnedBytes) {
       {"www.example.net", 201, 0x0377b3e449d56d48ULL},
   };
   for (const Pin& pin : kPins) {
-    const net::Bytes wire =
-        core::make_tls_strategy(0x5eed, std::string(pin.server_name))->request();
+    const net::Bytes wire = core::client_hello(0x5eed, pin.server_name);
     std::uint64_t digest = 0xcbf29ce484222325ULL;
     for (const std::uint8_t byte : wire) digest = (digest ^ byte) * 0x100000001b3ULL;
     EXPECT_EQ(wire.size(), pin.length) << "SNI '" << pin.server_name << "'";
@@ -199,7 +198,8 @@ struct WirePayloads {
   std::uint64_t digest = 0;
 };
 
-WirePayloads probe_payloads(bool tls, const std::string& curated_host) {
+WirePayloads probe_payloads(bool tls, const std::string& curated_host,
+                            http::RootBehavior root, core::HostOutcome expected) {
   Testbed bed;
   const net::IPv4Address host{10, 1, 0, 12};
   if (tls) {
@@ -207,14 +207,18 @@ WirePayloads probe_payloads(bool tls, const std::string& curated_host) {
     config.chain_bytes = 3'000;
     bed.add_tls_host(host, stack_with_iw(4), config);
   } else {
-    bed.add_http_host(host, stack_with_iw(10), big_page(16'000));
+    http::WebConfig web = big_page(16'000);
+    web.root = root;
+    web.canonical_name = "www.redirect-target.test";
+    web.redirected_page_size = 16'000;
+    bed.add_http_host(host, stack_with_iw(10), web);
   }
   std::vector<net::TcpSegment> wire;
   bed.tap_segments(wire);
   core::IwScanConfig config = tls ? tls_config() : http_config();
   config.curated_host = curated_host;
   const auto record = bed.probe_host(host, config);
-  EXPECT_EQ(record.outcome, core::HostOutcome::Success);
+  EXPECT_EQ(record.outcome, expected);
 
   WirePayloads out;
   std::string all;
@@ -230,26 +234,39 @@ WirePayloads probe_payloads(bool tls, const std::string& curated_host) {
 }
 
 TEST(HostProber, RequestBytesArePinned) {
-  // The probe builds its strategy and request only when the target
-  // answers; the bytes it sends are pinned to those of the prober that
-  // built both at launch, for HTTP and TLS, each with and without curated
-  // mode (the ClientHello random comes from the per-probe seed draw).
+  // The probe builds its request only when the target answers; the bytes
+  // it sends are pinned to those of the prober that built its request plan
+  // at launch, for HTTP and TLS, each with and without curated mode (the
+  // ClientHello random comes from the per-probe seed draw). Two more HTTP
+  // rows pin the follow-ups: each probe's request after a 301 (Host is the
+  // canonical name) and a non-echoing 404's long-URI retries.
+  using Root = http::RootBehavior;
+  using Outcome = core::HostOutcome;
   struct Case {
     bool tls;
     std::string curated_host;
+    Root root;
+    Outcome outcome;
     WirePayloads expected;
   };
   const Case cases[] = {
-      {false, "", {6, 756, 0x973a5b3c444a0cbeULL}},
-      {false, "www.example.net", {6, 696, 0xfa6aaf48d7171e75ULL}},
-      {true, "", {6, 1062, 0x8e78734e4f3091bfULL}},
-      {true, "www.example.net", {6, 1206, 0xff077d92a6f0d88bULL}},
+      {false, "", Root::Page, Outcome::Success, {6, 756, 0x973a5b3c444a0cbeULL}},
+      {false, "www.example.net", Root::Page, Outcome::Success,
+       {6, 696, 0xfa6aaf48d7171e75ULL}},
+      {true, "", Root::Page, Outcome::Success, {6, 1062, 0x8e78734e4f3091bfULL}},
+      {true, "www.example.net", Root::Page, Outcome::Success,
+       {6, 1206, 0xff077d92a6f0d88bULL}},
+      {false, "", Root::RedirectToName, Outcome::Success, {12, 1602, 0xb1b55f0baedbab85ULL}},
+      {false, "", Root::VirtualHosted, Outcome::FewData, {12, 9306, 0x7dbb2978a93e8681ULL}},
   };
   for (const Case& c : cases) {
-    const WirePayloads got = probe_payloads(c.tls, c.curated_host);
-    EXPECT_EQ(got.count, c.expected.count) << c.tls << " '" << c.curated_host << "'";
-    EXPECT_EQ(got.bytes, c.expected.bytes) << c.tls << " '" << c.curated_host << "'";
-    EXPECT_EQ(got.digest, c.expected.digest) << c.tls << " '" << c.curated_host << "'";
+    const WirePayloads got = probe_payloads(c.tls, c.curated_host, c.root, c.outcome);
+    const auto row = ::testing::Message()
+                     << c.tls << " '" << c.curated_host << "' root "
+                     << static_cast<int>(c.root);
+    EXPECT_EQ(got.count, c.expected.count) << row;
+    EXPECT_EQ(got.bytes, c.expected.bytes) << row;
+    EXPECT_EQ(got.digest, c.expected.digest) << row;
   }
 }
 

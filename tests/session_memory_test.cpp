@@ -108,9 +108,9 @@ TEST(SessionMemory, SynPhaseSessionStaysWithinBudget) {
 TEST(SessionMemory, BudgetKillInSynPhaseBuildsNothing) {
   // The wall-time budget expires before the 3 s SYN timeout, so every
   // session is killed while its SYN is unanswered. It must still emit a
-  // record, and must not build a strategy or request on the way out (two
-  // allocations per session if it did): the kills together allocate only
-  // the engine's and the event wheel's bookkeeping.
+  // record, and must not build a request on the way out (an allocation per
+  // session if it did): the kills together allocate only the engine's and
+  // the event wheel's bookkeeping.
   DarkScan scan(sim::sec(1));
   std::vector<core::HostScanRecord> records;
   records.reserve(kSessions);

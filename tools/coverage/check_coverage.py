@@ -10,10 +10,9 @@ invokes `gcov --json-format` on every .gcda, merges the per-TU line tables
 (a header exercised by any TU counts as covered), and computes line
 coverage for each source group named in the baseline file.
 
-The baseline maps source-path prefixes to minimum line-coverage percentages
-— the floors recorded when the coverage lane was merged:
-
-    { "src/core": 88.0, "src/scanner": 90.0 }
+The baseline (tools/coverage/baseline.json unless --baseline names another
+file) maps source-path prefixes to minimum line-coverage percentages, for
+example { "src/core": 93.0 }; the floors themselves live only there.
 
 Exit codes: 0 = all groups at or above their floor, 1 = a group dropped
 below it, 2 = usage / no coverage data found. A full per-file breakdown is

@@ -39,7 +39,6 @@
 #include "tcpstack/host.hpp"
 #include "tls/handshake.hpp"
 #include "tls/tls_server.hpp"
-#include "util/bytes.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
@@ -450,10 +449,11 @@ BENCHMARK(BM_StatefulIwScan)
 
 /// Hot-path allocation audit of the stateless sweep, isolated from the
 /// world model (which allocates when it materializes hosts): a dark sweep
-/// primes templates and pools, then pre-encoded SYN-ACK and first-flight
-/// data segments are fed straight into handle_packet. After warm-up the
-/// transmit (template patch + pool) and receive (parse + cookie + answer)
-/// paths must both run allocation-free.
+/// primes templates and pools, then pre-encoded cookie-valid SYN-ACKs
+/// (each answered with a RST) and closed-port RST|ACKs are fed straight
+/// into handle_packet. After warm-up the transmit (template patch + pool)
+/// and receive (parse + cookie + answer) paths must both run
+/// allocation-free.
 double sweep_allocs_per_packet() {
   sim::EventLoop loop;
   sim::Network network(loop, 9);
@@ -483,16 +483,15 @@ double sweep_allocs_per_packet() {
     reply.tcp.flags = net::kSyn | net::kAck;
     reply.tcp.window = 65535;
     replies.push_back(net::encode(reply));
-    reply.tcp.flags = net::kAck | net::kPsh;
-    reply.tcp.ack = cookie + 1 + static_cast<std::uint32_t>(config.request.size());
-    reply.payload = util::as_bytes("HTTP/1.1 200 OK\r\n");
+    reply.tcp.flags = net::kRst | net::kAck;
+    reply.tcp.window = 0;
     replies.push_back(net::encode(reply));
   }
   const auto feed = [&] {
     for (const net::Bytes& packet : replies) {
       sweep.handle_packet(net::PacketView(packet.data(), packet.size()));
     }
-    while (loop.step()) {  // drain the answered ACKs/RSTs (unroutable)
+    while (loop.step()) {  // drain the answering RSTs (unroutable)
     }
   };
   // Warm-up: grows pools, the event-loop slab, and — because each round

@@ -27,7 +27,7 @@
 #include "inetmodel/censys_certs.hpp"
 #include "scanner/direct_services.hpp"
 #include "scanner/icmp_mtu.hpp"
-#include "scanner/syn_scan.hpp"
+#include "scanner/stateless.hpp"
 #include "tcpstack/host.hpp"
 #include "util/rng.hpp"
 
@@ -93,10 +93,9 @@ struct Run {
   }
 };
 
-/// Runs a single-exchange probe module (fn1's ICMP scan, §3.4's SYN scan)
-/// over the whole scan space of a fresh world, on one ScanEngine.
-scan::EngineStats run_module(const util::Flags& flags, scan::ProbeModule& module,
-                             std::size_t max_outstanding) {
+/// Runs a single-exchange probe module (fn1's ICMP scan) over the whole
+/// scan space of a fresh world, on one ScanEngine.
+scan::EngineStats run_module(const util::Flags& flags, scan::ProbeModule& module) {
   auto world = bench::make_world(flags);
   scan::GeneratorTargetSource targets(scan::TargetGenerator(
       world.internet->registry().scan_space(), {}, flags.u64("scan-seed")));
@@ -104,7 +103,6 @@ scan::EngineStats run_module(const util::Flags& flags, scan::ProbeModule& module
   engine_config.scanner_address = net::IPv4Address{192, 0, 2, 1};
   engine_config.rate_pps = flags.real("rate");
   engine_config.seed = flags.u64("scan-seed");
-  engine_config.max_outstanding = max_outstanding;
   scan::ScanEngine engine(*world.network, engine_config, targets, module);
   engine.start();
   while (!engine.done() && world.loop.step()) {
@@ -579,18 +577,26 @@ void fig5(const Run& run) {
 // the projection is packet-based: packets per responder measured here,
 // times the real Internet's responder density.
 void s34(const Run& run) {
-  std::uint64_t open = 0;
-  std::uint64_t closed = 0;
-  std::uint64_t unresponsive = 0;
-  scan::SynScanModule module(80, [&](const scan::SynScanResult& result) {
-    switch (result.state) {
-      case scan::PortState::Open: ++open; break;
-      case scan::PortState::Closed: ++closed; break;
-      case scan::PortState::Unresponsive: ++unresponsive; break;
+  // Stock ZMap's SYN scan is the stateless sweep: a SYN per address, a RST
+  // per SYN-ACK, the cookie in the ISN.
+  scan::SweepStats syn;
+  {
+    auto world = bench::make_world(run.flags);
+    scan::SweepConfig config;
+    config.rate_pps = run.flags.real("rate");
+    config.seed = run.flags.u64("scan-seed");
+    scan::StatelessSweep sweep(
+        *world.network, config,
+        scan::TargetGenerator(world.internet->registry().scan_space(), {}, config.seed),
+        nullptr);
+    sweep.start();
+    while (!sweep.done() && world.loop.step()) {
     }
-  });
-  const scan::EngineStats syn =
-      run_module(run.flags, module, bench::kRatePacedOutstanding);
+    syn = sweep.stats();
+  }
+  const std::uint64_t open = syn.responsive;
+  const std::uint64_t closed = syn.closed;
+  const std::uint64_t unresponsive = syn.targets_probed - open - closed;
 
   auto world = bench::make_world(run.flags);
   const auto iw = analysis::run_iw_scan(
@@ -607,7 +613,7 @@ void s34(const Run& run) {
                                  static_cast<double>(responders);
   };
   const double syn_extra =
-      extra_per_responder(syn.packets_sent, syn.targets_started, open + closed);
+      extra_per_responder(syn.packets_sent, syn.targets_probed, open + closed);
   const double iw_extra = extra_per_responder(
       iw.engine.packets_sent, iw.engine.targets_started, iw_summary.reachable);
   const auto full_hours = [&](double extra) {
@@ -621,7 +627,7 @@ void s34(const Run& run) {
                              "whole-IPv4 @rate", "paper"});
   char hours[32];
   std::snprintf(hours, sizeof(hours), "%.1f h", syn_hours);
-  table.add_row({"SYN port scan (stock ZMap)", util::format_count(syn.targets_started),
+  table.add_row({"SYN port scan (stock ZMap)", util::format_count(syn.targets_probed),
                  util::format_count(syn.packets_sent),
                  analysis::fmt_double(1.0 + syn_extra, 1), hours, "6.8 h"});
   std::snprintf(hours, sizeof(hours), "%.1f h", iw_hours);
@@ -939,7 +945,7 @@ void fn1(const Run& run) {
   scan::IcmpMtuModule module([&](const scan::MtuProbeResult& result) {
     if (result.responded) results.push_back(result);
   });
-  run_module(run.flags, module, scan::EngineConfig{}.max_outstanding);
+  run_module(run.flags, module);
 
   std::map<std::uint32_t, std::uint64_t> mtu_histogram;
   for (const auto& result : results) ++mtu_histogram[result.path_mtu];

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   flags.define_u64("shards", 1,
                    "parallel scan workers (output is identical for any value)");
   flags.define_bool("two-phase", false,
-                    "stateless ZBanner-style sweep first; only responsive "
+                    "stateless SYN sweep first; only responsive "
                     "hosts reach the stateful IW estimator");
   flags.define_string("shard", "0/1",
                       "this process's stride of the target permutation, as "
@@ -93,11 +93,10 @@ int main(int argc, char** argv) {
   const auto output = analysis::run_iw_scan(network, internet, options);
   if (options.two_phase) {
     std::printf("phase 1 swept %llu addresses: %llu responsive, %llu with "
-                "port 80 closed, %llu banners; %llu promoted to phase 2\n",
+                "port 80 closed; %llu promoted to phase 2\n",
                 static_cast<unsigned long long>(output.sweep.targets_probed),
                 static_cast<unsigned long long>(output.sweep.responsive),
                 static_cast<unsigned long long>(output.sweep.closed),
-                static_cast<unsigned long long>(output.sweep.banners),
                 static_cast<unsigned long long>(output.promoted));
   }
 

@@ -12,9 +12,9 @@ namespace iwscan::analysis {
 using ScanOptions = exec::ScanOptions;
 
 /// Host records (cycle order), summed engine stats, virtual duration and
-/// allowlist size; in two-phase mode also the sweep records, sweep stats
-/// and promotion counts; in spill mode the per-shard spill files instead
-/// of the record vectors (analysis::summarize_spill reads them back).
+/// allowlist size; in two-phase mode also the sweep stats and promotion
+/// counts; in spill mode the per-shard spill files instead of the record
+/// vector (analysis::summarize_spill reads them back).
 using ScanOutput = exec::ScanResult;
 
 /// Runs the scan to completion on the network's event loop.

@@ -28,7 +28,7 @@ SpillSummary summarize_spill(store::MergeReader<core::HostScanRecord>& reader) {
 bool summarize_spill_files(const std::vector<std::string>& inputs, SpillSummary& out,
                            std::string& error) {
   std::vector<std::string> files;
-  if (!store::collect_spill_files(inputs, store::RecordKind::Host, files, &error)) {
+  if (!store::collect_spill_files(inputs, files, &error)) {
     return false;
   }
   auto merge = store::open_merge<core::HostScanRecord>(files, &error);

@@ -67,11 +67,9 @@ struct ShardDone {
   sim::SimTime sweep_duration{};  // two-phase: the sweep stage
   sim::SimTime duration{};        // the estimate stage
   std::uint64_t promoted = 0;
-  std::uint64_t truncated = 0;                   // responsive, dropped by the cap
-  std::vector<CycleRecord> records;              // completion order
-  std::vector<scan::SweepRecord> sweep_records;  // cycle order
+  std::uint64_t truncated = 0;       // responsive, dropped by the cap
+  std::vector<CycleRecord> records;  // completion order
   std::string spill_file;
-  std::string sweep_spill_file;
 };
 
 /// A swept shard and the responsive hosts it may promote, by cycle. Round 1
@@ -159,8 +157,7 @@ std::string bad_input(const char* name, double value, const char* need) {
 
 /// Closes a spill writer, treating an I/O failure (disk full, unwritable
 /// directory) as fatal — the scan's records would otherwise be lost.
-template <class Record>
-std::string finish_spill(store::SpillWriter<Record>& writer) {
+std::string finish_spill(store::SpillWriter<core::HostScanRecord>& writer) {
   const bool flushed = writer.close();
   if (!flushed) {
     std::fprintf(stderr, "iwscan: %s\n", writer.error().c_str());
@@ -169,56 +166,20 @@ std::string finish_spill(store::SpillWriter<Record>& writer) {
   return writer.path();
 }
 
-/// Folds a shard's sweep events (per host: Responsive, then possibly Banner;
-/// or Closed) into one SweepRecord per host, in cycle order. The stable
-/// sort keeps each host's events in arrival order, so the fold equals
-/// folding on arrival.
-std::vector<scan::SweepRecord> fold_sweep(std::vector<scan::SweepEvent> events) {
-  std::stable_sort(events.begin(), events.end(),
-                   [](const scan::SweepEvent& a, const scan::SweepEvent& b) {
-                     return a.cycle < b.cycle;
-                   });
-  std::size_t hosts = 0;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    hosts += i == 0 || events[i].cycle != events[i - 1].cycle ? 1 : 0;
-  }
-  std::vector<scan::SweepRecord> records;
-  records.reserve(hosts);
-  for (const scan::SweepEvent& event : events) {
-    if (records.empty() || records.back().cycle != event.cycle) {
-      records.emplace_back().cycle = event.cycle;
-    }
-    scan::SweepRecord& record = records.back();
-    record.ip = event.source;
-    switch (event.kind) {
-      case scan::SweepEventKind::Responsive:
-        record.responsive = true;
-        record.window = event.window;
-        record.mss = event.mss;
-        break;
-      case scan::SweepEventKind::Closed:
-        record.closed = true;
-        break;
-      case scan::SweepEventKind::Banner:
-        record.banner_length = event.banner_length;
-        record.banner = event.banner;
-        break;
-    }
-  }
-  return records;
-}
-
 // -------------------------------------------------------------- stages ----
 
 /// Sweep stage: sweeps this shard's stride of the space to completion.
 Swept sweep_shard(const ScanOptions& job, const ShardSpec& spec, sim::Network& network) {
   Swept swept;
   swept.done.shard = spec.shard;
-  std::vector<scan::SweepEvent> events;
   {
-    scan::StatelessSweep sweep(
-        network, sweep_config_for(job, spec), shard_targets(job, spec),
-        [&events](const scan::SweepEvent& event) { events.push_back(event); });
+    const auto keep = [&swept](const scan::SweepEvent& event) {
+      if (event.kind == scan::SweepEventKind::Responsive) {
+        swept.responsive.emplace_back(event.source, event.cycle);
+      }
+    };
+    scan::StatelessSweep sweep(network, sweep_config_for(job, spec),
+                               shard_targets(job, spec), keep);
     const sim::SimTime start = network.loop().now();
     sweep.start();
     while (!sweep.done() && network.loop().step()) {
@@ -226,17 +187,9 @@ Swept sweep_shard(const ScanOptions& job, const ShardSpec& spec, sim::Network& n
     swept.done.sweep_duration = network.loop().now() - start;
     swept.done.sweep = sweep.stats();
   }
-  std::vector<scan::SweepRecord> records = fold_sweep(std::move(events));
-  for (const scan::SweepRecord& record : records) {
-    if (record.responsive) swept.responsive.emplace_back(record.ip, record.cycle);
-  }
-  if (job.spill_dir.empty()) {
-    swept.done.sweep_records = std::move(records);
-  } else {
-    store::SpillWriter<scan::SweepRecord> writer(spill_config_for(job, spec));
-    for (const scan::SweepRecord& record : records) writer.append(record.cycle, record);
-    swept.done.sweep_spill_file = finish_spill(writer);
-  }
+  // Promote in cycle order; each cycle is reported at most once.
+  std::sort(swept.responsive.begin(), swept.responsive.end(),
+            [](const auto& a, const auto& b) { return a.second < b.second; });
   return swept;
 }
 
@@ -369,7 +322,6 @@ class Merger {
 
   void operator()(ShardDone&& fin) {
     append(tagged_, fin.records);
-    append(result_.sweep_records, fin.sweep_records);
     done_[fin.shard] = std::move(fin);
     ++shards_done_;
     progress();
@@ -396,9 +348,6 @@ class Merger {
       result_.promoted += fin.promoted;
       result_.truncated += fin.truncated;
       if (!fin.spill_file.empty()) result_.spill_files.push_back(fin.spill_file);
-      if (!fin.sweep_spill_file.empty()) {
-        result_.sweep_spill_files.push_back(fin.sweep_spill_file);
-      }
     }
     result_.duration = sweep_span + span;
     // Cycle indices are unique across shards (shard k of n owns exactly the
@@ -408,8 +357,6 @@ class Merger {
     result_.records.reserve(tagged_.size());
     for (CycleRecord& entry : tagged_) result_.records.push_back(std::move(entry.record));
     tagged_ = {};
-    std::vector<scan::SweepRecord>& sweep_records = result_.sweep_records;
-    if (done_.size() > 1) std::sort(sweep_records.begin(), sweep_records.end(), by_cycle);
     return std::move(result_);
   }
 

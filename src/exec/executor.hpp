@@ -2,10 +2,10 @@
 //
 // Every scan runs the same stages on whatever world it is given:
 //
-//   sweep     (two-phase only) StatelessSweep walks the space at a high
-//             rate with zero per-host state (scanner/stateless.hpp),
-//             harvesting liveness, the SYN-ACK window/MSS and a banner,
-//             and runs to completion before anything is estimated;
+//   sweep     (two-phase only) StatelessSweep SYN-scans the space at a
+//             high rate with zero per-host state (scanner/stateless.hpp),
+//             keeping each responsive host's (address, cycle), and runs
+//             to completion before anything is estimated;
 //   promote   picks the estimator's targets: every address (stateful
 //             tier), every responsive host the sweep found (two-phase),
 //             or the K responsive hosts with the lowest global cycle
@@ -74,8 +74,8 @@ struct ScanOptions {
   // scan_seed (iwmerge enforces this on merge).
   std::uint64_t process_shard = 0;
   std::uint64_t process_shards = 1;
-  // Two-phase mode: a stateless ZBanner-style sweep covers the space first
-  // and only responsive hosts are promoted into the estimator. The sweep
+  // Two-phase mode: a stateless SYN sweep covers the space first and only
+  // responsive hosts are promoted into the estimator. The sweep
   // probes probe.port and reuses scan_seed for its cookie key and target
   // permutation.
   bool two_phase = false;
@@ -101,16 +101,13 @@ struct ScanResult {
   scan::EngineStats engine;                   // summed over shards
   sim::SimTime duration{};  // virtual time: slowest sweep + slowest estimate
   std::uint64_t address_space = 0;            // allowlist size, post-merge
-  // Two-phase mode only (empty/zero otherwise):
-  std::vector<scan::SweepRecord> sweep_records;  // permutation-cycle order
-  scan::SweepStats sweep;                        // summed over shards
+  // Two-phase mode only (zero otherwise):
+  scan::SweepStats sweep;       // summed over shards
   std::uint64_t promoted = 0;   // responsive hosts handed to the estimator
   std::uint64_t truncated = 0;  // responsive hosts dropped by the cap
-  // Spill mode only (records/sweep_records stay empty): one file per
-  // worker shard and record kind, in shard order. Merge-read them to
-  // recover the record streams.
+  // Spill mode only (records stays empty): one file per worker shard, in
+  // shard order. Merge-read them to recover the record stream.
   std::vector<std::string> spill_files;
-  std::vector<std::string> sweep_spill_files;
 };
 
 /// Runs the scan to completion. `network`/`internet` are the reference

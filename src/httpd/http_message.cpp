@@ -1,5 +1,6 @@
 #include "httpd/http_message.hpp"
 
+#include <algorithm>
 #include <charconv>
 
 #include "util/bytes.hpp"
@@ -206,28 +207,30 @@ std::optional<LocationParts> parse_location(std::string_view uri) {
   } else if (util::istarts_with(uri, "https://")) {
     uri.remove_prefix(8);
   } else if (uri.front() == '/') {
-    parts.path = std::string(uri);
+    parts.path = std::string(uri.substr(0, uri.find('#')));  // no fragment
     return parts;
   } else {
     return std::nullopt;
   }
 
-  const std::size_t slash = uri.find('/');
-  std::string_view authority = uri;
-  if (slash == std::string_view::npos) {
-    // Move-assign rather than operator=(const char*): GCC 12's -Wrestrict
-    // false-positives on the char* assignment path (GCC PR105329).
-    parts.path = std::string("/");
-  } else {
-    authority = uri.substr(0, slash);
-    parts.path = std::string(uri.substr(slash));
+  // RFC 3986 §3.2: the authority ends at the first '/', '?' or '#'. Its
+  // userinfo (through the last '@') and port are not part of the host, and
+  // the fragment (from '#') is not part of the request target.
+  const std::size_t end = std::min(uri.find_first_of("/?#"), uri.size());
+  std::string_view authority = uri.substr(0, end);
+  std::string_view target = uri.substr(end);
+  target = target.substr(0, target.find('#'));
+  if (const std::size_t at = authority.rfind('@'); at != std::string_view::npos) {
+    authority.remove_prefix(at + 1);
   }
   if (authority.empty()) return std::nullopt;
-  // Strip an explicit port from the authority.
   if (const std::size_t colon = authority.find(':'); colon != std::string_view::npos) {
     authority = authority.substr(0, colon);
   }
   parts.host = std::string(authority);
+  // No path, or a query right after the authority: the root path.
+  if (target.empty() || target.front() != '/') parts.path.push_back('/');
+  parts.path.append(target);
   return parts;
 }
 

@@ -1,23 +1,18 @@
 #include "scanner/stateless.hpp"
 
-#include <algorithm>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <utility>
 
 #include "netbase/checksum.hpp"
 #include "netbase/headers.hpp"
 #include "netbase/packet.hpp"
-#include "netbase/tcp_options.hpp"
-#include "util/bytes.hpp"
 #include "util/check.hpp"
 
 namespace iwscan::scan {
 namespace {
 
 // Fixed offsets into a 20+20-byte headers-only frame (both templates are
-// built without IP options; the ACK template's payload starts at 40).
+// built without IP or TCP options).
 constexpr std::size_t kIpChecksumAt = 10;
 constexpr std::size_t kIpDstAt = 16;
 constexpr std::size_t kTcpSeqAt = 24;
@@ -27,8 +22,6 @@ constexpr std::size_t kTcpChecksumAt = 36;
 [[nodiscard]] std::uint16_t read_u16(const net::Bytes& bytes, std::size_t at) noexcept {
   return static_cast<std::uint16_t>((bytes[at] << 8) | bytes[at + 1]);
 }
-
-constexpr auto kRequestLength = static_cast<std::uint32_t>(SweepConfig::request.size());
 
 }  // namespace
 
@@ -56,15 +49,13 @@ void StatelessSweep::start() {
   stats_.started_at = network_.loop().now();
   const auto words = static_cast<std::size_t>((domain_ + 63) / 64);
   seen_live_.assign(words, 0);
-  seen_banner_.assign(words, 0);
   build_templates();
   network_.attach(config_.scanner_address, this);
   pace();
 }
 
 void StatelessSweep::build_templates() {
-  const auto build = [&](std::uint8_t flags, std::string_view payload,
-                         Template& out) {
+  const auto build = [&](std::uint8_t flags, Template& out) {
     net::TcpSegment segment;
     segment.ip.src = config_.scanner_address;
     segment.ip.dst = net::IPv4Address{std::uint32_t{0}};  // patched per target
@@ -76,17 +67,12 @@ void StatelessSweep::build_templates() {
     segment.tcp.ack = 0;  // patched per target
     segment.tcp.flags = flags;
     segment.tcp.window = 65535;
-    segment.payload = util::as_bytes(payload);
     out.bytes = net::encode(segment);
     out.ip_checksum = read_u16(out.bytes, kIpChecksumAt);
     out.tcp_checksum = read_u16(out.bytes, kTcpChecksumAt);
   };
-  // The SYN deliberately carries no MSS option: responders then answer
-  // with ≤536-byte segments (RFC 1122 default), so the first flight is
-  // segmented finely enough that one segment = one banner sample.
-  build(net::kSyn, {}, syn_template_);
-  build(net::kAck | net::kPsh, config_.request, ack_template_);
-  build(net::kRst, {}, rst_template_);
+  build(net::kSyn, syn_template_);
+  build(net::kRst, rst_template_);
 }
 
 void StatelessSweep::pace() {
@@ -161,17 +147,16 @@ bool StatelessSweep::recover(std::uint32_t cookie, net::IPv4Address source,
   return true;
 }
 
-bool StatelessSweep::first_event(std::vector<std::uint64_t>& bitmap,
-                                 std::uint64_t cycle) {
+bool StatelessSweep::first_event(std::uint64_t cycle) {
   // cycle < domain_ was established by recover(), so the word index is in
   // range by construction.
   const auto word = static_cast<std::size_t>(cycle >> 6);
   const std::uint64_t bit = std::uint64_t{1} << (cycle & 63);
-  if ((bitmap[word] & bit) != 0) {
+  if ((seen_live_[word] & bit) != 0) {
     ++stats_.duplicate_events;
     return false;
   }
-  bitmap[word] |= bit;
+  seen_live_[word] |= bit;
   return true;
 }
 
@@ -183,9 +168,9 @@ void StatelessSweep::handle_packet(net::PacketView bytes) {
   ++stats_.packets_received;
   // Hand-rolled header walk instead of decode_datagram(), which drops a
   // segment whose options area net::read_tcp_options rejects: here such a
-  // SYN/ACK is still Responsive, with mss 0. The walk reads a handful of
-  // fixed-offset fields, all bounds-checked by the reader. The fabric
-  // routed the packet here, so the destination matched.
+  // SYN/ACK is still Responsive. The walk reads a handful of fixed-offset
+  // fields, all bounds-checked by the reader. The fabric routed the packet
+  // here, so the destination matched.
   net::WireReader reader(bytes);
   if (reader.u8() != 0x45) return;  // IPv4, 20-byte header only
   reader.skip(8);                   // tos, total_length, id, flags/fragment, ttl
@@ -195,82 +180,42 @@ void StatelessSweep::handle_packet(net::PacketView bytes) {
   reader.skip(4);  // destination address
   const std::uint16_t src_port = reader.u16();
   const std::uint16_t dst_port = reader.u16();
-  const std::uint32_t seq = reader.u32();
+  reader.skip(4);  // seq
   const std::uint32_t ack = reader.u32();
   const std::uint8_t data_offset_raw = reader.u8();
   const std::uint8_t flags = reader.u8();
-  const std::uint16_t window = reader.u16();
-  reader.skip(4);  // TCP checksum + urgent pointer
+  reader.skip(6);  // window, TCP checksum, urgent pointer
   if (!reader.ok() || protocol != net::kProtocolTcp) return;
   if (src_port != config_.target_port || dst_port != config_.source_port) return;
   const std::size_t header_bytes =
       static_cast<std::size_t>(data_offset_raw >> 4) * 4;
   if (header_bytes < 20 || header_bytes - 20 > reader.remaining()) return;
-  const std::span<const std::uint8_t> options = reader.raw(header_bytes - 20);
-  const std::span<const std::uint8_t> payload = reader.raw(reader.remaining());
+  // Both replies the sweep counts answer its SYN, so ack = cookie+1. RSTs
+  // without ACK, pure ACKs and data segments answer no sweep SYN.
+  const bool syn_ack = (flags & (net::kSyn | net::kAck)) == (net::kSyn | net::kAck);
+  const bool rst_ack = (flags & (net::kRst | net::kAck)) == (net::kRst | net::kAck);
+  if (!syn_ack && !rst_ack) return;
   const net::IPv4Address source{source_value};
-
-  if ((flags & net::kRst) != 0) {
-    // Closed port: the host answers our SYN with RST|ACK, ack = cookie+1.
-    // RSTs without ACK (e.g. the host's reply to our own teardown RST
-    // hitting an already-closed connection) carry no echoed cookie.
-    if ((flags & net::kAck) == 0) return;
-    std::uint64_t cycle = 0;
-    if (!recover(ack - 1, source, cycle)) return;
-    if (!first_event(seen_live_, cycle)) return;
-    ++stats_.closed;
-    SweepEvent event;
-    event.kind = SweepEventKind::Closed;
-    event.cycle = cycle;
-    event.source = source;
-    emit(event);
-    return;
-  }
-
-  if ((flags & (net::kSyn | net::kAck)) == (net::kSyn | net::kAck)) {
-    // SYN-ACK: ack = cookie+1. Always complete the handshake and push the
-    // request — a retransmitted SYN-ACK means our previous ACK was lost —
-    // but emit the Responsive event only once per cycle index.
-    std::uint64_t cycle = 0;
-    if (!recover(ack - 1, source, cycle)) return;
-    send_patched(ack_template_, source, ack, seq + 1);
-    if (!first_event(seen_live_, cycle)) return;
-    ++stats_.responsive;
-    SweepEvent event;
-    event.kind = SweepEventKind::Responsive;
-    event.cycle = cycle;
-    event.source = source;
-    event.window = window;
-    std::optional<std::uint16_t> mss;
-    if (net::read_tcp_options(options, mss)) event.mss = mss.value_or(0);
-    emit(event);
-    return;
-  }
-
-  if ((flags & net::kAck) != 0 && (!payload.empty() || (flags & net::kFin) != 0)) {
-    // First-flight data (or an early FIN): the segment acks our entire
-    // static request, so ack = cookie+1+len recovers the cookie. Answer
-    // every such segment with a RST at the host's ack point — the first
-    // one tears the server connection down, later in-flight segments hit
-    // a closed connection and die quietly.
-    std::uint64_t cycle = 0;
-    if (!recover(ack - 1 - kRequestLength, source, cycle)) return;
+  std::uint64_t cycle = 0;
+  if (!recover(ack - 1, source, cycle)) return;
+  if (!rst_ack) {
+    // Reset the half-open connection at the host's ack point, as ZMap
+    // does. Every cookie-valid SYN-ACK is answered — a retransmitted one
+    // means the previous RST was lost — but reported only once per cycle.
     send_patched(rst_template_, source, ack, 0);
-    if (payload.empty()) return;  // FIN with no data: nothing to sample
-    if (!first_event(seen_banner_, cycle)) return;
-    ++stats_.banners;
-    SweepEvent event;
-    event.kind = SweepEventKind::Banner;
-    event.cycle = cycle;
-    event.source = source;
-    event.banner_length = static_cast<std::uint8_t>(
-        std::min<std::size_t>(payload.size(), kSweepBannerCap));
-    std::copy_n(payload.begin(), event.banner_length, event.banner.begin());
-    emit(event);
-    return;
   }
-  // Pure ACKs (zero-window stallers, keepalives) are ignored: the host
-  // side times out on its own, and there is no scanner state to stall.
+  if (!first_event(cycle)) return;
+  SweepEvent event;
+  event.cycle = cycle;
+  event.source = source;
+  if (rst_ack) {
+    ++stats_.closed;
+    event.kind = SweepEventKind::Closed;
+  } else {
+    ++stats_.responsive;
+    event.kind = SweepEventKind::Responsive;
+  }
+  emit(event);
 }
 
 }  // namespace iwscan::scan

@@ -1,26 +1,25 @@
-// Stateless fast-path sweep tier (phase 1 of the two-phase scan).
+// Stateless sweep tier (phase 1 of the two-phase scan): a ZMap-style SYN
+// scan that reports liveness only.
 //
-// ZBanner's observation (PAPERS.md): a scanner can harvest TCP liveness,
-// the SYN-ACK's advertised window/MSS, and even the first flight of
-// application data without keeping any per-host connection state. The
-// probe's identity rides in the SYN's sequence number as a keyed cookie
-// (syncookie.hpp); every reply echoes it back in the ack field, and every
-// reply is answered from a precomputed, checksum-patched packet template —
-// no session object, no per-host timer, no allocation on the hot path.
+// The probe's identity rides in the SYN's sequence number as a keyed cookie
+// (syncookie.hpp); every reply echoes it back in the ack field, and the
+// one reply the sweep sends is a precomputed, checksum-patched packet
+// template — no session object, no per-host timer, no allocation on the
+// hot path.
 //
-// Protocol walk for one responsive target (request length L):
+// Protocol walk for one target:
 //
 //   sweep → host   SYN  seq=cookie                (patched SYN template)
 //   host  → sweep  SYN-ACK  seq=S, ack=cookie+1   → Responsive event
-//   sweep → host   ACK+request  seq=cookie+1, ack=S+1   (ACK template)
-//   host  → sweep  data  ack=cookie+1+L           → Banner event (first),
-//   sweep → host   RST  seq=cookie+1+L               RST per data segment
+//   sweep → host   RST  seq=cookie+1              (patched RST template)
 //
 // A closed port answers the SYN with RST|ACK ack=cookie+1 → Closed event.
-// Everything else (pure ACKs from zero-window stallers, RSTs without ACK,
-// forged or stale acks) is dropped after cookie validation fails or the
-// event was already emitted — duplicates are suppressed by two per-cycle
-// bitmaps, the sweep's only per-target storage (2 bits per address).
+// Every cookie-valid SYN-ACK gets a RST, so a host that retransmits its
+// SYN-ACK (our RST was lost) is reset again. Everything else (pure ACKs,
+// data, RSTs without ACK, forged or stale acks) is dropped after cookie
+// validation fails or the event was already emitted — duplicates are
+// suppressed by one per-cycle bitmap, the sweep's only per-target storage
+// (1 bit per address).
 //
 // Determinism: a target's whole exchange is keyed by (seed, cycle index,
 // addresses) and per-flow fabric draws, never by sweep interleaving, so
@@ -28,10 +27,8 @@
 // see exec/executor.hpp).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
-#include <string_view>
 #include <vector>
 
 #include "netbase/packet_buf.hpp"
@@ -42,14 +39,9 @@
 
 namespace iwscan::scan {
 
-/// First bytes of a responder's first data segment, enough to classify the
-/// application banner ("HTTP/1.1 200 OK…") without buffering a stream.
-inline constexpr std::size_t kSweepBannerCap = 32;
-
 enum class SweepEventKind : std::uint8_t {
-  Responsive,  // SYN-ACK seen: liveness + advertised window/MSS
+  Responsive,  // SYN-ACK seen: host up, port open
   Closed,      // RST|ACK answered the SYN: host up, port closed
-  Banner,      // first data segment of the first flight
 };
 
 /// One deduplicated observation from the sweep. `cycle` is the global
@@ -59,27 +51,6 @@ struct SweepEvent {
   SweepEventKind kind = SweepEventKind::Responsive;
   std::uint64_t cycle = 0;
   net::IPv4Address source;
-  std::uint16_t window = 0;  // Responsive: advertised receive window
-  std::uint16_t mss = 0;     // Responsive: first MSS option, 0 if absent or
-                             // the options area is malformed
-  std::uint8_t banner_length = 0;                   // Banner
-  std::array<std::uint8_t, kSweepBannerCap> banner{};  // Banner
-};
-
-/// Per-host sweep result after merging that host's events (collector side;
-/// the sweep itself never stores one). Defaulted equality is the
-/// byte-identity contract, like core::HostScanRecord.
-struct SweepRecord {
-  std::uint64_t cycle = 0;
-  net::IPv4Address ip;
-  bool responsive = false;
-  bool closed = false;
-  std::uint16_t window = 0;
-  std::uint16_t mss = 0;
-  std::uint8_t banner_length = 0;
-  std::array<std::uint8_t, kSweepBannerCap> banner{};
-
-  friend bool operator==(const SweepRecord&, const SweepRecord&) = default;
 };
 
 struct SweepConfig {
@@ -88,13 +59,10 @@ struct SweepConfig {
   /// phase-2 records byte-identical to a stateful-everywhere scan.
   static constexpr net::IPv4Address scanner_address{192, 0, 2, 2};
   /// Fixed, outside the ephemeral range: every reply lands on one flow, so
-  /// the cookie — not a port table — identifies the target (ZBanner).
+  /// the cookie — not a port table — identifies the target.
   static constexpr std::uint16_t source_port = 61337;
   /// Cookie epoch: a sweep makes one whole-space pass, so it never rotates.
   static constexpr std::uint8_t epoch = 0;
-  /// First-flight request pushed on the handshake ACK. Static, so a data
-  /// segment's ack (= cookie+1+len) still recovers the cookie statelessly.
-  static constexpr std::string_view request = "GET / HTTP/1.0\r\n\r\n";
   /// Answer window after the last SYN: must exceed the host stack's
   /// SYN-ACK retransmission span (~31 s at the simulated defaults).
   static constexpr sim::SimTime cooldown = sim::sec(40);
@@ -110,7 +78,6 @@ struct SweepStats {
   std::uint64_t packets_received = 0;
   std::uint64_t responsive = 0;
   std::uint64_t closed = 0;
-  std::uint64_t banners = 0;
   std::uint64_t cookie_rejected = 0;   // forged/stale/corrupted acks
   std::uint64_t duplicate_events = 0;  // suppressed re-deliveries
   sim::SimTime started_at{};
@@ -122,7 +89,6 @@ struct SweepStats {
     packets_received += other.packets_received;
     responsive += other.responsive;
     closed += other.closed;
-    banners += other.banners;
     cookie_rejected += other.cookie_rejected;
     duplicate_events += other.duplicate_events;
     started_at = std::min(started_at, other.started_at);
@@ -171,8 +137,7 @@ class StatelessSweep final : public sim::Endpoint {
                     std::uint32_t ack);
   [[nodiscard]] bool recover(std::uint32_t cookie, net::IPv4Address source,
                              std::uint64_t& cycle);
-  [[nodiscard]] bool first_event(std::vector<std::uint64_t>& bitmap,
-                                 std::uint64_t cycle);
+  [[nodiscard]] bool first_event(std::uint64_t cycle);
   /// Hand-off into collector logic (std::function, arbitrary user code):
   /// the hot-path traversal stops here, mirroring ProbeSession::on_datagram.
   IWSCAN_HOT_BOUNDARY void emit(const SweepEvent& event);
@@ -183,13 +148,11 @@ class StatelessSweep final : public sim::Endpoint {
   EventFn on_event_;
   SynCookieCodec codec_;
 
-  Template syn_template_;   // seq patched
-  Template ack_template_;   // seq+ack patched; carries the request payload
-  Template rst_template_;   // seq patched
+  Template syn_template_;  // seq patched
+  Template rst_template_;  // seq patched
 
   std::uint64_t domain_ = 0;
-  std::vector<std::uint64_t> seen_live_;    // Responsive|Closed emitted
-  std::vector<std::uint64_t> seen_banner_;  // Banner emitted
+  std::vector<std::uint64_t> seen_live_;  // Responsive|Closed emitted
 
   sim::EventId pace_event_ = sim::kNullEvent;
   sim::EventId cooldown_event_ = sim::kNullEvent;

@@ -1,10 +1,10 @@
-// Keyed SYN-cookie codec for the stateless sweep tier (ZBanner model, see
+// Keyed SYN-cookie codec for the stateless sweep tier (the ZMap model, see
 // PAPERS.md): the scanner keeps no per-host session object, so everything
 // it needs to interpret a reply — which target this is, which probe type,
 // which seed epoch — must ride inside the probe itself. TCP echoes our
-// initial sequence number back in every acknowledgement (SYN-ACK and
-// closed-port RST carry ack = seq+1; data segments carry ack = seq+1+len),
-// so the 32-bit ISN is the stateless scanner's only storage.
+// initial sequence number back in its acknowledgement (SYN-ACK and
+// closed-port RST carry ack = seq+1), so the 32-bit ISN is the stateless
+// scanner's only storage.
 //
 // Layout of the plaintext word before encryption:
 //

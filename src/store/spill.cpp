@@ -12,11 +12,9 @@
 
 namespace iwscan::store {
 
-std::string spill_file_name(RecordKind kind, std::uint32_t shard,
-                            std::uint32_t total_shards) {
+std::string spill_file_name(std::uint32_t shard, std::uint32_t total_shards) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%s-%05u-of-%05u.iwspill",
-                kind == RecordKind::Host ? "host" : "sweep", shard, total_shards);
+  std::snprintf(buf, sizeof(buf), "host-%05u-of-%05u.iwspill", shard, total_shards);
   return buf;
 }
 
@@ -32,12 +30,10 @@ bool shards_overlap(std::uint32_t shard_a, std::uint32_t total_a,
   return shard_a % g == shard_b % g;
 }
 
-bool collect_spill_files(const std::vector<std::string>& inputs, RecordKind kind,
+bool collect_spill_files(const std::vector<std::string>& inputs,
                          std::vector<std::string>& files, std::string* error) {
   namespace fs = std::filesystem;
-  const std::string_view prefix = kind == RecordKind::Host
-                                      ? RecordTraits<core::HostScanRecord>::file_prefix
-                                      : RecordTraits<scan::SweepRecord>::file_prefix;
+  const std::string_view prefix = RecordTraits<core::HostScanRecord>::file_prefix;
   const auto matches = [&](const fs::path& path) {
     const std::string name = path.filename().string();
     return path.extension() == ".iwspill" &&

@@ -45,9 +45,9 @@ struct SpillConfig {
   std::uint32_t total_shards = 1;
 };
 
-/// Canonical file name for one shard's spill of one record kind, e.g.
+/// Canonical file name for one shard's spill, e.g.
 /// "host-00002-of-00008.iwspill".
-[[nodiscard]] std::string spill_file_name(RecordKind kind, std::uint32_t shard,
+[[nodiscard]] std::string spill_file_name(std::uint32_t shard,
                                           std::uint32_t total_shards);
 
 /// dir + "/" + name (no-op join when dir is empty).
@@ -60,9 +60,8 @@ struct SpillConfig {
                                   std::uint32_t shard_b, std::uint32_t total_b);
 
 /// Expands inputs (spill files or directories containing them) into the
-/// sorted list of files of `kind`, matched by file-name prefix.
+/// sorted list of host spill files, matched by file-name prefix.
 [[nodiscard]] bool collect_spill_files(const std::vector<std::string>& inputs,
-                                       RecordKind kind,
                                        std::vector<std::string>& files,
                                        std::string* error);
 
@@ -156,9 +155,7 @@ class SpillWriter {
         shard_(config.shard),
         total_shards_(config.total_shards) {
     staged_.resize(capacity_ * kWidth);
-    path_ = join_path(config.directory,
-                      spill_file_name(RecordTraits<Record>::kind, shard_,
-                                      total_shards_));
+    path_ = join_path(config.directory, spill_file_name(shard_, total_shards_));
     ok_ = detail::open_spill_sink(config.directory, path_, sink_, &error_);
   }
   ~SpillWriter() { close(); }
@@ -301,9 +298,6 @@ class SegmentReader {
         return fail(error, detail_error);
       }
       rest = rest.subspan(kSegmentHeaderBytes);
-      if (meta.kind != RecordTraits<Record>::kind) {
-        return fail(error, "segment holds the wrong record kind");
-      }
       if (meta.record_bytes != kWidth) {
         return fail(error, "segment record width " +
                                std::to_string(meta.record_bytes) +

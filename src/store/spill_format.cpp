@@ -41,7 +41,7 @@ bool decode_segment_header(std::span<const std::uint8_t, kSegmentHeaderBytes> in
     return false;
   }
   const auto kind = static_cast<RecordKind>(p[6]);
-  if (kind != RecordKind::Host && kind != RecordKind::Sweep) {
+  if (kind != RecordKind::Host) {
     if (error != nullptr) {
       *error = "unknown record kind " + std::to_string(static_cast<unsigned>(kind));
     }

@@ -11,7 +11,8 @@
 //   ------  -----  -----------------------------------------------------
 //        0      4  magic "IWSP" (0x49575350, LE)
 //        4      2  format version (kFormatVersion)
-//        6      1  record kind (RecordKind: 1 = host, 2 = sweep)
+//        6      1  record kind (RecordKind: 1 = host; a reader rejects
+//                  every other value, e.g. 2, once a sweep record)
 //        7      1  reserved (0)
 //        8      8  scan seed (permutation + session seed of the run)
 //       16      4  shard index      } the permutation stride this file
@@ -34,15 +35,10 @@
 //                  14 flags u8      17 iw_segments u32      31 lower_bound u32
 //   35 iw_segments_b u32   39 iw_bytes_b u64   47 observed_mss_b u16
 //
-// flags: bit 0 fin_seen, bit 1 reorder_seen, bit 2 loss_suspected. A sweep
-// record (50 bytes):
-//
-//    0 cycle u64   12 flags u8 (bit 0 responsive, bit 1 closed)   14 window u16
-//    8 ip u32      13 banner_length u8                           16 mss u16
-//   18 banner, 32 bytes
+// flags: bit 0 fin_seen, bit 1 reorder_seen, bit 2 loss_suspected.
 //
 // Decoding normalizes what a record cannot hold: the outcome keeps its low
-// two bits, flags their defined bits, and banner_length is capped at 32.
+// two bits, flags their defined bits.
 //
 // Records are keyed by the *global* permutation-cycle index, which is
 // unique across shards and processes — K-way merging any disjoint set of
@@ -50,7 +46,6 @@
 // single-process, single-thread scan emits (exec/executor.hpp).
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -59,18 +54,16 @@
 
 #include "core/result.hpp"
 #include "netbase/ipv4.hpp"
-#include "scanner/stateless.hpp"
 #include "util/bytes.hpp"
 
 namespace iwscan::store {
 
-enum class RecordKind : std::uint8_t { Host = 1, Sweep = 2 };
+enum class RecordKind : std::uint8_t { Host = 1 };
 
 inline constexpr std::uint32_t kSegmentMagic = 0x49575350u;  // "IWSP"
 inline constexpr std::uint16_t kFormatVersion = 1;
 inline constexpr std::size_t kSegmentHeaderBytes = 56;
 inline constexpr std::size_t kHostRecordBytes = 49;
-inline constexpr std::size_t kSweepRecordBytes = 50;
 inline constexpr std::size_t kDefaultSegmentBytes = 1u << 20;
 
 // The codecs below spell out every field at its exact width; if a record
@@ -87,12 +80,6 @@ static_assert(sizeof(core::HostScanRecord::observed_mss_b) == 2);
 static_assert(sizeof(core::HostScanRecord::anomaly) == 1);
 static_assert(sizeof(core::HostScanRecord::probes_run) == 1);
 static_assert(sizeof(core::HostScanRecord::connections_used) == 1);
-static_assert(sizeof(scan::SweepRecord::cycle) == 8);
-static_assert(sizeof(scan::SweepRecord::ip) == 4);
-static_assert(sizeof(scan::SweepRecord::window) == 2);
-static_assert(sizeof(scan::SweepRecord::mss) == 2);
-static_assert(sizeof(scan::SweepRecord::banner_length) == 1);
-static_assert(scan::kSweepBannerCap == 32);
 
 struct SegmentMeta {
   RecordKind kind = RecordKind::Host;
@@ -119,8 +106,7 @@ void encode_segment_header(std::span<std::uint8_t, kSegmentHeaderBytes> out,
 // Fixed-offset record codecs over raw record bytes. The caller guarantees
 // the record's wire width at `out` / `in`: the writer sizes its payload
 // once per segment, and readers validate width and byte count before the
-// first decode. The tagged cycle index is authoritative — for sweep
-// records, decode writes it back into SweepRecord::cycle.
+// first decode.
 
 /// The cycle index a record opens with.
 [[nodiscard]] inline std::uint64_t record_cycle(const std::uint8_t* in) noexcept {
@@ -171,32 +157,6 @@ inline std::uint64_t decode_record(const std::uint8_t* in,
   return record_cycle(in);
 }
 
-inline void encode_record(std::uint8_t* out, std::uint64_t cycle,
-                          const scan::SweepRecord& record) noexcept {
-  util::store_le<std::uint64_t>(out, cycle);
-  util::store_le<std::uint32_t>(out + 8, record.ip.value());
-  out[12] = static_cast<std::uint8_t>((record.responsive ? 1u : 0u) |
-                                      (record.closed ? 2u : 0u));
-  out[13] = record.banner_length;
-  util::store_le<std::uint16_t>(out + 14, record.window);
-  util::store_le<std::uint16_t>(out + 16, record.mss);
-  std::copy(record.banner.begin(), record.banner.end(), out + 18);
-}
-
-inline std::uint64_t decode_record(const std::uint8_t* in,
-                                   scan::SweepRecord& record) noexcept {
-  record.cycle = record_cycle(in);
-  record.ip = net::IPv4Address{util::load_le<std::uint32_t>(in + 8)};
-  const std::uint8_t flags = in[12];
-  record.responsive = (flags & 1u) != 0;
-  record.closed = (flags & 2u) != 0;
-  record.banner_length = std::min<std::uint8_t>(in[13], scan::kSweepBannerCap);
-  record.window = util::load_le<std::uint16_t>(in + 14);
-  record.mss = util::load_le<std::uint16_t>(in + 16);
-  std::copy(in + 18, in + 18 + scan::kSweepBannerCap, record.banner.begin());
-  return record.cycle;
-}
-
 template <class Record>
 struct RecordTraits;
 
@@ -205,13 +165,6 @@ struct RecordTraits<core::HostScanRecord> {
   static constexpr RecordKind kind = RecordKind::Host;
   static constexpr std::size_t wire_bytes = kHostRecordBytes;
   static constexpr std::string_view file_prefix = "host";
-};
-
-template <>
-struct RecordTraits<scan::SweepRecord> {
-  static constexpr RecordKind kind = RecordKind::Sweep;
-  static constexpr std::size_t wire_bytes = kSweepRecordBytes;
-  static constexpr std::string_view file_prefix = "sweep";
 };
 
 }  // namespace iwscan::store

@@ -58,8 +58,7 @@ analysis::ScanOptions base_options(std::uint64_t threads) {
 /// into `dir`, and appends the spill files it produced.
 void run_process_shard(analysis::ScanOptions options, std::uint64_t process,
                        std::uint64_t processes, const fs::path& dir,
-                       std::vector<std::string>& host_files,
-                       std::vector<std::string>& sweep_files) {
+                       std::vector<std::string>& host_files) {
   options.process_shard = process;
   options.process_shards = processes;
   options.spill_dir = (dir / ("p" + std::to_string(process))).string();
@@ -70,8 +69,6 @@ void run_process_shard(analysis::ScanOptions options, std::uint64_t process,
   EXPECT_TRUE(output.records.empty());  // spill mode keeps records on disk
   host_files.insert(host_files.end(), output.spill_files.begin(),
                     output.spill_files.end());
-  sweep_files.insert(sweep_files.end(), output.sweep_spill_files.begin(),
-                     output.sweep_spill_files.end());
 }
 
 void expect_record_identity(const std::vector<core::HostScanRecord>& got,
@@ -95,10 +92,8 @@ TEST(ExecSpill, SpilledScanMergesBackIdenticalToInRamScan) {
   ASSERT_FALSE(in_ram.records.empty());
 
   std::vector<std::string> host_files;
-  std::vector<std::string> sweep_files;
-  run_process_shard(base_options(1), 0, 1, dir, host_files, sweep_files);
+  run_process_shard(base_options(1), 0, 1, dir, host_files);
   ASSERT_EQ(host_files.size(), 1u);
-  EXPECT_TRUE(sweep_files.empty());
 
   std::vector<core::HostScanRecord> merged;
   std::string error;
@@ -120,10 +115,8 @@ TEST(ExecSpill, ProcessThreadMatrixMergesByteIdenticalToSingleProcess) {
                                 std::to_string(threads) + " threads";
       const fs::path dir = scratch_dir("matrix");
       std::vector<std::string> host_files;
-      std::vector<std::string> sweep_files;
       for (std::uint64_t p = 0; p < processes; ++p) {
-        run_process_shard(base_options(threads), p, processes, dir, host_files,
-                          sweep_files);
+        run_process_shard(base_options(threads), p, processes, dir, host_files);
       }
       ASSERT_EQ(host_files.size(), processes * threads) << label;
 
@@ -140,7 +133,7 @@ TEST(ExecSpill, ProcessThreadMatrixMergesByteIdenticalToSingleProcess) {
 
 // --------------------------------------------------- two-phase spills ----
 
-TEST(ExecSpill, TwoPhaseSpillMergesIdenticalHostAndSweepRecords) {
+TEST(ExecSpill, TwoPhaseSpillMergesIdenticalHostRecords) {
   analysis::ScanOptions options = base_options(1);
   options.two_phase = true;
   options.sweep_rate_pps = 400'000;
@@ -149,33 +142,21 @@ TEST(ExecSpill, TwoPhaseSpillMergesIdenticalHostAndSweepRecords) {
   const analysis::ScanOutput in_ram =
       analysis::run_iw_scan(in_ram_world.network, in_ram_world.internet, options);
   ASSERT_FALSE(in_ram.records.empty());
-  ASSERT_FALSE(in_ram.sweep_records.empty());
 
   for (const std::uint64_t processes : {1u, 2u}) {
     const std::string label = "two-phase, " + std::to_string(processes) + " procs";
     const fs::path dir = scratch_dir("two_phase");
     std::vector<std::string> host_files;
-    std::vector<std::string> sweep_files;
     for (std::uint64_t p = 0; p < processes; ++p) {
-      run_process_shard(options, p, processes, dir, host_files, sweep_files);
+      run_process_shard(options, p, processes, dir, host_files);
     }
     ASSERT_EQ(host_files.size(), processes) << label;
-    ASSERT_EQ(sweep_files.size(), processes) << label;
 
     std::vector<core::HostScanRecord> merged;
     std::string error;
     ASSERT_TRUE(store::read_merged<core::HostScanRecord>(host_files, merged, &error))
         << label << ": " << error;
     expect_record_identity(merged, in_ram.records, label);
-
-    std::vector<scan::SweepRecord> sweeps;
-    ASSERT_TRUE(store::read_merged<scan::SweepRecord>(sweep_files, sweeps, &error))
-        << label << ": " << error;
-    ASSERT_EQ(sweeps.size(), in_ram.sweep_records.size()) << label;
-    for (std::size_t i = 0; i < sweeps.size(); ++i) {
-      ASSERT_TRUE(sweeps[i] == in_ram.sweep_records[i])
-          << label << ": sweep record " << i << " diverges";
-    }
     fs::remove_all(dir);
   }
 }
@@ -194,8 +175,7 @@ TEST(ExecSpill, CappedTwoPhaseSpillKeepsDeterministicTruncation) {
 
   const fs::path dir = scratch_dir("capped");
   std::vector<std::string> host_files;
-  std::vector<std::string> sweep_files;
-  run_process_shard(options, 0, 1, dir, host_files, sweep_files);
+  run_process_shard(options, 0, 1, dir, host_files);
 
   std::vector<core::HostScanRecord> merged;
   std::string error;
@@ -258,8 +238,7 @@ TEST(ExecSpill, SpillSummaryMatchesInRamSummary) {
 
   const fs::path dir = scratch_dir("summary");
   std::vector<std::string> host_files;
-  std::vector<std::string> sweep_files;
-  run_process_shard(base_options(1), 0, 1, dir, host_files, sweep_files);
+  run_process_shard(base_options(1), 0, 1, dir, host_files);
 
   analysis::SpillSummary summary;
   std::string error;
@@ -280,8 +259,7 @@ TEST(ExecSpill, SpillSummaryMatchesInRamSummary) {
 TEST(ExecSpill, MergeLevelValidationSurfacesOperatorMistakes) {
   const fs::path dir = scratch_dir("validation");
   std::vector<std::string> host_files;
-  std::vector<std::string> sweep_files;
-  run_process_shard(base_options(1), 0, 2, dir, host_files, sweep_files);
+  run_process_shard(base_options(1), 0, 2, dir, host_files);
 
   analysis::ScanOptions other_seed = base_options(1);
   other_seed.scan_seed = test::env_scan_seed(7) + 1;

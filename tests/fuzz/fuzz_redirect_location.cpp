@@ -48,6 +48,11 @@ void fuzz_one(std::span<const std::uint8_t> data) {
           "parsed host contains a path separator");
   require(parts->host.find(':') == std::string::npos,
           "parsed host still carries a port");
+  // RFC 3986: the host ends before any query or fragment and holds no
+  // userinfo, and the fragment never reaches the request line.
+  require(parts->host.find_first_of("?#@") == std::string::npos,
+          "parsed host holds a query, fragment or userinfo");
+  require(parts->path.find('#') == std::string::npos, "parsed path holds a fragment");
   // Nothing that could split the request line or the Host header: no
   // space, control byte or DEL.
   const auto clean = [](const std::string& text) {
@@ -94,6 +99,8 @@ std::vector<Input> fuzz_corpus() {
   push("//protocol-relative.example/x");
   push("http:///no-authority");
   push("http://:8080/port-only");
+  push("http://example.com?x=1");
+  push("http://user:pw@example.com:81/a?b=@c#f");
   push("/../../../etc/passwd");
   push("relative-no-slash");
   push("");

@@ -5,7 +5,7 @@
 // bounds. An accepted file yields exactly the records its segments count,
 // and each one, encoded again, gives back the bytes it was decoded from, up
 // to the bits decoding normalizes (the outcome's high bits, undefined flag
-// bits, a banner length past 32). The merge over an accepted file emits
+// bits). The merge over an accepted file emits
 // only strictly increasing cycles: all of its records, or fewer and an
 // error. Each input is opened as it is, and again with every segment's
 // CRCs re-stamped, so mutated records get past the CRC checks and reach
@@ -62,23 +62,17 @@ Input read_file(const fs::path& path) {
 }
 
 /// The record bytes the codec reproduces: `raw` with the bits decoding
-/// drops cleared and the banner length capped.
-template <class Record>
+/// drops cleared.
 Input canonical(std::span<const std::uint8_t> raw) {
   Input bytes(raw.begin(), raw.end());
-  if constexpr (store::RecordTraits<Record>::kind == store::RecordKind::Host) {
-    bytes[12] &= 0x03;  // outcome
-    bytes[14] &= 0x07;  // fin_seen, reorder_seen, loss_suspected
-  } else {
-    bytes[12] &= 0x03;  // responsive, closed
-    bytes[13] = std::min<std::uint8_t>(bytes[13], iwscan::scan::kSweepBannerCap);
-  }
+  bytes[12] &= 0x03;  // outcome
+  bytes[14] &= 0x07;  // fin_seen, reorder_seen, loss_suspected
   return bytes;
 }
 
-template <class Record>
 void check_file(const std::string& path) {
-  constexpr std::size_t kWidth = store::RecordTraits<Record>::wire_bytes;
+  using Record = iwscan::core::HostScanRecord;
+  constexpr std::size_t kWidth = store::kHostRecordBytes;
   store::SegmentReader<Record> reader;
   std::string error;
   if (!reader.open(path, &error)) {
@@ -95,7 +89,7 @@ void check_file(const std::string& path) {
       require(reader.next(cycle, record), "the reader yields fewer records than it holds");
       std::array<std::uint8_t, kWidth> again{};
       store::encode_record(again.data(), cycle, record);
-      const Input want = canonical<Record>(segment.payload.subspan(at, kWidth));
+      const Input want = canonical(segment.payload.subspan(at, kWidth));
       require(std::ranges::equal(again, want),
               "a record does not re-encode to the bytes it was decoded from");
       ++records;
@@ -142,8 +136,7 @@ Input restamp(std::span<const std::uint8_t> bytes) {
 
 void check_input(std::span<const std::uint8_t> bytes) {
   write_file(scratch_file(), bytes);
-  check_file<iwscan::core::HostScanRecord>(scratch_file().string());
-  check_file<iwscan::scan::SweepRecord>(scratch_file().string());
+  check_file(scratch_file().string());
 }
 
 void fuzz_one(std::span<const std::uint8_t> data) {
@@ -151,32 +144,6 @@ void fuzz_one(std::span<const std::uint8_t> data) {
   check_input(restamp(data));
   std::error_code ec;
   fs::remove(scratch_file(), ec);
-}
-
-/// A spill file of `count` records appended in scrambled cycle order,
-/// `per_segment` records to a segment.
-template <class Record, class Make>
-Input spill_file(std::size_t count, std::size_t per_segment, Make make) {
-  const fs::path dir = fs::temp_directory_path() /
-                       ("iwscan_fuzz_spill_corpus_" + std::to_string(::getpid()));
-  store::SpillConfig config;
-  config.directory = dir.string();
-  config.segment_bytes = per_segment * store::RecordTraits<Record>::wire_bytes;
-  config.seed = 0xf022;
-  config.shard = 1;
-  config.total_shards = 2;
-  Input bytes;
-  {
-    store::SpillWriter<Record> writer(config);
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::uint64_t cycle = 2 * ((7 * i + 3) % count) + 1;
-      writer.append(cycle, make(cycle));
-    }
-    require(writer.close(), "cannot write a corpus spill file");
-    bytes = read_file(writer.path());
-  }
-  fs::remove_all(dir);
-  return bytes;
 }
 
 iwscan::core::HostScanRecord host_record(std::uint64_t cycle) {
@@ -198,26 +165,48 @@ iwscan::core::HostScanRecord host_record(std::uint64_t cycle) {
   return record;
 }
 
-iwscan::scan::SweepRecord sweep_record(std::uint64_t cycle) {
-  iwscan::scan::SweepRecord record;
-  record.cycle = cycle;
-  record.ip = iwscan::net::IPv4Address{static_cast<std::uint32_t>(0xc0a80000u + cycle)};
-  record.responsive = cycle % 4 != 0;
-  record.closed = !record.responsive;
-  record.window = 65535;
-  record.mss = 1460;
-  record.banner_length = static_cast<std::uint8_t>(cycle % 33);
-  for (std::size_t i = 0; i < record.banner_length; ++i) {
-    record.banner[i] = static_cast<std::uint8_t>('A' + (cycle + i) % 26);
+/// A host spill file of `count` records appended in scrambled cycle order,
+/// `per_segment` records to a segment.
+Input spill_file(std::size_t count, std::size_t per_segment) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("iwscan_fuzz_spill_corpus_" + std::to_string(::getpid()));
+  store::SpillConfig config;
+  config.directory = dir.string();
+  config.segment_bytes = per_segment * store::kHostRecordBytes;
+  config.seed = 0xf022;
+  config.shard = 1;
+  config.total_shards = 2;
+  Input bytes;
+  {
+    store::SpillWriter<iwscan::core::HostScanRecord> writer(config);
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::uint64_t cycle = 2 * ((7 * i + 3) % count) + 1;
+      writer.append(cycle, host_record(cycle));
+    }
+    require(writer.close(), "cannot write a corpus spill file");
+    bytes = read_file(writer.path());
   }
-  return record;
+  fs::remove_all(dir);
+  return bytes;
+}
+
+/// `file` with every segment's kind byte set to 2, the sweep record kind
+/// of older builds; fuzz_one's re-stamped pass makes its CRCs valid again.
+Input relabelled_as_sweep(Input file) {
+  for (std::size_t at = 0; file.size() - at >= store::kSegmentHeaderBytes;) {
+    file[at + 6] = 2;
+    at += store::kSegmentHeaderBytes +
+          iwscan::util::load_le<std::uint32_t>(file.data() + at + 28) *
+              store::kHostRecordBytes;
+  }
+  return file;
 }
 
 std::vector<Input> fuzz_corpus() {
   return {
-      spill_file<iwscan::core::HostScanRecord>(20, 6, host_record),  // 4 segments
-      spill_file<iwscan::core::HostScanRecord>(1, 6, host_record),
-      spill_file<iwscan::scan::SweepRecord>(12, 5, sweep_record),  // 3 segments
+      spill_file(20, 6),  // 4 segments
+      spill_file(1, 6),
+      relabelled_as_sweep(spill_file(12, 5)),  // 3 segments
       {},
   };
 }

@@ -218,9 +218,43 @@ TEST(ParseLocation, Variants) {
   EXPECT_TRUE(parts->host.empty());
   EXPECT_EQ(parts->path, "/relative/only");
 
+  // RFC 3986: the authority also ends at '?' or '#', userinfo is not part
+  // of the host, and the fragment never reaches the request line.
+  parts = parse_location("http://example.com?x=1");
+  ASSERT_TRUE(parts);
+  EXPECT_EQ(parts->host, "example.com");
+  EXPECT_EQ(parts->path, "/?x=1");
+
+  parts = parse_location("http://example.com#top");
+  ASSERT_TRUE(parts);
+  EXPECT_EQ(parts->host, "example.com");
+  EXPECT_EQ(parts->path, "/");
+
+  parts = parse_location("http://user@example.com/");
+  ASSERT_TRUE(parts);
+  EXPECT_EQ(parts->host, "example.com");
+  EXPECT_EQ(parts->path, "/");
+
+  parts = parse_location("http://user:pw@example.com:81/a?b=@c");
+  ASSERT_TRUE(parts);
+  EXPECT_EQ(parts->host, "example.com");
+  EXPECT_EQ(parts->path, "/a?b=@c");
+
+  parts = parse_location("https://www.example.com:8443/path?q=1#frag");
+  ASSERT_TRUE(parts);
+  EXPECT_EQ(parts->host, "www.example.com");
+  EXPECT_EQ(parts->path, "/path?q=1");
+
+  parts = parse_location("/relative#frag");
+  ASSERT_TRUE(parts);
+  EXPECT_TRUE(parts->host.empty());
+  EXPECT_EQ(parts->path, "/relative");
+
   EXPECT_FALSE(parse_location(""));
   EXPECT_FALSE(parse_location("ftp-garbage"));
   EXPECT_FALSE(parse_location("http:///nohost"));
+  EXPECT_FALSE(parse_location("http://?x=1"));
+  EXPECT_FALSE(parse_location("http://user@/x"));
 }
 
 TEST(ParseLocation, RejectsWhitespaceAndControlBytes) {

@@ -15,7 +15,6 @@
 #include "scanner/permutation.hpp"
 #include "scanner/scan_engine.hpp"
 #include "scanner/stateless.hpp"
-#include "scanner/syn_scan.hpp"
 #include "scanner/syncookie.hpp"
 #include "scanner/targets.hpp"
 #include "tcpstack/host.hpp"
@@ -321,36 +320,43 @@ struct EngineRig {
   }
 };
 
-TEST(ScanEngine, SynScanClassifiesAllThreeStates) {
-  EngineRig rig;
-  // 10.2.0.0/28: .0-.4 open, .5-.9 closed-port hosts, rest dark.
-  for (int i = 0; i < 5; ++i) rig.add_host(net::IPv4Address(10, 2, 0, static_cast<std::uint8_t>(i)), true);
-  for (int i = 5; i < 10; ++i) rig.add_host(net::IPv4Address(10, 2, 0, static_cast<std::uint8_t>(i)), false);
+/// Sessions that send nothing and finish one fixed delay after they
+/// start: a timer-bound module whose timing the engine tests can predict.
+class DelayedModule final : public ProbeModule {
+ public:
+  static constexpr sim::SimTime kDelay = sim::sec(8);
 
-  std::map<PortState, int> counts;
-  SynScanModule module(80, [&](const SynScanResult& result) {
-    ++counts[result.state];
-  });
-  GeneratorTargetSource targets(
-      TargetGenerator({*net::Cidr::parse("10.2.0.0/28")}, {}, 3));
-  EngineConfig engine_config;
-  engine_config.rate_pps = 1000;
-  ScanEngine engine(rig.network, engine_config, targets, module);
-  engine.start();
-  while (!engine.done() && rig.loop.step()) {
+  std::unique_ptr<ProbeSession> create_session(SessionServices& services,
+                                               net::IPv4Address,
+                                               std::function<void()> finish) override {
+    return std::make_unique<DelayedSession>(services.loop(), std::move(finish));
   }
 
-  EXPECT_EQ(counts[PortState::Open], 5);
-  EXPECT_EQ(counts[PortState::Closed], 5);
-  EXPECT_EQ(counts[PortState::Unresponsive], 6);
-  EXPECT_EQ(engine.stats().targets_started, 16u);
-  EXPECT_EQ(engine.stats().targets_finished, 16u);
-  EXPECT_TRUE(engine.done());
-}
+ private:
+  class DelayedSession final : public ProbeSession {
+   public:
+    DelayedSession(sim::EventLoop& loop, std::function<void()> finish)
+        : loop_(loop), finish_(std::move(finish)) {}
+    ~DelayedSession() override { loop_.cancel(timer_); }
+
+    void start() override {
+      timer_ = loop_.schedule(kDelay, [this] {
+        timer_ = sim::kNullEvent;
+        finish_();  // may destroy *this
+      });
+    }
+    void on_datagram(const net::Datagram&) override {}
+
+   private:
+    sim::EventLoop& loop_;
+    std::function<void()> finish_;
+    sim::EventId timer_ = sim::kNullEvent;
+  };
+};
 
 TEST(ScanEngine, PacingSpreadsSessionStarts) {
   EngineRig rig;
-  SynScanModule module(80, [](const SynScanResult&) {});
+  DelayedModule module;
   GeneratorTargetSource targets(
       TargetGenerator({*net::Cidr::parse("10.3.0.0/24")}, {}, 3));
   EngineConfig engine_config;
@@ -359,17 +365,16 @@ TEST(ScanEngine, PacingSpreadsSessionStarts) {
   engine.start();
   while (!engine.done() && rig.loop.step()) {
   }
-  // Every target is dark, so the last session ends one timeout after the
-  // last start.
+  // The last session ends one delay after the last start.
   const auto duration = engine.stats().finished_at - engine.stats().started_at;
-  EXPECT_GE(duration, SynScanModule::kTimeout + sim::msec(255));
-  EXPECT_LE(duration, SynScanModule::kTimeout + sim::msec(500));
+  EXPECT_GE(duration, DelayedModule::kDelay + sim::msec(255));
+  EXPECT_LE(duration, DelayedModule::kDelay + sim::msec(500));
 }
 
 TEST(ScanEngine, OutstandingCapThrottles) {
   EngineRig rig;
-  // Every session lives one SYN timeout (all dark).
-  SynScanModule module(80, [](const SynScanResult&) {});
+  // Every session lives one delay.
+  DelayedModule module;
   GeneratorTargetSource targets(
       TargetGenerator({*net::Cidr::parse("10.4.0.0/24")}, {}, 3));
   EngineConfig engine_config;
@@ -379,9 +384,9 @@ TEST(ScanEngine, OutstandingCapThrottles) {
   engine.start();
   while (!engine.done() && rig.loop.step()) {
   }
-  // 256 targets / 16 concurrent = 16 back-to-back rounds of one timeout.
+  // 256 targets / 16 concurrent = 16 back-to-back rounds of one delay.
   EXPECT_GE(engine.stats().finished_at - engine.stats().started_at,
-            16 * SynScanModule::kTimeout);
+            16 * DelayedModule::kDelay);
   EXPECT_EQ(engine.stats().targets_finished, 256u);
 }
 
@@ -654,24 +659,8 @@ TEST(StatelessSweep, ClassifiesOpenClosedAndDarkAddresses) {
   EXPECT_EQ(stats.targets_probed, 16u);
   EXPECT_EQ(stats.responsive, 5u);
   EXPECT_EQ(stats.closed, 5u);
-  EXPECT_EQ(stats.banners, 5u);
   EXPECT_EQ(rig.count(SweepEventKind::Responsive), 5);
   EXPECT_EQ(rig.count(SweepEventKind::Closed), 5);
-  EXPECT_EQ(rig.count(SweepEventKind::Banner), 5);
-
-  // Responsive events carry the SYN-ACK's advertised window and MSS; the
-  // banner is the first flight's first bytes — an HTTP status line.
-  for (const SweepEvent& event : rig.events) {
-    if (event.kind == SweepEventKind::Responsive) {
-      EXPECT_GT(event.window, 0u);
-      EXPECT_GT(event.mss, 0u);
-    }
-    if (event.kind == SweepEventKind::Banner) {
-      ASSERT_GE(event.banner_length, 8u);
-      const std::string prefix(event.banner.begin(), event.banner.begin() + 8);
-      EXPECT_EQ(prefix, "HTTP/1.1");
-    }
-  }
 }
 
 TEST(StatelessSweep, DuplicatedRepliesAreSuppressedNotDoubleCounted) {
@@ -684,19 +673,17 @@ TEST(StatelessSweep, DuplicatedRepliesAreSuppressedNotDoubleCounted) {
 
   const SweepStats stats = rig.sweep(*net::Cidr::parse("10.2.1.1/32"));
   EXPECT_EQ(stats.responsive, 1u);
-  EXPECT_EQ(stats.banners, 1u);
   EXPECT_GT(stats.duplicate_events, 0u);
   EXPECT_EQ(rig.count(SweepEventKind::Responsive), 1);
-  EXPECT_EQ(rig.count(SweepEventKind::Banner), 1);
 }
 
 TEST(StatelessSweep, ForgedAcksAreRejectedByCookieValidation) {
   SweepRig rig;
   rig.add_host(net::IPv4Address(10, 2, 2, 1), true);
   // While the sweep sits in its answer window, an off-path attacker blasts
-  // segments whose acks never went through pack(): a forged SYN-ACK, a
-  // forged closed-port RST, and a forged data segment. All three must die
-  // at cookie validation without producing events or response packets.
+  // segments whose acks never went through pack(): a forged SYN-ACK and a
+  // forged closed-port RST die at cookie validation, and a forged data
+  // segment answers no sweep SYN. None may produce an event or a packet.
   rig.loop.schedule(sim::msec(200), [&] {
     auto blast = [&](std::uint8_t flags, std::string_view payload) {
       net::TcpSegment segment;
@@ -716,9 +703,9 @@ TEST(StatelessSweep, ForgedAcksAreRejectedByCookieValidation) {
     blast(net::kAck | net::kPsh, "FORGED");
   });
   const SweepStats stats = rig.sweep(*net::Cidr::parse("10.2.2.1/32"));
-  EXPECT_GE(stats.cookie_rejected, 3u);
+  EXPECT_EQ(stats.cookie_rejected, 2u);
   EXPECT_EQ(stats.responsive, 1u);  // the honest host still classified
-  EXPECT_EQ(stats.banners, 1u);
+  EXPECT_EQ(stats.packets_sent, 2u);  // its SYN and RST, nothing for the forgeries
   EXPECT_EQ(rig.count(SweepEventKind::Closed), 0);
 }
 
@@ -765,35 +752,93 @@ class RawSynAckHost final : public sim::Endpoint {
   net::Bytes area_;
 };
 
-TEST(StatelessSweep, MssComesFromTheOneOptionWalk) {
-  // The sweep reads the SYN-ACK's MSS with net::read_tcp_options, the walk
-  // the header decoder uses: a valid area yields its first MSS, and an area
-  // the decoder rejects records mss 0 — still a Responsive event.
-  const std::vector<std::pair<net::Bytes, std::uint16_t>> cases = {
-      {{2, 4, 0x05, 0xb4}, 1460},
-      {{3, 3, 7, 1, 2, 4, 0x02, 0x18}, 536},           // window scale skipped
-      {{2, 4, 0x05, 0xb4, 2, 4, 0, 64}, 1460},         // first MSS wins
-      {{1, 1, 1, 1}, 0},                               // no MSS at all
-      {{3, 2, 2, 4, 0x05, 0xb4, 0, 0}, 0},             // bad window scale first
-      {{2, 3, 0, 2, 4, 0x05, 0xb4, 0}, 0},             // 3-byte MSS first
-      {{2, 4, 0x05, 0xb4, 4, 3, 0, 0}, 0},             // bad SACK-ok after
-      {{2, 4, 0x05, 0xb4, 8, 9, 0, 0}, 0},             // overrun after the MSS
+TEST(StatelessSweep, MalformedOptionsAreStillResponsive) {
+  // The sweep walks the fixed header by hand instead of decoding the
+  // segment, so an options area the header decoder rejects still yields a
+  // Responsive event.
+  const std::vector<net::Bytes> areas = {
+      {2, 4, 0x05, 0xb4},
+      {3, 3, 7, 1, 2, 4, 0x02, 0x18},
+      {2, 4, 0x05, 0xb4, 2, 4, 0, 64},
+      {1, 1, 1, 1},
+      {3, 2, 2, 4, 0x05, 0xb4, 0, 0},  // bad window scale
+      {2, 3, 0, 2, 4, 0x05, 0xb4, 0},  // 3-byte MSS
+      {2, 4, 0x05, 0xb4, 4, 3, 0, 0},  // bad SACK-ok
+      {2, 4, 0x05, 0xb4, 8, 9, 0, 0},  // overrun after the MSS
   };
   SweepRig rig;
   std::vector<std::unique_ptr<RawSynAckHost>> hosts;
-  for (std::size_t i = 0; i < cases.size(); ++i) {
+  for (std::size_t i = 0; i < areas.size(); ++i) {
     hosts.push_back(std::make_unique<RawSynAckHost>(
-        rig.network, net::IPv4Address(10, 2, 5, static_cast<std::uint8_t>(i)),
-        cases[i].first));
+        rig.network, net::IPv4Address(10, 2, 5, static_cast<std::uint8_t>(i)), areas[i]));
   }
   const SweepStats stats = rig.sweep(*net::Cidr::parse("10.2.5.0/29"));
-  EXPECT_EQ(stats.responsive, cases.size());
-  ASSERT_EQ(rig.count(SweepEventKind::Responsive), static_cast<int>(cases.size()));
-  for (const SweepEvent& event : rig.events) {
-    const std::size_t i = event.source.octet(3);
-    ASSERT_LT(i, cases.size());
-    EXPECT_EQ(event.mss, cases[i].second) << "case " << i;
+  EXPECT_EQ(stats.responsive, areas.size());
+  EXPECT_EQ(rig.count(SweepEventKind::Responsive), static_cast<int>(areas.size()));
+}
+
+/// The sweep's own TCP segments as the wire sees them, before any loss,
+/// and the SYN-ACKs answering them.
+struct SweepTap {
+  std::vector<net::TcpHeader> sent;
+  std::vector<net::TcpHeader> syn_acks;
+
+  explicit SweepTap(sim::Network& network) {
+    network.set_tap([this](net::PacketView bytes) {
+      const auto datagram = net::decode_datagram(bytes);
+      const auto* segment = datagram ? std::get_if<net::TcpSegment>(&*datagram) : nullptr;
+      if (segment == nullptr) return;
+      if (segment->ip.src == SweepConfig::scanner_address) {
+        sent.push_back(segment->tcp);
+      } else if (segment->tcp.flags == (net::kSyn | net::kAck)) {
+        syn_acks.push_back(segment->tcp);
+      }
+    });
   }
+};
+
+TEST(StatelessSweep, AnswersTheSynAckWithOneRstAndLeavesNoConnection) {
+  SweepRig rig;
+  rig.add_host(net::IPv4Address(10, 2, 6, 1), true);
+  SweepTap tap(rig.network);
+
+  const SweepStats stats = rig.sweep(*net::Cidr::parse("10.2.6.1/32"));
+  EXPECT_EQ(stats.responsive, 1u);
+  ASSERT_EQ(tap.syn_acks.size(), 1u);
+  ASSERT_EQ(tap.sent.size(), 2u);
+  EXPECT_EQ(tap.sent[0].flags, net::kSyn);
+  EXPECT_EQ(tap.syn_acks[0].ack, tap.sent[0].seq + 1);
+  EXPECT_EQ(tap.sent[1].flags, net::kRst);
+  EXPECT_EQ(tap.sent[1].seq, tap.syn_acks[0].ack);
+  EXPECT_TRUE(rig.hosts.front()->quiescent());
+}
+
+TEST(StatelessSweep, ALostRstIsSentAgainForTheRetransmittedSynAck) {
+  SweepRig rig;
+  rig.add_host(net::IPv4Address(10, 2, 6, 2), true);
+  SweepTap tap(rig.network);
+  bool dropped = false;
+  rig.network.set_filter([&](net::PacketView bytes) {
+    const auto datagram = net::decode_datagram(bytes);
+    const auto* segment = datagram ? std::get_if<net::TcpSegment>(&*datagram) : nullptr;
+    if (dropped || segment == nullptr || segment->tcp.flags != net::kRst) return true;
+    dropped = true;
+    return false;
+  });
+
+  const SweepStats stats = rig.sweep(*net::Cidr::parse("10.2.6.2/32"));
+  ASSERT_TRUE(dropped);
+  ASSERT_EQ(tap.syn_acks.size(), 2u);  // the host retransmitted its SYN-ACK
+  ASSERT_EQ(tap.sent.size(), 3u);      // SYN, the lost RST, the second RST
+  for (std::size_t i = 1; i < 3; ++i) {
+    EXPECT_EQ(tap.sent[i].flags, net::kRst) << i;
+    EXPECT_EQ(tap.sent[i].seq, tap.syn_acks[i - 1].ack) << i;
+  }
+  EXPECT_EQ(stats.responsive, 1u);
+  EXPECT_EQ(rig.count(SweepEventKind::Responsive), 1);
+  EXPECT_GE(stats.duplicate_events, 1u);
+  EXPECT_TRUE(rig.hosts.front()->quiescent());
+  rig.network.set_filter(nullptr);
 }
 
 TEST(StatelessSweep, DarkSpaceFinishesViaCooldownAndSignalsCompletion) {

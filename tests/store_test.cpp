@@ -6,16 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/result.hpp"
-#include "scanner/stateless.hpp"
 #include "store/crc32.hpp"
 #include "store/spill.hpp"
 #include "store/spill_format.hpp"
@@ -52,21 +53,6 @@ core::HostScanRecord random_host_record(util::Rng& rng) {
   record.anomaly = static_cast<core::ProbeAnomaly>(rng.below(12));
   record.probes_run = static_cast<std::uint8_t>(rng());
   record.connections_used = static_cast<std::uint8_t>(rng());
-  return record;
-}
-
-scan::SweepRecord random_sweep_record(util::Rng& rng, std::uint64_t cycle) {
-  scan::SweepRecord record;
-  record.cycle = cycle;
-  record.ip = net::IPv4Address{static_cast<std::uint32_t>(rng())};
-  record.responsive = rng.chance(0.7);
-  record.closed = !record.responsive && rng.chance(0.5);
-  record.window = static_cast<std::uint16_t>(rng());
-  record.mss = static_cast<std::uint16_t>(rng());
-  record.banner_length = static_cast<std::uint8_t>(rng.below(scan::kSweepBannerCap + 1));
-  for (std::size_t i = 0; i < record.banner_length; ++i) {
-    record.banner[i] = static_cast<std::uint8_t>(rng());
-  }
   return record;
 }
 
@@ -128,31 +114,6 @@ TEST(SpillStore, HostRecordsRoundTripAcrossManySegments) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_TRUE(got[i] == want[i].record) << "record " << i << " diverges";
-  }
-  fs::remove_all(dir);
-}
-
-TEST(SpillStore, SweepRecordsRoundTripIncludingBannerBytes) {
-  const fs::path dir = scratch_dir("sweep_roundtrip");
-  util::Rng rng(99);
-  std::vector<scan::SweepRecord> want;
-  for (std::uint64_t cycle = 0; cycle < 100; ++cycle) {
-    want.push_back(random_sweep_record(rng, cycle * 3 + 1));
-  }
-  SpillConfig config;
-  config.directory = dir.string();
-  config.segment_bytes = 7 * kSweepRecordBytes;
-  config.seed = 42;
-  SpillWriter<scan::SweepRecord> writer(config);
-  for (const scan::SweepRecord& record : want) writer.append(record.cycle, record);
-  ASSERT_TRUE(writer.close()) << writer.error();
-
-  std::vector<scan::SweepRecord> got;
-  std::string error;
-  ASSERT_TRUE(read_merged<scan::SweepRecord>({writer.path()}, got, &error)) << error;
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_TRUE(got[i] == want[i]) << "sweep record " << i << " diverges";
   }
   fs::remove_all(dir);
 }
@@ -235,27 +196,54 @@ TEST(SpillStore, FlippedHeaderByteFailsTheHeaderCrc) {
   fs::remove_all(dir);
 }
 
+TEST(SpillStore, MissingFileIsAnError) {
+  const fs::path dir = scratch_dir("missing");
+  SegmentReader<core::HostScanRecord> reader;
+  std::string error;
+  EXPECT_FALSE(reader.open((dir / spill_file_name(0, 1)).string(), &error));
+  EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
+  fs::remove_all(dir);
+}
+
+TEST(SpillStore, EveryKindButHostIsRejected) {
+  // Kind 2 was the sweep record; no reader accepts it any more.
+  std::array<std::uint8_t, kSegmentHeaderBytes> header{};
+  SegmentMeta meta;
+  meta.kind = static_cast<RecordKind>(2);
+  encode_segment_header(header, meta);
+  SegmentMeta decoded;
+  std::string error;
+  EXPECT_FALSE(decode_segment_header(header, decoded, &error));
+  EXPECT_EQ(error, "unknown record kind 2");
+}
+
 TEST(SpillStore, WriterThatCannotOpenItsFileKeepsAppendingInBounds) {
-  // The spill directory is a regular file, so the sink never opens. Every
-  // full run is then dropped, not flushed: appends stay inside the staged
-  // payload, and close() reports the error.
+  // The sink never opens: the spill directory is a regular file, or a
+  // directory sits at the spill file's own path. Every full run is then
+  // dropped, not flushed: appends stay inside the staged payload, and
+  // close() reports the error.
   const fs::path dir = scratch_dir("unopenable");
   const fs::path not_a_dir = dir / "plain_file";
   std::ofstream(not_a_dir) << "x";
-  SpillConfig config;
-  config.directory = not_a_dir.string();
-  config.segment_bytes = 4 * kHostRecordBytes;
-  SpillWriter<core::HostScanRecord> writer(config);
-  EXPECT_FALSE(writer.ok());
-  util::Rng rng(4);
-  for (std::uint64_t cycle = 0; cycle < 40; ++cycle) {
-    writer.append(cycle, random_host_record(rng));
+  const fs::path blocked = dir / "blocked";
+  fs::create_directories(blocked / spill_file_name(0, 1));
+  const std::pair<fs::path, std::string> cases[] = {
+      {not_a_dir, "cannot create spill directory"}, {blocked, "for writing"}};
+  for (const auto& [directory, message] : cases) {
+    SpillConfig config;
+    config.directory = directory.string();
+    config.segment_bytes = 4 * kHostRecordBytes;
+    SpillWriter<core::HostScanRecord> writer(config);
+    EXPECT_FALSE(writer.ok()) << message;
+    util::Rng rng(4);
+    for (std::uint64_t cycle = 0; cycle < 40; ++cycle) {
+      writer.append(cycle, random_host_record(rng));
+    }
+    EXPECT_EQ(writer.appended(), 40u);
+    EXPECT_EQ(writer.segments_flushed(), 0u);
+    EXPECT_FALSE(writer.close());
+    EXPECT_NE(writer.error().find(message), std::string::npos) << writer.error();
   }
-  EXPECT_EQ(writer.appended(), 40u);
-  EXPECT_EQ(writer.segments_flushed(), 0u);
-  EXPECT_FALSE(writer.close());
-  EXPECT_NE(writer.error().find("cannot create spill directory"), std::string::npos)
-      << writer.error();
   fs::remove_all(dir);
 }
 
@@ -406,38 +394,23 @@ core::HostScanRecord golden_host_record(std::uint64_t cycle) {
   return record;
 }
 
-scan::SweepRecord golden_sweep_record(std::uint64_t cycle) {
-  const std::uint64_t h = golden_mix(cycle ^ 0x5ee9);
-  scan::SweepRecord record;
-  record.cycle = cycle;
-  record.ip = net::IPv4Address{static_cast<std::uint32_t>(h)};
-  record.responsive = (h & 0x100u) != 0;
-  record.closed = !record.responsive && (h & 0x200u) != 0;
-  record.window = static_cast<std::uint16_t>(h >> 16);
-  record.mss = static_cast<std::uint16_t>(h >> 32);
-  record.banner_length = static_cast<std::uint8_t>((h >> 40) % (scan::kSweepBannerCap + 1));
-  for (std::size_t i = 0; i < record.banner_length; ++i) {
-    record.banner[i] = static_cast<std::uint8_t>(golden_mix(h + i));
-  }
-  return record;
-}
-
-/// Appends 50 records of cycles 3k+1: the first 14 in cycle order (two
-/// runs that arrive sorted), the rest scrambled (k = (25j + 5) mod 36 + 14).
-template <class Record, class Make>
-std::string write_golden_spill(const fs::path& dir, std::size_t records_per_segment,
-                               Make make) {
+/// Appends 50 golden host records of cycles 3k+1: the first 14 in cycle
+/// order (two runs that arrive sorted), the rest scrambled
+/// (k = (25j + 5) mod 36 + 14).
+std::string write_golden_spill(const fs::path& dir, std::size_t records_per_segment) {
   SpillConfig config;
   config.directory = dir.string();
-  config.segment_bytes = records_per_segment * RecordTraits<Record>::wire_bytes;
+  config.segment_bytes = records_per_segment * kHostRecordBytes;
   config.seed = 0x601dULL;
   config.shard = 1;
   config.total_shards = 3;
-  SpillWriter<Record> writer(config);
-  for (std::uint64_t k = 0; k < 14; ++k) writer.append(3 * k + 1, make(3 * k + 1));
+  SpillWriter<core::HostScanRecord> writer(config);
+  for (std::uint64_t k = 0; k < 14; ++k) {
+    writer.append(3 * k + 1, golden_host_record(3 * k + 1));
+  }
   for (std::uint64_t j = 0; j < 36; ++j) {
     const std::uint64_t cycle = 3 * ((25 * j + 5) % 36 + 14) + 1;
-    writer.append(cycle, make(cycle));
+    writer.append(cycle, golden_host_record(cycle));
   }
   EXPECT_TRUE(writer.close()) << writer.error();
   return writer.path();
@@ -472,7 +445,7 @@ TEST(SpillStore, SegmentBytesArePinned) {
   const fs::path dir = scratch_dir("golden");
 
   const std::vector<std::uint8_t> host =
-      read_file(write_golden_spill<core::HostScanRecord>(dir, 7, golden_host_record));
+      read_file(write_golden_spill(dir, 7));
   EXPECT_EQ(host.size(), 8 * kSegmentHeaderBytes + 50 * kHostRecordBytes);
   EXPECT_EQ(fnv1a(host), 0xbe958df531ab9051ULL);
   // The third record of the third segment, a run that arrived scrambled.
@@ -480,16 +453,6 @@ TEST(SpillStore, SegmentBytesArePinned) {
   EXPECT_EQ(hex(host, host_at, kHostRecordBytes),
             "4c000000000000005807f5e50204066d38effe463ceffe353b6814e68b21d8c4"
             "13824d13824d3c1001b9c3de273b4cc4b3");
-
-  const std::vector<std::uint8_t> sweep =
-      read_file(write_golden_spill<scan::SweepRecord>(dir, 5, golden_sweep_record));
-  EXPECT_EQ(sweep.size(), 10 * kSegmentHeaderBytes + 50 * kSweepRecordBytes);
-  EXPECT_EQ(fnv1a(sweep), 0x84eb4098c047a234ULL);
-  // The third record of the fourth segment, a run that arrived scrambled.
-  const std::size_t sweep_at = 4 * kSegmentHeaderBytes + 17 * kSweepRecordBytes;
-  EXPECT_EQ(hex(sweep, sweep_at, kSweepRecordBytes),
-            "6d000000000000001a0364c7011364c7c397a901bbd56e7d4c9f88613e49685a"
-            "57e610c43f00000000000000000000000000");
   fs::remove_all(dir);
 }
 
@@ -553,33 +516,23 @@ TEST(SpillStore, ShardsOverlapMatchesTheGcdRule) {
   EXPECT_FALSE(shards_overlap(2, 6, 4, 9));  // gcd 3: 2 ≢ 1 (mod 3)
 }
 
-TEST(SpillStore, CollectSpillFilesSeparatesKindsAndExpandsDirectories) {
+TEST(SpillStore, CollectSpillFilesExpandsDirectoriesToHostFiles) {
   const fs::path dir = scratch_dir("collect");
   std::string host_path;
   write_host_spill(dir, 7, 0, 1, 4, 1u << 20, &host_path);
-  SpillConfig sweep_config;
-  sweep_config.directory = dir.string();
-  sweep_config.seed = 7;
-  SpillWriter<scan::SweepRecord> sweep_writer(sweep_config);
-  util::Rng rng(3);
-  sweep_writer.append(1, random_sweep_record(rng, 1));
-  ASSERT_TRUE(sweep_writer.close());
+  // Other files in the directory are skipped, among them a sweep spill an
+  // older build wrote.
+  std::ofstream(dir / "sweep-00000-of-00001.iwspill") << "old";
+  std::ofstream(dir / "notes.txt") << "notes";
 
   std::vector<std::string> hosts;
-  std::vector<std::string> sweeps;
   std::string error;
-  ASSERT_TRUE(collect_spill_files({dir.string()}, RecordKind::Host, hosts, &error))
-      << error;
-  ASSERT_TRUE(collect_spill_files({dir.string()}, RecordKind::Sweep, sweeps, &error))
-      << error;
+  ASSERT_TRUE(collect_spill_files({dir.string()}, hosts, &error)) << error;
   ASSERT_EQ(hosts.size(), 1u);
-  ASSERT_EQ(sweeps.size(), 1u);
   EXPECT_EQ(hosts.front(), host_path);
-  EXPECT_EQ(sweeps.front(), sweep_writer.path());
 
   std::vector<std::string> missing;
-  EXPECT_FALSE(collect_spill_files({(dir / "nope").string()}, RecordKind::Host,
-                                   missing, &error));
+  EXPECT_FALSE(collect_spill_files({(dir / "nope").string()}, missing, &error));
   EXPECT_FALSE(error.empty());
   fs::remove_all(dir);
 }

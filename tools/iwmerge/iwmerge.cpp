@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
   if (!flags.str("out").empty()) {
     std::vector<std::string> files;
     std::string error;
-    if (!store::collect_spill_files(inputs, store::RecordKind::Host, files, &error)) {
+    if (!store::collect_spill_files(inputs, files, &error)) {
       std::fprintf(stderr, "iwmerge: %s\n", error.c_str());
       return 1;
     }

@@ -45,7 +45,7 @@ const std::vector<ModuleSpec>& modules() {
       {"scanner", "scan", {"util", "netbase", "netsim"}},
       {"core", "core",
        {"util", "netbase", "netsim", "tcpstack", "httpd", "tls", "scanner"}},
-      {"store", "store", {"util", "netbase", "netsim", "scanner", "core"}},
+      {"store", "store", {"util", "netbase", "core"}},
       {"inetmodel", "model", {"util", "netbase", "netsim", "tcpstack", "httpd", "tls"}},
       {"exec", "exec",
        {"util", "netbase", "netsim", "tcpstack", "httpd", "tls", "scanner", "core",
